@@ -10,9 +10,15 @@
 //! * [`Variant::ImServer`] — the client ships each request to a randomly
 //!   chosen contact server, which routes it with *its* image ("many
 //!   light-memory clients (e.g., PDA) address queries to a cluster").
+//!
+//! The client is transport-free, like [`crate::server::Server`]: [`address`]
+//! builds an operation's first message, a [`Fold`] consumes the replies,
+//! and each operation is written once, on [`Over`], against [`Transport`].
+//! The simulator ([`Cluster`]) and TCP (`sdr-net`) are the two drivers;
+//! `Client::insert(&mut Cluster, ..)` etc. are thin loud-failure wrappers.
 
 use crate::cluster::Cluster;
-use crate::ids::{ClientId, NodeKind, Oid, QueryId, ServerId};
+use crate::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 use crate::image::Image;
 use crate::msg::{
     ClientOp, Endpoint, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
@@ -21,6 +27,7 @@ use crate::msg::{
 use crate::node::Object;
 use sdr_det::{DetRng, Rng};
 use sdr_geom::{Point, Rect};
+use std::collections::BTreeMap;
 
 /// Sender bookkeeping for the direct termination protocol (§4.3).
 ///
@@ -34,19 +41,14 @@ use sdr_geom::{Point, Rect};
 /// every named server reported exactly as often as it was named. Any
 /// single loss, duplication, or forgery now leaves the two multisets
 /// unequal.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DirectAccounting {
-    expected: std::collections::BTreeMap<ServerId, i64>,
-    received: std::collections::BTreeMap<ServerId, i64>,
+    expected: BTreeMap<ServerId, i64>,
+    received: BTreeMap<ServerId, i64>,
     initial_reports: u32,
 }
 
 impl DirectAccounting {
-    /// Empty bookkeeping (nothing received, nothing owed).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Seeds the entry hop when the client itself addressed it (join
     /// broadcasts start at the root, which the client knows; traversal
     /// reports instead mark themselves via `initial`).
@@ -60,8 +62,7 @@ impl DirectAccounting {
     pub fn report(&mut self, sender: ServerId, spawned: &[ServerId], initial: bool) {
         *self.received.entry(sender).or_insert(0) += 1;
         if initial {
-            self.initial_reports += 1;
-            *self.expected.entry(sender).or_insert(0) += 1;
+            self.expect_entry(sender);
         }
         for s in spawned {
             *self.expected.entry(*s).or_insert(0) += 1;
@@ -72,39 +73,33 @@ impl DirectAccounting {
     pub fn is_complete(&self) -> bool {
         self.initial_reports == 1 && self.received == self.expected
     }
-
-    /// Panics unless the traversal is complete — the simulator client's
-    /// loud failure mode when fault injection loses a report.
-    pub fn assert_complete(&self, what: &str) {
-        assert!(
-            self.is_complete(),
-            "{what} termination incomplete: {} entry report(s), received {:?} of expected {:?}",
-            self.initial_reports,
-            self.received,
-            self.expected,
-        );
-    }
 }
 
-/// Error returned when an operation needs a contact server but the
-/// cluster has none to offer.
-///
-/// The IMSERVER variant picks a uniformly random contact per request;
-/// drawing from an empty range would panic inside the RNG. An empty
-/// cluster cannot arise through [`Cluster::new`] (it always seeds
-/// server 0), but the client is also the template for code driving a
-/// remote deployment, where "no servers registered yet" is a real
-/// state that must surface as an error, not an abort.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NoServers;
+/// Why a [`Fold`] that owes a definite answer did not get one. The
+/// simulator wrappers panic with it; a deadline-driven transport reports
+/// its own error (timeout, undeliverable) before ever reaching it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Incomplete {
+    /// Direct protocol: a report was lost, duplicated, or forged.
+    Reports(DirectAccounting),
+    /// Reverse-path protocol: the aggregate never arrived.
+    NoAggregate,
+}
 
-impl std::fmt::Display for NoServers {
+impl std::fmt::Display for Incomplete {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cluster has no servers to contact")
+        match self {
+            Incomplete::Reports(a) => write!(
+                f,
+                "termination incomplete: {} entry report(s), received {:?} of expected {:?}",
+                a.initial_reports, a.received, a.expected,
+            ),
+            Incomplete::NoAggregate => write!(f, "reverse-path protocol: no aggregate received"),
+        }
     }
 }
 
-impl std::error::Error for NoServers {}
+impl std::error::Error for Incomplete {}
 
 /// The addressing variant a client runs (§5).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -140,6 +135,318 @@ pub struct QueryOutcome {
     pub messages: u64,
 }
 
+// ------------------------------------------------------------ addressing --
+
+/// CHOOSEFROMIMAGE addressing (§3.1): the first message of `op` and the
+/// image link it was addressed through, if any.
+///
+/// The only place an `initial` insert / query / delete message is built;
+/// clients and IMSERVER contact servers both call it. Inserts and windows
+/// use the general [`Image::choose`]; point queries and deletes target
+/// leaves directly ("the client searches its image for a data node d
+/// whose directory rectangle contains P", §4.1). With no image (`None`:
+/// BASIC) or an empty one, `fallback` is addressed: the root for BASIC,
+/// else the holder's contact data node, which repairs by ascending.
+#[inline(always)]
+pub fn address(
+    image: Option<&Image>,
+    fallback: NodeRef,
+    op: ClientOp,
+    iam_to: ImageHolder,
+    results_to: ClientId,
+    protocol: ReplyProtocol,
+) -> (ServerId, Payload, Option<NodeRef>) {
+    let chosen = image
+        .and_then(|image| match &op {
+            ClientOp::Insert(obj) => image.choose(&obj.mbb),
+            ClientOp::Window(w, _) => image.choose(w),
+            ClientOp::Point(p, _) => image.choose_data(&Rect::from_point(*p)),
+            ClientOp::Delete(obj, _) => image.choose_data(&obj.mbb),
+        })
+        .map(|link| link.node);
+    let target = chosen.unwrap_or(fallback);
+    let query = |query: QueryKind, qid| {
+        Payload::Query(QueryMsg {
+            target,
+            query,
+            region: query.rect(),
+            mode: QueryMode::Check,
+            qid,
+            initial: true,
+            repaired: false,
+            iam_carrier: false,
+            visited: vec![],
+            results_to,
+            iam_to,
+            protocol,
+            reply_via: None,
+            parent_branch: 0,
+            trace: vec![],
+        })
+    };
+    let payload = match op {
+        ClientOp::Insert(obj) => match target.kind {
+            NodeKind::Data => Payload::InsertAtLeaf {
+                obj,
+                trace: vec![],
+                iam_to,
+                initial: true,
+            },
+            NodeKind::Routing => Payload::InsertAscend {
+                obj,
+                trace: vec![],
+                iam_to,
+                initial: true,
+            },
+        },
+        ClientOp::Point(p, qid) => query(QueryKind::Point(p), qid),
+        ClientOp::Window(w, qid) => query(QueryKind::Window(w), qid),
+        ClientOp::Delete(obj, qid) => Payload::Delete {
+            obj,
+            qid,
+            mode: QueryMode::Check,
+            region: obj.mbb,
+            visited: vec![],
+            target,
+            results_to,
+            iam_to,
+            trace: vec![],
+            initial: true,
+        },
+    };
+    (target.server, payload, chosen)
+}
+
+// ------------------------------------------------------------ reply fold --
+
+/// What a [`Fold`] waits for before its operation is complete.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Await {
+    /// Direct-protocol reports until the sender accounting balances.
+    #[default]
+    Reports,
+    /// As `Reports`, but the client itself names the entry hop: the
+    /// server it addresses (join broadcasts start at the root).
+    Broadcast,
+    /// The single aggregate of the reverse-path protocol.
+    Aggregate,
+    /// The local kNN estimate — a hint: losing it only costs rounds.
+    Estimate,
+    /// The acknowledgment of this object's insertion, sent only when it
+    /// took an out-of-range path (§3.2), so it may never come.
+    Ack(Oid),
+    /// Nothing in particular (probabilistic protocol): the result is
+    /// whatever arrived by the time the transport settled.
+    Quiescence,
+}
+
+/// The per-operation reply fold: the termination protocols of §4.3 and
+/// the IAM absorption of §3.2, independent of how messages travel.
+///
+/// A transport [`feed`](Fold::feed)s it every client-bound message it
+/// sees. Replies with the operation's query id are merged and accounted,
+/// their link traces absorbed into the image; an `InsertAck` is absorbed
+/// whichever insert it answers, so a stray ack still corrects the image;
+/// replies to older operations (late branches) drop.
+#[derive(Debug, Default)]
+pub struct Fold<'a> {
+    qid: Option<QueryId>,
+    wait: Await,
+    /// `None` when the variant keeps no client-side image.
+    image: Option<&'a mut Image>,
+    acct: DirectAccounting,
+    pub(crate) results: Vec<Object>,
+    pub(crate) pairs: Vec<(Oid, Oid)>,
+    pub(crate) removed: bool,
+    direct: bool,
+    acked: bool,
+    aggregated: bool,
+    pub(crate) estimate: Option<(crate::knn::Near, Option<Rect>)>,
+    /// The image link the operation was addressed through, if any.
+    via: Option<NodeRef>,
+    /// IAMs absorbed (non-empty traces) and the links they carried.
+    iams: u64,
+    iam_links: u64,
+}
+
+impl Fold<'_> {
+    /// Consumes one client-bound message.
+    pub fn feed(&mut self, msg: Message) {
+        let Endpoint::Server(sender) = msg.from else {
+            return;
+        };
+        let trace = match msg.payload {
+            Payload::QueryReport {
+                qid,
+                results,
+                spawned,
+                trace,
+                direct,
+            } if Some(qid) == self.qid => {
+                self.acct.report(sender, &spawned, direct.is_some());
+                self.results.extend(results);
+                self.direct = direct.unwrap_or(self.direct);
+                trace
+            }
+            Payload::QueryAggregate {
+                qid,
+                results,
+                trace,
+                ..
+            } if Some(qid) == self.qid => {
+                self.aggregated = true;
+                self.results.extend(results);
+                trace
+            }
+            Payload::DeleteReport {
+                qid,
+                removed,
+                spawned,
+                trace,
+                initial,
+            } if Some(qid) == self.qid => {
+                self.acct.report(sender, &spawned, initial);
+                self.removed |= removed;
+                trace
+            }
+            Payload::JoinReport {
+                qid,
+                pairs,
+                spawned,
+                trace,
+            } if Some(qid) == self.qid => {
+                self.acct.report(sender, &spawned, false);
+                self.pairs.extend(pairs);
+                trace
+            }
+            Payload::KnnLocalReply { qid, items, dr } if Some(qid) == self.qid => {
+                self.estimate = Some((items, dr));
+                return;
+            }
+            Payload::InsertAck { oid, trace, .. } => {
+                self.acked |= self.wait == Await::Ack(oid);
+                trace
+            }
+            _ => return,
+        };
+        if let (Some(image), false) = (self.image.as_deref_mut(), trace.is_empty()) {
+            image.absorb(&trace);
+            self.iams += 1;
+            self.iam_links += trace.len() as u64;
+        }
+    }
+
+    /// Whether the awaited replies have all arrived — a deadline-driven
+    /// transport stops receiving here.
+    pub fn is_complete(&self) -> bool {
+        match self.wait {
+            Await::Reports | Await::Broadcast => self.acct.is_complete(),
+            Await::Aggregate => self.aggregated,
+            Await::Estimate => self.estimate.is_some(),
+            Await::Ack(_) => self.acked,
+            Await::Quiescence => false,
+        }
+    }
+
+    /// Whether nothing obliges a reply (insert acks, the probabilistic
+    /// protocol): completion is then the transport's own quiescence, not
+    /// [`Fold::is_complete`].
+    pub fn settles(&self) -> bool {
+        matches!(self.wait, Await::Ack(_) | Await::Quiescence)
+    }
+
+    /// The verdict once the transport has nothing more to deliver: an
+    /// owed answer that did not complete is [`Incomplete`], never a
+    /// silently partial result.
+    pub fn finish(&self) -> Result<(), Incomplete> {
+        match self.wait {
+            Await::Reports | Await::Broadcast if !self.acct.is_complete() => {
+                Err(Incomplete::Reports(self.acct.clone()))
+            }
+            Await::Aggregate if !self.aggregated => Err(Incomplete::NoAggregate),
+            _ => Ok(()),
+        }
+    }
+}
+
+// ------------------------------------------------------------- transport --
+
+/// What carries a client's messages: the one seam between the protocol
+/// above and a substrate below. Statically dispatched — the simulator's
+/// insert path is sub-microsecond.
+pub trait Transport {
+    /// Why an exchange can fail.
+    type Error;
+
+    /// The root of the tree, for BASIC addressing and join broadcasts.
+    /// Without this or the next hint (TCP) the client uses its contact.
+    fn root(&self) -> Option<NodeRef> {
+        None
+    }
+
+    /// How many servers there are, for the IMSERVER contact draw.
+    fn num_servers(&self) -> usize {
+        0
+    }
+
+    /// Server-addressed messages so far (the paper's cost metric), where
+    /// the substrate meters them.
+    fn messages(&self) -> u64 {
+        0
+    }
+
+    /// The substrate's metrics registry, if it has one switched on.
+    fn metrics(&mut self) -> Option<&mut sdr_obs::Metrics> {
+        None
+    }
+
+    /// Sends `msg`, then feeds `fold` the client-bound messages that
+    /// arrive until it is complete or the transport gives up.
+    fn exchange(&mut self, msg: Message, fold: &mut Fold<'_>) -> Result<(), Self::Error>;
+}
+
+/// The simulator as a transport: post, drain to quiescence, fold
+/// everything the drain handed back — so losses, duplicates and
+/// forgeries all show in the final accounting.
+impl Transport for Cluster {
+    type Error = Incomplete;
+
+    fn root(&self) -> Option<NodeRef> {
+        Some(self.root_node())
+    }
+
+    fn num_servers(&self) -> usize {
+        Cluster::num_servers(self)
+    }
+
+    fn messages(&self) -> u64 {
+        self.stats.total()
+    }
+
+    fn metrics(&mut self) -> Option<&mut sdr_obs::Metrics> {
+        self.obs_mut().metrics_mut()
+    }
+
+    #[inline(always)]
+    fn exchange(&mut self, msg: Message, fold: &mut Fold<'_>) -> Result<(), Incomplete> {
+        self.post(msg);
+        for reply in self.drain() {
+            fold.feed(reply);
+        }
+        fold.finish()
+    }
+}
+
+/// The simulator client's loud failure mode: an incomplete answer panics,
+/// and the chaos suite counts the caught panic as a *reported* failure.
+pub(crate) fn loud<R>(outcome: Result<R, Incomplete>) -> R {
+    // sdr-lint: allow(panic-safety) — deliberate: the simulator has no
+    // caller to hand a lost reply to, and silence would be a wrong answer.
+    outcome.unwrap_or_else(|e| panic!("{e}"))
+}
+
+// ---------------------------------------------------------------- client --
+
 /// A client component.
 #[derive(Debug)]
 pub struct Client {
@@ -174,8 +481,9 @@ impl Client {
         }
     }
 
-    fn qid(&mut self) -> QueryId {
-        self.next_query_id()
+    /// Binds the client to a transport for one or more operations.
+    pub fn over<'a, T: Transport>(&'a mut self, t: &'a mut T) -> Over<'a, T> {
+        Over { c: self, t }
     }
 
     /// Allocates a fresh query id: the client id in the high 32 bits, a
@@ -183,454 +491,194 @@ impl Client {
     /// need 2³² *concurrently outstanding* operations).
     pub(crate) fn next_query_id(&mut self) -> QueryId {
         self.next_qid = (self.next_qid + 1) & 0xFFFF_FFFF;
-        QueryId(((self.id.0 as u64) << 32) | self.next_qid)
+        QueryId((u64::from(self.id.0) << 32) | self.next_qid)
     }
 
-    fn endpoint(&self) -> Endpoint {
-        Endpoint::Client(self.id)
-    }
-
-    /// Picks a uniformly random contact server (the IMSERVER addressing
-    /// step). Returns [`NoServers`] instead of panicking when the
-    /// cluster is empty.
-    pub fn random_contact(&mut self, cluster: &Cluster) -> Result<ServerId, NoServers> {
-        self.contact_among(cluster.num_servers())
-    }
-
-    fn contact_among(&mut self, n: usize) -> Result<ServerId, NoServers> {
-        if n == 0 {
-            return Err(NoServers);
-        }
+    /// Picks a uniformly random contact among `n` servers (the IMSERVER
+    /// addressing step); `None` when there are none — drawing from an
+    /// empty range would panic inside the RNG, and "no servers known yet"
+    /// is a real state for a transport without a global view.
+    fn contact_among(&mut self, n: usize) -> Option<ServerId> {
         // Server ids are u32, so n ≤ u32::MAX + 1; the saturation below
         // is unreachable in practice and exists only to avoid a lossy
         // cast on this message path.
         let n = u32::try_from(n).unwrap_or(u32::MAX);
-        Ok(ServerId(self.rng.gen_range(0..n)))
+        (n > 0).then(|| ServerId(self.rng.gen_range(0..n)))
     }
-
-    // --------------------------------------------------------- inserts --
 
     /// Inserts an object, driving the cluster to quiescence.
     pub fn insert(&mut self, cluster: &mut Cluster, obj: Object) -> InsertOutcome {
-        let snap = cluster.stats.snapshot();
-        let (initial, chosen) = self.build_insert(cluster, obj);
-        cluster.post(initial);
-        let inbox = cluster.drain();
-        // An ack arrives iff the insertion took an out-of-range path.
-        let mut direct = true;
-        for msg in inbox {
-            if let Payload::InsertAck { trace, .. } = msg.payload {
-                direct = false;
-                if self.variant == Variant::ImClient {
-                    self.image.absorb(&trace);
-                    record_iam(cluster.obs_mut(), &trace);
-                }
-            }
-        }
-        // Evict the link that mis-addressed (see run_query's note).
-        if !direct {
-            if let Some(node) = chosen {
-                self.image.forget(node);
-                record_evict(cluster.obs_mut());
-            }
-        }
-        if let Some(m) = cluster.obs_mut().metrics_mut() {
-            m.inc(if direct {
-                "client/insert_direct"
-            } else {
-                "client/insert_stale"
-            });
-        }
-        InsertOutcome {
-            direct,
-            messages: cluster.stats.since(&snap).total,
-        }
+        loud(self.over(cluster).insert(obj))
     }
-
-    /// Builds the initial insertion message and, for image-addressed
-    /// variants, reports which image link was used.
-    fn build_insert(
-        &mut self,
-        cluster: &mut Cluster,
-        obj: Object,
-    ) -> (Message, Option<crate::ids::NodeRef>) {
-        match self.variant {
-            Variant::Basic => {
-                let root = cluster.root_node();
-                let payload = match root.kind {
-                    NodeKind::Data => Payload::InsertAtLeaf {
-                        obj,
-                        trace: vec![],
-                        iam_to: ImageHolder::Nobody,
-                        initial: true,
-                    },
-                    NodeKind::Routing => Payload::InsertAscend {
-                        obj,
-                        trace: vec![],
-                        iam_to: ImageHolder::Nobody,
-                        initial: true,
-                    },
-                };
-                (
-                    Message {
-                        from: self.endpoint(),
-                        to: Endpoint::Server(root.server),
-                        payload,
-                    },
-                    None,
-                )
-            }
-            Variant::ImClient => {
-                let iam_to = ImageHolder::Client(self.id);
-                match self.image.choose(&obj.mbb) {
-                    Some(link) if link.is_data() => (
-                        Message {
-                            from: self.endpoint(),
-                            to: Endpoint::Server(link.node.server),
-                            payload: Payload::InsertAtLeaf {
-                                obj,
-                                trace: vec![],
-                                iam_to,
-                                initial: true,
-                            },
-                        },
-                        Some(link.node),
-                    ),
-                    Some(link) => (
-                        Message {
-                            from: self.endpoint(),
-                            to: Endpoint::Server(link.node.server),
-                            payload: Payload::InsertAscend {
-                                obj,
-                                trace: vec![],
-                                iam_to,
-                                initial: true,
-                            },
-                        },
-                        Some(link.node),
-                    ),
-                    None => (
-                        Message {
-                            from: self.endpoint(),
-                            to: Endpoint::Server(self.contact),
-                            payload: Payload::InsertAtLeaf {
-                                obj,
-                                trace: vec![],
-                                iam_to,
-                                initial: true,
-                            },
-                        },
-                        None,
-                    ),
-                }
-            }
-            Variant::ImServer => {
-                // Fallback is unreachable via the public API (Cluster::new
-                // always seeds server 0) but keeps this path panic-free.
-                let contact = self.random_contact(cluster).unwrap_or(self.contact);
-                (
-                    Message {
-                        from: self.endpoint(),
-                        to: Endpoint::Server(contact),
-                        payload: Payload::Routed {
-                            op: ClientOp::Insert(obj),
-                            results_to: self.id,
-                        },
-                    },
-                    None,
-                )
-            }
-        }
-    }
-
-    // --------------------------------------------------------- queries --
 
     /// Runs a point query: all objects whose mbb contains `p` (§4.1).
     pub fn point_query(&mut self, cluster: &mut Cluster, p: Point) -> QueryOutcome {
-        self.run_query(cluster, QueryKind::Point(p))
+        loud(self.over(cluster).query(QueryKind::Point(p)))
     }
 
     /// Runs a window query: all objects whose mbb intersects `w` (§4.2).
     pub fn window_query(&mut self, cluster: &mut Cluster, w: Rect) -> QueryOutcome {
-        self.run_query(cluster, QueryKind::Window(w))
+        loud(self.over(cluster).query(QueryKind::Window(w)))
     }
-
-    fn run_query(&mut self, cluster: &mut Cluster, query: QueryKind) -> QueryOutcome {
-        let snap = cluster.stats.snapshot();
-        let qid = self.qid();
-        let region = query.rect();
-        let mut chosen: Option<crate::ids::NodeRef> = None;
-
-        let msg = match self.variant {
-            Variant::ImServer => {
-                // Fallback is unreachable via the public API (Cluster::new
-                // always seeds server 0) but keeps this path panic-free.
-                let contact = self.random_contact(cluster).unwrap_or(self.contact);
-                let op = match query {
-                    QueryKind::Point(p) => ClientOp::Point(p, qid),
-                    QueryKind::Window(w) => ClientOp::Window(w, qid),
-                };
-                Message {
-                    from: self.endpoint(),
-                    to: Endpoint::Server(contact),
-                    payload: Payload::Routed {
-                        op,
-                        results_to: self.id,
-                    },
-                }
-            }
-            _ => {
-                let (target, iam_to) = match self.variant {
-                    Variant::Basic => {
-                        let root = cluster.root_node();
-                        (root, ImageHolder::Nobody)
-                    }
-                    _ => {
-                        // "The client searches its image for a data node
-                        // d whose directory rectangle contains P" (§4.1);
-                        // windows use the general CHOOSEFROMIMAGE.
-                        let picked = match query {
-                            QueryKind::Point(_) => self.image.choose_data(&region),
-                            QueryKind::Window(_) => self.image.choose(&region),
-                        };
-                        chosen = picked.map(|l| l.node);
-                        let target = chosen.unwrap_or(crate::ids::NodeRef::data(self.contact));
-                        (target, ImageHolder::Client(self.id))
-                    }
-                };
-                Message {
-                    from: self.endpoint(),
-                    to: Endpoint::Server(target.server),
-                    payload: Payload::Query(QueryMsg {
-                        target,
-                        query,
-                        region,
-                        mode: QueryMode::Check,
-                        qid,
-                        initial: true,
-                        repaired: false,
-                        iam_carrier: false,
-                        visited: vec![],
-                        results_to: self.id,
-                        iam_to,
-                        protocol: self.protocol,
-                        reply_via: None,
-                        parent_branch: 0,
-                        trace: vec![],
-                    }),
-                }
-            }
-        };
-        cluster.post(msg);
-        let inbox = cluster.drain();
-        let (results, direct) = self.collect_query_replies(qid, inbox, cluster.obs_mut());
-        // Self-healing image: the link we chose was wrong (stale dr, or
-        // a dissolved node). Evict it — the IAM already delivered fresh
-        // links for the region, and without eviction a stale *small*
-        // covering rectangle would win CHOOSEFROMIMAGE's pass 1 forever,
-        // paying the repair detour on every future operation there.
-        if !direct {
-            if let Some(node) = chosen {
-                self.image.forget(node);
-                record_evict(cluster.obs_mut());
-            }
-        }
-        if let Some(m) = cluster.obs_mut().metrics_mut() {
-            m.inc(if direct {
-                "client/query_direct"
-            } else {
-                "client/query_stale"
-            });
-        }
-        QueryOutcome {
-            results,
-            direct,
-            messages: cluster.stats.since(&snap).total,
-        }
-    }
-
-    /// Applies the termination protocol to the drained replies: verifies
-    /// completeness, merges and de-duplicates results, updates the image.
-    fn collect_query_replies(
-        &mut self,
-        qid: QueryId,
-        inbox: Vec<Message>,
-        obs: &mut sdr_obs::Obs,
-    ) -> (Vec<Object>, bool) {
-        let mut results: Vec<Object> = Vec::new();
-        let mut direct = false;
-        let mut acct = DirectAccounting::new();
-        let mut got_aggregate = false;
-        for msg in inbox {
-            let from = msg.from;
-            match msg.payload {
-                Payload::QueryReport {
-                    qid: rq,
-                    results: r,
-                    spawned,
-                    trace,
-                    direct: d,
-                } if rq == qid => {
-                    if let Endpoint::Server(sender) = from {
-                        acct.report(sender, &spawned, d.is_some());
-                    }
-                    results.extend(r);
-                    if let Some(d) = d {
-                        direct = d;
-                    }
-                    if self.variant == Variant::ImClient {
-                        self.image.absorb(&trace);
-                        record_iam(obs, &trace);
-                    }
-                }
-                Payload::QueryAggregate {
-                    qid: rq,
-                    results: r,
-                    trace,
-                    ..
-                } if rq == qid => {
-                    got_aggregate = true;
-                    results.extend(r);
-                    if self.variant == Variant::ImClient {
-                        self.image.absorb(&trace);
-                        record_iam(obs, &trace);
-                    }
-                }
-                _ => {}
-            }
-        }
-        match self.protocol {
-            ReplyProtocol::Direct => {
-                acct.assert_complete("query");
-            }
-            ReplyProtocol::Probabilistic => {
-                // No completion bookkeeping: the result is whatever the
-                // (simulated) timeout collected.
-                direct = true;
-            }
-            ReplyProtocol::ReversePath => {
-                assert!(
-                    got_aggregate,
-                    "reverse-path protocol: no aggregate received"
-                );
-                // With the reverse-path protocol the direct flag is not
-                // reported; callers relying on it use the direct
-                // protocol, as the paper's evaluation does.
-                direct = true;
-            }
-        }
-        dedup_objects(&mut results);
-        (results, direct)
-    }
-
-    // -------------------------------------------------------- deletion --
 
     /// Deletes an object (oid + exact mbb). Returns whether some server
     /// removed it, plus the message cost.
     pub fn delete(&mut self, cluster: &mut Cluster, obj: Object) -> (bool, u64) {
-        let snap = cluster.stats.snapshot();
-        let qid = self.qid();
-        let msg = match self.variant {
-            Variant::ImServer => {
-                // Fallback is unreachable via the public API (Cluster::new
-                // always seeds server 0) but keeps this path panic-free.
-                let contact = self.random_contact(cluster).unwrap_or(self.contact);
-                Message {
-                    from: self.endpoint(),
-                    to: Endpoint::Server(contact),
-                    payload: Payload::Routed {
-                        op: ClientOp::Delete(obj, qid),
-                        results_to: self.id,
-                    },
-                }
+        loud(self.over(cluster).delete(obj))
+    }
+}
+
+/// A [`Client`] bound to the [`Transport`] it runs over: the one place
+/// each operation is written. Obtained from [`Client::over`].
+pub struct Over<'a, T: Transport> {
+    pub(crate) c: &'a mut Client,
+    pub(crate) t: &'a mut T,
+}
+
+impl<T: Transport> Over<'_, T> {
+    /// Sends one message and folds its replies: every operation's step.
+    #[inline(always)]
+    pub(crate) fn exchange(
+        &mut self,
+        (to, payload, via): (ServerId, Payload, Option<NodeRef>),
+        qid: Option<QueryId>,
+        wait: Await,
+    ) -> Result<Fold<'_>, T::Error> {
+        let mut fold = Fold {
+            qid,
+            wait,
+            via,
+            image: (self.c.variant == Variant::ImClient).then_some(&mut self.c.image),
+            ..Fold::default()
+        };
+        if wait == Await::Broadcast {
+            fold.acct.expect_entry(to);
+        }
+        let msg = Message {
+            from: Endpoint::Client(self.c.id),
+            to: Endpoint::Server(to),
+            payload,
+        };
+        let sent = self.t.exchange(msg, &mut fold);
+        // IAMs count toward the §5.1 staleness metrics even when the
+        // exchange itself failed.
+        if let (Some(m), true) = (self.t.metrics(), fold.iams > 0) {
+            m.add("client/iam", fold.iams);
+            m.add("client/iam_links", fold.iam_links);
+        }
+        sent?;
+        // De-duplicate by oid, preserving first-seen order. The OC
+        // forwarding can reach a data node through two independent
+        // branches after splits left stale outer links behind; the
+        // client-side merge makes the result a set, as the paper's
+        // termination protocols imply.
+        let mut seen = std::collections::BTreeSet::new();
+        fold.results.retain(|o| seen.insert(o.oid));
+        Ok(fold)
+    }
+
+    /// Addresses `op` under the client's variant and exchanges it.
+    #[inline(always)]
+    fn operate(
+        &mut self,
+        op: ClientOp,
+        qid: Option<QueryId>,
+        wait: Await,
+    ) -> Result<Fold<'_>, T::Error> {
+        let c = &mut *self.c;
+        let contact = NodeRef::data(c.contact);
+        let first = match c.variant {
+            Variant::Basic => {
+                let (root, nobody) = (self.t.root().unwrap_or(contact), ImageHolder::Nobody);
+                address(None, root, op, nobody, c.id, c.protocol)
             }
-            _ => {
-                let (target, iam_to) = match self.variant {
-                    Variant::Basic => (cluster.root_node(), ImageHolder::Nobody),
-                    _ => {
-                        let target = self
-                            .image
-                            .choose_data(&obj.mbb)
-                            .map(|l| l.node)
-                            .unwrap_or(crate::ids::NodeRef::data(self.contact));
-                        (target, ImageHolder::Client(self.id))
-                    }
+            Variant::ImClient => {
+                let me = ImageHolder::Client(c.id);
+                address(Some(&c.image), contact, op, me, c.id, c.protocol)
+            }
+            Variant::ImServer => {
+                // Fallback is unreachable on the simulator (Cluster::new
+                // always seeds server 0) but keeps this path panic-free.
+                let contact = c.contact_among(self.t.num_servers()).unwrap_or(c.contact);
+                let routed = Payload::Routed {
+                    op,
+                    results_to: c.id,
                 };
-                Message {
-                    from: self.endpoint(),
-                    to: Endpoint::Server(target.server),
-                    payload: Payload::Delete {
-                        obj,
-                        qid,
-                        mode: QueryMode::Check,
-                        region: obj.mbb,
-                        visited: vec![],
-                        target,
-                        results_to: self.id,
-                        iam_to,
-                        trace: vec![],
-                        initial: true,
-                    },
-                }
+                (contact, routed, None)
             }
         };
-        cluster.post(msg);
-        let inbox = cluster.drain();
-        let mut removed = false;
-        let mut acct = DirectAccounting::new();
-        for m in inbox {
-            let from = m.from;
-            if let Payload::DeleteReport {
-                qid: rq,
-                removed: r,
-                spawned,
-                trace,
-                initial,
-            } = m.payload
-            {
-                if rq == qid {
-                    if let Endpoint::Server(sender) = from {
-                        acct.report(sender, &spawned, initial);
-                    }
-                    removed |= r;
-                    if self.variant == Variant::ImClient {
-                        self.image.absorb(&trace);
-                        record_iam(cluster.obs_mut(), &trace);
-                    }
-                }
-            }
+        self.exchange(first, qid, wait)
+    }
+
+    /// Closes an operation addressed `via` an image link: evicts a link
+    /// that mis-addressed it and counts the outcome as `hit` or `stale`.
+    ///
+    /// Self-healing image: the link we chose was wrong (stale dr, or a
+    /// dissolved node). Evict it — the IAM already delivered fresh links
+    /// for the region, and without eviction a stale *small* covering
+    /// rectangle would win CHOOSEFROMIMAGE's pass 1 forever, paying the
+    /// repair detour on every future operation there.
+    fn settle(&mut self, via: Option<NodeRef>, direct: bool, hit: &str, stale: &str) {
+        let evicted = via.filter(|_| !direct);
+        if let Some(node) = evicted {
+            self.c.image.forget(node);
         }
-        acct.assert_complete("delete");
-        (removed, cluster.stats.since(&snap).total)
+        if let Some(m) = self.t.metrics() {
+            if evicted.is_some() {
+                m.inc("client/image_evict");
+            }
+            m.inc(if direct { hit } else { stale });
+        }
     }
-}
 
-/// Counts one IAM correction (a non-empty link trace absorbed into the
-/// image) toward the §5.1 staleness metrics.
-fn record_iam(obs: &mut sdr_obs::Obs, trace: &[crate::link::Link]) {
-    if trace.is_empty() {
-        return;
+    /// Inserts an object. Over TCP this returns once the structure has
+    /// settled: direct inserts are never acknowledged (§3.2).
+    pub fn insert(&mut self, obj: Object) -> Result<InsertOutcome, T::Error> {
+        let before = self.t.messages();
+        let fold = self.operate(ClientOp::Insert(obj), None, Await::Ack(obj.oid))?;
+        // An ack arrives iff the insertion took an out-of-range path.
+        let (via, direct) = (fold.via, !fold.acked);
+        self.settle(via, direct, "client/insert_direct", "client/insert_stale");
+        Ok(InsertOutcome {
+            direct,
+            messages: self.t.messages() - before,
+        })
     }
-    if let Some(m) = obs.metrics_mut() {
-        m.inc("client/iam");
-        m.add("client/iam_links", trace.len() as u64);
-    }
-}
 
-/// Counts one self-healing image eviction.
-fn record_evict(obs: &mut sdr_obs::Obs) {
-    if let Some(m) = obs.metrics_mut() {
-        m.inc("client/image_evict");
+    /// Runs a point (§4.1) or window (§4.2) query.
+    pub fn query(&mut self, query: QueryKind) -> Result<QueryOutcome, T::Error> {
+        let before = self.t.messages();
+        let qid = self.c.next_query_id();
+        let op = match query {
+            QueryKind::Point(p) => ClientOp::Point(p, qid),
+            QueryKind::Window(w) => ClientOp::Window(w, qid),
+        };
+        let wait = match self.c.protocol {
+            ReplyProtocol::Direct => Await::Reports,
+            ReplyProtocol::ReversePath => Await::Aggregate,
+            ReplyProtocol::Probabilistic => Await::Quiescence,
+        };
+        let fold = self.operate(op, Some(qid), wait)?;
+        // Only the direct protocol reports the direct flag; callers
+        // relying on it use that protocol, as the paper's evaluation does.
+        let (via, direct) = (fold.via, fold.direct || wait != Await::Reports);
+        let results = fold.results;
+        self.settle(via, direct, "client/query_direct", "client/query_stale");
+        Ok(QueryOutcome {
+            results,
+            direct,
+            messages: self.t.messages() - before,
+        })
     }
-}
 
-/// De-duplicates objects by oid, preserving first-seen order. The OC
-/// forwarding can reach a data node through two independent branches
-/// after splits left stale outer links behind; the client-side merge
-/// makes the result a set, as the paper's termination protocols imply.
-pub(crate) fn dedup_objects(objects: &mut Vec<Object>) {
-    let mut seen = std::collections::BTreeSet::new();
-    objects.retain(|o| seen.insert(o.oid));
+    /// Deletes an object (oid + exact mbb). Returns whether some server
+    /// removed it, plus the message cost.
+    pub fn delete(&mut self, obj: Object) -> Result<(bool, u64), T::Error> {
+        let before = self.t.messages();
+        let qid = self.c.next_query_id();
+        let fold = self.operate(ClientOp::Delete(obj, qid), Some(qid), Await::Reports)?;
+        Ok((fold.removed, self.t.messages() - before))
+    }
 }
 
 /// Allocates sequential oids for tests and examples.
@@ -656,21 +704,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_cluster_contact_is_a_typed_error_not_a_panic() {
-        let mut c = Client::new(ClientId(0), Variant::ImServer, 42);
-        assert_eq!(c.contact_among(0), Err(NoServers));
-        assert_eq!(NoServers.to_string(), "cluster has no servers to contact");
+    fn contact_is_in_range_and_seeded_and_none_without_servers() {
+        let mut a = Client::new(ClientId(0), Variant::ImServer, 7);
+        let mut b = Client::new(ClientId(0), Variant::ImServer, 7);
+        assert_eq!(a.contact_among(0), None, "no servers: no draw, no panic");
+        for _ in 0..100 {
+            let (sa, sb) = (a.contact_among(5), b.contact_among(5));
+            assert!(sa.is_some_and(|s| s.0 < 5));
+            assert_eq!(sa, sb, "same seed, same contact sequence");
+        }
     }
 
     #[test]
-    fn nonempty_cluster_contact_is_in_range_and_seeded() {
-        let mut a = Client::new(ClientId(0), Variant::ImServer, 7);
-        let mut b = Client::new(ClientId(0), Variant::ImServer, 7);
-        for _ in 0..100 {
-            let sa = a.contact_among(5).expect("5 servers");
-            let sb = b.contact_among(5).expect("5 servers");
-            assert!(sa.0 < 5);
-            assert_eq!(sa, sb, "same seed, same contact sequence");
-        }
+    fn query_id_counter_wraps_without_bleeding_into_the_client_half() {
+        let mut c = Client::new(ClientId(7), Variant::ImClient, 0);
+        c.next_qid = 0xFFFF_FFFE;
+        assert_eq!(c.next_query_id(), QueryId((7 << 32) | 0xFFFF_FFFF));
+        assert_eq!(c.next_query_id(), QueryId(7 << 32), "low half wraps");
+        assert_eq!(c.next_query_id(), QueryId((7 << 32) | 1));
     }
 }

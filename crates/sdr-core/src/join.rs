@@ -40,13 +40,13 @@
 //! Termination uses the direct protocol of §4.3: every hop reports its
 //! fan-out; the client counts replies.
 
-use crate::client::{dedup_objects, Client, Variant};
+use crate::client::{loud, Await, Client, Over, Transport};
 use crate::cluster::Cluster;
 use crate::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId};
-use crate::msg::{Endpoint, Message, Payload, QueryMode, Trace};
+use crate::msg::{Endpoint, Payload, QueryKind, QueryMode, Trace};
 use crate::node::Object;
 use crate::server::{Outbox, Server};
-use sdr_geom::Rect;
+use sdr_geom::{Point, Rect};
 
 /// Outcome of a distributed spatial self-join.
 #[derive(Clone, Debug)]
@@ -55,6 +55,49 @@ pub struct JoinOutcome {
     pub pairs: Vec<(Oid, Oid)>,
     /// Server-addressed messages the join cost.
     pub messages: u64,
+}
+
+impl<T: Transport> Over<'_, T> {
+    /// Runs a distributed spatial self-join (see [`Client::spatial_join`]).
+    pub fn spatial_join(&mut self) -> Result<JoinOutcome, T::Error> {
+        let before = self.t.messages();
+        let qid = self.c.next_query_id();
+        // The broadcast starts at the root regardless of variant — a
+        // join touches every server, so there is nothing for an image
+        // to shortcut (BASIC, IMCLIENT and IMSERVER behave identically).
+        let root = self.t.root().unwrap_or(NodeRef::data(self.c.contact));
+        let start = Payload::JoinStart {
+            target: root,
+            qid,
+            results_to: self.c.id,
+            trace: vec![],
+        };
+        // The client addressed the root itself, so it seeds the entry
+        // hop; every report then names the servers still owed.
+        let fold = self.exchange((root.server, start, None), Some(qid), Await::Broadcast)?;
+        let mut pairs = fold.pairs;
+        pairs.sort_unstable();
+        pairs.dedup();
+        Ok(JoinOutcome {
+            pairs,
+            messages: self.t.messages() - before,
+        })
+    }
+
+    /// Every object within Euclidean distance `radius` of `p` (measured
+    /// to the object's mbb) with that distance, nearest first: the
+    /// distance query, and each verification round of kNN.
+    pub fn ball(&mut self, p: Point, radius: f64) -> Result<crate::knn::Near, T::Error> {
+        // The ball is contained in its bounding window; a window query
+        // is complete over it, then the exact distance filters.
+        let window = Rect::new(p.x - radius, p.y - radius, p.x + radius, p.y + radius);
+        let mut hits = self.query(QueryKind::Window(window))?.results;
+        // Filter first: a last-resort kNN round holds every object here.
+        hits.retain(|o| o.mbb.min_dist(&p) <= radius);
+        let mut out: crate::knn::Near = hits.iter().map(|o| (*o, o.mbb.min_dist(&p))).collect();
+        out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        Ok(out)
+    }
 }
 
 impl Client {
@@ -77,83 +120,16 @@ impl Client {
     /// assert_eq!(pairs, vec![(0, 1), (2, 3)]);
     /// ```
     pub fn spatial_join(&mut self, cluster: &mut Cluster) -> JoinOutcome {
-        let snap = cluster.stats.snapshot();
-        let qid = self.next_query_id();
-        let root = cluster.root_node();
-        // The broadcast starts at the root regardless of variant — a
-        // join touches every server, so there is nothing for an image
-        // to shortcut (BASIC, IMCLIENT and IMSERVER behave identically).
-        let _ = self.variant; // variant-independent by design
-        cluster.post(Message {
-            from: Endpoint::Client(self.id),
-            to: Endpoint::Server(root.server),
-            payload: Payload::JoinStart {
-                target: root,
-                qid,
-                results_to: self.id,
-                trace: vec![],
-            },
-        });
-        let inbox = cluster.drain();
-
-        let mut pairs: Vec<(Oid, Oid)> = Vec::new();
-        // The client addressed the root itself, so it seeds the entry
-        // hop; every report then names the servers still owed.
-        let mut acct = crate::client::DirectAccounting::new();
-        acct.expect_entry(root.server);
-        for msg in inbox {
-            let from = msg.from;
-            if let Payload::JoinReport {
-                qid: rq,
-                pairs: p,
-                spawned,
-                trace,
-            } = msg.payload
-            {
-                if rq == qid {
-                    if let crate::msg::Endpoint::Server(sender) = from {
-                        acct.report(sender, &spawned, false);
-                    }
-                    pairs.extend(p);
-                    if self.variant == Variant::ImClient {
-                        self.image.absorb(&trace);
-                    }
-                }
-            }
-        }
-        acct.assert_complete("join");
-        pairs.sort_unstable();
-        pairs.dedup();
-        JoinOutcome {
-            pairs,
-            messages: cluster.stats.since(&snap).total,
-        }
+        loud(self.over(cluster).spatial_join())
     }
 
     /// Distance query (§7 future work): every object within Euclidean
     /// distance `radius` of `p` (measured to the object's mbb), nearest
     /// first.
-    pub fn within(
-        &mut self,
-        cluster: &mut Cluster,
-        p: sdr_geom::Point,
-        radius: f64,
-    ) -> Vec<(Oid, f64)> {
+    pub fn within(&mut self, cluster: &mut Cluster, p: Point, radius: f64) -> Vec<(Oid, f64)> {
         assert!(radius >= 0.0, "radius must be non-negative");
-        // The ball is contained in its bounding window; a window query
-        // is complete over it, then the exact distance filters.
-        let window = Rect::new(p.x - radius, p.y - radius, p.x + radius, p.y + radius);
-        let mut results = self.window_query(cluster, window).results;
-        dedup_objects(&mut results);
-        let mut out: Vec<(Oid, f64)> = results
-            .into_iter()
-            .filter_map(|o| {
-                let d = o.mbb.min_dist(&p);
-                (d <= radius).then_some((o.oid, d))
-            })
-            .collect();
-        out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        out
+        let near = loud(self.over(cluster).ball(p, radius));
+        near.into_iter().map(|(o, d)| (o.oid, d)).collect()
     }
 }
 
@@ -171,95 +147,63 @@ impl Server {
         self.append_iam(&mut trace);
         let mut spawned: Vec<crate::ids::ServerId> = Vec::new();
         let mut pairs: Vec<(Oid, Oid)> = Vec::new();
-        // A dissolved node (elimination) must not silently drop its
-        // subtree from the join: follow the tombstone, like queries do.
-        let missing = match target.kind {
-            NodeKind::Routing => self.routing.is_none(),
-            NodeKind::Data => self.data.is_none(),
+        let start = |target: NodeRef, out: &mut Outbox| {
+            let start = Payload::JoinStart {
+                target,
+                qid,
+                results_to,
+                trace: trace.clone(),
+            };
+            out.send_server(target.server, start);
+            target.server
         };
-        if missing {
-            if let Some(t) = self.tombstone(target.kind) {
-                out.send_server(
-                    t.server,
-                    Payload::JoinStart {
-                        target: t,
-                        qid,
-                        results_to,
-                        trace: trace.clone(),
-                    },
-                );
-                spawned.push(t.server);
+        match (target.kind, &self.routing, &self.data) {
+            (NodeKind::Routing, Some(r), _) => {
+                spawned.extend([r.left, r.right].map(|child| start(child.node, out)));
             }
-            out.send(
-                Endpoint::Client(results_to),
-                Payload::JoinReport {
-                    qid,
-                    pairs,
-                    spawned,
-                    trace,
-                },
-            );
-            return;
-        }
-        match target.kind {
-            NodeKind::Routing => {
-                if let Some(r) = &self.routing {
-                    for child in [r.left, r.right] {
-                        out.send_server(
-                            child.node.server,
-                            Payload::JoinStart {
-                                target: child.node,
-                                qid,
-                                results_to,
-                                trace: trace.clone(),
-                            },
-                        );
-                        spawned.push(child.node.server);
-                    }
-                }
-            }
-            NodeKind::Data => {
-                if let Some(d) = &self.data {
-                    // Local phase: each object against the local tree.
-                    for e in d.tree.iter() {
-                        for hit in d.tree.search_window(&e.rect) {
-                            if e.item < hit.item {
-                                pairs.push((e.item, hit.item));
-                            }
+            (NodeKind::Data, _, Some(d)) => {
+                // Local phase: each object against the local tree.
+                for e in d.tree.iter() {
+                    for hit in d.tree.search_window(&e.rect) {
+                        if e.item < hit.item {
+                            pairs.push((e.item, hit.item));
                         }
                     }
-                    // Boundary phase: probe every overlap region through
-                    // its ancestor (see the module docs for why the
-                    // cached outer link cannot be trusted here).
-                    let self_node = NodeRef::data(self.id);
-                    for entry in d.oc.entries().to_vec() {
-                        let objects: Vec<Object> = d
-                            .tree
-                            .search_window(&entry.rect)
-                            .into_iter()
-                            .map(|e| Object::new(e.item, e.rect))
-                            .collect();
-                        if objects.is_empty() {
-                            continue;
-                        }
-                        let ancestor = NodeRef::routing(entry.ancestor);
-                        out.send_server(
-                            ancestor.server,
-                            Payload::JoinProbe {
-                                target: ancestor,
-                                objects,
-                                region: entry.rect,
-                                mode: QueryMode::Check,
-                                visited: vec![self_node],
-                                qid,
-                                results_to,
-                                trace: trace.clone(),
-                            },
-                        );
-                        spawned.push(ancestor.server);
+                }
+                // Boundary phase: probe every overlap region through
+                // its ancestor (see the module docs for why the
+                // cached outer link cannot be trusted here).
+                let self_node = NodeRef::data(self.id);
+                for entry in d.oc.entries().to_vec() {
+                    let objects: Vec<Object> = d
+                        .tree
+                        .search_window(&entry.rect)
+                        .into_iter()
+                        .map(|e| Object::new(e.item, e.rect))
+                        .collect();
+                    if objects.is_empty() {
+                        continue;
                     }
+                    let ancestor = NodeRef::routing(entry.ancestor);
+                    out.send_server(
+                        ancestor.server,
+                        Payload::JoinProbe {
+                            target: ancestor,
+                            objects,
+                            region: entry.rect,
+                            mode: QueryMode::Check,
+                            visited: vec![self_node],
+                            qid,
+                            results_to,
+                            trace: trace.clone(),
+                        },
+                    );
+                    spawned.push(ancestor.server);
                 }
             }
+            // A dissolved node (elimination) must not silently drop its
+            // subtree from the join: follow the tombstone, like queries do.
+            (kind, ..) => spawned.extend(self.tombstone(kind).map(|t| start(t, out))),
         }
         out.send(
             Endpoint::Client(results_to),
@@ -291,108 +235,75 @@ impl Server {
         let mut spawned: Vec<crate::ids::ServerId> = Vec::new();
         let mut pairs: Vec<(Oid, Oid)> = Vec::new();
 
-        let forward = |target: NodeRef,
-                       mode: QueryMode,
-                       visited: &[NodeRef],
-                       from: NodeRef,
-                       out: &mut Outbox| {
-            let mut v = visited.to_vec();
-            if !v.contains(&from) {
-                v.push(from);
-            }
-            out.send_server(
-                target.server,
-                Payload::JoinProbe {
-                    target,
-                    objects: objects.clone(),
-                    region,
-                    mode,
-                    visited: v,
-                    qid,
-                    results_to,
-                    trace: trace.clone(),
-                },
-            );
+        let mut seen = visited.clone();
+        if !seen.contains(&target) {
+            seen.push(target);
+        }
+        let forward = |target: NodeRef, mode: QueryMode, out: &mut Outbox| {
+            let probe = Payload::JoinProbe {
+                target,
+                objects: objects.clone(),
+                region,
+                mode,
+                visited: seen.clone(),
+                qid,
+                results_to,
+                trace: trace.clone(),
+            };
+            out.send_server(target.server, probe);
             target.server
         };
 
-        match target.kind {
-            NodeKind::Data => match (&self.data, mode) {
-                (Some(d), _) => {
-                    let covered = d.dr.map(|dr| dr.contains(&region)).unwrap_or(false);
-                    // Join the probes against the local objects in the
-                    // region; emit `probe < local` pairs only (the other
-                    // direction is produced by the symmetric probe).
-                    for probe in &objects {
-                        for hit in d.tree.search_window(&probe.mbb) {
-                            if probe.oid < hit.item {
-                                pairs.push((probe.oid, hit.item));
-                            }
-                        }
-                    }
-                    if !covered && mode != QueryMode::Descend {
-                        // The region extends beyond this (since split)
-                        // node; repair upward.
-                        if let Some(parent) = d.parent {
-                            spawned.push(forward(
-                                NodeRef::routing(parent),
-                                QueryMode::Ascend,
-                                &visited,
-                                target,
-                                out,
-                            ));
+        match (target.kind, &self.routing, &self.data) {
+            (NodeKind::Data, _, Some(d)) => {
+                let covered = d.dr.map(|dr| dr.contains(&region)).unwrap_or(false);
+                // Join the probes against the local objects in the
+                // region; emit `probe < local` pairs only (the other
+                // direction is produced by the symmetric probe).
+                for probe in &objects {
+                    for hit in d.tree.search_window(&probe.mbb) {
+                        if probe.oid < hit.item {
+                            pairs.push((probe.oid, hit.item));
                         }
                     }
                 }
-                (None, _) => {
-                    // Dissolved node: tombstone repair.
-                    if let Some(t) = self.tombstone(NodeKind::Data) {
-                        if !visited.contains(&t) {
-                            spawned.push(forward(t, QueryMode::Check, &visited, target, out));
-                        }
+                if !covered && mode != QueryMode::Descend {
+                    // The region extends beyond this (since split)
+                    // node; repair upward.
+                    if let Some(parent) = d.parent {
+                        spawned.push(forward(NodeRef::routing(parent), QueryMode::Ascend, out));
                     }
                 }
-            },
-            NodeKind::Routing => match &self.routing {
-                Some(r) => {
-                    let resolved =
-                        mode == QueryMode::Descend || r.dr.contains(&region) || r.is_root();
-                    if resolved {
-                        // Descend by the probe *region*, not the probes'
-                        // bbox: every pair's intersection lies inside the
-                        // region (both members intersect the overlap
-                        // rectangle the probe was born with), so the
-                        // tighter test prunes boundary fan-out without
-                        // losing pairs.
-                        for child in [r.left, r.right] {
-                            if child.dr.intersects(&region) {
-                                spawned.push(forward(
-                                    child.node,
-                                    QueryMode::Descend,
-                                    &visited,
-                                    target,
-                                    out,
-                                ));
-                            }
-                        }
-                    } else if let Some(parent) = r.parent {
-                        spawned.push(forward(
-                            NodeRef::routing(parent),
-                            QueryMode::Ascend,
-                            &visited,
-                            target,
-                            out,
-                        ));
-                    }
-                }
-                None => {
-                    if let Some(t) = self.tombstone(NodeKind::Routing) {
-                        if !visited.contains(&t) {
-                            spawned.push(forward(t, mode, &visited, target, out));
+            }
+            (NodeKind::Routing, Some(r), _) => {
+                let resolved = mode == QueryMode::Descend || r.dr.contains(&region) || r.is_root();
+                if resolved {
+                    // Descend by the probe *region*, not the probes'
+                    // bbox: every pair's intersection lies inside the
+                    // region (both members intersect the overlap
+                    // rectangle the probe was born with), so the
+                    // tighter test prunes boundary fan-out without
+                    // losing pairs.
+                    for child in [r.left, r.right] {
+                        if child.dr.intersects(&region) {
+                            spawned.push(forward(child.node, QueryMode::Descend, out));
                         }
                     }
+                } else if let Some(parent) = r.parent {
+                    spawned.push(forward(NodeRef::routing(parent), QueryMode::Ascend, out));
                 }
-            },
+            }
+            // Dissolved node: tombstone repair (a data tombstone is
+            // re-checked, a routing one keeps the traversal mode).
+            (kind, ..) => {
+                let mode = match kind {
+                    NodeKind::Data => QueryMode::Check,
+                    NodeKind::Routing => mode,
+                };
+                if let Some(t) = self.tombstone(kind).filter(|t| !visited.contains(t)) {
+                    spawned.push(forward(t, mode, out));
+                }
+            }
         }
         out.send(
             Endpoint::Client(results_to),

@@ -18,11 +18,15 @@
 //! Each phase costs the same as the underlying point/window query, so
 //! kNN is `O(log N)` messages plus the window fan-out.
 
-use crate::client::{Client, Variant};
+use crate::client::{loud, Await, Client, Over, Transport, Variant};
 use crate::cluster::Cluster;
 use crate::ids::{NodeRef, Oid};
-use crate::msg::{Endpoint, Message, Payload};
+use crate::msg::Payload;
+use crate::node::Object;
 use sdr_geom::{Point, Rect};
+
+/// Objects with their distance from a query point, nearest first.
+pub type Near = Vec<(Object, f64)>;
 
 /// Outcome of a kNN query.
 #[derive(Clone, Debug)]
@@ -34,6 +38,57 @@ pub struct KnnOutcome {
     pub messages: u64,
     /// Number of verification window queries run (1 in the common case).
     pub rounds: u32,
+}
+
+impl<T: Transport> Over<'_, T> {
+    /// Runs a distributed k-nearest-neighbour query around `p`: up to `k`
+    /// `(object, distance)` pairs, nearest first, and the number of
+    /// verification rounds.
+    pub fn knn(&mut self, p: Point, k: usize) -> Result<(Near, u32), T::Error> {
+        if k == 0 {
+            return Ok((vec![], 0));
+        }
+        // Phase 1: local estimate from the most promising data node.
+        let target = match self.c.variant {
+            Variant::Basic => None,
+            _ => self.c.image.choose_data(&Rect::from_point(p)),
+        }
+        .map_or(NodeRef::data(self.c.contact), |l| l.node);
+        let qid = self.c.next_query_id();
+        let ask = Payload::KnnLocal {
+            p,
+            k,
+            qid,
+            results_to: self.c.id,
+        };
+        let fold = self.exchange((target.server, ask, None), Some(qid), Await::Estimate)?;
+        // A lost estimate is no estimate: start from the default radius.
+        let (items, dr) = fold.estimate.unwrap_or_default();
+        let mut radius = match items.get(k - 1) {
+            // A zero radius (k duplicates exactly at p) still needs a
+            // positive verification window.
+            Some(kth) => kth.1.max(1e-9),
+            // Fewer than k local objects: start from the node's own extent.
+            None => dr
+                .map(|dr| dr.width().max(dr.height()))
+                .filter(|r| *r > 0.0)
+                .unwrap_or(0.01),
+        };
+
+        // Phase 2: verification by expanding window queries.
+        let mut rounds = 0u32;
+        let max_radius = 4.0; // beyond any unit-square diagonal
+        loop {
+            rounds += 1;
+            // Complete within `radius`: the window contains the ball.
+            let mut near = self.ball(p, radius)?;
+            if near.len() >= k || radius >= max_radius {
+                near.truncate(k);
+                return Ok((near, rounds));
+            }
+            radius *= 2.0;
+        }
+    }
 }
 
 impl Client {
@@ -54,84 +109,12 @@ impl Client {
     /// assert_eq!(knn.neighbors[0].0, Oid(55)); // the grid cell at (0.5, 0.5)
     /// ```
     pub fn knn(&mut self, cluster: &mut Cluster, p: Point, k: usize) -> KnnOutcome {
-        let snap = cluster.stats.snapshot();
-        if k == 0 {
-            return KnnOutcome {
-                neighbors: vec![],
-                messages: 0,
-                rounds: 0,
-            };
-        }
-
-        // Phase 1: local estimate from the most promising data node.
-        let region = Rect::from_point(p);
-        let target = match self.variant {
-            Variant::Basic => None,
-            _ => self.image.choose_data(&region).map(|l| l.node),
-        }
-        .unwrap_or(NodeRef::data(self.contact));
-        let qid = self.next_query_id();
-        cluster.post(Message {
-            from: Endpoint::Client(self.id),
-            to: Endpoint::Server(target.server),
-            payload: Payload::KnnLocal {
-                p,
-                k,
-                qid,
-                results_to: self.id,
-            },
-        });
-        let inbox = cluster.drain();
-        let mut radius = 0.0f64;
-        let mut have_estimate = false;
-        for m in inbox {
-            if let Payload::KnnLocalReply { items, dr, .. } = m.payload {
-                if let Some(kth) = k.checked_sub(1).and_then(|i| items.get(i)) {
-                    radius = kth.1;
-                    have_estimate = true;
-                } else if let Some(dr) = dr {
-                    // Fewer than k local objects: start from the node's
-                    // own extent.
-                    radius = dr.width().max(dr.height());
-                }
-            }
-        }
-        if !have_estimate && radius == 0.0 {
-            radius = 0.01;
-        }
-        // A zero radius (k duplicates exactly at p) still needs a
-        // positive verification window.
-        radius = radius.max(1e-9);
-
-        // Phase 2: verification by expanding window queries.
-        let mut rounds = 0u32;
-        let max_radius = 4.0; // beyond any unit-square diagonal
-        loop {
-            rounds += 1;
-            let window = Rect::new(p.x - radius, p.y - radius, p.x + radius, p.y + radius);
-            let outcome = self.window_query(cluster, window);
-            let mut candidates: Vec<(Oid, f64)> = outcome
-                .results
-                .iter()
-                .map(|o| (o.oid, o.mbb.min_dist(&p)))
-                .collect();
-            candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            // Results are complete within `radius` (the window contains
-            // the ball). Keep those provably within the ball.
-            let within: Vec<(Oid, f64)> = candidates
-                .iter()
-                .copied()
-                .filter(|(_, d)| *d <= radius)
-                .collect();
-            if within.len() >= k || radius >= max_radius {
-                let neighbors = within.into_iter().take(k).collect();
-                return KnnOutcome {
-                    neighbors,
-                    messages: cluster.stats.since(&snap).total,
-                    rounds,
-                };
-            }
-            radius *= 2.0;
+        let before = cluster.stats.total();
+        let (near, rounds) = loud(self.over(cluster).knn(p, k));
+        KnnOutcome {
+            neighbors: near.into_iter().map(|(o, d)| (o.oid, d)).collect(),
+            messages: cluster.stats.total() - before,
+            rounds,
         }
     }
 }

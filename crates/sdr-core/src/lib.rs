@@ -20,10 +20,15 @@
 //!   message-driven state machine (insertion, split, balance, OC
 //!   maintenance, queries, deletion, kNN).
 //! * Client side: [`client::Client`] with the three addressing variants
-//!   of the paper's evaluation (BASIC / IMCLIENT / IMSERVER) and both
-//!   termination protocols (§4.3).
+//!   of the paper's evaluation (BASIC / IMCLIENT / IMSERVER) and the
+//!   termination protocols (§4.3). Like the server it is transport-free:
+//!   [`client::address`] builds an operation's first message,
+//!   [`client::Fold`] consumes the replies, and the operations (plus
+//!   [`knn`] and [`join`]) are written once on [`client::Over`] against
+//!   the [`client::Transport`] trait.
 //! * Substrate: [`cluster::Cluster`], a deterministic message-counting
-//!   simulator equivalent to the authors' evaluation harness.
+//!   simulator equivalent to the authors' evaluation harness — one of the
+//!   two `Transport`s; the TCP deployment in `sdr-net` is the other.
 //!
 //! ## Quickstart
 //!
@@ -79,7 +84,10 @@ pub mod server;
 pub mod stats;
 mod variant;
 
-pub use client::{Client, DirectAccounting, InsertOutcome, OidGen, QueryOutcome, Variant};
+pub use client::{
+    address, Await, Client, DirectAccounting, Fold, Incomplete, InsertOutcome, OidGen, Over,
+    QueryOutcome, Transport, Variant,
+};
 pub use cluster::Cluster;
 pub use config::SdrConfig;
 pub use fault::{FaultDecision, FaultInjector, FaultPlan};

@@ -12,8 +12,8 @@
 //! future requests (more slowly than a client's, since each server sees
 //! only 1/N of the workload — exactly the effect Figure 8 measures).
 
-use crate::ids::ClientId;
-use crate::msg::{ClientOp, ImageHolder, Payload, QueryKind, QueryMode, QueryMsg};
+use crate::ids::{ClientId, NodeRef};
+use crate::msg::{ClientOp, ImageHolder, ReplyProtocol};
 use crate::server::{Outbox, Server};
 
 /// Routes one client operation from a contact server, using the server's
@@ -28,119 +28,15 @@ pub(crate) fn route_from_server(
     for link in server.iam_links() {
         server.image.absorb_link(link);
     }
-    let iam_to = ImageHolder::Server(server.id);
-    match op {
-        ClientOp::Insert(obj) => {
-            match server.image.choose(&obj.mbb) {
-                Some(link) if link.is_data() => out.send_server(
-                    link.node.server,
-                    Payload::InsertAtLeaf {
-                        obj,
-                        trace: vec![],
-                        iam_to,
-                        initial: true,
-                    },
-                ),
-                Some(link) => out.send_server(
-                    link.node.server,
-                    Payload::InsertAscend {
-                        obj,
-                        trace: vec![],
-                        iam_to,
-                        initial: true,
-                    },
-                ),
-                None => {
-                    // Empty image: nothing is known beyond our own data
-                    // node; address it (it will repair if out of range).
-                    out.send_server(
-                        server.id,
-                        Payload::InsertAtLeaf {
-                            obj,
-                            trace: vec![],
-                            iam_to,
-                            initial: true,
-                        },
-                    );
-                }
-            }
-        }
-        ClientOp::Point(p, qid) => {
-            let region = sdr_geom::Rect::from_point(p);
-            let target = server
-                .image
-                .choose_data(&region)
-                .map(|l| l.node)
-                .unwrap_or(crate::ids::NodeRef::data(server.id));
-            out.send_server(
-                target.server,
-                Payload::Query(QueryMsg {
-                    target,
-                    query: QueryKind::Point(p),
-                    region,
-                    mode: QueryMode::Check,
-                    qid,
-                    initial: true,
-                    repaired: false,
-                    iam_carrier: false,
-                    visited: vec![],
-                    results_to,
-                    iam_to,
-                    protocol: crate::msg::ReplyProtocol::Direct,
-                    reply_via: None,
-                    parent_branch: 0,
-                    trace: vec![],
-                }),
-            );
-        }
-        ClientOp::Window(w, qid) => {
-            let target = server
-                .image
-                .choose(&w)
-                .map(|l| l.node)
-                .unwrap_or(crate::ids::NodeRef::data(server.id));
-            out.send_server(
-                target.server,
-                Payload::Query(QueryMsg {
-                    target,
-                    query: QueryKind::Window(w),
-                    region: w,
-                    mode: QueryMode::Check,
-                    qid,
-                    initial: true,
-                    repaired: false,
-                    iam_carrier: false,
-                    visited: vec![],
-                    results_to,
-                    iam_to,
-                    protocol: crate::msg::ReplyProtocol::Direct,
-                    reply_via: None,
-                    parent_branch: 0,
-                    trace: vec![],
-                }),
-            );
-        }
-        ClientOp::Delete(obj, qid) => {
-            let target = server
-                .image
-                .choose_data(&obj.mbb)
-                .map(|l| l.node)
-                .unwrap_or(crate::ids::NodeRef::data(server.id));
-            out.send_server(
-                target.server,
-                Payload::Delete {
-                    obj,
-                    qid,
-                    mode: QueryMode::Check,
-                    region: obj.mbb,
-                    visited: vec![],
-                    target,
-                    results_to,
-                    iam_to,
-                    trace: vec![],
-                    initial: true,
-                },
-            );
-        }
-    }
+    // Empty image: nothing is known beyond our own data node; address it
+    // (it will repair if out of range).
+    let (to, payload, _) = crate::client::address(
+        Some(&server.image),
+        NodeRef::data(server.id),
+        op,
+        ImageHolder::Server(server.id),
+        results_to,
+        ReplyProtocol::Direct,
+    );
+    out.send_server(to, payload);
 }

@@ -1,0 +1,256 @@
+//! The client protocol core without sockets or fault plans: a scripted
+//! transport hands the reply fold exactly the messages each case needs.
+//!
+//! This is the seam both real transports share, so what is pinned here
+//! (sender accounting, qid matching, stray-ack folding, self-healing
+//! eviction) holds for the simulator and for TCP alike.
+
+use sdr_core::msg::Message;
+use sdr_core::{
+    Client, ClientId, Endpoint, Fold, Incomplete, Link, NodeRef, Object, Oid, Payload, QueryId,
+    QueryKind, ServerId, Transport, Variant,
+};
+use sdr_geom::{Point, Rect};
+
+/// A transport that answers every sent message with whatever `respond`
+/// scripts for it, then asks the fold for its verdict — the simulator's
+/// contract, minus the simulator.
+struct Script<F> {
+    respond: F,
+    sent: Vec<Message>,
+}
+
+impl<F: FnMut(&Message) -> Vec<Message>> Transport for Script<F> {
+    type Error = Incomplete;
+
+    fn exchange(&mut self, msg: Message, fold: &mut Fold<'_>) -> Result<(), Incomplete> {
+        let replies = (self.respond)(&msg);
+        self.sent.push(msg);
+        for reply in replies {
+            fold.feed(reply);
+        }
+        fold.finish()
+    }
+}
+
+fn script<F: FnMut(&Message) -> Vec<Message>>(respond: F) -> Script<F> {
+    Script {
+        respond,
+        sent: Vec::new(),
+    }
+}
+
+const ME: ClientId = ClientId(4);
+
+fn client() -> Client {
+    Client::new(ME, Variant::ImClient, 1)
+}
+
+fn from(server: u32, payload: Payload) -> Message {
+    Message {
+        from: Endpoint::Server(ServerId(server)),
+        to: Endpoint::Client(ME),
+        payload,
+    }
+}
+
+/// The query / delete id carried by an initial message.
+fn qid_of(msg: &Message) -> QueryId {
+    match &msg.payload {
+        Payload::Query(q) => q.qid,
+        Payload::Delete { qid, .. } | Payload::KnnLocal { qid, .. } => *qid,
+        other => panic!("no qid in {}", other.name()),
+    }
+}
+
+fn report(
+    server: u32,
+    qid: QueryId,
+    oids: &[u64],
+    spawned: &[u32],
+    direct: Option<bool>,
+) -> Message {
+    let unit = Rect::new(0.0, 0.0, 1.0, 1.0);
+    from(
+        server,
+        Payload::QueryReport {
+            qid,
+            results: oids.iter().map(|o| Object::new(Oid(*o), unit)).collect(),
+            spawned: spawned.iter().map(|s| ServerId(*s)).collect(),
+            trace: vec![],
+            direct,
+        },
+    )
+}
+
+fn ack(server: u32, oid: u64, trace: Vec<Link>) -> Message {
+    let (oid, direct) = (Oid(oid), false);
+    from(server, Payload::InsertAck { oid, trace, direct })
+}
+
+const P: Point = Point { x: 0.5, y: 0.5 };
+
+fn point(
+    client: &mut Client,
+    replies: impl FnMut(&Message) -> Vec<Message>,
+) -> Result<Vec<u64>, Incomplete> {
+    let out = client
+        .over(&mut script(replies))
+        .query(QueryKind::Point(P))?;
+    Ok(out.results.iter().map(|o| o.oid.0).collect())
+}
+
+#[test]
+fn complete_traversal_merges_and_dedups_results() {
+    let got = point(&mut client(), |m| {
+        let q = qid_of(m);
+        vec![
+            report(0, q, &[1, 2], &[1, 2], Some(true)),
+            report(1, q, &[2, 3], &[], None),
+            report(2, q, &[], &[], None),
+        ]
+    });
+    assert_eq!(got, Ok(vec![1, 2, 3]));
+}
+
+#[test]
+fn lost_report_is_incomplete() {
+    let got = point(&mut client(), |m| {
+        vec![report(0, qid_of(m), &[1], &[1], Some(true))]
+    });
+    assert!(matches!(got, Err(Incomplete::Reports(_))), "got {got:?}");
+}
+
+#[test]
+fn duplicated_report_is_incomplete() {
+    let got = point(&mut client(), |m| {
+        let dup = report(0, qid_of(m), &[1], &[], Some(true));
+        vec![dup.clone(), dup]
+    });
+    assert!(matches!(got, Err(Incomplete::Reports(_))), "got {got:?}");
+}
+
+#[test]
+fn forged_report_from_an_unnamed_server_is_incomplete() {
+    let got = point(&mut client(), |m| {
+        let q = qid_of(m);
+        vec![
+            report(0, q, &[1], &[], Some(true)),
+            report(9, q, &[7], &[], None),
+        ]
+    });
+    assert!(matches!(got, Err(Incomplete::Reports(_))), "got {got:?}");
+}
+
+#[test]
+fn reply_with_a_foreign_qid_is_ignored() {
+    // A late branch of an older query: it must neither add results nor
+    // disturb this query's accounting.
+    let got = point(&mut client(), |m| {
+        let q = qid_of(m);
+        let stale = QueryId(q.0 + 100);
+        vec![
+            report(3, stale, &[99], &[5], Some(false)),
+            report(0, q, &[1], &[], Some(true)),
+        ]
+    });
+    assert_eq!(got, Ok(vec![1]));
+}
+
+#[test]
+fn reverse_path_without_an_aggregate_is_incomplete() {
+    let mut c = client();
+    c.protocol = sdr_core::ReplyProtocol::ReversePath;
+    assert_eq!(point(&mut c, |_| vec![]), Err(Incomplete::NoAggregate));
+}
+
+/// A stray ack from an earlier insert can arrive during any later
+/// operation; its IAM must still reach the image.
+#[test]
+fn stray_insert_ack_is_absorbed_by_query_delete_and_knn() {
+    let far = Rect::new(5.0, 5.0, 6.0, 6.0);
+    let stray = |server: u32| ack(7, 1000, vec![Link::to_data(ServerId(server), far)]);
+    let obj = Object::new(Oid(1), Rect::new(0.4, 0.4, 0.6, 0.6));
+    let mut c = client();
+
+    point(&mut c, |m| {
+        vec![stray(20), report(0, qid_of(m), &[], &[], Some(true))]
+    })
+    .unwrap();
+    assert_eq!(c.image.len(), 1, "query folded the stray ack");
+
+    let mut t = script(|m: &Message| {
+        let delete = Payload::DeleteReport {
+            qid: qid_of(m),
+            removed: true,
+            spawned: vec![],
+            trace: vec![],
+            initial: true,
+        };
+        vec![stray(21), from(0, delete)]
+    });
+    assert_eq!(c.over(&mut t).delete(obj).map(|(r, _)| r), Ok(true));
+    assert_eq!(c.image.len(), 2, "delete folded the stray ack");
+
+    let mut t = script(|m: &Message| match &m.payload {
+        Payload::KnnLocal { qid, .. } => {
+            let (qid, items, dr) = (*qid, vec![(obj, 0.0)], Some(obj.mbb));
+            vec![
+                stray(22),
+                from(0, Payload::KnnLocalReply { qid, items, dr }),
+            ]
+        }
+        _ => vec![report(0, qid_of(m), &[1], &[], Some(true))],
+    });
+    let (near, rounds) = c.over(&mut t).knn(P, 1).unwrap();
+    assert_eq!((near.len(), near[0].0.oid, rounds), (1, Oid(1), 1));
+    assert_eq!(c.image.len(), 3, "kNN folded the stray ack");
+}
+
+/// The self-healing image (DESIGN 4c), pinned at the shared seam so no
+/// transport can lose it again: an operation that was mis-addressed
+/// evicts the link it chose.
+#[test]
+fn non_direct_outcome_evicts_the_chosen_link() {
+    let stale = NodeRef::data(ServerId(3));
+    let covering = Link::to_data(ServerId(3), Rect::new(0.0, 0.0, 1.0, 1.0));
+    let fresh = Link::to_data(ServerId(8), Rect::new(0.4, 0.4, 0.6, 0.6));
+    let has = |c: &Client, node| c.image.links().any(|l| l.node == node);
+
+    // Query: the entry report says "not a direct hit".
+    let mut c = client();
+    c.image.absorb_link(covering);
+    let mut t = script(|m: &Message| {
+        let mut r = report(3, qid_of(m), &[], &[], Some(false));
+        if let Payload::QueryReport { trace, .. } = &mut r.payload {
+            trace.push(fresh);
+        }
+        vec![r]
+    });
+    let out = c.over(&mut t).query(QueryKind::Point(P)).unwrap();
+    assert!(!out.direct);
+    assert_eq!(
+        t.sent[0].to,
+        Endpoint::Server(ServerId(3)),
+        "addressed via the link"
+    );
+    assert!(!has(&c, stale), "mis-addressing link must be evicted");
+    assert!(has(&c, fresh.node), "the IAM's fresh link stays");
+
+    // Insert: an ack means the insertion took an out-of-range path.
+    let mut c = client();
+    c.image.absorb_link(covering);
+    let obj = Object::new(Oid(5), Rect::new(0.45, 0.45, 0.55, 0.55));
+    let out = c
+        .over(&mut script(|_: &Message| vec![ack(8, 5, vec![fresh])]))
+        .insert(obj);
+    assert_eq!(out.map(|o| o.direct), Ok(false));
+    assert!(!has(&c, stale) && has(&c, fresh.node));
+
+    // A direct hit keeps its link; an unacknowledged insert is direct.
+    let mut c = client();
+    c.image.absorb_link(covering);
+    let out = c.over(&mut script(|_: &Message| vec![])).insert(obj);
+    assert_eq!(out.map(|o| o.direct), Ok(true));
+    assert!(has(&c, stale));
+}

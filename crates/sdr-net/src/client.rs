@@ -1,19 +1,20 @@
 //! A TCP client component: the IMCLIENT variant of §3 over sockets.
 //!
-//! The client binds a reply listener, keeps an [`Image`] corrected by
-//! IAMs, addresses servers with CHOOSEFROMIMAGE, and applies the direct
-//! termination protocol of §4.3 to decide when a query is complete.
+//! The protocol — CHOOSEFROMIMAGE addressing, IAM absorption, the direct
+//! termination protocol of §4.3, kNN — is [`sdr_core::Client`], the same
+//! code the simulator runs. This module is only its socket driver: a
+//! reply listener, send, receive-until-deadline, quiescence, and the
+//! mapping of delivery failures to [`NetError`].
 
 use crate::node::{read_frame, send_message, Deployment};
 use crate::NetCluster;
-use sdr_core::ids::{ClientId, NodeRef, QueryId};
-use sdr_core::msg::{
-    Endpoint, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg, ReplyProtocol,
-};
-use sdr_core::{DirectAccounting, Image, Object, ServerId};
+use sdr_core::ids::ClientId;
+use sdr_core::msg::{Endpoint, Message, QueryKind};
+use sdr_core::{Client, Fold, Image, Object, Transport, Variant};
 use sdr_geom::{Point, Rect};
+use std::cell::Cell;
 use std::net::TcpListener;
-use std::sync::atomic::AtomicU32;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,12 +31,6 @@ pub enum NetError {
     /// reported as soon as the failure is recorded — the operation's
     /// effects may be partial, but never silently so.
     Undeliverable,
-}
-
-impl From<std::io::Error> for NetError {
-    fn from(e: std::io::Error) -> Self {
-        NetError::Io(e)
-    }
 }
 
 impl std::fmt::Display for NetError {
@@ -58,17 +53,21 @@ static NEXT_CLIENT: AtomicU32 = AtomicU32::new(0);
 /// A TCP client of a [`NetCluster`].
 #[derive(Debug)]
 pub struct NetClient {
-    id: ClientId,
-    image: Image,
+    core: Client,
+    wire: Wire,
+    /// How long to wait for the reply protocol to complete.
+    pub timeout: Duration,
+}
+
+/// The client's end of the deployment.
+#[derive(Debug)]
+struct Wire {
     listener: TcpListener,
     deployment: Arc<Deployment>,
-    next_qid: u64,
     /// The deployment's delivery-failure count as of the last check, so
     /// each client reports an advance exactly once (in a `Cell`: checks
     /// happen inside `&self` receive/quiesce loops).
-    failures_seen: std::cell::Cell<u64>,
-    /// How long to wait for the reply protocol to complete.
-    pub timeout: Duration,
+    failures_seen: Cell<u64>,
 }
 
 /// How long [`NetClient::insert`] keeps listening for a late
@@ -81,72 +80,115 @@ pub const ACK_GRACE: Duration = Duration::from_millis(5);
 impl NetClient {
     /// Connects a fresh client (empty image; server 0 as contact).
     pub fn connect(cluster: &NetCluster) -> std::io::Result<NetClient> {
-        let id = ClientId(NEXT_CLIENT.fetch_add(1, std::sync::atomic::Ordering::SeqCst));
+        let id = ClientId(NEXT_CLIENT.fetch_add(1, Ordering::SeqCst));
         let deployment = cluster.deployment.clone();
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         deployment.register(Endpoint::Client(id), listener.local_addr()?.port());
         listener.set_nonblocking(true)?;
-        let failures_seen = std::cell::Cell::new(
-            deployment
-                .delivery_failures
-                .load(std::sync::atomic::Ordering::SeqCst),
-        );
+        let failures_seen = Cell::new(deployment.delivery_failures.load(Ordering::SeqCst));
         Ok(NetClient {
-            id,
-            image: Image::new(),
-            listener,
-            deployment,
-            next_qid: 0,
-            failures_seen,
+            core: Client::new(id, Variant::ImClient, 0),
+            wire: Wire {
+                listener,
+                deployment,
+                failures_seen,
+            },
             timeout: Duration::from_secs(10),
         })
+    }
+
+    /// The client's image (inspectable for convergence experiments).
+    pub fn image(&self) -> &Image {
+        &self.core.image
+    }
+
+    /// Inserts an object. Returns once the insert is *dispatched*; if an
+    /// out-of-range path produced an IAM, a short grace read absorbs it
+    /// (inserts are acknowledged only when repaired, §3.2).
+    pub fn insert(&mut self, obj: Object) -> Result<(), NetError> {
+        let mut wire = self.wire.session(self.timeout);
+        self.core.over(&mut wire).insert(obj).map(|_| ())
+    }
+
+    /// Blocks until no server-bound message is in flight anywhere in the
+    /// deployment — including messages parked by delay injection, which
+    /// are flushed once everything else has settled. Fails fast with
+    /// [`NetError::Undeliverable`] if the deployment recorded a delivery
+    /// failure, instead of hanging out the full timeout: a lost message
+    /// will never arrive, so there is nothing truthful to wait for.
+    pub fn quiesce(&self) -> Result<(), NetError> {
+        self.wire.session(self.timeout).quiesce()
+    }
+
+    /// Runs a point query and returns the matching objects.
+    pub fn point_query(&mut self, p: Point) -> Result<Vec<Object>, NetError> {
+        self.query(QueryKind::Point(p))
+    }
+
+    /// Runs a window query and returns the matching objects.
+    pub fn window_query(&mut self, w: Rect) -> Result<Vec<Object>, NetError> {
+        self.query(QueryKind::Window(w))
+    }
+
+    fn query(&mut self, query: QueryKind) -> Result<Vec<Object>, NetError> {
+        let mut wire = self.wire.session(self.timeout);
+        Ok(self.core.over(&mut wire).query(query)?.results)
+    }
+
+    /// Runs a distributed k-nearest-neighbour query (the §7 extension):
+    /// up to `k` `(object, distance)` pairs, nearest first.
+    pub fn knn(&mut self, p: Point, k: usize) -> Result<Vec<(Object, f64)>, NetError> {
+        let mut wire = self.wire.session(self.timeout);
+        Ok(self.core.over(&mut wire).knn(p, k)?.0)
+    }
+
+    /// Deletes an object; returns whether some server removed it.
+    pub fn delete(&mut self, obj: Object) -> Result<bool, NetError> {
+        let mut wire = self.wire.session(self.timeout);
+        let (removed, _) = self.core.over(&mut wire).delete(obj)?;
+        // Deletion may trigger eliminations and rotations; quiesce.
+        wire.quiesce()?;
+        Ok(removed)
+    }
+}
+
+/// One operation's view of the wire: the transport [`sdr_core::Client`]
+/// drives (a view, so the client's `core` stays free to drive it).
+struct Session<'a> {
+    wire: &'a Wire,
+    timeout: Duration,
+}
+
+impl Wire {
+    fn session(&self, timeout: Duration) -> Session<'_> {
+        Session {
+            wire: self,
+            timeout,
+        }
     }
 
     /// Fails fast if the deployment recorded new delivery failures since
     /// this client last checked: the current operation may have lost a
     /// message, and waiting for a timeout would misattribute the cause.
     fn check_failures(&self) -> Result<(), NetError> {
-        let now = self
-            .deployment
-            .delivery_failures
-            .load(std::sync::atomic::Ordering::SeqCst);
-        if now != self.failures_seen.get() {
-            self.failures_seen.set(now);
+        let now = self.deployment.delivery_failures.load(Ordering::SeqCst);
+        if now != self.failures_seen.replace(now) {
             return Err(NetError::Undeliverable);
         }
         Ok(())
-    }
-
-    /// The client's image (inspectable for convergence experiments).
-    pub fn image(&self) -> &Image {
-        &self.image
-    }
-
-    fn qid(&mut self) -> QueryId {
-        self.next_qid += 1;
-        QueryId(((self.id.0 as u64) << 32) | self.next_qid)
-    }
-
-    fn send(&self, to: ServerId, payload: Payload) {
-        send_message(
-            &self.deployment,
-            &Message {
-                from: Endpoint::Client(self.id),
-                to: Endpoint::Server(to),
-                payload,
-            },
-        );
     }
 
     /// Waits for the next reply frame addressed to this client.
     fn recv(&self, deadline: Instant) -> Result<Message, NetError> {
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if let Some(msg) = read_frame(stream) {
-                        return Ok(msg);
-                    }
-                }
+                Ok((stream, _)) => match read_frame(stream) {
+                    Some(msg) => return Ok(msg),
+                    // A truncated or undecodable reply is a lost reply:
+                    // count it, so the wait below ends as `Undeliverable`
+                    // now instead of as `Timeout` ten seconds on.
+                    None => self.deployment.record_delivery_failure(),
+                },
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     self.check_failures()?;
                     if Instant::now() > deadline {
@@ -163,41 +205,45 @@ impl NetClient {
             }
         }
     }
+}
 
-    /// Inserts an object. Returns once the insert is *dispatched*; if an
-    /// out-of-range path produced an IAM, a short grace read absorbs it
-    /// (inserts are acknowledged only when repaired, §3.2).
-    pub fn insert(&mut self, obj: Object) -> Result<(), NetError> {
-        let target = self.image.choose(&obj.mbb);
-        let iam_to = ImageHolder::Client(self.id);
-        match target {
-            Some(link) if link.is_data() => self.send(
-                link.node.server,
-                Payload::InsertAtLeaf {
-                    obj,
-                    trace: vec![],
-                    iam_to,
-                    initial: true,
-                },
-            ),
-            Some(link) => self.send(
-                link.node.server,
-                Payload::InsertAscend {
-                    obj,
-                    trace: vec![],
-                    iam_to,
-                    initial: true,
-                },
-            ),
-            None => self.send(
-                ServerId(0),
-                Payload::InsertAtLeaf {
-                    obj,
-                    trace: vec![],
-                    iam_to,
-                    initial: true,
-                },
-            ),
+impl Session<'_> {
+    fn quiesce(&self) -> Result<(), NetError> {
+        let deployment = &self.wire.deployment;
+        let deadline = Instant::now() + self.timeout;
+        loop {
+            self.wire.check_failures()?;
+            if deployment.in_flight.load(Ordering::SeqCst) > 0 {
+                if Instant::now() > deadline {
+                    return Err(NetError::Timeout);
+                }
+                std::thread::sleep(Duration::from_micros(200));
+                continue;
+            }
+            // Quiet on the wire: release anything the fault layer is
+            // still holding back, and wait again if that re-armed it.
+            if deployment.flush_delayed(true) > 0 {
+                continue;
+            }
+            return Ok(());
+        }
+    }
+}
+
+impl Transport for Session<'_> {
+    type Error = NetError;
+
+    fn exchange(&mut self, msg: Message, fold: &mut Fold<'_>) -> Result<(), NetError> {
+        send_message(&self.wire.deployment, &msg);
+        if !fold.settles() {
+            // One report per hop, until the fold's sender accounting
+            // balances (`sdr_core::client` explains why a bare fan-out
+            // count is not loss-safe).
+            let deadline = Instant::now() + self.timeout;
+            while !fold.is_complete() {
+                fold.feed(self.wire.recv(deadline)?);
+            }
+            return Ok(());
         }
         // Sequential-operation semantics: wait for the structure to
         // quiesce (splits, adjustments, OC maintenance) before the next
@@ -212,235 +258,36 @@ impl NetClient {
         // image; stray acks that slip past even this window are folded
         // in by the receive loops of later operations.
         let grace = Instant::now() + ACK_GRACE;
-        while let Ok(Message { payload, .. }) = self.recv(grace) {
-            if let Payload::InsertAck { trace, .. } = payload {
-                self.image.absorb(&trace);
-                break;
+        while !fold.is_complete() {
+            match self.wire.recv(grace) {
+                Ok(msg) => fold.feed(msg),
+                Err(_) => break,
             }
         }
         Ok(())
     }
+}
 
-    /// Blocks until no server-bound message is in flight anywhere in the
-    /// deployment — including messages parked by delay injection, which
-    /// are flushed once everything else has settled. Fails fast with
-    /// [`NetError::Undeliverable`] if the deployment recorded a delivery
-    /// failure, instead of hanging out the full timeout: a lost message
-    /// will never arrive, so there is nothing truthful to wait for.
-    pub fn quiesce(&self) -> Result<(), NetError> {
-        let deadline = Instant::now() + self.timeout;
-        loop {
-            self.check_failures()?;
-            if self
-                .deployment
-                .in_flight
-                .load(std::sync::atomic::Ordering::SeqCst)
-                > 0
-            {
-                if Instant::now() > deadline {
-                    return Err(NetError::Timeout);
-                }
-                std::thread::sleep(Duration::from_micros(200));
-                continue;
-            }
-            // Quiet on the wire: release anything the fault layer is
-            // still holding back, and wait again if that re-armed it.
-            if self.deployment.flush_delayed(true) > 0 {
-                continue;
-            }
-            return Ok(());
-        }
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
 
-    /// Runs a point query and returns the matching objects.
-    pub fn point_query(&mut self, p: Point) -> Result<Vec<Object>, NetError> {
-        self.run_query(QueryKind::Point(p))
-    }
-
-    /// Runs a window query and returns the matching objects.
-    pub fn window_query(&mut self, w: Rect) -> Result<Vec<Object>, NetError> {
-        self.run_query(QueryKind::Window(w))
-    }
-
-    fn run_query(&mut self, query: QueryKind) -> Result<Vec<Object>, NetError> {
-        let qid = self.qid();
-        let region = query.rect();
-        let target = match query {
-            QueryKind::Point(_) => self.image.choose_data(&region),
-            QueryKind::Window(_) => self.image.choose(&region),
-        }
-        .map(|l| l.node)
-        .unwrap_or(NodeRef::data(ServerId(0)));
-        self.send(
-            target.server,
-            Payload::Query(QueryMsg {
-                target,
-                query,
-                region,
-                mode: QueryMode::Check,
-                qid,
-                initial: true,
-                repaired: false,
-                iam_carrier: false,
-                visited: vec![],
-                results_to: self.id,
-                iam_to: ImageHolder::Client(self.id),
-                protocol: ReplyProtocol::Direct,
-                reply_via: None,
-                parent_branch: 0,
-                trace: vec![],
-            }),
-        );
-
-        // Direct termination protocol: one report per hop; each report
-        // names the servers its onward hops target, and the traversal is
-        // complete only when every named server has reported (see
-        // `sdr_core::DirectAccounting` for why a bare fan-out count is
-        // not loss-safe).
-        let deadline = Instant::now() + self.timeout;
-        let mut acct = DirectAccounting::new();
-        let mut results: Vec<Object> = Vec::new();
-        while !acct.is_complete() {
-            let msg = self.recv(deadline)?;
-            let from = msg.from;
-            match msg.payload {
-                Payload::QueryReport {
-                    qid: rq,
-                    results: r,
-                    spawned,
-                    trace,
-                    direct,
-                } if rq == qid => {
-                    if let Endpoint::Server(sender) = from {
-                        acct.report(sender, &spawned, direct.is_some());
-                    }
-                    results.extend(r);
-                    self.image.absorb(&trace);
-                }
-                // Replies from older queries (late branches) drop.
-                // A stray ack from an earlier insert that outlived its
-                // grace window: fold its IAM into the image rather than
-                // discarding the correction.
-                Payload::InsertAck { trace, .. } => self.image.absorb(&trace),
-                _ => {}
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        results.retain(|o| seen.insert(o.oid));
-        Ok(results)
-    }
-
-    /// Runs a distributed k-nearest-neighbour query (the §7 extension):
-    /// up to `k` `(object, distance)` pairs, nearest first. Same
-    /// estimate-then-verify algorithm as the simulator client
-    /// (`sdr_core::knn`).
-    pub fn knn(&mut self, p: Point, k: usize) -> Result<Vec<(Object, f64)>, NetError> {
-        if k == 0 {
-            return Ok(vec![]);
-        }
-        // Phase 1: local estimate from the most promising data node.
-        let region = Rect::from_point(p);
-        let target = self
-            .image
-            .choose_data(&region)
-            .map(|l| l.node)
-            .unwrap_or(NodeRef::data(ServerId(0)));
-        let qid = self.qid();
-        self.send(
-            target.server,
-            Payload::KnnLocal {
-                p,
-                k,
-                qid,
-                results_to: self.id,
-            },
-        );
-        let deadline = Instant::now() + self.timeout;
-        let mut radius = 0.01f64;
-        loop {
-            let msg = self.recv(deadline)?;
-            match msg.payload {
-                Payload::KnnLocalReply { qid: rq, items, dr } if rq == qid => {
-                    if let Some(kth) = k.checked_sub(1).and_then(|i| items.get(i)) {
-                        radius = kth.1.max(1e-9);
-                    } else if let Some(dr) = dr {
-                        radius = dr.width().max(dr.height()).max(0.01);
-                    }
-                    break;
-                }
-                // Stray ack from an earlier insert: fold in its IAM.
-                Payload::InsertAck { trace, .. } => self.image.absorb(&trace),
-                _ => {}
-            }
-        }
-        // Phase 2: verification by expanding window queries.
-        loop {
-            let window = Rect::new(p.x - radius, p.y - radius, p.x + radius, p.y + radius);
-            let mut candidates: Vec<(Object, f64)> = self
-                .window_query(window)?
-                .into_iter()
-                .map(|o| (o, o.mbb.min_dist(&p)))
-                .collect();
-            candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            candidates.retain(|(_, d)| *d <= radius);
-            if candidates.len() >= k || radius >= 4.0 {
-                candidates.truncate(k);
-                return Ok(candidates);
-            }
-            radius *= 2.0;
-        }
-    }
-
-    /// Deletes an object; returns whether some server removed it.
-    pub fn delete(&mut self, obj: Object) -> Result<bool, NetError> {
-        let qid = self.qid();
-        let target = self
-            .image
-            .choose_data(&obj.mbb)
-            .map(|l| l.node)
-            .unwrap_or(NodeRef::data(ServerId(0)));
-        self.send(
-            target.server,
-            Payload::Delete {
-                obj,
-                qid,
-                mode: QueryMode::Check,
-                region: obj.mbb,
-                visited: vec![],
-                target,
-                results_to: self.id,
-                iam_to: ImageHolder::Client(self.id),
-                trace: vec![],
-                initial: true,
-            },
-        );
-        let deadline = Instant::now() + self.timeout;
-        let mut acct = DirectAccounting::new();
-        let mut removed = false;
-        while !acct.is_complete() {
-            let msg = self.recv(deadline)?;
-            let from = msg.from;
-            match msg.payload {
-                Payload::DeleteReport {
-                    qid: rq,
-                    removed: r,
-                    spawned,
-                    trace,
-                    initial,
-                } if rq == qid => {
-                    if let Endpoint::Server(sender) = from {
-                        acct.report(sender, &spawned, initial);
-                    }
-                    removed |= r;
-                    self.image.absorb(&trace);
-                }
-                // Stray ack from an earlier insert: fold in its IAM.
-                Payload::InsertAck { trace, .. } => self.image.absorb(&trace),
-                _ => {}
-            }
-        }
-        // Deletion may trigger eliminations and rotations; quiesce.
-        self.quiesce()?;
-        Ok(removed)
+    /// A reply that arrives truncated used to be dropped without a trace,
+    /// leaving the operation to wait out its whole timeout.
+    #[test]
+    fn truncated_reply_frame_is_undeliverable_not_timeout() {
+        let cluster = NetCluster::launch(sdr_core::SdrConfig::with_capacity(10)).unwrap();
+        let client = NetClient::connect(&cluster).unwrap();
+        let me = Endpoint::Client(client.core.id);
+        let port = client.wire.deployment.lookup(me).expect("registered");
+        let mut raw = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+        raw.write_all(&64u32.to_be_bytes()).unwrap();
+        raw.write_all(&[1, 2, 3]).unwrap();
+        drop(raw);
+        let started = Instant::now();
+        let got = client.wire.recv(started + client.timeout);
+        assert!(matches!(got, Err(NetError::Undeliverable)), "got {got:?}");
+        assert!(started.elapsed() < Duration::from_secs(2));
     }
 }

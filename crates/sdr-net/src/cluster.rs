@@ -71,12 +71,6 @@ impl NetCluster {
         Ok(NetCluster { deployment })
     }
 
-    /// Alias of [`NetCluster::launch`], kept for symmetry with earlier
-    /// fixed-port revisions of this API.
-    pub fn launch_auto(config: SdrConfig) -> std::io::Result<NetCluster> {
-        Self::launch(config)
-    }
-
     /// Number of servers spawned so far.
     pub fn num_servers(&self) -> usize {
         self.deployment.next_server.load(Ordering::SeqCst) as usize

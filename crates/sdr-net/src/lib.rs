@@ -14,8 +14,9 @@
 //! * [`cluster`] — a process-local deployment manager that binds
 //!   listeners, spawns nodes when servers split, and tears everything
 //!   down.
-//! * [`client`] — a TCP client component maintaining an image (the
-//!   IMCLIENT variant), with the direct termination protocol of §4.3.
+//! * [`client`] — a TCP client component (the IMCLIENT variant): the
+//!   socket [`sdr_core::Transport`] under `sdr-core`'s client core, which
+//!   owns the image, addressing and the termination protocol of §4.3.
 //!
 //! Every node binds an OS-assigned port registered in the deployment's
 //! address directory — the role a node manager plays in a production

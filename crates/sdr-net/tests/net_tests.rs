@@ -1,92 +1,155 @@
 //! End-to-end tests of the TCP deployment: a real multi-threaded,
 //! multi-socket run of the SD-Rtree protocol on localhost.
+//!
+//! The client protocol is one implementation driven by two transports,
+//! so the main test here is one scenario run on both substrates: each
+//! must equal the brute-force oracle, and therefore the other.
 
-use sdr_core::{Object, Oid, SdrConfig};
+use sdr_core::{Client, ClientId, Cluster, Object, Oid, SdrConfig, Variant};
 use sdr_geom::{Point, Rect};
 use sdr_net::{NetClient, NetCluster};
-use std::time::Duration;
+use sdr_workload::{DatasetSpec, Distribution, PointSpec, WindowSpec};
 
-/// Lets in-flight maintenance (splits, OC updates) settle. The TCP layer
-/// is asynchronous; tests quiesce between phases like any operator
-/// script would.
-fn settle() {
-    std::thread::sleep(Duration::from_millis(300));
+/// What the scenario needs from a substrate: the five client operations
+/// (result sets only) and the server count.
+trait Substrate {
+    fn insert(&mut self, obj: Object);
+    fn delete(&mut self, obj: Object) -> bool;
+    fn point(&mut self, p: Point) -> Vec<Object>;
+    fn window(&mut self, w: Rect) -> Vec<Object>;
+    fn knn(&mut self, p: Point, k: usize) -> Vec<f64>;
+    fn servers(&self) -> usize;
+}
+
+struct Sim(Cluster, Client);
+
+impl Substrate for Sim {
+    fn insert(&mut self, obj: Object) {
+        self.1.insert(&mut self.0, obj);
+    }
+    fn delete(&mut self, obj: Object) -> bool {
+        self.1.delete(&mut self.0, obj).0
+    }
+    fn point(&mut self, p: Point) -> Vec<Object> {
+        self.1.point_query(&mut self.0, p).results
+    }
+    fn window(&mut self, w: Rect) -> Vec<Object> {
+        self.1.window_query(&mut self.0, w).results
+    }
+    fn knn(&mut self, p: Point, k: usize) -> Vec<f64> {
+        let near = self.1.knn(&mut self.0, p, k).neighbors;
+        near.into_iter().map(|(_, d)| d).collect()
+    }
+    fn servers(&self) -> usize {
+        self.0.num_servers()
+    }
+}
+
+struct Tcp<'a>(&'a NetCluster, NetClient);
+
+impl Substrate for Tcp<'_> {
+    fn insert(&mut self, obj: Object) {
+        self.1.insert(obj).unwrap();
+    }
+    fn delete(&mut self, obj: Object) -> bool {
+        self.1.delete(obj).unwrap()
+    }
+    fn point(&mut self, p: Point) -> Vec<Object> {
+        self.1.point_query(p).unwrap()
+    }
+    fn window(&mut self, w: Rect) -> Vec<Object> {
+        self.1.window_query(w).unwrap()
+    }
+    fn knn(&mut self, p: Point, k: usize) -> Vec<f64> {
+        let near = self.1.knn(p, k).unwrap();
+        near.into_iter().map(|(_, d)| d).collect()
+    }
+    fn servers(&self) -> usize {
+        self.0.num_servers()
+    }
+}
+
+const CAPACITY: usize = 25;
+
+fn oids(mut objects: Vec<Object>) -> Vec<u64> {
+    objects.sort_by_key(|o| o.oid);
+    objects.into_iter().map(|o| o.oid.0).collect()
+}
+
+/// Every point / window / kNN answer of `s` must equal a brute-force scan
+/// of `live`; returns the answers for cross-substrate comparison.
+fn check_reads(s: &mut impl Substrate, live: &[Object], seed: u64) -> Vec<Vec<u64>> {
+    let matching = |pred: &dyn Fn(&Rect) -> bool| {
+        oids(live.iter().copied().filter(|o| pred(&o.mbb)).collect())
+    };
+    let mut answers = Vec::new();
+    let centres = live.iter().step_by(7).map(|o| o.mbb.center());
+    for p in centres.chain(PointSpec::uniform().generate(10, seed)) {
+        let got = oids(s.point(p));
+        assert_eq!(got, matching(&|r| r.contains_point(&p)), "point {p:?}");
+        answers.push(got);
+
+        let mut want: Vec<f64> = live.iter().map(|o| o.mbb.min_dist(&p)).collect();
+        want.sort_by(f64::total_cmp);
+        want.truncate(5);
+        assert_eq!(s.knn(p, 5), want, "kNN-5 distances around {p:?}");
+    }
+    let everything = Rect::new(-1.0, -1.0, 2.0, 2.0);
+    for w in WindowSpec::paper_default()
+        .generate(20, seed)
+        .into_iter()
+        .chain([everything])
+    {
+        let got = oids(s.window(w));
+        assert_eq!(got, matching(&|r| r.intersects(&w)), "window {w:?}");
+        answers.push(got);
+    }
+    answers
+}
+
+/// Seeded inserts → reads → deletes → reads, all against the oracle.
+fn scenario(s: &mut impl Substrate) -> Vec<Vec<u64>> {
+    let rects = DatasetSpec::new(150, Distribution::Uniform).generate(0x5D12);
+    let mut live: Vec<Object> = Vec::new();
+    for (i, r) in rects.into_iter().enumerate() {
+        live.push(Object::new(Oid(i as u64), r));
+        s.insert(live[i]);
+    }
+    assert!(s.servers() >= 4, "expected splits, got {}", s.servers());
+    let mut answers = check_reads(s, &live, 1);
+
+    // Delete every fourth object (enough to trigger eliminations at this
+    // capacity), plus one that is not there.
+    let (gone, kept): (Vec<_>, Vec<_>) = live.into_iter().partition(|o| o.oid.0 % 4 == 0);
+    for obj in &gone {
+        assert!(s.delete(*obj), "delete should find {:?}", obj.oid);
+    }
+    assert!(!s.delete(gone[0]), "second delete of the same object");
+    answers.extend(check_reads(s, &kept, 2));
+    answers
 }
 
 #[test]
-fn insert_and_query_over_tcp() {
-    let cluster = NetCluster::launch_auto(SdrConfig::with_capacity(25)).unwrap();
-    let mut client = NetClient::connect(&cluster).unwrap();
-
-    // A 10x10 grid of rectangles: forces several splits at capacity 25.
-    for i in 0..100u64 {
-        let x = (i % 10) as f64 / 10.0;
-        let y = (i / 10) as f64 / 10.0;
-        client
-            .insert(Object::new(Oid(i), Rect::new(x, y, x + 0.05, y + 0.05)))
-            .unwrap();
-    }
-    settle();
-    assert!(
-        cluster.num_servers() >= 4,
-        "expected splits, got {}",
-        cluster.num_servers()
+fn one_scenario_two_substrates_equal_the_oracle_and_each_other() {
+    let config = SdrConfig::with_capacity(CAPACITY);
+    let mut sim = Sim(
+        Cluster::new(config),
+        Client::new(ClientId(0), Variant::ImClient, 1),
     );
+    let on_sim = scenario(&mut sim);
 
-    // Every object is retrievable by point query.
-    for i in [0u64, 9, 42, 55, 99] {
-        let x = (i % 10) as f64 / 10.0 + 0.025;
-        let y = (i / 10) as f64 / 10.0 + 0.025;
-        let hits = client.point_query(Point::new(x, y)).unwrap();
-        assert!(
-            hits.iter().any(|o| o.oid == Oid(i)),
-            "object {i} missing from point query"
-        );
-    }
-
-    // Window query over a quadrant.
-    let hits = client
-        .window_query(Rect::new(0.0, 0.0, 0.44, 0.44))
-        .unwrap();
-    assert_eq!(hits.len(), 25, "quadrant window should hit a 5x5 block");
-
+    let cluster = NetCluster::launch(config).unwrap();
+    let mut tcp = Tcp(&cluster, NetClient::connect(&cluster).unwrap());
+    let on_tcp = scenario(&mut tcp);
+    assert_eq!(cluster.delivery_failures(), 0, "fault-free run");
     cluster.shutdown();
-}
 
-#[test]
-fn delete_over_tcp() {
-    let cluster = NetCluster::launch_auto(SdrConfig::with_capacity(50)).unwrap();
-    let mut client = NetClient::connect(&cluster).unwrap();
-    for i in 0..60u64 {
-        let x = (i % 8) as f64 / 8.0;
-        let y = (i / 8) as f64 / 8.0;
-        client
-            .insert(Object::new(Oid(i), Rect::new(x, y, x + 0.04, y + 0.04)))
-            .unwrap();
-    }
-    settle();
-    let target = Object::new(
-        Oid(13),
-        Rect::new(5.0 / 8.0, 1.0 / 8.0, 5.0 / 8.0 + 0.04, 1.0 / 8.0 + 0.04),
-    );
-    assert!(
-        client.delete(target).unwrap(),
-        "delete should find object 13"
-    );
-    settle();
-    let hits = client
-        .point_query(Point::new(5.0 / 8.0 + 0.02, 1.0 / 8.0 + 0.02))
-        .unwrap();
-    assert!(
-        hits.iter().all(|o| o.oid != Oid(13)),
-        "object 13 still present"
-    );
-    cluster.shutdown();
+    assert_eq!(on_sim, on_tcp);
 }
 
 #[test]
 fn two_clients_share_one_structure() {
-    let cluster = NetCluster::launch_auto(SdrConfig::with_capacity(30)).unwrap();
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(30)).unwrap();
     let mut writer = NetClient::connect(&cluster).unwrap();
     for i in 0..80u64 {
         let x = (i % 9) as f64 / 9.0;
@@ -95,7 +158,6 @@ fn two_clients_share_one_structure() {
             .insert(Object::new(Oid(i), Rect::new(x, y, x + 0.03, y + 0.03)))
             .unwrap();
     }
-    settle();
     // A second client with an empty image still gets complete answers
     // (its first queries go to its contact server and repair from there).
     let mut reader = NetClient::connect(&cluster).unwrap();
@@ -103,28 +165,5 @@ fn two_clients_share_one_structure() {
     assert_eq!(hits.len(), 80);
     // And its image has learned some of the structure from the IAMs.
     assert!(reader.image().known_servers() >= 2);
-    cluster.shutdown();
-}
-
-#[test]
-fn knn_over_tcp() {
-    let cluster = NetCluster::launch(SdrConfig::with_capacity(30)).unwrap();
-    let mut client = NetClient::connect(&cluster).unwrap();
-    for i in 0..90u64 {
-        let x = (i % 10) as f64 / 10.0;
-        let y = (i / 10) as f64 / 10.0;
-        client
-            .insert(Object::new(Oid(i), Rect::new(x, y, x + 0.02, y + 0.02)))
-            .unwrap();
-    }
-    client.quiesce().unwrap();
-    let p = Point::new(0.51, 0.51);
-    let nn = client.knn(p, 4).unwrap();
-    assert_eq!(nn.len(), 4);
-    for pair in nn.windows(2) {
-        assert!(pair[0].1 <= pair[1].1, "distances must be sorted");
-    }
-    // The nearest object is the grid cell at (0.5, 0.5).
-    assert_eq!(nn[0].0.oid, Oid(55));
     cluster.shutdown();
 }
