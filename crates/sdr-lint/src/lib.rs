@@ -69,6 +69,10 @@ const PANIC_SAFETY_FILES: &[&str] = &[
 /// live only in `sdr-net`).
 const LOCK_HYGIENE_DIRS: &[&str] = &["crates/sdr-net/src"];
 
+/// Directories whose delivery is event-driven: `thread::sleep` needs a
+/// reasoned allow here.
+const NO_SLEEP_DIRS: &[&str] = &["crates/sdr-net/src"];
+
 /// The two files that together define the wire codec: `enum Payload` +
 /// `name()`/`category()` in sdr-core, encode/decode in sdr-net.
 const CODEC_FILES: &[&str] = &["crates/sdr-core/src/msg.rs", "crates/sdr-net/src/wire.rs"];
@@ -131,6 +135,9 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
         if LOCK_HYGIENE_DIRS.iter().any(|d| p.starts_with(d)) {
             rules::lock_hygiene(fs, &mut out);
         }
+        if NO_SLEEP_DIRS.iter().any(|d| p.starts_with(d)) {
+            rules::no_sleep(fs, &mut out);
+        }
         if is_crate_root(&p) {
             rules::crate_hygiene(fs, &mut out);
         }
@@ -167,6 +174,7 @@ pub fn lint_paths_all_rules(paths: &[PathBuf]) -> std::io::Result<Vec<Violation>
         rules::panic_safety(fs, &mut out);
         rules::lock_hygiene(fs, &mut out);
         rules::lossy_cast(fs, &mut out);
+        rules::no_sleep(fs, &mut out);
         if is_crate_root(&path_str(&fs.path)) {
             rules::crate_hygiene(fs, &mut out);
         }

@@ -18,6 +18,7 @@
 //! | `crate-hygiene` | a crate root without `#![forbid(unsafe_code)]` and a `missing_docs` lint header |
 //! | `allow-reason` | an `sdr-lint:` annotation that is malformed or carries no reason (not allowable) |
 //! | `lossy-cast` | `as` casts to a narrower integer type (`u8`/`u16`/`u32`/`i8`/`i16`/`i32`) in sdr-core message paths — they truncate silently; use `try_from` with a loud failure |
+//! | `no-sleep` | `thread::sleep` in `sdr-net` — delivery is event-driven, so a timed wait needs a reason why no frame, reply or quiescence ever waits on it |
 //! | `doc-sync` | documentation drifting from the workspace: a crate under `crates/` absent from the README workspace table or the DESIGN.md §1 inventory, or a gap in the DESIGN.md §2 decision numbering |
 
 use crate::allow::{parse_allows, Allow};
@@ -38,6 +39,8 @@ pub const CRATE_HYGIENE: &str = "crate-hygiene";
 pub const ALLOW_REASON: &str = "allow-reason";
 /// Rule name: silently truncating `as` casts on message paths.
 pub const LOSSY_CAST: &str = "lossy-cast";
+/// Rule name: timers on the TCP delivery path.
+pub const NO_SLEEP: &str = "no-sleep";
 /// Rule name: README/DESIGN drifting from the crate inventory.
 pub const DOC_SYNC: &str = "doc-sync";
 
@@ -50,6 +53,7 @@ pub const ALL_RULES: &[&str] = &[
     CRATE_HYGIENE,
     ALLOW_REASON,
     LOSSY_CAST,
+    NO_SLEEP,
     DOC_SYNC,
 ];
 
@@ -397,6 +401,28 @@ pub fn lossy_cast(fs: &FileSource, out: &mut Vec<Violation>) {
                     ),
                 );
             }
+        }
+    }
+}
+
+// -------------------------------------------------------------- no-sleep --
+
+/// Flags every `thread::sleep`. In `sdr-net` a receiver acts because a
+/// frame or a signal arrived; a sleep between the two is how a 1 ms poll
+/// and a 5 ms grace window once set the latency of every operation. The
+/// sleeps that remain back off from errors, and say so in their allow.
+pub fn no_sleep(fs: &FileSource, out: &mut Vec<Violation>) {
+    let toks = &fs.lexed.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        if !fs.test_mask[i] && t.is_ident("thread") && follows_path(toks, i, "sleep") {
+            fs.push(
+                out,
+                t.line,
+                NO_SLEEP,
+                "`thread::sleep` on the delivery path; block on the socket or on \
+                 `Deployment::wait`, or justify an error backoff with an allow"
+                    .into(),
+            );
         }
     }
 }
@@ -1051,6 +1077,21 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 1);
         assert!(v[0].msg.contains("u32::try_from"));
+    }
+
+    #[test]
+    fn no_sleep_flags_the_call_and_respects_allow_and_cfg_test() {
+        let fs = src(
+            "x.rs",
+            "fn poll() { std::thread::sleep(TICK); }\n\
+             // sdr-lint: allow(no-sleep) — backoff after a failed accept\n\
+             fn backoff() { thread::sleep(TICK); }\n\
+             #[cfg(test)]\nmod tests { fn t() { std::thread::sleep(TICK); } }",
+        );
+        let mut v = vec![];
+        no_sleep(&fs, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].line, v[0].rule), (1, NO_SLEEP));
     }
 
     #[test]

@@ -7,6 +7,7 @@ use std::collections::HashSet;
 fn clock_reads() -> u128 {
     let started = std::time::Instant::now();
     let _wall = std::time::SystemTime::now();
+    // sdr-lint: allow(no-sleep) — fixture: this sleep is the determinism rule's
     std::thread::sleep(std::time::Duration::from_millis(1));
     let _ambient = std::env::var("SDR_SEED");
     started.elapsed().as_millis()

@@ -107,6 +107,14 @@ fn lossy_cast_fixture_flags_each_narrowing_once() {
 }
 
 #[test]
+fn no_sleep_fixture_flags_only_the_unjustified_sleep() {
+    let v = sdr_lint::lint_paths_all_rules(&[fixture("no_sleep.rs")]).unwrap();
+    // The poll; the reasoned backoff and the test module are exempt.
+    assert_eq!(v.len(), 1, "{v:#?}");
+    assert_eq!((v[0].rule, v[0].line), ("no-sleep", 10));
+}
+
+#[test]
 fn doc_sync_fixture_reports_drift_and_numbering_gap() {
     // The fixture is a miniature workspace: crate `beta` exists on disk
     // but is absent from both the README table and the DESIGN.md §1
@@ -157,6 +165,7 @@ fn cli_exits_nonzero_on_each_seeded_fixture() {
         "crate_hygiene/lib.rs",
         "allow_reason.rs",
         "lossy_cast.rs",
+        "no_sleep.rs",
     ] {
         let out = run_cli(&["--all", fixture(f).to_str().unwrap()]);
         assert_eq!(out.status.code(), Some(1), "{f} should fail");

@@ -4,7 +4,8 @@
 //! termination protocol of §4.3, kNN — is [`sdr_core::Client`], the same
 //! code the simulator runs. This module is only its socket driver: a
 //! reply listener, send, receive-until-deadline, quiescence, and the
-//! mapping of delivery failures to [`NetError`].
+//! mapping of delivery failures to [`NetError`]. Every wait is a slice on
+//! the deployment's wake-up signal, which the sender cuts short.
 
 use crate::node::{read_frame, send_message, Deployment};
 use crate::NetCluster;
@@ -62,6 +63,7 @@ pub struct NetClient {
 /// The client's end of the deployment.
 #[derive(Debug)]
 struct Wire {
+    id: ClientId,
     listener: TcpListener,
     deployment: Arc<Deployment>,
     /// The deployment's delivery-failure count as of the last check, so
@@ -70,12 +72,10 @@ struct Wire {
     failures_seen: Cell<u64>,
 }
 
-/// How long [`NetClient::insert`] keeps listening for a late
-/// acknowledgment after quiescence. Bounded: an insert with no pending
-/// ack costs exactly this much extra, and one grace period is the most
-/// any delivery-failure scenario may stall an operation beyond its own
-/// work.
-pub const ACK_GRACE: Duration = Duration::from_millis(5);
+/// The longest a blocked client goes without re-checking its deadline,
+/// its listener (for frames nobody counted) and the fault layer's delay
+/// clock. Senders end the wait early, so no operation's latency includes it.
+const WAIT_SLICE: Duration = Duration::from_millis(1);
 
 impl NetClient {
     /// Connects a fresh client (empty image; server 0 as contact).
@@ -83,12 +83,14 @@ impl NetClient {
         let id = ClientId(NEXT_CLIENT.fetch_add(1, Ordering::SeqCst));
         let deployment = cluster.deployment.clone();
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        deployment.register(Endpoint::Client(id), listener.local_addr()?.port());
         listener.set_nonblocking(true)?;
+        deployment.events().owed.insert(id, 0);
+        deployment.register(Endpoint::Client(id), listener.local_addr()?.port());
         let failures_seen = Cell::new(deployment.delivery_failures.load(Ordering::SeqCst));
         Ok(NetClient {
             core: Client::new(id, Variant::ImClient, 0),
             wire: Wire {
+                id,
                 listener,
                 deployment,
                 failures_seen,
@@ -102,9 +104,14 @@ impl NetClient {
         &self.core.image
     }
 
-    /// Inserts an object. Returns once the insert is *dispatched*; if an
-    /// out-of-range path produced an IAM, a short grace read absorbs it
-    /// (inserts are acknowledged only when repaired, §3.2).
+    /// Frames written for this client that it has not read yet: zero
+    /// after an insert, which reads its acknowledgment before it returns.
+    pub fn owed_frames(&self) -> i64 {
+        self.wire.owed()
+    }
+
+    /// Inserts an object. Returns once the structure has settled and the
+    /// IAM of an out-of-range path, if there was one, is absorbed.
     pub fn insert(&mut self, obj: Object) -> Result<(), NetError> {
         let mut wire = self.wire.session(self.timeout);
         self.core.over(&mut wire).insert(obj).map(|_| ())
@@ -178,32 +185,52 @@ impl Wire {
         Ok(())
     }
 
+    fn owed(&self) -> i64 {
+        *self.deployment.events().owed.get(&self.id).unwrap_or(&0)
+    }
+
     /// Waits for the next reply frame addressed to this client.
     fn recv(&self, deadline: Instant) -> Result<Message, NetError> {
         loop {
+            // Before `accept`: a frame written after it ends the wait below.
+            let seen = self.deployment.events().seq;
             match self.listener.accept() {
-                Ok((stream, _)) => match read_frame(stream) {
-                    Some(msg) => return Ok(msg),
-                    // A truncated or undecodable reply is a lost reply:
-                    // count it, so the wait below ends as `Undeliverable`
-                    // now instead of as `Timeout` ten seconds on.
-                    None => self.deployment.record_delivery_failure(),
-                },
+                Ok((stream, _)) => {
+                    if let Some(n) = self.deployment.events().owed.get_mut(&self.id) {
+                        *n -= 1;
+                    }
+                    match read_frame(stream) {
+                        Some(msg) => return Ok(msg),
+                        // A truncated or undecodable reply is a lost reply:
+                        // count it, so the wait below ends as `Undeliverable`
+                        // now instead of as `Timeout` ten seconds on.
+                        None => self.deployment.record_delivery_failure(),
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     self.check_failures()?;
                     if Instant::now() > deadline {
                         return Err(NetError::Timeout);
                     }
-                    std::thread::sleep(Duration::from_millis(1));
-                    // An idle wait is a send event for the fault layer's
+                    // An idle slice is a send event for the fault layer's
                     // delay clock; without this, a delayed message that
                     // nobody else's traffic ticks forward would stall
                     // the receive loop out to its full timeout.
-                    self.deployment.flush_delayed(false);
+                    if self.deployment.wait(seen, WAIT_SLICE) {
+                        self.deployment.flush_delayed(false);
+                    }
                 }
                 Err(e) => return Err(NetError::Io(e)),
             }
         }
+    }
+}
+
+impl Drop for Wire {
+    /// A client that is gone leaves the directory and the owed counts.
+    fn drop(&mut self) {
+        self.deployment.deregister(Endpoint::Client(self.id));
+        self.deployment.events().owed.remove(&self.id);
     }
 }
 
@@ -212,12 +239,16 @@ impl Session<'_> {
         let deployment = &self.wire.deployment;
         let deadline = Instant::now() + self.timeout;
         loop {
+            let seen = deployment.events().seq;
+            // Loaded before the check: nodes record a failure before they
+            // settle `in_flight`, so zero here means the check sees it.
+            let busy = deployment.in_flight.load(Ordering::SeqCst) > 0;
             self.wire.check_failures()?;
-            if deployment.in_flight.load(Ordering::SeqCst) > 0 {
+            if busy {
                 if Instant::now() > deadline {
                     return Err(NetError::Timeout);
                 }
-                std::thread::sleep(Duration::from_micros(200));
+                deployment.wait(seen, WAIT_SLICE);
                 continue;
             }
             // Quiet on the wire: release anything the fault layer is
@@ -251,18 +282,13 @@ impl Transport for Session<'_> {
         // problem the paper leaves open (§6), so the client — like the
         // paper's own evaluation — issues one operation at a time.
         self.quiesce()?;
-        // Absorb pending acks/IAMs within a short bounded grace window
-        // (direct inserts are never acknowledged, §3.2, so we do not
-        // insist on one). A zero-grace read would lose an ack still in
-        // the kernel backlog and its IAM trace would never correct the
-        // image; stray acks that slip past even this window are folded
-        // in by the receive loops of later operations.
-        let grace = Instant::now() + ACK_GRACE;
-        while !fold.is_complete() {
-            match self.wire.recv(grace) {
-                Ok(msg) => fold.feed(msg),
-                Err(_) => break,
-            }
+        // Direct inserts are never acknowledged (§3.2), so no reply can
+        // be insisted on — but servers write client-bound frames before
+        // they settle `in_flight`: what is owed now is every ack there
+        // will be, and exactly that is read.
+        let deadline = Instant::now() + self.timeout;
+        while self.wire.owed() > 0 {
+            fold.feed(self.wire.recv(deadline)?);
         }
         Ok(())
     }

@@ -4,6 +4,7 @@
 use crate::node::{spawn_node, Deployment, NetFaults};
 use sdr_core::msg::Endpoint;
 use sdr_core::{FaultPlan, SdrConfig, ServerId, Stats};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -65,9 +66,13 @@ impl NetCluster {
             faults: Mutex::new(faults),
             delayed: Mutex::new(Vec::new()),
             send_attempts: options.send_attempts.max(1),
-            metrics: Mutex::new(sdr_obs::Obs::from_env().take_metrics()),
+            metrics: sdr_obs::Obs::from_env().take_metrics().map(Mutex::new),
+            trace: std::env::var_os("SDR_NET_TRACE").is_some(),
+            events: Default::default(),
+            wakeup: Default::default(),
+            nodes: Default::default(),
         });
-        spawn_node(deployment.clone(), ServerId(0))?;
+        spawn_node(&deployment, ServerId(0))?;
         Ok(NetCluster { deployment })
     }
 
@@ -94,23 +99,13 @@ impl NetCluster {
     /// delayed-lane flushes; values depend on thread timing and are for
     /// inspection, not golden comparison.
     pub fn metrics_table(&self) -> Option<String> {
-        self.deployment
-            .metrics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(sdr_obs::Metrics::render_table)
+        self.deployment.with_metrics(|m| m.render_table())
     }
 
     /// A sorted `(key, value)` snapshot of the delivery metrics, if
     /// metrics were enabled at launch.
     pub fn metrics_snapshot(&self) -> Option<Vec<(String, f64)>> {
-        self.deployment
-            .metrics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(sdr_obs::Metrics::snapshot)
+        self.deployment.with_metrics(|m| m.snapshot())
     }
 
     /// A snapshot of the injected-fault counters, if a fault plan is
@@ -137,11 +132,23 @@ impl NetCluster {
         self.deployment.deregister(Endpoint::Server(id));
     }
 
-    /// Stops every node (their accept loops observe the flag within a
-    /// millisecond or two).
+    /// Stops every node ever spawned — an empty connection wakes each out
+    /// of `accept` — and joins them. A second call, or the `Drop` after an
+    /// explicit one, finds none left and returns at once.
     pub fn shutdown(&self) {
-        self.deployment.stop.store(true, Ordering::SeqCst);
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        let deployment = &self.deployment;
+        deployment.stop.store(true, Ordering::SeqCst);
+        let nodes =
+            std::mem::take(&mut *deployment.nodes.lock().unwrap_or_else(|e| e.into_inner()));
+        for (port, _) in &nodes {
+            let _ = TcpStream::connect(("127.0.0.1", *port));
+        }
+        for (_, node) in nodes {
+            // A node that panicked took the frames it was handling with it.
+            if node.join().is_err() {
+                deployment.record_delivery_failure();
+            }
+        }
     }
 }
 

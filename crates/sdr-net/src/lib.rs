@@ -9,23 +9,25 @@
 //! * [`wire`] — a compact, hand-rolled binary codec for every protocol
 //!   message (length-prefixed frames; no serialization framework), over
 //!   the first-party [`buf`] byte cursors.
-//! * [`node`] — a thread-per-server TCP node: accepts frames, feeds them
-//!   to the embedded [`sdr_core::Server`], ships the outbox.
+//! * [`node`] — a thread-per-server TCP node: blocks in `accept`, feeds
+//!   each frame to the embedded [`sdr_core::Server`], ships the outbox.
 //! * [`cluster`] — a process-local deployment manager that binds
-//!   listeners, spawns nodes when servers split, and tears everything
-//!   down.
+//!   listeners, spawns nodes when servers split, and on shutdown wakes
+//!   and joins every one of them.
 //! * [`client`] — a TCP client component (the IMCLIENT variant): the
 //!   socket [`sdr_core::Transport`] under `sdr-core`'s client core, which
 //!   owns the image, addressing and the termination protocol of §4.3.
 //!
 //! Every node binds an OS-assigned port registered in the deployment's
 //! address directory — the role a node manager plays in a production
-//! deployment. Connections are short-lived (one frame per connection):
-//! simple, robust, and plenty for demonstrating the structure outside
-//! the simulator — throughput tuning is explicitly out of scope, as is
-//! concurrency control, which the paper itself lists as open (§6): the
-//! deployment serializes message handling and clients quiesce between
-//! operations, matching the paper's own evaluation regime.
+//! deployment. Connections are short-lived (one frame per connection),
+//! and nothing between a frame being written and its receiver acting on
+//! it is a timer: nodes block on their sockets, clients on a wake-up
+//! signal the sender raises, and an insert reads exactly the
+//! acknowledgment frames it is owed (DESIGN.md decision 13). Concurrency
+//! control is out of scope, as the paper itself lists it as open (§6):
+//! the deployment serializes message handling and clients quiesce
+//! between operations, matching the paper's own evaluation regime.
 //!
 //! ## Example
 //!
@@ -51,6 +53,6 @@ pub mod cluster;
 pub mod node;
 pub mod wire;
 
-pub use client::{NetClient, NetError, ACK_GRACE};
+pub use client::{NetClient, NetError};
 pub use cluster::{NetCluster, NetOptions};
 pub use wire::{decode_message, encode_message, WireError};

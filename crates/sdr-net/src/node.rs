@@ -1,25 +1,30 @@
 //! A TCP server node: one SD-Rtree server behind a socket.
 //!
-//! Each node runs an accept loop on `base_port + 1 + server_id`. A
+//! Each node parks in a blocking `accept` on its own OS-assigned port. A
 //! connection carries exactly one frame (a [`sdr_core::Message`]); the
 //! node feeds it to the embedded [`Server`] state machine and ships the
 //! resulting outbox — server-bound messages to peer ports, client-bound
-//! messages to the client's reply port (`base_port - 1 - client_id`).
+//! messages to the client's reply port, both looked up in the directory.
 //!
 //! When the state machine allocates a new server (a split), the node
 //! *synchronously* binds the new server's listener before forwarding any
 //! message to it, so the `SplitCreate` can never be lost; the new node's
 //! accept loop then runs on its own thread. This is the node-manager
 //! role a production deployment would delegate to its orchestrator.
+//! Nothing here sleeps or polls: a node wakes because a frame arrived, a
+//! waiting client because `Deployment::notify` said so (DESIGN.md 13).
 
 use crate::buf::ReadBuf;
 use crate::wire::{decode_message, encode_message};
+use sdr_core::ids::ClientId;
 use sdr_core::msg::{Endpoint, Message};
 use sdr_core::{Allocator, FaultInjector, Outbox, SdrConfig, Server, ServerId, Stats};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Deterministic fault injection for the TCP substrate: the injector
@@ -33,6 +38,20 @@ pub(crate) struct NetFaults {
     pub stats: Stats,
 }
 
+/// What a waiting client blocks on instead of polling; process-local,
+/// like `in_flight` and `delivery_failures` (DESIGN.md decision 13).
+#[derive(Debug, Default)]
+pub(crate) struct Events {
+    /// Bumped whenever `in_flight` drains, a delivery failure is recorded
+    /// or a client-bound frame has been written.
+    pub seq: u64,
+    /// Client-bound frames written but not yet accepted, per connected
+    /// client: the client-side twin of `in_flight`, and once that is zero
+    /// exactly what the client has left to read. Raw unsolicited
+    /// connections drive it negative, so readers test `> 0`.
+    pub owed: HashMap<ClientId, i64>,
+}
+
 /// Shared deployment state every node needs: the address directory, the
 /// server id allocator, and the shutdown flag.
 #[derive(Debug)]
@@ -42,7 +61,7 @@ pub(crate) struct Deployment {
     /// A production deployment would get this from its node manager;
     /// OS-assigned ports make parallel deployments and rapid restarts
     /// collision-free (no fixed ranges, no `TIME_WAIT` interference).
-    pub registry: std::sync::RwLock<std::collections::HashMap<Endpoint, u16>>,
+    pub registry: std::sync::RwLock<HashMap<Endpoint, u16>>,
     /// Next server id — shared so concurrent splits never collide.
     pub next_server: Arc<AtomicU32>,
     pub config: SdrConfig,
@@ -98,7 +117,15 @@ pub(crate) struct Deployment {
     /// high-water, delayed-lane flushes. Numeric *values* depend on
     /// thread timing — only the key set is deterministic — so these are
     /// for operator inspection, never for golden comparisons.
-    pub metrics: Mutex<Option<sdr_obs::Metrics>>,
+    pub metrics: Option<Mutex<sdr_obs::Metrics>>,
+    /// `SDR_NET_TRACE` at launch: one stderr line per handled message.
+    pub trace: bool,
+    /// The wake-up signal; see [`Events`].
+    pub events: Mutex<Events>,
+    pub wakeup: Condvar,
+    /// Port and thread of every node ever spawned, for `shutdown` to wake
+    /// and join — also those `deregister` hid from the directory.
+    pub nodes: Mutex<Vec<(u16, JoinHandle<()>)>>,
 }
 
 impl Deployment {
@@ -128,19 +155,50 @@ impl Deployment {
             .remove(&endpoint);
     }
 
-    /// Counts one failed delivery.
+    /// Counts one failed delivery and wakes the clients waiting on it.
     pub fn record_delivery_failure(&self) {
         self.delivery_failures.fetch_add(1, Ordering::SeqCst);
+        self.notify(None);
+    }
+
+    /// Pairs off one `in_flight` increment, waking `quiesce` when it was
+    /// the last. Failures are recorded *before* this: who sees zero sees them.
+    pub fn settle_in_flight(&self) {
+        if self.in_flight.fetch_sub(1, Ordering::SeqCst) <= 1 {
+            self.notify(None);
+        }
+    }
+
+    pub fn events(&self) -> MutexGuard<'_, Events> {
+        self.events.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Signals an event, booking a frame just written for `owed_to`.
+    pub fn notify(&self, owed_to: Option<ClientId>) {
+        let mut events = self.events();
+        events.seq += 1;
+        if let Some(n) = owed_to.and_then(|c| events.owed.get_mut(&c)) {
+            *n += 1;
+        }
+        drop(events);
+        self.wakeup.notify_all();
+    }
+
+    /// Blocks until an event later than `seen` is signalled or `slice`
+    /// elapses; returns whether it was the slice that ended the wait.
+    pub fn wait(&self, seen: u64, slice: Duration) -> bool {
+        let waited = self
+            .wakeup
+            .wait_timeout_while(self.events(), slice, |e| e.seq == seen);
+        waited.unwrap_or_else(|e| e.into_inner()).1.timed_out()
     }
 
     /// Runs `f` against the metrics registry if one is installed. The
     /// lock is held only for the closure — callers must not nest this
     /// inside other deployment locks.
-    pub fn with_metrics(&self, f: impl FnOnce(&mut sdr_obs::Metrics)) {
-        let mut guard = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(m) = guard.as_mut() {
-            f(m);
-        }
+    pub fn with_metrics<R>(&self, f: impl FnOnce(&mut sdr_obs::Metrics) -> R) -> Option<R> {
+        let metrics = self.metrics.as_ref()?;
+        Some(f(&mut metrics.lock().unwrap_or_else(|e| e.into_inner())))
     }
 
     /// Ticks the delay buffer by one send event and transmits every
@@ -177,19 +235,26 @@ impl Deployment {
 }
 
 /// Binds a node's listener synchronously (registering its OS-assigned
-/// port), then spawns its accept loop.
-pub(crate) fn spawn_node(deployment: Arc<Deployment>, id: ServerId) -> std::io::Result<()> {
+/// port), then spawns its accept loop. A deployment that is stopping
+/// spawns nothing: `shutdown` has already collected the nodes it joins.
+pub(crate) fn spawn_node(deployment: &Arc<Deployment>, id: ServerId) -> std::io::Result<()> {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    deployment.register(Endpoint::Server(id), listener.local_addr()?.port());
-    listener.set_nonblocking(true)?;
+    let port = listener.local_addr()?.port();
     let server = if id.0 == 0 {
         Server::new(id, deployment.config)
     } else {
         Server::bare(id, deployment.config)
     };
-    std::thread::Builder::new()
+    let mut nodes = deployment.nodes.lock().unwrap_or_else(|e| e.into_inner());
+    if deployment.stop.load(Ordering::SeqCst) {
+        return Ok(());
+    }
+    deployment.register(Endpoint::Server(id), port);
+    let shared = deployment.clone();
+    let node = std::thread::Builder::new()
         .name(format!("sdr-node-{}", id.0))
-        .spawn(move || accept_loop(deployment, listener, server))?;
+        .spawn(move || accept_loop(shared, listener, server))?;
+    nodes.push((port, node));
     Ok(())
 }
 
@@ -211,6 +276,9 @@ fn accept_loop(deployment: Arc<Deployment>, listener: TcpListener, mut server: S
     let mut consecutive_errors: u32 = 0;
     while !deployment.stop.load(Ordering::SeqCst) {
         match listener.accept() {
+            // `shutdown` wakes a parked accept with an empty connection:
+            // no frame, so it must not be booked as a lost one.
+            Ok(_) if deployment.stop.load(Ordering::SeqCst) => return,
             Ok((stream, _)) => {
                 consecutive_errors = 0;
                 match read_frame(stream) {
@@ -240,14 +308,13 @@ fn accept_loop(deployment: Arc<Deployment>, listener: TcpListener, mut server: S
                     None => read_failure(&deployment),
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
             // Transient accept errors (ECONNABORTED, EMFILE, EINTR, ...)
             // must not kill the server thread forever; retry with bounded
             // backoff and let only the stop flag end the loop.
             Err(_) => {
                 consecutive_errors = consecutive_errors.saturating_add(1);
+                // sdr-lint: allow(no-sleep) — backoff after a failed
+                // `accept`; a frame that arrives never waits here.
                 std::thread::sleep(accept_backoff(consecutive_errors));
             }
         }
@@ -260,8 +327,8 @@ fn accept_loop(deployment: Arc<Deployment>, listener: TcpListener, mut server: S
 /// was counted by a sender (unsolicited test frames drive the count
 /// transiently negative, which quiescence tolerates by testing `> 0`).
 fn read_failure(deployment: &Deployment) {
-    deployment.in_flight.fetch_sub(1, Ordering::SeqCst);
     deployment.record_delivery_failure();
+    deployment.settle_in_flight();
     deployment.with_metrics(|m| m.inc("frame/read_failure"));
 }
 
@@ -274,7 +341,7 @@ fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Messag
         .handle_lock
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    if std::env::var_os("SDR_NET_TRACE").is_some() {
+    if deployment.trace {
         eprintln!(
             "[{:?}] S{} <- {:?}: {}",
             std::time::SystemTime::now()
@@ -293,7 +360,7 @@ fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Messag
     // Bind listeners for freshly allocated servers *before* any message
     // can reach them.
     for new_id in &out.allocated {
-        if let Err(e) = spawn_node(deployment.clone(), *new_id) {
+        if let Err(e) = spawn_node(deployment, *new_id) {
             eprintln!("sdr-net: failed to spawn server {}: {e}", new_id.0);
         }
     }
@@ -306,7 +373,7 @@ fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Messag
     for m in out.deferred {
         send_message(deployment, &m);
     }
-    deployment.in_flight.fetch_sub(1, Ordering::SeqCst);
+    deployment.settle_in_flight();
 }
 
 /// Dispatches one message: consults the fault plan (if any), then
@@ -384,16 +451,21 @@ fn transmit(deployment: &Deployment, msg: &Message) {
             if let Ok(mut stream) = TcpStream::connect(("127.0.0.1", port)) {
                 if stream.write_all(&frame).is_ok() {
                     let _ = stream.shutdown(Shutdown::Write);
+                    if let Endpoint::Client(client) = msg.to {
+                        deployment.notify(Some(client));
+                    }
                     return;
                 }
             }
         }
+        // sdr-lint: allow(no-sleep) — connect-retry ladder: only a frame
+        // whose listener is absent or refusing waits here.
         std::thread::sleep(Duration::from_millis(2 * (attempt + 1)));
     }
     deployment.record_delivery_failure();
     if is_server_bound {
         // Keep the quiescence accounting truthful.
-        deployment.in_flight.fetch_sub(1, Ordering::SeqCst);
+        deployment.settle_in_flight();
     }
 }
 
@@ -404,13 +476,20 @@ pub(crate) fn read_frame(mut stream: TcpStream) -> Option<Message> {
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf).ok()?;
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > 64 * 1024 * 1024 {
+    let mut body = Vec::new();
+    if !read_body(&mut stream, u32::from_be_bytes(len_buf) as usize, &mut body) {
         return None;
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).ok()?;
     decode_message(&mut ReadBuf::new(&body)).ok()
+}
+
+/// Reads exactly `len` bytes into `body`; whether they all came. A length
+/// prefix is four bytes anyone can send, so past one reservation that
+/// covers any ordinary frame `body` grows only with the bytes received.
+fn read_body(stream: &mut impl Read, len: usize, body: &mut Vec<u8>) -> bool {
+    body.reserve(len.min(64 * 1024));
+    let mut rest = stream.take(len as u64);
+    len <= 64 * 1024 * 1024 && rest.read_to_end(body).is_ok_and(|n| n == len)
 }
 
 #[cfg(test)]
@@ -431,5 +510,12 @@ mod tests {
     #[test]
     fn accept_backoff_starts_small() {
         assert!(accept_backoff(1) <= Duration::from_millis(2));
+    }
+
+    #[test]
+    fn a_huge_length_prefix_allocates_only_for_what_arrives() {
+        let mut body = Vec::new();
+        assert!(!read_body(&mut &[1u8, 2, 3][..], 60 << 20, &mut body));
+        assert!(body.capacity() < 1 << 20, "{}", body.capacity());
     }
 }

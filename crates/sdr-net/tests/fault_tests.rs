@@ -15,8 +15,24 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-fn settle() {
-    std::thread::sleep(Duration::from_millis(300));
+/// Writes a raw frame nobody counted — `prefix` as the length, then
+/// `body` — to server 0, and waits until the node has booked it: the one
+/// wait here that is not for quiescence, so it polls.
+fn raw_frame_is_counted(cluster: &NetCluster, prefix: [u8; 4], body: &[u8]) {
+    let before = cluster.delivery_failures();
+    let port = cluster.server_port(ServerId(0)).expect("server 0 bound");
+    let mut raw = TcpStream::connect(("127.0.0.1", port)).unwrap();
+    raw.write_all(&prefix).unwrap();
+    raw.write_all(body).unwrap();
+    drop(raw);
+    let started = Instant::now();
+    while cluster.delivery_failures() == before {
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "a frame that cannot be read was not counted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn grid_insert(client: &mut NetClient, n: u64) {
@@ -39,21 +55,12 @@ fn truncated_frame_is_counted_and_does_not_hang() {
     let cluster = NetCluster::launch(SdrConfig::with_capacity(25)).unwrap();
     let mut client = NetClient::connect(&cluster).unwrap();
     grid_insert(&mut client, 30);
-    settle();
+    client.quiesce().unwrap();
     assert_eq!(cluster.delivery_failures(), 0);
 
     // A raw, truncated frame: the length prefix promises 64 bytes, the
     // connection dies after 3.
-    let port = cluster.server_port(ServerId(0)).expect("server 0 bound");
-    let mut raw = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    raw.write_all(&64u32.to_le_bytes()).unwrap();
-    raw.write_all(&[1, 2, 3]).unwrap();
-    drop(raw);
-    settle();
-    assert!(
-        cluster.delivery_failures() >= 1,
-        "truncated frame was not counted"
-    );
+    raw_frame_is_counted(&cluster, 64u32.to_le_bytes(), &[1, 2, 3]);
 
     // The failure is reported to the next operation rather than
     // swallowed or turned into a timeout...
@@ -79,6 +86,24 @@ fn truncated_frame_is_counted_and_does_not_hang() {
     cluster.shutdown();
 }
 
+/// A length prefix is four bytes anyone can send: 60 MiB promised and
+/// three bytes delivered is the same counted loss as any truncated frame
+/// (`read_body`'s unit test pins that nothing near 60 MiB is allocated
+/// for it), and the node serves on.
+#[test]
+fn huge_length_prefix_is_a_counted_truncation() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(25)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    raw_frame_is_counted(&cluster, (60u32 << 20).to_be_bytes(), &[1, 2, 3]);
+    assert!(matches!(client.quiesce(), Err(NetError::Undeliverable)));
+    grid_insert(&mut client, 5);
+    assert_eq!(
+        client.point_query(Point::new(0.025, 0.025)).unwrap().len(),
+        1
+    );
+    cluster.shutdown();
+}
+
 /// Bug 2+4 regression: a listener dying mid-run used to mean 50 connect
 /// attempts, an `eprintln!`, a silently dropped message, and a client
 /// stuck until its timeout misreported the cause. Now the exhausted
@@ -94,7 +119,7 @@ fn dead_listener_reports_undeliverable_not_timeout() {
     let mut client = NetClient::connect(&cluster).unwrap();
     client.timeout = Duration::from_secs(30);
     grid_insert(&mut client, 60);
-    settle();
+    client.quiesce().unwrap();
     let servers = cluster.num_servers();
     assert!(servers >= 2, "need a split for this test, got {servers}");
 
@@ -123,7 +148,7 @@ fn dead_listener_reports_undeliverable_not_timeout() {
 /// raw socket: corrupting every inbound Insert frame used to increment
 /// `in_flight` on the send side with no matching decrement, so quiesce
 /// spun until the client timeout. With the decrement restored, the
-/// corruption is counted and reported within one grace period.
+/// corruption is counted and reported as soon as it is recorded.
 #[test]
 fn corrupt_inbound_frames_fail_fast_instead_of_leaking_in_flight() {
     let plan = FaultPlan::none().with_corrupt_for(MsgCategory::Insert, 1.0);
@@ -162,8 +187,9 @@ fn corrupt_inbound_frames_fail_fast_instead_of_leaking_in_flight() {
 /// Bug 3 regression: delayed IAM traffic (insert acks) used to race a
 /// zero-length grace window — the ack arrived after `insert` stopped
 /// listening and was dropped on the floor, leaving the image
-/// permanently stale. The bounded grace window plus stray-ack folding
-/// in every receive loop absorbs it whenever it lands.
+/// permanently stale. Quiescence flushes the delay lane, the insert then
+/// reads the frames it is owed, and stray-ack folding in every receive
+/// loop absorbs whatever lands later.
 #[test]
 fn delayed_acks_still_correct_the_image() {
     let plan = FaultPlan::none()
@@ -179,7 +205,7 @@ fn delayed_acks_still_correct_the_image() {
     // Enough inserts to force splits, out-of-range paths, and therefore
     // (delayed) acks carrying image corrections.
     grid_insert(&mut client, 80);
-    settle();
+    client.quiesce().unwrap();
     assert!(cluster.num_servers() >= 2);
 
     // Delay never loses information: no delivery failures, and every
@@ -220,7 +246,7 @@ fn seeded_drop_plan_reports_every_loss() {
     // Build fault-free traffic first? No — replies are client-bound
     // only, so inserts (acks are Iam, not Reply) build fine.
     grid_insert(&mut client, 60);
-    settle();
+    client.quiesce().unwrap();
 
     let mut reported = 0u32;
     let mut completed = 0u32;

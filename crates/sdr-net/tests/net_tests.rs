@@ -167,3 +167,55 @@ fn two_clients_share_one_structure() {
     assert!(reader.image().known_servers() >= 2);
     cluster.shutdown();
 }
+
+/// No hop waits on a timer: with the parent's 5 ms insert grace and 1 ms
+/// accept polls this run took ≥ 1.2 s by construction; on sockets alone
+/// it takes tens of milliseconds. The only wall-clock assertion in the
+/// suite, at a third of the old floor.
+#[test]
+fn no_timer_floors_under_inserts_and_point_queries() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(1000)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    let started = std::time::Instant::now();
+    for i in 0..200u64 {
+        let (x, y) = ((i % 20) as f64 / 20.0, (i / 20) as f64 / 20.0);
+        let obj = Object::new(Oid(i), Rect::new(x, y, x + 0.01, y + 0.01));
+        client.insert(obj).unwrap();
+    }
+    for i in 0..200u64 {
+        let p = Point::new(
+            (i % 20) as f64 / 20.0 + 0.005,
+            (i / 20) as f64 / 20.0 + 0.005,
+        );
+        assert_eq!(oids(client.point_query(p).unwrap()), [i]);
+    }
+    let took = started.elapsed();
+    assert_eq!(cluster.num_servers(), 1, "sized not to split");
+    assert!(took.as_millis() < 400, "400 operations took {took:?}");
+    cluster.shutdown();
+}
+
+/// An insert reads exactly the frames it is owed: when it returns, the
+/// acknowledgment of an out-of-range path has corrected the image — no
+/// grace window to outwait, nothing left behind on the listener.
+#[test]
+fn an_insert_returns_with_its_acknowledgment_absorbed() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(20)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    let mut corrected = 0;
+    for i in 0..120u64 {
+        let (x, y) = ((i % 10) as f64 / 10.0, ((i / 10) % 10) as f64 / 10.0);
+        let known = client.image().known_servers();
+        let obj = Object::new(Oid(i), Rect::new(x, y, x + 0.05, y + 0.05));
+        client.insert(obj).unwrap();
+        assert_eq!(client.owed_frames(), 0, "insert {i} left a frame unread");
+        corrected += usize::from(client.image().known_servers() > known);
+    }
+    assert!(cluster.num_servers() >= 4, "expected splits");
+    assert!(
+        corrected >= 2,
+        "out-of-range inserts never taught the image"
+    );
+    assert_eq!(cluster.delivery_failures(), 0);
+    cluster.shutdown();
+}

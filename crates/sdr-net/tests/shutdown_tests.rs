@@ -1,0 +1,56 @@
+//! `NetCluster::shutdown` returns with every node thread joined. One test
+//! function, so this process has no other deployment's `sdr-node-*`
+//! threads to confuse the count.
+
+use sdr_core::{Object, Oid, SdrConfig, ServerId};
+use sdr_geom::Rect;
+use sdr_net::{NetClient, NetCluster};
+use std::time::{Duration, Instant};
+
+/// Live threads of this process named `sdr-node-*` (`None` off Linux).
+fn node_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let names = tasks.filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok());
+    Some(names.filter(|n| n.starts_with("sdr-node-")).count())
+}
+
+fn grown_cluster() -> NetCluster {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(20)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    for i in 0..100u64 {
+        let (x, y) = ((i % 10) as f64 / 10.0, (i / 10) as f64 / 10.0);
+        let obj = Object::new(Oid(i), Rect::new(x, y, x + 0.05, y + 0.05));
+        client.insert(obj).unwrap();
+    }
+    let servers = cluster.num_servers();
+    assert!(servers >= 4, "expected splits, got {servers}");
+    if let Some(n) = node_threads() {
+        assert_eq!(n, servers, "one parked thread per server");
+    }
+    cluster
+}
+
+#[test]
+fn shutdown_joins_every_node_and_is_idempotent() {
+    let cluster = grown_cluster();
+    cluster.shutdown();
+    assert_eq!(node_threads().unwrap_or(0), 0, "a node outlived shutdown");
+    assert_eq!(
+        cluster.delivery_failures(),
+        0,
+        "a wake-up was booked as a lost frame"
+    );
+
+    // A second call and the `Drop` find nothing left to stop.
+    let started = Instant::now();
+    cluster.shutdown();
+    drop(cluster);
+    assert!(started.elapsed() < Duration::from_millis(10));
+
+    // A listener the directory no longer knows is still woken and joined,
+    // and `Drop` alone is a full shutdown.
+    let cluster = grown_cluster();
+    cluster.deregister_server(ServerId(1));
+    drop(cluster);
+    assert_eq!(node_threads().unwrap_or(0), 0, "a deregistered node leaked");
+}
