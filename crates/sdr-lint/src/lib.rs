@@ -73,10 +73,6 @@ const LOCK_HYGIENE_DIRS: &[&str] = &["crates/sdr-net/src"];
 /// reasoned allow here.
 const NO_SLEEP_DIRS: &[&str] = &["crates/sdr-net/src"];
 
-/// The two files that together define the wire codec: `enum Payload` +
-/// `name()`/`category()` in sdr-core, encode/decode in sdr-net.
-const CODEC_FILES: &[&str] = &["crates/sdr-core/src/msg.rs", "crates/sdr-net/src/wire.rs"];
-
 /// Scans the workspace rooted at `root` and returns all violations,
 /// sorted by file then line. `root` must contain the workspace
 /// `Cargo.toml` (i.e. the repository root).
@@ -125,10 +121,9 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
         {
             rules::panic_safety(fs, &mut out);
         }
-        // Lossy-cast sweeps the sdr-core message paths only: the
-        // sdr-net wire codec narrows integers as its *job* (explicit
-        // byte-level framing), and flagging every codec line would
-        // bury the signal in allows.
+        // Lossy-cast sweeps the sdr-core message paths only. In sdr-net
+        // the wire codec narrows at two sites, both part of the format
+        // (`usize` travels as `u32`; the frame length prefix).
         if PANIC_SAFETY_FILES.contains(&p.as_str()) {
             rules::lossy_cast(fs, &mut out);
         }
@@ -143,12 +138,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
         }
     }
 
-    let codec: Vec<&FileSource> = sources
-        .iter()
-        .filter(|fs| CODEC_FILES.contains(&path_str(&fs.path).as_str()))
-        .collect();
-    rules::codec_symmetry(&codec, &mut out);
-
     // Documentation drift is a workspace-level property (it compares
     // `crates/` against README.md and DESIGN.md), so it runs here and
     // not in the per-file `lint_paths_all_rules` fixture mode.
@@ -158,10 +147,9 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     Ok(out)
 }
 
-/// Applies **every** rule to each of the given files (codec symmetry
-/// runs across the whole set). Used by the CLI's `--all` mode to drive
-/// the violation fixtures; scoping rules by path would make fixtures
-/// awkward to place.
+/// Applies **every** rule to each of the given files. Used by the CLI's
+/// `--all` mode to drive the violation fixtures; scoping rules by path
+/// would make fixtures awkward to place.
 pub fn lint_paths_all_rules(paths: &[PathBuf]) -> std::io::Result<Vec<Violation>> {
     let mut sources = Vec::with_capacity(paths.len());
     for p in paths {
@@ -179,8 +167,6 @@ pub fn lint_paths_all_rules(paths: &[PathBuf]) -> std::io::Result<Vec<Violation>
             rules::crate_hygiene(fs, &mut out);
         }
     }
-    let all: Vec<&FileSource> = sources.iter().collect();
-    rules::codec_symmetry(&all, &mut out);
     sort_violations(&mut out);
     Ok(out)
 }

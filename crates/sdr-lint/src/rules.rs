@@ -13,7 +13,6 @@
 //! |------|-----------------|
 //! | `determinism` | `HashMap`/`HashSet`, `Instant`, `SystemTime`, `thread::sleep`, `std::env` reads in the deterministic crates — `sdr_det` owns clocks and randomness |
 //! | `panic-safety` | `.unwrap()`, `.expect(…)`, `panic!`-family macros, and `expr[…]` indexing in message-handling / codec / delivery paths |
-//! | `codec-symmetry` | a `Payload` variant missing from any of `put_payload`, `get_payload`, `Payload::name`, `Payload::category` |
 //! | `lock-hygiene` | a `Mutex`/`RwLock` guard binding held across a `send_message`/`read_frame` call |
 //! | `crate-hygiene` | a crate root without `#![forbid(unsafe_code)]` and a `missing_docs` lint header |
 //! | `allow-reason` | an `sdr-lint:` annotation that is malformed or carries no reason (not allowable) |
@@ -29,8 +28,6 @@ use std::path::{Path, PathBuf};
 pub const DETERMINISM: &str = "determinism";
 /// Rule name: panic paths in message-handling code.
 pub const PANIC_SAFETY: &str = "panic-safety";
-/// Rule name: `Payload` variant coverage across codec/name/category.
-pub const CODEC_SYMMETRY: &str = "codec-symmetry";
 /// Rule name: lock guards held across blocking send/receive calls.
 pub const LOCK_HYGIENE: &str = "lock-hygiene";
 /// Rule name: mandatory crate-root lint headers.
@@ -48,7 +45,6 @@ pub const DOC_SYNC: &str = "doc-sync";
 pub const ALL_RULES: &[&str] = &[
     DETERMINISM,
     PANIC_SAFETY,
-    CODEC_SYMMETRY,
     LOCK_HYGIENE,
     CRATE_HYGIENE,
     ALLOW_REASON,
@@ -588,157 +584,6 @@ fn scan_attr_inner(toks: &[Token], i: usize) -> (usize, bool) {
     (j, false)
 }
 
-// -------------------------------------------------------- codec-symmetry --
-
-/// The four places every `Payload` variant must appear.
-const CODEC_SITES: &[&str] = &["put_payload", "get_payload", "name", "category"];
-
-/// Cross-checks `enum Payload` variants against the encode, decode,
-/// `name()`, and `category()` match arms, across the given file set.
-/// Silent when no `enum Payload` is present in the set.
-pub fn codec_symmetry(files: &[&FileSource], out: &mut Vec<Violation>) {
-    let Some((enum_fs, variants)) = files
-        .iter()
-        .find_map(|fs| payload_variants(&fs.lexed.tokens).map(|vars| (*fs, vars)))
-    else {
-        return;
-    };
-
-    for site in CODEC_SITES {
-        // `name`/`category` must come from an `impl Payload` block;
-        // `put_payload`/`get_payload` are free functions.
-        let body = files.iter().find_map(|fs| {
-            let toks = &fs.lexed.tokens;
-            let range = if matches!(*site, "name" | "category") {
-                impl_payload_block(toks).and_then(|(s, e)| {
-                    find_fn_body(&toks[s..e], site).map(|(bs, be, line)| (s + bs, s + be, line))
-                })
-            } else {
-                find_fn_body(toks, site)
-            };
-            range.map(|(s, e, line)| (*fs, s, e, line))
-        });
-        let Some((fs, start, end, line)) = body else {
-            out.push(Violation {
-                file: enum_fs.path.clone(),
-                line: 1,
-                rule: CODEC_SYMMETRY,
-                msg: format!("`enum Payload` exists but no `fn {site}` was found to cross-check"),
-            });
-            continue;
-        };
-        let covered = payload_refs(&fs.lexed.tokens[start..end]);
-        for (variant, _) in &variants {
-            if !covered.contains(variant) {
-                fs.push(
-                    out,
-                    line,
-                    CODEC_SYMMETRY,
-                    format!("`Payload::{variant}` has no match arm in `{site}`"),
-                );
-            }
-        }
-    }
-}
-
-/// Collects the variant names of `enum Payload { … }`, with lines.
-fn payload_variants(toks: &[Token]) -> Option<Vec<(String, u32)>> {
-    let start = (0..toks.len()).find(|&i| {
-        toks[i].is_ident("enum") && toks.get(i + 1).is_some_and(|t| t.is_ident("Payload"))
-    })?;
-    let mut j = start + 2;
-    while j < toks.len() && !toks[j].is_punct('{') {
-        j += 1;
-    }
-    let mut depth = 1i32;
-    let mut expecting = true;
-    let mut vars = Vec::new();
-    j += 1;
-    while j < toks.len() && depth > 0 {
-        let t = &toks[j];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if depth == 1 {
-            if t.is_punct(',') {
-                expecting = true;
-            } else if t.kind == TokKind::Ident && expecting {
-                vars.push((t.text.clone(), t.line));
-                expecting = false;
-            }
-        }
-        j += 1;
-    }
-    Some(vars)
-}
-
-/// Finds `fn <name>` and returns (body start, body end exclusive, line
-/// of the `fn`). The body is the first balanced `{…}` after the name.
-fn find_fn_body(toks: &[Token], name: &str) -> Option<(usize, usize, u32)> {
-    let at = (0..toks.len())
-        .find(|&i| toks[i].is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.is_ident(name)))?;
-    let mut j = at + 2;
-    while j < toks.len() && !toks[j].is_punct('{') {
-        j += 1;
-    }
-    let body_start = j;
-    let mut depth = 0i32;
-    while j < toks.len() {
-        if toks[j].is_punct('{') {
-            depth += 1;
-        } else if toks[j].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return Some((body_start, j + 1, toks[at].line));
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Finds the token range of `impl Payload { … }`.
-fn impl_payload_block(toks: &[Token]) -> Option<(usize, usize)> {
-    let at = (0..toks.len()).find(|&i| {
-        toks[i].is_ident("impl")
-            && toks.get(i + 1).is_some_and(|t| t.is_ident("Payload"))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct('{'))
-    })?;
-    let mut depth = 0i32;
-    let mut j = at + 2;
-    while j < toks.len() {
-        if toks[j].is_punct('{') {
-            depth += 1;
-        } else if toks[j].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return Some((at, j + 1));
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-/// All `X` in `Payload::X` sequences within `toks`.
-fn payload_refs(toks: &[Token]) -> std::collections::BTreeSet<String> {
-    let mut refs = std::collections::BTreeSet::new();
-    for i in 0..toks.len() {
-        if toks[i].is_ident("Payload")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        {
-            if let Some(v) = toks.get(i + 3) {
-                if v.kind == TokKind::Ident {
-                    refs.insert(v.text.clone());
-                }
-            }
-        }
-    }
-    refs
-}
-
 // ---------------------------------------------------------- allow-reason --
 
 /// Reports malformed annotations and annotations without a reason.
@@ -1028,32 +873,6 @@ mod tests {
         crate_hygiene(&fs, &mut v);
         assert_eq!(v.len(), 1);
         assert!(v[0].msg.contains("missing_docs"));
-    }
-
-    #[test]
-    fn codec_symmetry_reports_missing_arm() {
-        let fs = src(
-            "proto.rs",
-            "pub enum Payload { Alpha { x: u8 }, Beta(u8), Gamma }\n\
-             impl Payload {\n\
-               pub fn name(&self) -> &'static str { match self {\n\
-                 Payload::Alpha { .. } => \"Alpha\",\n\
-                 Payload::Beta(_) => \"Beta\",\n\
-                 Payload::Gamma => \"Gamma\" } }\n\
-               pub fn category(&self) -> u8 { match self {\n\
-                 Payload::Alpha { .. } | Payload::Beta(_) => 0,\n\
-                 Payload::Gamma => 1 } }\n\
-             }\n\
-             fn put_payload(p: &Payload) { match p {\n\
-               Payload::Alpha { .. } => {}, Payload::Beta(_) => {}, Payload::Gamma => {} } }\n\
-             fn get_payload(tag: u8) -> Payload { match tag {\n\
-               0 => Payload::Alpha { x: 0 }, _ => Payload::Beta(0) } }",
-        );
-        let mut v = vec![];
-        codec_symmetry(&[&fs], &mut v);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].msg.contains("Gamma"));
-        assert!(v[0].msg.contains("get_payload"));
     }
 
     #[test]

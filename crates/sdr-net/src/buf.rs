@@ -62,6 +62,15 @@ impl WriteBuf {
         self.data.extend_from_slice(bytes);
     }
 
+    /// Overwrites the four bytes at `at` with a big-endian `u32` — how a
+    /// frame's length prefix, reserved before its body was encoded, gets
+    /// its value. A range not yet written is left alone.
+    pub(crate) fn patch_u32(&mut self, at: usize, v: u32) {
+        if let Some(slot) = self.data.get_mut(at..at.saturating_add(4)) {
+            slot.copy_from_slice(&v.to_be_bytes());
+        }
+    }
+
     /// The written bytes.
     pub fn as_slice(&self) -> &[u8] {
         &self.data
@@ -151,6 +160,18 @@ mod tests {
         let mut w = WriteBuf::new();
         w.put_u32(0x0102_0304);
         assert_eq!(w.as_slice(), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn patch_overwrites_in_place_and_only_what_was_written() {
+        let mut w = WriteBuf::new();
+        w.put_u32(0);
+        w.put_u8(7);
+        w.patch_u32(0, 0x0102_0304);
+        assert_eq!(w.as_slice(), &[1, 2, 3, 4, 7]);
+        w.patch_u32(2, u32::MAX);
+        w.patch_u32(usize::MAX, u32::MAX);
+        assert_eq!(w.as_slice(), &[1, 2, 3, 4, 7], "a range past the end");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! behind a transport-agnostic state machine; this crate runs that state
 //! machine over real sockets:
 //!
-//! * [`wire`] — a compact, hand-rolled binary codec for every protocol
-//!   message (length-prefixed frames; no serialization framework), over
-//!   the first-party [`buf`] byte cursors.
+//! * [`wire`] — a compact binary codec for every protocol message
+//!   (length-prefixed frames; no serialization framework), described
+//!   once as field tables over the first-party [`buf`] byte cursors.
 //! * [`node`] — a thread-per-server TCP node: blocks in `accept`, feeds
 //!   each frame to the embedded [`sdr_core::Server`], ships the outbox.
 //! * [`cluster`] — a process-local deployment manager that binds

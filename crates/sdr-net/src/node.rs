@@ -470,8 +470,10 @@ fn transmit(deployment: &Deployment, msg: &Message) {
 }
 
 /// Reads one length-prefixed frame from a stream and decodes it.
-/// Returns `None` on timeout, truncation, oversize, or decode error;
-/// the caller owns the delivery accounting for that loss.
+/// Returns `None` on timeout, truncation, oversize, decode error, or a
+/// body that continues after its message (the encoder always emits the
+/// exact length, so such a prefix disagrees with its content); the
+/// caller owns the delivery accounting for that loss.
 pub(crate) fn read_frame(mut stream: TcpStream) -> Option<Message> {
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
     let mut len_buf = [0u8; 4];
@@ -480,7 +482,9 @@ pub(crate) fn read_frame(mut stream: TcpStream) -> Option<Message> {
     if !read_body(&mut stream, u32::from_be_bytes(len_buf) as usize, &mut body) {
         return None;
     }
-    decode_message(&mut ReadBuf::new(&body)).ok()
+    let mut body = ReadBuf::new(&body);
+    let msg = decode_message(&mut body).ok()?;
+    (body.remaining() == 0).then_some(msg)
 }
 
 /// Reads exactly `len` bytes into `body`; whether they all came. A length

@@ -8,6 +8,7 @@
 //! the old failure path) and never a hang out to the full client
 //! timeout.
 
+use sdr_core::msg::{Endpoint, ImageHolder, Message, Payload};
 use sdr_core::{FaultPlan, MsgCategory, Object, Oid, SdrConfig, ServerId};
 use sdr_geom::{Point, Rect};
 use sdr_net::{NetClient, NetCluster, NetError, NetOptions};
@@ -101,6 +102,33 @@ fn huge_length_prefix_is_a_counted_truncation() {
         client.point_query(Point::new(0.025, 0.025)).unwrap().len(),
         1
     );
+    cluster.shutdown();
+}
+
+/// The encoder always emits the exact length, so a body that continues
+/// after a complete message has a prefix that disagrees with its content:
+/// the frame is a counted loss and the message in front of the extra
+/// byte — a well-formed insert — is not acted on.
+#[test]
+fn bytes_after_a_complete_message_are_a_counted_corruption() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(25)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    let insert = Message {
+        from: Endpoint::Server(ServerId(0)),
+        to: Endpoint::Server(ServerId(0)),
+        payload: Payload::InsertAtLeaf {
+            obj: Object::new(Oid(77), Rect::new(0.4, 0.4, 0.41, 0.41)),
+            trace: vec![],
+            iam_to: ImageHolder::Nobody,
+            initial: false,
+        },
+    };
+    let mut body = sdr_net::encode_message(&insert).split_off(4);
+    body.push(0);
+    raw_frame_is_counted(&cluster, (body.len() as u32).to_be_bytes(), &body);
+    assert!(matches!(client.quiesce(), Err(NetError::Undeliverable)));
+    let hits = client.point_query(Point::new(0.405, 0.405)).unwrap();
+    assert!(hits.is_empty(), "the corrupt frame was handled: {hits:?}");
     cluster.shutdown();
 }
 

@@ -5,7 +5,8 @@
 //! structure; this test guarantees *coverage*: adding a variant to
 //! `Payload` without extending the codec (or this list) fails the
 //! `match` below at compile time, and a codec asymmetry fails at run
-//! time.
+//! time. It also pins the format itself: a golden digest over every
+//! sample's frame, and each frame's payload tag byte.
 
 use sdr_core::ids::{ClientId, NodeRef, Oid, QueryId, ServerId};
 use sdr_core::msg::{
@@ -366,6 +367,57 @@ fn every_variant_roundtrips_with_zero_trailing_bytes() {
             assert_eq!(decoded, msg, "sample {n} did not round-trip");
             assert_eq!(body.remaining(), 0, "sample {n} left trailing bytes");
         }
+    }
+}
+
+/// Every sample in both endpoint directions, with its frame.
+fn every_frame() -> Vec<(Message, Vec<u8>)> {
+    let (c, s) = (Endpoint::Client(ClientId(7)), Endpoint::Server(ServerId(3)));
+    let mut out = Vec::new();
+    for payload in every_payload() {
+        for (from, to) in [(c, s), (s, c)] {
+            let msg = Message {
+                from,
+                to,
+                payload: payload.clone(),
+            };
+            let frame = encode_message(&msg);
+            out.push((msg, frame));
+        }
+    }
+    out
+}
+
+/// FNV-1a (the construction of `Cluster::structure_hash`) over the
+/// concatenated frames of [`every_frame`], computed with the
+/// hand-mirrored put/get codec before the field tables replaced it.
+const GOLDEN_DIGEST: u64 = 0x0e5e_0028_a58b_b659;
+
+/// The format, pinned: a codec change that moves one byte of any frame
+/// fails here.
+#[test]
+fn frames_match_the_golden_digest() {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (_, frame) in every_frame() {
+        for byte in frame {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(h, GOLDEN_DIGEST, "wire format changed: {h:#018x}");
+}
+
+/// `variant_index` is the pinned tag numbering: the payload tag follows
+/// the length prefix (4 bytes) and the two endpoints (tag + `u32` each).
+#[test]
+fn payload_tag_bytes_equal_variant_index() {
+    for (msg, frame) in every_frame() {
+        assert_eq!(
+            usize::from(frame[4 + 5 + 5]),
+            variant_index(&msg.payload),
+            "tag byte of {}",
+            msg.payload.name()
+        );
     }
 }
 

@@ -1,6 +1,7 @@
 //! Property tests of the wire codec: arbitrary protocol messages must
-//! round-trip bit-exactly, and corrupted frames must fail cleanly
-//! (error, never panic).
+//! round-trip bit-exactly, and corrupted frames — truncated, random,
+//! or a valid frame with one byte flipped, a count inflated or another
+//! frame's tail spliced in — must fail cleanly (error, never panic).
 
 use sdr_core::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 use sdr_core::msg::{
@@ -10,10 +11,12 @@ use sdr_core::msg::{
 use sdr_core::node::{Object, RoutingNode};
 use sdr_core::oc::{OcEntry, OcTable};
 use sdr_core::Link;
-use sdr_det::prop::{bools, f64_in, just, one_of, option_of, u32s, u64s, usize_in, vecs_of, Gen};
+use sdr_det::prop::{
+    bools, f64_in, just, one_of, option_of, u32_in, u32s, u64s, usize_in, vecs_of, Gen,
+};
 use sdr_geom::{Point, Rect};
 use sdr_net::buf::ReadBuf;
-use sdr_net::{decode_message, encode_message};
+use sdr_net::{decode_message, encode_message, WireError};
 
 fn arb_rect() -> Gen<Rect> {
     f64_in(-1e6, 1e6)
@@ -234,7 +237,97 @@ fn arb_endpoint() -> Gen<Endpoint> {
     ])
 }
 
+/// Payloads whose last field is a collection, with the body offset of
+/// that collection's `u32` count (endpoints are 5 bytes, the payload tag
+/// 1, a `NodeRef` 5) and the count itself. Nothing follows the elements,
+/// so a decoder that believes a larger count must run out of bytes.
+fn arb_ends_in_collection() -> Gen<(Payload, usize, u32)> {
+    one_of(vec![
+        arb_node_ref()
+            .zip(vecs_of(arb_object(), 0..10))
+            .map(|(child, objects)| {
+                let n = objects.len() as u32;
+                (Payload::Eliminate { child, objects }, 5 + 5 + 1 + 5, n)
+            }),
+        arb_node_ref().zip(u64s()).zip(u32s().zip(arb_trace())).map(
+            |((target, qid), (results_to, trace))| {
+                let n = trace.len() as u32;
+                let p = Payload::JoinStart {
+                    target,
+                    qid: QueryId(qid),
+                    results_to: ClientId(results_to),
+                    trace,
+                };
+                (p, 5 + 5 + 1 + 5 + 8 + 4, n)
+            },
+        ),
+    ])
+}
+
+fn decode(body: &[u8]) -> Result<Message, WireError> {
+    decode_message(&mut ReadBuf::new(body))
+}
+
+/// A corrupted body must decode without panicking, and whatever it
+/// decodes to must be a message the codec round-trips. Compared as
+/// frames: a flipped byte can make an `f64` NaN, which `==` rejects.
+fn assert_fails_cleanly(body: &[u8]) {
+    if let Ok(m) = decode(body) {
+        let frame = encode_message(&m);
+        let again = decode(&frame[4..]).expect("re-decode");
+        assert_eq!(encode_message(&again), frame);
+    }
+}
+
 sdr_det::prop! {
+    fn a_flipped_byte_fails_cleanly(
+        cases = 256;
+        from in arb_endpoint(),
+        to in arb_endpoint(),
+        payload in arb_payload(),
+        at in f64_in(0.0, 1.0),
+        xor in u32_in(1..256),
+    ) {
+        let mut body = encode_message(&Message { from, to, payload }).split_off(4);
+        let at = ((body.len() as f64) * at) as usize % body.len();
+        body[at] ^= xor as u8;
+        assert_fails_cleanly(&body);
+    }
+
+    fn an_inflated_count_is_truncated(
+        cases = 256;
+        from in arb_endpoint(),
+        to in arb_endpoint(),
+        sample in arb_ends_in_collection(),
+        grow in u32s(),
+    ) {
+        let (payload, at, count) = sample;
+        let mut body = encode_message(&Message { from, to, payload }).split_off(4);
+        assert_eq!(body[at..at + 4], count.to_be_bytes(), "not the count's offset");
+        // Any larger count, and the largest: refused by the guard (more
+        // elements than bytes left) or by running out of elements.
+        for bigger in [count + 1 + grow % (u32::MAX - count), u32::MAX] {
+            body[at..at + 4].copy_from_slice(&bigger.to_be_bytes());
+            assert_eq!(decode(&body), Err(WireError::Truncated), "{count} -> {bigger}");
+        }
+    }
+
+    fn a_spliced_tail_fails_cleanly(
+        cases = 256;
+        from in arb_endpoint(),
+        to in arb_endpoint(),
+        payload in arb_payload(),
+        other in arb_payload(),
+        cut in f64_in(0.0, 1.0),
+        other_cut in f64_in(0.0, 1.0),
+    ) {
+        let head = encode_message(&Message { from, to, payload }).split_off(4);
+        let tail = encode_message(&Message { from, to, payload: other }).split_off(4);
+        let mut body = head[..((head.len() as f64) * cut) as usize].to_vec();
+        body.extend_from_slice(&tail[((tail.len() as f64) * other_cut) as usize..]);
+        assert_fails_cleanly(&body);
+    }
+
     fn messages_roundtrip(
         cases = 256;
         from in arb_endpoint(),
