@@ -144,7 +144,8 @@ pub struct QueryOutcome {
 /// clients and IMSERVER contact servers both call it. Inserts and windows
 /// use the general [`Image::choose`]; point queries and deletes target
 /// leaves directly ("the client searches its image for a data node d
-/// whose directory rectangle contains P", §4.1). With no image (`None`:
+/// whose directory rectangle contains P", §4.1), as does the kNN
+/// estimate (a `KnnLocal` to the chosen server). With no image (`None`:
 /// BASIC) or an empty one, `fallback` is addressed: the root for BASIC,
 /// else the holder's contact data node, which repairs by ascending.
 #[inline(always)]
@@ -160,7 +161,9 @@ pub fn address(
         .and_then(|image| match &op {
             ClientOp::Insert(obj) => image.choose(&obj.mbb),
             ClientOp::Window(w, _) => image.choose(w),
-            ClientOp::Point(p, _) => image.choose_data(&Rect::from_point(*p)),
+            ClientOp::Point(p, _) | ClientOp::Knn(p, ..) => {
+                image.choose_data(&Rect::from_point(*p))
+            }
             ClientOp::Delete(obj, _) => image.choose_data(&obj.mbb),
         })
         .map(|link| link.node);
@@ -201,6 +204,12 @@ pub fn address(
         },
         ClientOp::Point(p, qid) => query(QueryKind::Point(p), qid),
         ClientOp::Window(w, qid) => query(QueryKind::Window(w), qid),
+        ClientOp::Knn(p, k, qid) => Payload::KnnLocal {
+            p,
+            k,
+            qid,
+            results_to,
+        },
         ClientOp::Delete(obj, qid) => Payload::Delete {
             obj,
             qid,
@@ -457,7 +466,9 @@ pub struct Client {
     /// The addressing variant.
     pub variant: Variant,
     /// Termination protocol for queries (§4.3); the paper's experiments
-    /// use the direct protocol.
+    /// use the direct protocol. An IMSERVER client's queries always run
+    /// under [`ReplyProtocol::Direct`], whatever is set here: its contact
+    /// server addresses them, and `Routed` carries no protocol.
     pub protocol: ReplyProtocol,
     /// The initial contact server ("Initially a client C knows only its
     /// contact server", §3.1).
@@ -579,7 +590,7 @@ impl<T: Transport> Over<'_, T> {
 
     /// Addresses `op` under the client's variant and exchanges it.
     #[inline(always)]
-    fn operate(
+    pub(crate) fn operate(
         &mut self,
         op: ClientOp,
         qid: Option<QueryId>,
@@ -589,8 +600,12 @@ impl<T: Transport> Over<'_, T> {
         let contact = NodeRef::data(c.contact);
         let first = match c.variant {
             Variant::Basic => {
-                let (root, nobody) = (self.t.root().unwrap_or(contact), ImageHolder::Nobody);
-                address(None, root, op, nobody, c.id, c.protocol)
+                // The kNN estimate is a data node's; the root is not one.
+                let entry = match op {
+                    ClientOp::Knn(..) => contact,
+                    _ => self.t.root().unwrap_or(contact),
+                };
+                address(None, entry, op, ImageHolder::Nobody, c.id, c.protocol)
             }
             Variant::ImClient => {
                 let me = ImageHolder::Client(c.id);
@@ -653,7 +668,12 @@ impl<T: Transport> Over<'_, T> {
             QueryKind::Point(p) => ClientOp::Point(p, qid),
             QueryKind::Window(w) => ClientOp::Window(w, qid),
         };
-        let wait = match self.c.protocol {
+        // What to wait for follows the protocol the query runs under.
+        let protocol = match self.c.variant {
+            Variant::ImServer => ReplyProtocol::Direct,
+            _ => self.c.protocol,
+        };
+        let wait = match protocol {
             ReplyProtocol::Direct => Await::Reports,
             ReplyProtocol::ReversePath => Await::Aggregate,
             ReplyProtocol::Probabilistic => Await::Quiescence,

@@ -9,7 +9,10 @@
 //! 1. **Estimate.** Address the data node most likely to contain the
 //!    query point (via the image) and ask for its local k nearest
 //!    neighbours. The k-th local distance bounds the true k-th distance
-//!    from above.
+//!    from above. The image is the client's under IMCLIENT and the
+//!    contact server's under IMSERVER (the request travels as
+//!    `Routed { op: ClientOp::Knn }` like every other IMSERVER
+//!    operation); BASIC has none and asks its contact's data node.
 //! 2. **Verify.** Run a window query over the ball of that radius; every
 //!    object within the true k-th distance intersects this window. If
 //!    fewer than `k` candidates fall inside the radius, double it and
@@ -18,12 +21,12 @@
 //! Each phase costs the same as the underlying point/window query, so
 //! kNN is `O(log N)` messages plus the window fan-out.
 
-use crate::client::{loud, Await, Client, Over, Transport, Variant};
+use crate::client::{loud, Await, Client, Over, Transport};
 use crate::cluster::Cluster;
-use crate::ids::{NodeRef, Oid};
-use crate::msg::Payload;
+use crate::ids::Oid;
+use crate::msg::ClientOp;
 use crate::node::Object;
-use sdr_geom::{Point, Rect};
+use sdr_geom::Point;
 
 /// Objects with their distance from a query point, nearest first.
 pub type Near = Vec<(Object, f64)>;
@@ -49,19 +52,8 @@ impl<T: Transport> Over<'_, T> {
             return Ok((vec![], 0));
         }
         // Phase 1: local estimate from the most promising data node.
-        let target = match self.c.variant {
-            Variant::Basic => None,
-            _ => self.c.image.choose_data(&Rect::from_point(p)),
-        }
-        .map_or(NodeRef::data(self.c.contact), |l| l.node);
         let qid = self.c.next_query_id();
-        let ask = Payload::KnnLocal {
-            p,
-            k,
-            qid,
-            results_to: self.c.id,
-        };
-        let fold = self.exchange((target.server, ask, None), Some(qid), Await::Estimate)?;
+        let fold = self.operate(ClientOp::Knn(p, k, qid), Some(qid), Await::Estimate)?;
         // A lost estimate is no estimate: start from the default radius.
         let (items, dr) = fold.estimate.unwrap_or_default();
         let mut radius = match items.get(k - 1) {

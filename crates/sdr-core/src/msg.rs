@@ -147,8 +147,11 @@ pub struct QueryMsg {
     /// including the leaf finally reached — exactly the "links collected
     /// from the visited servers" of §3.2.
     pub iam_carrier: bool,
-    /// Nodes already visited on this logical traversal, preventing
-    /// forwarding loops through mutually-overlapping OC entries.
+    /// Nodes that have been, or are being, sent this query: the sender's
+    /// own set plus everything its hop addressed (and the OC ancestors
+    /// its fan-out already covers). OC forwarding skips them, which
+    /// breaks loops through mutually-overlapping entries and keeps the
+    /// targets of one hop from re-forwarding to each other.
     pub visited: Vec<NodeRef>,
     /// Where results go.
     pub results_to: ClientId,
@@ -202,6 +205,9 @@ pub enum ClientOp {
     Window(Rect, QueryId),
     /// Delete an object.
     Delete(Object, QueryId),
+    /// Ask the data node most likely to hold a point for its local `k`
+    /// nearest neighbours (kNN phase 1, see [`crate::knn`]).
+    Knn(Point, usize, QueryId),
 }
 
 /// Message payloads.

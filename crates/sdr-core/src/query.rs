@@ -16,12 +16,17 @@
 //!   every child intersecting the query.
 //!
 //! OC forwarding carries a narrowed region (query ∩ overlap rectangle)
-//! and a visited-node set. The set breaks the forwarding cycles that
-//! mutual overlap would otherwise create (node A's OC points at B and
-//! vice versa); see DESIGN.md §2.3 for why this is a necessary completion
-//! of the paper's description.
+//! and the set of nodes that have been, or are being, sent this query.
+//! A resolving hop fills it once and hands the same set to every message
+//! it emits: itself, all of its targets and — when its directory
+//! rectangle covers the whole query — the ancestors of its OC table,
+//! whose other subtrees its own forwards already reach (Definition 3).
+//! The set breaks the forwarding cycles that mutual overlap would
+//! otherwise create (node A's OC points at B and vice versa) and keeps
+//! the k outer nodes of one hop from re-forwarding to each other; see
+//! DESIGN.md decision 3.
 
-use crate::ids::{ClientId, NodeKind, QueryId, ServerId};
+use crate::ids::{ClientId, NodeKind, NodeRef, QueryId, ServerId};
 use crate::msg::{Endpoint, ImageHolder, Payload, QueryMode, QueryMsg, ReplyProtocol};
 use crate::node::Object;
 use crate::server::{Outbox, Server};
@@ -88,7 +93,7 @@ impl Server {
                         .tombstone(NodeKind::Data)
                         .filter(|t| !q.visited.contains(t));
                     let spawned = match forward {
-                        Some(t) => vec![self.forward_query(q, t, QueryMode::Check, q.region, out)],
+                        Some(t) => self.forward_alone(q, t, QueryMode::Check, out),
                         None => vec![],
                     };
                     return HopOutcome {
@@ -113,7 +118,7 @@ impl Server {
                     }
                     QueryMode::Check | QueryMode::Ascend if covered || is_root_leaf => {
                         let results = local_search(d, q);
-                        let spawned = self.forward_along_oc(q, out);
+                        let spawned = self.fan_out(q, &[], d.dr, d.oc.entries(), out);
                         HopOutcome {
                             results,
                             spawned,
@@ -126,9 +131,8 @@ impl Server {
                         // sdr-lint: allow(panic-safety) — a root data node
                         // is never out of range for its own query
                         let parent = d.parent.expect("non-root data node has a parent");
-                        let target = crate::ids::NodeRef::routing(parent);
-                        let spawned =
-                            vec![self.forward_query(q, target, QueryMode::Ascend, q.region, out)];
+                        let target = NodeRef::routing(parent);
+                        let spawned = self.forward_alone(q, target, QueryMode::Ascend, out);
                         HopOutcome {
                             results: vec![],
                             spawned,
@@ -145,7 +149,7 @@ impl Server {
                         .tombstone(NodeKind::Routing)
                         .filter(|t| !q.visited.contains(t));
                     let spawned = match forward {
-                        Some(t) => vec![self.forward_query(q, t, q.mode, q.region, out)],
+                        Some(t) => self.forward_alone(q, t, q.mode, out),
                         None => vec![],
                     };
                     return HopOutcome {
@@ -158,7 +162,7 @@ impl Server {
                 match q.mode {
                     QueryMode::Descend => {
                         let before = out.msgs.len();
-                        let spawned = self.descend_children(q, out);
+                        let spawned = self.fan_out(q, &[r.left, r.right], None, &[], out);
                         let delegated = q.iam_carrier && delegate_iam_carrier(out, before);
                         HopOutcome {
                             results: vec![],
@@ -170,8 +174,8 @@ impl Server {
                     QueryMode::Check | QueryMode::Ascend => {
                         if r.dr.contains(&q.region) || r.is_root() {
                             let before = out.msgs.len();
-                            let mut spawned = self.descend_children(q, out);
-                            spawned.extend(self.forward_along_oc(q, out));
+                            let (children, oc) = ([r.left, r.right], r.oc.entries());
+                            let spawned = self.fan_out(q, &children, Some(r.dr), oc, out);
                             // A repaired branch delegates its IAM duty
                             // down one descend path, so the image holder
                             // learns the whole corrected path.
@@ -187,14 +191,8 @@ impl Server {
                             // sdr-lint: allow(panic-safety) — this branch
                             // is the !is_root() arm
                             let parent = r.parent.expect("non-root routing node has a parent");
-                            let target = crate::ids::NodeRef::routing(parent);
-                            let spawned = vec![self.forward_query(
-                                q,
-                                target,
-                                QueryMode::Ascend,
-                                q.region,
-                                out,
-                            )];
+                            let target = NodeRef::routing(parent);
+                            let spawned = self.forward_alone(q, target, QueryMode::Ascend, out);
                             HopOutcome {
                                 results: vec![],
                                 spawned,
@@ -208,47 +206,59 @@ impl Server {
         }
     }
 
-    /// Descends into every child whose rectangle the query can match.
-    fn descend_children(&mut self, q: &QueryMsg, out: &mut Outbox) -> Vec<crate::ids::ServerId> {
-        // sdr-lint: allow(panic-safety) — descend_children is reached only
-        // through the NodeKind::Routing handler arm
-        let r = self.routing.as_ref().expect("descend at routing node");
-        let children = [r.left, r.right];
-        let mut spawned = Vec::new();
-        for child in children {
-            if q.query.intersects(&child.dr) {
-                spawned.push(self.forward_query(q, child.node, QueryMode::Descend, q.region, out));
+    /// Emits a hop's fan-out: into each of `children` the query can
+    /// match and to every outer node of `oc` it can match that has not
+    /// been sent it yet (a resolving hop passes its OC table, a pure
+    /// descent none). Every message carries the same `visited`: the
+    /// inbound set, this node, all targets of this hop and — if this
+    /// node's rectangle `dr` covers the whole query — the ancestors of
+    /// `oc`, whose other subtrees that can match are exactly those
+    /// targets (Definition 3; DESIGN.md decision 3).
+    fn fan_out(
+        &self,
+        q: &QueryMsg,
+        children: &[crate::link::Link],
+        dr: Option<sdr_geom::Rect>,
+        oc: &[crate::oc::OcEntry],
+        out: &mut Outbox,
+    ) -> Vec<ServerId> {
+        let qrect = q.query.rect();
+        let descents = children
+            .iter()
+            .filter(|c| q.query.intersects(&c.dr))
+            .map(|c| (c.node, QueryMode::Descend, q.region));
+        let forwards = oc
+            .iter()
+            .filter(|e| !q.visited.contains(&e.outer.node))
+            .filter_map(|e| Some((e.outer.node, QueryMode::Check, e.rect.intersection(&qrect)?)));
+        let targets = descents.chain(forwards);
+        let covers_query = dr.is_some_and(|dr| dr.contains(&qrect));
+        let ancestors = if covers_query { oc } else { &[] };
+        let mut visited = told(q, children.len() + 2 * oc.len());
+        for node in targets
+            .clone()
+            .map(|t| t.0)
+            .chain(ancestors.iter().map(|e| NodeRef::routing(e.ancestor)))
+        {
+            if !visited.contains(&node) {
+                visited.push(node);
             }
         }
-        spawned
+        targets
+            .map(|(to, mode, region)| self.forward_query(q, to, mode, region, visited.clone(), out))
+            .collect()
     }
 
-    /// Forwards along the current node's OC entries that the query can
-    /// match, skipping already-visited nodes.
-    fn forward_along_oc(&mut self, q: &QueryMsg, out: &mut Outbox) -> Vec<crate::ids::ServerId> {
-        let entries: Vec<crate::oc::OcEntry> = match q.target.kind {
-            NodeKind::Data => self
-                .data
-                .as_ref()
-                .map(|d| d.oc.entries().to_vec())
-                .unwrap_or_default(),
-            NodeKind::Routing => self
-                .routing
-                .as_ref()
-                .map(|r| r.oc.entries().to_vec())
-                .unwrap_or_default(),
-        };
-        let qrect = q.query.rect();
-        let mut spawned = Vec::new();
-        for e in entries {
-            if !q.query.intersects(&e.rect) || q.visited.contains(&e.outer.node) {
-                continue;
-            }
-            // sdr-lint: allow(panic-safety) — intersects() checked above
-            let region = e.rect.intersection(&qrect).expect("checked intersecting");
-            spawned.push(self.forward_query(q, e.outer.node, QueryMode::Check, region, out));
-        }
-        spawned
+    /// A hop's only onward message (an ascent, or a tombstone followed):
+    /// the branch's region, unchanged, and this node added to `visited`.
+    fn forward_alone(
+        &self,
+        q: &QueryMsg,
+        target: NodeRef,
+        mode: QueryMode,
+        out: &mut Outbox,
+    ) -> Vec<ServerId> {
+        vec![self.forward_query(q, target, mode, q.region, told(q, 0), out)]
     }
 
     /// Emits one onward traversal message (possibly self-addressed — the
@@ -256,17 +266,14 @@ impl Server {
     /// rule, but they still produce their own report so the termination
     /// accounting stays uniform).
     fn forward_query(
-        &mut self,
+        &self,
         q: &QueryMsg,
-        target: crate::ids::NodeRef,
+        target: NodeRef,
         mode: QueryMode,
         region: sdr_geom::Rect,
+        visited: Vec<NodeRef>,
         out: &mut Outbox,
-    ) -> crate::ids::ServerId {
-        let mut visited = q.visited.clone();
-        if !visited.contains(&q.target) {
-            visited.push(q.target);
-        }
+    ) -> ServerId {
         let (reply_via, parent_branch) = match q.protocol {
             ReplyProtocol::Direct | ReplyProtocol::Probabilistic => (None, 0),
             ReplyProtocol::ReversePath => (Some(self.id), q.parent_branch),
@@ -650,6 +657,17 @@ fn delegate_iam_carrier(out: &mut Outbox, from: usize) -> bool {
     false
 }
 
+/// The nodes that have been sent `q`, the one processing it included,
+/// with room for `more`.
+fn told(q: &QueryMsg, more: usize) -> Vec<NodeRef> {
+    let mut visited = Vec::with_capacity(q.visited.len() + 1 + more);
+    visited.extend_from_slice(&q.visited);
+    if !visited.contains(&q.target) {
+        visited.push(q.target);
+    }
+    visited
+}
+
 fn some_direct(q: &QueryMsg, hit: bool) -> Option<bool> {
     q.initial.then_some(hit)
 }
@@ -699,5 +717,145 @@ fn send_aggregate(
                 trace,
             },
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SdrConfig;
+    use crate::link::Link;
+    use crate::msg::QueryKind;
+    use crate::node::RoutingNode;
+    use crate::oc::{OcEntry, OcTable};
+    use sdr_geom::Rect;
+
+    /// Server 5 hosting a routing node over `[0,1]²` with children
+    /// d5 | d6 split at x = 0.5, below ancestors r1 (outer: d2, sharing
+    /// x ≤ 0.7) and r3 (outer: r4, sharing x ≥ 0.6).
+    fn hop_server() -> Server {
+        let mut s = Server::new(ServerId(5), SdrConfig::with_capacity(10));
+        let entry = |ancestor, outer, rect| OcEntry {
+            ancestor: ServerId(ancestor),
+            outer,
+            rect,
+        };
+        let (west, east) = (Rect::new(0.0, 0.0, 0.7, 1.0), Rect::new(0.6, 0.0, 1.0, 1.0));
+        s.routing = Some(RoutingNode {
+            height: 1,
+            dr: Rect::new(0.0, 0.0, 1.0, 1.0),
+            left: Link::to_data(ServerId(5), Rect::new(0.0, 0.0, 0.5, 1.0)),
+            right: Link::to_data(ServerId(6), Rect::new(0.5, 0.0, 1.0, 1.0)),
+            parent: Some(ServerId(3)),
+            oc: OcTable::from_entries(vec![
+                entry(1, Link::to_data(ServerId(2), west), west),
+                entry(3, Link::to_routing(ServerId(4), east, 2), east),
+            ]),
+        });
+        s
+    }
+
+    /// Runs one Check hop at r5 and returns the query messages it emitted.
+    fn hop(
+        s: &mut Server,
+        query: QueryKind,
+        region: Rect,
+        protocol: ReplyProtocol,
+    ) -> Vec<QueryMsg> {
+        let mut out = Outbox::new(s.id, 100);
+        let q = QueryMsg {
+            target: NodeRef::routing(s.id),
+            query,
+            region,
+            mode: QueryMode::Check,
+            qid: QueryId(1),
+            initial: true,
+            repaired: false,
+            iam_carrier: false,
+            visited: vec![],
+            results_to: ClientId(0),
+            iam_to: ImageHolder::Nobody,
+            protocol,
+            reply_via: None,
+            parent_branch: 0,
+            trace: vec![],
+        };
+        s.on_query(q, &mut out);
+        out.msgs
+            .into_iter()
+            .filter_map(|m| match m.payload {
+                Payload::Query(q) => Some(q),
+                _ => None,
+            })
+            .collect()
+    }
+
+    const R5: NodeRef = NodeRef::routing(ServerId(5));
+    const D6: NodeRef = NodeRef::data(ServerId(6));
+    const D2: NodeRef = NodeRef::data(ServerId(2));
+    const R4: NodeRef = NodeRef::routing(ServerId(4));
+
+    #[test]
+    fn a_covering_hop_tells_each_target_about_its_siblings_and_oc_ancestors() {
+        let p = Point::new(0.65, 0.5);
+        let sent = hop(
+            &mut hop_server(),
+            QueryKind::Point(p),
+            Rect::from_point(p),
+            ReplyProtocol::Direct,
+        );
+        let targets: Vec<NodeRef> = sent.iter().map(|q| q.target).collect();
+        assert_eq!(
+            targets,
+            [D6, D2, R4],
+            "the child holding p, then the OC in table order"
+        );
+        let (r1, r3) = (NodeRef::routing(ServerId(1)), NodeRef::routing(ServerId(3)));
+        for q in &sent {
+            assert_eq!(q.visited, [R5, D6, D2, R4, r1, r3], "to {:?}", q.target);
+        }
+    }
+
+    #[test]
+    fn a_hop_covering_only_its_region_shares_targets_but_not_ancestors() {
+        // The window sticks out of r5's rectangle on the east; the region
+        // is what an OC forward would have narrowed it to.
+        let w = Rect::new(0.55, 0.4, 1.3, 0.6);
+        let region = Rect::new(0.55, 0.4, 1.0, 0.6);
+        let sent = hop(
+            &mut hop_server(),
+            QueryKind::Window(w),
+            region,
+            ReplyProtocol::Direct,
+        );
+        assert_eq!(sent.len(), 3);
+        for q in &sent {
+            assert_eq!(q.visited, [R5, D6, D2, R4], "to {:?}", q.target);
+        }
+    }
+
+    #[test]
+    fn a_reverse_path_hop_rekeys_exactly_its_spawned_children() {
+        let mut s = hop_server();
+        let p = Point::new(0.65, 0.5);
+        let sent = hop(
+            &mut s,
+            QueryKind::Point(p),
+            Rect::from_point(p),
+            ReplyProtocol::ReversePath,
+        );
+        assert_eq!(sent.len(), 3);
+        assert_eq!(s.pending.entries.len(), 1);
+        let (&key, waiting) = s.pending.entries.iter().next().expect("one accumulator");
+        assert_eq!(waiting.remaining, 3);
+        let branches: std::collections::BTreeSet<u64> =
+            sent.iter().map(|q| q.parent_branch).collect();
+        assert_eq!(branches.len(), 3, "one token per child");
+        assert_eq!(s.pending.routes.len(), 3);
+        for q in &sent {
+            assert_eq!(q.reply_via, Some(ServerId(5)));
+            assert_eq!(s.pending.routes.get(&q.parent_branch), Some(&key));
+            assert_eq!(q.visited.len(), 6, "sharing edits `visited` only");
+        }
     }
 }

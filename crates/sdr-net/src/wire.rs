@@ -296,6 +296,7 @@ tagged! {
         1 Point(p, qid),
         2 Window(w, qid),
         3 Delete(obj, qid),
+        4 Knn(p, k, qid),
     }
     Payload "payload" {
         0 InsertAtLeaf { obj, trace, iam_to, initial },

@@ -204,12 +204,14 @@ fn corrupt_inbound_frames_fail_fast_instead_of_leaking_in_flight() {
     assert!(stats.fault_in(sdr_core::FaultKind::Corrupt, MsgCategory::Insert) >= 1);
     // The leak is what this test really pins: a counted corruption must
     // leave the in-flight accounting balanced, not permanently positive.
+    // The node records the failure (which wakes the client) before it
+    // settles the frame, so join the node threads before reading.
+    cluster.shutdown();
     assert!(
         cluster.in_flight() <= 0,
         "in_flight stuck at {} after corrupted frame",
         cluster.in_flight()
     );
-    cluster.shutdown();
 }
 
 /// Bug 3 regression: delayed IAM traffic (insert acks) used to race a

@@ -268,6 +268,10 @@ fn every_payload() -> Vec<Payload> {
             op: ClientOp::Delete(obj(2), QueryId(3)),
             results_to: ClientId(5),
         },
+        Payload::Routed {
+            op: ClientOp::Knn(Point::new(0.25, 0.75), 10, QueryId(4)),
+            results_to: ClientId(5),
+        },
         Payload::JoinStart {
             target: NodeRef::routing(ServerId(0)),
             qid: QueryId(4),
@@ -389,9 +393,12 @@ fn every_frame() -> Vec<(Message, Vec<u8>)> {
 }
 
 /// FNV-1a (the construction of `Cluster::structure_hash`) over the
-/// concatenated frames of [`every_frame`], computed with the
-/// hand-mirrored put/get codec before the field tables replaced it.
-const GOLDEN_DIGEST: u64 = 0x0e5e_0028_a58b_b659;
+/// concatenated frames of [`every_frame`]. The frames of every sample
+/// but `Routed { op: ClientOp::Knn(..) }` are those of the hand-mirrored
+/// put/get codec the field tables replaced (digest
+/// `0x0e5e_0028_a58b_b659`, still matched with the `Knn` row in the codec
+/// and before its sample joined the list); that sample alone moved it.
+const GOLDEN_DIGEST: u64 = 0x9a61_43ff_b749_3cbf;
 
 /// The format, pinned: a codec change that moves one byte of any frame
 /// fails here.
@@ -409,6 +416,7 @@ fn frames_match_the_golden_digest() {
 
 /// `variant_index` is the pinned tag numbering: the payload tag follows
 /// the length prefix (4 bytes) and the two endpoints (tag + `u32` each).
+/// A `Routed` payload's next byte is its `ClientOp` tag, pinned likewise.
 #[test]
 fn payload_tag_bytes_equal_variant_index() {
     for (msg, frame) in every_frame() {
@@ -418,6 +426,16 @@ fn payload_tag_bytes_equal_variant_index() {
             "tag byte of {}",
             msg.payload.name()
         );
+        if let Payload::Routed { op, .. } = &msg.payload {
+            let op_tag = match op {
+                ClientOp::Insert(_) => 0,
+                ClientOp::Point(..) => 1,
+                ClientOp::Window(..) => 2,
+                ClientOp::Delete(..) => 3,
+                ClientOp::Knn(..) => 4,
+            };
+            assert_eq!(frame[4 + 5 + 5 + 1], op_tag, "client op tag of {op:?}");
+        }
     }
 }
 
