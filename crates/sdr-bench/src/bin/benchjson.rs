@@ -12,7 +12,10 @@
 //! cannot leave a stale record that still validates. An optional
 //! `"metrics"` object (scalar observations recorded via
 //! `Bench::record_metric`) is validated the same way against the
-//! metric registry.
+//! metric registry. An optional `"notes"` object maps a bench of the
+//! suite to a sentence: where a recorded number needs its cause said
+//! (a loss that was explained rather than fixed), it is said in the
+//! record. `sdr_det::bench` keeps the key when it merges a new run.
 
 use sdr_bench::registry;
 use sdr_det::json::Json;
@@ -113,6 +116,17 @@ fn check_file(path: &str) -> Result<String, String> {
                     }
                     check_bench(stats).map_err(|e| format!("{section}/{name}: {e}"))?;
                     benches += 1;
+                }
+            }
+            "notes" => {
+                let entries = value.as_obj().ok_or("\"notes\" is not an object")?;
+                for (name, note) in entries {
+                    if !registry::is_known_bench(name) || name.split('/').next() != Some(suite) {
+                        return Err(format!("notes/{name}: not a bench of suite {suite:?}"));
+                    }
+                    if note.as_str().is_none_or(|t| t.trim().is_empty()) {
+                        return Err(format!("notes/{name}: not a non-empty string"));
+                    }
                 }
             }
             other => return Err(format!("unexpected top-level key {other:?}")),

@@ -27,7 +27,6 @@ use crate::msg::{
 use crate::node::Object;
 use sdr_det::{DetRng, Rng};
 use sdr_geom::{Point, Rect};
-use std::collections::BTreeMap;
 
 /// Sender bookkeeping for the direct termination protocol (§4.3).
 ///
@@ -43,35 +42,47 @@ use std::collections::BTreeMap;
 /// unequal.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DirectAccounting {
-    expected: BTreeMap<ServerId, i64>,
-    received: BTreeMap<ServerId, i64>,
+    /// `(server, times named, times reported)`, sorted by server: a
+    /// traversal names a handful, so one small `Vec` holds both multisets.
+    servers: Vec<(ServerId, u32, u32)>,
     initial_reports: u32,
 }
 
 impl DirectAccounting {
+    /// The entry of `server`, created at zero if it is new.
+    fn tally(&mut self, server: ServerId) -> &mut (ServerId, u32, u32) {
+        let at = self.servers.partition_point(|e| e.0 < server);
+        if self.servers.get(at).is_none_or(|e| e.0 != server) {
+            self.servers.insert(at, (server, 0, 0));
+        }
+        // sdr-lint: allow(panic-safety) — `at` is where `server` was
+        // found or has just been inserted
+        &mut self.servers[at]
+    }
+
     /// Seeds the entry hop when the client itself addressed it (join
     /// broadcasts start at the root, which the client knows; traversal
     /// reports instead mark themselves via `initial`).
     pub fn expect_entry(&mut self, server: ServerId) {
         self.initial_reports += 1;
-        *self.expected.entry(server).or_insert(0) += 1;
+        self.tally(server).1 += 1;
     }
 
     /// Records one report from `sender` naming `spawned` onward servers;
     /// `initial` marks the entry hop's report.
     pub fn report(&mut self, sender: ServerId, spawned: &[ServerId], initial: bool) {
-        *self.received.entry(sender).or_insert(0) += 1;
+        self.tally(sender).2 += 1;
         if initial {
             self.expect_entry(sender);
         }
         for s in spawned {
-            *self.expected.entry(*s).or_insert(0) += 1;
+            self.tally(*s).1 += 1;
         }
     }
 
     /// Whether the reports seen so far form one complete traversal.
     pub fn is_complete(&self) -> bool {
-        self.initial_reports == 1 && self.received == self.expected
+        self.initial_reports == 1 && self.servers.iter().all(|&(_, named, seen)| named == seen)
     }
 }
 
@@ -89,11 +100,14 @@ pub enum Incomplete {
 impl std::fmt::Display for Incomplete {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Incomplete::Reports(a) => write!(
-                f,
-                "termination incomplete: {} entry report(s), received {:?} of expected {:?}",
-                a.initial_reports, a.received, a.expected,
-            ),
+            Incomplete::Reports(a) => {
+                let n = a.initial_reports;
+                write!(f, "termination incomplete: {n} entry report(s)")?;
+                for (s, named, seen) in a.servers.iter().filter(|e| e.1 != e.2) {
+                    write!(f, "; {s} reported {seen}x, named {named}x")?;
+                }
+                Ok(())
+            }
             Incomplete::NoAggregate => write!(f, "reverse-path protocol: no aggregate received"),
         }
     }
@@ -378,6 +392,31 @@ impl Fold<'_> {
     }
 }
 
+/// De-duplicates by oid, preserving first-seen order. The OC forwarding
+/// can reach a data node through two independent branches after splits
+/// left stale outer links behind; the client-side merge makes the result
+/// a set, as the paper's termination protocols imply.
+///
+/// Duplicates are the exception, so nothing is inserted per result: one
+/// sort of the oids brings equal ones together, and `results` is touched
+/// only if two neighbours are equal — then each oid that occurs more
+/// than once keeps its first object.
+fn dedup_by_oid(results: &mut Vec<Object>) {
+    let mut oids: Vec<Oid> = results.iter().map(|o| o.oid).collect();
+    oids.sort_unstable();
+    let runs = oids.chunk_by(|a, b| a == b).filter(|run| run.len() > 1);
+    let mut twice: Vec<_> = runs
+        .filter_map(|run| Some((*run.first()?, false)))
+        .collect();
+    if !twice.is_empty() {
+        results.retain(|o| {
+            let at = twice.binary_search_by_key(&o.oid, |t| t.0).ok();
+            let seen = at.and_then(|at| twice.get_mut(at));
+            seen.is_none_or(|t| !std::mem::replace(&mut t.1, true))
+        });
+    }
+}
+
 // ------------------------------------------------------------- transport --
 
 /// What carries a client's messages: the one seam between the protocol
@@ -578,13 +617,7 @@ impl<T: Transport> Over<'_, T> {
             m.add("client/iam_links", fold.iam_links);
         }
         sent?;
-        // De-duplicate by oid, preserving first-seen order. The OC
-        // forwarding can reach a data node through two independent
-        // branches after splits left stale outer links behind; the
-        // client-side merge makes the result a set, as the paper's
-        // termination protocols imply.
-        let mut seen = std::collections::BTreeSet::new();
-        fold.results.retain(|o| seen.insert(o.oid));
+        dedup_by_oid(&mut fold.results);
         Ok(fold)
     }
 

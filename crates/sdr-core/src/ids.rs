@@ -9,6 +9,16 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServerId(pub u32);
 
+impl ServerId {
+    /// The largest id the protocol admits: 65 536 servers, far beyond the
+    /// paper's scale (§5: hundreds). Ids being dense, structures indexed
+    /// by server ([`crate::Image`]'s slots) are sized by the largest id
+    /// they hold; this bound is what keeps an id read off the wire from
+    /// sizing an allocation. The codec refuses anything larger, the image
+    /// ignores it.
+    pub const MAX: ServerId = ServerId(0xFFFF);
+}
+
 impl fmt::Display for ServerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "S{}", self.0)

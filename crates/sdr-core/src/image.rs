@@ -5,21 +5,53 @@
 //! user/application estimates the address of the target server which is
 //! the most likely to store the object." Images are corrected
 //! incrementally by IAMs; they are never authoritative.
+//!
+//! Server ids are dense small integers, so the links sit in a `Vec` of
+//! slots indexed by node rather than in an ordered map: every operation
+//! absorbs a dozen links that are already there and scans the whole
+//! image once to choose (DESIGN.md decision 15).
 
-use crate::ids::NodeRef;
+use crate::ids::{NodeKind, NodeRef, ServerId};
 use crate::link::Link;
 use sdr_geom::Rect;
-use std::collections::BTreeMap;
 
 /// A collection of links indexed by the node they describe. Newly
 /// received links replace older ones for the same node (IAMs carry
 /// fresher information by construction).
 ///
-/// Backed by a `BTreeMap` so tie-breaking in [`Image::choose`] is
-/// deterministic, which keeps every experiment reproducible.
+/// The link of node `n` lives in slot `2·n.server + n.kind`, which *is*
+/// [`NodeRef`] order: [`Image::links`] iterates as the ordered map this
+/// replaced did. The slots grow to the largest server id absorbed and no
+/// further ([`ServerId::MAX`] caps it: a forged id sizes nothing), by
+/// exactly what is needed — a server-side image is one of hundreds.
+/// Determinism needs no more than that: [`Image::choose`]'s tie-break is
+/// fully specified, so the pick depends on the links held, not on the
+/// order they came in.
 #[derive(Clone, Debug, Default)]
 pub struct Image {
-    links: BTreeMap<NodeRef, Link>,
+    slots: Vec<Option<Link>>,
+}
+
+/// The slot of `node`; `None` beyond the protocol's id bound.
+fn slot(node: NodeRef) -> Option<usize> {
+    let kind = usize::from(node.kind == NodeKind::Routing);
+    (node.server <= ServerId::MAX).then(|| 2 * node.server.0 as usize + kind)
+}
+
+/// `dr.contains(mbb)` without the short-circuit: over an image's
+/// unrelated rectangles `&&` mispredicts on most links, and the scan
+/// takes twice as long (measured; DESIGN.md decision 15).
+#[inline]
+fn covers(dr: &Rect, mbb: &Rect) -> bool {
+    (dr.xmin <= mbb.xmin) & (dr.ymin <= mbb.ymin) & (dr.xmax >= mbb.xmax) & (dr.ymax >= mbb.ymax)
+}
+
+/// Keeps `link` in `best` if its `key` is strictly smaller.
+#[inline]
+fn keep_min<K: PartialOrd>(best: &mut Option<(K, Link)>, key: K, link: &Link) {
+    if best.as_ref().is_none_or(|(k, _)| key < *k) {
+        *best = Some((key, *link));
+    }
 }
 
 impl Image {
@@ -29,8 +61,16 @@ impl Image {
     }
 
     /// Records one link, replacing any previous link for the same node.
+    /// A link naming a server beyond [`ServerId::MAX`] is ignored.
     pub fn absorb_link(&mut self, link: Link) {
-        self.links.insert(link.node, link);
+        let Some(at) = slot(link.node) else { return };
+        if at >= self.slots.len() {
+            self.slots.reserve_exact(at + 1 - self.slots.len());
+            self.slots.resize(at + 1, None);
+        }
+        if let Some(s) = self.slots.get_mut(at) {
+            *s = Some(link);
+        }
     }
 
     /// Records every link of an IAM.
@@ -42,37 +82,32 @@ impl Image {
 
     /// Number of links held.
     pub fn len(&self) -> usize {
-        self.links.len()
+        self.links().count()
     }
 
     /// Whether the image is empty.
     pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
+        self.links().next().is_none()
     }
 
     /// Number of distinct servers known to this image — the convergence
     /// metric of Figure 11.
     pub fn known_servers(&self) -> usize {
-        let mut last = None;
-        let mut count = 0;
-        for node in self.links.keys() {
-            if last != Some(node.server) {
-                count += 1;
-                last = Some(node.server);
-            }
-        }
-        count
+        let servers = self.slots.chunks(2);
+        servers.filter(|s| s.iter().any(Option::is_some)).count()
     }
 
-    /// Iterates over the stored links.
+    /// Iterates over the stored links, in [`NodeRef`] order.
     pub fn links(&self) -> impl Iterator<Item = &Link> {
-        self.links.values()
+        self.slots.iter().flatten()
     }
 
     /// Drops a link that proved stale (e.g. the referenced node no longer
     /// exists after an elimination).
     pub fn forget(&mut self, node: NodeRef) {
-        self.links.remove(&node);
+        if let Some(s) = slot(node).and_then(|at| self.slots.get_mut(at)) {
+            *s = None;
+        }
     }
 
     /// CHOOSEFROMIMAGE (§3.1): estimates the best node to address for an
@@ -89,75 +124,48 @@ impl Image {
     /// Every pass breaks ties with a fully specified ordering: equal
     /// primary keys fall through to smaller dr area, then to the
     /// smaller [`NodeRef`]. The pick is thus a pure function of the
-    /// image's *contents*, never of how the map was built — absorbing
-    /// the same links in any order yields the same choice, which the
+    /// image's *contents*, never of how it was built — absorbing the
+    /// same links in any order yields the same choice, which the
     /// deterministic replay contract (and the golden trace) relies on.
+    ///
+    /// Passes 1 and 2 share one scan of the slots; pass 3 runs only when
+    /// both found nothing, so the common case computes no enlargement.
     ///
     /// Returns `None` on an empty image (the caller falls back to its
     /// contact server).
     pub fn choose(&self, mbb: &Rect) -> Option<Link> {
-        // Pass 1: covering data links, smallest (area, node).
-        let mut best: Option<((f64, NodeRef), Link)> = None;
-        for l in self
-            .links
-            .values()
-            .filter(|l| l.is_data() && l.dr.contains(mbb))
-        {
-            let key = (l.dr.area(), l.node);
-            if best.as_ref().is_none_or(|(k, _)| key < *k) {
-                best = Some((key, *l));
+        let (mut data, mut routing) = (None, None);
+        for l in self.links().filter(|l| covers(&l.dr, mbb)) {
+            if l.is_data() {
+                keep_min(&mut data, (l.dr.area(), l.node), l);
+            } else {
+                keep_min(&mut routing, (l.height, l.dr.area(), l.node), l);
             }
         }
-        if let Some((_, l)) = best {
-            return Some(l);
-        }
-        // Pass 2: covering routing links, minimal (height, area, node).
-        let mut best: Option<((u32, f64, NodeRef), Link)> = None;
-        for l in self
-            .links
-            .values()
-            .filter(|l| !l.is_data() && l.dr.contains(mbb))
-        {
-            let key = (l.height, l.dr.area(), l.node);
-            if best.as_ref().is_none_or(|(k, _)| key < *k) {
-                best = Some((key, *l));
-            }
-        }
-        if let Some((_, l)) = best {
-            return Some(l);
-        }
-        // Pass 3: closest data link by (enlargement, area, node) — the
-        // explicit area/NodeRef tie-break keeps equal-enlargement picks
-        // independent of map history.
-        let mut best: Option<((f64, f64, NodeRef), Link)> = None;
-        for l in self.links.values().filter(|l| l.is_data()) {
-            let key = (l.dr.enlargement(mbb), l.dr.area(), l.node);
-            if best.as_ref().is_none_or(|(k, _)| key < *k) {
-                best = Some((key, *l));
-            }
-        }
-        best.map(|(_, l)| l)
+        let covering = data.map(|(_, l)| l).or(routing.map(|(_, l)| l));
+        covering.or_else(|| self.closest_data(mbb))
     }
 
     /// Like [`Image::choose`] but only ever returns data links — used for
     /// point queries, which the paper targets directly at leaves (§4.1).
     /// Uses the same fully specified tie-break ordering as `choose`.
     pub fn choose_data(&self, mbb: &Rect) -> Option<Link> {
-        let mut covering: Option<((f64, NodeRef), Link)> = None;
-        let mut closest: Option<((f64, f64, NodeRef), Link)> = None;
-        for l in self.links.values().filter(|l| l.is_data()) {
-            if l.dr.contains(mbb) {
-                let key = (l.dr.area(), l.node);
-                if covering.as_ref().is_none_or(|(k, _)| key < *k) {
-                    covering = Some((key, *l));
-                }
-            }
-            let key = (l.dr.enlargement(mbb), l.dr.area(), l.node);
-            if closest.as_ref().is_none_or(|(k, _)| key < *k) {
-                closest = Some((key, *l));
-            }
+        let mut covering = None;
+        for l in self.links().filter(|l| l.is_data() && covers(&l.dr, mbb)) {
+            keep_min(&mut covering, (l.dr.area(), l.node), l);
         }
-        covering.map(|(_, l)| l).or_else(|| closest.map(|(_, l)| l))
+        covering.map(|(_, l)| l).or_else(|| self.closest_data(mbb))
+    }
+
+    /// Pass 3: the data link minimal in (enlargement, area, node) — the
+    /// explicit area/NodeRef tie-break keeps equal-enlargement picks
+    /// independent of the image's history.
+    fn closest_data(&self, mbb: &Rect) -> Option<Link> {
+        let mut best = None;
+        for l in self.links().filter(|l| l.is_data()) {
+            keep_min(&mut best, (l.dr.enlargement(mbb), l.dr.area(), l.node), l);
+        }
+        best.map(|(_, l)| l)
     }
 }
 

@@ -326,6 +326,15 @@ impl Server {
                 }
             }
             ReplyProtocol::Direct => {
+                // An addressing error was repaired: the terminal hop of
+                // the repaired branch's carrier path sends the IAM with
+                // the accumulated trace to the image holder (contact
+                // server in IMSERVER; the client already receives traces
+                // with its reports) — the one hop that copies its trace.
+                let iam = match q.iam_to {
+                    ImageHolder::Server(s) if hop.iam_due => Some((s, q.trace.clone())),
+                    _ => None,
+                };
                 // "Each server getting the query responds to the client,
                 // whether it found the relevant data or not", carrying
                 // the path description (trace) and its fan-out.
@@ -335,28 +344,21 @@ impl Server {
                         qid: q.qid,
                         results: hop.results,
                         spawned: hop.spawned,
-                        trace: q.trace.clone(),
+                        trace: q.trace,
                         direct: hop.direct,
                     },
                 );
-                // An addressing error was repaired: the terminal hop of
-                // the repaired branch's carrier path sends the IAM with
-                // the accumulated trace to the image holder (contact
-                // server in IMSERVER; the client already receives traces
-                // with its reports).
-                if hop.iam_due {
-                    if let ImageHolder::Server(s) = q.iam_to {
-                        out.send_server(
-                            s,
-                            Payload::QueryReport {
-                                qid: q.qid,
-                                results: vec![],
-                                spawned: vec![],
-                                trace: q.trace,
-                                direct: None,
-                            },
-                        );
-                    }
+                if let Some((s, trace)) = iam {
+                    out.send_server(
+                        s,
+                        Payload::QueryReport {
+                            qid: q.qid,
+                            results: vec![],
+                            spawned: vec![],
+                            trace,
+                            direct: None,
+                        },
+                    );
                 }
             }
             ReplyProtocol::ReversePath => {

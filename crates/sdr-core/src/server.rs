@@ -225,20 +225,11 @@ impl Server {
     /// right links.
     pub fn iam_links(&self) -> Vec<Link> {
         let mut links = Vec::with_capacity(4);
-        if let Some(d) = &self.data {
-            if d.dr.is_some() {
-                links.push(d.link(self.id));
-            }
-        }
-        if let Some(r) = &self.routing {
-            links.push(r.link(self.id));
-            links.push(r.left);
-            links.push(r.right);
-        }
+        self.append_iam(&mut links);
         links
     }
 
-    /// Appends this server's links to an operation trace.
+    /// Appends this server's [`Server::iam_links`] to an operation trace.
     pub(crate) fn append_iam(&self, trace: &mut Trace) {
         debug_assert!(
             trace.len() < 400,
@@ -246,7 +237,12 @@ impl Server {
             trace.len(),
             self.id
         );
-        trace.extend(self.iam_links());
+        if let Some(d) = self.data.as_ref().filter(|d| d.dr.is_some()) {
+            trace.push(d.link(self.id));
+        }
+        if let Some(r) = &self.routing {
+            trace.extend([r.link(self.id), r.left, r.right]);
+        }
     }
 
     /// Main dispatch: handles one message, emitting follow-ups into

@@ -254,3 +254,210 @@ fn non_direct_outcome_evicts_the_chosen_link() {
     assert_eq!(out.map(|o| o.direct), Ok(true));
     assert!(has(&c, stale));
 }
+
+/// A server id off the wire must never size anything: a trace naming
+/// servers beyond `ServerId::MAX` is folded without a panic and without
+/// the image taking the links (with slots sized by id, `u32::MAX` would
+/// otherwise be a request for hundreds of gigabytes).
+#[test]
+fn out_of_bound_server_in_a_trace_neither_panics_nor_grows_the_image() {
+    let unit = Rect::new(0.0, 0.0, 1.0, 1.0);
+    let mut c = client();
+    let got = point(&mut c, |m| {
+        let mut r = report(0, qid_of(m), &[1], &[], Some(true));
+        if let Payload::QueryReport { trace, .. } = &mut r.payload {
+            trace.push(Link::to_data(ServerId(u32::MAX), unit));
+            trace.push(Link::to_routing(ServerId(ServerId::MAX.0 + 1), unit, 3));
+            trace.push(Link::to_data(ServerId(2), unit));
+        }
+        vec![r]
+    });
+    assert_eq!(got, Ok(vec![1]));
+    let held: Vec<NodeRef> = c.image.links().map(|l| l.node).collect();
+    assert_eq!(
+        held,
+        [NodeRef::data(ServerId(2))],
+        "only the admissible link"
+    );
+    assert_eq!((c.image.len(), c.image.known_servers()), (1, 1));
+    // Forgetting, or choosing next to, an inadmissible node is a no-op.
+    c.image.forget(NodeRef::routing(ServerId(u32::MAX)));
+    assert_eq!(c.image.choose(&unit).map(|l| l.node), held.first().copied());
+    // In the sender accounting such an id is one more entry, no more.
+    let got = point(&mut c, |m| {
+        vec![report(0, qid_of(m), &[1], &[u32::MAX], Some(true))]
+    });
+    assert!(matches!(got, Err(Incomplete::Reports(_))), "got {got:?}");
+}
+
+/// What a failed termination prints: the entry-report count and only the
+/// servers that are out of balance — the hop that went missing.
+#[test]
+fn incomplete_reports_name_only_the_unbalanced_servers() {
+    let err = point(&mut client(), |m| {
+        let q = qid_of(m);
+        vec![
+            report(0, q, &[1], &[1, 2, 2], Some(true)),
+            report(1, q, &[2], &[], None),
+            report(2, q, &[], &[], None),
+        ]
+    })
+    .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "termination incomplete: 1 entry report(s); S2 reported 1x, named 2x"
+    );
+}
+
+// ------------------------------------------------------- model-based --
+
+mod model {
+    use super::*;
+    use sdr_core::DirectAccounting;
+    use sdr_det::prop::{bools, u32_in, u64s, usize_in, vecs_of, Gen};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Reports as `(server, oids)`; oids from a small range, so the same
+    /// server reporting an oid twice, two servers holding one oid, empty
+    /// and single-object reports all turn up.
+    fn arb_reports() -> Gen<Vec<(u32, Vec<u64>)>> {
+        let oids = vecs_of(u64s().map(|o| o % 24), 0..12);
+        vecs_of(u32_in(0..4).zip(oids), 0..8)
+    }
+
+    /// The termination bookkeeping as it was: two multisets of servers,
+    /// complete when they are equal and exactly one report was an entry.
+    #[derive(Default)]
+    struct TwoMultisets {
+        expected: BTreeMap<ServerId, i64>,
+        received: BTreeMap<ServerId, i64>,
+        entries: u32,
+    }
+
+    impl TwoMultisets {
+        fn expect_entry(&mut self, server: ServerId) {
+            self.entries += 1;
+            *self.expected.entry(server).or_insert(0) += 1;
+        }
+
+        fn report(&mut self, sender: ServerId, spawned: &[ServerId], initial: bool) {
+            *self.received.entry(sender).or_insert(0) += 1;
+            if initial {
+                self.expect_entry(sender);
+            }
+            for s in spawned {
+                *self.expected.entry(*s).or_insert(0) += 1;
+            }
+        }
+
+        fn is_complete(&self) -> bool {
+            self.entries == 1 && self.received == self.expected
+        }
+    }
+
+    /// One report: sender, the servers it names, whether it is an entry.
+    type Hop = (ServerId, Vec<ServerId>, bool);
+
+    /// Whether `hops`, fed in this order, complete — asserting after every
+    /// one that the accounting and the model agree.
+    fn completes(hops: &[Hop]) -> bool {
+        let (mut acct, mut model) = (DirectAccounting::default(), TwoMultisets::default());
+        for (sender, spawned, initial) in hops {
+            acct.report(*sender, spawned, *initial);
+            model.report(*sender, spawned, *initial);
+            assert_eq!(acct.is_complete(), model.is_complete(), "after {hops:?}");
+        }
+        acct.is_complete()
+    }
+
+    /// A traversal of `parents.len() + 1` hops on distinct servers: hop 0
+    /// is the entry, hop `i + 1` was spawned by hop `parents[i] % (i + 1)`.
+    fn traversal(parents: &[usize]) -> Vec<Hop> {
+        let mut hops: Vec<Hop> = (0..=parents.len())
+            .map(|i| (ServerId(i as u32), vec![], i == 0))
+            .collect();
+        for (i, p) in parents.iter().enumerate() {
+            hops[p % (i + 1)].1.push(ServerId(i as u32 + 1));
+        }
+        hops
+    }
+
+    sdr_det::prop! {
+        /// The sort-based merge keeps exactly what the ordered-set insert
+        /// per result kept: every oid once, its first object, in
+        /// first-seen order. Run under the probabilistic protocol, which
+        /// accepts any set of reports.
+        fn merge_matches_first_seen_set_semantics(reports in arb_reports()) {
+            let mut c = client();
+            c.protocol = sdr_core::ReplyProtocol::Probabilistic;
+            let mut sent = Vec::new();
+            let mut t = script(|m: &Message| {
+                let mut n = 0.0;
+                let replies = reports.iter().map(|(server, oids)| {
+                    let mut r = report(*server, qid_of(m), oids, &[], None);
+                    if let Payload::QueryReport { results, .. } = &mut r.payload {
+                        // Tell the occurrences of one oid apart.
+                        for o in results.iter_mut() {
+                            n += 1.0;
+                            o.mbb = Rect::new(n, 0.0, n + 1.0, 1.0);
+                        }
+                        sent.extend(results.iter().copied());
+                    }
+                    r
+                });
+                replies.collect()
+            });
+            let got = c.over(&mut t).query(QueryKind::Point(P)).unwrap().results;
+            let mut seen = BTreeSet::new();
+            sent.retain(|o| seen.insert(o.oid));
+            assert_eq!(got, sent);
+        }
+
+        /// The one-`Vec` accounting against the two-multiset model under
+        /// arbitrary report sequences: servers named and reporting many
+        /// times, several or no entry reports, client-seeded entries.
+        fn accounting_matches_the_two_multiset_model(
+            seeded in vecs_of(u32_in(0..5), 0..2),
+            hops in vecs_of(
+                u32_in(0..5).zip(vecs_of(u32_in(0..5), 0..4)).zip(usize_in(0..6)),
+                0..12,
+            ),
+        ) {
+            let (mut acct, mut model) = (DirectAccounting::default(), TwoMultisets::default());
+            for s in seeded {
+                acct.expect_entry(ServerId(s));
+                model.expect_entry(ServerId(s));
+            }
+            for ((sender, spawned), initial) in hops {
+                let spawned: Vec<ServerId> = spawned.into_iter().map(ServerId).collect();
+                acct.report(ServerId(sender), &spawned, initial == 0);
+                model.report(ServerId(sender), &spawned, initial == 0);
+                assert_eq!(acct.is_complete(), model.is_complete());
+            }
+        }
+
+        /// A whole traversal completes in whatever order its reports land;
+        /// with one report lost, one duplicated, or one forged (from a
+        /// named or an unnamed server) it stays incomplete.
+        fn any_single_loss_duplicate_or_forgery_stays_incomplete(
+            parents in vecs_of(usize_in(0..64), 0..10),
+            rotate in usize_in(0..64),
+            victim in usize_in(0..64),
+            named in bools(),
+        ) {
+            let mut hops = traversal(&parents);
+            let n = hops.len();
+            hops.rotate_left(rotate % n);
+            assert!(completes(&hops));
+            let mut lost = hops.clone();
+            lost.remove(victim % n);
+            assert!(!completes(&lost), "lost {victim}: {hops:?}");
+            let mut dup = hops.clone();
+            dup.push(hops[victim % n].clone());
+            assert!(!completes(&dup), "duplicated {victim}: {hops:?}");
+            let forger = if named { victim % n } else { n + victim };
+            hops.push((ServerId(forger as u32), vec![], false));
+            assert!(!completes(&hops), "forged by S{forger}: {hops:?}");
+        }
+    }
+}

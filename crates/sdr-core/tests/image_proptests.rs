@@ -1,8 +1,9 @@
 //! Property tests of the client image and CHOOSEFROMIMAGE (§3.1).
 
 use sdr_core::{Image, Link, NodeKind, NodeRef, ServerId};
-use sdr_det::prop::{bools, f64_in, u32_in, vecs_of, Gen};
+use sdr_det::prop::{bools, f64_in, freq, one_of, u32_in, usize_in, vecs_of, Gen};
 use sdr_geom::Rect;
+use std::collections::BTreeMap;
 
 fn arb_rect() -> Gen<Rect> {
     f64_in(0.0, 100.0)
@@ -24,7 +25,157 @@ fn arb_link() -> Gen<Link> {
         })
 }
 
+// ------------------------------------------------ the reference model --
+
+/// The image as it was before the slots: an ordered map and the paper's
+/// three passes spelled out one after the other. The slot-indexed
+/// [`Image`] must be the same function of the same operations.
+#[derive(Default)]
+struct MapImage(BTreeMap<NodeRef, Link>);
+
+/// The minimum of `links` under `key`, first one on ties — every key
+/// ends in the `NodeRef`, so there are none.
+fn least<'a, K: PartialOrd>(
+    links: impl Iterator<Item = &'a Link>,
+    key: impl Fn(&Link) -> K,
+) -> Option<Link> {
+    let mut best: Option<(K, Link)> = None;
+    for l in links {
+        let k = key(l);
+        if best.as_ref().is_none_or(|(b, _)| k < *b) {
+            best = Some((k, *l));
+        }
+    }
+    best.map(|(_, l)| l)
+}
+
+impl MapImage {
+    fn data(&self) -> impl Iterator<Item = &Link> {
+        self.0.values().filter(|l| l.is_data())
+    }
+
+    fn covering_data(&self, mbb: &Rect) -> Option<Link> {
+        least(self.data().filter(|l| l.dr.contains(mbb)), |l| {
+            (l.dr.area(), l.node)
+        })
+    }
+
+    fn closest_data(&self, mbb: &Rect) -> Option<Link> {
+        least(self.data(), |l| {
+            (l.dr.enlargement(mbb), l.dr.area(), l.node)
+        })
+    }
+
+    fn choose(&self, mbb: &Rect) -> Option<Link> {
+        let routing = self
+            .0
+            .values()
+            .filter(|l| !l.is_data() && l.dr.contains(mbb));
+        self.covering_data(mbb)
+            .or_else(|| least(routing, |l| (l.height, l.dr.area(), l.node)))
+            .or_else(|| self.closest_data(mbb))
+    }
+
+    fn choose_data(&self, mbb: &Rect) -> Option<Link> {
+        self.covering_data(mbb).or_else(|| self.closest_data(mbb))
+    }
+
+    fn known_servers(&self) -> usize {
+        let mut servers: Vec<ServerId> = self.0.keys().map(|n| n.server).collect();
+        servers.dedup();
+        servers.len()
+    }
+}
+
+/// Rectangles on a 4×4 lattice: identical, nested, overlapping and
+/// disjoint ones all turn up, and with them equal areas and equal
+/// enlargements — the ties the `NodeRef` tie-break must settle.
+fn lattice_rect() -> Gen<Rect> {
+    let span = || usize_in(0..4).zip(usize_in(1..4));
+    span().zip(span()).map(|((x, w), (y, h))| {
+        let (x, y) = (x as f64, y as f64);
+        Rect::new(x, y, x + w as f64, y + h as f64)
+    })
+}
+
+fn lattice_link() -> Gen<Link> {
+    u32_in(0..12)
+        .zip(bools())
+        .zip(lattice_rect().zip(u32_in(1..4)))
+        .map(|((s, data), (dr, h))| match data {
+            true => Link::to_data(ServerId(s), dr),
+            false => Link::to_routing(ServerId(s), dr, h),
+        })
+}
+
+#[derive(Clone, Debug)]
+enum Op {
+    AbsorbLink(Link),
+    Absorb(Vec<Link>),
+    Forget(NodeRef),
+}
+
+fn arb_op() -> Gen<Op> {
+    freq(vec![
+        (4, lattice_link().map(Op::AbsorbLink)),
+        (3, vecs_of(lattice_link(), 0..6).map(Op::Absorb)),
+        (2, lattice_link().map(|l| Op::Forget(l.node))),
+    ])
+}
+
+/// Everything observable of `image` equals the model's.
+fn assert_same(image: &Image, model: &MapImage, targets: &[Rect]) {
+    let links: Vec<Link> = image.links().copied().collect();
+    let expected: Vec<Link> = model.0.values().copied().collect();
+    assert_eq!(links, expected, "links(), in NodeRef order");
+    assert_eq!(image.len(), model.0.len());
+    assert_eq!(image.is_empty(), model.0.is_empty());
+    assert_eq!(image.known_servers(), model.known_servers());
+    for t in targets {
+        assert_eq!(image.choose(t), model.choose(t), "choose({t:?})");
+        assert_eq!(
+            image.choose_data(t),
+            model.choose_data(t),
+            "choose_data({t:?})"
+        );
+    }
+}
+
 sdr_det::prop! {
+    /// Model-based: under any sequence of `absorb_link` / `absorb` /
+    /// `forget` the slot-indexed image and the ordered-map reference
+    /// agree on everything observable after every step; and an image
+    /// rebuilt from the final links in the opposite order agrees too —
+    /// the pick depends on what is held, not on how it came to be held.
+    fn image_matches_the_ordered_map_model(
+        ops in vecs_of(arb_op(), 1..40),
+        targets in vecs_of(one_of(vec![lattice_rect(), arb_rect()]), 1..6),
+    ) {
+        let (mut image, mut model) = (Image::new(), MapImage::default());
+        for op in &ops {
+            match op {
+                Op::AbsorbLink(l) => {
+                    image.absorb_link(*l);
+                    model.0.insert(l.node, *l);
+                }
+                Op::Absorb(links) => {
+                    image.absorb(links);
+                    model.0.extend(links.iter().map(|l| (l.node, *l)));
+                }
+                Op::Forget(node) => {
+                    image.forget(*node);
+                    model.0.remove(node);
+                }
+            }
+            assert_same(&image, &model, &targets);
+        }
+        let mut backwards = Image::new();
+        for l in model.0.values().rev() {
+            backwards.absorb_link(*l);
+        }
+        assert_same(&backwards, &model, &targets);
+    }
+
     /// CHOOSEFROMIMAGE's documented preference order, verified against
     /// the stored links (step 1: smallest covering data link; step 2:
     /// lowest then smallest covering routing link; step 3: the data link

@@ -35,6 +35,8 @@ pub enum WireError {
     Truncated,
     /// An enum tag byte had no corresponding variant.
     BadTag(&'static str, u8),
+    /// A server id beyond [`ServerId::MAX`].
+    BadServer(u32),
 }
 
 impl std::fmt::Display for WireError {
@@ -42,6 +44,7 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "frame truncated"),
             WireError::BadTag(what, tag) => write!(f, "invalid {what} tag {tag:#04x}"),
+            WireError::BadServer(id) => write!(f, "server id {id} beyond the protocol bound"),
         }
     }
 }
@@ -178,6 +181,24 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// Ids are dense, so what holds one may be sized by it (an image's
+/// slots): one beyond the protocol bound is refused here, like a corrupt
+/// count, before anything is allocated for it.
+impl Wire for ServerId {
+    #[inline]
+    fn put(&self, b: &mut WriteBuf) {
+        self.0.put(b)
+    }
+    #[inline]
+    fn get(b: &mut ReadBuf<'_>) -> Result<Self> {
+        let id = ServerId(u32::get(b)?);
+        if id > ServerId::MAX {
+            return Err(WireError::BadServer(id.0));
+        }
+        Ok(id)
+    }
+}
+
 impl Wire for OcTable {
     #[inline]
     fn put(&self, b: &mut WriteBuf) {
@@ -245,7 +266,6 @@ macro_rules! tagged {
 }
 
 record! {
-    ServerId { 0 }
     ClientId { 0 }
     Oid { 0 }
     QueryId { 0 }

@@ -31,9 +31,14 @@ fn arb_point() -> Gen<Point> {
         .map(|(x, y)| Point::new(x, y))
 }
 
+/// Server ids the codec admits: up to the protocol bound.
+fn arb_server() -> Gen<ServerId> {
+    u32_in(0..ServerId::MAX.0 + 1).map(ServerId)
+}
+
 fn arb_node_ref() -> Gen<NodeRef> {
-    u32s().zip(bools()).map(|(s, d)| NodeRef {
-        server: ServerId(s),
+    arb_server().zip(bools()).map(|(server, d)| NodeRef {
+        server,
         kind: if d { NodeKind::Data } else { NodeKind::Routing },
     })
 }
@@ -52,10 +57,10 @@ fn arb_object() -> Gen<Object> {
 
 fn arb_oc_table() -> Gen<OcTable> {
     vecs_of(
-        u32s()
+        arb_server()
             .zip(arb_link().zip(arb_rect()))
-            .map(|(a, (outer, rect))| OcEntry {
-                ancestor: ServerId(a),
+            .map(|(ancestor, (outer, rect))| OcEntry {
+                ancestor,
                 outer,
                 rect,
             }),
@@ -69,14 +74,14 @@ fn arb_routing_node() -> Gen<RoutingNode> {
         .map(|h| h % 64)
         .zip(arb_rect())
         .zip(arb_link().zip(arb_link()))
-        .zip(option_of(u32s()).zip(arb_oc_table()))
+        .zip(option_of(arb_server()).zip(arb_oc_table()))
         .map(
             |(((height, dr), (left, right)), (parent, oc))| RoutingNode {
                 height,
                 dr,
                 left,
                 right,
-                parent: parent.map(ServerId),
+                parent,
                 oc,
             },
         )
@@ -85,7 +90,7 @@ fn arb_routing_node() -> Gen<RoutingNode> {
 fn arb_image_holder() -> Gen<ImageHolder> {
     one_of(vec![
         u32s().map(|c| ImageHolder::Client(ClientId(c))),
-        u32s().map(|s| ImageHolder::Server(ServerId(s))),
+        arb_server().map(ImageHolder::Server),
         just(ImageHolder::Nobody),
     ])
 }
@@ -114,7 +119,7 @@ fn arb_query_msg() -> Gen<QueryMsg> {
         just(ReplyProtocol::ReversePath),
         just(ReplyProtocol::Probabilistic),
     ])
-    .zip(option_of(u32s()))
+    .zip(option_of(arb_server()))
     .zip(u64s().zip(arb_trace()));
     head.zip(tail).map(
         |(
@@ -139,7 +144,7 @@ fn arb_query_msg() -> Gen<QueryMsg> {
             results_to: ClientId(rt),
             iam_to: iam,
             protocol,
-            reply_via: via.map(ServerId),
+            reply_via: via,
             parent_branch: branch,
             trace,
         },
@@ -193,7 +198,7 @@ fn arb_payload() -> Gen<Payload> {
         arb_query_msg().map(Payload::Query),
         u64s()
             .zip(vecs_of(arb_object(), 0..10))
-            .zip(vecs_of(u32s().map(ServerId), 0..6).zip(arb_trace().zip(option_of(bools()))))
+            .zip(vecs_of(arb_server(), 0..6).zip(arb_trace().zip(option_of(bools()))))
             .map(
                 |((qid, results), (spawned, (trace, direct)))| Payload::QueryReport {
                     qid: QueryId(qid),
@@ -233,7 +238,7 @@ fn arb_payload() -> Gen<Payload> {
 fn arb_endpoint() -> Gen<Endpoint> {
     one_of(vec![
         u32s().map(|c| Endpoint::Client(ClientId(c))),
-        u32s().map(|s| Endpoint::Server(ServerId(s))),
+        arb_server().map(Endpoint::Server),
     ])
 }
 
@@ -360,6 +365,36 @@ sdr_det::prop! {
         // Must either fail or (if the cut happens to land at the end)
         // succeed — never panic.
         let _ = decode_message(&mut body);
+    }
+
+    /// A server id beyond the protocol bound is refused wherever one is
+    /// decoded — an endpoint, a link's node inside a trace, a `spawned`
+    /// list — while the bound itself still travels.
+    fn a_server_id_beyond_the_bound_is_refused(
+        cases = 64;
+        excess in u32s(),
+        trace in arb_trace(),
+        at in usize_in(0..3),
+    ) {
+        let max = ServerId::MAX;
+        let bad = ServerId(max.0 + 1 + excess % (u32::MAX - max.0));
+        let msg = |id: ServerId| {
+            let mut trace = trace.clone();
+            trace.push(Link::to_data(if at == 1 { id } else { max }, Rect::new(0.0, 0.0, 1.0, 1.0)));
+            Message {
+                from: Endpoint::Server(if at == 0 { id } else { max }),
+                to: Endpoint::Client(ClientId(0)),
+                payload: Payload::QueryReport {
+                    qid: QueryId(1),
+                    results: vec![],
+                    spawned: vec![max, if at == 2 { id } else { max }],
+                    trace,
+                    direct: None,
+                },
+            }
+        };
+        assert_eq!(decode(&encode_message(&msg(max))[4..]), Ok(msg(max)));
+        assert_eq!(decode(&encode_message(&msg(bad))[4..]), Err(WireError::BadServer(bad.0)));
     }
 
     fn random_bytes_never_panic(cases = 256; bytes in vecs_of(u32s().map(|v| v as u8), 0..300)) {
