@@ -19,7 +19,6 @@ fn bench_splits(c: &mut Bench) {
             max_entries: rects.len().max(2),
             min_entries: (rects.len() * 2) / 5,
             split: policy,
-            reinsert: false,
         };
         c.bench_function(&format!("split/partition_3k_{policy:?}"), |b| {
             b.iter(|| {

@@ -21,43 +21,13 @@ pub const KNOWN_BENCHES: &[&str] = &[
     "cluster/window_query_Basic",
     "cluster/window_query_ImClient",
     "cluster/window_query_ImServer",
-    // benches/geom_ops.rs
-    "geom/enlargement_10k",
-    "geom/intersects_10k_pairs",
-    "geom/min_dist2_10k",
-    "geom/union_10k_pairs",
-    // benches/geom_kernels.rs — the LANES-wide batch kernels the SoA
-    // traversals consume, with a scalar twin for the vectorization story.
-    "geom_kernels/contains_point_batch_10k",
-    "geom_kernels/covered_by_batch_10k",
-    "geom_kernels/intersects_batch_10k",
-    "geom_kernels/intersects_scalar_10k",
-    "geom_kernels/min_dist_sq_batch_10k",
-    "geom_kernels/within_batch_10k",
     // benches/spatial_join.rs
     "join/bruteforce_4k",
     "join/distributed_4k",
-    // benches/rtree_ops.rs
-    "rtree/bulk_load_10k",
-    "rtree/insert_10k_Linear",
-    "rtree/insert_10k_Quadratic",
-    "rtree/insert_10k_RStar",
-    "rtree/knn_10",
-    "rtree/knn_10_100k",
-    "rtree/point_query",
-    "rtree/point_query_100k",
-    "rtree/window_query_100k",
-    "rtree/window_query_100k_small",
-    "rtree/window_query_10pct",
     // benches/split_policies.rs
     "split/partition_3k_Linear",
     "split/partition_3k_Quadratic",
     "split/partition_3k_RStar",
-    // benches/wire_codec.rs
-    "wire/decode_query",
-    "wire/decode_split_create_1500obj",
-    "wire/encode_query",
-    "wire/encode_split_create_1500obj",
 ];
 
 /// Whether `name` is a bench the current suites produce.
@@ -148,17 +118,6 @@ mod tests {
 
     #[test]
     fn suites_cover_the_bench_binaries() {
-        assert_eq!(
-            known_suites(),
-            [
-                "cluster",
-                "geom",
-                "geom_kernels",
-                "join",
-                "rtree",
-                "split",
-                "wire"
-            ]
-        );
+        assert_eq!(known_suites(), ["cluster", "join", "split"]);
     }
 }

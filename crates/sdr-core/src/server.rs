@@ -688,7 +688,6 @@ impl Server {
             max_entries: entries.len().max(2),
             min_entries: ((entries.len() * 2) / 5).max(1),
             split: self.config.split,
-            reinsert: false,
         };
         let (keep, give) = sdr_rtree::partition(entries, &partition_config);
         // sdr-lint: allow(panic-safety) — partition() of > capacity ≥ 2

@@ -14,11 +14,11 @@
 //! ## JSON perf records
 //!
 //! Passing `--json` on the bench binary's command line (i.e.
-//! `cargo bench --bench rtree_ops -- --json`), or setting
+//! `cargo bench --bench cluster_query -- --json`), or setting
 //! `SDR_BENCH_JSON=1` in the environment, makes [`Bench::finish`] write
 //! the run's min/median/p99 numbers to `BENCH_<suite>.json` in the
 //! current directory, where `<suite>` is the prefix of the bench names
-//! before the first `/` (`rtree/insert_10k` → `BENCH_rtree.json`).
+//! before the first `/` (`cluster/insert_10k_Basic` → `BENCH_cluster.json`).
 //! `--json-baseline` (or `SDR_BENCH_JSON=baseline`) writes the same
 //! numbers under the file's `"baseline"` key instead of `"current"`,
 //! which is how a pre-change run is pinned for later comparison: writes
@@ -232,13 +232,18 @@ impl Bench {
             .unwrap_or("bench")
             .to_string();
         let path = dir.join(format!("BENCH_{suite}.json"));
+        // Only a missing file starts a fresh record: one that is there but
+        // unreadable holds a baseline, notes and metrics this run cannot
+        // merge with, so it is left alone and the run fails.
         let mut root = match std::fs::read_to_string(&path) {
-            Ok(text) => Json::parse(&text).unwrap_or(Json::Obj(vec![])),
-            Err(_) => Json::Obj(vec![]),
+            Ok(text) => match Json::parse(&text) {
+                Ok(root @ Json::Obj(_)) => root,
+                Ok(_) => return Err(format!("{} is not a JSON object", path.display())),
+                Err(e) => return Err(format!("{} does not parse: {e}", path.display())),
+            },
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Json::Obj(vec![]),
+            Err(e) => return Err(format!("{}: {e}", path.display())),
         };
-        if root.as_obj().is_none() {
-            root = Json::Obj(vec![]);
-        }
         root.set("suite", Json::Str(suite));
         let key = match section {
             JsonSection::Current => "current",
@@ -417,6 +422,34 @@ mod tests {
             Some(3.25)
         );
         assert!(metrics.get("demo/bad").is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unreadable_record_is_an_error_and_is_left_alone() {
+        let dir = std::env::temp_dir().join(format!("sdr_bench_garbage_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut b = Bench {
+            sample_size: 2,
+            warmup: Duration::from_millis(1),
+            min_sample_time: Duration::from_micros(20),
+            ..Bench::default()
+        };
+        b.bench_function("demo/alpha", |bencher| {
+            bencher.iter(|| (0..50u64).sum::<u64>())
+        });
+        let path = dir.join("BENCH_demo.json");
+        for garbage in ["{\"baseline\": {\"demo/alpha\": ", "[1, 2]"] {
+            std::fs::write(&path, garbage).expect("write garbage");
+            let err = b
+                .write_json(JsonSection::Current, &dir)
+                .expect_err("a record that cannot be merged must not be replaced");
+            assert!(
+                err.contains("BENCH_demo.json"),
+                "error names the file: {err}"
+            );
+            assert_eq!(std::fs::read_to_string(&path).expect("read back"), garbage);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

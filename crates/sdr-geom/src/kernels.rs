@@ -16,6 +16,13 @@
 //! as its scalar [`Rect`] counterpart, so the masks (and the distances
 //! of [`min_dist_sq_batch`]) are bit-for-bit equal to the scalar
 //! predicates — pinned by the `kernel_equivalence` property suite.
+//!
+//! The four kernels here are exactly the ones a traversal calls
+//! ([`intersects_batch`] and [`covered_by_batch`] from the window query,
+//! [`contains_point_batch`] from the point query, [`min_dist_sq_batch`]
+//! from kNN). Their speed is recorded by the `geom.*` and `rtree.*` rows
+//! of the repo benchmark's traced run (`e2e -- --traced`), on slabs and
+//! queries drawn from the workload rather than one fixed operand.
 
 use crate::{Coord, Point, Rect};
 
@@ -113,43 +120,6 @@ pub fn contains_point_batch(
     for i in 0..LANES {
         let hit = (xmin[i] <= p.x) & (p.x <= xmax[i]) & (ymin[i] <= p.y) & (p.y <= ymax[i]);
         mask |= (hit as LaneMask) << i;
-    }
-    mask
-}
-
-/// Whether each lane's rectangle lies within squared distance `d2` of
-/// the point — the batch form of `rect.min_dist2(p) <= d2`
-/// (see [`Rect::min_dist2`]).
-///
-/// # Examples
-///
-/// ```
-/// use sdr_geom::kernels::{within_batch, LANES};
-/// use sdr_geom::Point;
-///
-/// let xmin: [f64; LANES] = core::array::from_fn(|i| i as f64 * 2.0);
-/// let ymin = [0.0; LANES];
-/// let xmax: [f64; LANES] = core::array::from_fn(|i| i as f64 * 2.0 + 1.0);
-/// let ymax = [1.0; LANES];
-///
-/// // Distance 1 around the origin reaches lane 0 (containing) and the
-/// // left edge of lane 1 at x = 2 is 2 away — out of range.
-/// let mask = within_batch(&xmin, &ymin, &xmax, &ymax, &Point::new(0.0, 0.5), 1.0);
-/// assert_eq!(mask, 0b0000_0001);
-/// ```
-#[inline]
-pub fn within_batch(
-    xmin: &[Coord; LANES],
-    ymin: &[Coord; LANES],
-    xmax: &[Coord; LANES],
-    ymax: &[Coord; LANES],
-    p: &Point,
-    d2: Coord,
-) -> LaneMask {
-    let d = min_dist_sq_batch(xmin, ymin, xmax, ymax, p);
-    let mut mask: LaneMask = 0;
-    for (i, di) in d.iter().enumerate() {
-        mask |= ((*di <= d2) as LaneMask) << i;
     }
     mask
 }
@@ -255,7 +225,6 @@ mod tests {
         let p = Point::new(2.5, 1.0);
         let mi = intersects_batch(&xmin, &ymin, &xmax, &ymax, &w);
         let mc = contains_point_batch(&xmin, &ymin, &xmax, &ymax, &p);
-        let mw = within_batch(&xmin, &ymin, &xmax, &ymax, &p, 2.0);
         let mv = covered_by_batch(&xmin, &ymin, &xmax, &ymax, &w);
         let d = min_dist_sq_batch(&xmin, &ymin, &xmax, &ymax, &p);
         for i in 0..LANES {
@@ -265,11 +234,6 @@ mod tests {
                 (mc >> i) & 1 == 1,
                 r.contains_point(&p),
                 "contains_point lane {i}"
-            );
-            assert_eq!(
-                (mw >> i) & 1 == 1,
-                r.min_dist2(&p) <= 2.0,
-                "within lane {i}"
             );
             assert_eq!((mv >> i) & 1 == 1, w.contains(&r), "covered_by lane {i}");
             assert_eq!(d[i], r.min_dist2(&p), "min_dist_sq lane {i}");

@@ -11,8 +11,7 @@
 
 use sdr_det::prop::{f64_in, one_of, points_in, rects_in, vecs_of, Gen};
 use sdr_geom::kernels::{
-    contains_point_batch, covered_by_batch, intersects_batch, min_dist_sq_batch, within_batch,
-    LANES,
+    contains_point_batch, covered_by_batch, intersects_batch, min_dist_sq_batch, LANES,
 };
 use sdr_geom::{Coord, Point, Rect};
 
@@ -141,24 +140,6 @@ sdr_det::prop! {
                     "lane {i}: {r:?} vs point {q:?}"
                 );
             }
-        }
-    }
-
-    fn within_batch_matches_scalar(
-        wr in arb_chunk(),
-        p in points_in(-60.0..60.0, -60.0..60.0),
-        d in f64_in(0.0, 25.0)
-    ) {
-        let (_, rects) = wr;
-        let (xmin, ymin, xmax, ymax) = soa(&rects);
-        let d2 = d * d;
-        let mask = within_batch(&xmin, &ymin, &xmax, &ymax, &p, d2);
-        for (i, r) in rects.iter().enumerate() {
-            assert_eq!(
-                (mask >> i) & 1 == 1,
-                r.min_dist2(&p) <= d2,
-                "lane {i}: {r:?} vs point {p:?} d2 {d2}"
-            );
         }
     }
 

@@ -36,9 +36,8 @@ pub enum SplitPolicy {
 /// ```
 /// use sdr_rtree::{RTreeConfig, SplitPolicy};
 ///
-/// let config = RTreeConfig::with_max(16, SplitPolicy::Linear).with_reinsertion();
+/// let config = RTreeConfig::with_max(16, SplitPolicy::Linear);
 /// assert_eq!(config.max_entries, 16);
-/// assert!(config.reinsert);
 /// config.validate(); // would panic if m/M were inconsistent
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,13 +49,6 @@ pub struct RTreeConfig {
     pub min_entries: usize,
     /// Which split algorithm to run on overflow.
     pub split: SplitPolicy,
-    /// R\*-tree forced reinsertion: on the first leaf overflow of an
-    /// insertion, evict the ~30 % of entries farthest from the node
-    /// center and re-insert them instead of splitting. Improves the
-    /// spatial clustering at the cost of extra work per overflow
-    /// (Beckmann et al.; the SD-Rtree paper compares its rotation to
-    /// this "forced reinsertion strategy of the R*tree", §2.4).
-    pub reinsert: bool,
 }
 
 impl Default for RTreeConfig {
@@ -67,7 +59,6 @@ impl Default for RTreeConfig {
             max_entries: 32,
             min_entries: 12,
             split: SplitPolicy::Quadratic,
-            reinsert: false,
         }
     }
 }
@@ -98,23 +89,7 @@ impl RTreeConfig {
             max_entries,
             min_entries,
             split,
-            reinsert: false,
         }
-    }
-
-    /// Enables R\*-style forced reinsertion on leaf overflow.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sdr_rtree::{RTreeConfig, SplitPolicy};
-    ///
-    /// let config = RTreeConfig::with_max(32, SplitPolicy::RStar).with_reinsertion();
-    /// assert!(config.reinsert);
-    /// ```
-    pub fn with_reinsertion(mut self) -> Self {
-        self.reinsert = true;
-        self
     }
 
     /// Validates the `m <= M/2` relationship required by the split
@@ -133,7 +108,6 @@ impl RTreeConfig {
     ///     max_entries: 4,
     ///     min_entries: 3, // > M/2
     ///     split: SplitPolicy::Quadratic,
-    ///     reinsert: false,
     /// };
     /// bad.validate(); // panics
     /// ```
@@ -180,7 +154,6 @@ mod tests {
             max_entries: 4,
             min_entries: 3,
             split: SplitPolicy::Quadratic,
-            reinsert: false,
         }
         .validate();
     }

@@ -3,13 +3,17 @@
 //! Nodes live in a `Vec`-backed [`Arena`] addressed by `u32` [`NodeId`]s
 //! instead of `Box`-per-node heap pointers, and every node keeps its
 //! children's bounding boxes as four parallel `f64` coordinate arrays
-//! ([`Slabs`]). The hot per-fanout predicates — intersection,
-//! point-containment, distance — run as mask-producing batch kernels
-//! ([`sdr_geom::kernels`]) over [`LANES`]-wide chunks of the slabs:
-//! one branchless straight-line evaluation per eight child MBRs, then a
-//! `trailing_zeros` walk over the surviving bits in ascending order, so
-//! a mask-driven scan visits exactly the slots a scalar loop would and
-//! in the same order.
+//! ([`Slabs`]). The hot per-fanout scans — intersection (with the
+//! covered-subtree test), point-containment, kNN distance — run as batch
+//! kernels ([`sdr_geom::kernels`]) over [`LANES`]-wide chunks of the
+//! slabs: one branchless straight-line evaluation per eight child MBRs,
+//! then a `trailing_zeros` walk over the surviving bits in ascending
+//! order, so a mask-driven scan visits exactly the slots a scalar loop
+//! would and in the same order. The sub-[`LANES`] tail of a node runs
+//! the same predicate as a scalar loop. Both halves of that shape were
+//! measured against their simpler alternatives (scalar short-circuit
+//! loops throughout; a sentinel-padded tail chunk; sentinel-padded
+//! slabs) and kept — DESIGN.md decision 11 has the table.
 
 use crate::entry::Entry;
 use sdr_geom::kernels::{self, LANES};
@@ -305,37 +309,6 @@ impl Slabs {
         for i in full..n {
             let hit = (xmin[i] <= p.x) & (p.x <= xmax[i]) & (ymin[i] <= p.y) & (p.y <= ymax[i]);
             if hit {
-                f(i);
-            }
-        }
-    }
-
-    /// Calls `f(i)` for every slot within squared distance `d2` of `p`.
-    #[inline]
-    pub(crate) fn each_within(&self, p: &Point, d2: f64, mut f: impl FnMut(usize)) {
-        let n = self.len();
-        let (xmin, ymin, xmax, ymax) = self.sections();
-        let full = n - n % LANES;
-        let mut base = 0;
-        while base < full {
-            let mut m = kernels::within_batch(
-                lanes(xmin, base),
-                lanes(ymin, base),
-                lanes(xmax, base),
-                lanes(ymax, base),
-                p,
-                d2,
-            );
-            while m != 0 {
-                f(base + m.trailing_zeros() as usize);
-                m &= m - 1;
-            }
-            base += LANES;
-        }
-        for i in full..n {
-            let dx = (xmin[i] - p.x).max(p.x - xmax[i]).max(0.0);
-            let dy = (ymin[i] - p.y).max(p.y - ymax[i]).max(0.0);
-            if dx * dx + dy * dy <= d2 {
                 f(i);
             }
         }

@@ -1,5 +1,5 @@
-//! Search operations: window, point, k-nearest-neighbour, and distance
-//! queries over a local [`RTree`].
+//! Search operations: window, point and k-nearest-neighbour queries
+//! over a local [`RTree`].
 //!
 //! Traversals run over the arena's coordinate slabs: each visited node
 //! filters its children with the batch predicate kernels of
@@ -107,45 +107,6 @@ impl<T> RTree<T> {
                 }
                 Kind::Internal(cs) => {
                     node.slabs.each_containing_point(p, |i| stack.push(cs[i]));
-                }
-            }
-        }
-        res
-    }
-
-    /// Returns every entry within Euclidean distance `dist` of point `p`
-    /// (measured to the entry's rectangle; entries containing `p` are at
-    /// distance 0).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sdr_geom::{Point, Rect};
-    /// use sdr_rtree::{RTree, RTreeConfig};
-    ///
-    /// let mut tree = RTree::new(RTreeConfig::default());
-    /// tree.insert(Rect::new(0.0, 0.0, 1.0, 1.0), 'a');
-    /// tree.insert(Rect::new(10.0, 0.0, 11.0, 1.0), 'b');
-    /// // 'a' is 1.0 away from (2, 0.5); 'b' is 8.0 away.
-    /// let near = tree.search_within(&Point::new(2.0, 0.5), 1.5);
-    /// assert_eq!(near.len(), 1);
-    /// assert_eq!(near[0].item, 'a');
-    /// ```
-    pub fn search_within(&self, p: &Point, dist: f64) -> Vec<&Entry<T>> {
-        let d2 = dist * dist;
-        let mut res = Vec::new();
-        let mut scratch = self.scratch.borrow_mut();
-        let stack = &mut scratch.stack;
-        stack.clear();
-        stack.push(self.root);
-        while let Some(id) = stack.pop() {
-            let node = self.arena.node(id);
-            match &node.kind {
-                Kind::Leaf(es) => {
-                    node.slabs.each_within(p, d2, |i| res.push(&es[i]));
-                }
-                Kind::Internal(cs) => {
-                    node.slabs.each_within(p, d2, |i| stack.push(cs[i]));
                 }
             }
         }
@@ -436,22 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn within_matches_scan() {
-        let t = tree();
-        let p = Point::new(9.5, 9.5);
-        let mut got: Vec<usize> = t.search_within(&p, 2.0).iter().map(|e| e.item).collect();
-        let mut want: Vec<usize> = t
-            .iter()
-            .filter(|e| e.rect.min_dist2(&p) <= 4.0)
-            .map(|e| e.item)
-            .collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        assert!(!got.is_empty());
-    }
-
-    #[test]
     fn nearest_pruning_matches_unpruned_on_large_k() {
         // k close to len exercises the cutoff bookkeeping at both ends.
         let t = tree();
@@ -478,7 +423,6 @@ mod tests {
             assert_eq!(t.search_window(&w).len(), first);
             assert_eq!(t.search_point(&Point::new(5.3, 7.3)).len(), 1);
             assert_eq!(t.nearest(Point::new(10.0, 10.0), 7).len(), 7);
-            assert!(!t.search_within(&Point::new(9.5, 9.5), 2.0).is_empty());
         }
     }
 }

@@ -381,7 +381,6 @@ mod tests {
             max_entries: n - 1,
             min_entries: (n - 1) / 3,
             split: policy,
-            reinsert: false,
         };
         let items = rects(n);
         let (a, b) = split_rects(items, &config);
@@ -420,7 +419,6 @@ mod tests {
                 max_entries: 2,
                 min_entries: 1,
                 split: policy,
-                reinsert: false,
             };
             let (a, b) = split_rects(rects(2), &config);
             assert_eq!(a.len(), 1);
@@ -439,7 +437,6 @@ mod tests {
                 max_entries: 4,
                 min_entries: 2,
                 split: policy,
-                reinsert: false,
             };
             let items = vec![Rect::new(0.0, 0.0, 1.0, 1.0); 5];
             let (a, b) = split_rects(items, &config);
@@ -472,7 +469,6 @@ mod tests {
                 max_entries: 9,
                 min_entries: 3,
                 split: policy,
-                reinsert: false,
             };
             let (a, b) = split_rects(items.clone(), &config);
             let ra = Rect::mbb(a.iter()).unwrap();
@@ -487,7 +483,6 @@ mod tests {
             max_entries: 15,
             min_entries: 5,
             split: SplitPolicy::RStar,
-            reinsert: false,
         };
         let (a, b) = split_rects(rects(16), &config);
         let ra = Rect::mbb(a.iter()).unwrap();
@@ -507,7 +502,6 @@ mod tests {
                 max_entries: 32,
                 min_entries: 12,
                 split: policy,
-                reinsert: false,
             };
             let slabs = Slabs::from_rects(rects(33).iter());
             let (ga, gb) = split_ids(&slabs, &config);

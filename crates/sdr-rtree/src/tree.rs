@@ -176,41 +176,24 @@ impl<T> RTree<T> {
     /// ```
     pub fn insert(&mut self, rect: Rect, item: T) {
         self.len += 1;
-        let reinsert = self.config.reinsert;
-        self.insert_entry(Entry::new(rect, item), reinsert);
+        self.insert_entry(Entry::new(rect, item));
     }
 
-    /// Inserts one entry; `allow_reinsert` arms the R\*-style forced
-    /// reinsertion for the *first* leaf overflow only (evicted entries
-    /// re-enter with it disarmed, as in the R\*-tree).
-    fn insert_entry(&mut self, entry: Entry<T>, allow_reinsert: bool) {
+    /// Inserts one entry, growing the tree by a level when the root splits.
+    fn insert_entry(&mut self, entry: Entry<T>) {
         let rect = entry.rect;
-        match insert_rec(
-            &mut self.arena,
-            self.root,
-            rect,
-            entry,
-            &self.config,
-            allow_reinsert,
-        ) {
-            Overflow::None => {}
-            Overflow::Split(ra, left, rb, right) => {
-                // Root split: grow the tree by one level. The old root's
-                // slot was reused as the left half; a fresh node becomes
-                // the new root.
-                let mut slabs = Slabs::with_capacity(2);
-                slabs.push(&ra);
-                slabs.push(&rb);
-                self.root = self.arena.alloc(Node {
-                    slabs,
-                    kind: Kind::Internal(vec![left, right]),
-                });
-            }
-            Overflow::Reinsert(evicted) => {
-                for e in evicted {
-                    self.insert_entry(e, false);
-                }
-            }
+        if let Overflow::Split(ra, left, rb, right) =
+            insert_rec(&mut self.arena, self.root, rect, entry, &self.config)
+        {
+            // Root split: the old root's slot was reused as the left
+            // half; a fresh node becomes the new root.
+            let mut slabs = Slabs::with_capacity(2);
+            slabs.push(&ra);
+            slabs.push(&rb);
+            self.root = self.arena.alloc(Node {
+                slabs,
+                kind: Kind::Internal(vec![left, right]),
+            });
         }
     }
 
@@ -274,7 +257,7 @@ impl<T> RTree<T> {
         }
         // Reinsert orphaned entries (they are already counted in len).
         for e in orphans {
-            self.insert_entry(e, false);
+            self.insert_entry(e);
         }
         true
     }
@@ -380,22 +363,18 @@ fn collect_entries<T>(arena: &mut Arena<T>, id: NodeId, out: &mut Vec<Entry<T>>)
 }
 
 /// Outcome of a recursive insert at one node.
-enum Overflow<T> {
+enum Overflow {
     /// Fitted without structural change.
     None,
     /// The node split. Its own slot was reused as the left half; the
     /// right half is freshly allocated. The caller replaces its child
     /// slot with the two (rect, id) pairs.
     Split(Rect, NodeId, Rect, NodeId),
-    /// Forced reinsertion: the leaf evicted its outliers; the caller
-    /// recomputes rectangles along the path and re-inserts them at the
-    /// root.
-    Reinsert(Vec<Entry<T>>),
 }
 
 /// Splits the overflowing node `id` in place: its slot keeps the left
 /// group, the right group moves to a fresh node.
-fn split_node<T>(arena: &mut Arena<T>, id: NodeId, config: &RTreeConfig) -> Overflow<T> {
+fn split_node<T>(arena: &mut Arena<T>, id: NodeId, config: &RTreeConfig) -> Overflow {
     let node = arena.node_mut(id);
     let slabs = std::mem::take(&mut node.slabs);
     let (ga, gb) = split_ids(&slabs, config);
@@ -433,33 +412,12 @@ fn insert_rec<T>(
     rect: Rect,
     entry: Entry<T>,
     config: &RTreeConfig,
-    allow_reinsert: bool,
-) -> Overflow<T> {
+) -> Overflow {
     let node = arena.node_mut(id);
     match &mut node.kind {
         Kind::Leaf(_) => {
             node.push_entry(entry);
             if node.fanout() > config.max_entries {
-                if allow_reinsert {
-                    // R\*-style forced reinsertion: evict the ~30 % of
-                    // entries whose centers lie farthest from the node's
-                    // center, keeping at least `m`.
-                    let mbb = node.slabs.mbb().expect("non-empty");
-                    let c = mbb.center();
-                    let Kind::Leaf(entries) = &mut node.kind else {
-                        unreachable!()
-                    };
-                    let evict =
-                        (entries.len() * 3 / 10).clamp(1, entries.len() - config.min_entries);
-                    entries.sort_by(|a, b| {
-                        let da = a.rect.center().dist2(&c);
-                        let db = b.rect.center().dist2(&c);
-                        db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    let evicted: Vec<Entry<T>> = entries.drain(..evict).collect();
-                    node.slabs = Slabs::from_rects(entries.iter().map(|e| &e.rect));
-                    return Overflow::Reinsert(evicted);
-                }
                 split_node(arena, id, config)
             } else {
                 Overflow::None
@@ -468,18 +426,10 @@ fn insert_rec<T>(
         Kind::Internal(children) => {
             let idx = node.slabs.choose_subtree(&rect);
             let child = children[idx];
-            let result = insert_rec(arena, child, rect, entry, config, allow_reinsert);
-            match result {
+            match insert_rec(arena, child, rect, entry, config) {
                 Overflow::None => {
                     arena.node_mut(id).slabs.enlarge(idx, &rect);
                     Overflow::None
-                }
-                Overflow::Reinsert(evicted) => {
-                    // The child shrank: recompute its exact rectangle and
-                    // keep bubbling the evicted entries to the root.
-                    let mbb = arena.node(child).mbb().expect("leaf kept >= m entries");
-                    arena.node_mut(id).slabs.set(idx, &mbb);
-                    Overflow::Reinsert(evicted)
                 }
                 Overflow::Split(ra, left, rb, right) => {
                     let node = arena.node_mut(id);
@@ -690,92 +640,5 @@ mod tests {
         let (slots, free) = t.arena.accounting();
         // Everything but the root leaf must be back on the free list.
         assert_eq!(slots - free, 1, "leaked arena slots");
-    }
-}
-
-#[cfg(test)]
-mod reinsert_tests {
-    use super::*;
-    use crate::config::SplitPolicy;
-    use sdr_geom::Point;
-
-    fn skewed_rects(n: usize) -> Vec<Rect> {
-        // Clustered data where outlier eviction pays off.
-        (0..n)
-            .map(|i| {
-                let cluster = (i % 3) as f64 * 30.0;
-                let x = cluster + ((i * 7) % 10) as f64;
-                let y = cluster + ((i * 13) % 10) as f64;
-                Rect::new(x, y, x + 0.5, y + 0.5)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn reinsertion_preserves_correctness() {
-        let data = skewed_rects(600);
-        let mut plain: RTree<usize> = RTree::new(RTreeConfig::with_max(8, SplitPolicy::RStar));
-        let mut reins: RTree<usize> =
-            RTree::new(RTreeConfig::with_max(8, SplitPolicy::RStar).with_reinsertion());
-        for (i, r) in data.iter().enumerate() {
-            plain.insert(*r, i);
-            reins.insert(*r, i);
-        }
-        assert_eq!(reins.len(), 600);
-        reins.check_invariants();
-        // Identical answers on every probe.
-        for probe in [
-            Rect::new(0.0, 0.0, 12.0, 12.0),
-            Rect::new(29.0, 29.0, 42.0, 42.0),
-            Rect::new(-5.0, -5.0, 100.0, 100.0),
-        ] {
-            let mut a: Vec<usize> = plain.search_window(&probe).iter().map(|e| e.item).collect();
-            let mut b: Vec<usize> = reins.search_window(&probe).iter().map(|e| e.item).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn reinsertion_survives_mixed_ops() {
-        let data = skewed_rects(400);
-        let mut t: RTree<usize> =
-            RTree::new(RTreeConfig::with_max(6, SplitPolicy::Quadratic).with_reinsertion());
-        for (i, r) in data.iter().enumerate() {
-            t.insert(*r, i);
-        }
-        for (i, r) in data.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
-            assert!(t.remove(r, &i));
-        }
-        t.check_invariants();
-        assert_eq!(t.len(), 200);
-        let hits = t.search_point(&Point::new(data[1].xmin + 0.25, data[1].ymin + 0.25));
-        assert!(hits.iter().any(|e| e.item == 1));
-    }
-
-    #[test]
-    fn reinsertion_tends_to_reduce_overlap() {
-        // Not guaranteed on every dataset, but on this adversarial
-        // insertion order the eviction heuristic must not make things
-        // dramatically worse.
-        let data = skewed_rects(800);
-        let build = |reinsert: bool| {
-            let mut cfg = RTreeConfig::with_max(10, SplitPolicy::Quadratic);
-            if reinsert {
-                cfg = cfg.with_reinsertion();
-            }
-            let mut t: RTree<usize> = RTree::new(cfg);
-            for (i, r) in data.iter().enumerate() {
-                t.insert(*r, i);
-            }
-            t.stats().sibling_overlap
-        };
-        let plain = build(false);
-        let reins = build(true);
-        assert!(
-            reins <= plain * 1.5,
-            "reinsertion degraded overlap badly: {reins} vs {plain}"
-        );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The index-based arena layout (`u32` node ids + parallel coordinate
 //! slabs) must be observationally identical to a brute-force oracle under
-//! arbitrary mixed workloads: every window, point, within, and kNN query
+//! arbitrary mixed workloads: every window, point, and kNN query
 //! interleaved with inserts and deletes returns exactly the entries a
 //! linear scan returns, and the structural invariants (stored child MBB
 //! == recomputed MBB, fanout bounds, slab/payload parity, arena
@@ -20,7 +20,6 @@ enum Op {
     Window(Rect),
     PointQ(f64, f64),
     Knn(f64, f64, usize),
-    Within(f64, f64, f64),
 }
 
 fn arb_rect() -> Gen<Rect> {
@@ -41,13 +40,6 @@ fn arb_ops() -> Gen<Vec<Op>> {
                     .zip(coord())
                     .zip(usize_in(0..20))
                     .map(|((x, y), k)| Op::Knn(x, y, k)),
-            ),
-            (
-                1,
-                coord()
-                    .zip(coord())
-                    .zip(f64_in(0.0, 40.0))
-                    .map(|((x, y), d)| Op::Within(x, y, d)),
             ),
         ]),
         1..100,
@@ -149,22 +141,6 @@ fn run_workload(ops: &[Op], config: RTreeConfig) {
                     assert!((d - want).abs() < 1e-12, "kNN distance sequence diverged");
                 }
             }
-            Op::Within(x, y, dist) => {
-                let p = Point::new(*x, *y);
-                let d2 = dist * dist;
-                let got = sorted_keys(
-                    tree.search_within(&p, *dist)
-                        .iter()
-                        .map(|e| (&e.rect, e.item)),
-                );
-                let want = sorted_keys(
-                    oracle
-                        .iter()
-                        .filter(|(r, _)| r.min_dist2(&p) <= d2)
-                        .map(|(r, id)| (r, *id)),
-                );
-                assert_eq!(got, want, "within mismatch at ({x}, {y}) dist {dist}");
-            }
         }
     }
     // Final full sweep: the tree holds exactly the oracle's entries.
@@ -181,17 +157,5 @@ sdr_det::prop! {
         max in usize_in(4..17),
     ) {
         run_workload(&ops, RTreeConfig::with_max(max, policy));
-    }
-}
-
-sdr_det::prop! {
-    fn mixed_workload_matches_oracle_with_reinsertion(
-        ops in arb_ops(),
-        max in usize_in(4..17),
-    ) {
-        run_workload(
-            &ops,
-            RTreeConfig::with_max(max, SplitPolicy::RStar).with_reinsertion(),
-        );
     }
 }
