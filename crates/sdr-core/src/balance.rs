@@ -432,7 +432,7 @@ impl Server {
     }
 
     /// SetRouting: overwrite the routing node (rotation target).
-    pub(crate) fn on_set_routing(&mut self, node: RoutingNode, _out: &mut Outbox) {
+    pub(crate) fn on_set_routing(&mut self, node: RoutingNode) {
         self.routing = Some(node);
     }
 

@@ -21,7 +21,7 @@
 //! matching §2.1.
 
 use crate::cluster::Cluster;
-use crate::config::SdrConfig;
+use crate::config::{SdrConfig, LOCAL_RTREE};
 use crate::ids::{NodeRef, ServerId};
 use crate::link::Link;
 use crate::node::{DataNode, Object, RoutingNode};
@@ -75,7 +75,7 @@ impl Cluster {
                 .map(|o| Entry::new(o.mbb, o.oid))
                 .collect();
             d.dr = Rect::mbb(entries.iter().map(|e| &e.rect));
-            d.tree = RTree::bulk_load(config.rtree, entries);
+            d.tree = RTree::bulk_load(LOCAL_RTREE, entries);
             return cluster;
         }
 
@@ -88,7 +88,7 @@ impl Cluster {
             let dr = Rect::mbb(entries.iter().map(|e| &e.rect)).expect("non-empty leaf");
             let server = cluster.server_mut(ServerId(i as u32));
             server.data = Some(DataNode {
-                tree: RTree::bulk_load(config.rtree, entries),
+                tree: RTree::bulk_load(LOCAL_RTREE, entries),
                 dr: Some(dr),
                 parent: None, // fixed during tree construction
                 oc: OcTable::new(),

@@ -12,13 +12,20 @@ pub struct SdrConfig {
     /// Split policy used to divide an overflowing data node's objects in
     /// two (§2.2 uses the classical R-tree split; R\* is the §7 variant).
     pub split: SplitPolicy,
-    /// Minimum fill fraction of `capacity` below which a deletion
-    /// triggers node elimination (§3.3 "too few objects"). Set to 0.0 to
-    /// disable elimination.
-    pub min_fill: f64,
-    /// Configuration of each server's local R-tree repository.
-    pub rtree: RTreeConfig,
 }
+
+/// Fill fraction of `capacity` below which a deletion triggers node
+/// elimination (§3.3 "too few objects").
+const MIN_FILL: f64 = 0.2;
+
+/// Each server's local R-tree repository: `RTreeConfig::default()`
+/// (`M = 32`, `m = 12`, quadratic node splits), spelled out because
+/// `Default::default` is not `const`.
+pub(crate) const LOCAL_RTREE: RTreeConfig = RTreeConfig {
+    max_entries: 32,
+    min_entries: 12,
+    split: SplitPolicy::Quadratic,
+};
 
 impl Default for SdrConfig {
     /// The paper's setting: capacity 3,000, quadratic split, elimination
@@ -27,8 +34,6 @@ impl Default for SdrConfig {
         SdrConfig {
             capacity: 3_000,
             split: SplitPolicy::Quadratic,
-            min_fill: 0.2,
-            rtree: RTreeConfig::default(),
         }
     }
 }
@@ -53,17 +58,12 @@ impl SdrConfig {
 
     /// The minimum object count below which elimination triggers.
     pub fn min_objects(&self) -> usize {
-        (self.capacity as f64 * self.min_fill).floor() as usize
+        (self.capacity as f64 * MIN_FILL).floor() as usize
     }
 
     /// Validates parameters.
     pub fn validate(&self) {
         assert!(self.capacity >= 2, "capacity must be >= 2");
-        assert!(
-            (0.0..=0.5).contains(&self.min_fill),
-            "min_fill must be in [0, 0.5]"
-        );
-        self.rtree.validate();
     }
 }
 
@@ -77,6 +77,7 @@ mod tests {
         assert_eq!(c.capacity, 3_000);
         assert_eq!(c.min_objects(), 600);
         c.validate();
+        assert_eq!(LOCAL_RTREE, RTreeConfig::default());
     }
 
     #[test]

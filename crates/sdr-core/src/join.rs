@@ -30,7 +30,10 @@
 //! that produces are duplicates of lower-ancestor probes and are
 //! de-duplicated by the client. If the OC rectangle itself lags larger
 //! than the ancestor's directory rectangle, the probe repairs with the
-//! same ascend-and-retry mechanism as queries.
+//! same ascend-and-retry mechanism as queries — literally the same: a
+//! probe's hop is decided by `Server::decide_hop` (`query.rs`), which is
+//! passed the probe's region as the whole rectangle and told not to
+//! follow the OC; a live data node is joined whatever that decision.
 //!
 //! Double counting is avoided without global coordination: probes flow
 //! in *both* directions across every overlap region, and the receiving
@@ -217,7 +220,13 @@ impl Server {
     }
 
     /// JoinProbe: route the probe set into the target subtree and join
-    /// it against local objects.
+    /// it against local objects. The hop is decided like a query's, with
+    /// the probe *region* as the whole rectangle — every pair's
+    /// intersection lies inside it (both members intersect the overlap
+    /// rectangle the probe was born with), so descending by the region
+    /// rather than the probes' bbox prunes boundary fan-out without
+    /// losing pairs — and the OC not followed: probes are born per OC
+    /// entry and travel through its ancestor (module docs).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_join_probe(
         &mut self,
@@ -232,85 +241,43 @@ impl Server {
         out: &mut Outbox,
     ) {
         self.append_iam(&mut trace);
-        let mut spawned: Vec<crate::ids::ServerId> = Vec::new();
+        let matches = |dr: &Rect| dr.intersects(&region);
+        let hop = self.decide_hop(target, mode, region, &visited, &region, matches, false);
+        // A live data node is joined whatever the step — also one the
+        // region extends beyond (since a split) and that repairs upward.
+        // Emit `probe < local` pairs only (the other direction is
+        // produced by the symmetric probe).
         let mut pairs: Vec<(Oid, Oid)> = Vec::new();
-
-        let mut seen = visited.clone();
-        if !seen.contains(&target) {
-            seen.push(target);
+        if let Some(d) = self.data.as_ref().filter(|_| target.kind == NodeKind::Data) {
+            for probe in &objects {
+                for hit in d.tree.search_window(&probe.mbb) {
+                    if probe.oid < hit.item {
+                        pairs.push((probe.oid, hit.item));
+                    }
+                }
+            }
         }
-        let forward = |target: NodeRef, mode: QueryMode, out: &mut Outbox| {
-            let probe = Payload::JoinProbe {
-                target,
-                objects: objects.clone(),
-                region,
-                mode,
-                visited: seen.clone(),
-                qid,
-                results_to,
-                trace: trace.clone(),
-            };
-            out.send_server(target.server, probe);
-            target.server
-        };
-
-        match (target.kind, &self.routing, &self.data) {
-            (NodeKind::Data, _, Some(d)) => {
-                let covered = d.dr.map(|dr| dr.contains(&region)).unwrap_or(false);
-                // Join the probes against the local objects in the
-                // region; emit `probe < local` pairs only (the other
-                // direction is produced by the symmetric probe).
-                for probe in &objects {
-                    for hit in d.tree.search_window(&probe.mbb) {
-                        if probe.oid < hit.item {
-                            pairs.push((probe.oid, hit.item));
-                        }
-                    }
-                }
-                if !covered && mode != QueryMode::Descend {
-                    // The region extends beyond this (since split)
-                    // node; repair upward.
-                    if let Some(parent) = d.parent {
-                        spawned.push(forward(NodeRef::routing(parent), QueryMode::Ascend, out));
-                    }
-                }
-            }
-            (NodeKind::Routing, Some(r), _) => {
-                let resolved = mode == QueryMode::Descend || r.dr.contains(&region) || r.is_root();
-                if resolved {
-                    // Descend by the probe *region*, not the probes'
-                    // bbox: every pair's intersection lies inside the
-                    // region (both members intersect the overlap
-                    // rectangle the probe was born with), so the
-                    // tighter test prunes boundary fan-out without
-                    // losing pairs.
-                    for child in [r.left, r.right] {
-                        if child.dr.intersects(&region) {
-                            spawned.push(forward(child.node, QueryMode::Descend, out));
-                        }
-                    }
-                } else if let Some(parent) = r.parent {
-                    spawned.push(forward(NodeRef::routing(parent), QueryMode::Ascend, out));
-                }
-            }
-            // Dissolved node: tombstone repair (a data tombstone is
-            // re-checked, a routing one keeps the traversal mode).
-            (kind, ..) => {
-                let mode = match kind {
-                    NodeKind::Data => QueryMode::Check,
-                    NodeKind::Routing => mode,
-                };
-                if let Some(t) = self.tombstone(kind).filter(|t| !visited.contains(t)) {
-                    spawned.push(forward(t, mode, out));
-                }
-            }
+        for &(target, mode, region) in &hop.onward {
+            out.send_server(
+                target.server,
+                Payload::JoinProbe {
+                    target,
+                    objects: objects.clone(),
+                    region,
+                    mode,
+                    visited: hop.visited.clone(),
+                    qid,
+                    results_to,
+                    trace: trace.clone(),
+                },
+            );
         }
         out.send(
             Endpoint::Client(results_to),
             Payload::JoinReport {
                 qid,
                 pairs,
-                spawned,
+                spawned: hop.spawned(),
                 trace,
             },
         );

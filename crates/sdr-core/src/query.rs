@@ -3,6 +3,16 @@
 //! both termination protocols, plus deletion routing (§3.3) and local
 //! kNN (the §7 extension).
 //!
+//! There is one traversal, and `Server::decide_hop` is the one place
+//! that decides it — for a query, a delete and a join probe alike. It
+//! only *decides*: what the addressed node turned out to be (`Step`),
+//! the onward hops, and the `visited` set they share. *Saying* it is the
+//! caller's: `on_query`, `on_delete` and `join::on_join_probe` each build
+//! their own payload once per onward hop, complete at construction. A
+//! delete passes its object's mbb as the whole rectangle and follows the
+//! OC, exactly like a window query on that mbb; what a join probe passes
+//! is told in `join.rs`.
+//!
 //! The traversal state machine:
 //!
 //! * **Check** (from an image or an OC entry): the node verifies it
@@ -27,10 +37,10 @@
 //! DESIGN.md decision 3.
 
 use crate::ids::{ClientId, NodeKind, NodeRef, QueryId, ServerId};
-use crate::msg::{Endpoint, ImageHolder, Payload, QueryMode, QueryMsg, ReplyProtocol};
+use crate::msg::{Endpoint, ImageHolder, Payload, QueryKind, QueryMode, QueryMsg, ReplyProtocol};
 use crate::node::Object;
 use crate::server::{Outbox, Server};
-use sdr_geom::Point;
+use sdr_geom::{Point, Rect};
 use std::collections::BTreeMap;
 
 /// Per-server state for the reverse-path termination protocol: one entry
@@ -72,236 +82,244 @@ impl PendingAggregates {
     }
 }
 
+/// What a traversal hop found at the node it addressed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// The node dissolved (§3.3): the hop follows its tombstone.
+    Dissolved,
+    /// The node does not cover the branch's region: the hop climbs to
+    /// the parent (§4.1 case (ii)).
+    OutOfRange,
+    /// A Check or Ascend hop reached a node covering the region (or the
+    /// root): the operation is handled here, descends, and is forwarded
+    /// along the overlapping coverage.
+    Resolved,
+    /// A Descend hop: the sender established relevance.
+    Descended,
+}
+
+impl Step {
+    /// Whether the operation applies to the addressed node itself (a
+    /// data node is searched), not only passes through it.
+    pub(crate) fn reached(self) -> bool {
+        matches!(self, Step::Resolved | Step::Descended)
+    }
+}
+
+/// One decided hop: what the node turned out to be and where the
+/// operation goes next. The caller says it, in its own payload.
+pub(crate) struct Hop {
+    pub(crate) step: Step,
+    /// Onward hops `(target, mode, region)` in emission order: descents
+    /// left then right, then OC forwards in table order.
+    pub(crate) onward: Vec<(NodeRef, QueryMode, Rect)>,
+    /// The set every onward message carries (DESIGN.md decision 3).
+    pub(crate) visited: Vec<NodeRef>,
+}
+
+impl Hop {
+    /// The servers the onward hops address, one entry per message: what
+    /// a report tells the client it is still owed.
+    pub(crate) fn spawned(&self) -> Vec<ServerId> {
+        self.onward.iter().map(|next| next.0.server).collect()
+    }
+}
+
 impl Server {
-    /// Handles one query traversal hop.
-    pub(crate) fn on_query(&mut self, mut q: QueryMsg, out: &mut Outbox) {
-        self.append_iam(&mut q.trace);
-        let hop = self.process_query_hop(&mut q, out);
-        self.reply_for_hop(q, hop, out);
-    }
-
-    /// Runs the traversal logic; returns the hop's local results and
-    /// fan-out.
-    fn process_query_hop(&mut self, q: &mut QueryMsg, out: &mut Outbox) -> HopOutcome {
-        match q.target.kind {
-            NodeKind::Data => {
-                let Some(d) = self.data.as_ref() else {
-                    // Eliminated data node addressed by a stale image:
-                    // follow the tombstone left at dissolution (skipping
-                    // already-visited nodes to stay loop-free).
-                    let forward = self
-                        .tombstone(NodeKind::Data)
-                        .filter(|t| !q.visited.contains(t));
-                    let spawned = match forward {
-                        Some(t) => self.forward_alone(q, t, QueryMode::Check, out),
-                        None => vec![],
-                    };
-                    return HopOutcome {
-                        results: vec![],
-                        spawned,
-                        direct: some_direct(q, false),
-                        iam_due: false,
-                    };
-                };
-                let covered = d.dr.map(|dr| dr.contains(&q.region)).unwrap_or(false);
-                let is_root_leaf = d.parent.is_none();
-                match q.mode {
-                    QueryMode::Descend => {
-                        // The parent established relevance: pure local
-                        // search.
-                        HopOutcome {
-                            results: local_search(d, q),
-                            spawned: vec![],
-                            direct: None,
-                            iam_due: q.iam_carrier,
-                        }
-                    }
-                    QueryMode::Check | QueryMode::Ascend if covered || is_root_leaf => {
-                        let results = local_search(d, q);
-                        let spawned = self.fan_out(q, &[], d.dr, d.oc.entries(), out);
-                        HopOutcome {
-                            results,
-                            spawned,
-                            direct: some_direct(q, true),
-                            iam_due: q.repaired || q.iam_carrier,
-                        }
-                    }
-                    QueryMode::Check | QueryMode::Ascend => {
-                        // Out of range: climb (§4.1 case (ii)).
-                        // sdr-lint: allow(panic-safety) — a root data node
-                        // is never out of range for its own query
-                        let parent = d.parent.expect("non-root data node has a parent");
-                        let target = NodeRef::routing(parent);
-                        let spawned = self.forward_alone(q, target, QueryMode::Ascend, out);
-                        HopOutcome {
-                            results: vec![],
-                            spawned,
-                            direct: some_direct(q, false),
-                            iam_due: false,
-                        }
-                    }
-                }
-            }
-            NodeKind::Routing => {
-                let Some(r) = self.routing.as_ref() else {
-                    // Dissolved routing node: follow the tombstone.
-                    let forward = self
-                        .tombstone(NodeKind::Routing)
-                        .filter(|t| !q.visited.contains(t));
-                    let spawned = match forward {
-                        Some(t) => self.forward_alone(q, t, q.mode, out),
-                        None => vec![],
-                    };
-                    return HopOutcome {
-                        results: vec![],
-                        spawned,
-                        direct: some_direct(q, false),
-                        iam_due: false,
-                    };
-                };
-                match q.mode {
-                    QueryMode::Descend => {
-                        let before = out.msgs.len();
-                        let spawned = self.fan_out(q, &[r.left, r.right], None, &[], out);
-                        let delegated = q.iam_carrier && delegate_iam_carrier(out, before);
-                        HopOutcome {
-                            results: vec![],
-                            spawned,
-                            direct: None,
-                            iam_due: q.iam_carrier && !delegated,
-                        }
-                    }
-                    QueryMode::Check | QueryMode::Ascend => {
-                        if r.dr.contains(&q.region) || r.is_root() {
-                            let before = out.msgs.len();
-                            let (children, oc) = ([r.left, r.right], r.oc.entries());
-                            let spawned = self.fan_out(q, &children, Some(r.dr), oc, out);
-                            // A repaired branch delegates its IAM duty
-                            // down one descend path, so the image holder
-                            // learns the whole corrected path.
-                            let owes_iam = q.repaired || q.iam_carrier;
-                            let delegated = owes_iam && delegate_iam_carrier(out, before);
-                            HopOutcome {
-                                results: vec![],
-                                spawned,
-                                direct: some_direct(q, q.target.kind == NodeKind::Data),
-                                iam_due: owes_iam && !delegated,
-                            }
-                        } else {
-                            // sdr-lint: allow(panic-safety) — this branch
-                            // is the !is_root() arm
-                            let parent = r.parent.expect("non-root routing node has a parent");
-                            let target = NodeRef::routing(parent);
-                            let spawned = self.forward_alone(q, target, QueryMode::Ascend, out);
-                            HopOutcome {
-                                results: vec![],
-                                spawned,
-                                direct: some_direct(q, false),
-                                iam_due: false,
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Emits a hop's fan-out: into each of `children` the query can
-    /// match and to every outer node of `oc` it can match that has not
-    /// been sent it yet (a resolving hop passes its OC table, a pure
-    /// descent none). Every message carries the same `visited`: the
-    /// inbound set, this node, all targets of this hop and — if this
-    /// node's rectangle `dr` covers the whole query — the ancestors of
-    /// `oc`, whose other subtrees that can match are exactly those
-    /// targets (Definition 3; DESIGN.md decision 3).
-    fn fan_out(
+    /// Decides one Check / Ascend / Descend hop at `target` — for a
+    /// query, a delete and a join probe alike (the module docs tell the
+    /// state machine). `whole` is the operation's entire rectangle, of
+    /// which `region` is this branch's share; `can_match` says whether a
+    /// child's rectangle can hold anything the operation is after;
+    /// `follow_oc` whether a resolving hop forwards along its OC table.
+    ///
+    /// The returned `visited` is the inbound set, this node, all targets
+    /// of this hop and — if this node's rectangle covers `whole` — the
+    /// ancestors of its OC table, whose other subtrees that can match
+    /// are exactly those targets (Definition 3).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn decide_hop(
         &self,
-        q: &QueryMsg,
-        children: &[crate::link::Link],
-        dr: Option<sdr_geom::Rect>,
-        oc: &[crate::oc::OcEntry],
-        out: &mut Outbox,
-    ) -> Vec<ServerId> {
-        let qrect = q.query.rect();
+        target: NodeRef,
+        mode: QueryMode,
+        region: Rect,
+        visited: &[NodeRef],
+        whole: &Rect,
+        can_match: impl Fn(&Rect) -> bool,
+        follow_oc: bool,
+    ) -> Hop {
+        // The nodes that have been sent the operation, this one
+        // included, with room for `more`.
+        let told = |more: usize| {
+            let mut told = Vec::with_capacity(visited.len() + 1 + more);
+            told.extend_from_slice(visited);
+            if !told.contains(&target) {
+                told.push(target);
+            }
+            told
+        };
+        let node = match target.kind {
+            NodeKind::Data => self
+                .data
+                .as_ref()
+                .map(|d| (d.dr, d.parent, None, d.oc.entries())),
+            NodeKind::Routing => self.routing.as_ref().map(|r| {
+                (
+                    Some(r.dr),
+                    r.parent,
+                    Some([r.left, r.right]),
+                    r.oc.entries(),
+                )
+            }),
+        };
+        let Some((dr, parent, children, oc)) = node else {
+            // A stale image or link addressed a dissolved node: follow
+            // the tombstone unless it was told already (loop-free). The
+            // parent a data node left to is checked afresh; the sibling
+            // that took a routing node's place continues in its mode.
+            let mode = match target.kind {
+                NodeKind::Data => QueryMode::Check,
+                NodeKind::Routing => mode,
+            };
+            let forward = self.tombstone(target.kind);
+            let onward = forward.filter(|t| !visited.contains(t));
+            return Hop {
+                step: Step::Dissolved,
+                onward: onward.map(|t| (t, mode, region)).into_iter().collect(),
+                visited: told(0),
+            };
+        };
+        let covers = |rect: &Rect| dr.is_some_and(|dr| dr.contains(rect));
+        let step = match (mode, parent) {
+            (QueryMode::Descend, _) => Step::Descended,
+            (_, Some(parent)) if !covers(&region) => {
+                return Hop {
+                    step: Step::OutOfRange,
+                    onward: vec![(NodeRef::routing(parent), QueryMode::Ascend, region)],
+                    visited: told(0),
+                }
+            }
+            _ => Step::Resolved,
+        };
+        let oc = if step == Step::Resolved && follow_oc {
+            oc
+        } else {
+            &[]
+        };
         let descents = children
             .iter()
-            .filter(|c| q.query.intersects(&c.dr))
-            .map(|c| (c.node, QueryMode::Descend, q.region));
+            .flatten()
+            .filter(|c| can_match(&c.dr))
+            .map(|c| (c.node, QueryMode::Descend, region));
+        // An OC forward carries the narrowed region (whole ∩ overlap
+        // rectangle) to an outer node that has not been sent it yet.
         let forwards = oc
             .iter()
-            .filter(|e| !q.visited.contains(&e.outer.node))
-            .filter_map(|e| Some((e.outer.node, QueryMode::Check, e.rect.intersection(&qrect)?)));
-        let targets = descents.chain(forwards);
-        let covers_query = dr.is_some_and(|dr| dr.contains(&qrect));
-        let ancestors = if covers_query { oc } else { &[] };
-        let mut visited = told(q, children.len() + 2 * oc.len());
-        for node in targets
-            .clone()
-            .map(|t| t.0)
+            .filter(|e| !visited.contains(&e.outer.node))
+            .filter_map(|e| Some((e.outer.node, QueryMode::Check, e.rect.intersection(whole)?)));
+        // One allocation, on every hop of every operation: at most both
+        // children and the whole table.
+        let mut onward = Vec::with_capacity(2 + oc.len());
+        onward.extend(descents.chain(forwards));
+        let ancestors = if covers(whole) { oc } else { &[] };
+        let mut visited = told(onward.len() + ancestors.len());
+        for node in onward
+            .iter()
+            .map(|hop| hop.0)
             .chain(ancestors.iter().map(|e| NodeRef::routing(e.ancestor)))
         {
             if !visited.contains(&node) {
                 visited.push(node);
             }
         }
-        targets
-            .map(|(to, mode, region)| self.forward_query(q, to, mode, region, visited.clone(), out))
-            .collect()
+        Hop {
+            step,
+            onward,
+            visited,
+        }
     }
 
-    /// A hop's only onward message (an ascent, or a tombstone followed):
-    /// the branch's region, unchanged, and this node added to `visited`.
-    fn forward_alone(
-        &self,
-        q: &QueryMsg,
-        target: NodeRef,
-        mode: QueryMode,
-        out: &mut Outbox,
-    ) -> Vec<ServerId> {
-        vec![self.forward_query(q, target, mode, q.region, told(q, 0), out)]
-    }
-
-    /// Emits one onward traversal message (possibly self-addressed — the
-    /// cluster does not bill those, matching the paper's co-location
-    /// rule, but they still produce their own report so the termination
-    /// accounting stays uniform).
-    fn forward_query(
-        &self,
-        q: &QueryMsg,
-        target: NodeRef,
-        mode: QueryMode,
-        region: sdr_geom::Rect,
-        visited: Vec<NodeRef>,
-        out: &mut Outbox,
-    ) -> ServerId {
-        let (reply_via, parent_branch) = match q.protocol {
-            ReplyProtocol::Direct | ReplyProtocol::Probabilistic => (None, 0),
-            ReplyProtocol::ReversePath => (Some(self.id), q.parent_branch),
-        };
-        out.send_server(
-            target.server,
-            Payload::Query(QueryMsg {
-                target,
-                query: q.query,
-                region,
-                mode,
-                qid: q.qid,
-                initial: false,
-                // An Ascend hop marks the branch as repaired; the
-                // resolving hop emits the IAM and descendants start
-                // clean.
-                repaired: mode == QueryMode::Ascend,
-                iam_carrier: false,
-                visited,
-                results_to: q.results_to,
-                iam_to: q.iam_to,
-                protocol: q.protocol,
-                reply_via,
-                parent_branch,
-                trace: q.trace.clone(),
-            }),
+    /// Handles one query traversal hop.
+    pub(crate) fn on_query(&mut self, mut q: QueryMsg, out: &mut Outbox) {
+        self.append_iam(&mut q.trace);
+        let query = q.query;
+        let matches = |dr: &Rect| query.intersects(dr);
+        let hop = self.decide_hop(
+            q.target,
+            q.mode,
+            q.region,
+            &q.visited,
+            &query.rect(),
+            matches,
+            true,
         );
-        target.server
+        let at_data = q.target.kind == NodeKind::Data;
+        let results = match self.data.as_ref() {
+            Some(d) if at_data && hop.step.reached() => local_search(d, &query),
+            _ => vec![],
+        };
+        // The hop that resolves a repaired branch owes the image holder
+        // an IAM; so does the carrier it delegates that duty to, down
+        // one descend path, so that the holder learns the whole
+        // corrected path.
+        let owes_iam = hop.step.reached() && (q.repaired || q.iam_carrier);
+        let carrier = hop
+            .onward
+            .iter()
+            .position(|next| owes_iam && next.1 == QueryMode::Descend);
+        // Reverse path: the accumulator the children's aggregates are
+        // merged under lives under a fresh local key; each child is
+        // handed its *own* one-shot branch token routed to that key, so
+        // sibling aggregates are distinguishable and a duplicated one
+        // cannot be double-counted (see `PendingAggregates::routes`).
+        let waits = q.protocol == ReplyProtocol::ReversePath && !hop.onward.is_empty();
+        let pending_key = waits.then(|| self.pending.alloc_branch(self.id));
+        for (i, &(target, mode, region)) in hop.onward.iter().enumerate() {
+            let (reply_via, parent_branch) = match pending_key {
+                Some(key) => {
+                    let child = self.pending.alloc_branch(self.id);
+                    self.pending.routes.insert(child, key);
+                    (Some(self.id), child)
+                }
+                None => (None, 0),
+            };
+            // Possibly self-addressed — the cluster does not bill those,
+            // matching the paper's co-location rule, but they still
+            // produce their own report so the termination accounting
+            // stays uniform.
+            out.send_server(
+                target.server,
+                Payload::Query(QueryMsg {
+                    target,
+                    query,
+                    region,
+                    mode,
+                    qid: q.qid,
+                    initial: false,
+                    // An Ascend hop marks the branch as repaired; the
+                    // resolving hop arranges the IAM and descendants
+                    // start clean.
+                    repaired: mode == QueryMode::Ascend,
+                    iam_carrier: carrier == Some(i),
+                    visited: hop.visited.clone(),
+                    results_to: q.results_to,
+                    iam_to: q.iam_to,
+                    protocol: q.protocol,
+                    reply_via,
+                    parent_branch,
+                    trace: q.trace.clone(),
+                }),
+            );
+        }
+        let outcome = HopOutcome {
+            results,
+            spawned: hop.spawned(),
+            // Figure 13: did the image address the right data node?
+            direct: q.initial.then_some(at_data && hop.step == Step::Resolved),
+            iam_due: owes_iam && carrier.is_none(),
+            pending_key,
+        };
+        self.reply_for_hop(q, outcome, out);
     }
 
     /// Emits the reply for a processed hop, per the active termination
@@ -362,9 +380,9 @@ impl Server {
                 }
             }
             ReplyProtocol::ReversePath => {
-                if hop.spawned.is_empty() {
+                let Some(key) = hop.pending_key else {
                     // Leaf of the traversal tree: answer immediately.
-                    send_aggregate(
+                    return send_aggregate(
                         q.reply_via,
                         q.parent_branch,
                         q.qid,
@@ -373,48 +391,28 @@ impl Server {
                         q.results_to,
                         out,
                     );
-                } else {
-                    // Wait for the children. The accumulator lives under
-                    // a fresh local key; each child is re-keyed onto its
-                    // *own* one-shot branch token routed to that key, so
-                    // sibling aggregates are distinguishable and a
-                    // duplicated one cannot be double-counted (see
-                    // `PendingAggregates::routes`).
-                    let key = self.pending.alloc_branch(self.id);
-                    let mut rewritten: u32 = 0;
-                    for m in out.msgs.iter_mut().rev().take(hop.spawned.len()) {
-                        if let Payload::Query(cq) = &mut m.payload {
-                            if cq.qid == q.qid {
-                                let child = self.pending.alloc_branch(self.id);
-                                cq.parent_branch = child;
-                                self.pending.routes.insert(child, key);
-                                rewritten += 1;
-                            }
-                        }
-                    }
-                    // A lossy `as u32` here would wrap a huge (forged or
-                    // future-widened) fan-out into a small `remaining`
-                    // and terminate the branch early with a silently
-                    // incomplete aggregate. Fail loudly instead: the
-                    // fan-out is bounded by the number of servers (u32
-                    // ids), so the conversion cannot fail on real input.
-                    let remaining = u32::try_from(hop.spawned.len())
-                        // sdr-lint: allow(panic-safety) — deliberate loud failure on an impossible >u32::MAX fan-out
-                        .expect("query fan-out exceeds u32: corrupt hop state");
-                    debug_assert_eq!(rewritten, remaining, "every spawned child re-keyed");
-                    self.pending.entries.insert(
-                        key,
-                        Pending {
-                            qid: q.qid,
-                            remaining,
-                            results: hop.results,
-                            trace: q.trace,
-                            reply_via: q.reply_via,
-                            parent_branch: q.parent_branch,
-                            results_to: q.results_to,
-                        },
-                    );
-                }
+                };
+                // Wait for the children. A lossy `as u32` here would wrap
+                // a huge (forged or future-widened) fan-out into a small
+                // `remaining` and terminate the branch early with a
+                // silently incomplete aggregate. Fail loudly instead: the
+                // fan-out is bounded by the number of servers (u32 ids),
+                // so the conversion cannot fail on real input.
+                let remaining = u32::try_from(hop.spawned.len())
+                    // sdr-lint: allow(panic-safety) — deliberate loud failure on an impossible >u32::MAX fan-out
+                    .expect("query fan-out exceeds u32: corrupt hop state");
+                self.pending.entries.insert(
+                    key,
+                    Pending {
+                        qid: q.qid,
+                        remaining,
+                        results: hop.results,
+                        trace: q.trace,
+                        reply_via: q.reply_via,
+                        parent_branch: q.parent_branch,
+                        results_to: q.results_to,
+                    },
+                );
             }
         }
     }
@@ -467,84 +465,54 @@ impl Server {
     // -------------------------------------------------------- deletion --
 
     /// Deletion routing (§3.3): traverses like a window query on the
-    /// object's mbb; the data node holding the object removes it,
-    /// tightens its rectangle, and may eliminate itself.
-    pub(crate) fn on_delete(&mut self, payload: Payload, out: &mut Outbox) {
-        let Payload::Delete {
-            obj,
-            qid,
-            mode,
-            region,
-            visited,
-            target,
-            results_to,
-            iam_to,
-            mut trace,
-            initial,
-        } = payload
-        else {
-            // sdr-lint: allow(panic-safety) — the dispatcher matches on
-            // the Delete variant before calling on_delete
-            unreachable!("on_delete only receives Delete payloads");
-        };
+    /// object's mbb (the same hop decision, the OC followed); the data
+    /// node holding the object removes it, tightens its rectangle, and
+    /// may eliminate itself.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn on_delete(
+        &mut self,
+        obj: Object,
+        qid: QueryId,
+        target: NodeRef,
+        mode: QueryMode,
+        region: Rect,
+        visited: Vec<NodeRef>,
+        results_to: ClientId,
+        iam_to: ImageHolder,
+        mut trace: crate::msg::Trace,
+        initial: bool,
+        out: &mut Outbox,
+    ) {
         self.append_iam(&mut trace);
-        // Reuse the query traversal by embedding the delete in a
-        // window-query shell, then act on the local hits.
-        let mut shell = QueryMsg {
-            target,
-            query: crate::msg::QueryKind::Window(obj.mbb),
-            region,
-            mode,
-            qid,
-            initial: false,
-            repaired: false,
-            iam_carrier: false,
-            visited,
-            results_to,
-            iam_to,
-            protocol: ReplyProtocol::Direct,
-            reply_via: None,
-            parent_branch: 0,
-            trace: trace.clone(),
-        };
-        // Process the hop but translate emissions into Delete messages.
-        let before = out.msgs.len();
-        let hop = self.process_query_hop(&mut shell, out);
-        let mut spawned = Vec::new();
-        for m in out.msgs.iter_mut().skip(before) {
-            if let Payload::Query(cq) = &m.payload {
-                let cq = cq.clone();
-                spawned.push(cq.target.server);
-                m.payload = Payload::Delete {
+        let matches = |dr: &Rect| dr.intersects(&obj.mbb);
+        let hop = self.decide_hop(target, mode, region, &visited, &obj.mbb, matches, true);
+        for &(target, mode, region) in &hop.onward {
+            out.send_server(
+                target.server,
+                Payload::Delete {
                     obj,
                     qid,
-                    mode: cq.mode,
-                    region: cq.region,
-                    visited: cq.visited,
-                    target: cq.target,
+                    mode,
+                    region,
+                    visited: hop.visited.clone(),
+                    target,
                     results_to,
                     iam_to,
-                    trace: cq.trace,
+                    trace: trace.clone(),
                     initial: false,
-                };
-            }
+                },
+            );
         }
-        // Local removal if this hop searched a data node.
-        let mut removed = false;
-        if target.kind == NodeKind::Data
-            && hop
-                .results
-                .iter()
-                .any(|o| o.oid == obj.oid && o.mbb == obj.mbb)
-        {
-            removed = self.remove_local(&obj, out);
-        }
+        // Where a query would search, remove: the local R-tree gives up
+        // only an entry with this oid and exactly this mbb.
+        let at_data = target.kind == NodeKind::Data;
+        let removed = at_data && hop.step.reached() && self.remove_local(&obj, out);
         out.send(
             Endpoint::Client(results_to),
             Payload::DeleteReport {
                 qid,
                 removed,
-                spawned,
+                spawned: hop.spawned(),
                 trace,
                 initial,
             },
@@ -635,60 +603,28 @@ impl Server {
     }
 }
 
+/// What a query hop reports, per the termination protocol.
 struct HopOutcome {
     results: Vec<Object>,
-    spawned: Vec<crate::ids::ServerId>,
+    spawned: Vec<ServerId>,
     direct: Option<bool>,
     /// Whether this hop must send the IAM to a server-held image (the
     /// IMSERVER contact): set at the terminal of a repaired branch so
     /// the contact receives the complete out-of-range path.
     iam_due: bool,
+    /// Reverse path: the key the children's branch tokens are routed
+    /// to, if the hop has children to wait for.
+    pending_key: Option<u64>,
 }
 
-/// Marks the first Descend query emitted after `from` as the IAM
-/// carrier. Returns whether a carrier was found.
-fn delegate_iam_carrier(out: &mut Outbox, from: usize) -> bool {
-    for m in out.msgs.iter_mut().skip(from) {
-        if let Payload::Query(cq) = &mut m.payload {
-            if cq.mode == QueryMode::Descend {
-                cq.iam_carrier = true;
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// The nodes that have been sent `q`, the one processing it included,
-/// with room for `more`.
-fn told(q: &QueryMsg, more: usize) -> Vec<NodeRef> {
-    let mut visited = Vec::with_capacity(q.visited.len() + 1 + more);
-    visited.extend_from_slice(&q.visited);
-    if !visited.contains(&q.target) {
-        visited.push(q.target);
-    }
-    visited
-}
-
-fn some_direct(q: &QueryMsg, hit: bool) -> Option<bool> {
-    q.initial.then_some(hit)
-}
-
-fn local_search(d: &crate::node::DataNode, q: &QueryMsg) -> Vec<Object> {
-    match q.query {
-        crate::msg::QueryKind::Point(p) => d
-            .tree
-            .search_point(&p)
-            .into_iter()
-            .map(|e| Object::new(e.item, e.rect))
-            .collect(),
-        crate::msg::QueryKind::Window(w) => d
-            .tree
-            .search_window(&w)
-            .into_iter()
-            .map(|e| Object::new(e.item, e.rect))
-            .collect(),
-    }
+fn local_search(d: &crate::node::DataNode, query: &QueryKind) -> Vec<Object> {
+    let hits = match query {
+        QueryKind::Point(p) => d.tree.search_point(p),
+        QueryKind::Window(w) => d.tree.search_window(w),
+    };
+    hits.into_iter()
+        .map(|e| Object::new(e.item, e.rect))
+        .collect()
 }
 
 fn send_aggregate(
@@ -793,9 +729,12 @@ mod tests {
     }
 
     const R5: NodeRef = NodeRef::routing(ServerId(5));
+    const D5: NodeRef = NodeRef::data(ServerId(5));
     const D6: NodeRef = NodeRef::data(ServerId(6));
     const D2: NodeRef = NodeRef::data(ServerId(2));
     const R4: NodeRef = NodeRef::routing(ServerId(4));
+    const R1: NodeRef = NodeRef::routing(ServerId(1));
+    const R3: NodeRef = NodeRef::routing(ServerId(3));
 
     #[test]
     fn a_covering_hop_tells_each_target_about_its_siblings_and_oc_ancestors() {
@@ -812,9 +751,8 @@ mod tests {
             [D6, D2, R4],
             "the child holding p, then the OC in table order"
         );
-        let (r1, r3) = (NodeRef::routing(ServerId(1)), NodeRef::routing(ServerId(3)));
         for q in &sent {
-            assert_eq!(q.visited, [R5, D6, D2, R4, r1, r3], "to {:?}", q.target);
+            assert_eq!(q.visited, [R5, D6, D2, R4, R1, R3], "to {:?}", q.target);
         }
     }
 
@@ -858,6 +796,287 @@ mod tests {
             assert_eq!(q.reply_via, Some(ServerId(5)));
             assert_eq!(s.pending.routes.get(&q.parent_branch), Some(&key));
             assert_eq!(q.visited.len(), 6, "sharing edits `visited` only");
+        }
+    }
+
+    // ------------------------------------------- the decision, alone --
+
+    /// Server 6 hosting data node d6 over x ≥ 0.5 below r5 (outer: d5,
+    /// sharing 0.5 ≤ x ≤ 0.55) and r3 (outer: r4, sharing x ≥ 0.6),
+    /// holding object 9 mid-field and two more in its east corners.
+    fn data_server() -> Server {
+        let mut s = Server::new(ServerId(6), SdrConfig::with_capacity(10));
+        let (seam, east) = (
+            Rect::new(0.5, 0.0, 0.55, 1.0),
+            Rect::new(0.6, 0.0, 1.0, 1.0),
+        );
+        let d = s.data.as_mut().expect("a fresh server has a data node");
+        let mid = Rect::new(0.7, 0.4, 0.8, 0.5);
+        let corners = [
+            Rect::new(0.9, 0.1, 0.95, 0.15),
+            Rect::new(0.9, 0.8, 0.95, 0.85),
+        ];
+        for (oid, mbb) in (9..).zip([mid].into_iter().chain(corners)) {
+            d.store(Object::new(crate::ids::Oid(oid), mbb));
+        }
+        d.dr = Some(Rect::new(0.5, 0.0, 1.0, 1.0));
+        d.parent = Some(ServerId(5));
+        d.oc = OcTable::from_entries(vec![
+            OcEntry {
+                ancestor: ServerId(5),
+                outer: Link::to_data(ServerId(5), Rect::new(0.0, 0.0, 0.55, 1.0)),
+                rect: seam,
+            },
+            OcEntry {
+                ancestor: ServerId(3),
+                outer: Link::to_routing(ServerId(4), east, 2),
+                rect: east,
+            },
+        ]);
+        s
+    }
+
+    /// Server 7 after both its nodes dissolved: d7 left to its parent
+    /// r5, r7's place was taken by d6.
+    fn dissolved_server() -> Server {
+        let mut s = Server::bare(ServerId(7), SdrConfig::with_capacity(10));
+        s.data_tombstone = Some(R5);
+        s.routing_tombstone = Some(D6);
+        s
+    }
+
+    /// `hop_server()` with r5 made the root.
+    fn root_server() -> Server {
+        let mut s = hop_server();
+        s.routing.as_mut().expect("r5").parent = None;
+        s
+    }
+
+    use QueryMode::{Ascend, Check, Descend};
+    use Step::{Descended, Dissolved, OutOfRange, Resolved};
+
+    /// The decision on its own, row by row: the hop put to a server
+    /// (target, mode, the operation's whole rectangle and this branch's
+    /// region of it, the inbound `visited`, whether the OC is followed)
+    /// and what it must decide (step, onward hops, the shared `visited`).
+    /// A child can match when it intersects the whole rectangle.
+    #[test]
+    fn one_function_decides_every_hop() {
+        let unit = Rect::new(0.0, 0.0, 1.0, 1.0);
+        // Inside d6, r5's east child, and inside both of r5's overlaps.
+        let inside = Rect::new(0.62, 0.4, 0.68, 0.6);
+        // Sticks out of r5 and d6 on the east; `clipped` is what an OC
+        // forward narrowed it to.
+        let wide = Rect::new(0.55, 0.4, 1.3, 0.6);
+        let clipped = Rect::new(0.55, 0.4, 1.0, 0.6);
+        // `wide` cut to r5's two overlap rectangles and to d6's seam.
+        let wide_west = Rect::new(0.55, 0.4, 0.7, 0.6);
+        let wide_east = Rect::new(0.6, 0.4, 1.0, 0.6);
+        let wide_seam = Rect::new(0.55, 0.4, 0.55, 0.6);
+        let (west, east) = (Rect::new(0.0, 0.0, 0.7, 1.0), Rect::new(0.6, 0.0, 1.0, 1.0));
+        let (d0, d7) = (NodeRef::data(ServerId(0)), NodeRef::data(ServerId(7)));
+        let (r6, r7) = (NodeRef::routing(ServerId(6)), NodeRef::routing(ServerId(7)));
+        let leaf = || Server::new(ServerId(0), SdrConfig::with_capacity(10));
+        let (oc, no_oc) = (true, false);
+        #[rustfmt::skip]
+        let table = vec![
+            // -- a routing node: resolves when it covers the region
+            ("r check covers", hop_server(), R5, Check, inside, inside, vec![], oc,
+             Resolved, vec![(D6, Descend, inside), (D2, Check, inside), (R4, Check, inside)],
+             vec![R5, D6, D2, R4, R1, R3]),
+            ("r ascend covers", hop_server(), R5, Ascend, inside, inside, vec![D6], oc,
+             Resolved, vec![(D6, Descend, inside), (D2, Check, inside), (R4, Check, inside)],
+             vec![D6, R5, D2, R4, R1, R3]),
+            ("r check covers, OC not followed", hop_server(), R5, Check, inside, inside, vec![], no_oc,
+             Resolved, vec![(D6, Descend, inside)],
+             vec![R5, D6]),
+            // both children can match; each forward is narrowed to its overlap
+            ("r check covers, both children", hop_server(), R5, Check, unit, unit, vec![], oc,
+             Resolved, vec![(D5, Descend, unit), (D6, Descend, unit), (D2, Check, west), (R4, Check, east)],
+             vec![R5, D5, D6, D2, R4, R1, R3]),
+            // dr ⊇ region but not ⊇ whole: targets shared, ancestors not
+            ("r check covers the region only", hop_server(), R5, Check, wide, clipped, vec![], oc,
+             Resolved, vec![(D6, Descend, clipped), (D2, Check, wide_west), (R4, Check, wide_east)],
+             vec![R5, D6, D2, R4]),
+            // an OC outer of the inbound set is skipped; ancestors still added
+            ("r check, OC outer already told", hop_server(), R5, Check, inside, inside, vec![R3, D2], oc,
+             Resolved, vec![(D6, Descend, inside), (R4, Check, inside)],
+             vec![R3, D2, R5, D6, R4, R1]),
+            // -- out of range: one ascent, the region unchanged
+            ("r check out of range", hop_server(), R5, Check, wide, wide, vec![D6], oc,
+             OutOfRange, vec![(R3, Ascend, wide)],
+             vec![D6, R5]),
+            ("r ascend out of range", hop_server(), R5, Ascend, wide, wide, vec![], no_oc,
+             OutOfRange, vec![(R3, Ascend, wide)],
+             vec![R5]),
+            // -- the root resolves what it does not cover
+            ("root check out of range", root_server(), R5, Check, wide, wide, vec![], oc,
+             Resolved, vec![(D6, Descend, wide), (D2, Check, wide_west), (R4, Check, wide_east)],
+             vec![R5, D6, D2, R4]),
+            ("root ascend out of range", root_server(), R5, Ascend, wide, wide, vec![], no_oc,
+             Resolved, vec![(D6, Descend, wide)],
+             vec![R5, D6]),
+            // -- a descent: no coverage test, no OC, no ancestors
+            ("r descend", hop_server(), R5, Descend, wide, wide, vec![R3], oc,
+             Descended, vec![(D6, Descend, wide)],
+             vec![R3, R5, D6]),
+            ("r descend, OC not followed", hop_server(), R5, Descend, unit, unit, vec![], no_oc,
+             Descended, vec![(D5, Descend, unit), (D6, Descend, unit)],
+             vec![R5, D5, D6]),
+            // -- a data node: `inside` misses the seam shared with d5
+            ("d check covers", data_server(), D6, Check, inside, inside, vec![], oc,
+             Resolved, vec![(R4, Check, inside)],
+             vec![D6, R4, R5, R3]),
+            ("d ascend covers the region only", data_server(), D6, Ascend, wide, clipped, vec![R5], oc,
+             Resolved, vec![(D5, Check, wide_seam), (R4, Check, wide_east)],
+             vec![R5, D6, D5, R4]),
+            ("d check covers, OC not followed", data_server(), D6, Check, inside, inside, vec![], no_oc,
+             Resolved, vec![],
+             vec![D6]),
+            ("d check out of range", data_server(), D6, Check, wide, wide, vec![], oc,
+             OutOfRange, vec![(R5, Ascend, wide)],
+             vec![D6]),
+            ("d ascend out of range", data_server(), D6, Ascend, wide, wide, vec![], no_oc,
+             OutOfRange, vec![(R5, Ascend, wide)],
+             vec![D6]),
+            ("d descend out of range", data_server(), D6, Descend, wide, wide, vec![R5, D6], oc,
+             Descended, vec![],
+             vec![R5, D6]),
+            // a root leaf has no rectangle to be out of
+            ("root leaf check", leaf(), d0, Check, wide, wide, vec![], oc,
+             Resolved, vec![],
+             vec![d0]),
+            // -- dissolved: the parent a data node left to is checked afresh,
+            // the sibling in a routing node's place keeps the mode
+            ("d gone, descend", dissolved_server(), d7, Descend, inside, inside, vec![], oc,
+             Dissolved, vec![(R5, Check, inside)],
+             vec![d7]),
+            ("r gone, ascend", dissolved_server(), r7, Ascend, wide, wide, vec![R4], no_oc,
+             Dissolved, vec![(D6, Ascend, wide)],
+             vec![R4, r7]),
+            ("r gone, descend", dissolved_server(), r7, Descend, inside, inside, vec![], oc,
+             Dissolved, vec![(D6, Descend, inside)],
+             vec![r7]),
+            // tombstone target already told: the branch ends here
+            ("d gone, tombstone told", dissolved_server(), d7, Check, inside, inside, vec![R5], oc,
+             Dissolved, vec![],
+             vec![R5, d7]),
+            ("r gone, no tombstone", data_server(), r6, Check, inside, inside, vec![], oc,
+             Dissolved, vec![],
+             vec![r6]),
+        ];
+        for (
+            name,
+            server,
+            target,
+            mode,
+            whole,
+            region,
+            inbound,
+            follow_oc,
+            step,
+            onward,
+            visited,
+        ) in table
+        {
+            let matches = |dr: &Rect| dr.intersects(&whole);
+            let hop = server.decide_hop(target, mode, region, &inbound, &whole, matches, follow_oc);
+            assert_eq!(hop.step, step, "{name}: step");
+            assert_eq!(hop.onward, onward, "{name}: onward");
+            assert_eq!(hop.visited, visited, "{name}: visited");
+        }
+    }
+
+    /// What each payload does with the decision: a join probe joins a
+    /// live data node whatever the step, a delete removes only where
+    /// the traversal reached.
+    #[test]
+    fn a_join_probe_joins_a_live_data_node_whatever_its_step() {
+        let wide = Rect::new(0.55, 0.4, 1.3, 0.6);
+        let probe = Object::new(crate::ids::Oid(3), Rect::new(0.75, 0.45, 0.9, 0.6));
+        for (mode, onward) in [(Check, vec![(R5, Ascend)]), (Descend, vec![])] {
+            let mut s = data_server();
+            let mut out = Outbox::new(s.id, 100);
+            s.on_join_probe(
+                D6,
+                vec![probe],
+                wide,
+                mode,
+                vec![],
+                QueryId(1),
+                ClientId(0),
+                vec![],
+                &mut out,
+            );
+            let mut sent = vec![];
+            let mut reported = None;
+            for m in out.msgs {
+                match m.payload {
+                    Payload::JoinProbe {
+                        target,
+                        mode,
+                        region,
+                        visited,
+                        ..
+                    } => {
+                        assert_eq!((region, visited), (wide, vec![D6]));
+                        sent.push((target, mode));
+                    }
+                    Payload::JoinReport { pairs, spawned, .. } => reported = Some((pairs, spawned)),
+                    other => panic!("unexpected {}", other.name()),
+                }
+            }
+            let (pairs, spawned) = reported.expect("one report per hop");
+            assert_eq!(
+                pairs,
+                [(crate::ids::Oid(3), crate::ids::Oid(9))],
+                "{mode:?}"
+            );
+            assert_eq!(sent, onward, "{mode:?}");
+            assert_eq!(spawned.len(), sent.len());
+        }
+    }
+
+    #[test]
+    fn a_delete_removes_only_where_the_traversal_reached() {
+        let obj = Object::new(crate::ids::Oid(9), Rect::new(0.7, 0.4, 0.8, 0.5));
+        // A region beyond d6 sends the delete up; d6 is not searched.
+        let beyond = Rect::new(0.4, 0.4, 0.8, 0.5);
+        for (region, removed) in [(beyond, false), (obj.mbb, true)] {
+            let mut s = data_server();
+            let mut out = Outbox::new(s.id, 100);
+            s.on_delete(
+                obj,
+                QueryId(1),
+                D6,
+                Check,
+                region,
+                vec![],
+                ClientId(0),
+                ImageHolder::Nobody,
+                vec![],
+                true,
+                &mut out,
+            );
+            let report = out.msgs.iter().find_map(|m| match &m.payload {
+                Payload::DeleteReport {
+                    removed,
+                    spawned,
+                    initial,
+                    ..
+                } => Some((*removed, spawned.len(), *initial)),
+                _ => None,
+            });
+            let deletes = out
+                .msgs
+                .iter()
+                .filter(|m| matches!(m.payload, Payload::Delete { initial: false, .. }))
+                .count();
+            assert_eq!(report, Some((removed, deletes, true)), "region {region:?}");
+            assert_eq!(
+                s.data.as_ref().map(|d| d.len()),
+                Some(3 - usize::from(removed))
+            );
         }
     }
 }

@@ -6,7 +6,7 @@
 //! [`Outbox`]. The same state machine runs inside the in-process
 //! simulator (`cluster`) and behind TCP endpoints (`sdr-net`).
 
-use crate::config::SdrConfig;
+use crate::config::{SdrConfig, LOCAL_RTREE};
 use crate::ids::{NodeKind, NodeRef, ServerId};
 use crate::image::Image;
 use crate::link::Link;
@@ -177,7 +177,7 @@ impl Server {
         Server {
             id,
             routing: None,
-            data: Some(DataNode::new(config.rtree)),
+            data: Some(DataNode::new(LOCAL_RTREE)),
             image: Image::new(),
             config,
             pending: Default::default(),
@@ -260,11 +260,8 @@ impl Server {
                 initial,
             } => self.on_insert_at_leaf(obj, trace, iam_to, initial, out),
             Payload::InsertAscend {
-                obj,
-                trace,
-                iam_to,
-                initial,
-            } => self.on_insert_ascend(obj, trace, iam_to, initial, out),
+                obj, trace, iam_to, ..
+            } => self.on_insert_ascend(obj, trace, iam_to, out),
             Payload::InsertDescend {
                 obj,
                 oc_acc,
@@ -320,7 +317,7 @@ impl Server {
             Payload::DropOcAncestor { target, ancestor } => {
                 self.on_drop_oc_ancestor(target, ancestor, out)
             }
-            Payload::SetRouting { node } => self.on_set_routing(node, out),
+            Payload::SetRouting { node } => self.on_set_routing(node),
             Payload::SetParent { target, parent } => self.on_set_parent(target, parent, out),
             Payload::RefreshChild { child } => {
                 self.on_child_change(child.node, child, None, None, out)
@@ -338,7 +335,20 @@ impl Server {
             Payload::RefreshOc { target, table } => self.on_refresh_oc(target, table, out),
             Payload::ShrinkChild { child } => self.on_shrink_child(child, out),
             Payload::Query(q) => self.on_query(q, out),
-            Payload::Delete { .. } => self.on_delete(payload, out),
+            Payload::Delete {
+                obj,
+                qid,
+                mode,
+                region,
+                visited,
+                target,
+                results_to,
+                iam_to,
+                trace,
+                initial,
+            } => self.on_delete(
+                obj, qid, target, mode, region, visited, results_to, iam_to, trace, initial, out,
+            ),
             Payload::Eliminate { child, objects } => self.on_eliminate(child, objects, out),
             Payload::KnnLocal {
                 p,
@@ -365,7 +375,11 @@ impl Server {
                 target, objects, region, mode, visited, qid, results_to, trace, out,
             ),
             Payload::JoinReport { trace, .. } => self.image.absorb(&trace),
-            Payload::Routed { op, results_to } => self.on_routed(op, results_to, from, out),
+            // Contact server of the IMSERVER variant (§5): route the
+            // client's operation with the local image.
+            Payload::Routed { op, results_to } => {
+                crate::variant::route_from_server(self, op, results_to, out)
+            }
             Payload::QueryAggregate {
                 qid,
                 parent_branch,
@@ -401,23 +415,9 @@ impl Server {
             // the tombstone was written, and server ids are never
             // reused), so this terminates.
             if let Some(t) = self.tombstone(NodeKind::Data) {
-                let payload = match t.kind {
-                    NodeKind::Data => Payload::InsertAtLeaf {
-                        obj,
-                        trace,
-                        iam_to,
-                        initial: false,
-                    },
-                    NodeKind::Routing => Payload::InsertAscend {
-                        obj,
-                        trace,
-                        iam_to,
-                        initial: false,
-                    },
-                };
-                out.send_server(t.server, payload);
+                forward_insert(t, obj, trace, iam_to, out);
             } else if self.routing.is_some() {
-                self.on_insert_ascend(obj, trace, iam_to, false, out);
+                self.on_insert_ascend(obj, trace, iam_to, out);
             }
             return;
         };
@@ -443,15 +443,7 @@ impl Server {
                 // sdr-lint: allow(panic-safety) — a root data node covers
                 // everything, so the not-covered branch implies a parent
                 .expect("covered check failed only on non-root leaves");
-            out.send_server(
-                parent,
-                Payload::InsertAscend {
-                    obj,
-                    trace,
-                    iam_to,
-                    initial: false,
-                },
-            );
+            forward_insert(NodeRef::routing(parent), obj, trace, iam_to, out);
         }
     }
 
@@ -462,7 +454,6 @@ impl Server {
         obj: Object,
         mut trace: Trace,
         iam_to: ImageHolder,
-        _initial: bool,
         out: &mut Outbox,
     ) {
         self.append_iam(&mut trace);
@@ -471,21 +462,7 @@ impl Server {
             // (yet or anymore): follow the tombstone, falling back to the
             // data-node path.
             if let Some(t) = self.tombstone(NodeKind::Routing) {
-                let payload = match t.kind {
-                    NodeKind::Data => Payload::InsertAtLeaf {
-                        obj,
-                        trace,
-                        iam_to,
-                        initial: false,
-                    },
-                    NodeKind::Routing => Payload::InsertAscend {
-                        obj,
-                        trace,
-                        iam_to,
-                        initial: false,
-                    },
-                };
-                out.send_server(t.server, payload);
+                forward_insert(t, obj, trace, iam_to, out);
             } else {
                 self.on_insert_at_leaf(obj, trace, iam_to, false, out);
             }
@@ -500,15 +477,7 @@ impl Server {
         } else {
             // sdr-lint: allow(panic-safety) — guarded by !r.is_root()
             let parent = r.parent.expect("non-root routing node has a parent");
-            out.send_server(
-                parent,
-                Payload::InsertAscend {
-                    obj,
-                    trace,
-                    iam_to,
-                    initial: false,
-                },
-            );
+            forward_insert(NodeRef::routing(parent), obj, trace, iam_to, out);
         }
     }
 
@@ -701,7 +670,7 @@ impl Server {
 
         // This server keeps `keep`; its data node's parent becomes the
         // new routing node.
-        d.tree = RTree::bulk_load(self.config.rtree, keep);
+        d.tree = RTree::bulk_load(LOCAL_RTREE, keep);
         d.dr = Some(keep_dr);
         d.parent = Some(new_id);
 
@@ -766,26 +735,33 @@ impl Server {
             .map(|o| Entry::new(o.mbb, o.oid))
             .collect();
         self.data = Some(DataNode {
-            tree: RTree::bulk_load(self.config.rtree, entries),
+            tree: RTree::bulk_load(LOCAL_RTREE, entries),
             dr: Some(data_dr),
             parent: Some(self.id),
             oc: data_oc,
         });
     }
+}
 
-    // ------------------------------------------------- IMSERVER routing --
-
-    /// Acts as a contact server: routes a client operation using the
-    /// local image (IMSERVER variant, §5).
-    fn on_routed(
-        &mut self,
-        op: crate::msg::ClientOp,
-        results_to: crate::ids::ClientId,
-        _from: Endpoint,
-        out: &mut Outbox,
-    ) {
-        crate::variant::route_from_server(self, op, results_to, out);
-    }
+/// Sends an insertion one hop on — up to a parent, or along a tombstone —
+/// as the request the addressed kind of node takes (§3.2): a data node
+/// re-checks its coverage, a routing node continues the ascent.
+fn forward_insert(to: NodeRef, obj: Object, trace: Trace, iam_to: ImageHolder, out: &mut Outbox) {
+    let payload = match to.kind {
+        NodeKind::Data => Payload::InsertAtLeaf {
+            obj,
+            trace,
+            iam_to,
+            initial: false,
+        },
+        NodeKind::Routing => Payload::InsertAscend {
+            obj,
+            trace,
+            iam_to,
+            initial: false,
+        },
+    };
+    out.send_server(to.server, payload);
 }
 
 #[cfg(test)]

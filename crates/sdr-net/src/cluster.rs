@@ -67,7 +67,6 @@ impl NetCluster {
             delayed: Mutex::new(Vec::new()),
             send_attempts: options.send_attempts.max(1),
             metrics: sdr_obs::Obs::from_env().take_metrics().map(Mutex::new),
-            trace: std::env::var_os("SDR_NET_TRACE").is_some(),
             events: Default::default(),
             wakeup: Default::default(),
             nodes: Default::default(),
@@ -91,15 +90,6 @@ impl NetCluster {
     /// only occur when raw, unsolicited frames hit a node listener).
     pub fn in_flight(&self) -> i64 {
         self.deployment.in_flight.load(Ordering::SeqCst)
-    }
-
-    /// Renders the deployment's delivery metrics as a table, if metrics
-    /// were enabled (`SDR_METRICS` set at launch). Counts cover frame
-    /// reads/writes, bytes on the wire, in-flight high-water, and
-    /// delayed-lane flushes; values depend on thread timing and are for
-    /// inspection, not golden comparison.
-    pub fn metrics_table(&self) -> Option<String> {
-        self.deployment.with_metrics(|m| m.render_table())
     }
 
     /// A sorted `(key, value)` snapshot of the delivery metrics, if

@@ -118,8 +118,6 @@ pub(crate) struct Deployment {
     /// thread timing — only the key set is deterministic — so these are
     /// for operator inspection, never for golden comparisons.
     pub metrics: Option<Mutex<sdr_obs::Metrics>>,
-    /// `SDR_NET_TRACE` at launch: one stderr line per handled message.
-    pub trace: bool,
     /// The wake-up signal; see [`Events`].
     pub events: Mutex<Events>,
     pub wakeup: Condvar,
@@ -341,19 +339,6 @@ fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Messag
         .handle_lock
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    if deployment.trace {
-        eprintln!(
-            "[{:?}] S{} <- {:?}: {}",
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap_or_default()
-                .as_millis()
-                % 100_000,
-            server.id.0,
-            msg.from,
-            msg.payload.name(),
-        );
-    }
     let mut out =
         Outbox::with_allocator(server.id, Allocator::Shared(deployment.next_server.clone()));
     server.handle(msg.from, msg.payload, &mut out);
