@@ -650,8 +650,11 @@ impl Server {
         let d = self.data.as_mut().expect("checked above");
         let new_id = out.alloc_server();
 
-        // Divide the objects in two approximately equal subsets with the
-        // classical R-tree split algorithm.
+        // Divide the objects in two approximately equal subsets (§2.2):
+        // the whole node goes through the configured split once, as if it
+        // were one overflowing R-tree node whose halves must each keep
+        // 40 %. With the default R* sweep that is O(n log n) in the
+        // node: five sorts and a few linear passes (DESIGN.md decision 16).
         let entries = d.tree.drain_all();
         let partition_config = RTreeConfig {
             max_entries: entries.len().max(2),

@@ -222,32 +222,52 @@ fn probabilistic_protocol_agrees_in_lossless_network() {
 
 #[test]
 fn imclient_converges_to_single_message_inserts() {
-    // Seed re-pinned when the workload generators moved to the
-    // first-party RNG (every seeded stream changed): the direct-insert
-    // rate sits near the 90 % bar by construction (each split during
-    // the tail costs a handful of repairs), so pick a stream with a
-    // comfortable margin (469/500 here).
+    // §5.1: with a warmed-up image an IMCLIENT insert is "a direct match
+    // in 99.9 % of the cases" and costs one message. That is a claim
+    // about the image, so it is checked on the inserts an image can
+    // decide. Two kinds are left out of the denominator because no image
+    // makes them one message: an object that no data node's rectangle
+    // contains takes §3.2's out-of-range path whichever server is
+    // addressed (2–8 % of a tail at capacity 100, where 40-odd rectangles
+    // do not tile the square; next to none at the paper's 3 000), and an
+    // insert that overflows its node is billed the split's maintenance.
+    // What remains misses only through staleness, one or two inserts per
+    // split: 96–99 % over eight seeds and all three policies. Counting
+    // every insert instead put the rate at 86–95 %, on either side of the
+    // bar depending on where the split policy left the gaps.
     let data = uniform(3_000, 52);
-    let mut cluster = Cluster::new(SdrConfig::with_capacity(100));
-    let mut client = Client::new(ClientId(0), Variant::ImClient, 2);
-    build(&mut cluster, &mut client, &data[..2_500]);
-    // After warm-up, nearly all inserts should be direct, costing 1
-    // message (§5.1: "a direct match in 99.9 % of the cases").
-    let mut direct = 0;
-    let tail = &data[2_500..];
-    for (i, r) in tail.iter().enumerate() {
-        let out = client.insert(&mut cluster, Object::new(Oid(2_500 + i as u64), *r));
-        // A direct insert costs exactly 1 message unless it triggered a
-        // split (whose maintenance messages are billed to the insert).
-        if out.direct && out.messages == 1 {
-            direct += 1;
+    for policy in [
+        SplitPolicy::Linear,
+        SplitPolicy::Quadratic,
+        SplitPolicy::RStar,
+    ] {
+        let mut cluster = Cluster::new(SdrConfig::with_capacity(100).with_split(policy));
+        let mut client = Client::new(ClientId(0), Variant::ImClient, 2);
+        build(&mut cluster, &mut client, &data[..2_500]);
+        let (mut decidable, mut direct) = (0, 0);
+        for (i, r) in data[2_500..].iter().enumerate() {
+            let servers = cluster.num_servers();
+            let covered = cluster
+                .servers()
+                .iter()
+                .filter_map(|s| s.data.as_ref()?.dr)
+                .any(|dr| dr.contains(r));
+            let out = client.insert(&mut cluster, Object::new(Oid(2_500 + i as u64), *r));
+            if !covered || cluster.num_servers() > servers {
+                continue;
+            }
+            decidable += 1;
+            if out.direct {
+                assert_eq!(out.messages, 1, "{policy:?}: direct insert {i}");
+                direct += 1;
+            }
         }
+        assert!(decidable >= 400, "{policy:?}: only {decidable} of 500");
+        assert!(
+            direct as f64 >= 0.9 * decidable as f64,
+            "{policy:?}: only {direct}/{decidable} direct inserts"
+        );
     }
-    assert!(
-        direct as f64 >= 0.9 * tail.len() as f64,
-        "only {direct}/{} direct inserts",
-        tail.len()
-    );
 }
 
 #[test]

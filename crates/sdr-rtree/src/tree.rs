@@ -282,7 +282,7 @@ impl<T> RTree<T> {
     /// assert!(tree.is_empty());
     /// ```
     pub fn drain_all(&mut self) -> Vec<Entry<T>> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.len);
         let root = self.root;
         collect_entries(&mut self.arena, root, &mut out);
         // Start from a fresh arena so the drained tree releases the old
