@@ -23,5 +23,4 @@
 #![warn(missing_docs)]
 
 pub mod exp;
-pub mod registry;
 pub use exp::common::{ExpConfig, Report};

@@ -18,7 +18,7 @@
 //! `Client::insert(&mut Cluster, ..)` etc. are thin loud-failure wrappers.
 
 use crate::cluster::Cluster;
-use crate::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
+use crate::ids::{ClientId, NodeRef, Oid, QueryId, ServerId};
 use crate::image::Image;
 use crate::msg::{
     ClientOp, Endpoint, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
@@ -202,20 +202,7 @@ pub fn address(
         })
     };
     let payload = match op {
-        ClientOp::Insert(obj) => match target.kind {
-            NodeKind::Data => Payload::InsertAtLeaf {
-                obj,
-                trace: vec![],
-                iam_to,
-                initial: true,
-            },
-            NodeKind::Routing => Payload::InsertAscend {
-                obj,
-                trace: vec![],
-                iam_to,
-                initial: true,
-            },
-        },
+        ClientOp::Insert(obj) => Payload::insert_at(target.kind, obj, vec![], iam_to, true),
         ClientOp::Point(p, qid) => query(QueryKind::Point(p), qid),
         ClientOp::Window(w, qid) => query(QueryKind::Window(w), qid),
         ClientOp::Knn(p, k, qid) => Payload::KnnLocal {

@@ -8,7 +8,7 @@
 //! enum drives both the in-process simulator (`cluster`) and the TCP
 //! deployment (`sdr-net`).
 
-use crate::ids::{ClientId, NodeRef, Oid, QueryId, ServerId};
+use crate::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 use crate::link::Link;
 use crate::node::{Object, RoutingNode};
 use crate::oc::OcTable;
@@ -438,7 +438,9 @@ pub enum Payload {
         /// Servers targeted by the onward traversal messages this hop
         /// emitted (one entry per message; repeats are legitimate).
         spawned: Vec<ServerId>,
-        /// Links collected on this hop (incremental IAM).
+        /// Links cumulated along the path from the first hop to this
+        /// one: the hop appends its own links to the trace it received
+        /// and sends that path both onward and here (see [`Trace`]).
         trace: Trace,
         /// `Some(true)` if this was the initial hop and it was a direct
         /// hit; `Some(false)` if initial but out-of-range (Figure 13).
@@ -607,6 +609,32 @@ pub enum Payload {
 }
 
 impl Payload {
+    /// An insertion as the request the addressed kind of node takes
+    /// (§3.2): a data node re-checks its coverage, a routing node
+    /// continues the ascent. `initial` marks the client's first hop.
+    pub(crate) fn insert_at(
+        kind: NodeKind,
+        obj: Object,
+        trace: Trace,
+        iam_to: ImageHolder,
+        initial: bool,
+    ) -> Payload {
+        match kind {
+            NodeKind::Data => Payload::InsertAtLeaf {
+                obj,
+                trace,
+                iam_to,
+                initial,
+            },
+            NodeKind::Routing => Payload::InsertAscend {
+                obj,
+                trace,
+                iam_to,
+                initial,
+            },
+        }
+    }
+
     /// The variant's name, for tracing and fault-injection diagnostics.
     /// Lives here — next to the enum — so the list can never drift from
     /// the variants the way a transport-side copy could.

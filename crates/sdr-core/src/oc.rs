@@ -159,36 +159,6 @@ impl OcTable {
                 .is_some_and(|have| have.rect.contains(&req.rect))
         })
     }
-
-    /// Whether two tables are equal when compared by `(ancestor, rect)`
-    /// only, ignoring the cached outer links (which the paper lets go
-    /// stale while the rectangle is unchanged) and the entry order
-    /// (incremental UPDATEOC appends; rotations reshuffle depths).
-    pub fn same_coverage(&self, other: &OcTable) -> bool {
-        if self.entries.len() != other.entries.len() {
-            return false;
-        }
-        let key = |t: &OcTable| {
-            let mut v: Vec<(ServerId, [u64; 4])> = t
-                .entries
-                .iter()
-                .map(|e| {
-                    (
-                        e.ancestor,
-                        [
-                            e.rect.xmin.to_bits(),
-                            e.rect.ymin.to_bits(),
-                            e.rect.xmax.to_bits(),
-                            e.rect.ymax.to_bits(),
-                        ],
-                    )
-                })
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        key(self) == key(other)
-    }
 }
 
 #[cfg(test)]
@@ -254,22 +224,5 @@ mod tests {
         let sibling = link(8, Rect::new(5.0, 5.0, 6.0, 6.0));
         let child = parent_table.derive_child(ServerId(2), &child_dr, &sibling);
         assert!(child.is_empty());
-    }
-
-    #[test]
-    fn same_coverage_ignores_links() {
-        let r = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let t1 = OcTable::from_entries(vec![OcEntry {
-            ancestor: ServerId(1),
-            outer: link(5, r),
-            rect: r,
-        }]);
-        let t2 = OcTable::from_entries(vec![OcEntry {
-            ancestor: ServerId(1),
-            outer: link(9, Rect::new(0.0, 0.0, 5.0, 5.0)), // different link
-            rect: r,
-        }]);
-        assert!(t1.same_coverage(&t2));
-        assert!(!t1.same_coverage(&OcTable::new()));
     }
 }

@@ -230,26 +230,10 @@ impl Server {
         // rotation gathering) completes before any reinsert can split a
         // node and invalidate the rotation's snapshot.
         for obj in objects {
-            match sibling.node.kind {
-                NodeKind::Data => out.send_server_deferred(
-                    sibling.node.server,
-                    Payload::InsertAtLeaf {
-                        obj,
-                        trace: vec![],
-                        iam_to: ImageHolder::Nobody,
-                        initial: false,
-                    },
-                ),
-                NodeKind::Routing => out.send_server_deferred(
-                    sibling.node.server,
-                    Payload::InsertAscend {
-                        obj,
-                        trace: vec![],
-                        iam_to: ImageHolder::Nobody,
-                        initial: false,
-                    },
-                ),
-            }
+            out.send_server_deferred(
+                sibling.node.server,
+                Payload::insert_at(sibling.node.kind, obj, vec![], ImageHolder::Nobody, false),
+            );
         }
     }
 
@@ -268,20 +252,7 @@ impl Server {
                 debug_assert!(false, "orphaned object with no route anywhere");
                 continue;
             };
-            let payload = match t.kind {
-                NodeKind::Data => Payload::InsertAtLeaf {
-                    obj,
-                    trace: vec![],
-                    iam_to: ImageHolder::Nobody,
-                    initial: false,
-                },
-                NodeKind::Routing => Payload::InsertAscend {
-                    obj,
-                    trace: vec![],
-                    iam_to: ImageHolder::Nobody,
-                    initial: false,
-                },
-            };
+            let payload = Payload::insert_at(t.kind, obj, vec![], ImageHolder::Nobody, false);
             out.send_server_deferred(t.server, payload);
         }
     }

@@ -746,25 +746,12 @@ impl Server {
     }
 }
 
-/// Sends an insertion one hop on — up to a parent, or along a tombstone —
-/// as the request the addressed kind of node takes (§3.2): a data node
-/// re-checks its coverage, a routing node continues the ascent.
+/// Sends an insertion one hop on — up to a parent, or along a tombstone.
 fn forward_insert(to: NodeRef, obj: Object, trace: Trace, iam_to: ImageHolder, out: &mut Outbox) {
-    let payload = match to.kind {
-        NodeKind::Data => Payload::InsertAtLeaf {
-            obj,
-            trace,
-            iam_to,
-            initial: false,
-        },
-        NodeKind::Routing => Payload::InsertAscend {
-            obj,
-            trace,
-            iam_to,
-            initial: false,
-        },
-    };
-    out.send_server(to.server, payload);
+    out.send_server(
+        to.server,
+        Payload::insert_at(to.kind, obj, trace, iam_to, false),
+    );
 }
 
 #[cfg(test)]

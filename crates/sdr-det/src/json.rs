@@ -1,8 +1,8 @@
 //! A minimal JSON value type with a parser and serializer.
 //!
-//! Exists so the bench timer can *write* `BENCH_*.json` perf records and
-//! the CI validator can *read* them back, without reintroducing `serde`
-//! into the hermetic workspace. Scope is the JSON the workspace itself
+//! Exists so the `e2e` benchmark can *write* its records and *read* its
+//! child processes' lines back, without reintroducing `serde` into the
+//! hermetic workspace. Scope is the JSON the workspace itself
 //! produces: objects, arrays, strings (with `\uXXXX` escapes), finite
 //! numbers, booleans and null. Non-finite numbers serialize as `null`
 //! (matching `JSON.stringify`).

@@ -4,8 +4,8 @@
 //! `sdr-*` crates, so `cargo build && cargo test` succeed with no
 //! network access and every randomized workload replays bit-identically
 //! from its seed. `sdr-det` is the crate that makes that possible; it
-//! replaces `rand`, `proptest`, and `criterion` with three small
-//! first-party modules:
+//! replaces `rand` and `proptest` with two small first-party modules,
+//! and carries the JSON value type the `e2e` benchmark needs:
 //!
 //! * [`rng`] — [`SplitMix64`] seeding + [`Xoshiro256pp`] generation
 //!   behind the minimal [`DetRng`] trait (`next_u64`, `gen_range`,
@@ -16,12 +16,8 @@
 //!   ([`prop::u64s`], [`prop::f64_in`], [`prop::rects_in`],
 //!   [`prop::vecs_of`], ...), the [`prop!`](crate::prop!) declaration
 //!   macro, and greedy choice-stream shrinking on failure.
-//! * [`mod@bench`] — a wall-clock bench timer (warmup, calibrated batches,
-//!   min/median/p99 report) behind the [`bench_main!`](crate::bench_main!)
-//!   macro, with an optional `--json` mode that records runs to
-//!   `BENCH_<suite>.json` perf files.
-//! * [`mod@json`] — the minimal JSON value type those perf records (and
-//!   their CI validator) are built on.
+//! * [`mod@json`] — the minimal JSON value type the `e2e` benchmark
+//!   writes its records with and parses its children's output with.
 //!
 //! ## Example
 //!
@@ -41,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod json;
 pub mod prop;
 pub mod rng;

@@ -39,7 +39,8 @@ use std::path::{Path, PathBuf};
 /// Crates whose `src/` must be deterministic: no ambient clocks,
 /// environment reads, or hash-order iteration. `sdr-det` is exempt (it
 /// *implements* the sanctioned clock/RNG), `sdr-net` is the real-I/O
-/// boundary, and `sdr-bench` is a measurement harness.
+/// boundary, and `sdr-bench` is the experiment harness (it reads its
+/// command line and times its own runs).
 const DETERMINISM_CRATES: &[&str] = &["sdr-core", "sdr-geom", "sdr-rtree", "sdr-workload"];
 
 /// Directories whose files are message-handling / delivery paths: the

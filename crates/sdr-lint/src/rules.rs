@@ -245,7 +245,7 @@ pub fn determinism(fs: &FileSource, out: &mut Vec<Violation>) {
             )),
             "Instant" | "SystemTime" => Some(format!(
                 "`{}` reads the wall clock; deterministic crates must take time \
-                 from their caller or use `sdr_det::bench` at the harness edge",
+                 from their caller — wall-clock timing is the `e2e` harness's job",
                 t.text
             )),
             "thread" if follows_path(toks, i, "sleep") => {

@@ -16,8 +16,8 @@
 //!   byte-deterministic: two same-seed runs produce identical logs,
 //!   including fault-injection events.
 //! * [`metrics`] — a [`Metrics`] registry of counters, gauges, and
-//!   fixed-bucket [`Histogram`]s, keyed by sorted `String` names so
-//!   the table reporter and snapshot export are order-stable.
+//!   count/sum/max [`Histogram`]s, keyed by sorted `String` names so
+//!   the snapshot export is order-stable.
 //!
 //! ## Determinism contract
 //!

@@ -1,25 +1,15 @@
-//! Metrics registry: counters, gauges, and fixed-bucket histograms.
+//! Metrics registry: counters, gauges, and count/sum/max histograms.
 //!
-//! Keys are `String` names in a `BTreeMap`, so every reporter walks
-//! them in sorted order — the table and the snapshot export are
-//! byte-deterministic for a fixed run. Name convention is
-//! `area/detail` (e.g. `"msg/Query"`, `"hops/Query"`,
-//! `"load/S0003"`); the slash groups related rows in the table.
+//! Keys are `String` names in a `BTreeMap`, so the snapshot export
+//! walks them in sorted order and is byte-deterministic for a fixed
+//! run. Name convention is `area/detail` (e.g. `"msg/Query"`,
+//! `"hops/Query"`, `"load/S0003"`); the slash groups related rows.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-/// Fixed bucket upper bounds (inclusive) for [`Histogram`]. Chosen for
-/// hop counts and small queue depths: exact through 8, then roughly
-/// ×1.5 steps to 512. Values above the last bound land in the
-/// overflow bucket.
-pub const BUCKET_BOUNDS: [u64; 16] = [0, 1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 64, 128, 256, 512];
-
-/// Fixed-bucket histogram with count/sum/max, sized by
-/// [`BUCKET_BOUNDS`] plus one overflow bucket.
+/// Count, sum and maximum of a stream of observations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
-    buckets: [u64; BUCKET_BOUNDS.len() + 1],
     count: u64,
     sum: u64,
     max: u64,
@@ -28,11 +18,6 @@ pub struct Histogram {
 impl Histogram {
     /// Records one observation.
     pub fn observe(&mut self, v: u64) {
-        let idx = BUCKET_BOUNDS
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(BUCKET_BOUNDS.len());
-        self.buckets[idx] += 1;
         self.count += 1;
         self.sum += v;
         self.max = self.max.max(v);
@@ -41,11 +26,6 @@ impl Histogram {
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
-        self.sum
     }
 
     /// Largest observed value (0 if empty).
@@ -61,25 +41,14 @@ impl Histogram {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Per-bucket counts, `(upper_bound, count)`; the overflow bucket
-    /// reports `u64::MAX` as its bound. Empty buckets are skipped.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (BUCKET_BOUNDS.get(i).copied().unwrap_or(u64::MAX), c))
-    }
 }
 
 /// Sorted-name registry of counters, gauges, and histograms.
 #[derive(Debug, Default)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    /// High-water marks, tracked alongside each gauge.
-    gauge_max: BTreeMap<String, i64>,
+    /// `(current value, high-water mark)` per gauge.
+    gauges: BTreeMap<String, (i64, i64)>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -110,23 +79,12 @@ impl Metrics {
 
     /// Sets a gauge, keeping its high-water mark.
     pub fn set_gauge(&mut self, name: &str, v: i64) {
-        if let Some(g) = self.gauges.get_mut(name) {
+        if let Some((g, hw)) = self.gauges.get_mut(name) {
             *g = v;
+            *hw = (*hw).max(v);
         } else {
-            self.gauges.insert(name.to_owned(), v);
+            self.gauges.insert(name.to_owned(), (v, v));
         }
-        let hw = self.gauge_max.entry(name.to_owned()).or_insert(v);
-        *hw = (*hw).max(v);
-    }
-
-    /// Current gauge value (0 if never set).
-    pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges.get(name).copied().unwrap_or(0)
-    }
-
-    /// High-water mark of a gauge (0 if never set).
-    pub fn gauge_max(&self, name: &str) -> i64 {
-        self.gauge_max.get(name).copied().unwrap_or(0)
     }
 
     /// Records one observation into the named histogram.
@@ -145,63 +103,7 @@ impl Metrics {
         self.histograms.get(name)
     }
 
-    /// Iterates counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Sum of all counters whose name starts with `prefix`. Handy for
-    /// per-category rollups (`"msg/"`) without a second bookkeeping
-    /// pass on the hot path.
-    pub fn counter_prefix_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .range(prefix.to_owned()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, &v)| v)
-            .sum()
-    }
-
-    /// Table reporter: sections for counters, gauges (value + high
-    /// water), and histograms (count/mean/max + non-empty buckets).
-    /// Sorted by name; byte-deterministic for a fixed run.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (k, v) in &self.counters {
-                let _ = writeln!(out, "  {k:<40} {v:>12}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (k, v) in &self.gauges {
-                let hw = self.gauge_max.get(k).copied().unwrap_or(*v);
-                let _ = writeln!(out, "  {k:<40} {v:>12}  (max {hw})");
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for (k, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {k:<40} count {} mean {:.2} max {}",
-                    h.count(),
-                    h.mean(),
-                    h.max()
-                );
-                for (bound, c) in h.buckets() {
-                    if bound == u64::MAX {
-                        let _ = writeln!(out, "    le +inf {c:>12}");
-                    } else {
-                        let _ = writeln!(out, "    le {bound:<4} {c:>12}");
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Flat numeric export for the bench JSON pipeline: every counter
+    /// Flat numeric export: every counter
     /// as-is, every gauge (`name` and `name/max`), and for each
     /// histogram its `count`, `mean`, and `max`. Sorted by name.
     pub fn snapshot(&self) -> Vec<(String, f64)> {
@@ -209,9 +111,8 @@ impl Metrics {
         for (k, &v) in &self.counters {
             out.push((k.clone(), v as f64));
         }
-        for (k, &v) in &self.gauges {
+        for (k, &(v, hw)) in &self.gauges {
             out.push((k.clone(), v as f64));
-            let hw = self.gauge_max.get(k).copied().unwrap_or(v);
             out.push((format!("{k}/max"), hw as f64));
         }
         for (k, h) in &self.histograms {
@@ -243,30 +144,22 @@ mod tests {
         m.set_gauge("depth", 3);
         m.set_gauge("depth", 7);
         m.set_gauge("depth", 2);
-        assert_eq!(m.gauge("depth"), 2);
-        assert_eq!(m.gauge_max("depth"), 7);
+        assert_eq!(
+            m.snapshot(),
+            vec![("depth".to_owned(), 2.0), ("depth/max".to_owned(), 7.0)]
+        );
     }
 
     #[test]
-    fn histogram_buckets_and_stats() {
+    fn histogram_count_mean_max() {
         let mut h = Histogram::default();
         for v in [0, 1, 1, 5, 600] {
             h.observe(v);
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 607);
+        assert_eq!(h.mean(), 607.0 / 5.0);
         assert_eq!(h.max(), 600);
-        let buckets: Vec<_> = h.buckets().collect();
-        assert_eq!(buckets, vec![(0, 1), (1, 2), (5, 1), (u64::MAX, 1)]);
-    }
-
-    #[test]
-    fn prefix_sum_only_matches_prefix() {
-        let mut m = Metrics::new();
-        m.add("msg/Query", 3);
-        m.add("msg/Reply", 2);
-        m.add("msgother", 100);
-        assert_eq!(m.counter_prefix_sum("msg/"), 5);
+        assert_eq!(Histogram::default().mean(), 0.0);
     }
 
     #[test]
@@ -281,16 +174,5 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);
-    }
-
-    #[test]
-    fn render_table_is_pure() {
-        let mut m = Metrics::new();
-        m.inc("x/one");
-        m.set_gauge("y", -3);
-        m.observe("z", 9);
-        assert_eq!(m.render_table(), m.render_table());
-        assert!(m.render_table().contains("counters:"));
-        assert!(m.render_table().contains("(max -3)"));
     }
 }

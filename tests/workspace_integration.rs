@@ -49,12 +49,15 @@ fn distributed_agrees_with_centralized_baseline() {
 }
 
 /// The headline scalability claims of the paper, verified end-to-end at
-/// reduced scale: message-cost ordering of the three variants, load
-/// balancing, logarithmic height.
+/// reduced scale: message-cost ordering of the three variants on inserts
+/// (Fig. 8) and on window and point queries (Fig. 12), logarithmic
+/// height.
 #[test]
 fn paper_shape_claims_hold() {
     let data = DatasetSpec::new(12_000, Distribution::Uniform).generate(9);
-    let mut totals = Vec::new();
+    let windows = WindowSpec::paper_default().generate(300, 11);
+    let points = PointSpec::uniform().generate(300, 13);
+    let (mut inserts, mut per_window, mut per_point) = (Vec::new(), Vec::new(), Vec::new());
     for variant in [Variant::Basic, Variant::ImServer, Variant::ImClient] {
         let mut cluster = Cluster::new(SdrConfig::with_capacity(200));
         let mut client = Client::new(ClientId(0), variant, 3);
@@ -66,13 +69,24 @@ fn paper_shape_claims_hold() {
         for (i, r) in data[2_000..].iter().enumerate() {
             client.insert(&mut cluster, Object::new(Oid(2_000 + i as u64), *r));
         }
-        totals.push(cluster.stats.since(&snap).total);
+        inserts.push(cluster.stats.since(&snap).total);
 
         // Logarithmic height for every variant.
         let n = cluster.num_servers() as f64;
         assert!((cluster.height() as f64) <= 2.0 * n.log2() + 2.0);
+
+        let snap = cluster.stats.snapshot();
+        for w in &windows {
+            client.window_query(&mut cluster, *w);
+        }
+        per_window.push(cluster.stats.since(&snap).total as f64 / windows.len() as f64);
+        let snap = cluster.stats.snapshot();
+        for p in &points {
+            client.point_query(&mut cluster, *p);
+        }
+        per_point.push(cluster.stats.since(&snap).total as f64 / points.len() as f64);
     }
-    let (basic, imserver, imclient) = (totals[0], totals[1], totals[2]);
+    let (basic, imserver, imclient) = (inserts[0], inserts[1], inserts[2]);
     assert!(
         imclient < imserver && imserver < basic,
         "variant ordering violated: BASIC={basic}, IMSERVER={imserver}, IMCLIENT={imclient}"
@@ -82,6 +96,21 @@ fn paper_shape_claims_hold() {
     assert!(
         per_insert < 1.6,
         "IMCLIENT costs {per_insert} messages/insert"
+    );
+    // Fig. 12: an image saves query messages, a client-held one the most.
+    for (what, per_op) in [("window", &per_window), ("point", &per_point)] {
+        let (basic, imserver, imclient) = (per_op[0], per_op[1], per_op[2]);
+        assert!(
+            basic >= imserver && imserver > imclient,
+            "messages per {what} query out of order: \
+             BASIC={basic:.2}, IMSERVER={imserver:.2}, IMCLIENT={imclient:.2}"
+        );
+    }
+    assert!(
+        per_window[2] <= 0.75 * per_window[0],
+        "IMCLIENT pays {:.2} messages per window, BASIC {:.2}",
+        per_window[2],
+        per_window[0]
     );
 }
 
