@@ -19,8 +19,5 @@
 //! `--quick` scales every workload down ~20× (used by the test suite;
 //! shapes remain, absolute numbers shrink).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod exp;
 pub use exp::common::{ExpConfig, Report};

@@ -248,14 +248,18 @@ impl Server {
         out: &mut Outbox,
     ) {
         let self_id = self.id;
+        #[expect(
+            clippy::expect_used,
+            reason = "GatherRotationInner only targets routing nodes; a data-node target is a logic bug"
+        )]
         let r = self
             .routing
             .as_mut()
-            // sdr-lint: allow(panic-safety) — GatherRotationInner only
-            // targets routing nodes; a data-node target is a logic bug
             .expect("rotation happens at a routing node");
-        // sdr-lint: allow(panic-safety) — the rotation was initiated by b
-        // reporting to its parent a, so a's routing node links to b
+        #[expect(
+            clippy::expect_used,
+            reason = "the rotation was initiated by b reporting to its parent a, so a's routing node links to b"
+        )]
         let b_side = r.side_of(b_link.node).expect("b is a child of a");
         let c = *r.child(b_side.other());
         let b_server = b_link.node.server;
@@ -295,10 +299,11 @@ impl Server {
                 best = Some((overlap, dead, s, pair));
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "AVL rotation invariant: with the height pattern that triggered the rotation, at least one of the three redistributions is balanced (paper §3.4)"
+        )]
         let (_, _, s, (s1, s2)) =
-            // sdr-lint: allow(panic-safety) — AVL rotation invariant: with
-            // the height pattern that triggered the rotation, at least one
-            // of the three redistributions is balanced (paper §3.4)
             best.expect("a rotation pattern always admits a balanced redistribution");
 
         // New geometry.
@@ -416,8 +421,10 @@ impl Server {
             },
         );
         // Coverage refresh for a's children (s and c).
-        // sdr-lint: allow(panic-safety) — self.routing was assigned a few
-        // lines up in this same function
+        #[expect(
+            clippy::expect_used,
+            reason = "self.routing was assigned a few lines up in this same function"
+        )]
         let a_new = self.routing.as_ref().expect("just set");
         for (child, sibling) in [(s, c), (c, s)] {
             let new = a_new.oc.derive_child(self_id, &child.dr, &sibling);

@@ -50,13 +50,15 @@ pub struct DirectAccounting {
 
 impl DirectAccounting {
     /// The entry of `server`, created at zero if it is new.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`at` is where `server` was found or has just been inserted"
+    )]
     fn tally(&mut self, server: ServerId) -> &mut (ServerId, u32, u32) {
         let at = self.servers.partition_point(|e| e.0 < server);
         if self.servers.get(at).is_none_or(|e| e.0 != server) {
             self.servers.insert(at, (server, 0, 0));
         }
-        // sdr-lint: allow(panic-safety) — `at` is where `server` was
-        // found or has just been inserted
         &mut self.servers[at]
     }
 
@@ -474,9 +476,11 @@ impl Transport for Cluster {
 
 /// The simulator client's loud failure mode: an incomplete answer panics,
 /// and the chaos suite counts the caught panic as a *reported* failure.
+#[expect(
+    clippy::panic,
+    reason = "deliberate: the simulator has no caller to hand a lost reply to, and silence would be a wrong answer"
+)]
 pub(crate) fn loud<R>(outcome: Result<R, Incomplete>) -> R {
-    // sdr-lint: allow(panic-safety) — deliberate: the simulator has no
-    // caller to hand a lost reply to, and silence would be a wrong answer.
     outcome.unwrap_or_else(|e| panic!("{e}"))
 }
 

@@ -156,10 +156,11 @@ impl Cluster {
     }
 
     /// Read access to one server.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ServerIds are allocated densely by this cluster and servers are never removed; an out-of-range id is a local logic bug that must fail loudly"
+    )]
     pub fn server(&self, id: ServerId) -> &Server {
-        // sdr-lint: allow(panic-safety) — ServerIds are allocated densely
-        // by this cluster and servers are never removed; an out-of-range
-        // id is a local logic bug that must fail loudly.
         &self.servers[id.0 as usize]
     }
 
@@ -169,9 +170,11 @@ impl Cluster {
     }
 
     /// Mutable access for in-process construction (bulk loading).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "same dense-allocation contract as `server()`: a bad id is a construction bug, panic wanted"
+    )]
     pub(crate) fn server_mut(&mut self, id: ServerId) -> &mut Server {
-        // sdr-lint: allow(panic-safety) — same dense-allocation contract
-        // as `server()`: a bad id is a construction bug, panic wanted.
         &mut self.servers[id.0 as usize]
     }
 
@@ -223,10 +226,16 @@ impl Cluster {
     /// The root node of the distributed tree: the routing node without a
     /// parent, or — before the first split / after a total elimination —
     /// the parentless data node.
+    #[expect(
+        clippy::unreachable,
+        reason = "structural invariant: server 0 exists from construction and some node is always parentless"
+    )]
     pub fn root_node(&self) -> NodeRef {
         // Fast path: the cached server still hosts the routing root.
-        // sdr-lint: allow(panic-safety) — the cache only ever holds an id
-        // this cluster allocated, and servers are never removed.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the cache only ever holds an id this cluster allocated, and servers are never removed"
+        )]
         if let Some(node) = routing_root_on(&self.servers[self.root_cache.get().0 as usize]) {
             return node;
         }
@@ -244,8 +253,6 @@ impl Cluster {
                 }
             }
         }
-        // sdr-lint: allow(panic-safety) — structural invariant: server 0
-        // exists from construction and some node is always parentless.
         unreachable!("a non-empty cluster always has a root node");
     }
 
@@ -419,9 +426,12 @@ impl Cluster {
                     m.set_gauge("queue/depth", self.queue.len() as i64);
                 }
                 let Envelope { msg, id, depth, .. } = env;
-                // sdr-lint: allow(lossy-cast) — server ids are allocated densely from 0; the count fits u32 by the id-space contract
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "server ids are allocated densely from 0; the count fits u32 by the id-space contract"
+                )]
                 let mut out = Outbox::new(sid, self.servers.len() as u32);
-                // sdr-lint: allow(panic-safety) — idx bounds-asserted above
+                #[expect(clippy::indexing_slicing, reason = "idx bounds-asserted above")]
                 self.servers[idx].handle(msg.from, msg.payload, &mut out);
                 for alloc in out.allocated {
                     debug_assert_eq!(alloc.0 as usize, self.servers.len());
@@ -457,18 +467,13 @@ impl Cluster {
         if self.delayed.is_empty() {
             return;
         }
-        let mut i = 0;
-        while i < self.delayed.len() {
-            // sdr-lint: allow(panic-safety) — i < len is the loop guard
-            if self.delayed[i].1 <= 1 {
-                let (mut env, _) = self.delayed.remove(i);
-                env.fresh = false;
-                self.queue.push_back(env);
-            } else {
-                // sdr-lint: allow(panic-safety) — i < len is the loop guard
-                self.delayed[i].1 -= 1;
-                i += 1;
-            }
+        let expired = self.delayed.extract_if(.., |(_, n)| {
+            *n = n.saturating_sub(1);
+            *n == 0
+        });
+        for (mut env, _) in expired {
+            env.fresh = false;
+            self.queue.push_back(env);
         }
     }
 

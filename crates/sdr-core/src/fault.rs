@@ -34,9 +34,11 @@ struct Rates {
 }
 
 impl Rates {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the array is sized to the MsgCategory count and index() maps each variant below it"
+    )]
     fn rate(&self, c: MsgCategory) -> f64 {
-        // sdr-lint: allow(panic-safety) — the array is sized to the
-        // MsgCategory count and index() maps each variant below it
         self.per[c.index()].unwrap_or(self.base)
     }
 
@@ -85,8 +87,8 @@ macro_rules! rate_setters {
         }
 
         /// Overrides the probability of this fault for one category.
+        #[expect(clippy::indexing_slicing, reason = "index() < category count")]
         pub fn $for_one(mut self, c: MsgCategory, p: f64) -> Self {
-            // sdr-lint: allow(panic-safety) — index() < category count
             self.$field.per[c.index()] = Some(p);
             self
         }
@@ -175,7 +177,10 @@ impl FaultInjector {
         }
         if self.rng.gen_bool(self.plan.delay.rate(c)) {
             stats.record_fault(FaultKind::Delay, c);
-            // sdr-lint: allow(lossy-cast) — bounded() returns < max_delay, which is itself a u32
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "bounded() returns < max_delay, which is itself a u32"
+            )]
             let n = 1 + bounded(&mut self.rng, self.plan.max_delay as u64) as u32;
             return FaultDecision::Delay(n);
         }
@@ -274,7 +279,7 @@ mod tests {
         }
         let drops = stats.fault(FaultKind::Drop);
         assert!(
-            (2_200..2_800).contains(&(drops as usize)),
+            (2_200..2_800).contains(&drops),
             "expected ~2500 drops, got {drops}"
         );
         assert_eq!(stats.fault_in(FaultKind::Drop, MsgCategory::Insert), drops);

@@ -227,7 +227,10 @@ impl Server {
     /// rather than the probes' bbox prunes boundary fan-out without
     /// losing pairs — and the OC not followed: probes are born per OC
     /// entry and travel through its ancestor (module docs).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the JoinProbe payload's fields, unpacked by the dispatcher"
+    )]
     pub(crate) fn on_join_probe(
         &mut self,
         target: NodeRef,

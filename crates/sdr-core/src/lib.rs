@@ -60,17 +60,43 @@
 //! assert_eq!(out.results.len(), 16);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// Panic-safety and lossy casts (DESIGN.md decision 9): handlers must not
+// panic on remote input nor truncate silently. New modules are covered by
+// default; the four below that handle no message opt out, each with its
+// reason.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation
+)]
 
 mod balance;
+#[expect(
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    reason = "offline construction before any message flows; leaf counts fit the id space and a broken invariant is a local bug that should fail loudly"
+)]
 mod bulk;
 pub mod client;
 pub mod cluster;
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`min_objects` floors a fraction of `capacity`, which is a usize to begin with"
+)]
 pub mod config;
 pub mod fault;
 pub mod ids;
 pub mod image;
+#[expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "the test oracle: a violated invariant is meant to fail loudly"
+)]
 pub mod invariants;
 pub mod join;
 pub mod knn;
@@ -81,6 +107,10 @@ pub mod oc;
 mod oc_maint;
 mod query;
 pub mod server;
+#[expect(
+    clippy::indexing_slicing,
+    reason = "arrays sized to the enum whose index() addresses them, and a per-server vector grown to the id just before the write"
+)]
 pub mod stats;
 mod variant;
 

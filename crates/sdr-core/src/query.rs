@@ -137,7 +137,10 @@ impl Server {
     /// of this hop and — if this node's rectangle covers `whole` — the
     /// ancestors of its OC table, whose other subtrees that can match
     /// are exactly those targets (Definition 3).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the hop state every traversal payload carries, shared by three callers"
+    )]
     pub(crate) fn decide_hop(
         &self,
         target: NodeRef,
@@ -398,8 +401,11 @@ impl Server {
                 // silently incomplete aggregate. Fail loudly instead: the
                 // fan-out is bounded by the number of servers (u32 ids),
                 // so the conversion cannot fail on real input.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "deliberate loud failure on an impossible >u32::MAX fan-out"
+                )]
                 let remaining = u32::try_from(hop.spawned.len())
-                    // sdr-lint: allow(panic-safety) — deliberate loud failure on an impossible >u32::MAX fan-out
                     .expect("query fan-out exceeds u32: corrupt hop state");
                 self.pending.entries.insert(
                     key,
@@ -443,13 +449,11 @@ impl Server {
         // at most once, and `remaining` starts at the route count.
         entry.remaining = entry.remaining.saturating_sub(1);
         if entry.remaining == 0 {
-            let entry = self
-                .pending
-                .entries
-                .remove(&group)
-                // sdr-lint: allow(panic-safety) — the same key was just
-                // read through get_mut to decrement `remaining`
-                .expect("present");
+            #[expect(
+                clippy::expect_used,
+                reason = "the same key was just read through get_mut to decrement `remaining`"
+            )]
+            let entry = self.pending.entries.remove(&group).expect("present");
             send_aggregate(
                 entry.reply_via,
                 entry.parent_branch,
@@ -468,7 +472,10 @@ impl Server {
     /// object's mbb (the same hop decision, the OC followed); the data
     /// node holding the object removes it, tightens its rectangle, and
     /// may eliminate itself.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the Delete payload's fields, unpacked by the dispatcher"
+    )]
     pub(crate) fn on_delete(
         &mut self,
         obj: Object,

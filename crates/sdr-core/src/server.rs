@@ -438,10 +438,12 @@ impl Server {
             }
             self.maybe_split(out);
         } else {
+            #[expect(
+                clippy::expect_used,
+                reason = "a root data node covers everything, so the not-covered branch implies a parent"
+            )]
             let parent = d
                 .parent
-                // sdr-lint: allow(panic-safety) — a root data node covers
-                // everything, so the not-covered branch implies a parent
                 .expect("covered check failed only on non-root leaves");
             forward_insert(NodeRef::routing(parent), obj, trace, iam_to, out);
         }
@@ -475,7 +477,7 @@ impl Server {
             }
             self.descend_insert(obj, trace, iam_to, out);
         } else {
-            // sdr-lint: allow(panic-safety) — guarded by !r.is_root()
+            #[expect(clippy::expect_used, reason = "guarded by !r.is_root()")]
             let parent = r.parent.expect("non-root routing node has a parent");
             forward_insert(NodeRef::routing(parent), obj, trace, iam_to, out);
         }
@@ -493,11 +495,13 @@ impl Server {
         out: &mut Outbox,
     ) {
         self.append_iam(&mut trace);
+        #[expect(
+            clippy::expect_used,
+            reason = "routing-protocol invariant: only a parent that linked us as routing child sends this"
+        )]
         let r = self
             .routing
             .as_mut()
-            // sdr-lint: allow(panic-safety) — routing-protocol invariant:
-            // only a parent that linked us as routing child sends this
             .expect("InsertDescend addresses a routing node");
         if let Some(ndr) = new_dr {
             // Union rather than overwrite: under TCP concurrency our dr
@@ -516,11 +520,13 @@ impl Server {
     /// and forward.
     fn descend_insert(&mut self, obj: Object, trace: Trace, iam_to: ImageHolder, out: &mut Outbox) {
         let self_id = self.id;
+        #[expect(
+            clippy::expect_used,
+            reason = "both callers verified this server hosts a routing node before descending"
+        )]
         let r = self
             .routing
             .as_mut()
-            // sdr-lint: allow(panic-safety) — both callers verified this
-            // server hosts a routing node before descending
             .expect("descend happens at routing nodes");
         let side = r.choose_subtree(&obj.mbb);
         let sibling = *r.child(side.other());
@@ -599,11 +605,13 @@ impl Server {
     ) {
         self.append_iam(&mut trace);
         let self_id = self.id;
+        #[expect(
+            clippy::expect_used,
+            reason = "StoreAtLeaf is only sent along a parent link that records us as a data child"
+        )]
         let d = self
             .data
             .as_mut()
-            // sdr-lint: allow(panic-safety) — StoreAtLeaf is only sent
-            // along a parent link that records us as a data child
             .expect("StoreAtLeaf addresses a data node");
         // In the synchronous regime `new_dr` equals our dr united with
         // the object. Under real concurrency (TCP deployment) we may
@@ -646,7 +654,7 @@ impl Server {
         if !needs_split {
             return;
         }
-        // sdr-lint: allow(panic-safety) — needs_split verified data exists
+        #[expect(clippy::expect_used, reason = "needs_split verified data exists")]
         let d = self.data.as_mut().expect("checked above");
         let new_id = out.alloc_server();
 
@@ -662,10 +670,12 @@ impl Server {
             split: self.config.split,
         };
         let (keep, give) = sdr_rtree::partition(entries, &partition_config);
-        // sdr-lint: allow(panic-safety) — partition() of > capacity ≥ 2
-        // entries returns two non-empty halves by its min_entries contract
+        #[expect(
+            clippy::expect_used,
+            reason = "partition() of > capacity ≥ 2 entries returns two non-empty halves by its min_entries contract"
+        )]
         let keep_dr = Rect::mbb(keep.iter().map(|e| &e.rect)).expect("non-empty half");
-        // sdr-lint: allow(panic-safety) — same partition() contract
+        #[expect(clippy::expect_used, reason = "same partition() contract")]
         let give_dr = Rect::mbb(give.iter().map(|e| &e.rect)).expect("non-empty half");
 
         let old_parent = d.parent;

@@ -1,5 +1,10 @@
 //! Property tests of the client image and CHOOSEFROMIMAGE (§3.1).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the HashMap/HashSet last-writer-wins model is the oracle the image is checked against; its iteration order is never observed"
+)]
+
 use sdr_core::{Image, Link, NodeKind, NodeRef, ServerId};
 use sdr_det::prop::{bools, f64_in, freq, one_of, u32_in, usize_in, vecs_of, Gen};
 use sdr_geom::Rect;

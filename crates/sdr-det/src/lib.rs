@@ -34,9 +34,6 @@
 //! assert_ne!(extents.next_u64(), centers.next_u64());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod json;
 pub mod prop;
 pub mod rng;

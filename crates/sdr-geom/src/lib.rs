@@ -26,9 +26,6 @@
 //! assert!(a.contains_point(&Point::new(0.5, 1.5)));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod kernels;
 mod point;
 mod rect;

@@ -44,8 +44,17 @@
 //! cluster.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// Panic-safety (DESIGN.md decision 9): every file here handles remote
+// input or delivers frames, so a panic takes a node down on bad bytes.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod buf;
 pub mod client;

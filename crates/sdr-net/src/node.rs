@@ -311,8 +311,10 @@ fn accept_loop(deployment: Arc<Deployment>, listener: TcpListener, mut server: S
             // backoff and let only the stop flag end the loop.
             Err(_) => {
                 consecutive_errors = consecutive_errors.saturating_add(1);
-                // sdr-lint: allow(no-sleep) — backoff after a failed
-                // `accept`; a frame that arrives never waits here.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "backoff after a failed `accept`; a frame that arrives never waits here"
+                )]
                 std::thread::sleep(accept_backoff(consecutive_errors));
             }
         }
@@ -331,10 +333,13 @@ fn read_failure(deployment: &Deployment) {
 }
 
 fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Message) {
-    // sdr-lint: allow(lock-hygiene) — serializing whole handler turns
-    // (handle + sends) is the point of this lock; send_message only
-    // writes a frame and never awaits the peer's processing, so no
-    // reply can need this lock before we release it.
+    // Serializing whole handler turns (handle + sends) is the point of
+    // this lock; send_message only writes a frame and never awaits the
+    // peer's processing, so no reply can need this lock before we
+    // release it. That holds while the peer accepts: against an absent
+    // or refusing listener, `transmit`'s connect-retry ladder sleeps
+    // 2, 4, … ms over `send_attempts` tries (≈ 2.5 s at the default 50)
+    // with the lock held.
     let _serialized = deployment
         .handle_lock
         .lock()
@@ -443,8 +448,10 @@ fn transmit(deployment: &Deployment, msg: &Message) {
                 }
             }
         }
-        // sdr-lint: allow(no-sleep) — connect-retry ladder: only a frame
-        // whose listener is absent or refusing waits here.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "connect-retry ladder: only a frame whose listener is absent or refusing waits here"
+        )]
         std::thread::sleep(Duration::from_millis(2 * (attempt + 1)));
     }
     deployment.record_delivery_failure();

@@ -44,9 +44,6 @@
 //! assert_eq!(nn.len(), 3);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod bulk;
 mod config;
 mod entry;

@@ -604,7 +604,7 @@ mod tests {
         let entries = t.drain_all();
         assert_eq!(entries.len(), 150);
         assert!(t.is_empty());
-        let ids: std::collections::HashSet<usize> = entries.iter().map(|e| e.item).collect();
+        let ids: std::collections::BTreeSet<usize> = entries.iter().map(|e| e.item).collect();
         assert_eq!(ids.len(), 150);
     }
 

@@ -25,9 +25,6 @@
 //! assert!(windows.iter().all(|w| w.width() <= 0.1 + 1e-9));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod dataset;
 mod distributions;
 mod motion;

@@ -24,9 +24,6 @@
 //! cargo run --release --example tcp_cluster
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use sdr_core as core;
 pub use sdr_geom as geom;
 pub use sdr_net as net;

@@ -2,6 +2,8 @@
 //! generators feeding the distributed structure, compared against the
 //! centralized local R-tree baseline, across crates.
 
+mod doc_sync;
+
 use sd_rtree::rtree::{RTree, RTreeConfig};
 use sd_rtree::workload::{DatasetSpec, Distribution, PointSpec, WindowSpec};
 use sd_rtree::{Client, ClientId, Cluster, Object, Oid, SdrConfig, Variant};
@@ -151,6 +153,16 @@ fn experiment_harness_smoke() {
     let basic: u64 = last[1].parse().unwrap();
     let imclient: u64 = last[3].parse().unwrap();
     assert!(imclient > 0 && basic > imclient);
+}
+
+/// The workspace's bookkeeping keeps up with `crates/`: README table,
+/// DESIGN.md §1 inventory and §2 numbering, and `[lints] workspace = true`
+/// in every manifest (see `doc_sync::problems`; its fixture tests are in
+/// `rule_fixtures.rs`).
+#[test]
+fn docs_and_manifests_track_the_crates() {
+    let problems = doc_sync::problems(std::path::Path::new(env!("CARGO_MANIFEST_DIR")));
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
 }
 
 /// Skewed data stresses rotations; everything stays consistent and
