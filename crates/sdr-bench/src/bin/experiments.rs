@@ -4,12 +4,12 @@
 //! ```text
 //! experiments [--quick] [all | fig8a fig8b table1 fig9 fig10a fig10b
 //!              fig11 fig12a fig12b fig13 fig14
-//!              protocols splits msgsize bulkload]
+//!              protocols msgsize bulkload]
 //! ```
 
 use sdr_bench::exp::common::{Dist, ExpConfig, QueryType, Workbench};
 use sdr_bench::exp::{
-    bulkload, fig10, fig11, fig12, fig13, fig14, fig8, fig9, msgsize, protocols, splits, table1,
+    bulkload, fig10, fig11, fig12, fig13, fig14, fig8, fig9, msgsize, protocols, table1,
 };
 
 const ALL: &[&str] = &[
@@ -25,7 +25,6 @@ const ALL: &[&str] = &[
     "fig13",
     "fig14",
     "protocols",
-    "splits",
     "msgsize",
     "bulkload",
 ];
@@ -106,7 +105,6 @@ fn main() {
             "protocols" => protocols::run(&cfg),
             "msgsize" => msgsize::run(&cfg),
             "bulkload" => bulkload::run(&cfg),
-            "splits" => splits::run(&cfg),
             _ => unreachable!("validated above"),
         };
         report.emit(&cfg);

@@ -11,5 +11,4 @@ pub mod fig8;
 pub mod fig9;
 pub mod msgsize;
 pub mod protocols;
-pub mod splits;
 pub mod table1;

@@ -1,6 +1,6 @@
 //! Structure-wide configuration.
 
-use sdr_rtree::{RTreeConfig, SplitPolicy};
+use sdr_rtree::RTreeConfig;
 
 /// Configuration of an SD-Rtree deployment.
 #[derive(Clone, Copy, Debug)]
@@ -9,12 +9,6 @@ pub struct SdrConfig {
     /// splits. The paper's experiments use 3,000 (§5); tests use small
     /// values to force deep trees cheaply.
     pub capacity: usize,
-    /// Split policy used to divide an overflowing data node's objects in
-    /// two. §2.2 asks only for "a split algorithm similar to that of the
-    /// classical Rtree"; the default is the R\* axis sweep §7 names, which
-    /// is O(n log n) in the node (DESIGN.md decision 16). `Linear` and
-    /// `Quadratic` are kept for the `experiments splits` comparison.
-    pub split: SplitPolicy,
 }
 
 /// Fill fraction of `capacity` below which a deletion triggers node
@@ -22,43 +16,30 @@ pub struct SdrConfig {
 const MIN_FILL: f64 = 0.2;
 
 /// Each server's local R-tree repository: `RTreeConfig::default()`
-/// (`M = 32`, `m = 12`, quadratic node splits), spelled out because
-/// `Default::default` is not `const`. Its 33-entry node splits are not the
-/// distributed split and keep Guttman's quadratic algorithm, whatever
-/// [`SdrConfig::split`] says.
+/// (`M = 32`, `m = 12`), spelled out because `Default::default` is not
+/// `const`. Its 33-entry node splits are Guttman's quadratic split; the
+/// distributed split of the whole data node is the R\* sweep of
+/// [`sdr_rtree::partition`] (DESIGN.md decision 16).
 pub(crate) const LOCAL_RTREE: RTreeConfig = RTreeConfig {
     max_entries: 32,
     min_entries: 12,
-    split: SplitPolicy::Quadratic,
 };
 
 impl Default for SdrConfig {
     /// The paper's capacity of 3,000 (§5) and elimination below 20 %
-    /// fill (§3.3), with the R\* sweep as the distributed split.
+    /// fill (§3.3).
     fn default() -> Self {
-        SdrConfig {
-            capacity: 3_000,
-            split: SplitPolicy::RStar,
-        }
+        SdrConfig { capacity: 3_000 }
     }
 }
 
 impl SdrConfig {
-    /// A configuration with the given data-node capacity and defaults
-    /// elsewhere. Useful in tests, where small capacities force deep
-    /// distributed trees from small datasets.
+    /// A configuration with the given data-node capacity. Useful in tests,
+    /// where small capacities force deep distributed trees from small
+    /// datasets.
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity >= 2, "capacity must allow a meaningful split");
-        SdrConfig {
-            capacity,
-            ..SdrConfig::default()
-        }
-    }
-
-    /// Overrides the split policy.
-    pub fn with_split(mut self, split: SplitPolicy) -> Self {
-        self.split = split;
-        self
+        SdrConfig { capacity }
     }
 
     /// The minimum object count below which elimination triggers.
@@ -81,10 +62,6 @@ mod tests {
         let c = SdrConfig::default();
         assert_eq!(c.capacity, 3_000);
         assert_eq!(c.min_objects(), 600);
-        // The distributed split is the sweep; each server's local tree
-        // still splits its own nodes quadratically.
-        assert_eq!(c.split, SplitPolicy::RStar);
-        assert_eq!(LOCAL_RTREE.split, SplitPolicy::Quadratic);
         c.validate();
         assert_eq!(LOCAL_RTREE, RTreeConfig::default());
     }

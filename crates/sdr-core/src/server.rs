@@ -13,7 +13,7 @@ use crate::link::Link;
 use crate::msg::{Endpoint, ImageHolder, Message, Payload, Trace};
 use crate::node::{DataNode, Object, RoutingNode};
 use sdr_geom::Rect;
-use sdr_rtree::{Entry, RTree, RTreeConfig};
+use sdr_rtree::{Entry, RTree};
 
 /// Collects the messages a server emits while handling one input, and
 /// provisions fresh servers for splits.
@@ -659,17 +659,13 @@ impl Server {
         let new_id = out.alloc_server();
 
         // Divide the objects in two approximately equal subsets (§2.2):
-        // the whole node goes through the configured split once, as if it
-        // were one overflowing R-tree node whose halves must each keep
-        // 40 %. With the default R* sweep that is O(n log n) in the
-        // node: five sorts and a few linear passes (DESIGN.md decision 16).
+        // the whole node goes through the R* sweep once, as if it were one
+        // overflowing R-tree node whose halves must each keep 40 %. That is
+        // O(n log n) in the node: five sorts and a few linear passes
+        // (DESIGN.md decision 16).
         let entries = d.tree.drain_all();
-        let partition_config = RTreeConfig {
-            max_entries: entries.len().max(2),
-            min_entries: ((entries.len() * 2) / 5).max(1),
-            split: self.config.split,
-        };
-        let (keep, give) = sdr_rtree::partition(entries, &partition_config);
+        let min_half = ((entries.len() * 2) / 5).max(1);
+        let (keep, give) = sdr_rtree::partition(entries, min_half);
         #[expect(
             clippy::expect_used,
             reason = "partition() of > capacity ≥ 2 entries returns two non-empty halves by its min_entries contract"

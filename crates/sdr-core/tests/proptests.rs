@@ -1,12 +1,11 @@
 //! Property tests of the whole distributed structure: arbitrary
 //! interleavings of inserts, deletes, point and window queries must
-//! agree with a brute-force oracle, for every variant and split policy,
-//! and the structural invariants must hold at quiescence.
+//! agree with a brute-force oracle, for every variant, and the
+//! structural invariants must hold at quiescence.
 
 use sdr_core::{Client, ClientId, Cluster, MsgCategory, Object, Oid, SdrConfig, Variant};
 use sdr_det::prop::{f64_in, freq, just, one_of, points_in, usize_in, vecs_of, Gen};
 use sdr_geom::{Point, Rect};
-use sdr_rtree::SplitPolicy;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -48,14 +47,6 @@ fn arb_variant() -> Gen<Variant> {
         just(Variant::Basic),
         just(Variant::ImClient),
         just(Variant::ImServer),
-    ])
-}
-
-fn arb_policy() -> Gen<SplitPolicy> {
-    one_of(vec![
-        just(SplitPolicy::Linear),
-        just(SplitPolicy::Quadratic),
-        just(SplitPolicy::RStar),
     ])
 }
 
@@ -112,10 +103,9 @@ sdr_det::prop! {
         cases = 100;
         ops in arb_ops(),
         variant in arb_variant(),
-        policy in arb_policy(),
         capacity in usize_in(8..40),
     ) {
-        let mut cluster = Cluster::new(SdrConfig::with_capacity(capacity).with_split(policy));
+        let mut cluster = Cluster::new(SdrConfig::with_capacity(capacity));
         let mut client = Client::new(ClientId(0), variant, 7);
         // The oracle: (oid, rect, alive).
         let mut oracle: Vec<(u64, Rect, bool)> = Vec::new();
@@ -203,13 +193,12 @@ sdr_det::prop! {
     ///   one, which refreshes the rotated subtree unconditionally on top
     ///   ("the whole tree may be affected", §2.4). Linear in N, rare, and
     ///   measured at ≤ 0.64 and ≤ 1.10 of 2N − 1 over 2.7 M inserts at
-    ///   capacities 3, 10 and 25 under all three policies.
+    ///   capacities 3, 10 and 25, over three data-node split algorithms.
     fn insert_only_message_cost_is_logarithmic(
         cases = 100;
         rects in vecs_of(arb_rect(), 100..300),
-        policy in arb_policy(),
     ) {
-        let mut cluster = Cluster::new(SdrConfig::with_capacity(10).with_split(policy));
+        let mut cluster = Cluster::new(SdrConfig::with_capacity(10));
         let mut client = Client::new(ClientId(0), Variant::ImClient, 3);
         for (i, r) in rects.iter().enumerate() {
             let before = cluster.stats.snapshot();
@@ -254,15 +243,14 @@ sdr_det::prop! {
     /// each that together hold exactly what it held, each half's
     /// directory rectangle is the MBB of its objects, and the tree is
     /// invariant-clean afterwards — for the root's split and the ones
-    /// below it, on every shape, under every policy.
+    /// below it, on every shape.
     fn a_full_data_node_splits_in_two_fair_halves(
         cases = 100;
         draws in vecs_of(arb_draws(), 120..121),
         shape in arb_shape(),
-        policy in arb_policy(),
         capacity in usize_in(4..41),
     ) {
-        let mut cluster = Cluster::new(SdrConfig::with_capacity(capacity).with_split(policy));
+        let mut cluster = Cluster::new(SdrConfig::with_capacity(capacity));
         let mut client = Client::new(ClientId(0), Variant::ImClient, 5);
         let mut splits = 0;
         for (i, draw) in draws[..3 * capacity].iter().enumerate() {
@@ -287,7 +275,7 @@ sdr_det::prop! {
                 let d = data(half);
                 assert!(
                     d.len() >= (capacity + 1) * 2 / 5,
-                    "{policy:?} on {shape:?}: a half of {} from {}",
+                    "{shape:?}: a half of {} from {}",
                     d.len(),
                     capacity + 1
                 );

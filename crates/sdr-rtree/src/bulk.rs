@@ -162,7 +162,6 @@ fn str_pack<I: Centered, O>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SplitPolicy;
     use sdr_geom::Point;
 
     fn entries(n: usize) -> Vec<Entry<usize>> {
@@ -198,25 +197,18 @@ mod tests {
 
     #[test]
     fn bulk_loaded_tree_answers_point_queries() {
-        let t = RTree::bulk_load(
-            RTreeConfig::with_max(16, SplitPolicy::Quadratic),
-            entries(500),
-        );
+        let t = RTree::bulk_load(RTreeConfig::with_max(16), entries(500));
         let hits = t.search_point(&Point::new(2.2 + 0.2, 0.2));
         assert!(hits.iter().any(|e| e.item == 2));
     }
 
     #[test]
     fn bulk_load_has_high_fill_and_low_height() {
-        let t = RTree::bulk_load(
-            RTreeConfig::with_max(10, SplitPolicy::Quadratic),
-            entries(1000),
-        );
+        let t = RTree::bulk_load(RTreeConfig::with_max(10), entries(1000));
         // 1000 entries, M=10: 100 leaves, 10 internals, 1 root => height 2.
         assert!(t.height() <= 3);
         let inserted = {
-            let mut t2: RTree<usize> =
-                RTree::new(RTreeConfig::with_max(10, SplitPolicy::Quadratic));
+            let mut t2: RTree<usize> = RTree::new(RTreeConfig::with_max(10));
             for e in entries(1000) {
                 t2.insert(e.rect, e.item);
             }

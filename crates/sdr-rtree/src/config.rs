@@ -1,42 +1,13 @@
-/// Node-split algorithm used when a node overflows.
-///
-/// All three are implemented from their original descriptions; the
-/// SD-Rtree paper uses the Guttman split for data-node division (§2.2
-/// cites Guttman \[6\] and Garcia et al. \[5\]) and mentions R\*-style
-/// splitting as future work (§7), which we also provide.
+/// Structural parameters of an [`crate::RTree`]. An overflowing node
+/// always splits with Guttman's quadratic algorithm (DESIGN.md decision
+/// 16); the configuration only sizes the nodes.
 ///
 /// # Examples
 ///
 /// ```
-/// use sdr_rtree::SplitPolicy;
+/// use sdr_rtree::RTreeConfig;
 ///
-/// assert_eq!(SplitPolicy::default(), SplitPolicy::Quadratic);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum SplitPolicy {
-    /// Guttman's linear-cost split: pick the two seeds with the greatest
-    /// normalized separation along any axis, then assign the remaining
-    /// entries greedily by least enlargement.
-    Linear,
-    /// Guttman's quadratic-cost split: pick the seed pair wasting the most
-    /// area if grouped together, then repeatedly assign the entry with the
-    /// strongest preference for one group. The classical default.
-    #[default]
-    Quadratic,
-    /// The R\*-tree topological split: choose the split axis by minimal
-    /// total margin over all distributions, then the distribution with
-    /// minimal overlap (ties by minimal total area).
-    RStar,
-}
-
-/// Structural parameters of an [`crate::RTree`].
-///
-/// # Examples
-///
-/// ```
-/// use sdr_rtree::{RTreeConfig, SplitPolicy};
-///
-/// let config = RTreeConfig::with_max(16, SplitPolicy::Linear);
+/// let config = RTreeConfig::with_max(16);
 /// assert_eq!(config.max_entries, 16);
 /// config.validate(); // would panic if m/M were inconsistent
 /// ```
@@ -47,25 +18,20 @@ pub struct RTreeConfig {
     /// Minimum number of entries per non-root node (`m`).
     /// Must satisfy `1 <= m <= M / 2`.
     pub min_entries: usize,
-    /// Which split algorithm to run on overflow.
-    pub split: SplitPolicy,
 }
 
 impl Default for RTreeConfig {
-    /// `M = 32`, `m = 12` (≈ 40 % of `M`, the R\*-tree recommendation),
-    /// quadratic split.
+    /// `M = 32`, `m = 12` (≈ 40 % of `M`, the R\*-tree recommendation).
     fn default() -> Self {
         RTreeConfig {
             max_entries: 32,
             min_entries: 12,
-            split: SplitPolicy::Quadratic,
         }
     }
 }
 
 impl RTreeConfig {
-    /// Creates a configuration with `m = max(1, 40 % of M)` and the given
-    /// split policy.
+    /// Creates a configuration with `m = max(1, 40 % of M)`.
     ///
     /// # Panics
     ///
@@ -74,12 +40,12 @@ impl RTreeConfig {
     /// # Examples
     ///
     /// ```
-    /// use sdr_rtree::{RTreeConfig, SplitPolicy};
+    /// use sdr_rtree::RTreeConfig;
     ///
-    /// let config = RTreeConfig::with_max(10, SplitPolicy::Quadratic);
+    /// let config = RTreeConfig::with_max(10);
     /// assert_eq!(config.min_entries, 4);
     /// ```
-    pub fn with_max(max_entries: usize, split: SplitPolicy) -> Self {
+    pub fn with_max(max_entries: usize) -> Self {
         assert!(
             max_entries >= 2,
             "an R-tree node must hold at least 2 entries"
@@ -88,7 +54,6 @@ impl RTreeConfig {
         RTreeConfig {
             max_entries,
             min_entries,
-            split,
         }
     }
 
@@ -102,12 +67,11 @@ impl RTreeConfig {
     /// # Examples
     ///
     /// ```should_panic
-    /// use sdr_rtree::{RTreeConfig, SplitPolicy};
+    /// use sdr_rtree::RTreeConfig;
     ///
     /// let bad = RTreeConfig {
     ///     max_entries: 4,
     ///     min_entries: 3, // > M/2
-    ///     split: SplitPolicy::Quadratic,
     /// };
     /// bad.validate(); // panics
     /// ```
@@ -133,10 +97,10 @@ mod tests {
 
     #[test]
     fn with_max_computes_min() {
-        let c = RTreeConfig::with_max(10, SplitPolicy::Linear);
+        let c = RTreeConfig::with_max(10);
         assert_eq!(c.min_entries, 4);
         c.validate();
-        let c2 = RTreeConfig::with_max(2, SplitPolicy::RStar);
+        let c2 = RTreeConfig::with_max(2);
         assert_eq!(c2.min_entries, 1);
         c2.validate();
     }
@@ -144,7 +108,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2")]
     fn with_max_rejects_tiny() {
-        RTreeConfig::with_max(1, SplitPolicy::Quadratic);
+        RTreeConfig::with_max(1);
     }
 
     #[test]
@@ -153,7 +117,6 @@ mod tests {
         RTreeConfig {
             max_entries: 4,
             min_entries: 3,
-            split: SplitPolicy::Quadratic,
         }
         .validate();
     }

@@ -1,11 +1,11 @@
 //! # sdr-rtree — local in-memory R-tree
 //!
 //! A from-scratch implementation of the classical R-tree (Guttman, SIGMOD
-//! 1984) with three split policies — [`SplitPolicy::Linear`],
-//! [`SplitPolicy::Quadratic`] and the R\*-tree-style
-//! [`SplitPolicy::RStar`] — plus STR bulk loading, deletion with tree
-//! condensation, window/point search and best-first k-nearest-neighbour
-//! search.
+//! 1984) with Guttman's quadratic node split, plus STR bulk loading,
+//! deletion with tree condensation, window/point search and best-first
+//! k-nearest-neighbour search. [`partition`] divides a whole SD-Rtree data
+//! node with the R\*-tree axis sweep instead: one split per tree level
+//! (DESIGN.md decision 16).
 //!
 //! In the SD-Rtree reproduction this crate plays two roles, both taken
 //! from the paper:
@@ -53,7 +53,7 @@ mod split;
 mod stats;
 mod tree;
 
-pub use config::{RTreeConfig, SplitPolicy};
+pub use config::RTreeConfig;
 pub use entry::Entry;
 pub use split::partition;
 pub use stats::RTreeStats;

@@ -297,10 +297,10 @@ impl Ord for OrdF64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{RTreeConfig, SplitPolicy};
+    use crate::config::RTreeConfig;
 
     fn tree() -> RTree<usize> {
-        let mut t = RTree::new(RTreeConfig::with_max(6, SplitPolicy::Quadratic));
+        let mut t = RTree::new(RTreeConfig::with_max(6));
         for i in 0..400usize {
             let x = (i % 20) as f64;
             let y = (i / 20) as f64;

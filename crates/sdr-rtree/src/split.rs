@@ -1,30 +1,29 @@
-//! Node split algorithms: Guttman Linear, Guttman Quadratic, and the
-//! R\*-tree topological split.
+//! Node split algorithms, one per tree level (DESIGN.md decision 16):
+//! Guttman's quadratic split for the nodes of the local [`crate::RTree`],
+//! and the R\*-tree axis sweep for a whole SD-Rtree data node when a
+//! server overflows (paper §2.2: "the data stored on S is divided in two
+//! approximately equal subsets using a split algorithm similar to that of
+//! the classical Rtree"; §7 names the R\*-type split).
 //!
-//! All three run on the structure-of-arrays coordinate slabs
-//! ([`Slabs`]) and return *index groups*: which slots of the overflowing
-//! node go left and which go right, in assignment order. The caller
-//! distributes the payload (leaf entries, child ids, or — in `sdr-core` —
-//! a whole SD-Rtree data node's object set when a server overflows,
-//! paper §2.2: "the data stored on S is divided in two approximately
-//! equal subsets using a split algorithm similar to that of the classical
-//! Rtree") by those indices. Seed picking, PickNext, and the R\* margin
-//! sweep all read the four coordinate arrays directly — no per-rectangle
-//! pointer chase, and every tie-break matches the original item-moving
-//! implementation exactly, so tree shapes are reproducible across the
-//! layout change.
+//! Both run on the structure-of-arrays coordinate slabs ([`Slabs`]) and
+//! return *index groups*: which slots of the overflowing node go left and
+//! which go right, in assignment order. The caller distributes the
+//! payload (leaf entries, child ids, or the data node's objects) by those
+//! indices. Seed picking, PickNext, and the R\* margin sweep all read the
+//! four coordinate arrays directly — no per-rectangle pointer chase, and
+//! every tie-break matches the original item-moving implementation
+//! exactly, so tree shapes are reproducible across the layout change.
 
-use crate::config::{RTreeConfig, SplitPolicy};
 use crate::entry::Entry;
 use crate::node::Slabs;
 use sdr_geom::Rect;
 
-/// Divides a set of entries into two balanced groups using the configured
-/// split policy — the primitive the SD-Rtree server split builds on
-/// (paper §2.2: an overloaded server's data "is divided in two
-/// approximately equal subsets using a split algorithm similar to that of
-/// the classical Rtree"). `min_entries` of the config bounds the smaller
-/// group where possible.
+/// Divides a set of entries into two balanced groups with the R\* axis
+/// sweep — the SD-Rtree server split (paper §2.2: an overloaded server's
+/// data "is divided in two approximately equal subsets using a split
+/// algorithm similar to that of the classical Rtree"). Each group holds
+/// at least `min_entries` entries, capped at half the set. It costs
+/// O(n log n): five sorts and linear sweeps.
 ///
 /// # Panics
 ///
@@ -34,7 +33,7 @@ use sdr_geom::Rect;
 ///
 /// ```
 /// use sdr_geom::Rect;
-/// use sdr_rtree::{partition, Entry, RTreeConfig};
+/// use sdr_rtree::{partition, Entry};
 ///
 /// // Two tight clusters, far apart: any sane split separates them.
 /// let entries: Vec<Entry<u32>> = (0..8)
@@ -43,34 +42,18 @@ use sdr_geom::Rect;
 ///         Entry::new(Rect::new(x, 0.0, x + 1.0, 1.0), i)
 ///     })
 ///     .collect();
-/// let (left, right) = partition(entries, &RTreeConfig::default());
+/// let (left, right) = partition(entries, 3);
 /// assert_eq!(left.len() + right.len(), 8);
 /// assert_eq!(left.len(), 4);
 /// ```
-pub fn partition<T>(
-    entries: Vec<Entry<T>>,
-    config: &RTreeConfig,
-) -> (Vec<Entry<T>>, Vec<Entry<T>>) {
+pub fn partition<T>(entries: Vec<Entry<T>>, min_entries: usize) -> (Vec<Entry<T>>, Vec<Entry<T>>) {
     assert!(
         entries.len() >= 2,
         "cannot partition fewer than two entries"
     );
     let slabs = Slabs::from_rects(entries.iter().map(|e| &e.rect));
-    let (ga, gb) = split_ids(&slabs, config);
+    let (ga, gb) = rstar_split(&slabs, min_entries);
     gather(entries, &ga, &gb)
-}
-
-/// Splits the slots of `slabs` (which overflowed: `len == M + 1` in tree
-/// usage, but any length ≥ 2 is accepted) into two index groups according
-/// to the configured policy. Both groups are non-empty and, when
-/// possible, hold at least `config.min_entries` slots.
-pub(crate) fn split_ids(slabs: &Slabs, config: &RTreeConfig) -> (Vec<u32>, Vec<u32>) {
-    debug_assert!(slabs.len() >= 2, "cannot split fewer than two items");
-    match config.split {
-        SplitPolicy::Linear => guttman_split(slabs, config, linear_pick_seeds),
-        SplitPolicy::Quadratic => guttman_split(slabs, config, quadratic_pick_seeds),
-        SplitPolicy::RStar => rstar_split(slabs, config),
-    }
 }
 
 /// Moves `payload` into two vectors following the index groups, in group
@@ -101,63 +84,6 @@ pub(crate) fn gather_slabs(slabs: &Slabs, ga: &[u32], gb: &[u32]) -> (Slabs, Sla
     (pick(ga), pick(gb))
 }
 
-/// Guttman's LinearPickSeeds: for each axis find the slot with the
-/// highest low side and the slot with the lowest high side; normalize the
-/// separation by the axis extent; pick the pair with the greatest
-/// normalized separation.
-fn linear_pick_seeds(slabs: &Slabs) -> (usize, usize) {
-    let mut best_sep = f64::NEG_INFINITY;
-    let mut best = (0, 1);
-    for axis in 0..2 {
-        let (lo, hi, side_lo, side_hi) = axis_extremes(slabs, axis);
-        let extent = hi - lo;
-        let sep = if extent > 0.0 {
-            (side_lo.1 - side_hi.1) / extent
-        } else {
-            0.0
-        };
-        if sep > best_sep && side_lo.0 != side_hi.0 {
-            best_sep = sep;
-            best = (side_hi.0, side_lo.0);
-        }
-    }
-    if best.0 == best.1 {
-        // All rectangles identical along both axes: fall back to the first
-        // two slots (any partition is equally good).
-        best = (0, 1);
-    }
-    best
-}
-
-/// For `axis` (0 = x, 1 = y) returns:
-/// (global min low side, global max high side,
-///  (index, value) of the highest low side,
-///  (index, value) of the lowest high side).
-fn axis_extremes(slabs: &Slabs, axis: usize) -> (f64, f64, (usize, f64), (usize, f64)) {
-    let (xmin, ymin, xmax, ymax) = slabs.sections();
-    let (los, his) = if axis == 0 {
-        (xmin, xmax)
-    } else {
-        (ymin, ymax)
-    };
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    let mut highest_low = (0usize, f64::NEG_INFINITY);
-    let mut lowest_high = (0usize, f64::INFINITY);
-    for i in 0..slabs.len() {
-        let (l, h) = (los[i], his[i]);
-        lo = lo.min(l);
-        hi = hi.max(h);
-        if l > highest_low.1 {
-            highest_low = (i, l);
-        }
-        if h < lowest_high.1 {
-            lowest_high = (i, h);
-        }
-    }
-    (lo, hi, highest_low, lowest_high)
-}
-
 /// Guttman's QuadraticPickSeeds: choose the pair that would waste the most
 /// area if grouped together. The O(n²) pairwise sweep runs entirely over
 /// the coordinate slabs.
@@ -182,17 +108,17 @@ fn quadratic_pick_seeds(slabs: &Slabs) -> (usize, usize) {
     best
 }
 
-/// The shared Guttman distribution loop, parameterized by the seed
-/// picker. Tracks a remaining-index vector mirroring the `swap_remove`
-/// sequence of the original item-moving loop, so assignment order and
-/// every tie-break are preserved bit-for-bit.
-fn guttman_split(
-    slabs: &Slabs,
-    config: &RTreeConfig,
-    pick_seeds: fn(&Slabs) -> (usize, usize),
-) -> (Vec<u32>, Vec<u32>) {
-    let m = config.min_entries;
-    let (s1, s2) = pick_seeds(slabs);
+/// Guttman's quadratic split of an overflowing local-tree node (`len ==
+/// M + 1` in tree usage, but any length ≥ 2 is accepted): quadratic seeds,
+/// then PickNext until one group must take the rest to reach
+/// `min_entries`. Both groups are non-empty, and the seeds head them.
+/// Tracks a remaining-index vector mirroring the `swap_remove` sequence of
+/// the original item-moving loop, so assignment order and every tie-break
+/// are preserved bit-for-bit.
+pub(crate) fn guttman_split(slabs: &Slabs, min_entries: usize) -> (Vec<u32>, Vec<u32>) {
+    debug_assert!(slabs.len() >= 2, "cannot split fewer than two items");
+    let m = min_entries;
+    let (s1, s2) = quadratic_pick_seeds(slabs);
     let mut rem: Vec<u32> = (0..slabs.len() as u32).collect();
     // Remove the later index first so the earlier one stays valid.
     let (hi, lo) = if s1 > s2 { (s1, s2) } else { (s2, s1) };
@@ -263,9 +189,9 @@ fn guttman_split(
 /// did — and each pass evaluates every cut position from prefix/suffix
 /// MBB sweeps over the slabs (O(n) per pass instead of the previous
 /// O(n²) recompute-per-cut).
-fn rstar_split(slabs: &Slabs, config: &RTreeConfig) -> (Vec<u32>, Vec<u32>) {
+fn rstar_split(slabs: &Slabs, min_entries: usize) -> (Vec<u32>, Vec<u32>) {
     let total = slabs.len();
-    let m = config.min_entries.min(total / 2).max(1);
+    let m = min_entries.min(total / 2).max(1);
 
     #[derive(Clone, Copy)]
     struct Candidate {
@@ -358,6 +284,11 @@ fn sort_ids(idx: &mut [u32], slabs: &Slabs, axis: usize, by_upper: bool) {
 mod tests {
     use super::*;
 
+    type Split = fn(&Slabs, usize) -> (Vec<u32>, Vec<u32>);
+
+    /// The two splits, each by name: the local tree's and the data node's.
+    const SPLITS: [(&str, Split); 2] = [("quadratic", guttman_split), ("rstar", rstar_split)];
+
     fn rects(n: usize) -> Vec<Rect> {
         (0..n)
             .map(|i| {
@@ -370,57 +301,33 @@ mod tests {
 
     /// Splits raw rectangles through the slab pipeline, returning the
     /// grouped rectangles like the old item-moving `split` did.
-    fn split_rects(items: Vec<Rect>, config: &RTreeConfig) -> (Vec<Rect>, Vec<Rect>) {
+    fn split_rects(items: Vec<Rect>, split: Split, min_entries: usize) -> (Vec<Rect>, Vec<Rect>) {
         let slabs = Slabs::from_rects(items.iter());
-        let (ga, gb) = split_ids(&slabs, config);
+        let (ga, gb) = split(&slabs, min_entries);
         gather(items, &ga, &gb)
     }
 
-    fn check_split(policy: SplitPolicy, n: usize) {
-        let config = RTreeConfig {
-            max_entries: n - 1,
-            min_entries: (n - 1) / 3,
-            split: policy,
-        };
-        let items = rects(n);
-        let (a, b) = split_rects(items, &config);
-        assert_eq!(a.len() + b.len(), n);
-        assert!(!a.is_empty() && !b.is_empty());
-        assert!(
-            a.len() >= config.min_entries && b.len() >= config.min_entries,
-            "{policy:?}: groups {}/{} below m={}",
-            a.len(),
-            b.len(),
-            config.min_entries
-        );
-    }
-
     #[test]
-    fn all_policies_respect_min_fill() {
-        for policy in [
-            SplitPolicy::Linear,
-            SplitPolicy::Quadratic,
-            SplitPolicy::RStar,
-        ] {
+    fn both_splits_respect_min_fill() {
+        for (name, split) in SPLITS {
             for n in [4, 7, 9, 33, 100] {
-                check_split(policy, n);
+                let m = (n - 1) / 3;
+                let (a, b) = split_rects(rects(n), split, m);
+                assert_eq!(a.len() + b.len(), n);
+                assert!(
+                    a.len() >= m && b.len() >= m,
+                    "{name}: groups {}/{} below m={m}",
+                    a.len(),
+                    b.len()
+                );
             }
         }
     }
 
     #[test]
     fn split_of_two_items() {
-        for policy in [
-            SplitPolicy::Linear,
-            SplitPolicy::Quadratic,
-            SplitPolicy::RStar,
-        ] {
-            let config = RTreeConfig {
-                max_entries: 2,
-                min_entries: 1,
-                split: policy,
-            };
-            let (a, b) = split_rects(rects(2), &config);
+        for (_, split) in SPLITS {
+            let (a, b) = split_rects(rects(2), split, 1);
             assert_eq!(a.len(), 1);
             assert_eq!(b.len(), 1);
         }
@@ -428,26 +335,17 @@ mod tests {
 
     #[test]
     fn identical_rects_still_split() {
-        for policy in [
-            SplitPolicy::Linear,
-            SplitPolicy::Quadratic,
-            SplitPolicy::RStar,
-        ] {
-            let config = RTreeConfig {
-                max_entries: 4,
-                min_entries: 2,
-                split: policy,
-            };
+        for (name, split) in SPLITS {
             let items = vec![Rect::new(0.0, 0.0, 1.0, 1.0); 5];
-            let (a, b) = split_rects(items, &config);
+            let (a, b) = split_rects(items, split, 2);
             assert_eq!(a.len() + b.len(), 5);
-            assert!(a.len() >= 2 && b.len() >= 2, "{policy:?}");
+            assert!(a.len() >= 2 && b.len() >= 2, "{name}");
         }
     }
 
     #[test]
     fn separated_clusters_are_not_mixed() {
-        // Two well-separated clusters of 5; every policy should cut
+        // Two well-separated clusters of 5; both splits should cut
         // between them.
         let mut items: Vec<Rect> = (0..5)
             .map(|i| Rect::new(i as f64 * 0.1, 0.0, i as f64 * 0.1 + 0.05, 0.1))
@@ -460,57 +358,64 @@ mod tests {
                 0.1,
             )
         }));
-        for policy in [
-            SplitPolicy::Linear,
-            SplitPolicy::Quadratic,
-            SplitPolicy::RStar,
-        ] {
-            let config = RTreeConfig {
-                max_entries: 9,
-                min_entries: 3,
-                split: policy,
-            };
-            let (a, b) = split_rects(items.clone(), &config);
+        for (name, split) in SPLITS {
+            let (a, b) = split_rects(items.clone(), split, 3);
             let ra = Rect::mbb(a.iter()).unwrap();
             let rb = Rect::mbb(b.iter()).unwrap();
-            assert_eq!(ra.overlap_area(&rb), 0.0, "{policy:?} mixed the clusters");
+            assert_eq!(ra.overlap_area(&rb), 0.0, "{name} mixed the clusters");
         }
     }
 
     #[test]
     fn rstar_minimizes_overlap_on_grid() {
-        let config = RTreeConfig {
-            max_entries: 15,
-            min_entries: 5,
-            split: SplitPolicy::RStar,
-        };
-        let (a, b) = split_rects(rects(16), &config);
-        let ra = Rect::mbb(a.iter()).unwrap();
-        let rb = Rect::mbb(b.iter()).unwrap();
+        let entries: Vec<Entry<usize>> = rects(16)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| Entry::new(r, i))
+            .collect();
+        let (a, b) = partition(entries, 5);
+        assert!(a.len() >= 5 && b.len() >= 5);
+        let ra = Rect::mbb(a.iter().map(|e| &e.rect)).unwrap();
+        let rb = Rect::mbb(b.iter().map(|e| &e.rect)).unwrap();
         // A grid always admits a clean axis cut with bounded overlap.
         assert!(ra.overlap_area(&rb) < ra.area().min(rb.area()));
     }
 
     #[test]
+    fn quadratic_split_seeds_the_max_waste_pair_apart() {
+        // A local-tree overflow: M + 1 = 33 entries, m = 12. The pair that
+        // wastes the most area together (slots 9 and 30, the far corners
+        // of this grid) must head the two groups.
+        let items = rects(33);
+        let waste = |i: usize, j: usize| {
+            items[i].union(&items[j]).area() - items[i].area() - items[j].area()
+        };
+        let mut worst = (0, 1);
+        for i in 0..items.len() {
+            for j in (i + 1)..items.len() {
+                if waste(i, j) > waste(worst.0, worst.1) {
+                    worst = (i, j);
+                }
+            }
+        }
+        assert_eq!(worst, (9, 30));
+        let (ga, gb) = guttman_split(&Slabs::from_rects(items.iter()), 12);
+        let mut seeds = [ga[0] as usize, gb[0] as usize];
+        seeds.sort_unstable();
+        assert_eq!(seeds, [9, 30]);
+    }
+
+    #[test]
     fn index_groups_are_a_disjoint_cover() {
-        for policy in [
-            SplitPolicy::Linear,
-            SplitPolicy::Quadratic,
-            SplitPolicy::RStar,
-        ] {
-            let config = RTreeConfig {
-                max_entries: 32,
-                min_entries: 12,
-                split: policy,
-            };
+        for (name, split) in SPLITS {
             let slabs = Slabs::from_rects(rects(33).iter());
-            let (ga, gb) = split_ids(&slabs, &config);
+            let (ga, gb) = split(&slabs, 12);
             let mut seen = [false; 33];
             for &i in ga.iter().chain(&gb) {
-                assert!(!seen[i as usize], "{policy:?}: slot {i} assigned twice");
+                assert!(!seen[i as usize], "{name}: slot {i} assigned twice");
                 seen[i as usize] = true;
             }
-            assert!(seen.iter().all(|&s| s), "{policy:?}: slot unassigned");
+            assert!(seen.iter().all(|&s| s), "{name}: slot unassigned");
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Structural statistics used by tests (invariant checking) and by the
-//! ablation benchmarks (split-policy quality comparison).
+//! benchmark's per-layer probes (leaf fill).
 
 use crate::node::{Arena, Kind, NodeId};
 use crate::tree::RTree;
@@ -34,7 +34,7 @@ pub struct RTreeStats {
     /// Average leaf fill ratio in `[0, 1]`.
     pub avg_leaf_fill: f64,
     /// Total pairwise overlap area between sibling rectangles, summed over
-    /// every internal node — the quality metric split policies minimize.
+    /// every internal node — the quality metric a node split minimizes.
     pub sibling_overlap: f64,
     /// Total dead space: sum over internal nodes of
     /// `area(node) − Σ area(children)`, clamped at zero per node.
@@ -198,10 +198,10 @@ fn check<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{RTreeConfig, SplitPolicy};
+    use crate::config::RTreeConfig;
 
-    fn build(n: usize, policy: SplitPolicy) -> RTree<usize> {
-        let mut t = RTree::new(RTreeConfig::with_max(8, policy));
+    fn build(n: usize) -> RTree<usize> {
+        let mut t = RTree::new(RTreeConfig::with_max(8));
         for i in 0..n {
             let x = ((i * 37) % 100) as f64;
             let y = ((i * 61) % 100) as f64;
@@ -212,18 +212,12 @@ mod tests {
 
     #[test]
     fn invariants_hold_after_inserts() {
-        for policy in [
-            SplitPolicy::Linear,
-            SplitPolicy::Quadratic,
-            SplitPolicy::RStar,
-        ] {
-            build(800, policy).check_invariants();
-        }
+        build(800).check_invariants();
     }
 
     #[test]
     fn invariants_hold_after_mixed_ops() {
-        let mut t = build(400, SplitPolicy::Quadratic);
+        let mut t = build(400);
         for i in (0..400).step_by(3) {
             let x = ((i * 37) % 100) as f64;
             let y = ((i * 61) % 100) as f64;
@@ -234,7 +228,7 @@ mod tests {
 
     #[test]
     fn stats_count_nodes() {
-        let t = build(500, SplitPolicy::Quadratic);
+        let t = build(500);
         let s = t.stats();
         assert_eq!(s.entries, 500);
         assert!(s.leaves >= 500 / 8);
@@ -252,9 +246,9 @@ mod tests {
                 crate::Entry::new(Rect::new(x, y, x + 1.5, y + 1.5), i)
             })
             .collect();
-        let bulk = RTree::bulk_load(RTreeConfig::with_max(8, SplitPolicy::Quadratic), entries);
+        let bulk = RTree::bulk_load(RTreeConfig::with_max(8), entries);
         bulk.check_invariants();
-        let inc = build(1000, SplitPolicy::Quadratic);
+        let inc = build(1000);
         assert!(bulk.stats().avg_leaf_fill >= inc.stats().avg_leaf_fill);
     }
 }

@@ -2,7 +2,7 @@ use crate::config::RTreeConfig;
 use crate::entry::Entry;
 use crate::node::{Arena, Kind, Node, NodeId, Slabs};
 use crate::query::Scratch;
-use crate::split::{gather, gather_slabs, split_ids};
+use crate::split::{gather, gather_slabs, guttman_split};
 use sdr_geom::Rect;
 use std::cell::RefCell;
 
@@ -59,9 +59,9 @@ impl<T> RTree<T> {
     /// # Examples
     ///
     /// ```
-    /// use sdr_rtree::{RTree, RTreeConfig, SplitPolicy};
+    /// use sdr_rtree::{RTree, RTreeConfig};
     ///
-    /// let tree: RTree<String> = RTree::new(RTreeConfig::with_max(16, SplitPolicy::RStar));
+    /// let tree: RTree<String> = RTree::new(RTreeConfig::with_max(16));
     /// assert!(tree.is_empty());
     /// ```
     pub fn new(config: RTreeConfig) -> Self {
@@ -377,7 +377,7 @@ enum Overflow {
 fn split_node<T>(arena: &mut Arena<T>, id: NodeId, config: &RTreeConfig) -> Overflow {
     let node = arena.node_mut(id);
     let slabs = std::mem::take(&mut node.slabs);
-    let (ga, gb) = split_ids(&slabs, config);
+    let (ga, gb) = guttman_split(&slabs, config.min_entries);
     let (sa, sb) = gather_slabs(&slabs, &ga, &gb);
     let ra = sa.mbb().expect("non-empty split half");
     let rb = sb.mbb().expect("non-empty split half");
@@ -512,11 +512,10 @@ fn remove_rec<T: PartialEq>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SplitPolicy;
     use sdr_geom::Point;
 
-    fn grid_tree(n: usize, policy: SplitPolicy) -> RTree<usize> {
-        let mut t = RTree::new(RTreeConfig::with_max(8, policy));
+    fn grid_tree(n: usize) -> RTree<usize> {
+        let mut t = RTree::new(RTreeConfig::with_max(8));
         for i in 0..n {
             let x = (i % 50) as f64;
             let y = (i / 50) as f64;
@@ -527,27 +526,21 @@ mod tests {
 
     #[test]
     fn insert_and_count() {
-        for policy in [
-            SplitPolicy::Linear,
-            SplitPolicy::Quadratic,
-            SplitPolicy::RStar,
-        ] {
-            let t = grid_tree(500, policy);
-            assert_eq!(t.len(), 500);
-            assert!(t.height() >= 2, "{policy:?} tree too shallow");
-        }
+        let t = grid_tree(500);
+        assert_eq!(t.len(), 500);
+        assert!(t.height() >= 2, "tree too shallow");
     }
 
     #[test]
     fn bbox_covers_everything() {
-        let t = grid_tree(200, SplitPolicy::Quadratic);
+        let t = grid_tree(200);
         let bb = t.bbox().unwrap();
         assert!(bb.contains(&Rect::new(0.0, 0.0, 49.5, 3.5)));
     }
 
     #[test]
     fn point_search_finds_inserted() {
-        let t = grid_tree(500, SplitPolicy::Quadratic);
+        let t = grid_tree(500);
         for i in [0usize, 49, 250, 499] {
             let x = (i % 50) as f64;
             let y = (i / 50) as f64;
@@ -558,7 +551,7 @@ mod tests {
 
     #[test]
     fn remove_existing_entry() {
-        let mut t = grid_tree(300, SplitPolicy::Quadratic);
+        let mut t = grid_tree(300);
         let rect = Rect::new(7.0, 2.0, 7.5, 2.5); // i = 107
         assert!(t.remove(&rect, &107));
         assert_eq!(t.len(), 299);
@@ -575,14 +568,14 @@ mod tests {
 
     #[test]
     fn remove_missing_entry_is_noop() {
-        let mut t = grid_tree(100, SplitPolicy::Quadratic);
+        let mut t = grid_tree(100);
         assert!(!t.remove(&Rect::new(1000.0, 1000.0, 1001.0, 1001.0), &42));
         assert_eq!(t.len(), 100);
     }
 
     #[test]
     fn remove_everything_empties_tree() {
-        let mut t = grid_tree(200, SplitPolicy::Quadratic);
+        let mut t = grid_tree(200);
         for i in 0..200usize {
             let x = (i % 50) as f64;
             let y = (i / 50) as f64;
@@ -600,7 +593,7 @@ mod tests {
 
     #[test]
     fn drain_all_returns_everything() {
-        let mut t = grid_tree(150, SplitPolicy::Linear);
+        let mut t = grid_tree(150);
         let entries = t.drain_all();
         assert_eq!(entries.len(), 150);
         assert!(t.is_empty());
@@ -610,7 +603,7 @@ mod tests {
 
     #[test]
     fn duplicate_rects_with_distinct_items() {
-        let mut t: RTree<u32> = RTree::new(RTreeConfig::with_max(4, SplitPolicy::Quadratic));
+        let mut t: RTree<u32> = RTree::new(RTreeConfig::with_max(4));
         let r = Rect::new(0.0, 0.0, 1.0, 1.0);
         for i in 0..20 {
             t.insert(r, i);
@@ -623,7 +616,7 @@ mod tests {
 
     #[test]
     fn arena_recycles_slots_under_churn() {
-        let mut t: RTree<usize> = RTree::new(RTreeConfig::with_max(4, SplitPolicy::Quadratic));
+        let mut t: RTree<usize> = RTree::new(RTreeConfig::with_max(4));
         for round in 0..5usize {
             for i in 0..200usize {
                 let x = ((i * 31 + round) % 40) as f64;

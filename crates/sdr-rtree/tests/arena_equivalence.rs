@@ -8,9 +8,9 @@
 //! == recomputed MBB, fanout bounds, slab/payload parity, arena
 //! accounting) hold after **every** mutation, not just at the end.
 
-use sdr_det::prop::{f64_in, freq, just, one_of, rects_in, u32s, usize_in, vecs_of, Gen};
+use sdr_det::prop::{f64_in, freq, rects_in, u32s, usize_in, vecs_of, Gen};
 use sdr_geom::{Point, Rect};
-use sdr_rtree::{RTree, RTreeConfig, SplitPolicy};
+use sdr_rtree::{RTree, RTreeConfig};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -44,14 +44,6 @@ fn arb_ops() -> Gen<Vec<Op>> {
         ]),
         1..100,
     )
-}
-
-fn arb_policy() -> Gen<SplitPolicy> {
-    one_of(vec![
-        just(SplitPolicy::Linear),
-        just(SplitPolicy::Quadratic),
-        just(SplitPolicy::RStar),
-    ])
 }
 
 /// Key identifying one stored entry, with coordinates made totally
@@ -153,9 +145,8 @@ fn run_workload(ops: &[Op], config: RTreeConfig) {
 sdr_det::prop! {
     fn mixed_workload_matches_oracle(
         ops in arb_ops(),
-        policy in arb_policy(),
         max in usize_in(4..17),
     ) {
-        run_workload(&ops, RTreeConfig::with_max(max, policy));
+        run_workload(&ops, RTreeConfig::with_max(max));
     }
 }

@@ -1,10 +1,10 @@
 //! Property tests: the R-tree must agree with a brute-force scan under
-//! arbitrary sequences of inserts and deletes, for every split policy,
-//! and its structural invariants must hold throughout.
+//! arbitrary sequences of inserts and deletes, and its structural
+//! invariants must hold throughout.
 
-use sdr_det::prop::{f64_in, freq, just, one_of, rects_in, u32s, usize_in, vecs_of, Gen};
+use sdr_det::prop::{f64_in, freq, rects_in, u32s, usize_in, vecs_of, Gen};
 use sdr_geom::{Point, Rect};
-use sdr_rtree::{Entry, RTree, RTreeConfig, SplitPolicy};
+use sdr_rtree::{Entry, RTree, RTreeConfig};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -27,17 +27,9 @@ fn arb_ops() -> Gen<Vec<Op>> {
     )
 }
 
-fn arb_policy() -> Gen<SplitPolicy> {
-    one_of(vec![
-        just(SplitPolicy::Linear),
-        just(SplitPolicy::Quadratic),
-        just(SplitPolicy::RStar),
-    ])
-}
-
 /// Replays `ops` against both the R-tree and a naive vector; returns both.
-fn replay(ops: &[Op], policy: SplitPolicy, max: usize) -> (RTree<u32>, Vec<(Rect, u32)>) {
-    let mut tree = RTree::new(RTreeConfig::with_max(max, policy));
+fn replay(ops: &[Op], max: usize) -> (RTree<u32>, Vec<(Rect, u32)>) {
+    let mut tree = RTree::new(RTreeConfig::with_max(max));
     let mut naive: Vec<(Rect, u32)> = Vec::new();
     let mut inserted: Vec<(Rect, u32)> = Vec::new();
     for op in ops {
@@ -68,10 +60,9 @@ fn replay(ops: &[Op], policy: SplitPolicy, max: usize) -> (RTree<u32>, Vec<(Rect
 sdr_det::prop! {
     fn window_queries_match_oracle(
         ops in arb_ops(),
-        policy in arb_policy(),
         window in arb_rect(),
     ) {
-        let (tree, naive) = replay(&ops, policy, 6);
+        let (tree, naive) = replay(&ops, 6);
         tree.check_invariants();
         assert_eq!(tree.len(), naive.len());
 
@@ -88,11 +79,10 @@ sdr_det::prop! {
 
     fn point_queries_match_oracle(
         ops in arb_ops(),
-        policy in arb_policy(),
         px in f64_in(0.0, 110.0),
         py in f64_in(0.0, 110.0),
     ) {
-        let (tree, naive) = replay(&ops, policy, 4);
+        let (tree, naive) = replay(&ops, 4);
         let p = Point::new(px, py);
         let mut got: Vec<u32> = tree.search_point(&p).iter().map(|e| e.item).collect();
         let mut want: Vec<u32> = naive
@@ -107,12 +97,11 @@ sdr_det::prop! {
 
     fn knn_distances_match_oracle(
         ops in arb_ops(),
-        policy in arb_policy(),
         px in f64_in(0.0, 110.0),
         py in f64_in(0.0, 110.0),
         k in usize_in(1..10),
     ) {
-        let (tree, naive) = replay(&ops, policy, 8);
+        let (tree, naive) = replay(&ops, 8);
         let p = Point::new(px, py);
         let got: Vec<f64> = tree.nearest(p, k).iter().map(|(_, d)| *d).collect();
         let mut want: Vec<f64> = naive.iter().map(|(r, _)| r.min_dist(&p)).collect();
@@ -126,11 +115,10 @@ sdr_det::prop! {
 
     fn bulk_load_matches_incremental(
         rects in vecs_of(arb_rect(), 1..200),
-        policy in arb_policy(),
     ) {
         let entries: Vec<Entry<usize>> =
             rects.iter().enumerate().map(|(i, r)| Entry::new(*r, i)).collect();
-        let bulk = RTree::bulk_load(RTreeConfig::with_max(8, policy), entries);
+        let bulk = RTree::bulk_load(RTreeConfig::with_max(8), entries);
         bulk.check_invariants();
         assert_eq!(bulk.len(), rects.len());
 
@@ -147,8 +135,8 @@ sdr_det::prop! {
         assert_eq!(got, want);
     }
 
-    fn bbox_is_exact(ops in arb_ops(), policy in arb_policy()) {
-        let (tree, naive) = replay(&ops, policy, 6);
+    fn bbox_is_exact(ops in arb_ops()) {
+        let (tree, naive) = replay(&ops, 6);
         let want = Rect::mbb(naive.iter().map(|(r, _)| r));
         assert_eq!(tree.bbox(), want);
     }
