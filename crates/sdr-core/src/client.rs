@@ -21,8 +21,8 @@ use crate::cluster::Cluster;
 use crate::ids::{ClientId, NodeRef, Oid, QueryId, ServerId};
 use crate::image::Image;
 use crate::msg::{
-    ClientOp, Endpoint, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
-    ReplyProtocol,
+    ClientOp, Endpoint, Found, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
+    ReplyProtocol, Traversal,
 };
 use crate::node::Object;
 use sdr_det::{DetRng, Rng};
@@ -63,8 +63,9 @@ impl DirectAccounting {
     }
 
     /// Seeds the entry hop when the client itself addressed it (join
-    /// broadcasts start at the root, which the client knows; traversal
-    /// reports instead mark themselves via `initial`).
+    /// broadcasts start at the root, which the client knows; the entry
+    /// report of a query or a delete instead marks itself by carrying
+    /// `direct`).
     pub fn expect_entry(&mut self, server: ServerId) {
         self.initial_reports += 1;
         self.tally(server).1 += 1;
@@ -184,23 +185,28 @@ pub fn address(
         })
         .map(|link| link.node);
     let target = chosen.unwrap_or(fallback);
+    // The entry hop of a query or a delete: checked over the whole
+    // rectangle, nothing visited, no links yet.
+    let entry = |qid, region| Traversal {
+        mode: QueryMode::Check,
+        region,
+        visited: vec![],
+        qid,
+        results_to,
+        trace: vec![],
+        initial: true,
+    };
     let query = |query: QueryKind, qid| {
         Payload::Query(QueryMsg {
             target,
+            hop: entry(qid, query.rect()),
             query,
-            region: query.rect(),
-            mode: QueryMode::Check,
-            qid,
-            initial: true,
             repaired: false,
             iam_carrier: false,
-            visited: vec![],
-            results_to,
             iam_to,
             protocol,
             reply_via: None,
             parent_branch: 0,
-            trace: vec![],
         })
     };
     let payload = match op {
@@ -214,16 +220,9 @@ pub fn address(
             results_to,
         },
         ClientOp::Delete(obj, qid) => Payload::Delete {
-            obj,
-            qid,
-            mode: QueryMode::Check,
-            region: obj.mbb,
-            visited: vec![],
             target,
-            results_to,
-            iam_to,
-            trace: vec![],
-            initial: true,
+            hop: entry(qid, obj.mbb),
+            obj,
         },
     };
     (target.server, payload, chosen)
@@ -288,16 +287,20 @@ impl Fold<'_> {
             return;
         };
         let trace = match msg.payload {
-            Payload::QueryReport {
+            Payload::Report {
                 qid,
-                results,
+                found,
                 spawned,
                 trace,
                 direct,
             } if Some(qid) == self.qid => {
                 self.acct.report(sender, &spawned, direct.is_some());
-                self.results.extend(results);
                 self.direct = direct.unwrap_or(self.direct);
+                match found {
+                    Found::Objects(results) => self.results.extend(results),
+                    Found::Removed(removed) => self.removed |= removed,
+                    Found::Pairs(pairs) => self.pairs.extend(pairs),
+                }
                 trace
             }
             Payload::QueryAggregate {
@@ -308,27 +311,6 @@ impl Fold<'_> {
             } if Some(qid) == self.qid => {
                 self.aggregated = true;
                 self.results.extend(results);
-                trace
-            }
-            Payload::DeleteReport {
-                qid,
-                removed,
-                spawned,
-                trace,
-                initial,
-            } if Some(qid) == self.qid => {
-                self.acct.report(sender, &spawned, initial);
-                self.removed |= removed;
-                trace
-            }
-            Payload::JoinReport {
-                qid,
-                pairs,
-                spawned,
-                trace,
-            } if Some(qid) == self.qid => {
-                self.acct.report(sender, &spawned, false);
-                self.pairs.extend(pairs);
                 trace
             }
             Payload::KnnLocalReply { qid, items, dr } if Some(qid) == self.qid => {

@@ -31,7 +31,8 @@
 //! de-duplicated by the client. If the OC rectangle itself lags larger
 //! than the ancestor's directory rectangle, the probe repairs with the
 //! same ascend-and-retry mechanism as queries — literally the same: a
-//! probe's hop is decided by `Server::decide_hop` (`query.rs`), which is
+//! probe carries a query's [`Traversal`] header beside its objects, and
+//! its hop is decided by `Server::decide_hop` (`query.rs`), which is
 //! passed the probe's region as the whole rectangle and told not to
 //! follow the OC; a live data node is joined whatever that decision.
 //!
@@ -40,13 +41,14 @@
 //! node emits a pair only when `probe.oid < local.oid` — so each cross
 //! pair is produced exactly once, at the node holding its larger oid.
 //!
-//! Termination uses the direct protocol of §4.3: every hop reports its
-//! fan-out; the client counts replies.
+//! Termination uses the direct protocol of §4.3: every hop — broadcast
+//! or probe — answers with the `Report` a query hop sends, its pairs as
+//! [`Found::Pairs`], naming its fan-out; the client counts replies.
 
 use crate::client::{loud, Await, Client, Over, Transport};
 use crate::cluster::Cluster;
 use crate::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId};
-use crate::msg::{Endpoint, Payload, QueryKind, QueryMode, Trace};
+use crate::msg::{Found, Payload, QueryKind, QueryMode, Trace, Traversal};
 use crate::node::Object;
 use crate::server::{Outbox, Server};
 use sdr_geom::{Point, Rect};
@@ -177,7 +179,7 @@ impl Server {
                 // its ancestor (see the module docs for why the
                 // cached outer link cannot be trusted here).
                 let self_node = NodeRef::data(self.id);
-                for entry in d.oc.entries().to_vec() {
+                for entry in d.oc.entries() {
                     let objects: Vec<Object> = d
                         .tree
                         .search_window(&entry.rect)
@@ -188,19 +190,21 @@ impl Server {
                         continue;
                     }
                     let ancestor = NodeRef::routing(entry.ancestor);
-                    out.send_server(
-                        ancestor.server,
-                        Payload::JoinProbe {
-                            target: ancestor,
-                            objects,
-                            region: entry.rect,
-                            mode: QueryMode::Check,
-                            visited: vec![self_node],
-                            qid,
-                            results_to,
-                            trace: trace.clone(),
-                        },
-                    );
+                    let hop = Traversal {
+                        mode: QueryMode::Check,
+                        region: entry.rect,
+                        visited: vec![self_node],
+                        qid,
+                        results_to,
+                        trace: trace.clone(),
+                        initial: false,
+                    };
+                    let probe = Payload::JoinProbe {
+                        target: ancestor,
+                        hop,
+                        objects,
+                    };
+                    out.send_server(ancestor.server, probe);
                     spawned.push(ancestor.server);
                 }
             }
@@ -208,15 +212,7 @@ impl Server {
             // subtree from the join: follow the tombstone, like queries do.
             (kind, ..) => spawned.extend(self.tombstone(kind).map(|t| start(t, out))),
         }
-        out.send(
-            Endpoint::Client(results_to),
-            Payload::JoinReport {
-                qid,
-                pairs,
-                spawned,
-                trace,
-            },
-        );
+        out.report(results_to, qid, Found::Pairs(pairs), spawned, trace, None);
     }
 
     /// JoinProbe: route the probe set into the target subtree and join
@@ -227,25 +223,17 @@ impl Server {
     /// rather than the probes' bbox prunes boundary fan-out without
     /// losing pairs — and the OC not followed: probes are born per OC
     /// entry and travel through its ancestor (module docs).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the JoinProbe payload's fields, unpacked by the dispatcher"
-    )]
     pub(crate) fn on_join_probe(
         &mut self,
         target: NodeRef,
+        mut hop: Traversal,
         objects: Vec<Object>,
-        region: Rect,
-        mode: QueryMode,
-        visited: Vec<NodeRef>,
-        qid: QueryId,
-        results_to: ClientId,
-        mut trace: Trace,
         out: &mut Outbox,
     ) {
-        self.append_iam(&mut trace);
+        self.append_iam(&mut hop.trace);
+        let region = hop.region;
         let matches = |dr: &Rect| dr.intersects(&region);
-        let hop = self.decide_hop(target, mode, region, &visited, &region, matches, false);
+        let decided = self.decide_hop(target, &hop, &region, matches, false);
         // A live data node is joined whatever the step — also one the
         // region extends beyond (since a split) and that repairs upward.
         // Emit `probe < local` pairs only (the other direction is
@@ -260,29 +248,23 @@ impl Server {
                 }
             }
         }
-        for &(target, mode, region) in &hop.onward {
-            out.send_server(
-                target.server,
-                Payload::JoinProbe {
-                    target,
-                    objects: objects.clone(),
-                    region,
-                    mode,
-                    visited: hop.visited.clone(),
-                    qid,
-                    results_to,
-                    trace: trace.clone(),
-                },
-            );
+        for (target, hop) in decided.headers(&hop) {
+            let objects = objects.clone();
+            let probe = Payload::JoinProbe {
+                target,
+                hop,
+                objects,
+            };
+            out.send_server(target.server, probe);
         }
-        out.send(
-            Endpoint::Client(results_to),
-            Payload::JoinReport {
-                qid,
-                pairs,
-                spawned: hop.spawned(),
-                trace,
-            },
+        let found = Found::Pairs(pairs);
+        out.report(
+            hop.results_to,
+            hop.qid,
+            found,
+            decided.spawned(),
+            hop.trace,
+            None,
         );
     }
 }

@@ -7,6 +7,12 @@
 //! below, wrapped in a [`Message`] with explicit endpoints. The same
 //! enum drives both the in-process simulator (`cluster`) and the TCP
 //! deployment (`sdr-net`).
+//!
+//! The paper has one traversal and one reply rule, and so does the
+//! protocol: a query, a delete and a join probe each carry one
+//! [`Traversal`] header — what the hop decision reads — beside the work
+//! the reached node does, and every hop of the three answers with one
+//! [`Payload::Report`] whose [`Found`] says what it found.
 
 use crate::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 use crate::link::Link;
@@ -94,11 +100,6 @@ impl QueryKind {
             QueryKind::Window(w) => dr.intersects(w),
         }
     }
-
-    /// Whether an object with bounding box `mbb` matches.
-    pub fn matches(&self, mbb: &Rect) -> bool {
-        self.intersects(mbb)
-    }
 }
 
 /// How a query message should be interpreted by the receiving node.
@@ -118,24 +119,57 @@ pub enum QueryMode {
     Descend,
 }
 
+/// The header of one traversal hop: the state `Server::decide_hop`
+/// reads, shared by a query, a delete and a join probe. The work the
+/// reached node does travels beside it, in the payload.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Traversal {
+    /// Check / Ascend / Descend.
+    pub mode: QueryMode,
+    /// The region this branch is responsible for. Starts as the
+    /// operation's own rectangle; OC forwarding narrows it to the overlap
+    /// rectangle. Drives the out-of-range ascent stop condition.
+    pub region: Rect,
+    /// Nodes that have been, or are being, sent this operation: the
+    /// sender's own set plus everything its hop addressed (and the OC
+    /// ancestors its fan-out already covers). OC forwarding skips them,
+    /// which breaks loops through mutually-overlapping entries and keeps
+    /// the targets of one hop from re-forwarding to each other.
+    pub visited: Vec<NodeRef>,
+    /// Operation instance, for reply accounting.
+    pub qid: QueryId,
+    /// Where the reports go.
+    pub results_to: ClientId,
+    /// Links collected so far (becomes the IAM).
+    pub trace: Trace,
+    /// Whether this is the operation's first hop. Its report is marked,
+    /// so the client can anchor its sender accounting even when a
+    /// contact server chose the entry point (IMSERVER), and says whether
+    /// the image produced a direct match (Figure 13). Always `false` for
+    /// a join probe: the client seeds a join's entry itself.
+    pub initial: bool,
+}
+
+/// What one traversal hop found, by the operation it served.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Found {
+    /// A query's matching objects (empty for routing hops).
+    Objects(Vec<Object>),
+    /// Whether a delete removed its object here.
+    Removed(bool),
+    /// A join's intersecting pairs, `(smaller, larger)` by oid.
+    Pairs(Vec<(Oid, Oid)>),
+}
+
 /// A query traversal message.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryMsg {
     /// Which node on the receiving server is addressed.
     pub target: NodeRef,
+    /// The hop state.
+    pub hop: Traversal,
     /// The predicate.
     pub query: QueryKind,
-    /// The region this branch is responsible for. Starts as the query's
-    /// own rectangle; OC forwarding narrows it to the overlap rectangle.
-    /// Drives the out-of-range ascent stop condition.
-    pub region: Rect,
-    /// Traversal mode.
-    pub mode: QueryMode,
-    /// Query instance, for reply accounting.
-    pub qid: QueryId,
-    /// Whether this is the very first message of the query (used to
-    /// report whether the image produced a direct match — Figure 13).
-    pub initial: bool,
     /// Whether this branch went through an out-of-range repair (at least
     /// one Ascend hop). The hop that finally resolves a repaired branch
     /// arranges the IAM for the image holder (§3.1: addressing errors
@@ -147,14 +181,6 @@ pub struct QueryMsg {
     /// including the leaf finally reached — exactly the "links collected
     /// from the visited servers" of §3.2.
     pub iam_carrier: bool,
-    /// Nodes that have been, or are being, sent this query: the sender's
-    /// own set plus everything its hop addressed (and the OC ancestors
-    /// its fan-out already covers). OC forwarding skips them, which
-    /// breaks loops through mutually-overlapping entries and keeps the
-    /// targets of one hop from re-forwarding to each other.
-    pub visited: Vec<NodeRef>,
-    /// Where results go.
-    pub results_to: ClientId,
     /// Where IAMs go.
     pub iam_to: ImageHolder,
     /// Which termination protocol governs replies.
@@ -167,8 +193,6 @@ pub struct QueryMsg {
     /// receiver echoes it in its aggregate so the sender can match the
     /// reply to its pending entry.
     pub parent_branch: u64,
-    /// Links collected so far (becomes the IAM).
-    pub trace: Trace,
 }
 
 /// Termination protocol for point/window queries (§4.3).
@@ -426,24 +450,26 @@ pub enum Payload {
     /// A query traversal hop (point or window; all modes).
     Query(QueryMsg),
     /// Direct-protocol reply: one per server that processed a traversal
-    /// hop. `spawned` lists the servers the onward hops target, so the
-    /// client can verify *which* servers still owe a report — a plain
-    /// count would balance out (and silently lose results) whenever a
-    /// dropped report happened to have spawned exactly one child.
-    QueryReport {
-        /// The query.
+    /// hop of a query, a delete or a join. `spawned` lists the servers
+    /// the onward hops target, so the client can verify *which* servers
+    /// still owe a report — a plain count would balance out (and
+    /// silently lose results) whenever a dropped report happened to have
+    /// spawned exactly one child.
+    Report {
+        /// The operation.
         qid: QueryId,
-        /// Matching objects found locally (empty for routing hops).
-        results: Vec<Object>,
-        /// Servers targeted by the onward traversal messages this hop
-        /// emitted (one entry per message; repeats are legitimate).
+        /// What this hop found.
+        found: Found,
+        /// Servers targeted by the onward messages this hop emitted (one
+        /// entry per message; repeats are legitimate).
         spawned: Vec<ServerId>,
         /// Links cumulated along the path from the first hop to this
         /// one: the hop appends its own links to the trace it received
         /// and sends that path both onward and here (see [`Trace`]).
         trace: Trace,
-        /// `Some(true)` if this was the initial hop and it was a direct
-        /// hit; `Some(false)` if initial but out-of-range (Figure 13).
+        /// On the entry hop's report of a query or a delete, whether the
+        /// image addressed the right data node (`Some(false)`: out of
+        /// range, Figure 13); `None` on every other report.
         direct: Option<bool>,
     },
     /// Reverse-path protocol reply: aggregated results flowing back along
@@ -462,42 +488,12 @@ pub enum Payload {
     // ------------------------------------------------------- deletion --
     /// Delete an object (routed like a point query on its mbb; §3.3).
     Delete {
-        /// The object to delete (oid + mbb for exact matching).
-        obj: Object,
-        /// Delete instance id for reply accounting.
-        qid: QueryId,
-        /// Traversal mode.
-        mode: QueryMode,
-        /// Responsible region (mbb, narrowed on OC forwarding).
-        region: Rect,
-        /// Visited nodes (loop protection, as for queries).
-        visited: Vec<NodeRef>,
         /// Addressed node.
         target: NodeRef,
-        /// Reply destination.
-        results_to: ClientId,
-        /// IAM destination.
-        iam_to: ImageHolder,
-        /// Collected links.
-        trace: Trace,
-        /// Whether this is the first hop of the delete (echoed in the
-        /// report so the client can anchor its sender accounting even
-        /// when a contact server chose the entry point — IMSERVER).
-        initial: bool,
-    },
-    /// Reply to a delete hop (direct protocol bookkeeping; see
-    /// [`Payload::QueryReport`] for why `spawned` carries ids).
-    DeleteReport {
-        /// The delete instance.
-        qid: QueryId,
-        /// Whether this server removed the object.
-        removed: bool,
-        /// Servers targeted by the onward hops this one emitted.
-        spawned: Vec<ServerId>,
-        /// Links collected.
-        trace: Trace,
-        /// Whether this report answers the initial hop.
-        initial: bool,
+        /// The hop state (the region starts as the object's mbb).
+        hop: Traversal,
+        /// The object to delete (oid + mbb for exact matching).
+        obj: Object,
     },
     /// Node elimination (§3.3): the underflowing data node sends its
     /// remaining objects to its parent, which dissolves itself and
@@ -566,35 +562,11 @@ pub enum Payload {
     JoinProbe {
         /// Which node on the receiving server.
         target: NodeRef,
+        /// The hop state, with the same stale-link repair semantics as
+        /// query traversal; its region is the overlap region probed.
+        hop: Traversal,
         /// The probing objects (already clipped to the overlap region).
         objects: Vec<Object>,
-        /// The overlap region being probed.
-        region: Rect,
-        /// Check / Ascend / Descend, with the same stale-link repair
-        /// semantics as query traversal.
-        mode: QueryMode,
-        /// Visited nodes (loop protection).
-        visited: Vec<NodeRef>,
-        /// The join instance.
-        qid: QueryId,
-        /// Reply destination.
-        results_to: ClientId,
-        /// Links collected.
-        trace: Trace,
-    },
-    /// Per-hop join reply (direct-protocol accounting): locally found
-    /// pairs plus the hop's fan-out.
-    JoinReport {
-        /// The join instance.
-        qid: QueryId,
-        /// Intersecting pairs found at this hop, `(smaller, larger)` by
-        /// oid.
-        pairs: Vec<(Oid, Oid)>,
-        /// Servers targeted by the onward messages this hop emitted
-        /// (see [`Payload::QueryReport`]).
-        spawned: Vec<ServerId>,
-        /// Links collected.
-        trace: Trace,
     },
 
     // ------------------------------------------------------- IMSERVER --
@@ -660,10 +632,15 @@ impl Payload {
             Payload::RefreshOc { .. } => "RefreshOc",
             Payload::ShrinkChild { .. } => "ShrinkChild",
             Payload::Query(_) => "Query",
-            Payload::QueryReport { .. } => "QueryReport",
+            // One variant, three labels: a trace names the operation a
+            // report answers.
+            Payload::Report { found, .. } => match found {
+                Found::Objects(_) => "QueryReport",
+                Found::Removed(_) => "DeleteReport",
+                Found::Pairs(_) => "JoinReport",
+            },
             Payload::QueryAggregate { .. } => "QueryAggregate",
             Payload::Delete { .. } => "Delete",
-            Payload::DeleteReport { .. } => "DeleteReport",
             Payload::Eliminate { .. } => "Eliminate",
             Payload::ClearParent { .. } => "ClearParent",
             Payload::DropOcAncestor { .. } => "DropOcAncestor",
@@ -671,7 +648,6 @@ impl Payload {
             Payload::KnnLocalReply { .. } => "KnnLocalReply",
             Payload::JoinStart { .. } => "JoinStart",
             Payload::JoinProbe { .. } => "JoinProbe",
-            Payload::JoinReport { .. } => "JoinReport",
             Payload::Routed { .. } => "Routed",
         }
     }
@@ -710,11 +686,9 @@ impl Payload {
             | Payload::JoinStart { .. }
             | Payload::JoinProbe { .. }
             | Payload::Routed { .. } => Query,
-            Payload::QueryReport { .. }
+            Payload::Report { .. }
             | Payload::QueryAggregate { .. }
-            | Payload::KnnLocalReply { .. }
-            | Payload::JoinReport { .. }
-            | Payload::DeleteReport { .. } => Reply,
+            | Payload::KnnLocalReply { .. } => Reply,
             Payload::Delete { .. } | Payload::Eliminate { .. } | Payload::ClearParent { .. } => {
                 Delete
             }

@@ -5,13 +5,14 @@
 //!
 //! There is one traversal, and `Server::decide_hop` is the one place
 //! that decides it — for a query, a delete and a join probe alike. It
-//! only *decides*: what the addressed node turned out to be (`Step`),
-//! the onward hops, and the `visited` set they share. *Saying* it is the
-//! caller's: `on_query`, `on_delete` and `join::on_join_probe` each build
-//! their own payload once per onward hop, complete at construction. A
-//! delete passes its object's mbb as the whole rectangle and follows the
-//! OC, exactly like a window query on that mbb; what a join probe passes
-//! is told in `join.rs`.
+//! reads the hop's [`Traversal`] header and only *decides*: what the
+//! addressed node turned out to be (`Step`), the onward hops, and the
+//! `visited` set they share. *Saying* it is the caller's: `on_query`,
+//! `on_delete` and `join::on_join_probe` each wrap the onward headers
+//! (`Hop::headers`) in their own payload, then answer the client with
+//! one `Report` of what the hop found. A delete passes its object's mbb
+//! as the whole rectangle and follows the OC, exactly like a window
+//! query on that mbb; what a join probe passes is told in `join.rs`.
 //!
 //! The traversal state machine:
 //!
@@ -37,11 +38,13 @@
 //! DESIGN.md decision 3.
 
 use crate::ids::{ClientId, NodeKind, NodeRef, QueryId, ServerId};
-use crate::msg::{Endpoint, ImageHolder, Payload, QueryKind, QueryMode, QueryMsg, ReplyProtocol};
+use crate::msg::{
+    Endpoint, Found, ImageHolder, Payload, QueryKind, QueryMode, QueryMsg, ReplyProtocol, Traversal,
+};
 use crate::node::Object;
 use crate::server::{Outbox, Server};
 use sdr_geom::{Point, Rect};
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 
 /// Per-server state for the reverse-path termination protocol: one entry
 /// per inbound traversal hop that spawned children, keyed by this hop's
@@ -64,7 +67,7 @@ pub struct PendingAggregates {
 #[derive(Clone, Debug)]
 struct Pending {
     qid: QueryId,
-    remaining: u32,
+    remaining: usize,
     results: Vec<Object>,
     trace: crate::msg::Trace,
     /// Where to send the completed aggregate: back along the traversal
@@ -72,6 +75,24 @@ struct Pending {
     reply_via: Option<ServerId>,
     parent_branch: u64,
     results_to: ClientId,
+}
+
+impl Pending {
+    /// Sends the branch's finished aggregate one step back along the
+    /// traversal tree, or to the client at the query origin.
+    fn send(self, out: &mut Outbox) {
+        let to = match self.reply_via {
+            Some(server) => Endpoint::Server(server),
+            None => Endpoint::Client(self.results_to),
+        };
+        let aggregate = Payload::QueryAggregate {
+            qid: self.qid,
+            parent_branch: self.parent_branch,
+            results: self.results,
+            trace: self.trace,
+        };
+        out.send(to, aggregate);
+    }
 }
 
 impl PendingAggregates {
@@ -123,34 +144,50 @@ impl Hop {
     pub(crate) fn spawned(&self) -> Vec<ServerId> {
         self.onward.iter().map(|next| next.0.server).collect()
     }
+
+    /// Each onward hop's target and header, in emission order: never an
+    /// entry hop, this decision's `visited`, the links collected at `at`.
+    pub(crate) fn headers<'a>(
+        &'a self,
+        at: &'a Traversal,
+    ) -> impl Iterator<Item = (NodeRef, Traversal)> + 'a {
+        self.onward.iter().map(move |&(target, mode, region)| {
+            let hop = Traversal {
+                mode,
+                region,
+                visited: self.visited.clone(),
+                qid: at.qid,
+                results_to: at.results_to,
+                trace: at.trace.clone(),
+                initial: false,
+            };
+            (target, hop)
+        })
+    }
 }
 
 impl Server {
-    /// Decides one Check / Ascend / Descend hop at `target` — for a
-    /// query, a delete and a join probe alike (the module docs tell the
-    /// state machine). `whole` is the operation's entire rectangle, of
-    /// which `region` is this branch's share; `can_match` says whether a
-    /// child's rectangle can hold anything the operation is after;
-    /// `follow_oc` whether a resolving hop forwards along its OC table.
+    /// Decides one Check / Ascend / Descend hop of `hop` at `target` —
+    /// for a query, a delete and a join probe alike (the module docs
+    /// tell the state machine). `whole` is the operation's entire
+    /// rectangle, of which the header's region is this branch's share;
+    /// `can_match` says whether a child's rectangle can hold anything
+    /// the operation is after; `follow_oc` whether a resolving hop
+    /// forwards along its OC table.
     ///
     /// The returned `visited` is the inbound set, this node, all targets
     /// of this hop and — if this node's rectangle covers `whole` — the
     /// ancestors of its OC table, whose other subtrees that can match
     /// are exactly those targets (Definition 3).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the hop state every traversal payload carries, shared by three callers"
-    )]
     pub(crate) fn decide_hop(
         &self,
         target: NodeRef,
-        mode: QueryMode,
-        region: Rect,
-        visited: &[NodeRef],
+        hop: &Traversal,
         whole: &Rect,
         can_match: impl Fn(&Rect) -> bool,
         follow_oc: bool,
     ) -> Hop {
+        let (mode, region, visited) = (hop.mode, hop.region, &hop.visited);
         // The nodes that have been sent the operation, this one
         // included, with room for `more`.
         let told = |more: usize| {
@@ -244,29 +281,21 @@ impl Server {
 
     /// Handles one query traversal hop.
     pub(crate) fn on_query(&mut self, mut q: QueryMsg, out: &mut Outbox) {
-        self.append_iam(&mut q.trace);
+        self.append_iam(&mut q.hop.trace);
         let query = q.query;
         let matches = |dr: &Rect| query.intersects(dr);
-        let hop = self.decide_hop(
-            q.target,
-            q.mode,
-            q.region,
-            &q.visited,
-            &query.rect(),
-            matches,
-            true,
-        );
+        let decided = self.decide_hop(q.target, &q.hop, &query.rect(), matches, true);
         let at_data = q.target.kind == NodeKind::Data;
         let results = match self.data.as_ref() {
-            Some(d) if at_data && hop.step.reached() => local_search(d, &query),
+            Some(d) if at_data && decided.step.reached() => local_search(d, &query),
             _ => vec![],
         };
         // The hop that resolves a repaired branch owes the image holder
         // an IAM; so does the carrier it delegates that duty to, down
         // one descend path, so that the holder learns the whole
         // corrected path.
-        let owes_iam = hop.step.reached() && (q.repaired || q.iam_carrier);
-        let carrier = hop
+        let owes_iam = decided.step.reached() && (q.repaired || q.iam_carrier);
+        let carrier = decided
             .onward
             .iter()
             .position(|next| owes_iam && next.1 == QueryMode::Descend);
@@ -275,9 +304,9 @@ impl Server {
         // handed its *own* one-shot branch token routed to that key, so
         // sibling aggregates are distinguishable and a duplicated one
         // cannot be double-counted (see `PendingAggregates::routes`).
-        let waits = q.protocol == ReplyProtocol::ReversePath && !hop.onward.is_empty();
+        let waits = q.protocol == ReplyProtocol::ReversePath && !decided.onward.is_empty();
         let pending_key = waits.then(|| self.pending.alloc_branch(self.id));
-        for (i, &(target, mode, region)) in hop.onward.iter().enumerate() {
+        for (i, (target, hop)) in decided.headers(&q.hop).enumerate() {
             let (reply_via, parent_branch) = match pending_key {
                 Some(key) => {
                     let child = self.pending.alloc_branch(self.id);
@@ -294,31 +323,26 @@ impl Server {
                 target.server,
                 Payload::Query(QueryMsg {
                     target,
-                    query,
-                    region,
-                    mode,
-                    qid: q.qid,
-                    initial: false,
                     // An Ascend hop marks the branch as repaired; the
                     // resolving hop arranges the IAM and descendants
                     // start clean.
-                    repaired: mode == QueryMode::Ascend,
+                    repaired: hop.mode == QueryMode::Ascend,
+                    hop,
+                    query,
                     iam_carrier: carrier == Some(i),
-                    visited: hop.visited.clone(),
-                    results_to: q.results_to,
                     iam_to: q.iam_to,
                     protocol: q.protocol,
                     reply_via,
                     parent_branch,
-                    trace: q.trace.clone(),
                 }),
             );
         }
+        // Figure 13: did the image address the right data node?
+        let hit = at_data && decided.step == Step::Resolved;
         let outcome = HopOutcome {
             results,
-            spawned: hop.spawned(),
-            // Figure 13: did the image address the right data node?
-            direct: q.initial.then_some(at_data && hop.step == Step::Resolved),
+            spawned: decided.spawned(),
+            direct: q.hop.initial.then_some(hit),
             iam_due: owes_iam && carrier.is_none(),
             pending_key,
         };
@@ -327,23 +351,21 @@ impl Server {
 
     /// Emits the reply for a processed hop, per the active termination
     /// protocol (§4.3).
-    fn reply_for_hop(&mut self, q: QueryMsg, hop: HopOutcome, out: &mut Outbox) {
+    fn reply_for_hop(&mut self, q: QueryMsg, outcome: HopOutcome, out: &mut Outbox) {
+        let Traversal {
+            qid,
+            results_to,
+            trace,
+            ..
+        } = q.hop;
         match q.protocol {
             ReplyProtocol::Probabilistic => {
                 // §4.3: only servers with relevant data respond; the
                 // client works with whatever arrives (the simulator's
                 // drain plays the role of the timeout).
-                if !hop.results.is_empty() {
-                    out.send(
-                        Endpoint::Client(q.results_to),
-                        Payload::QueryReport {
-                            qid: q.qid,
-                            results: hop.results,
-                            spawned: vec![],
-                            trace: q.trace,
-                            direct: hop.direct,
-                        },
-                    );
+                if !outcome.results.is_empty() {
+                    let found = Found::Objects(outcome.results);
+                    out.report(results_to, qid, found, vec![], trace, outcome.direct);
                 }
             }
             ReplyProtocol::Direct => {
@@ -353,72 +375,50 @@ impl Server {
                 // server in IMSERVER; the client already receives traces
                 // with its reports) — the one hop that copies its trace.
                 let iam = match q.iam_to {
-                    ImageHolder::Server(s) if hop.iam_due => Some((s, q.trace.clone())),
+                    ImageHolder::Server(s) if outcome.iam_due => Some((s, trace.clone())),
                     _ => None,
                 };
                 // "Each server getting the query responds to the client,
                 // whether it found the relevant data or not", carrying
                 // the path description (trace) and its fan-out.
-                out.send(
-                    Endpoint::Client(q.results_to),
-                    Payload::QueryReport {
-                        qid: q.qid,
-                        results: hop.results,
-                        spawned: hop.spawned,
-                        trace: q.trace,
-                        direct: hop.direct,
-                    },
+                let found = Found::Objects(outcome.results);
+                out.report(
+                    results_to,
+                    qid,
+                    found,
+                    outcome.spawned,
+                    trace,
+                    outcome.direct,
                 );
                 if let Some((s, trace)) = iam {
-                    out.send_server(
-                        s,
-                        Payload::QueryReport {
-                            qid: q.qid,
-                            results: vec![],
-                            spawned: vec![],
-                            trace,
-                            direct: None,
-                        },
-                    );
+                    let iam = Payload::Report {
+                        qid,
+                        found: Found::Objects(vec![]),
+                        spawned: vec![],
+                        trace,
+                        direct: None,
+                    };
+                    out.send_server(s, iam);
                 }
             }
             ReplyProtocol::ReversePath => {
-                let Some(key) = hop.pending_key else {
-                    // Leaf of the traversal tree: answer immediately.
-                    return send_aggregate(
-                        q.reply_via,
-                        q.parent_branch,
-                        q.qid,
-                        hop.results,
-                        q.trace,
-                        q.results_to,
-                        out,
-                    );
+                let branch = Pending {
+                    qid,
+                    remaining: outcome.spawned.len(),
+                    results: outcome.results,
+                    trace,
+                    reply_via: q.reply_via,
+                    parent_branch: q.parent_branch,
+                    results_to,
                 };
-                // Wait for the children. A lossy `as u32` here would wrap
-                // a huge (forged or future-widened) fan-out into a small
-                // `remaining` and terminate the branch early with a
-                // silently incomplete aggregate. Fail loudly instead: the
-                // fan-out is bounded by the number of servers (u32 ids),
-                // so the conversion cannot fail on real input.
-                #[expect(
-                    clippy::expect_used,
-                    reason = "deliberate loud failure on an impossible >u32::MAX fan-out"
-                )]
-                let remaining = u32::try_from(hop.spawned.len())
-                    .expect("query fan-out exceeds u32: corrupt hop state");
-                self.pending.entries.insert(
-                    key,
-                    Pending {
-                        qid: q.qid,
-                        remaining,
-                        results: hop.results,
-                        trace: q.trace,
-                        reply_via: q.reply_via,
-                        parent_branch: q.parent_branch,
-                        results_to: q.results_to,
-                    },
-                );
+                match outcome.pending_key {
+                    // Wait for the children.
+                    Some(key) => {
+                        self.pending.entries.insert(key, branch);
+                    }
+                    // Leaf of the traversal tree: answer immediately.
+                    None => branch.send(out),
+                }
             }
         }
     }
@@ -439,30 +439,18 @@ impl Server {
         let Some(group) = self.pending.routes.remove(&parent_branch) else {
             return;
         };
-        let Some(entry) = self.pending.entries.get_mut(&group) else {
+        let btree_map::Entry::Occupied(mut entry) = self.pending.entries.entry(group) else {
             return;
         };
-        debug_assert_eq!(entry.qid, qid);
-        entry.results.extend(results);
-        entry.trace.extend(trace);
+        let branch = entry.get_mut();
+        debug_assert_eq!(branch.qid, qid);
+        branch.results.extend(results);
+        branch.trace.extend(trace);
         // Saturating out of caution only: every live route decrements
         // at most once, and `remaining` starts at the route count.
-        entry.remaining = entry.remaining.saturating_sub(1);
-        if entry.remaining == 0 {
-            #[expect(
-                clippy::expect_used,
-                reason = "the same key was just read through get_mut to decrement `remaining`"
-            )]
-            let entry = self.pending.entries.remove(&group).expect("present");
-            send_aggregate(
-                entry.reply_via,
-                entry.parent_branch,
-                entry.qid,
-                entry.results,
-                entry.trace,
-                entry.results_to,
-                out,
-            );
+        branch.remaining = branch.remaining.saturating_sub(1);
+        if branch.remaining == 0 {
+            entry.remove().send(out);
         }
     }
 
@@ -472,57 +460,33 @@ impl Server {
     /// object's mbb (the same hop decision, the OC followed); the data
     /// node holding the object removes it, tightens its rectangle, and
     /// may eliminate itself.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the Delete payload's fields, unpacked by the dispatcher"
-    )]
     pub(crate) fn on_delete(
         &mut self,
-        obj: Object,
-        qid: QueryId,
         target: NodeRef,
-        mode: QueryMode,
-        region: Rect,
-        visited: Vec<NodeRef>,
-        results_to: ClientId,
-        iam_to: ImageHolder,
-        mut trace: crate::msg::Trace,
-        initial: bool,
+        mut hop: Traversal,
+        obj: Object,
         out: &mut Outbox,
     ) {
-        self.append_iam(&mut trace);
+        self.append_iam(&mut hop.trace);
         let matches = |dr: &Rect| dr.intersects(&obj.mbb);
-        let hop = self.decide_hop(target, mode, region, &visited, &obj.mbb, matches, true);
-        for &(target, mode, region) in &hop.onward {
-            out.send_server(
-                target.server,
-                Payload::Delete {
-                    obj,
-                    qid,
-                    mode,
-                    region,
-                    visited: hop.visited.clone(),
-                    target,
-                    results_to,
-                    iam_to,
-                    trace: trace.clone(),
-                    initial: false,
-                },
-            );
+        let decided = self.decide_hop(target, &hop, &obj.mbb, matches, true);
+        for (target, hop) in decided.headers(&hop) {
+            out.send_server(target.server, Payload::Delete { target, hop, obj });
         }
         // Where a query would search, remove: the local R-tree gives up
         // only an entry with this oid and exactly this mbb.
         let at_data = target.kind == NodeKind::Data;
-        let removed = at_data && hop.step.reached() && self.remove_local(&obj, out);
-        out.send(
-            Endpoint::Client(results_to),
-            Payload::DeleteReport {
-                qid,
-                removed,
-                spawned: hop.spawned(),
-                trace,
-                initial,
-            },
+        let removed = at_data && decided.step.reached() && self.remove_local(&obj, out);
+        let hit = at_data && decided.step == Step::Resolved;
+        let direct = hop.initial.then_some(hit);
+        let found = Found::Removed(removed);
+        out.report(
+            hop.results_to,
+            hop.qid,
+            found,
+            decided.spawned(),
+            hop.trace,
+            direct,
         );
     }
 
@@ -634,37 +598,6 @@ fn local_search(d: &crate::node::DataNode, query: &QueryKind) -> Vec<Object> {
         .collect()
 }
 
-fn send_aggregate(
-    reply_via: Option<ServerId>,
-    parent_branch: u64,
-    qid: QueryId,
-    results: Vec<Object>,
-    trace: crate::msg::Trace,
-    results_to: ClientId,
-    out: &mut Outbox,
-) {
-    match reply_via {
-        Some(server) => out.send_server(
-            server,
-            Payload::QueryAggregate {
-                qid,
-                parent_branch,
-                results,
-                trace,
-            },
-        ),
-        None => out.send(
-            Endpoint::Client(results_to),
-            Payload::QueryAggregate {
-                qid,
-                parent_branch,
-                results,
-                trace,
-            },
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,6 +633,19 @@ mod tests {
         s
     }
 
+    /// The header of operation 1 for client 0, no links collected yet.
+    fn header(mode: QueryMode, region: Rect, visited: Vec<NodeRef>, initial: bool) -> Traversal {
+        Traversal {
+            mode,
+            region,
+            visited,
+            qid: QueryId(1),
+            results_to: ClientId(0),
+            trace: vec![],
+            initial,
+        }
+    }
+
     /// Runs one Check hop at r5 and returns the query messages it emitted.
     fn hop(
         s: &mut Server,
@@ -710,20 +656,14 @@ mod tests {
         let mut out = Outbox::new(s.id, 100);
         let q = QueryMsg {
             target: NodeRef::routing(s.id),
+            hop: header(QueryMode::Check, region, vec![], true),
             query,
-            region,
-            mode: QueryMode::Check,
-            qid: QueryId(1),
-            initial: true,
             repaired: false,
             iam_carrier: false,
-            visited: vec![],
-            results_to: ClientId(0),
             iam_to: ImageHolder::Nobody,
             protocol,
             reply_via: None,
             parent_branch: 0,
-            trace: vec![],
         };
         s.on_query(q, &mut out);
         out.msgs
@@ -759,7 +699,7 @@ mod tests {
             "the child holding p, then the OC in table order"
         );
         for q in &sent {
-            assert_eq!(q.visited, [R5, D6, D2, R4, R1, R3], "to {:?}", q.target);
+            assert_eq!(q.hop.visited, [R5, D6, D2, R4, R1, R3], "to {:?}", q.target);
         }
     }
 
@@ -777,7 +717,7 @@ mod tests {
         );
         assert_eq!(sent.len(), 3);
         for q in &sent {
-            assert_eq!(q.visited, [R5, D6, D2, R4], "to {:?}", q.target);
+            assert_eq!(q.hop.visited, [R5, D6, D2, R4], "to {:?}", q.target);
         }
     }
 
@@ -802,7 +742,7 @@ mod tests {
         for q in &sent {
             assert_eq!(q.reply_via, Some(ServerId(5)));
             assert_eq!(s.pending.routes.get(&q.parent_branch), Some(&key));
-            assert_eq!(q.visited.len(), 6, "sharing edits `visited` only");
+            assert_eq!(q.hop.visited.len(), 6, "sharing edits `visited` only");
         }
     }
 
@@ -987,7 +927,8 @@ mod tests {
         ) in table
         {
             let matches = |dr: &Rect| dr.intersects(&whole);
-            let hop = server.decide_hop(target, mode, region, &inbound, &whole, matches, follow_oc);
+            let at = header(mode, region, inbound, false);
+            let hop = server.decide_hop(target, &at, &whole, matches, follow_oc);
             assert_eq!(hop.step, step, "{name}: step");
             assert_eq!(hop.onward, onward, "{name}: onward");
             assert_eq!(hop.visited, visited, "{name}: visited");
@@ -1004,32 +945,20 @@ mod tests {
         for (mode, onward) in [(Check, vec![(R5, Ascend)]), (Descend, vec![])] {
             let mut s = data_server();
             let mut out = Outbox::new(s.id, 100);
-            s.on_join_probe(
-                D6,
-                vec![probe],
-                wide,
-                mode,
-                vec![],
-                QueryId(1),
-                ClientId(0),
-                vec![],
-                &mut out,
-            );
+            s.on_join_probe(D6, header(mode, wide, vec![], false), vec![probe], &mut out);
             let mut sent = vec![];
             let mut reported = None;
             for m in out.msgs {
                 match m.payload {
-                    Payload::JoinProbe {
-                        target,
-                        mode,
-                        region,
-                        visited,
-                        ..
-                    } => {
-                        assert_eq!((region, visited), (wide, vec![D6]));
-                        sent.push((target, mode));
+                    Payload::JoinProbe { target, hop, .. } => {
+                        assert_eq!((hop.region, hop.visited), (wide, vec![D6]));
+                        sent.push((target, hop.mode));
                     }
-                    Payload::JoinReport { pairs, spawned, .. } => reported = Some((pairs, spawned)),
+                    Payload::Report {
+                        found: Found::Pairs(pairs),
+                        spawned,
+                        ..
+                    } => reported = Some((pairs, spawned)),
                     other => panic!("unexpected {}", other.name()),
                 }
             }
@@ -1052,32 +981,20 @@ mod tests {
         for (region, removed) in [(beyond, false), (obj.mbb, true)] {
             let mut s = data_server();
             let mut out = Outbox::new(s.id, 100);
-            s.on_delete(
-                obj,
-                QueryId(1),
-                D6,
-                Check,
-                region,
-                vec![],
-                ClientId(0),
-                ImageHolder::Nobody,
-                vec![],
-                true,
-                &mut out,
-            );
+            s.on_delete(D6, header(Check, region, vec![], true), obj, &mut out);
             let report = out.msgs.iter().find_map(|m| match &m.payload {
-                Payload::DeleteReport {
-                    removed,
+                Payload::Report {
+                    found: Found::Removed(removed),
                     spawned,
-                    initial,
+                    direct,
                     ..
-                } => Some((*removed, spawned.len(), *initial)),
+                } => Some((*removed, spawned.len(), direct.is_some())),
                 _ => None,
             });
             let deletes = out
                 .msgs
                 .iter()
-                .filter(|m| matches!(m.payload, Payload::Delete { initial: false, .. }))
+                .filter(|m| matches!(&m.payload, Payload::Delete { hop, .. } if !hop.initial))
                 .count();
             assert_eq!(report, Some((removed, deletes, true)), "region {region:?}");
             assert_eq!(

@@ -7,10 +7,10 @@
 //! simulator (`cluster`) and behind TCP endpoints (`sdr-net`).
 
 use crate::config::{SdrConfig, LOCAL_RTREE};
-use crate::ids::{NodeKind, NodeRef, ServerId};
+use crate::ids::{ClientId, NodeKind, NodeRef, QueryId, ServerId};
 use crate::image::Image;
 use crate::link::Link;
-use crate::msg::{Endpoint, ImageHolder, Message, Payload, Trace};
+use crate::msg::{Endpoint, Found, ImageHolder, Message, Payload, Trace};
 use crate::node::{DataNode, Object, RoutingNode};
 use sdr_geom::Rect;
 use sdr_rtree::{Entry, RTree};
@@ -96,6 +96,26 @@ impl Outbox {
     /// Emits a message to another server.
     pub fn send_server(&mut self, to: ServerId, payload: Payload) {
         self.send(Endpoint::Server(to), payload);
+    }
+
+    /// Sends client `to` one hop's [`Payload::Report`].
+    pub(crate) fn report(
+        &mut self,
+        to: ClientId,
+        qid: QueryId,
+        found: Found,
+        spawned: Vec<ServerId>,
+        trace: Trace,
+        direct: Option<bool>,
+    ) {
+        let report = Payload::Report {
+            qid,
+            found,
+            spawned,
+            trace,
+            direct,
+        };
+        self.send(Endpoint::Client(to), report);
     }
 
     /// Emits a server message into the deferred lane (see `deferred`).
@@ -335,20 +355,7 @@ impl Server {
             Payload::RefreshOc { target, table } => self.on_refresh_oc(target, table, out),
             Payload::ShrinkChild { child } => self.on_shrink_child(child, out),
             Payload::Query(q) => self.on_query(q, out),
-            Payload::Delete {
-                obj,
-                qid,
-                mode,
-                region,
-                visited,
-                target,
-                results_to,
-                iam_to,
-                trace,
-                initial,
-            } => self.on_delete(
-                obj, qid, target, mode, region, visited, results_to, iam_to, trace, initial, out,
-            ),
+            Payload::Delete { target, hop, obj } => self.on_delete(target, hop, obj, out),
             Payload::Eliminate { child, objects } => self.on_eliminate(child, objects, out),
             Payload::KnnLocal {
                 p,
@@ -364,17 +371,9 @@ impl Server {
             } => self.on_join_start(target, qid, results_to, trace, out),
             Payload::JoinProbe {
                 target,
+                hop,
                 objects,
-                region,
-                mode,
-                visited,
-                qid,
-                results_to,
-                trace,
-            } => self.on_join_probe(
-                target, objects, region, mode, visited, qid, results_to, trace, out,
-            ),
-            Payload::JoinReport { trace, .. } => self.image.absorb(&trace),
+            } => self.on_join_probe(target, hop, objects, out),
             // Contact server of the IMSERVER variant (§5): route the
             // client's operation with the local image.
             Payload::Routed { op, results_to } => {
@@ -389,8 +388,7 @@ impl Server {
             // Replies addressed to servers belong to the IMSERVER image
             // maintenance (IAMs) — absorb the links.
             Payload::InsertAck { trace, .. } => self.image.absorb(&trace),
-            Payload::QueryReport { trace, .. } => self.image.absorb(&trace),
-            Payload::DeleteReport { trace, .. } => self.image.absorb(&trace),
+            Payload::Report { trace, .. } => self.image.absorb(&trace),
             Payload::KnnLocalReply { .. } => {}
         }
     }

@@ -5,7 +5,7 @@
 //! (sender accounting, qid matching, stray-ack folding, self-healing
 //! eviction) holds for the simulator and for TCP alike.
 
-use sdr_core::msg::Message;
+use sdr_core::msg::{Found, Message};
 use sdr_core::{
     Client, ClientId, Endpoint, Fold, Incomplete, Link, NodeRef, Object, Oid, Payload, QueryId,
     QueryKind, ServerId, Transport, Variant,
@@ -54,33 +54,85 @@ fn from(server: u32, payload: Payload) -> Message {
     }
 }
 
-/// The query / delete id carried by an initial message.
+/// The operation id carried by an initial message.
 fn qid_of(msg: &Message) -> QueryId {
     match &msg.payload {
-        Payload::Query(q) => q.qid,
-        Payload::Delete { qid, .. } | Payload::KnnLocal { qid, .. } => *qid,
+        Payload::Query(q) => q.hop.qid,
+        Payload::Delete { hop, .. } => hop.qid,
+        Payload::KnnLocal { qid, .. } | Payload::JoinStart { qid, .. } => *qid,
         other => panic!("no qid in {}", other.name()),
     }
 }
 
-fn report(
-    server: u32,
-    qid: QueryId,
-    oids: &[u64],
-    spawned: &[u32],
-    direct: Option<bool>,
-) -> Message {
-    let unit = Rect::new(0.0, 0.0, 1.0, 1.0);
-    from(
-        server,
-        Payload::QueryReport {
-            qid,
-            results: oids.iter().map(|o| Object::new(Oid(*o), unit)).collect(),
-            spawned: spawned.iter().map(|s| ServerId(*s)).collect(),
-            trace: vec![],
-            direct,
-        },
-    )
+const UNIT: Rect = Rect {
+    xmin: 0.0,
+    ymin: 0.0,
+    xmax: 1.0,
+    ymax: 1.0,
+};
+
+/// The three operations whose hops answer with a report, told apart by
+/// what the report found.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Query,
+    Delete,
+    Join,
+}
+
+const OPS: [Op; 3] = [Op::Query, Op::Delete, Op::Join];
+
+impl Op {
+    /// What a hop of this operation finds where `oids` live: the objects,
+    /// a removal if there are any, one pair per oid.
+    fn found(self, oids: &[u64]) -> Found {
+        match self {
+            Op::Query => Found::Objects(oids.iter().map(|o| Object::new(Oid(*o), UNIT)).collect()),
+            Op::Delete => Found::Removed(!oids.is_empty()),
+            Op::Join => Found::Pairs(oids.iter().map(|o| (Oid(*o), Oid(o + 1))).collect()),
+        }
+    }
+
+    /// The `direct` of the entry hop's report: set for a query or a
+    /// delete; a join's entry is seeded by the client
+    /// (`Await::Broadcast`), so none of its reports carries it.
+    fn entry(self) -> Option<bool> {
+        (!matches!(self, Op::Join)).then_some(true)
+    }
+
+    /// Server `server`'s report of `oids`, naming `spawned`.
+    fn report(
+        self,
+        server: u32,
+        qid: QueryId,
+        oids: &[u64],
+        spawned: &[u32],
+        direct: Option<bool>,
+    ) -> Message {
+        let spawned = spawned.iter().map(|s| ServerId(*s)).collect();
+        let found = self.found(oids);
+        from(
+            server,
+            Payload::Report {
+                qid,
+                found,
+                spawned,
+                trace: vec![],
+                direct,
+            },
+        )
+    }
+
+    /// Runs the operation against scripted replies: what it found.
+    fn run(self, replies: impl FnMut(&Message) -> Vec<Message>) -> Result<Found, Incomplete> {
+        let (mut c, mut t) = (client(), script(replies));
+        let mut over = c.over(&mut t);
+        Ok(match self {
+            Op::Query => Found::Objects(over.query(QueryKind::Point(P))?.results),
+            Op::Delete => Found::Removed(over.delete(Object::new(Oid(1), UNIT))?.0),
+            Op::Join => Found::Pairs(over.spatial_join()?.pairs),
+        })
+    }
 }
 
 fn ack(server: u32, oid: u64, trace: Vec<Link>) -> Message {
@@ -105,9 +157,9 @@ fn complete_traversal_merges_and_dedups_results() {
     let got = point(&mut client(), |m| {
         let q = qid_of(m);
         vec![
-            report(0, q, &[1, 2], &[1, 2], Some(true)),
-            report(1, q, &[2, 3], &[], None),
-            report(2, q, &[], &[], None),
+            Op::Query.report(0, q, &[1, 2], &[1, 2], Some(true)),
+            Op::Query.report(1, q, &[2, 3], &[], None),
+            Op::Query.report(2, q, &[], &[], None),
         ]
     });
     assert_eq!(got, Ok(vec![1, 2, 3]));
@@ -115,46 +167,62 @@ fn complete_traversal_merges_and_dedups_results() {
 
 #[test]
 fn lost_report_is_incomplete() {
-    let got = point(&mut client(), |m| {
-        vec![report(0, qid_of(m), &[1], &[1], Some(true))]
-    });
-    assert!(matches!(got, Err(Incomplete::Reports(_))), "got {got:?}");
+    for op in OPS {
+        let got = op.run(|m| vec![op.report(0, qid_of(m), &[1], &[1], op.entry())]);
+        assert!(
+            matches!(got, Err(Incomplete::Reports(_))),
+            "{op:?}: got {got:?}"
+        );
+    }
 }
 
 #[test]
 fn duplicated_report_is_incomplete() {
-    let got = point(&mut client(), |m| {
-        let dup = report(0, qid_of(m), &[1], &[], Some(true));
-        vec![dup.clone(), dup]
-    });
-    assert!(matches!(got, Err(Incomplete::Reports(_))), "got {got:?}");
+    for op in OPS {
+        let got = op.run(|m| {
+            let dup = op.report(0, qid_of(m), &[1], &[], op.entry());
+            vec![dup.clone(), dup]
+        });
+        assert!(
+            matches!(got, Err(Incomplete::Reports(_))),
+            "{op:?}: got {got:?}"
+        );
+    }
 }
 
 #[test]
 fn forged_report_from_an_unnamed_server_is_incomplete() {
-    let got = point(&mut client(), |m| {
-        let q = qid_of(m);
-        vec![
-            report(0, q, &[1], &[], Some(true)),
-            report(9, q, &[7], &[], None),
-        ]
-    });
-    assert!(matches!(got, Err(Incomplete::Reports(_))), "got {got:?}");
+    for op in OPS {
+        let got = op.run(|m| {
+            let q = qid_of(m);
+            vec![
+                op.report(0, q, &[1], &[], op.entry()),
+                op.report(9, q, &[7], &[], None),
+            ]
+        });
+        assert!(
+            matches!(got, Err(Incomplete::Reports(_))),
+            "{op:?}: got {got:?}"
+        );
+    }
 }
 
 #[test]
 fn reply_with_a_foreign_qid_is_ignored() {
-    // A late branch of an older query: it must neither add results nor
-    // disturb this query's accounting.
-    let got = point(&mut client(), |m| {
-        let q = qid_of(m);
-        let stale = QueryId(q.0 + 100);
-        vec![
-            report(3, stale, &[99], &[5], Some(false)),
-            report(0, q, &[1], &[], Some(true)),
-        ]
-    });
-    assert_eq!(got, Ok(vec![1]));
+    // A late branch of an older operation: it must neither add to what
+    // this one found (nothing: a delete's removal would show) nor
+    // disturb its accounting.
+    for op in OPS {
+        let got = op.run(|m| {
+            let q = qid_of(m);
+            let stale = QueryId(q.0 + 100);
+            vec![
+                op.report(3, stale, &[99], &[5], op.entry()),
+                op.report(0, q, &[], &[], op.entry()),
+            ]
+        });
+        assert_eq!(got, Ok(op.found(&[])), "{op:?}");
+    }
 }
 
 #[test]
@@ -174,20 +242,19 @@ fn stray_insert_ack_is_absorbed_by_query_delete_and_knn() {
     let mut c = client();
 
     point(&mut c, |m| {
-        vec![stray(20), report(0, qid_of(m), &[], &[], Some(true))]
+        vec![
+            stray(20),
+            Op::Query.report(0, qid_of(m), &[], &[], Some(true)),
+        ]
     })
     .unwrap();
     assert_eq!(c.image.len(), 1, "query folded the stray ack");
 
     let mut t = script(|m: &Message| {
-        let delete = Payload::DeleteReport {
-            qid: qid_of(m),
-            removed: true,
-            spawned: vec![],
-            trace: vec![],
-            initial: true,
-        };
-        vec![stray(21), from(0, delete)]
+        vec![
+            stray(21),
+            Op::Delete.report(0, qid_of(m), &[1], &[], Some(true)),
+        ]
     });
     assert_eq!(c.over(&mut t).delete(obj).map(|(r, _)| r), Ok(true));
     assert_eq!(c.image.len(), 2, "delete folded the stray ack");
@@ -200,7 +267,7 @@ fn stray_insert_ack_is_absorbed_by_query_delete_and_knn() {
                 from(0, Payload::KnnLocalReply { qid, items, dr }),
             ]
         }
-        _ => vec![report(0, qid_of(m), &[1], &[], Some(true))],
+        _ => vec![Op::Query.report(0, qid_of(m), &[1], &[], Some(true))],
     });
     let (near, rounds) = c.over(&mut t).knn(P, 1).unwrap();
     assert_eq!((near.len(), near[0].0.oid, rounds), (1, Oid(1), 1));
@@ -221,8 +288,8 @@ fn non_direct_outcome_evicts_the_chosen_link() {
     let mut c = client();
     c.image.absorb_link(covering);
     let mut t = script(|m: &Message| {
-        let mut r = report(3, qid_of(m), &[], &[], Some(false));
-        if let Payload::QueryReport { trace, .. } = &mut r.payload {
+        let mut r = Op::Query.report(3, qid_of(m), &[], &[], Some(false));
+        if let Payload::Report { trace, .. } = &mut r.payload {
             trace.push(fresh);
         }
         vec![r]
@@ -264,8 +331,8 @@ fn out_of_bound_server_in_a_trace_neither_panics_nor_grows_the_image() {
     let unit = Rect::new(0.0, 0.0, 1.0, 1.0);
     let mut c = client();
     let got = point(&mut c, |m| {
-        let mut r = report(0, qid_of(m), &[1], &[], Some(true));
-        if let Payload::QueryReport { trace, .. } = &mut r.payload {
+        let mut r = Op::Query.report(0, qid_of(m), &[1], &[], Some(true));
+        if let Payload::Report { trace, .. } = &mut r.payload {
             trace.push(Link::to_data(ServerId(u32::MAX), unit));
             trace.push(Link::to_routing(ServerId(ServerId::MAX.0 + 1), unit, 3));
             trace.push(Link::to_data(ServerId(2), unit));
@@ -285,7 +352,7 @@ fn out_of_bound_server_in_a_trace_neither_panics_nor_grows_the_image() {
     assert_eq!(c.image.choose(&unit).map(|l| l.node), held.first().copied());
     // In the sender accounting such an id is one more entry, no more.
     let got = point(&mut c, |m| {
-        vec![report(0, qid_of(m), &[1], &[u32::MAX], Some(true))]
+        vec![Op::Query.report(0, qid_of(m), &[1], &[u32::MAX], Some(true))]
     });
     assert!(matches!(got, Err(Incomplete::Reports(_))), "got {got:?}");
 }
@@ -297,9 +364,9 @@ fn incomplete_reports_name_only_the_unbalanced_servers() {
     let err = point(&mut client(), |m| {
         let q = qid_of(m);
         vec![
-            report(0, q, &[1], &[1, 2, 2], Some(true)),
-            report(1, q, &[2], &[], None),
-            report(2, q, &[], &[], None),
+            Op::Query.report(0, q, &[1], &[1, 2, 2], Some(true)),
+            Op::Query.report(1, q, &[2], &[], None),
+            Op::Query.report(2, q, &[], &[], None),
         ]
     })
     .unwrap_err();
@@ -394,8 +461,8 @@ mod model {
             let mut t = script(|m: &Message| {
                 let mut n = 0.0;
                 let replies = reports.iter().map(|(server, oids)| {
-                    let mut r = report(*server, qid_of(m), oids, &[], None);
-                    if let Payload::QueryReport { results, .. } = &mut r.payload {
+                    let mut r = Op::Query.report(*server, qid_of(m), oids, &[], None);
+                    if let Payload::Report { found: Found::Objects(results), .. } = &mut r.payload {
                         // Tell the occurrences of one oid apart.
                         for o in results.iter_mut() {
                             n += 1.0;

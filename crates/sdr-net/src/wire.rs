@@ -20,8 +20,8 @@
 use crate::buf::{ReadBuf, WriteBuf};
 use sdr_core::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 use sdr_core::msg::{
-    ClientOp, Endpoint, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
-    ReplyProtocol,
+    ClientOp, Endpoint, Found, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
+    ReplyProtocol, Traversal,
 };
 use sdr_core::node::{Object, RoutingNode};
 use sdr_core::oc::{OcEntry, OcTable};
@@ -276,10 +276,8 @@ record! {
     Object { oid, mbb }
     OcEntry { ancestor, outer, rect }
     RoutingNode { height, dr, left, right, parent, oc }
-    QueryMsg {
-        target, query, region, mode, qid, initial, repaired, iam_carrier, visited, results_to,
-        iam_to, protocol, reply_via, parent_branch, trace
-    }
+    Traversal { mode, region, visited, qid, results_to, trace, initial }
+    QueryMsg { target, hop, query, repaired, iam_carrier, iam_to, protocol, reply_via, parent_branch }
     Message { from, to, payload }
 }
 
@@ -318,6 +316,11 @@ tagged! {
         3 Delete(obj, qid),
         4 Knn(p, k, qid),
     }
+    Found "found" {
+        0 Objects(objects),
+        1 Removed(removed),
+        2 Pairs(pairs),
+    }
     Payload "payload" {
         0 InsertAtLeaf { obj, trace, iam_to, initial },
         1 InsertAscend { obj, trace, iam_to, initial },
@@ -339,19 +342,17 @@ tagged! {
         17 RefreshOc { target, table },
         18 ShrinkChild { child },
         19 Query(q),
-        20 QueryReport { qid, results, spawned, trace, direct },
+        20 Report { qid, found, spawned, trace, direct },
         21 QueryAggregate { qid, parent_branch, results, trace },
-        22 Delete { obj, qid, mode, region, visited, target, results_to, iam_to, trace, initial },
-        23 DeleteReport { qid, removed, spawned, trace, initial },
-        24 Eliminate { child, objects },
-        25 ClearParent { target },
-        26 DropOcAncestor { target, ancestor },
-        27 KnnLocal { p, k, qid, results_to },
-        28 KnnLocalReply { qid, items, dr },
-        29 Routed { op, results_to },
-        30 JoinStart { target, qid, results_to, trace },
-        31 JoinProbe { target, objects, region, mode, visited, qid, results_to, trace },
-        32 JoinReport { qid, pairs, spawned, trace },
+        22 Delete { target, hop, obj },
+        23 Eliminate { child, objects },
+        24 ClearParent { target },
+        25 DropOcAncestor { target, ancestor },
+        26 KnnLocal { p, k, qid, results_to },
+        27 KnnLocalReply { qid, items, dr },
+        28 Routed { op, results_to },
+        29 JoinStart { target, qid, results_to, trace },
+        30 JoinProbe { target, hop, objects },
     }
 }
 
@@ -383,28 +384,39 @@ mod tests {
 
     /// Each tagged type rejects an unknown tag under its own label. The
     /// offsets are into the frame body: endpoints are 5 bytes, a
-    /// `NodeRef` 4 + 1, a point 16, a rectangle 32.
+    /// `NodeRef` 4 + 1, the query's `Traversal` header 54 (mode 1,
+    /// region 32, empty `visited` 4, qid 8, `results_to` 4, empty trace
+    /// 4, `initial` 1), a point 16.
     #[test]
     fn bad_tag_errors() {
         let point = Point::new(0.5, 0.25);
         let region = Rect::new(0.5, 0.25, 0.5, 0.25);
         let query = message(Payload::Query(QueryMsg {
             target: NodeRef::data(ServerId(2)),
+            hop: Traversal {
+                mode: QueryMode::Check,
+                region,
+                visited: vec![],
+                qid: QueryId(9),
+                results_to: ClientId(0),
+                trace: vec![],
+                initial: true,
+            },
             query: QueryKind::Point(point),
-            region,
-            mode: QueryMode::Check,
-            qid: QueryId(9),
-            initial: true,
             repaired: false,
             iam_carrier: false,
-            visited: vec![],
-            results_to: ClientId(0),
             iam_to: ImageHolder::Client(ClientId(0)),
             protocol: ReplyProtocol::Direct,
             reply_via: None,
             parent_branch: 0,
-            trace: vec![],
         }));
+        let report = message(Payload::Report {
+            qid: QueryId(9),
+            found: Found::Removed(true),
+            spawned: vec![],
+            trace: vec![],
+            direct: None,
+        });
         let routed = message(Payload::Routed {
             op: ClientOp::Insert(Object::new(Oid(1), region)),
             results_to: ClientId(0),
@@ -414,10 +426,11 @@ mod tests {
             ("endpoint", &query, 5),
             ("payload", &query, 10),
             ("node kind", &query, 15),
-            ("query kind", &query, 16),
-            ("query mode", &query, 65),
-            ("image holder", &query, 85),
-            ("protocol", &query, 90),
+            ("query mode", &query, 16),
+            ("query kind", &query, 70),
+            ("image holder", &query, 89),
+            ("protocol", &query, 94),
+            ("found", &report, 19),
             ("client op", &routed, 11),
         ] {
             let mut body = encode_message(msg).split_off(4);

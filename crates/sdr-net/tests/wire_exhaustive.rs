@@ -1,6 +1,7 @@
 //! Exhaustive wire round-trip: one (or more) concrete message per
-//! `Payload` variant — every variant, every `ClientOp`, both
-//! `tall_grandchildren` arms — each asserted to decode back bit-equal
+//! `Payload` variant — every variant, every `ClientOp`, every `Found`,
+//! both `tall_grandchildren` and `direct` arms, a traversal header at
+//! and past its entry hop — each asserted to decode back bit-equal
 //! with zero trailing bytes. The property suite explores deep random
 //! structure; this test guarantees *coverage*: adding a variant to
 //! `Payload` without extending the codec (or this list) fails the
@@ -10,8 +11,8 @@
 
 use sdr_core::ids::{ClientId, NodeRef, Oid, QueryId, ServerId};
 use sdr_core::msg::{
-    ClientOp, Endpoint, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
-    ReplyProtocol,
+    ClientOp, Endpoint, Found, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
+    ReplyProtocol, Traversal,
 };
 use sdr_core::node::{Object, RoutingNode};
 use sdr_core::oc::{OcEntry, OcTable};
@@ -62,23 +63,30 @@ fn routing_node() -> RoutingNode {
     }
 }
 
+/// A hop's header, at the entry hop (`initial`) or past it.
+fn traversal(mode: QueryMode, initial: bool) -> Traversal {
+    Traversal {
+        mode,
+        region: rect(),
+        visited: vec![NodeRef::data(ServerId(2)), NodeRef::routing(ServerId(4))],
+        qid: QueryId(0xFACE),
+        results_to: ClientId(1),
+        trace: vec![link(3), dlink(9)],
+        initial,
+    }
+}
+
 fn query_msg() -> QueryMsg {
     QueryMsg {
         target: NodeRef::routing(ServerId(8)),
+        hop: traversal(QueryMode::Descend, true),
         query: QueryKind::Window(rect()),
-        region: rect(),
-        mode: QueryMode::Descend,
-        qid: QueryId(0xFACE),
-        initial: true,
         repaired: false,
         iam_carrier: true,
-        visited: vec![NodeRef::data(ServerId(2)), NodeRef::routing(ServerId(4))],
-        results_to: ClientId(1),
         iam_to: ImageHolder::Server(ServerId(2)),
         protocol: ReplyProtocol::Probabilistic,
         reply_via: Some(ServerId(6)),
         parent_branch: 12,
-        trace: vec![link(3), dlink(9)],
     }
 }
 
@@ -186,18 +194,32 @@ fn every_payload() -> Vec<Payload> {
         },
         Payload::ShrinkChild { child: dlink(1) },
         Payload::Query(query_msg()),
-        Payload::QueryReport {
+        Payload::Report {
             qid: QueryId(5),
-            results: vec![obj(3)],
+            found: Found::Objects(vec![obj(3)]),
             spawned: vec![ServerId(4), ServerId(0), ServerId(4)],
             trace: vec![link(1)],
             direct: Some(true),
         },
-        Payload::QueryReport {
+        Payload::Report {
             qid: QueryId(5),
-            results: vec![],
+            found: Found::Objects(vec![]),
             spawned: vec![],
             trace: vec![],
+            direct: None,
+        },
+        Payload::Report {
+            qid: QueryId(2),
+            found: Found::Removed(true),
+            spawned: vec![ServerId(3)],
+            trace: vec![link(1)],
+            direct: Some(false),
+        },
+        Payload::Report {
+            qid: QueryId(4),
+            found: Found::Pairs(vec![(Oid(1), Oid(2)), (Oid(3), Oid(9))]),
+            spawned: vec![ServerId(2), ServerId(7)],
+            trace: vec![link(1)],
             direct: None,
         },
         Payload::QueryAggregate {
@@ -207,23 +229,14 @@ fn every_payload() -> Vec<Payload> {
             trace: vec![dlink(1)],
         },
         Payload::Delete {
-            obj: obj(6),
-            qid: QueryId(7),
-            mode: QueryMode::Ascend,
-            region: rect(),
-            visited: vec![NodeRef::data(ServerId(0))],
             target: NodeRef::data(ServerId(1)),
-            results_to: ClientId(2),
-            iam_to: ImageHolder::Client(ClientId(2)),
-            trace: vec![link(1)],
-            initial: true,
+            hop: traversal(QueryMode::Check, true),
+            obj: obj(6),
         },
-        Payload::DeleteReport {
-            qid: QueryId(2),
-            removed: true,
-            spawned: vec![ServerId(3)],
-            trace: vec![link(1)],
-            initial: false,
+        Payload::Delete {
+            target: NodeRef::routing(ServerId(3)),
+            hop: traversal(QueryMode::Ascend, false),
+            obj: obj(6),
         },
         Payload::Eliminate {
             child: NodeRef::data(ServerId(1)),
@@ -280,19 +293,8 @@ fn every_payload() -> Vec<Payload> {
         },
         Payload::JoinProbe {
             target: NodeRef::data(ServerId(3)),
-            objects: vec![obj(9)],
-            region: rect(),
-            mode: QueryMode::Check,
-            visited: vec![NodeRef::data(ServerId(1))],
-            qid: QueryId(4),
-            results_to: ClientId(1),
-            trace: vec![],
-        },
-        Payload::JoinReport {
-            qid: QueryId(4),
-            pairs: vec![(Oid(1), Oid(2)), (Oid(3), Oid(9))],
-            spawned: vec![ServerId(2), ServerId(7)],
-            trace: vec![link(1)],
+            hop: traversal(QueryMode::Check, false),
+            objects: vec![obj(9), obj(10)],
         },
     ]
 }
@@ -322,23 +324,21 @@ fn variant_index(p: &Payload) -> usize {
         Payload::RefreshOc { .. } => 17,
         Payload::ShrinkChild { .. } => 18,
         Payload::Query(_) => 19,
-        Payload::QueryReport { .. } => 20,
+        Payload::Report { .. } => 20,
         Payload::QueryAggregate { .. } => 21,
         Payload::Delete { .. } => 22,
-        Payload::DeleteReport { .. } => 23,
-        Payload::Eliminate { .. } => 24,
-        Payload::ClearParent { .. } => 25,
-        Payload::DropOcAncestor { .. } => 26,
-        Payload::KnnLocal { .. } => 27,
-        Payload::KnnLocalReply { .. } => 28,
-        Payload::Routed { .. } => 29,
-        Payload::JoinStart { .. } => 30,
-        Payload::JoinProbe { .. } => 31,
-        Payload::JoinReport { .. } => 32,
+        Payload::Eliminate { .. } => 23,
+        Payload::ClearParent { .. } => 24,
+        Payload::DropOcAncestor { .. } => 25,
+        Payload::KnnLocal { .. } => 26,
+        Payload::KnnLocalReply { .. } => 27,
+        Payload::Routed { .. } => 28,
+        Payload::JoinStart { .. } => 29,
+        Payload::JoinProbe { .. } => 30,
     }
 }
 
-const NUM_VARIANTS: usize = 33;
+const NUM_VARIANTS: usize = 31;
 
 #[test]
 fn every_variant_is_covered() {
@@ -393,12 +393,15 @@ fn every_frame() -> Vec<(Message, Vec<u8>)> {
 }
 
 /// FNV-1a (the construction of `Cluster::structure_hash`) over the
-/// concatenated frames of [`every_frame`]. The frames of every sample
-/// but `Routed { op: ClientOp::Knn(..) }` are those of the hand-mirrored
-/// put/get codec the field tables replaced (digest
-/// `0x0e5e_0028_a58b_b659`, still matched with the `Knn` row in the codec
-/// and before its sample joined the list); that sample alone moved it.
-const GOLDEN_DIGEST: u64 = 0x9a61_43ff_b749_3cbf;
+/// concatenated frames of [`every_frame`]. Re-recorded once when the
+/// traversal payloads took one `Traversal` header and the three per-hop
+/// reports became one `Report` (31 payload rows, from 33): the query,
+/// delete and probe frames, the report frames and every tag from
+/// `Report` on moved. The digest before, `0x9a61_43ff_b749_3cbf`, was
+/// that of the hand-mirrored put/get codec the field tables replaced
+/// (`0x0e5e_0028_a58b_b659`) plus the `Routed { op: ClientOp::Knn(..) }`
+/// sample.
+const GOLDEN_DIGEST: u64 = 0xec6d_3a13_6df3_8955;
 
 /// The format, pinned: a codec change that moves one byte of any frame
 /// fails here.

@@ -5,8 +5,8 @@
 
 use sdr_core::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 use sdr_core::msg::{
-    ClientOp, Endpoint, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
-    ReplyProtocol,
+    ClientOp, Endpoint, Found, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
+    ReplyProtocol, Traversal,
 };
 use sdr_core::node::{Object, RoutingNode};
 use sdr_core::oc::{OcEntry, OcTable};
@@ -99,56 +99,72 @@ fn arb_trace() -> Gen<Vec<Link>> {
     vecs_of(arb_link(), 0..8)
 }
 
+fn arb_mode() -> Gen<QueryMode> {
+    one_of(vec![
+        just(QueryMode::Check),
+        just(QueryMode::Ascend),
+        just(QueryMode::Descend),
+    ])
+}
+
+/// The one header generator, shared by all three traversal payloads.
+fn arb_traversal() -> Gen<Traversal> {
+    arb_mode()
+        .zip(arb_rect())
+        .zip(vecs_of(arb_node_ref(), 0..5).zip(u64s()))
+        .zip(u32s().zip(arb_trace().zip(bools())))
+        .map(
+            |(((mode, region), (visited, qid)), (rt, (trace, initial)))| Traversal {
+                mode,
+                region,
+                visited,
+                qid: QueryId(qid),
+                results_to: ClientId(rt),
+                trace,
+                initial,
+            },
+        )
+}
+
 fn arb_query_msg() -> Gen<QueryMsg> {
     let head = arb_node_ref()
+        .zip(arb_traversal())
         .zip(one_of(vec![
             arb_point().map(QueryKind::Point),
             arb_rect().map(QueryKind::Window),
         ]))
-        .zip(arb_rect().zip(one_of(vec![
-            just(QueryMode::Check),
-            just(QueryMode::Ascend),
-            just(QueryMode::Descend),
-        ])))
-        .zip(u64s().zip(bools()))
         .zip(bools().zip(bools()))
-        .zip(vecs_of(arb_node_ref(), 0..5).zip(u32s()))
         .zip(arb_image_holder());
     let tail = one_of(vec![
         just(ReplyProtocol::Direct),
         just(ReplyProtocol::ReversePath),
         just(ReplyProtocol::Probabilistic),
     ])
-    .zip(option_of(arb_server()))
-    .zip(u64s().zip(arb_trace()));
+    .zip(option_of(arb_server()).zip(u64s()));
     head.zip(tail).map(
-        |(
-            (
-                (
-                    ((((target, query), (region, mode)), (qid, initial)), (repaired, carrier)),
-                    (visited, rt),
-                ),
-                iam,
-            ),
-            ((protocol, via), (branch, trace)),
-        )| QueryMsg {
-            target,
-            query,
-            region,
-            mode,
-            qid: QueryId(qid),
-            initial,
-            repaired,
-            iam_carrier: carrier,
-            visited,
-            results_to: ClientId(rt),
-            iam_to: iam,
-            protocol,
-            reply_via: via,
-            parent_branch: branch,
-            trace,
+        |(((((target, hop), query), (repaired, carrier)), iam), (protocol, (via, branch)))| {
+            QueryMsg {
+                target,
+                hop,
+                query,
+                repaired,
+                iam_carrier: carrier,
+                iam_to: iam,
+                protocol,
+                reply_via: via,
+                parent_branch: branch,
+            }
         },
     )
+}
+
+fn arb_found() -> Gen<Found> {
+    one_of(vec![
+        vecs_of(arb_object(), 0..10).map(Found::Objects),
+        bools().map(Found::Removed),
+        vecs_of(u64s().zip(u64s()), 0..10)
+            .map(|pairs| Found::Pairs(pairs.into_iter().map(|(a, b)| (Oid(a), Oid(b))).collect())),
+    ])
 }
 
 fn arb_payload() -> Gen<Payload> {
@@ -197,17 +213,29 @@ fn arb_payload() -> Gen<Payload> {
             ),
         arb_query_msg().map(Payload::Query),
         u64s()
-            .zip(vecs_of(arb_object(), 0..10))
+            .zip(arb_found())
             .zip(vecs_of(arb_server(), 0..6).zip(arb_trace().zip(option_of(bools()))))
             .map(
-                |((qid, results), (spawned, (trace, direct)))| Payload::QueryReport {
+                |((qid, found), (spawned, (trace, direct)))| Payload::Report {
                     qid: QueryId(qid),
-                    results,
+                    found,
                     spawned,
                     trace,
                     direct,
                 },
             ),
+        arb_node_ref()
+            .zip(arb_traversal())
+            .zip(arb_object())
+            .map(|((target, hop), obj)| Payload::Delete { target, hop, obj }),
+        arb_node_ref()
+            .zip(arb_traversal())
+            .zip(vecs_of(arb_object(), 0..10))
+            .map(|((target, hop), objects)| Payload::JoinProbe {
+                target,
+                hop,
+                objects,
+            }),
         arb_node_ref()
             .zip(vecs_of(arb_object(), 0..10))
             .map(|(child, objects)| Payload::Eliminate { child, objects }),
@@ -384,9 +412,9 @@ sdr_det::prop! {
             Message {
                 from: Endpoint::Server(if at == 0 { id } else { max }),
                 to: Endpoint::Client(ClientId(0)),
-                payload: Payload::QueryReport {
+                payload: Payload::Report {
                     qid: QueryId(1),
-                    results: vec![],
+                    found: Found::Objects(vec![]),
                     spawned: vec![max, if at == 2 { id } else { max }],
                     trace,
                     direct: None,
