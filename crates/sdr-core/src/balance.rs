@@ -17,8 +17,8 @@
 
 use crate::ids::{NodeKind, NodeRef, ServerId};
 use crate::link::Link;
-use crate::msg::Payload;
-use crate::node::RoutingNode;
+use crate::msg::{Pattern, Payload};
+use crate::node::{RoutingNode, Side};
 
 use crate::server::{Outbox, Server};
 
@@ -88,8 +88,13 @@ impl Server {
             // Unbalanced: rotate. The taller side determines whether we
             // already hold the pattern links.
             if new_link.height > other.height {
-                if let (Some(ch), Some(gc)) = (children, tall_grandchildren) {
-                    self.rotate(new_link, ch, gc, out);
+                if let (Some(b_children), Some(e_children)) = (children, tall_grandchildren) {
+                    let pattern = Pattern {
+                        b: new_link,
+                        b_children,
+                        e_children,
+                    };
+                    r.rotate(self_id, side, pattern, out);
                     return;
                 }
                 if let Some(ch) = children {
@@ -158,14 +163,12 @@ impl Server {
             // rotate with empty grandchildren information. This only
             // happens when the origin's other side has height ≤ -1,
             // i.e. never; answer anyway for robustness.
-            out.send_server(
-                origin,
-                Payload::RotationInfo {
-                    b_link,
-                    b_children,
-                    e_children: (e, e),
-                },
-            );
+            let pattern = Pattern {
+                b: b_link,
+                b_children,
+                e_children: (e, e),
+            };
+            out.send_server(origin, Payload::RotationInfo { pattern });
             return;
         }
         out.send_server(
@@ -190,78 +193,82 @@ impl Server {
         let Some(r) = self.routing.as_ref() else {
             return;
         };
-        out.send_server(
-            origin,
-            Payload::RotationInfo {
-                b_link,
-                b_children,
-                e_children: (r.left, r.right),
-            },
-        );
+        let pattern = Pattern {
+            b: b_link,
+            b_children,
+            e_children: (r.left, r.right),
+        };
+        out.send_server(origin, Payload::RotationInfo { pattern });
     }
 
     /// RotationInfo: the gathered pattern arrived; re-check the imbalance
     /// (it may have been resolved meanwhile) and rotate.
-    pub(crate) fn on_rotation_info(
-        &mut self,
-        b_link: Link,
-        b_children: (Link, Link),
-        e_children: (Link, Link),
-        out: &mut Outbox,
-    ) {
-        let Some(r) = self.routing.as_ref() else {
+    pub(crate) fn on_rotation_info(&mut self, pattern: Pattern, out: &mut Outbox) {
+        let self_id = self.id;
+        let Some(r) = self.routing.as_mut() else {
             return;
         };
-        let Some(side) = r.side_of(b_link.node) else {
+        let Some(side) = r.side_of(pattern.b.node) else {
             return;
         };
         let current_b = *r.child(side);
-        if current_b != b_link {
+        let other = *r.child(side.other());
+        if current_b != pattern.b {
             // The snapshot went stale while in flight (concurrent
             // maintenance changed b): re-gather from the fresh state if
             // we are still unbalanced.
-            let other = *r.child(side.other());
             if current_b.height.abs_diff(other.height) > 1 {
                 out.send_server(
                     current_b.node.server,
-                    Payload::GatherRotation { origin: self.id },
+                    Payload::GatherRotation { origin: self_id },
                 );
             }
             return;
         }
-        let other = *r.child(side.other());
-        if b_link.height.abs_diff(other.height) <= 1 {
+        if current_b.height.abs_diff(other.height) <= 1 {
             return; // resolved meanwhile
         }
-        self.rotate(b_link, b_children, e_children, out);
+        r.rotate(self_id, side, pattern, out);
     }
 
-    /// Performs the rotation of §2.4 at this (unbalanced) routing node
-    /// `a`, given the pattern links. Emits the structural messages of the
-    /// paper (6 for `move(f)`/`move(g)`, 3 for `move(d)`) plus the
-    /// overlapping-coverage refreshes.
-    pub(crate) fn rotate(
-        &mut self,
-        b_link: Link,
-        b_children: (Link, Link),
-        e_children: (Link, Link),
-        out: &mut Outbox,
-    ) {
-        let self_id = self.id;
-        #[expect(
-            clippy::expect_used,
-            reason = "GatherRotationInner only targets routing nodes; a data-node target is a logic bug"
-        )]
-        let r = self
-            .routing
-            .as_mut()
-            .expect("rotation happens at a routing node");
-        #[expect(
-            clippy::expect_used,
-            reason = "the rotation was initiated by b reporting to its parent a, so a's routing node links to b"
-        )]
-        let b_side = r.side_of(b_link.node).expect("b is a child of a");
-        let c = *r.child(b_side.other());
+    /// SetRouting: overwrite the routing node (rotation target).
+    pub(crate) fn on_set_routing(&mut self, node: RoutingNode) {
+        self.routing = Some(node);
+    }
+
+    /// SetParent: update one node's parent pointer, then report the
+    /// node's current state back so the new parent heals any staleness
+    /// in the rotation driver's snapshot.
+    pub(crate) fn on_set_parent(&mut self, target: NodeRef, parent: ServerId, out: &mut Outbox) {
+        let fresh = match target.kind {
+            NodeKind::Data => self.data.as_mut().map(|d| {
+                d.parent = Some(parent);
+                d.link(self.id)
+            }),
+            NodeKind::Routing => self.routing.as_mut().map(|r| {
+                r.parent = Some(parent);
+                r.link(self.id)
+            }),
+        };
+        if let Some(link) = fresh {
+            out.send_server(parent, Payload::RefreshChild { child: link });
+        }
+    }
+}
+
+impl RoutingNode {
+    /// Performs the rotation of §2.4 at this unbalanced routing node `a`,
+    /// hosted on `self_id`, whose child on `b_side` is the pattern's `b`.
+    /// Emits the structural messages of the paper (6 for
+    /// `move(f)`/`move(g)`, 3 for `move(d)`) plus the overlapping-coverage
+    /// refreshes.
+    fn rotate(&mut self, self_id: ServerId, b_side: Side, pattern: Pattern, out: &mut Outbox) {
+        let Pattern {
+            b: b_link,
+            b_children,
+            e_children,
+        } = pattern;
+        let c = *self.child(b_side.other());
         let b_server = b_link.node.server;
 
         // Identify e (taller child of b) and d; f and g are e's children.
@@ -301,7 +308,7 @@ impl Server {
         }
         #[expect(
             clippy::expect_used,
-            reason = "AVL rotation invariant: with the height pattern that triggered the rotation, at least one of the three redistributions is balanced (paper §3.4)"
+            reason = "AVL rotation invariant over the pattern heights a peer sent (adjust chain or RotationInfo): while they are fresh, at least one of the three redistributions is balanced (paper §3.4)"
         )]
         let (_, _, s, (s1, s2)) =
             best.expect("a rotation pattern always admits a balanced redistribution");
@@ -317,8 +324,8 @@ impl Server {
         let b_h = e_h.max(a_h) + 1;
         let b_link_new = Link::to_routing(b_server, b_dr, b_h);
 
-        let old_parent = r.parent;
-        let mut b_oc = std::mem::take(&mut r.oc);
+        let old_parent = self.parent;
+        let mut b_oc = std::mem::take(&mut self.oc);
         // b takes a's tree position, inheriting its coverage; on the
         // deletion path the reorganized subtree may have shrunk, in
         // which case the inherited entries shrink with it.
@@ -344,13 +351,13 @@ impl Server {
 
         // Self-adjust (the routing node a "which drives the rotation must
         // self-adjust its own representation").
-        *r = RoutingNode {
+        *self = RoutingNode {
             height: a_h,
             dr: a_dr,
             left: s,
             right: c,
             parent: Some(b_server),
-            oc: a_oc_new.clone(),
+            oc: a_oc_new,
         };
 
         let move_d = s.node == d.node;
@@ -421,13 +428,8 @@ impl Server {
             },
         );
         // Coverage refresh for a's children (s and c).
-        #[expect(
-            clippy::expect_used,
-            reason = "self.routing was assigned a few lines up in this same function"
-        )]
-        let a_new = self.routing.as_ref().expect("just set");
         for (child, sibling) in [(s, c), (c, s)] {
-            let new = a_new.oc.derive_child(self_id, &child.dr, &sibling);
+            let new = self.oc.derive_child(self_id, &child.dr, &sibling);
             out.send_server(
                 child.node.server,
                 Payload::RefreshOc {
@@ -436,44 +438,6 @@ impl Server {
                 },
             );
         }
-    }
-
-    /// SetRouting: overwrite the routing node (rotation target).
-    pub(crate) fn on_set_routing(&mut self, node: RoutingNode) {
-        self.routing = Some(node);
-    }
-
-    /// SetParent: update one node's parent pointer, then report the
-    /// node's current state back so the new parent heals any staleness
-    /// in the rotation driver's snapshot.
-    pub(crate) fn on_set_parent(&mut self, target: NodeRef, parent: ServerId, out: &mut Outbox) {
-        let fresh = match target.kind {
-            NodeKind::Data => self.data.as_mut().map(|d| {
-                d.parent = Some(parent);
-                d.link(self.id)
-            }),
-            NodeKind::Routing => self.routing.as_mut().map(|r| {
-                r.parent = Some(parent);
-                r.link(self.id)
-            }),
-        };
-        if let Some(link) = fresh {
-            out.send_server(parent, Payload::RefreshChild { child: link });
-        }
-    }
-
-    /// ReplaceChild: swap a child link after a rotation below. On the
-    /// insertion path the subtree's height and rectangle are preserved
-    /// and this is a pure link swap; on the deletion path the rotated
-    /// subtree may have shrunk, in which case the generic child-change
-    /// logic (coverage repair, upward adjustment) takes over.
-    pub(crate) fn on_replace_child(
-        &mut self,
-        old_child: NodeRef,
-        new_child: Link,
-        out: &mut Outbox,
-    ) {
-        self.on_child_change(old_child, new_child, None, None, out);
     }
 }
 
@@ -651,7 +615,12 @@ mod tests {
         // RotationInfo whose b snapshot is stale (wrong height).
         let stale_b = Link::to_routing(ServerId(11), b.dr, 5);
         let mut out = Outbox::new(ServerId(10), 100);
-        a.on_rotation_info(stale_b, (e, d), (f, g), &mut out);
+        let pattern = Pattern {
+            b: stale_b,
+            b_children: (e, d),
+            e_children: (f, g),
+        };
+        a.on_rotation_info(pattern, &mut out);
         assert!(
             out.msgs
                 .iter()
@@ -708,7 +677,7 @@ mod tests {
         assert_eq!(info.to, Endpoint::Server(ServerId(10)));
         assert!(matches!(
             info.payload,
-            Payload::RotationInfo { e_children, .. } if e_children == (f, g)
+            Payload::RotationInfo { pattern } if pattern.e_children == (f, g)
         ));
     }
 }

@@ -21,8 +21,8 @@ use crate::cluster::Cluster;
 use crate::ids::{ClientId, NodeRef, Oid, QueryId, ServerId};
 use crate::image::Image;
 use crate::msg::{
-    ClientOp, Endpoint, Found, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
-    ReplyProtocol, Traversal,
+    ClientOp, Endpoint, Found, ImageHolder, Insertion, Message, Payload, QueryKind, QueryMode,
+    QueryMsg, ReplyProtocol, Traversal,
 };
 use crate::node::Object;
 use sdr_det::{DetRng, Rng};
@@ -210,7 +210,7 @@ pub fn address(
         })
     };
     let payload = match op {
-        ClientOp::Insert(obj) => Payload::insert_at(target.kind, obj, vec![], iam_to, true),
+        ClientOp::Insert(obj) => Payload::insert_at(target.kind, Insertion::new(obj, iam_to), true),
         ClientOp::Point(p, qid) => query(QueryKind::Point(p), qid),
         ClientOp::Window(w, qid) => query(QueryKind::Window(w), qid),
         ClientOp::Knn(p, k, qid) => Payload::KnnLocal {

@@ -12,7 +12,10 @@
 //! protocol: a query, a delete and a join probe each carry one
 //! [`Traversal`] header — what the hop decision reads — beside the work
 //! the reached node does, and every hop of the three answers with one
-//! [`Payload::Report`] whose [`Found`] says what it found.
+//! [`Payload::Report`] whose [`Found`] says what it found. Insertion is
+//! one operation too: its four hop payloads each carry one [`Insertion`]
+//! the way traversal hops carry one `Traversal`, beside what the hop's
+//! parent decided for the receiver.
 
 use crate::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 use crate::link::Link;
@@ -117,6 +120,27 @@ pub enum QueryMode {
     /// Pure top-down traversal (PQTRAVERSAL / WQTRAVERSAL): the sender
     /// already established relevance; descend without OC forwarding.
     Descend,
+}
+
+/// The state every insert hop carries (§3.2): the object, the links
+/// collected so far — each hop appends its own, and the trace becomes the
+/// IAM — and who receives that IAM.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Insertion {
+    /// The object.
+    pub obj: Object,
+    /// Links collected so far (becomes the IAM).
+    pub trace: Trace,
+    /// Where the IAM goes.
+    pub iam_to: ImageHolder,
+}
+
+impl Insertion {
+    /// An insertion at its first hop: nothing collected yet.
+    pub fn new(obj: Object, iam_to: ImageHolder) -> Self {
+        let trace = Vec::new();
+        Insertion { obj, trace, iam_to }
+    }
 }
 
 /// The header of one traversal hop: the state `Server::decide_hop`
@@ -234,6 +258,18 @@ pub enum ClientOp {
     Knn(Point, usize, QueryId),
 }
 
+/// A rotation pattern `a(b(e(f,g),d),c)` as seen from the unbalanced
+/// node `a` (§2.4): `b` is its taller child, `e` the taller child of `b`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Pattern {
+    /// Fresh link to `b`.
+    pub b: Link,
+    /// `b`'s children links (`e` and `d`, in `b`'s order).
+    pub b_children: (Link, Link),
+    /// The children links of `e` (`f`, `g`).
+    pub e_children: (Link, Link),
+}
+
 /// Message payloads.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Payload {
@@ -241,57 +277,38 @@ pub enum Payload {
     /// INSERT-IN-LEAF (§3.2): ask a data node to store the object if its
     /// directory rectangle covers it.
     InsertAtLeaf {
-        /// The object.
-        obj: Object,
-        /// Collected links.
-        trace: Trace,
-        /// IAM destination.
-        iam_to: ImageHolder,
-        /// First message of the operation (direct-hit statistics).
+        /// The insertion.
+        ins: Insertion,
+        /// First message of the operation: a store here needs no ack.
         initial: bool,
     },
     /// INSERT-IN-SUBTREE (§3.2), bottom-up phase: forwarded up until a
     /// routing node whose dr covers the object (or the root) is reached.
     InsertAscend {
-        /// The object.
-        obj: Object,
-        /// Collected links.
-        trace: Trace,
-        /// IAM destination.
-        iam_to: ImageHolder,
-        /// First message of the operation: the client image produced a
-        /// routing-node link rather than a data link.
-        initial: bool,
+        /// The insertion.
+        ins: Insertion,
     },
     /// Top-down phase of the insertion: the receiving routing node covers
     /// the object (or is the root, which may enlarge freely).
     InsertDescend {
-        /// The object.
-        obj: Object,
-        /// OC entries accumulated along the descent — the receiving
-        /// node's up-to-date OC (see `OcTable::derive_child`).
-        oc_acc: OcTable,
+        /// The insertion.
+        ins: Insertion,
+        /// The receiver's up-to-date OC table, derived by its parent (see
+        /// `OcTable::derive_child`).
+        oc: OcTable,
         /// The receiver's directory rectangle after the enlargement
         /// decided by its parent, or `None` when no enlargement happened.
         new_dr: Option<Rect>,
-        /// Collected links.
-        trace: Trace,
-        /// IAM destination.
-        iam_to: ImageHolder,
     },
     /// Final hop: store the object at a data node whose new directory
     /// rectangle and OC were computed by the parent.
     StoreAtLeaf {
-        /// The object.
-        obj: Object,
-        /// The data node's directory rectangle after enlargement.
-        new_dr: Rect,
+        /// The insertion.
+        ins: Insertion,
         /// The data node's recomputed OC table.
         oc: OcTable,
-        /// Collected links.
-        trace: Trace,
-        /// IAM destination.
-        iam_to: ImageHolder,
+        /// The data node's directory rectangle after enlargement.
+        new_dr: Rect,
     },
     /// Acknowledgment carrying the IAM, sent to the image holder when the
     /// insertion needed more than one hop (§3.2).
@@ -300,8 +317,6 @@ pub enum Payload {
         oid: Oid,
         /// The IAM: all links collected on the out-of-range path.
         trace: Trace,
-        /// Whether the first contacted server stored the object.
-        direct: bool,
     },
 
     // ---------------------------------------------------------- split --
@@ -373,12 +388,8 @@ pub enum Payload {
     /// Final hop: the assembled rotation pattern, sent back to the
     /// unbalanced node, which re-checks and rotates.
     RotationInfo {
-        /// Fresh link to `b`.
-        b_link: Link,
-        /// `b`'s children links.
-        b_children: (Link, Link),
-        /// The children links of `b`'s taller child (`f`, `g`).
-        e_children: (Link, Link),
+        /// The pattern below the unbalanced node.
+        pattern: Pattern,
     },
 
     // ------------------------------------------------------- rotation --
@@ -583,27 +594,12 @@ pub enum Payload {
 impl Payload {
     /// An insertion as the request the addressed kind of node takes
     /// (§3.2): a data node re-checks its coverage, a routing node
-    /// continues the ascent. `initial` marks the client's first hop.
-    pub(crate) fn insert_at(
-        kind: NodeKind,
-        obj: Object,
-        trace: Trace,
-        iam_to: ImageHolder,
-        initial: bool,
-    ) -> Payload {
+    /// continues the ascent. `initial` marks the client's first hop;
+    /// only a data node reads it (a store there needs no ack).
+    pub(crate) fn insert_at(kind: NodeKind, ins: Insertion, initial: bool) -> Payload {
         match kind {
-            NodeKind::Data => Payload::InsertAtLeaf {
-                obj,
-                trace,
-                iam_to,
-                initial,
-            },
-            NodeKind::Routing => Payload::InsertAscend {
-                obj,
-                trace,
-                iam_to,
-                initial,
-            },
+            NodeKind::Data => Payload::InsertAtLeaf { ins, initial },
+            NodeKind::Routing => Payload::InsertAscend { ins },
         }
     }
 
@@ -715,17 +711,12 @@ mod tests {
     #[test]
     fn categories_route_to_stats_buckets() {
         let obj = Object::new(Oid(1), Rect::new(0.0, 0.0, 1.0, 1.0));
-        let p = Payload::InsertAtLeaf {
-            obj,
-            trace: vec![],
-            iam_to: ImageHolder::Nobody,
-            initial: true,
-        };
+        let ins = Insertion::new(obj, ImageHolder::Nobody);
+        let p = Payload::InsertAtLeaf { ins, initial: true };
         assert_eq!(p.category(), MsgCategory::Insert);
         let ack = Payload::InsertAck {
             oid: Oid(1),
             trace: vec![],
-            direct: true,
         };
         assert_eq!(ack.category(), MsgCategory::Iam);
     }

@@ -85,8 +85,14 @@ impl OcTable {
                     });
                 }
             }
-            None => self.entries.retain(|e| e.ancestor != ancestor),
+            None => self.remove(ancestor),
         }
+    }
+
+    /// Removes the entry for `ancestor`, if present (the ancestor
+    /// dissolved).
+    pub fn remove(&mut self, ancestor: ServerId) {
+        self.entries.retain(|e| e.ancestor != ancestor);
     }
 
     /// The entry for `ancestor`, if present.
@@ -189,6 +195,12 @@ mod tests {
         assert!(t.is_empty());
         // Removing a missing entry is a no-op.
         t.set(ServerId(9), link(5, r1), None);
+        assert!(t.is_empty());
+        // `remove` is the same without a link to hand.
+        t.set(a, link(5, r1), Some(r1));
+        t.remove(ServerId(9));
+        assert_eq!(t.len(), 1);
+        t.remove(a);
         assert!(t.is_empty());
     }
 

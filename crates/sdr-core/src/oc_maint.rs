@@ -4,7 +4,7 @@
 
 use crate::ids::{NodeKind, NodeRef, ServerId};
 use crate::link::Link;
-use crate::msg::{ImageHolder, Payload};
+use crate::msg::{ImageHolder, Insertion, Payload};
 use crate::node::Object;
 use crate::server::{Outbox, Server};
 use sdr_geom::Rect;
@@ -230,10 +230,9 @@ impl Server {
         // rotation gathering) completes before any reinsert can split a
         // node and invalidate the rotation's snapshot.
         for obj in objects {
-            out.send_server_deferred(
-                sibling.node.server,
-                Payload::insert_at(sibling.node.kind, obj, vec![], ImageHolder::Nobody, false),
-            );
+            let ins = Insertion::new(obj, ImageHolder::Nobody);
+            let payload = Payload::insert_at(sibling.node.kind, ins, false);
+            out.send_server_deferred(sibling.node.server, payload);
         }
     }
 
@@ -252,7 +251,8 @@ impl Server {
                 debug_assert!(false, "orphaned object with no route anywhere");
                 continue;
             };
-            let payload = Payload::insert_at(t.kind, obj, vec![], ImageHolder::Nobody, false);
+            let ins = Insertion::new(obj, ImageHolder::Nobody);
+            let payload = Payload::insert_at(t.kind, ins, false);
             out.send_server_deferred(t.server, payload);
         }
     }
@@ -284,22 +284,14 @@ impl Server {
         match target.kind {
             NodeKind::Data => {
                 if let Some(d) = self.data.as_mut() {
-                    d.oc.set(
-                        ancestor,
-                        Link::to_data(ancestor, Rect::new(0.0, 0.0, 0.0, 0.0)),
-                        None,
-                    );
+                    d.oc.remove(ancestor);
                 }
             }
             NodeKind::Routing => {
                 let Some(r) = self.routing.as_mut() else {
                     return;
                 };
-                r.oc.set(
-                    ancestor,
-                    Link::to_data(ancestor, Rect::new(0.0, 0.0, 0.0, 0.0)),
-                    None,
-                );
+                r.oc.remove(ancestor);
                 // Recurse unconditionally: an intermediate node may have
                 // already pruned its entry while deeper nodes retain
                 // theirs (eliminations are rare; the broadcast is cheap).

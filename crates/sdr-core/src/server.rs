@@ -5,13 +5,20 @@
 //! one incoming [`Payload`] and emits follow-up messages through an
 //! [`Outbox`]. The same state machine runs inside the in-process
 //! simulator (`cluster`) and behind TCP endpoints (`sdr-net`).
+//!
+//! Insert hops carry one [`Insertion`] the way traversal hops carry one
+//! `Traversal`. A handler takes what its caller already checked rather
+//! than looking it up again: the descent is a method of the
+//! [`RoutingNode`] it descends, and the split starts from the
+//! overflowing data node.
 
 use crate::config::{SdrConfig, LOCAL_RTREE};
 use crate::ids::{ClientId, NodeKind, NodeRef, QueryId, ServerId};
 use crate::image::Image;
 use crate::link::Link;
-use crate::msg::{Endpoint, Found, ImageHolder, Message, Payload, Trace};
+use crate::msg::{Endpoint, Found, ImageHolder, Insertion, Message, Payload, Trace};
 use crate::node::{DataNode, Object, RoutingNode};
+use crate::oc::OcTable;
 use sdr_geom::Rect;
 use sdr_rtree::{Entry, RTree};
 
@@ -96,6 +103,13 @@ impl Outbox {
     /// Emits a message to another server.
     pub fn send_server(&mut self, to: ServerId, payload: Payload) {
         self.send(Endpoint::Server(to), payload);
+    }
+
+    /// Acknowledges a stored insertion to its image holder, its trace as
+    /// the IAM (§3.2).
+    pub(crate) fn ack(&mut self, ins: Insertion) {
+        let (oid, trace) = (ins.obj.oid, ins.trace);
+        self.send_image_holder(ins.iam_to, Payload::InsertAck { oid, trace });
     }
 
     /// Sends client `to` one hop's [`Payload::Report`].
@@ -273,29 +287,12 @@ impl Server {
             return;
         }
         match payload {
-            Payload::InsertAtLeaf {
-                obj,
-                trace,
-                iam_to,
-                initial,
-            } => self.on_insert_at_leaf(obj, trace, iam_to, initial, out),
-            Payload::InsertAscend {
-                obj, trace, iam_to, ..
-            } => self.on_insert_ascend(obj, trace, iam_to, out),
-            Payload::InsertDescend {
-                obj,
-                oc_acc,
-                new_dr,
-                trace,
-                iam_to,
-            } => self.on_insert_descend(obj, Some(oc_acc), new_dr, trace, iam_to, out),
-            Payload::StoreAtLeaf {
-                obj,
-                new_dr,
-                oc,
-                trace,
-                iam_to,
-            } => self.on_store_at_leaf(obj, new_dr, oc, trace, iam_to, out),
+            Payload::InsertAtLeaf { ins, initial } => self.on_insert_at_leaf(ins, initial, out),
+            Payload::InsertAscend { ins } => self.on_insert_ascend(ins, out),
+            Payload::InsertDescend { ins, oc, new_dr } => {
+                self.on_insert_descend(ins, oc, new_dr, out)
+            }
+            Payload::StoreAtLeaf { ins, oc, new_dr } => self.on_store_at_leaf(ins, oc, new_dr, out),
             Payload::SplitCreate {
                 routing,
                 objects,
@@ -328,11 +325,7 @@ impl Server {
                 b_link,
                 b_children,
             } => self.on_gather_rotation_inner(origin, b_link, b_children, out),
-            Payload::RotationInfo {
-                b_link,
-                b_children,
-                e_children,
-            } => self.on_rotation_info(b_link, b_children, e_children, out),
+            Payload::RotationInfo { pattern } => self.on_rotation_info(pattern, out),
             Payload::ClearParent { target } => self.on_clear_parent(target),
             Payload::DropOcAncestor { target, ancestor } => {
                 self.on_drop_oc_ancestor(target, ancestor, out)
@@ -342,10 +335,13 @@ impl Server {
             Payload::RefreshChild { child } => {
                 self.on_child_change(child.node, child, None, None, out)
             }
+            // A rotation below swapped the child: on the insertion path
+            // height and rectangle are preserved (a pure link swap), on
+            // the deletion path the generic child-change repair runs.
             Payload::ReplaceChild {
                 old_child,
                 new_child,
-            } => self.on_replace_child(old_child, new_child, out),
+            } => self.on_child_change(old_child, new_child, None, None, out),
             Payload::UpdateOc {
                 target,
                 ancestor,
@@ -397,15 +393,8 @@ impl Server {
 
     /// INSERT-IN-LEAF (§3.2): store if covered, else start the
     /// out-of-range ascent.
-    fn on_insert_at_leaf(
-        &mut self,
-        obj: Object,
-        mut trace: Trace,
-        iam_to: ImageHolder,
-        initial: bool,
-        out: &mut Outbox,
-    ) {
-        self.append_iam(&mut trace);
+    fn on_insert_at_leaf(&mut self, mut ins: Insertion, initial: bool, out: &mut Outbox) {
+        self.append_iam(&mut ins.trace);
         let Some(d) = self.data.as_mut() else {
             // Eliminated data node (a stale image addressed it): follow
             // the tombstone left at dissolution. Tombstone chains are
@@ -413,71 +402,51 @@ impl Server {
             // the tombstone was written, and server ids are never
             // reused), so this terminates.
             if let Some(t) = self.tombstone(NodeKind::Data) {
-                forward_insert(t, obj, trace, iam_to, out);
+                forward_insert(t, ins, out);
             } else if self.routing.is_some() {
-                self.on_insert_ascend(obj, trace, iam_to, out);
+                self.on_insert_ascend(ins, out);
             }
             return;
         };
-        let is_root_leaf = d.parent.is_none() && self.routing.is_none();
-        if is_root_leaf || d.covers(&obj.mbb) {
-            d.store(obj);
-            if !initial {
-                // Multi-hop insertions acknowledge with the IAM (§3.2:
-                // "If the insertion could not be performed in one hop").
-                out.send_image_holder(
-                    iam_to,
-                    Payload::InsertAck {
-                        oid: obj.oid,
-                        trace,
-                        direct: false,
-                    },
-                );
-            }
-            self.maybe_split(out);
-        } else {
-            #[expect(
-                clippy::expect_used,
-                reason = "a root data node covers everything, so the not-covered branch implies a parent"
-            )]
-            let parent = d
-                .parent
-                .expect("covered check failed only on non-root leaves");
-            forward_insert(NodeRef::routing(parent), obj, trace, iam_to, out);
+        // A parentless data node is the root leaf, which covers everything.
+        if let Some(parent) = d.parent.filter(|_| !d.covers(&ins.obj.mbb)) {
+            forward_insert(NodeRef::routing(parent), ins, out);
+            return;
         }
+        d.store(ins.obj);
+        if !initial {
+            // Multi-hop insertions acknowledge with the IAM (§3.2:
+            // "If the insertion could not be performed in one hop").
+            out.ack(ins);
+        }
+        self.maybe_split(out);
     }
 
     /// INSERT-IN-SUBTREE (§3.2), bottom-up: climb until the subtree
     /// covers the object, then switch to the classical top-down insert.
-    fn on_insert_ascend(
-        &mut self,
-        obj: Object,
-        mut trace: Trace,
-        iam_to: ImageHolder,
-        out: &mut Outbox,
-    ) {
-        self.append_iam(&mut trace);
+    fn on_insert_ascend(&mut self, mut ins: Insertion, out: &mut Outbox) {
+        self.append_iam(&mut ins.trace);
         let Some(r) = self.routing.as_mut() else {
             // A stale image addressed a routing node that does not exist
             // (yet or anymore): follow the tombstone, falling back to the
             // data-node path.
             if let Some(t) = self.tombstone(NodeKind::Routing) {
-                forward_insert(t, obj, trace, iam_to, out);
+                forward_insert(t, ins, out);
             } else {
-                self.on_insert_at_leaf(obj, trace, iam_to, false, out);
+                self.on_insert_at_leaf(ins, false, out);
             }
             return;
         };
-        if r.dr.contains(&obj.mbb) || r.is_root() {
-            if r.is_root() {
-                // Only the root may enlarge without asking anyone (§2.3).
-                r.dr.enlarge(&obj.mbb);
-            }
-            self.descend_insert(obj, trace, iam_to, out);
-        } else {
-            #[expect(clippy::expect_used, reason = "guarded by !r.is_root()")]
-            let parent = r.parent.expect("non-root routing node has a parent");
-            forward_insert(NodeRef::routing(parent), obj, trace, iam_to, out);
+        if let Some(parent) = r.parent.filter(|_| !r.dr.contains(&ins.obj.mbb)) {
+            forward_insert(NodeRef::routing(parent), ins, out);
+            return;
+        }
+        if r.is_root() {
+            // Only the root may enlarge without asking anyone (§2.3).
+            r.dr.enlarge(&ins.obj.mbb);
+        }
+        if let Some((ins, oc, new_dr)) = r.descend(self.id, ins, out) {
+            self.on_store_at_leaf(ins, oc, new_dr, out);
         }
     }
 
@@ -485,14 +454,12 @@ impl Server {
     /// and fresh OC table.
     fn on_insert_descend(
         &mut self,
-        obj: Object,
-        oc_acc: Option<crate::oc::OcTable>,
+        mut ins: Insertion,
+        oc: OcTable,
         new_dr: Option<Rect>,
-        mut trace: Trace,
-        iam_to: ImageHolder,
         out: &mut Outbox,
     ) {
-        self.append_iam(&mut trace);
+        self.append_iam(&mut ins.trace);
         #[expect(
             clippy::expect_used,
             reason = "routing-protocol invariant: only a parent that linked us as routing child sends this"
@@ -507,101 +474,21 @@ impl Server {
             // in the synchronous regime).
             r.dr.enlarge(&ndr);
         }
-        if let Some(oc) = oc_acc {
-            r.oc = oc;
-        }
-        self.descend_insert(obj, trace, iam_to, out);
-    }
-
-    /// One step of the classical R-tree top-down insertion (§3.2): choose
-    /// a subtree, enlarge it, maintain the overlapping coverage (§2.3),
-    /// and forward.
-    fn descend_insert(&mut self, obj: Object, trace: Trace, iam_to: ImageHolder, out: &mut Outbox) {
-        let self_id = self.id;
-        #[expect(
-            clippy::expect_used,
-            reason = "both callers verified this server hosts a routing node before descending"
-        )]
-        let r = self
-            .routing
-            .as_mut()
-            .expect("descend happens at routing nodes");
-        let side = r.choose_subtree(&obj.mbb);
-        let sibling = *r.child(side.other());
-        let chosen = *r.child(side);
-        let new_child_dr = chosen.dr.union(&obj.mbb);
-        let enlarged = new_child_dr != chosen.dr;
-
-        // The child's fresh OC table, derivable because we know our own
-        // OC and the sibling (Figure 3.c).
-        let mut updated_chosen = chosen;
-        updated_chosen.dr = new_child_dr;
-        let child_oc = r.oc.derive_child(self_id, &new_child_dr, &sibling);
-
-        if enlarged {
-            r.child_mut(side).dr = new_child_dr;
-            // If the overlap with the sibling changed, diffuse UPDATEOC
-            // into the sibling subtree (§2.3 step 2).
-            let old_int = chosen.dr.intersection(&sibling.dr);
-            let new_int = new_child_dr.intersection(&sibling.dr);
-            if new_int != old_int {
-                out.send_server(
-                    sibling.node.server,
-                    Payload::UpdateOc {
-                        target: sibling.node,
-                        ancestor: self_id,
-                        outer: updated_chosen,
-                        rect: new_child_dr,
-                    },
-                );
-            }
-        }
-
-        match chosen.node.kind {
-            NodeKind::Data => {
-                if chosen.node.server == self_id {
-                    // Our own data node: no message needed (§3.2 "r4 and
-                    // d4 reside on the same server").
-                    self.on_store_at_leaf(obj, new_child_dr, child_oc, trace, iam_to, out);
-                } else {
-                    out.send_server(
-                        chosen.node.server,
-                        Payload::StoreAtLeaf {
-                            obj,
-                            new_dr: new_child_dr,
-                            oc: child_oc,
-                            trace,
-                            iam_to,
-                        },
-                    );
-                }
-            }
-            NodeKind::Routing => {
-                out.send_server(
-                    chosen.node.server,
-                    Payload::InsertDescend {
-                        obj,
-                        oc_acc: child_oc,
-                        new_dr: enlarged.then_some(new_child_dr),
-                        trace,
-                        iam_to,
-                    },
-                );
-            }
+        r.oc = oc;
+        if let Some((ins, oc, new_dr)) = r.descend(self.id, ins, out) {
+            self.on_store_at_leaf(ins, oc, new_dr, out);
         }
     }
 
     /// Final hop of a routed insertion.
     fn on_store_at_leaf(
         &mut self,
-        obj: Object,
+        mut ins: Insertion,
+        oc: OcTable,
         new_dr: Rect,
-        oc: crate::oc::OcTable,
-        mut trace: Trace,
-        iam_to: ImageHolder,
         out: &mut Outbox,
     ) {
-        self.append_iam(&mut trace);
+        self.append_iam(&mut ins.trace);
         let self_id = self.id;
         #[expect(
             clippy::expect_used,
@@ -618,26 +505,19 @@ impl Server {
         // disagree, re-sync the parent (a no-op in the simulator, so the
         // paper's message counts are unaffected).
         let merged = match d.dr {
-            Some(cur) => cur.union(&obj.mbb),
+            Some(cur) => cur.union(&ins.obj.mbb),
             None => new_dr,
         };
         d.dr = Some(merged);
         d.oc = oc;
-        d.store(obj);
+        d.store(ins.obj);
         if merged != new_dr {
             if let Some(p) = d.parent {
                 let link = d.link(self_id);
                 out.send_server(p, Payload::RefreshChild { child: link });
             }
         }
-        out.send_image_holder(
-            iam_to,
-            Payload::InsertAck {
-                oid: obj.oid,
-                trace,
-                direct: false,
-            },
-        );
+        out.ack(ins);
         self.maybe_split(out);
     }
 
@@ -645,15 +525,10 @@ impl Server {
 
     /// Splits this server's data node if it exceeded capacity (§2.2).
     pub(crate) fn maybe_split(&mut self, out: &mut Outbox) {
-        let needs_split = self
-            .data
-            .as_ref()
-            .is_some_and(|d| d.tree.len() > self.config.capacity);
-        if !needs_split {
+        let capacity = self.config.capacity;
+        let Some(d) = self.data.as_mut().filter(|d| d.tree.len() > capacity) else {
             return;
-        }
-        #[expect(clippy::expect_used, reason = "needs_split verified data exists")]
-        let d = self.data.as_mut().expect("checked above");
+        };
         let new_id = out.alloc_server();
 
         // Divide the objects in two approximately equal subsets (§2.2):
@@ -730,7 +605,7 @@ impl Server {
         routing: RoutingNode,
         objects: Vec<Object>,
         data_dr: Rect,
-        data_oc: crate::oc::OcTable,
+        data_oc: OcTable,
     ) {
         debug_assert!(
             self.routing.is_none(),
@@ -751,11 +626,58 @@ impl Server {
 }
 
 /// Sends an insertion one hop on — up to a parent, or along a tombstone.
-fn forward_insert(to: NodeRef, obj: Object, trace: Trace, iam_to: ImageHolder, out: &mut Outbox) {
-    out.send_server(
-        to.server,
-        Payload::insert_at(to.kind, obj, trace, iam_to, false),
-    );
+fn forward_insert(to: NodeRef, ins: Insertion, out: &mut Outbox) {
+    out.send_server(to.server, Payload::insert_at(to.kind, ins, false));
+}
+
+impl RoutingNode {
+    /// One step of the classical R-tree top-down insertion (§3.2) at this
+    /// routing node, hosted on `self_id`: choose a subtree, enlarge it,
+    /// maintain the overlapping coverage (§2.3), and forward. When the
+    /// chosen child is `self_id`'s own data node no message is needed
+    /// (§3.2 "r4 and d4 reside on the same server"): the insertion comes
+    /// back with that node's new OC table and rectangle, for the caller
+    /// to store.
+    fn descend(
+        &mut self,
+        self_id: ServerId,
+        ins: Insertion,
+        out: &mut Outbox,
+    ) -> Option<(Insertion, OcTable, Rect)> {
+        let side = self.choose_subtree(&ins.obj.mbb);
+        let sibling = *self.child(side.other());
+        let chosen = *self.child(side);
+        let new_dr = chosen.dr.union(&ins.obj.mbb);
+        let enlarged = new_dr != chosen.dr;
+        // The child's fresh OC table, derivable because we know our own
+        // OC and the sibling (Figure 3.c).
+        let oc = self.oc.derive_child(self_id, &new_dr, &sibling);
+        if enlarged {
+            self.child_mut(side).dr = new_dr;
+            // If the overlap with the sibling changed, diffuse UPDATEOC
+            // into the sibling subtree (§2.3 step 2).
+            if new_dr.intersection(&sibling.dr) != chosen.dr.intersection(&sibling.dr) {
+                let update = Payload::UpdateOc {
+                    target: sibling.node,
+                    ancestor: self_id,
+                    outer: *self.child(side),
+                    rect: new_dr,
+                };
+                out.send_server(sibling.node.server, update);
+            }
+        }
+        let payload = match chosen.node.kind {
+            NodeKind::Data if chosen.node.server == self_id => return Some((ins, oc, new_dr)),
+            NodeKind::Data => Payload::StoreAtLeaf { ins, oc, new_dr },
+            NodeKind::Routing => Payload::InsertDescend {
+                ins,
+                oc,
+                new_dr: enlarged.then_some(new_dr),
+            },
+        };
+        out.send_server(chosen.node.server, payload);
+        None
+    }
 }
 
 #[cfg(test)]
@@ -775,9 +697,7 @@ mod tests {
             s.handle(
                 Endpoint::Client(crate::ids::ClientId(0)),
                 Payload::InsertAtLeaf {
-                    obj: obj(i, i as f64, 0.0),
-                    trace: vec![],
-                    iam_to: ImageHolder::Nobody,
+                    ins: Insertion::new(obj(i, i as f64, 0.0), ImageHolder::Nobody),
                     initial: true,
                 },
                 &mut out,
@@ -795,9 +715,10 @@ mod tests {
             s.handle(
                 Endpoint::Client(crate::ids::ClientId(0)),
                 Payload::InsertAtLeaf {
-                    obj: obj(i, (i % 4) as f64, (i / 4) as f64),
-                    trace: vec![],
-                    iam_to: ImageHolder::Nobody,
+                    ins: Insertion::new(
+                        obj(i, (i % 4) as f64, (i / 4) as f64),
+                        ImageHolder::Nobody,
+                    ),
                     initial: true,
                 },
                 &mut out,
@@ -830,9 +751,10 @@ mod tests {
             s0.handle(
                 Endpoint::Client(crate::ids::ClientId(0)),
                 Payload::InsertAtLeaf {
-                    obj: obj(i, (i % 4) as f64, (i / 4) as f64),
-                    trace: vec![],
-                    iam_to: ImageHolder::Nobody,
+                    ins: Insertion::new(
+                        obj(i, (i % 4) as f64, (i / 4) as f64),
+                        ImageHolder::Nobody,
+                    ),
                     initial: true,
                 },
                 &mut out,
@@ -868,9 +790,10 @@ mod tests {
         s.handle(
             Endpoint::Client(crate::ids::ClientId(0)),
             Payload::InsertAtLeaf {
-                obj: obj(9, 5.0, 5.0),
-                trace: vec![],
-                iam_to: ImageHolder::Client(crate::ids::ClientId(0)),
+                ins: Insertion::new(
+                    obj(9, 5.0, 5.0),
+                    ImageHolder::Client(crate::ids::ClientId(0)),
+                ),
                 initial: true,
             },
             &mut out,
@@ -878,5 +801,93 @@ mod tests {
         assert_eq!(out.msgs.len(), 1);
         assert_eq!(out.msgs[0].to, Endpoint::Server(ServerId(3)));
         assert!(matches!(out.msgs[0].payload, Payload::InsertAscend { .. }));
+    }
+
+    const CLIENT: crate::ids::ClientId = crate::ids::ClientId(0);
+
+    /// Server 1 hosting routing node `r1` over `d0` = [0,1]² on server 0
+    /// and its own `d1` = [1,2]×[0,1], under `parent`.
+    fn routing_server(parent: Option<ServerId>) -> Server {
+        let (left, right) = (Rect::new(0.0, 0.0, 1.0, 1.0), Rect::new(1.0, 0.0, 2.0, 1.0));
+        let mut s = Server::new(ServerId(1), SdrConfig::with_capacity(10));
+        let d = s.data.as_mut().unwrap();
+        d.dr = Some(right);
+        d.parent = Some(ServerId(1));
+        s.routing = Some(RoutingNode {
+            height: 1,
+            dr: left.union(&right),
+            left: Link::to_data(ServerId(0), left),
+            right: Link::to_data(ServerId(1), right),
+            parent,
+            oc: OcTable::new(),
+        });
+        s
+    }
+
+    fn insertion(obj: Object) -> Insertion {
+        let trace = vec![Link::to_data(ServerId(4), obj.mbb)];
+        let iam_to = ImageHolder::Client(CLIENT);
+        Insertion { obj, trace, iam_to }
+    }
+
+    #[test]
+    fn uncovered_insert_ascends_to_the_parent_with_the_grown_trace() {
+        let mut s = routing_server(Some(ServerId(7)));
+        let ins = insertion(obj(9, 5.0, 5.0));
+        let mut expected = ins.clone();
+        expected.trace.extend(s.iam_links());
+        let mut out = Outbox::new(ServerId(1), 5);
+        s.handle(
+            Endpoint::Client(CLIENT),
+            Payload::InsertAscend { ins },
+            &mut out,
+        );
+        assert_eq!(out.msgs.len(), 1);
+        assert_eq!(out.msgs[0].to, Endpoint::Server(ServerId(7)));
+        assert_eq!(out.msgs[0].payload, Payload::InsertAscend { ins: expected });
+        assert_eq!(s.routing.unwrap().dr, Rect::new(0.0, 0.0, 2.0, 1.0));
+    }
+
+    #[test]
+    fn uncovering_root_enlarges_and_descends() {
+        let mut s = routing_server(None);
+        let o = obj(9, -5.0, -5.0);
+        let mut out = Outbox::new(ServerId(1), 5);
+        let ins = insertion(o);
+        s.handle(
+            Endpoint::Client(CLIENT),
+            Payload::InsertAscend { ins },
+            &mut out,
+        );
+        let r = s.routing.as_ref().unwrap();
+        assert!(r.dr.contains(&o.mbb), "the root covers the object");
+        assert_eq!(r.left.dr, Rect::new(-5.0, -5.0, 1.0, 1.0));
+        assert_eq!(out.msgs.len(), 1);
+        assert_eq!(out.msgs[0].to, Endpoint::Server(ServerId(0)));
+        let Payload::StoreAtLeaf { ins, new_dr, .. } = &out.msgs[0].payload else {
+            panic!("expected StoreAtLeaf, got {:?}", out.msgs[0].payload);
+        };
+        assert_eq!((ins.obj, *new_dr), (o, r.left.dr));
+    }
+
+    #[test]
+    fn descent_into_the_own_data_node_stores_without_a_server_message() {
+        let mut s = routing_server(Some(ServerId(7)));
+        let o = obj(9, 1.25, 0.25);
+        let mut out = Outbox::new(ServerId(1), 5);
+        let (ins, oc) = (insertion(o), OcTable::new());
+        let descend = Payload::InsertDescend {
+            ins,
+            oc,
+            new_dr: None,
+        };
+        s.handle(Endpoint::Server(ServerId(7)), descend, &mut out);
+        assert_eq!(s.data.as_ref().unwrap().len(), 1);
+        assert_eq!(out.msgs.len(), 1, "one ack, nothing else: {:?}", out.msgs);
+        assert_eq!(out.msgs[0].to, Endpoint::Client(CLIENT));
+        assert!(matches!(
+            out.msgs[0].payload,
+            Payload::InsertAck { oid, .. } if oid == o.oid
+        ));
     }
 }

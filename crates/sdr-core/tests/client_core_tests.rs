@@ -136,8 +136,8 @@ impl Op {
 }
 
 fn ack(server: u32, oid: u64, trace: Vec<Link>) -> Message {
-    let (oid, direct) = (Oid(oid), false);
-    from(server, Payload::InsertAck { oid, trace, direct })
+    let oid = Oid(oid);
+    from(server, Payload::InsertAck { oid, trace })
 }
 
 const P: Point = Point { x: 0.5, y: 0.5 };

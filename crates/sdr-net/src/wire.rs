@@ -20,8 +20,8 @@
 use crate::buf::{ReadBuf, WriteBuf};
 use sdr_core::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 use sdr_core::msg::{
-    ClientOp, Endpoint, Found, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
-    ReplyProtocol, Traversal,
+    ClientOp, Endpoint, Found, ImageHolder, Insertion, Message, Pattern, Payload, QueryKind,
+    QueryMode, QueryMsg, ReplyProtocol, Traversal,
 };
 use sdr_core::node::{Object, RoutingNode};
 use sdr_core::oc::{OcEntry, OcTable};
@@ -276,6 +276,8 @@ record! {
     Object { oid, mbb }
     OcEntry { ancestor, outer, rect }
     RoutingNode { height, dr, left, right, parent, oc }
+    Insertion { obj, trace, iam_to }
+    Pattern { b, b_children, e_children }
     Traversal { mode, region, visited, qid, results_to, trace, initial }
     QueryMsg { target, hop, query, repaired, iam_carrier, iam_to, protocol, reply_via, parent_branch }
     Message { from, to, payload }
@@ -322,18 +324,18 @@ tagged! {
         2 Pairs(pairs),
     }
     Payload "payload" {
-        0 InsertAtLeaf { obj, trace, iam_to, initial },
-        1 InsertAscend { obj, trace, iam_to, initial },
-        2 InsertDescend { obj, oc_acc, new_dr, trace, iam_to },
-        3 StoreAtLeaf { obj, new_dr, oc, trace, iam_to },
-        4 InsertAck { oid, trace, direct },
+        0 InsertAtLeaf { ins, initial },
+        1 InsertAscend { ins },
+        2 InsertDescend { ins, oc, new_dr },
+        3 StoreAtLeaf { ins, oc, new_dr },
+        4 InsertAck { oid, trace },
         5 SplitCreate { routing, objects, data_dr, data_oc },
         6 ChildSplit { old_child, new_child, children },
         7 AdjustHeight { child, children, tall_grandchildren },
         8 ChildRemoved { old_child, new_child },
         9 GatherRotation { origin },
         10 GatherRotationInner { origin, b_link, b_children },
-        11 RotationInfo { b_link, b_children, e_children },
+        11 RotationInfo { pattern },
         12 SetRouting { node },
         13 SetParent { target, parent },
         14 RefreshChild { child },

@@ -9,7 +9,7 @@
 //! timeout. The delay, duplicate and reorder tests pin the other half:
 //! a fault that only moves or repeats a message loses nothing.
 
-use sdr_core::msg::{Endpoint, ImageHolder, Message, Payload};
+use sdr_core::msg::{Endpoint, ImageHolder, Insertion, Message, Payload};
 use sdr_core::{FaultKind, FaultPlan, MsgCategory, Object, Oid, SdrConfig, ServerId};
 use sdr_geom::{Point, Rect};
 use sdr_net::{NetClient, NetCluster, NetError, NetOptions};
@@ -122,9 +122,10 @@ fn bytes_after_a_complete_message_are_a_counted_corruption() {
         from: Endpoint::Server(ServerId(0)),
         to: Endpoint::Server(ServerId(0)),
         payload: Payload::InsertAtLeaf {
-            obj: Object::new(Oid(77), Rect::new(0.4, 0.4, 0.41, 0.41)),
-            trace: vec![],
-            iam_to: ImageHolder::Nobody,
+            ins: Insertion::new(
+                Object::new(Oid(77), Rect::new(0.4, 0.4, 0.41, 0.41)),
+                ImageHolder::Nobody,
+            ),
             initial: false,
         },
     };

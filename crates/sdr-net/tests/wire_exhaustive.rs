@@ -1,7 +1,8 @@
 //! Exhaustive wire round-trip: one (or more) concrete message per
 //! `Payload` variant — every variant, every `ClientOp`, every `Found`,
 //! both `tall_grandchildren` and `direct` arms, a traversal header at
-//! and past its entry hop — each asserted to decode back bit-equal
+//! and past its entry hop, every insert payload under each image
+//! holder — each asserted to decode back bit-equal
 //! with zero trailing bytes. The property suite explores deep random
 //! structure; this test guarantees *coverage*: adding a variant to
 //! `Payload` without extending the codec (or this list) fails the
@@ -11,8 +12,8 @@
 
 use sdr_core::ids::{ClientId, NodeRef, Oid, QueryId, ServerId};
 use sdr_core::msg::{
-    ClientOp, Endpoint, Found, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
-    ReplyProtocol, Traversal,
+    ClientOp, Endpoint, Found, ImageHolder, Insertion, Message, Pattern, Payload, QueryKind,
+    QueryMode, QueryMsg, ReplyProtocol, Traversal,
 };
 use sdr_core::node::{Object, RoutingNode};
 use sdr_core::oc::{OcEntry, OcTable};
@@ -93,44 +94,40 @@ fn query_msg() -> QueryMsg {
 /// Every `Payload` variant at least once; variants with `Option`al or
 /// enum-valued fields appear once per arm.
 fn every_payload() -> Vec<Payload> {
-    vec![
-        Payload::InsertAtLeaf {
-            obj: obj(1),
-            trace: vec![link(1)],
-            iam_to: ImageHolder::Client(ClientId(3)),
-            initial: true,
-        },
-        Payload::InsertAscend {
-            obj: obj(2),
-            trace: vec![dlink(2)],
-            iam_to: ImageHolder::Nobody,
-            initial: false,
-        },
-        Payload::InsertDescend {
-            obj: obj(3),
-            oc_acc: oc(),
-            new_dr: Some(rect()),
-            trace: vec![],
-            iam_to: ImageHolder::Server(ServerId(1)),
-        },
-        Payload::InsertDescend {
-            obj: obj(3),
-            oc_acc: OcTable::new(),
-            new_dr: None,
-            trace: vec![link(1)],
-            iam_to: ImageHolder::Nobody,
-        },
-        Payload::StoreAtLeaf {
-            obj: obj(4),
-            new_dr: rect(),
-            oc: oc(),
-            trace: vec![link(2)],
-            iam_to: ImageHolder::Client(ClientId(0)),
-        },
+    let holders = [
+        ImageHolder::Client(ClientId(3)),
+        ImageHolder::Server(ServerId(1)),
+        ImageHolder::Nobody,
+    ];
+    let mut samples = Vec::new();
+    for (i, iam_to) in (0u32..).zip(holders) {
+        let ins = Insertion {
+            obj: obj(u64::from(i)),
+            trace: vec![link(i), dlink(i + 1)],
+            iam_to,
+        };
+        samples.extend([
+            Payload::InsertAtLeaf {
+                ins: ins.clone(),
+                initial: i == 0,
+            },
+            Payload::InsertAscend { ins: ins.clone() },
+            Payload::InsertDescend {
+                ins: ins.clone(),
+                oc: if i == 0 { oc() } else { OcTable::new() },
+                new_dr: (i != 1).then_some(rect()),
+            },
+            Payload::StoreAtLeaf {
+                ins,
+                oc: oc(),
+                new_dr: rect(),
+            },
+        ]);
+    }
+    samples.extend([
         Payload::InsertAck {
             oid: Oid(5),
             trace: vec![link(1), link(2)],
-            direct: true,
         },
         Payload::SplitCreate {
             routing: routing_node(),
@@ -166,9 +163,11 @@ fn every_payload() -> Vec<Payload> {
             b_children: (link(2), dlink(3)),
         },
         Payload::RotationInfo {
-            b_link: link(1),
-            b_children: (link(2), link(3)),
-            e_children: (dlink(4), dlink(5)),
+            pattern: Pattern {
+                b: link(1),
+                b_children: (link(2), dlink(3)),
+                e_children: (dlink(4), link(5)),
+            },
         },
         Payload::SetRouting {
             node: routing_node(),
@@ -296,7 +295,8 @@ fn every_payload() -> Vec<Payload> {
             hop: traversal(QueryMode::Check, false),
             objects: vec![obj(9), obj(10)],
         },
-    ]
+    ]);
+    samples
 }
 
 /// A witness that `every_payload` covers the whole enum: this match must
@@ -393,15 +393,20 @@ fn every_frame() -> Vec<(Message, Vec<u8>)> {
 }
 
 /// FNV-1a (the construction of `Cluster::structure_hash`) over the
-/// concatenated frames of [`every_frame`]. Re-recorded once when the
-/// traversal payloads took one `Traversal` header and the three per-hop
-/// reports became one `Report` (31 payload rows, from 33): the query,
-/// delete and probe frames, the report frames and every tag from
-/// `Report` on moved. The digest before, `0x9a61_43ff_b749_3cbf`, was
-/// that of the hand-mirrored put/get codec the field tables replaced
+/// concatenated frames of [`every_frame`]. Re-recorded once when the four
+/// insert payloads took one `Insertion` header (`InsertAscend` lost
+/// `initial`, `InsertAck` lost `direct`, `StoreAtLeaf` sends its OC table
+/// before its rectangle) and `RotationInfo` one `Pattern` (same field
+/// order, so the same bytes): the insert and ack frames moved, and the
+/// samples grew to every insert payload under all three image holders
+/// and a pattern of five distinct links. The digest before,
+/// `0xec6d_3a13_6df3_8955`, was recorded when the traversal payloads took
+/// one `Traversal` header and the three per-hop reports became one
+/// `Report`; the one before that, `0x9a61_43ff_b749_3cbf`, was that of the
+/// hand-mirrored put/get codec the field tables replaced
 /// (`0x0e5e_0028_a58b_b659`) plus the `Routed { op: ClientOp::Knn(..) }`
 /// sample.
-const GOLDEN_DIGEST: u64 = 0xec6d_3a13_6df3_8955;
+const GOLDEN_DIGEST: u64 = 0x026a_207f_3f81_4c0d;
 
 /// The format, pinned: a codec change that moves one byte of any frame
 /// fails here.

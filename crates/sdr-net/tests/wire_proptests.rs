@@ -5,8 +5,8 @@
 
 use sdr_core::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 use sdr_core::msg::{
-    ClientOp, Endpoint, Found, ImageHolder, Message, Payload, QueryKind, QueryMode, QueryMsg,
-    ReplyProtocol, Traversal,
+    ClientOp, Endpoint, Found, ImageHolder, Insertion, Message, Payload, QueryKind, QueryMode,
+    QueryMsg, ReplyProtocol, Traversal,
 };
 use sdr_core::node::{Object, RoutingNode};
 use sdr_core::oc::{OcEntry, OcTable};
@@ -99,6 +99,13 @@ fn arb_trace() -> Gen<Vec<Link>> {
     vecs_of(arb_link(), 0..8)
 }
 
+/// The one insertion generator, shared by all four insert payloads.
+fn arb_insertion() -> Gen<Insertion> {
+    arb_object()
+        .zip(arb_trace().zip(arb_image_holder()))
+        .map(|(obj, (trace, iam_to))| Insertion { obj, trace, iam_to })
+}
+
 fn arb_mode() -> Gen<QueryMode> {
     one_of(vec![
         just(QueryMode::Check),
@@ -169,27 +176,16 @@ fn arb_found() -> Gen<Found> {
 
 fn arb_payload() -> Gen<Payload> {
     one_of(vec![
-        arb_object()
-            .zip(arb_trace())
-            .zip(arb_image_holder().zip(bools()))
-            .map(|((obj, trace), (iam_to, initial))| Payload::InsertAtLeaf {
-                obj,
-                trace,
-                iam_to,
-                initial,
-            }),
-        arb_object()
-            .zip(arb_oc_table())
-            .zip(option_of(arb_rect()).zip(arb_trace().zip(arb_image_holder())))
-            .map(
-                |((obj, oc_acc), (new_dr, (trace, iam_to)))| Payload::InsertDescend {
-                    obj,
-                    oc_acc,
-                    new_dr,
-                    trace,
-                    iam_to,
-                },
-            ),
+        arb_insertion()
+            .zip(bools())
+            .map(|(ins, initial)| Payload::InsertAtLeaf { ins, initial }),
+        arb_insertion().map(|ins| Payload::InsertAscend { ins }),
+        arb_insertion()
+            .zip(arb_oc_table().zip(option_of(arb_rect())))
+            .map(|(ins, (oc, new_dr))| Payload::InsertDescend { ins, oc, new_dr }),
+        arb_insertion()
+            .zip(arb_oc_table().zip(arb_rect()))
+            .map(|(ins, (oc, new_dr))| Payload::StoreAtLeaf { ins, oc, new_dr }),
         arb_routing_node()
             .zip(vecs_of(arb_object(), 0..10))
             .zip(arb_rect().zip(arb_oc_table()))

@@ -33,12 +33,6 @@ pub struct RTreeStats {
     pub height: usize,
     /// Average leaf fill ratio in `[0, 1]`.
     pub avg_leaf_fill: f64,
-    /// Total pairwise overlap area between sibling rectangles, summed over
-    /// every internal node — the quality metric a node split minimizes.
-    pub sibling_overlap: f64,
-    /// Total dead space: sum over internal nodes of
-    /// `area(node) − Σ area(children)`, clamped at zero per node.
-    pub dead_space: f64,
 }
 
 impl<T> RTree<T> {
@@ -128,14 +122,8 @@ fn visit<T>(arena: &Arena<T>, id: NodeId, s: &mut RTreeStats, leaf_fill_sum: &mu
         }
         Kind::Internal(cs) => {
             s.internals += 1;
-            let own: Rect = node.slabs.mbb().expect("internal non-empty");
-            let child_area: f64 = (0..cs.len()).map(|i| node.slabs.rect(i).area()).sum();
-            s.dead_space += (own.area() - child_area).max(0.0);
-            for i in 0..cs.len() {
-                for j in (i + 1)..cs.len() {
-                    s.sibling_overlap += node.slabs.rect(i).overlap_area(&node.slabs.rect(j));
-                }
-                visit(arena, cs[i], s, leaf_fill_sum, max);
+            for &child in cs {
+                visit(arena, child, s, leaf_fill_sum, max);
             }
         }
     }
