@@ -7,31 +7,34 @@
 //! sibling of `c` — chosen to minimize the overlap of the reorganized
 //! siblings' directory rectangles, with dead space as tie-break.
 //!
-//! The insertion path piggybacks the pattern's links onto the chain of
-//! adjustment messages, so the unbalanced node can drive the rotation
-//! without extra round trips ("all the information that constitute a
-//! rotation pattern is available from the left and right links on the
-//! bottom-up adjust path"). On the deletion path heights *decrease*, the
-//! taller side is the one we know nothing about, and the pattern is
-//! gathered with a three-message exchange instead.
+//! The adjust path is one message: every level of it — a split, a height
+//! adjustment, a rotation's link swap, a refresh, an elimination — is a
+//! [`Payload::ChildChange`] whose [`ChildWhy`] carries the pattern links
+//! its cause knows. The insertion path thus piggybacks the pattern onto
+//! the chain of adjustments, so the unbalanced node can drive the
+//! rotation without extra round trips ("all the information that
+//! constitute a rotation pattern is available from the left and right
+//! links on the bottom-up adjust path"). On the deletion path heights
+//! *decrease*, the taller side is the one we know nothing about, and the
+//! pattern is still gathered with a three-message exchange instead: two
+//! `GatherRotation` hops (to `b`, then to `e`) and one `RotationInfo`.
 
 use crate::ids::{NodeKind, NodeRef, ServerId};
 use crate::link::Link;
-use crate::msg::{Pattern, Payload};
+use crate::msg::{ChildWhy, Pattern, Payload};
 use crate::node::{RoutingNode, Side};
 
 use crate::server::{Outbox, Server};
 
 impl Server {
-    /// A child link changed (split, adjustment, or elimination):
-    /// replace the link, recompute, and either continue the bottom-up
-    /// adjustment or rotate.
+    /// A child link changed (split, adjustment, rotation, refresh or
+    /// elimination): replace the link, recompute, and either continue the
+    /// bottom-up adjustment or rotate.
     pub(crate) fn on_child_change(
         &mut self,
         old_child: NodeRef,
         new_link: Link,
-        children: Option<(Link, Link)>,
-        tall_grandchildren: Option<(Link, Link)>,
+        why: ChildWhy,
         out: &mut Outbox,
     ) {
         let self_id = self.id;
@@ -53,7 +56,7 @@ impl Server {
         if dr_changed {
             // Our own coverage entries shrink with us (a no-op when we
             // grew; growth of our entries is our parent's job and flows
-            // back through its AdjustHeight handling of this change).
+            // back through its adjust handling of this change).
             let dr = r.dr;
             r.oc.intersect_all(&dr);
         }
@@ -84,10 +87,23 @@ impl Server {
             );
         }
 
+        // The pattern links the cause carries: the new child's children,
+        // and those of its taller child.
+        let (children, tall_grandchildren) = match why {
+            ChildWhy::Split { children } => (Some(children), None),
+            ChildWhy::Adjust {
+                children,
+                tall_grandchildren,
+            } => (Some(children), tall_grandchildren),
+            ChildWhy::Removed | ChildWhy::Refresh | ChildWhy::Replace => (None, None),
+        };
         if new_link.height.abs_diff(other.height) > 1 {
-            // Unbalanced: rotate. The taller side determines whether we
-            // already hold the pattern links.
-            if new_link.height > other.height {
+            // Unbalanced: rotate if the cause brought the whole pattern;
+            // else gather it. When the changed side is the taller one we
+            // may know b's children, and ask b's taller child directly;
+            // when the *other* side is taller (deletion shrank this one)
+            // we know nothing of it, and ask it.
+            let (to, b) = if new_link.height > other.height {
                 if let (Some(b_children), Some(e_children)) = (children, tall_grandchildren) {
                     let pattern = Pattern {
                         b: new_link,
@@ -97,32 +113,14 @@ impl Server {
                     r.rotate(self_id, side, pattern, out);
                     return;
                 }
-                if let Some(ch) = children {
-                    // We know b's children but not the grandchildren: ask
-                    // b's taller child directly.
-                    let e = taller_of(ch);
-                    out.send_server(
-                        e.node.server,
-                        Payload::GatherRotationInner {
-                            origin: self_id,
-                            b_link: new_link,
-                            b_children: ch,
-                        },
-                    );
-                    return;
+                match children {
+                    Some(ch) => (taller_of(ch).node.server, Some((new_link, ch))),
+                    None => (new_link.node.server, None),
                 }
-                out.send_server(
-                    new_link.node.server,
-                    Payload::GatherRotation { origin: self_id },
-                );
-                return;
-            }
-            // The *other* side is taller (deletion shrank this one):
-            // gather the pattern from it.
-            out.send_server(
-                other.node.server,
-                Payload::GatherRotation { origin: self_id },
-            );
+            } else {
+                (other.node.server, None)
+            };
+            out.send_server(to, Payload::GatherRotation { origin: self_id, b });
             return;
         }
 
@@ -130,73 +128,53 @@ impl Server {
             // The pattern links a potential rotation one level up needs:
             // our children, plus — when our taller child is the one that
             // just changed — its children.
-            let tall_gc = if new_link.height >= other.height {
-                children
-            } else {
-                None
+            let why = ChildWhy::Adjust {
+                children: (r.left, r.right),
+                tall_grandchildren: children.filter(|_| new_link.height >= other.height),
             };
-            let me = r.link(self_id);
-            let my_children = (r.left, r.right);
-            out.send_server(
-                parent,
-                Payload::AdjustHeight {
-                    child: me,
-                    children: my_children,
-                    tall_grandchildren: tall_gc,
-                },
-            );
+            out.send_server(parent, Payload::from_child(r.link(self_id), why));
         }
     }
 
-    /// GatherRotation: the receiver is `b` of a rotation pattern; forward
-    /// the request to its taller child with our links attached.
-    pub(crate) fn on_gather_rotation(&mut self, origin: ServerId, out: &mut Outbox) {
-        let Some(r) = self.routing.as_ref() else {
-            return;
-        };
-        let b_link = r.link(self.id);
-        let b_children = (r.left, r.right);
-        let e = taller_of(b_children);
-        if e.node.kind == NodeKind::Data {
-            // b has height 1: both children are data nodes with no
-            // grandchildren; the pattern degenerates and the origin can
-            // rotate with empty grandchildren information. This only
-            // happens when the origin's other side has height ≤ -1,
-            // i.e. never; answer anyway for robustness.
-            let pattern = Pattern {
-                b: b_link,
-                b_children,
-                e_children: (e, e),
-            };
-            out.send_server(origin, Payload::RotationInfo { pattern });
-            return;
-        }
-        out.send_server(
-            e.node.server,
-            Payload::GatherRotationInner {
-                origin,
-                b_link,
-                b_children,
-            },
-        );
-    }
-
-    /// GatherRotationInner: the receiver is `e`; complete the pattern and
-    /// answer the unbalanced node.
-    pub(crate) fn on_gather_rotation_inner(
+    /// GatherRotation: without `b` the receiver is the pattern's `b` and
+    /// forwards the request to its taller child `e` with its own links
+    /// attached; with `b` the receiver is `e`, which completes the pattern
+    /// and answers the unbalanced node.
+    pub(crate) fn on_gather_rotation(
         &mut self,
         origin: ServerId,
-        b_link: Link,
-        b_children: (Link, Link),
+        b: Option<(Link, (Link, Link))>,
         out: &mut Outbox,
     ) {
         let Some(r) = self.routing.as_ref() else {
             return;
         };
-        let pattern = Pattern {
-            b: b_link,
-            b_children,
-            e_children: (r.left, r.right),
+        let own_children = (r.left, r.right);
+        let pattern = match b {
+            Some((b, b_children)) => Pattern {
+                b,
+                b_children,
+                e_children: own_children,
+            },
+            None => {
+                let b = r.link(self.id);
+                let e = taller_of(own_children);
+                if e.node.kind == NodeKind::Routing {
+                    let b = Some((b, own_children));
+                    out.send_server(e.node.server, Payload::GatherRotation { origin, b });
+                    return;
+                }
+                // b has height 1: both children are data nodes with no
+                // grandchildren; the pattern degenerates and the origin
+                // can rotate with empty grandchildren information. This
+                // only happens when the origin's other side has height
+                // ≤ -1, i.e. never; answer anyway for robustness.
+                Pattern {
+                    b,
+                    b_children: own_children,
+                    e_children: (e, e),
+                }
+            }
         };
         out.send_server(origin, Payload::RotationInfo { pattern });
     }
@@ -218,10 +196,11 @@ impl Server {
             // maintenance changed b): re-gather from the fresh state if
             // we are still unbalanced.
             if current_b.height.abs_diff(other.height) > 1 {
-                out.send_server(
-                    current_b.node.server,
-                    Payload::GatherRotation { origin: self_id },
-                );
+                let gather = Payload::GatherRotation {
+                    origin: self_id,
+                    b: None,
+                };
+                out.send_server(current_b.node.server, gather);
             }
             return;
         }
@@ -236,22 +215,27 @@ impl Server {
         self.routing = Some(node);
     }
 
-    /// SetParent: update one node's parent pointer, then report the
-    /// node's current state back so the new parent heals any staleness
-    /// in the rotation driver's snapshot.
-    pub(crate) fn on_set_parent(&mut self, target: NodeRef, parent: ServerId, out: &mut Outbox) {
+    /// SetParent: update one node's parent pointer — `None` makes it the
+    /// tree root — then report the node's current state to a new parent,
+    /// so it heals any staleness in the rotation driver's snapshot.
+    pub(crate) fn on_set_parent(
+        &mut self,
+        target: NodeRef,
+        parent: Option<ServerId>,
+        out: &mut Outbox,
+    ) {
         let fresh = match target.kind {
             NodeKind::Data => self.data.as_mut().map(|d| {
-                d.parent = Some(parent);
+                d.parent = parent;
                 d.link(self.id)
             }),
             NodeKind::Routing => self.routing.as_mut().map(|r| {
-                r.parent = Some(parent);
+                r.parent = parent;
                 r.link(self.id)
             }),
         };
-        if let Some(link) = fresh {
-            out.send_server(parent, Payload::RefreshChild { child: link });
+        if let (Some(parent), Some(link)) = (parent, fresh) {
+            out.send_server(parent, Payload::from_child(link, ChildWhy::Refresh));
         }
     }
 }
@@ -367,9 +351,10 @@ impl RoutingNode {
         if let Some(p) = old_parent {
             out.send_server(
                 p,
-                Payload::ReplaceChild {
+                Payload::ChildChange {
                     old_child: NodeRef::routing(self_id),
                     new_child: b_link_new,
+                    why: ChildWhy::Replace,
                 },
             );
         }
@@ -398,7 +383,7 @@ impl RoutingNode {
                     child.node.server,
                     Payload::SetParent {
                         target: child.node,
-                        parent: e.node.server,
+                        parent: Some(e.node.server),
                     },
                 );
             }
@@ -424,7 +409,7 @@ impl RoutingNode {
             s.node.server,
             Payload::SetParent {
                 target: s.node,
-                parent: self_id,
+                parent: Some(self_id),
             },
         );
         // Coverage refresh for a's children (s and c).
@@ -491,7 +476,11 @@ mod tests {
         let (mut a, b, (e, d), (f, g), c) = pattern();
         let mut out = Outbox::new(ServerId(10), 100);
         // The adjust chain reports b's new height with the pattern links.
-        a.on_child_change(b.node, b, Some((e, d)), Some((f, g)), &mut out);
+        let why = ChildWhy::Adjust {
+            children: (e, d),
+            tall_grandchildren: Some((f, g)),
+        };
+        a.on_child_change(b.node, b, why, &mut out);
 
         // a self-adjusted: its children are now (g, c) — the move(g)
         // choice — under parent b.
@@ -535,7 +524,7 @@ mod tests {
         assert_eq!(e_node.dr.overlap_area(&a.routing.as_ref().unwrap().dr), 0.0);
 
         // The moved node g learns its new parent a; d learns e.
-        let parents: Vec<(NodeRef, ServerId)> = out
+        let parents: Vec<(NodeRef, Option<ServerId>)> = out
             .msgs
             .iter()
             .filter_map(|m| match &m.payload {
@@ -543,8 +532,8 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(parents.contains(&(g.node, ServerId(10))));
-        assert!(parents.contains(&(d.node, ServerId(12))));
+        assert!(parents.contains(&(g.node, Some(ServerId(10)))));
+        assert!(parents.contains(&(d.node, Some(ServerId(12)))));
     }
 
     #[test]
@@ -557,7 +546,11 @@ mod tests {
             r.right = Link::to_routing(ServerId(5), r.right.dr, 1);
         }
         let mut out = Outbox::new(ServerId(10), 100);
-        a.on_child_change(b.node, b, Some((e, d)), Some((f, g)), &mut out);
+        let why = ChildWhy::Adjust {
+            children: (e, d),
+            tall_grandchildren: Some((f, g)),
+        };
+        a.on_child_change(b.node, b, why, &mut out);
         assert!(
             !out.msgs
                 .iter()
@@ -567,20 +560,24 @@ mod tests {
         let adjust = out
             .msgs
             .iter()
-            .find(|m| matches!(m.payload, Payload::AdjustHeight { .. }))
+            .find(|m| m.payload.name() == "AdjustHeight")
             .expect("height change must propagate");
         assert_eq!(adjust.to, Endpoint::Server(ServerId(20)));
-        if let Payload::AdjustHeight {
-            child,
-            tall_grandchildren,
-            ..
+        let Payload::ChildChange {
+            old_child,
+            new_child,
+            why: ChildWhy::Adjust {
+                tall_grandchildren, ..
+            },
         } = &adjust.payload
-        {
-            assert_eq!(child.height, 3);
-            // b is the taller child, so its children ride along for a
-            // potential rotation one level up.
-            assert_eq!(*tall_grandchildren, Some((e, d)));
-        }
+        else {
+            panic!("expected an adjust, got {:?}", adjust.payload);
+        };
+        assert_eq!(*old_child, NodeRef::routing(ServerId(10)));
+        assert_eq!(new_child.height, 3);
+        // b is the taller child, so its children ride along for a
+        // potential rotation one level up.
+        assert_eq!(*tall_grandchildren, Some((e, d)));
     }
 
     #[test]
@@ -591,17 +588,24 @@ mod tests {
             r.left = b; // fresh link, height 2
             r.recompute();
         }
-        // The shallow side shrank: a ChildRemoved-style change with no
+        // The shallow side shrank: a removal-style change with no
         // pattern links. The taller side must be asked for them.
         let shrunk = data_link(4, 11.0, 10.0, 11.5, 10.5);
         let mut out = Outbox::new(ServerId(10), 100);
-        a.on_child_change(c.node, shrunk, None, None, &mut out);
+        a.on_child_change(c.node, shrunk, ChildWhy::Removed, &mut out);
         let gather = out
             .msgs
             .iter()
             .find(|m| matches!(m.payload, Payload::GatherRotation { .. }))
             .expect("gather must start");
         assert_eq!(gather.to, Endpoint::Server(ServerId(11)));
+        assert!(matches!(
+            gather.payload,
+            Payload::GatherRotation {
+                origin: ServerId(10),
+                b: None
+            }
+        ));
     }
 
     #[test]
@@ -649,9 +653,14 @@ mod tests {
             oc: crate::oc::OcTable::new(),
         });
         let mut out = Outbox::new(ServerId(11), 100);
-        b_server.on_gather_rotation(ServerId(10), &mut out);
+        b_server.on_gather_rotation(ServerId(10), None, &mut out);
         let inner = out.msgs.pop().expect("forwarded to e");
         assert_eq!(inner.to, Endpoint::Server(ServerId(12)));
+        let Payload::GatherRotation { origin, b } = inner.payload else {
+            panic!("expected GatherRotation, got {:?}", inner.payload);
+        };
+        let b_fresh = b_server.routing.as_ref().unwrap().link(ServerId(11));
+        assert_eq!((origin, b), (ServerId(10), Some((b_fresh, (e, d)))));
 
         let mut e_server = Server::new(ServerId(12), SdrConfig::with_capacity(10));
         e_server.routing = Some(RoutingNode {
@@ -663,16 +672,7 @@ mod tests {
             oc: crate::oc::OcTable::new(),
         });
         let mut out2 = Outbox::new(ServerId(12), 100);
-        if let Payload::GatherRotationInner {
-            origin,
-            b_link,
-            b_children,
-        } = inner.payload
-        {
-            e_server.on_gather_rotation_inner(origin, b_link, b_children, &mut out2);
-        } else {
-            panic!("expected GatherRotationInner");
-        }
+        e_server.on_gather_rotation(origin, b, &mut out2);
         let info = out2.msgs.pop().expect("answered origin");
         assert_eq!(info.to, Endpoint::Server(ServerId(10)));
         assert!(matches!(

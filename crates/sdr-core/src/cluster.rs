@@ -509,20 +509,18 @@ impl Cluster {
     }
 }
 
-/// FNV-1a, specialized to 64-bit words — platform-independent, no
-/// `DefaultHasher` whose algorithm std does not pin across releases.
-struct Fnv(u64);
+/// [`sdr_det::Fnv1a`] over the structure's 64-bit words, little-endian —
+/// platform-independent, no `DefaultHasher` whose algorithm std does not
+/// pin across releases.
+struct Fnv(sdr_det::Fnv1a);
 
 impl Fnv {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(sdr_det::Fnv1a::new())
     }
 
     fn write(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0.write(&v.to_le_bytes());
     }
 
     fn rect(&mut self, r: &sdr_geom::Rect) {
@@ -554,7 +552,7 @@ impl Fnv {
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        self.0.finish()
     }
 }
 

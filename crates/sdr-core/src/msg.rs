@@ -15,7 +15,14 @@
 //! [`Payload::Report`] whose [`Found`] says what it found. Insertion is
 //! one operation too: its four hop payloads each carry one [`Insertion`]
 //! the way traversal hops carry one `Traversal`, beside what the hop's
-//! parent decided for the receiver.
+//! parent decided for the receiver. The bottom-up adjust path is one
+//! message as well: a split, a height adjustment, a rotation's link swap,
+//! a re-parented child's refresh and an elimination each reach the parent
+//! as one [`Payload::ChildChange`] whose [`ChildWhy`] names the cause and
+//! carries the rotation-pattern links it knows (§2.4). Where those links
+//! are missing (the deletion path) the pattern is still gathered with
+//! three messages: two [`Payload::GatherRotation`] hops and one
+//! [`Payload::RotationInfo`].
 
 use crate::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 use crate::link::Link;
@@ -270,6 +277,43 @@ pub struct Pattern {
     pub e_children: (Link, Link),
 }
 
+/// Why a child link changed: the cause of a [`Payload::ChildChange`],
+/// carrying only the rotation-pattern links (§2.4) that cause knows.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ChildWhy {
+    /// The child data node split (§2.2); the new link is the routing node
+    /// taking its place, and `children` are its two data halves.
+    Split {
+        /// The new routing node's children links.
+        children: (Link, Link),
+    },
+    /// Bottom-up height adjustment (§2.2 "bottom-up traversal that follows
+    /// any split operation"): the sending child's fresh link.
+    Adjust {
+        /// The sending child's children links.
+        children: (Link, Link),
+        /// The children links of the sender's taller child — the `f`/`g`
+        /// of a rotation pattern. `None` when the taller child is a data
+        /// node, or is not the child that changed.
+        tall_grandchildren: Option<(Link, Link)>,
+    },
+    /// Node elimination (§3.3) dissolved the child; the new link is the
+    /// surviving sibling subtree.
+    Removed,
+    /// The child reports its current state: a node re-parented by a
+    /// rotation, repairing any staleness in the link snapshot the driver
+    /// worked from (concurrent inserts may have enlarged the moved subtree
+    /// while the rotation messages were in flight), or a data node whose
+    /// rectangle a concurrent split left different from what its parent
+    /// computed.
+    Refresh,
+    /// A rotation below swapped the child (§2.4): on the insertion path
+    /// height and rectangle are preserved, a pure link swap ("the
+    /// bottom-up adjustment path stops there"); on the deletion path the
+    /// generic child-change repair runs.
+    Replace,
+}
+
 /// Message payloads.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Payload {
@@ -319,7 +363,7 @@ pub enum Payload {
         trace: Trace,
     },
 
-    // ---------------------------------------------------------- split --
+    // -------------------------------------------------- split, adjust --
     /// Initializes a freshly allocated server with its routing node and
     /// the half of the split objects it receives (§2.2).
     SplitCreate {
@@ -332,58 +376,29 @@ pub enum Payload {
         /// OC table of the new data node.
         data_oc: OcTable,
     },
-    /// Tells the split server's former parent that its child link must be
-    /// replaced by the new routing node, kicking off the bottom-up height
-    /// adjustment.
-    ChildSplit {
-        /// The node that split (the old child).
+    /// A child link of the receiving routing node changed: replace it,
+    /// recompute, and either continue the bottom-up adjustment or rotate
+    /// (§2.2, §2.4). Splits, height adjustment, rotations and node
+    /// elimination all travel this one adjust path; `why` names the cause
+    /// and carries the rotation-pattern links that cause knows.
+    ChildChange {
+        /// The node the link currently points at.
         old_child: NodeRef,
-        /// Link to the new routing node taking its place.
+        /// The replacement link.
         new_child: Link,
-        /// The new routing node's children links (needed two levels up if
-        /// a rotation pattern must be assembled).
-        children: (Link, Link),
+        /// What changed the child.
+        why: ChildWhy,
     },
-    /// Bottom-up height/rectangle adjustment after a split or rotation
-    /// (§2.2 "bottom-up traversal that follows any split operation").
-    /// Carries the links a potential rotation at the receiver needs.
-    AdjustHeight {
-        /// Fresh link to the sending child.
-        child: Link,
-        /// The sending child's children links.
-        children: (Link, Link),
-        /// The children links of the sender's taller child — the `f`/`g`
-        /// of a rotation pattern. `None` when the taller child is a data
-        /// node.
-        tall_grandchildren: Option<(Link, Link)>,
-    },
-
-    /// A child subtree was removed by node elimination; the parent
-    /// replaces its link (the dissolved routing node) with the surviving
-    /// sibling and re-runs the height adjustment.
-    ChildRemoved {
-        /// The dissolved routing node.
-        old_child: NodeRef,
-        /// Link to the surviving sibling subtree.
-        new_child: Link,
-    },
-    /// First hop of the rotation-information gathering used when an
-    /// imbalance is detected without the adjust chain's piggybacked links
-    /// (this happens on the deletion path, where heights *decrease*): the
-    /// unbalanced node asks its taller child for the rotation pattern.
+    /// Gathers a rotation pattern when the unbalanced node lacks the
+    /// adjust chain's piggybacked links (the deletion path, where heights
+    /// *decrease*). Without `b` the receiver is the pattern's `b`: it
+    /// forwards to its taller child with its own links attached. With `b`
+    /// the receiver is `e`, which holds the last missing links.
     GatherRotation {
         /// The unbalanced routing node's server.
         origin: ServerId,
-    },
-    /// Second hop: the taller child forwards to *its* taller child, which
-    /// holds the last missing links.
-    GatherRotationInner {
-        /// The unbalanced routing node's server.
-        origin: ServerId,
-        /// Fresh link to the taller child (`b` of the pattern).
-        b_link: Link,
-        /// `b`'s children links.
-        b_children: (Link, Link),
+        /// Fresh link to `b` and `b`'s children links, once gathered.
+        b: Option<(Link, (Link, Link))>,
     },
     /// Final hop: the assembled rotation pattern, sent back to the
     /// unbalanced node, which re-checks and rotates.
@@ -399,30 +414,15 @@ pub enum Payload {
         /// The complete new routing-node state.
         node: RoutingNode,
     },
-    /// Updates the parent pointer of one node (rotation: the moved
-    /// subtrees learn their new parent).
+    /// Updates the parent pointer of one node: under rotation the moved
+    /// subtrees learn their new parent; under node elimination the
+    /// surviving sibling takes its dissolved parent's place, becoming the
+    /// tree root when there is no grandparent.
     SetParent {
         /// Which node on the receiving server.
         target: NodeRef,
-        /// The new parent's server.
-        parent: ServerId,
-    },
-    /// A re-parented node reports its current state to its new parent,
-    /// repairing any staleness in the link snapshots the rotation driver
-    /// worked from (concurrent inserts may have enlarged the moved
-    /// subtree while the rotation messages were in flight).
-    RefreshChild {
-        /// Fresh link to the sending child.
-        child: Link,
-    },
-    /// Replaces a child link in the receiving routing node without
-    /// cascading height adjustment (rotation preserves subtree height:
-    /// "the bottom-up adjustment path stops there").
-    ReplaceChild {
-        /// The link's current node.
-        old_child: NodeRef,
-        /// The replacement link.
-        new_child: Link,
+        /// The new parent's server; `None` makes the target the root.
+        parent: Option<ServerId>,
     },
 
     // ------------------------------------------- overlapping coverage --
@@ -515,11 +515,6 @@ pub enum Payload {
         /// Its remaining objects.
         objects: Vec<Object>,
     },
-    /// The target node becomes the tree root (its parent dissolved).
-    ClearParent {
-        /// Which node on the receiving server.
-        target: NodeRef,
-    },
     /// Recursively removes the OC entries keyed by a dissolved ancestor.
     DropOcAncestor {
         /// Which node on the receiving server.
@@ -603,6 +598,17 @@ impl Payload {
         }
     }
 
+    /// A child's report of its own fresh link to its parent: the link
+    /// still names the node it replaces.
+    pub(crate) fn from_child(new_child: Link, why: ChildWhy) -> Payload {
+        let old_child = new_child.node;
+        Payload::ChildChange {
+            old_child,
+            new_child,
+            why,
+        }
+    }
+
     /// The variant's name, for tracing and fault-injection diagnostics.
     /// Lives here — next to the enum — so the list can never drift from
     /// the variants the way a transport-side copy could.
@@ -614,16 +620,20 @@ impl Payload {
             Payload::StoreAtLeaf { .. } => "StoreAtLeaf",
             Payload::InsertAck { .. } => "InsertAck",
             Payload::SplitCreate { .. } => "SplitCreate",
-            Payload::ChildSplit { .. } => "ChildSplit",
-            Payload::AdjustHeight { .. } => "AdjustHeight",
-            Payload::ChildRemoved { .. } => "ChildRemoved",
-            Payload::GatherRotation { .. } => "GatherRotation",
-            Payload::GatherRotationInner { .. } => "GatherRotationInner",
+            // One variant, five labels: a trace names the cause.
+            Payload::ChildChange { why, .. } => match why {
+                ChildWhy::Split { .. } => "ChildSplit",
+                ChildWhy::Adjust { .. } => "AdjustHeight",
+                ChildWhy::Removed => "ChildRemoved",
+                ChildWhy::Refresh => "RefreshChild",
+                ChildWhy::Replace => "ReplaceChild",
+            },
+            Payload::GatherRotation { b: None, .. } => "GatherRotation",
+            Payload::GatherRotation { b: Some(_), .. } => "GatherRotationInner",
             Payload::RotationInfo { .. } => "RotationInfo",
             Payload::SetRouting { .. } => "SetRouting",
+            Payload::SetParent { parent: None, .. } => "ClearParent",
             Payload::SetParent { .. } => "SetParent",
-            Payload::RefreshChild { .. } => "RefreshChild",
-            Payload::ReplaceChild { .. } => "ReplaceChild",
             Payload::UpdateOc { .. } => "UpdateOc",
             Payload::RefreshOc { .. } => "RefreshOc",
             Payload::ShrinkChild { .. } => "ShrinkChild",
@@ -638,7 +648,6 @@ impl Payload {
             Payload::QueryAggregate { .. } => "QueryAggregate",
             Payload::Delete { .. } => "Delete",
             Payload::Eliminate { .. } => "Eliminate",
-            Payload::ClearParent { .. } => "ClearParent",
             Payload::DropOcAncestor { .. } => "DropOcAncestor",
             Payload::KnnLocal { .. } => "KnnLocal",
             Payload::KnnLocalReply { .. } => "KnnLocalReply",
@@ -663,17 +672,20 @@ impl Payload {
                 ..
             } => Insert,
             Payload::InsertAck { .. } => Iam,
-            Payload::SplitCreate { .. } | Payload::ChildSplit { .. } => Split,
-            Payload::AdjustHeight { .. }
-            | Payload::ShrinkChild { .. }
-            | Payload::RefreshChild { .. }
+            Payload::ChildChange { why, .. } => match why {
+                ChildWhy::Split { .. } => Split,
+                ChildWhy::Adjust { .. } | ChildWhy::Refresh => Adjust,
+                ChildWhy::Removed => Delete,
+                ChildWhy::Replace => Rotation,
+            },
+            Payload::SplitCreate { .. } => Split,
+            Payload::ShrinkChild { .. }
             | Payload::GatherRotation { .. }
-            | Payload::GatherRotationInner { .. }
             | Payload::RotationInfo { .. } => Adjust,
-            Payload::ChildRemoved { .. } => Delete,
-            Payload::SetRouting { .. }
-            | Payload::SetParent { .. }
-            | Payload::ReplaceChild { .. } => Rotation,
+            Payload::Delete { .. }
+            | Payload::Eliminate { .. }
+            | Payload::SetParent { parent: None, .. } => Delete,
+            Payload::SetRouting { .. } | Payload::SetParent { .. } => Rotation,
             Payload::UpdateOc { .. }
             | Payload::RefreshOc { .. }
             | Payload::DropOcAncestor { .. } => Oc,
@@ -685,9 +697,6 @@ impl Payload {
             Payload::Report { .. }
             | Payload::QueryAggregate { .. }
             | Payload::KnnLocalReply { .. } => Reply,
-            Payload::Delete { .. } | Payload::Eliminate { .. } | Payload::ClearParent { .. } => {
-                Delete
-            }
         }
     }
 }
@@ -719,5 +728,47 @@ mod tests {
             trace: vec![],
         };
         assert_eq!(ack.category(), MsgCategory::Iam);
+    }
+
+    /// Every form of a merged row keeps the label and the category of
+    /// the row it replaced, so traces, pins and per-category counts read
+    /// the same as before the merge.
+    #[test]
+    fn merged_forms_keep_their_labels_and_categories() {
+        use MsgCategory::{Adjust, Delete, Rotation, Split};
+        let l = Link::to_data(ServerId(1), Rect::new(0.0, 0.0, 1.0, 1.0));
+        let change = |why| Payload::ChildChange {
+            old_child: l.node,
+            new_child: l,
+            why,
+        };
+        let adjust = |tall_grandchildren| ChildWhy::Adjust {
+            children: (l, l),
+            tall_grandchildren,
+        };
+        let set_parent = |parent| Payload::SetParent {
+            target: l.node,
+            parent,
+        };
+        let gather = |b| Payload::GatherRotation {
+            origin: ServerId(2),
+            b,
+        };
+        let split = ChildWhy::Split { children: (l, l) };
+        for (payload, name, category) in [
+            (change(split), "ChildSplit", Split),
+            (change(adjust(Some((l, l)))), "AdjustHeight", Adjust),
+            (change(adjust(None)), "AdjustHeight", Adjust),
+            (change(ChildWhy::Removed), "ChildRemoved", Delete),
+            (change(ChildWhy::Refresh), "RefreshChild", Adjust),
+            (change(ChildWhy::Replace), "ReplaceChild", Rotation),
+            (set_parent(Some(ServerId(2))), "SetParent", Rotation),
+            (set_parent(None), "ClearParent", Delete),
+            (gather(None), "GatherRotation", Adjust),
+            (gather(Some((l, (l, l)))), "GatherRotationInner", Adjust),
+        ] {
+            let got = (payload.name(), payload.category());
+            assert_eq!(got, (name, category), "{payload:?}");
+        }
     }
 }

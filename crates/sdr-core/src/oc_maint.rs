@@ -4,7 +4,7 @@
 
 use crate::ids::{NodeKind, NodeRef, ServerId};
 use crate::link::Link;
-use crate::msg::{ImageHolder, Insertion, Payload};
+use crate::msg::{ChildWhy, ImageHolder, Insertion, Payload};
 use crate::node::Object;
 use crate::server::{Outbox, Server};
 use sdr_geom::Rect;
@@ -186,35 +186,25 @@ impl Server {
         let sibling = *r.child(side.other());
         self.routing_tombstone = Some(sibling.node);
 
-        // The sibling takes our tree position.
-        match r.parent {
-            Some(gp) => {
-                out.send_server(
-                    sibling.node.server,
-                    Payload::SetParent {
-                        target: sibling.node,
-                        parent: gp,
-                    },
-                );
-                out.send_server(
-                    gp,
-                    Payload::ChildRemoved {
-                        old_child: NodeRef::routing(self_id),
-                        new_child: sibling,
-                    },
-                );
-            }
-            None => {
-                // We were the root: the sibling becomes the new root.
-                // A data-node sibling keeps `parent: None`, which marks
-                // it as the accepting root leaf.
-                out.send_server(
-                    sibling.node.server,
-                    Payload::ClearParent {
-                        target: sibling.node,
-                    },
-                );
-            }
+        // The sibling takes our tree position. When we were the root it
+        // becomes the new root: a data-node sibling keeps `parent: None`,
+        // which marks it as the accepting root leaf.
+        out.send_server(
+            sibling.node.server,
+            Payload::SetParent {
+                target: sibling.node,
+                parent: r.parent,
+            },
+        );
+        if let Some(gp) = r.parent {
+            out.send_server(
+                gp,
+                Payload::ChildChange {
+                    old_child: NodeRef::routing(self_id),
+                    new_child: sibling,
+                    why: ChildWhy::Removed,
+                },
+            );
         }
         // The sibling's coverage no longer includes us: drop the entry.
         out.send_server(
@@ -254,22 +244,6 @@ impl Server {
             let ins = Insertion::new(obj, ImageHolder::Nobody);
             let payload = Payload::insert_at(t.kind, ins, false);
             out.send_server_deferred(t.server, payload);
-        }
-    }
-
-    /// ClearParent: the target node becomes the tree root.
-    pub(crate) fn on_clear_parent(&mut self, target: NodeRef) {
-        match target.kind {
-            NodeKind::Data => {
-                if let Some(d) = self.data.as_mut() {
-                    d.parent = None;
-                }
-            }
-            NodeKind::Routing => {
-                if let Some(r) = self.routing.as_mut() {
-                    r.parent = None;
-                }
-            }
         }
     }
 

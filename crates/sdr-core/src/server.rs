@@ -16,7 +16,7 @@ use crate::config::{SdrConfig, LOCAL_RTREE};
 use crate::ids::{ClientId, NodeKind, NodeRef, QueryId, ServerId};
 use crate::image::Image;
 use crate::link::Link;
-use crate::msg::{Endpoint, Found, ImageHolder, Insertion, Message, Payload, Trace};
+use crate::msg::{ChildWhy, Endpoint, Found, ImageHolder, Insertion, Message, Payload, Trace};
 use crate::node::{DataNode, Object, RoutingNode};
 use crate::oc::OcTable;
 use sdr_geom::Rect;
@@ -208,16 +208,10 @@ impl Server {
     /// Creates the first server of a deployment: an empty data node, no
     /// routing node (§2.1: server 0 stores only `d0`).
     pub fn new(id: ServerId, config: SdrConfig) -> Self {
+        let data = Some(DataNode::new(LOCAL_RTREE));
         Server {
-            id,
-            routing: None,
-            data: Some(DataNode::new(LOCAL_RTREE)),
-            image: Image::new(),
-            config,
-            pending: Default::default(),
-            data_tombstone: None,
-            routing_tombstone: None,
-            deferred: Vec::new(),
+            data,
+            ..Server::bare(id, config)
         }
     }
 
@@ -305,43 +299,18 @@ impl Server {
                     self.handle(from, payload, out);
                 }
             }
-            Payload::ChildSplit {
+            Payload::ChildChange {
                 old_child,
                 new_child,
-                children,
-            } => self.on_child_change(old_child, new_child, Some(children), None, out),
-            Payload::AdjustHeight {
-                child,
-                children,
-                tall_grandchildren,
-            } => self.on_child_change(child.node, child, Some(children), tall_grandchildren, out),
-            Payload::ChildRemoved {
-                old_child,
-                new_child,
-            } => self.on_child_change(old_child, new_child, None, None, out),
-            Payload::GatherRotation { origin } => self.on_gather_rotation(origin, out),
-            Payload::GatherRotationInner {
-                origin,
-                b_link,
-                b_children,
-            } => self.on_gather_rotation_inner(origin, b_link, b_children, out),
+                why,
+            } => self.on_child_change(old_child, new_child, why, out),
+            Payload::GatherRotation { origin, b } => self.on_gather_rotation(origin, b, out),
             Payload::RotationInfo { pattern } => self.on_rotation_info(pattern, out),
-            Payload::ClearParent { target } => self.on_clear_parent(target),
             Payload::DropOcAncestor { target, ancestor } => {
                 self.on_drop_oc_ancestor(target, ancestor, out)
             }
             Payload::SetRouting { node } => self.on_set_routing(node),
             Payload::SetParent { target, parent } => self.on_set_parent(target, parent, out),
-            Payload::RefreshChild { child } => {
-                self.on_child_change(child.node, child, None, None, out)
-            }
-            // A rotation below swapped the child: on the insertion path
-            // height and rectangle are preserved (a pure link swap), on
-            // the deletion path the generic child-change repair runs.
-            Payload::ReplaceChild {
-                old_child,
-                new_child,
-            } => self.on_child_change(old_child, new_child, None, None, out),
             Payload::UpdateOc {
                 target,
                 ancestor,
@@ -513,8 +482,7 @@ impl Server {
         d.store(ins.obj);
         if merged != new_dr {
             if let Some(p) = d.parent {
-                let link = d.link(self_id);
-                out.send_server(p, Payload::RefreshChild { child: link });
+                out.send_server(p, Payload::from_child(d.link(self_id), ChildWhy::Refresh));
             }
         }
         out.ack(ins);
@@ -590,10 +558,12 @@ impl Server {
         if let Some(parent) = old_parent {
             out.send_server(
                 parent,
-                Payload::ChildSplit {
+                Payload::ChildChange {
                     old_child: NodeRef::data(self.id),
                     new_child: routing_link,
-                    children: (left, right),
+                    why: ChildWhy::Split {
+                        children: (left, right),
+                    },
                 },
             );
         }
@@ -724,7 +694,7 @@ mod tests {
                 &mut out,
             );
         }
-        // Exactly one allocation and one SplitCreate; no ChildSplit since
+        // Exactly one allocation and one SplitCreate; no ChildChange since
         // server 0 was the root.
         assert_eq!(out.allocated, vec![ServerId(1)]);
         let split_msgs: Vec<_> = out
@@ -736,7 +706,7 @@ mod tests {
         assert!(!out
             .msgs
             .iter()
-            .any(|m| matches!(m.payload, Payload::ChildSplit { .. })));
+            .any(|m| matches!(m.payload, Payload::ChildChange { .. })));
         // The local half respects the configured capacity.
         let kept = s.data.as_ref().unwrap().len();
         assert!((4..=7).contains(&kept), "kept {kept}");

@@ -15,7 +15,7 @@
 use sdr_core::{
     Client, ClientId, Cluster, FaultKind, FaultPlan, MsgCategory, Object, Oid, SdrConfig, Variant,
 };
-use sdr_det::{DetRng, Rng};
+use sdr_det::{fnv1a, DetRng, Rng};
 use sdr_geom::Point;
 use sdr_workload::{DatasetSpec, Distribution};
 use std::cell::Cell;
@@ -146,12 +146,6 @@ fn chaos_run(
             .trace()
             .map_or(0, |t| fnv1a(t.render().as_bytes())),
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 #[expect(

@@ -2,7 +2,9 @@
 //! the message protocol, then verify structural invariants and query
 //! completeness against brute-force oracles.
 
-use sdr_core::{Client, ClientId, Cluster, Object, Oid, ReplyProtocol, SdrConfig, Variant};
+use sdr_core::{
+    Client, ClientId, Cluster, MsgCategory, Object, Oid, ReplyProtocol, SdrConfig, Variant,
+};
 use sdr_geom::{Point, Rect};
 use sdr_workload::{DatasetSpec, Distribution, PointSpec, WindowSpec};
 
@@ -314,12 +316,26 @@ fn deleting_everything_collapses_the_tree() {
     let mut client = Client::new(ClientId(0), Variant::ImClient, 2);
     build(&mut cluster, &mut client, &data);
     assert!(cluster.num_servers() > 4);
+    cluster.obs_mut().enable_trace();
     for (i, r) in data.iter().enumerate() {
         let (removed, _) = client.delete(&mut cluster, Object::new(Oid(i as u64), *r));
         assert!(removed, "failed to delete object {i}");
     }
     assert_eq!(cluster.total_objects(), 0);
     cluster.check_invariants();
+    // Eliminating the root makes its surviving child the root: a
+    // `SetParent` without a parent, traced as `ClearParent` and counted
+    // as deletion traffic.
+    let log = cluster.obs().trace().expect("trace enabled");
+    let clears: Vec<_> = log
+        .events()
+        .iter()
+        .filter(|e| e.kind == "deliver" && e.name == "ClearParent")
+        .collect();
+    assert!(!clears.is_empty(), "the collapse never replaced the root");
+    for e in clears {
+        assert_eq!(e.category, MsgCategory::Delete.name(), "{}", e.render());
+    }
     // The structure remains usable after total collapse.
     client.insert(
         &mut cluster,

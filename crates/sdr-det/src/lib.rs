@@ -18,6 +18,8 @@
 //!   macro, and greedy choice-stream shrinking on failure.
 //! * [`mod@json`] — the minimal JSON value type the `e2e` benchmark
 //!   writes its records with and parses its children's output with.
+//! * [`mod@hash`] — FNV-1a ([`fnv1a`], [`Fnv1a`]), the one digest behind
+//!   every pinned hash in the workspace.
 //!
 //! ## Example
 //!
@@ -34,8 +36,10 @@
 //! assert_ne!(extents.next_u64(), centers.next_u64());
 //! ```
 
+pub mod hash;
 pub mod json;
 pub mod prop;
 pub mod rng;
 
+pub use hash::{fnv1a, Fnv1a};
 pub use rng::{bounded, DetRng, Rng, SampleRange, SplitMix64, Xoshiro256pp};

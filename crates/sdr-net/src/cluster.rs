@@ -55,9 +55,9 @@ impl NetCluster {
             registry: std::sync::RwLock::new(std::collections::HashMap::new()),
             next_server: Arc::new(AtomicU32::new(1)),
             config,
-            stop: Arc::new(AtomicBool::new(false)),
-            handle_lock: Arc::new(Mutex::new(())),
-            in_flight: Arc::new(std::sync::atomic::AtomicI64::new(0)),
+            stop: AtomicBool::new(false),
+            handle_lock: Mutex::new(()),
+            in_flight: std::sync::atomic::AtomicI64::new(0),
             delivery_failures: AtomicU64::new(0),
             faults: options
                 .faults

@@ -51,10 +51,12 @@ pub(crate) struct Deployment {
     /// OS-assigned ports make parallel deployments and rapid restarts
     /// collision-free (no fixed ranges, no `TIME_WAIT` interference).
     pub registry: std::sync::RwLock<HashMap<Endpoint, u16>>,
-    /// Next server id — shared so concurrent splits never collide.
+    /// Next server id — shared so concurrent splits never collide. The
+    /// one field with an `Arc` of its own: every handling step's `Outbox`
+    /// holds a clone (`Allocator::Shared`).
     pub next_server: Arc<AtomicU32>,
     pub config: SdrConfig,
-    pub stop: Arc<AtomicBool>,
+    pub stop: AtomicBool,
     /// Serializes message *handling* across the deployment.
     ///
     /// The paper leaves concurrency control explicitly open (§6: "our
@@ -68,7 +70,7 @@ pub(crate) struct Deployment {
     /// own evaluation assumes. Senders never block on receivers'
     /// processing (frames queue in the OS accept backlog), so the lock
     /// cannot deadlock.
-    pub handle_lock: Arc<std::sync::Mutex<()>>,
+    pub handle_lock: Mutex<()>,
     /// Server-bound messages sent but not yet fully handled. Clients
     /// wait for this to drop to zero between operations
     /// ([`crate::NetClient::quiesce`]), reproducing the simulator's
@@ -84,7 +86,7 @@ pub(crate) struct Deployment {
     /// Unsolicited frames (raw connections that never went through
     /// `send_message`) can push the count transiently below zero, which
     /// is why quiescence tests `> 0`, not `!= 0`.
-    pub in_flight: Arc<std::sync::atomic::AtomicI64>,
+    pub in_flight: std::sync::atomic::AtomicI64,
     /// Monotonic count of messages this deployment failed to deliver:
     /// frames undeliverable after every connect attempt, frames that
     /// arrived truncated/undecodable, and fault-injected losses. Clients

@@ -20,8 +20,8 @@
 use crate::buf::{ReadBuf, WriteBuf};
 use sdr_core::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 use sdr_core::msg::{
-    ClientOp, Endpoint, Found, ImageHolder, Insertion, Message, Pattern, Payload, QueryKind,
-    QueryMode, QueryMsg, ReplyProtocol, Traversal,
+    ChildWhy, ClientOp, Endpoint, Found, ImageHolder, Insertion, Message, Pattern, Payload,
+    QueryKind, QueryMode, QueryMsg, ReplyProtocol, Traversal,
 };
 use sdr_core::node::{Object, RoutingNode};
 use sdr_core::oc::{OcEntry, OcTable};
@@ -323,6 +323,13 @@ tagged! {
         1 Removed(removed),
         2 Pairs(pairs),
     }
+    ChildWhy "child change" {
+        0 Split { children },
+        1 Adjust { children, tall_grandchildren },
+        2 Removed,
+        3 Refresh,
+        4 Replace,
+    }
     Payload "payload" {
         0 InsertAtLeaf { ins, initial },
         1 InsertAscend { ins },
@@ -330,31 +337,25 @@ tagged! {
         3 StoreAtLeaf { ins, oc, new_dr },
         4 InsertAck { oid, trace },
         5 SplitCreate { routing, objects, data_dr, data_oc },
-        6 ChildSplit { old_child, new_child, children },
-        7 AdjustHeight { child, children, tall_grandchildren },
-        8 ChildRemoved { old_child, new_child },
-        9 GatherRotation { origin },
-        10 GatherRotationInner { origin, b_link, b_children },
-        11 RotationInfo { pattern },
-        12 SetRouting { node },
-        13 SetParent { target, parent },
-        14 RefreshChild { child },
-        15 ReplaceChild { old_child, new_child },
-        16 UpdateOc { target, ancestor, outer, rect },
-        17 RefreshOc { target, table },
-        18 ShrinkChild { child },
-        19 Query(q),
-        20 Report { qid, found, spawned, trace, direct },
-        21 QueryAggregate { qid, parent_branch, results, trace },
-        22 Delete { target, hop, obj },
-        23 Eliminate { child, objects },
-        24 ClearParent { target },
-        25 DropOcAncestor { target, ancestor },
-        26 KnnLocal { p, k, qid, results_to },
-        27 KnnLocalReply { qid, items, dr },
-        28 Routed { op, results_to },
-        29 JoinStart { target, qid, results_to, trace },
-        30 JoinProbe { target, hop, objects },
+        6 ChildChange { old_child, new_child, why },
+        7 GatherRotation { origin, b },
+        8 RotationInfo { pattern },
+        9 SetRouting { node },
+        10 SetParent { target, parent },
+        11 UpdateOc { target, ancestor, outer, rect },
+        12 RefreshOc { target, table },
+        13 ShrinkChild { child },
+        14 Query(q),
+        15 Report { qid, found, spawned, trace, direct },
+        16 QueryAggregate { qid, parent_branch, results, trace },
+        17 Delete { target, hop, obj },
+        18 Eliminate { child, objects },
+        19 DropOcAncestor { target, ancestor },
+        20 KnnLocal { p, k, qid, results_to },
+        21 KnnLocalReply { qid, items, dr },
+        22 Routed { op, results_to },
+        23 JoinStart { target, qid, results_to, trace },
+        24 JoinProbe { target, hop, objects },
     }
 }
 
@@ -374,6 +375,7 @@ mod tests {
     fn truncated_frames_error() {
         let frame = encode_message(&message(Payload::GatherRotation {
             origin: ServerId(1),
+            b: None,
         }));
         for cut in 4..frame.len() - 1 {
             let mut body = ReadBuf::new(&frame[4..cut]);
@@ -386,9 +388,10 @@ mod tests {
 
     /// Each tagged type rejects an unknown tag under its own label. The
     /// offsets are into the frame body: endpoints are 5 bytes, a
-    /// `NodeRef` 4 + 1, the query's `Traversal` header 54 (mode 1,
-    /// region 32, empty `visited` 4, qid 8, `results_to` 4, empty trace
-    /// 4, `initial` 1), a point 16.
+    /// `NodeRef` 4 + 1, a `Link` 41 (`NodeRef`, rectangle 32, height 4),
+    /// the query's `Traversal` header 54 (mode 1, region 32, empty
+    /// `visited` 4, qid 8, `results_to` 4, empty trace 4, `initial` 1), a
+    /// point 16.
     #[test]
     fn bad_tag_errors() {
         let point = Point::new(0.5, 0.25);
@@ -423,6 +426,11 @@ mod tests {
             op: ClientOp::Insert(Object::new(Oid(1), region)),
             results_to: ClientId(0),
         });
+        let change = message(Payload::ChildChange {
+            old_child: NodeRef::data(ServerId(2)),
+            new_child: Link::to_data(ServerId(2), region),
+            why: ChildWhy::Refresh,
+        });
         for (label, msg, at) in [
             ("endpoint", &query, 0),
             ("endpoint", &query, 5),
@@ -434,6 +442,7 @@ mod tests {
             ("protocol", &query, 94),
             ("found", &report, 19),
             ("client op", &routed, 11),
+            ("child change", &change, 57),
         ] {
             let mut body = encode_message(msg).split_off(4);
             assert_eq!(decode_message(&mut ReadBuf::new(&body)).as_ref(), Ok(msg));

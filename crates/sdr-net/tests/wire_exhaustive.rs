@@ -1,6 +1,7 @@
 //! Exhaustive wire round-trip: one (or more) concrete message per
 //! `Payload` variant — every variant, every `ClientOp`, every `Found`,
-//! both `tall_grandchildren` and `direct` arms, a traversal header at
+//! every `ChildWhy`, both `tall_grandchildren`, `direct`, gather and
+//! `SetParent` arms, a traversal header at
 //! and past its entry hop, every insert payload under each image
 //! holder — each asserted to decode back bit-equal
 //! with zero trailing bytes. The property suite explores deep random
@@ -12,12 +13,13 @@
 
 use sdr_core::ids::{ClientId, NodeRef, Oid, QueryId, ServerId};
 use sdr_core::msg::{
-    ClientOp, Endpoint, Found, ImageHolder, Insertion, Message, Pattern, Payload, QueryKind,
-    QueryMode, QueryMsg, ReplyProtocol, Traversal,
+    ChildWhy, ClientOp, Endpoint, Found, ImageHolder, Insertion, Message, Pattern, Payload,
+    QueryKind, QueryMode, QueryMsg, ReplyProtocol, Traversal,
 };
 use sdr_core::node::{Object, RoutingNode};
 use sdr_core::oc::{OcEntry, OcTable};
 use sdr_core::Link;
+use sdr_det::Fnv1a;
 use sdr_geom::{Point, Rect};
 use sdr_net::buf::ReadBuf;
 use sdr_net::{decode_message, encode_message};
@@ -135,32 +137,51 @@ fn every_payload() -> Vec<Payload> {
             data_dr: rect(),
             data_oc: oc(),
         },
-        Payload::ChildSplit {
+        Payload::ChildChange {
             old_child: NodeRef::data(ServerId(1)),
-            new_child: dlink(2),
-            children: (link(3), dlink(4)),
+            new_child: link(2),
+            why: ChildWhy::Split {
+                children: (dlink(1), dlink(4)),
+            },
         },
-        Payload::AdjustHeight {
-            child: link(1),
-            children: (link(2), link(3)),
-            tall_grandchildren: Some((link(4), dlink(5))),
+        Payload::ChildChange {
+            old_child: NodeRef::routing(ServerId(1)),
+            new_child: link(1),
+            why: ChildWhy::Adjust {
+                children: (link(2), link(3)),
+                tall_grandchildren: Some((link(4), dlink(5))),
+            },
         },
-        Payload::AdjustHeight {
-            child: link(1),
-            children: (link(2), link(3)),
-            tall_grandchildren: None,
+        Payload::ChildChange {
+            old_child: NodeRef::routing(ServerId(1)),
+            new_child: link(1),
+            why: ChildWhy::Adjust {
+                children: (link(2), link(3)),
+                tall_grandchildren: None,
+            },
         },
-        Payload::ChildRemoved {
+        Payload::ChildChange {
             old_child: NodeRef::routing(ServerId(1)),
             new_child: dlink(2),
+            why: ChildWhy::Removed,
+        },
+        Payload::ChildChange {
+            old_child: NodeRef::data(ServerId(1)),
+            new_child: dlink(1),
+            why: ChildWhy::Refresh,
+        },
+        Payload::ChildChange {
+            old_child: NodeRef::routing(ServerId(2)),
+            new_child: link(3),
+            why: ChildWhy::Replace,
         },
         Payload::GatherRotation {
             origin: ServerId(4),
+            b: None,
         },
-        Payload::GatherRotationInner {
+        Payload::GatherRotation {
             origin: ServerId(4),
-            b_link: link(1),
-            b_children: (link(2), dlink(3)),
+            b: Some((link(1), (link(2), dlink(3)))),
         },
         Payload::RotationInfo {
             pattern: Pattern {
@@ -174,12 +195,11 @@ fn every_payload() -> Vec<Payload> {
         },
         Payload::SetParent {
             target: NodeRef::data(ServerId(3)),
-            parent: ServerId(9),
+            parent: Some(ServerId(9)),
         },
-        Payload::RefreshChild { child: link(1) },
-        Payload::ReplaceChild {
-            old_child: NodeRef::routing(ServerId(2)),
-            new_child: dlink(3),
+        Payload::SetParent {
+            target: NodeRef::routing(ServerId(1)),
+            parent: None,
         },
         Payload::UpdateOc {
             target: NodeRef::data(ServerId(1)),
@@ -240,9 +260,6 @@ fn every_payload() -> Vec<Payload> {
         Payload::Eliminate {
             child: NodeRef::data(ServerId(1)),
             objects: vec![obj(8), obj(9)],
-        },
-        Payload::ClearParent {
-            target: NodeRef::data(ServerId(1)),
         },
         Payload::DropOcAncestor {
             target: NodeRef::routing(ServerId(1)),
@@ -310,35 +327,29 @@ fn variant_index(p: &Payload) -> usize {
         Payload::StoreAtLeaf { .. } => 3,
         Payload::InsertAck { .. } => 4,
         Payload::SplitCreate { .. } => 5,
-        Payload::ChildSplit { .. } => 6,
-        Payload::AdjustHeight { .. } => 7,
-        Payload::ChildRemoved { .. } => 8,
-        Payload::GatherRotation { .. } => 9,
-        Payload::GatherRotationInner { .. } => 10,
-        Payload::RotationInfo { .. } => 11,
-        Payload::SetRouting { .. } => 12,
-        Payload::SetParent { .. } => 13,
-        Payload::RefreshChild { .. } => 14,
-        Payload::ReplaceChild { .. } => 15,
-        Payload::UpdateOc { .. } => 16,
-        Payload::RefreshOc { .. } => 17,
-        Payload::ShrinkChild { .. } => 18,
-        Payload::Query(_) => 19,
-        Payload::Report { .. } => 20,
-        Payload::QueryAggregate { .. } => 21,
-        Payload::Delete { .. } => 22,
-        Payload::Eliminate { .. } => 23,
-        Payload::ClearParent { .. } => 24,
-        Payload::DropOcAncestor { .. } => 25,
-        Payload::KnnLocal { .. } => 26,
-        Payload::KnnLocalReply { .. } => 27,
-        Payload::Routed { .. } => 28,
-        Payload::JoinStart { .. } => 29,
-        Payload::JoinProbe { .. } => 30,
+        Payload::ChildChange { .. } => 6,
+        Payload::GatherRotation { .. } => 7,
+        Payload::RotationInfo { .. } => 8,
+        Payload::SetRouting { .. } => 9,
+        Payload::SetParent { .. } => 10,
+        Payload::UpdateOc { .. } => 11,
+        Payload::RefreshOc { .. } => 12,
+        Payload::ShrinkChild { .. } => 13,
+        Payload::Query(_) => 14,
+        Payload::Report { .. } => 15,
+        Payload::QueryAggregate { .. } => 16,
+        Payload::Delete { .. } => 17,
+        Payload::Eliminate { .. } => 18,
+        Payload::DropOcAncestor { .. } => 19,
+        Payload::KnnLocal { .. } => 20,
+        Payload::KnnLocalReply { .. } => 21,
+        Payload::Routed { .. } => 22,
+        Payload::JoinStart { .. } => 23,
+        Payload::JoinProbe { .. } => 24,
     }
 }
 
-const NUM_VARIANTS: usize = 31;
+const NUM_VARIANTS: usize = 25;
 
 #[test]
 fn every_variant_is_covered() {
@@ -392,33 +403,35 @@ fn every_frame() -> Vec<(Message, Vec<u8>)> {
     out
 }
 
-/// FNV-1a (the construction of `Cluster::structure_hash`) over the
-/// concatenated frames of [`every_frame`]. Re-recorded once when the four
-/// insert payloads took one `Insertion` header (`InsertAscend` lost
-/// `initial`, `InsertAck` lost `direct`, `StoreAtLeaf` sends its OC table
-/// before its rectangle) and `RotationInfo` one `Pattern` (same field
-/// order, so the same bytes): the insert and ack frames moved, and the
-/// samples grew to every insert payload under all three image holders
-/// and a pattern of five distinct links. The digest before,
-/// `0xec6d_3a13_6df3_8955`, was recorded when the traversal payloads took
-/// one `Traversal` header and the three per-hop reports became one
-/// `Report`; the one before that, `0x9a61_43ff_b749_3cbf`, was that of the
-/// hand-mirrored put/get codec the field tables replaced
-/// (`0x0e5e_0028_a58b_b659`) plus the `Routed { op: ClientOp::Knn(..) }`
-/// sample.
-const GOLDEN_DIGEST: u64 = 0x026a_207f_3f81_4c0d;
+/// [`Fnv1a`] (the digest behind `Cluster::structure_hash`) over the
+/// concatenated frames of [`every_frame`]. Re-recorded once when the five
+/// child-link payloads became one `ChildChange { old_child, new_child,
+/// why }`, `ClearParent` became `SetParent { parent: None }` and
+/// `GatherRotationInner` became `GatherRotation { b: Some(..) }`: the
+/// payload tags were renumbered 0..=24, every structural frame gained the
+/// `why` tag or an `Option` presence byte (adjust and refresh frames also
+/// their `old_child`), and the samples grew to every `ChildWhy` arm and
+/// both arms of the two merged rows. The digest before,
+/// `0x026a_207f_3f81_4c0d`, was recorded when the four insert payloads
+/// took one `Insertion` header (`InsertAscend` lost `initial`,
+/// `InsertAck` lost `direct`, `StoreAtLeaf` sends its OC table before its
+/// rectangle) and `RotationInfo` one `Pattern`; the one before that,
+/// `0xec6d_3a13_6df3_8955`, when the traversal payloads took one
+/// `Traversal` header and the three per-hop reports became one `Report`;
+/// and `0x9a61_43ff_b749_3cbf` was that of the hand-mirrored put/get
+/// codec the field tables replaced (`0x0e5e_0028_a58b_b659`) plus the
+/// `Routed { op: ClientOp::Knn(..) }` sample.
+const GOLDEN_DIGEST: u64 = 0x4e92_a37a_49ce_20bb;
 
 /// The format, pinned: a codec change that moves one byte of any frame
 /// fails here.
 #[test]
 fn frames_match_the_golden_digest() {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for (_, frame) in every_frame() {
-        for byte in frame {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(&frame);
     }
+    let h = h.finish();
     assert_eq!(h, GOLDEN_DIGEST, "wire format changed: {h:#018x}");
 }
 

@@ -5,8 +5,8 @@
 
 use sdr_core::ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 use sdr_core::msg::{
-    ClientOp, Endpoint, Found, ImageHolder, Insertion, Message, Payload, QueryKind, QueryMode,
-    QueryMsg, ReplyProtocol, Traversal,
+    ChildWhy, ClientOp, Endpoint, Found, ImageHolder, Insertion, Message, Payload, QueryKind,
+    QueryMode, QueryMsg, ReplyProtocol, Traversal,
 };
 use sdr_core::node::{Object, RoutingNode};
 use sdr_core::oc::{OcEntry, OcTable};
@@ -174,6 +174,24 @@ fn arb_found() -> Gen<Found> {
     ])
 }
 
+/// Every cause of a child change, `Adjust` with and without the taller
+/// child's children.
+fn arb_child_why() -> Gen<ChildWhy> {
+    let pair = || arb_link().zip(arb_link());
+    one_of(vec![
+        pair().map(|children| ChildWhy::Split { children }),
+        pair()
+            .zip(option_of(pair()))
+            .map(|(children, tall_grandchildren)| ChildWhy::Adjust {
+                children,
+                tall_grandchildren,
+            }),
+        just(ChildWhy::Removed),
+        just(ChildWhy::Refresh),
+        just(ChildWhy::Replace),
+    ])
+}
+
 fn arb_payload() -> Gen<Payload> {
     one_of(vec![
         arb_insertion()
@@ -197,16 +215,13 @@ fn arb_payload() -> Gen<Payload> {
                     data_oc,
                 },
             ),
-        arb_link()
-            .zip(arb_link().zip(arb_link()))
-            .zip(option_of(arb_link().zip(arb_link())))
-            .map(
-                |((child, children), tall_grandchildren)| Payload::AdjustHeight {
-                    child,
-                    children,
-                    tall_grandchildren,
-                },
-            ),
+        arb_node_ref()
+            .zip(arb_link().zip(arb_child_why()))
+            .map(|(old_child, (new_child, why))| Payload::ChildChange {
+                old_child,
+                new_child,
+                why,
+            }),
         arb_query_msg().map(Payload::Query),
         u64s()
             .zip(arb_found())

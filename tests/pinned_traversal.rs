@@ -23,6 +23,7 @@
 use sd_rtree::core::ReplyProtocol;
 use sd_rtree::workload::{DatasetSpec, Distribution, PointSpec, WindowSpec};
 use sd_rtree::{Client, ClientId, Cluster, Object, Oid, Rect, SdrConfig, Variant};
+use sdr_det::fnv1a;
 
 /// What one phase left behind.
 #[derive(Debug, PartialEq, Eq)]
@@ -114,19 +115,13 @@ const PROTOCOLS: [ReplyProtocol; 3] = [
     ReplyProtocol::Probabilistic,
 ];
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Runs `phase` and digests what it did to the trace, the message
 /// counters and the structure; the trace is cleared for the next phase.
 fn pin(phase: &'static str, cluster: &mut Cluster, run: impl FnOnce(&mut Cluster) -> u64) -> Pin {
     let before = cluster.stats.total();
     let answers = run(cluster);
     let log = cluster.obs_mut().trace_mut().expect("trace enabled");
-    let (trace, events) = (fnv1a(&log.render()), log.len());
+    let (trace, events) = (fnv1a(log.render().as_bytes()), log.len());
     log.clear();
     Pin {
         phase,
