@@ -18,47 +18,72 @@
 //! *decrease*, the taller side is the one we know nothing about, and the
 //! pattern is still gathered with a three-message exchange instead: two
 //! `GatherRotation` hops (to `b`, then to `e`) and one `RotationInfo`.
+//!
+//! The handlers are methods of the routing node `Server::handle`
+//! resolved for them. A rotation is chosen from its pattern before
+//! anything changes; a pattern whose heights went stale in flight may
+//! admit no balanced redistribution, and its message is refused.
 
 use crate::ids::{NodeKind, NodeRef, ServerId};
 use crate::link::Link;
 use crate::msg::{ChildWhy, Pattern, Payload};
-use crate::node::{RoutingNode, Side};
+use crate::node::RoutingNode;
+use crate::server::{Outbox, Refused};
 
-use crate::server::{Outbox, Server};
-
-impl Server {
+impl RoutingNode {
     /// A child link changed (split, adjustment, rotation, refresh or
     /// elimination): replace the link, recompute, and either continue the
     /// bottom-up adjustment or rotate.
     pub(crate) fn on_child_change(
         &mut self,
+        self_id: ServerId,
         old_child: NodeRef,
         new_link: Link,
         why: ChildWhy,
         out: &mut Outbox,
-    ) {
-        let self_id = self.id;
-        let Some(r) = self.routing.as_mut() else {
-            return;
-        };
-        let Some(side) = r.side_of(old_child) else {
+    ) -> Result<(), Refused> {
+        let Some(side) = self.side_of(old_child) else {
             // The child moved away concurrently; in the synchronous
             // simulator this does not happen, but the TCP deployment can
             // deliver a late adjustment. It is safe to drop: the node
             // that moved the child re-sent fresh links.
-            return;
+            return Ok(());
         };
-        let child_dr_changed = r.child(side).dr != new_link.dr;
-        *r.child_mut(side) = new_link;
-        let (dr_changed, h_changed) = r.recompute();
-        let other = *r.child(side.other());
+        let other = *self.child(side.other());
+        // The pattern links the cause carries: the new child's children,
+        // and those of its taller child.
+        let (children, tall_grandchildren) = match why {
+            ChildWhy::Split { children } => (Some(children), None),
+            ChildWhy::Adjust {
+                children,
+                tall_grandchildren,
+            } => (Some(children), tall_grandchildren),
+            ChildWhy::Removed | ChildWhy::Refresh | ChildWhy::Replace => (None, None),
+        };
+        // The changed side grew too tall and the cause brought the whole
+        // pattern: choose the rotation before anything changes.
+        let rotation = match (children, tall_grandchildren) {
+            (Some(b_children), Some(e_children)) if new_link.height > other.height + 1 => {
+                let pattern = Pattern {
+                    b: new_link,
+                    b_children,
+                    e_children,
+                };
+                let choice = pattern.redistribute(other).ok_or(Refused::Unbalanced)?;
+                Some((pattern, choice))
+            }
+            _ => None,
+        };
+        let child_dr_changed = self.child(side).dr != new_link.dr;
+        *self.child_mut(side) = new_link;
+        let (dr_changed, h_changed) = self.recompute();
 
         if dr_changed {
             // Our own coverage entries shrink with us (a no-op when we
             // grew; growth of our entries is our parent's job and flows
             // back through its adjust handling of this change).
-            let dr = r.dr;
-            r.oc.intersect_all(&dr);
+            let dr = self.dr;
+            self.oc.intersect_all(&dr);
         }
         if child_dr_changed {
             // Deletions shrink the child, rotation repairs may grow it —
@@ -77,7 +102,7 @@ impl Server {
                     rect: new_link.dr,
                 },
             );
-            let child_table = r.oc.derive_child(self_id, &new_link.dr, &other);
+            let child_table = self.oc.derive_child(self_id, &new_link.dr, &other);
             out.send_server(
                 new_link.node.server,
                 Payload::RefreshOc {
@@ -87,53 +112,39 @@ impl Server {
             );
         }
 
-        // The pattern links the cause carries: the new child's children,
-        // and those of its taller child.
-        let (children, tall_grandchildren) = match why {
-            ChildWhy::Split { children } => (Some(children), None),
-            ChildWhy::Adjust {
-                children,
-                tall_grandchildren,
-            } => (Some(children), tall_grandchildren),
-            ChildWhy::Removed | ChildWhy::Refresh | ChildWhy::Replace => (None, None),
-        };
+        if let Some((pattern, choice)) = rotation {
+            self.rotate(self_id, pattern, other, choice, out);
+            return Ok(());
+        }
         if new_link.height.abs_diff(other.height) > 1 {
-            // Unbalanced: rotate if the cause brought the whole pattern;
-            // else gather it. When the changed side is the taller one we
-            // may know b's children, and ask b's taller child directly;
-            // when the *other* side is taller (deletion shrank this one)
-            // we know nothing of it, and ask it.
+            // Unbalanced without the whole pattern: gather it. When the
+            // changed side is the taller one we may know b's children,
+            // and ask b's taller child directly; when the *other* side is
+            // taller (deletion shrank this one) we know nothing of it,
+            // and ask it.
             let (to, b) = if new_link.height > other.height {
-                if let (Some(b_children), Some(e_children)) = (children, tall_grandchildren) {
-                    let pattern = Pattern {
-                        b: new_link,
-                        b_children,
-                        e_children,
-                    };
-                    r.rotate(self_id, side, pattern, out);
-                    return;
-                }
                 match children {
-                    Some(ch) => (taller_of(ch).node.server, Some((new_link, ch))),
+                    Some(ch) => (taller_first(ch).0.node.server, Some((new_link, ch))),
                     None => (new_link.node.server, None),
                 }
             } else {
                 (other.node.server, None)
             };
             out.send_server(to, Payload::GatherRotation { origin: self_id, b });
-            return;
+            return Ok(());
         }
 
-        if let Some(parent) = r.parent.filter(|_| dr_changed || h_changed) {
+        if let Some(parent) = self.parent.filter(|_| dr_changed || h_changed) {
             // The pattern links a potential rotation one level up needs:
             // our children, plus — when our taller child is the one that
             // just changed — its children.
             let why = ChildWhy::Adjust {
-                children: (r.left, r.right),
+                children: (self.left, self.right),
                 tall_grandchildren: children.filter(|_| new_link.height >= other.height),
             };
-            out.send_server(parent, Payload::from_child(r.link(self_id), why));
+            out.send_server(parent, Payload::from_child(self.link(self_id), why));
         }
+        Ok(())
     }
 
     /// GatherRotation: without `b` the receiver is the pattern's `b` and
@@ -141,15 +152,13 @@ impl Server {
     /// attached; with `b` the receiver is `e`, which completes the pattern
     /// and answers the unbalanced node.
     pub(crate) fn on_gather_rotation(
-        &mut self,
+        &self,
+        self_id: ServerId,
         origin: ServerId,
         b: Option<(Link, (Link, Link))>,
         out: &mut Outbox,
     ) {
-        let Some(r) = self.routing.as_ref() else {
-            return;
-        };
-        let own_children = (r.left, r.right);
+        let own_children = (self.left, self.right);
         let pattern = match b {
             Some((b, b_children)) => Pattern {
                 b,
@@ -157,8 +166,8 @@ impl Server {
                 e_children: own_children,
             },
             None => {
-                let b = r.link(self.id);
-                let e = taller_of(own_children);
+                let b = self.link(self_id);
+                let (e, _) = taller_first(own_children);
                 if e.node.kind == NodeKind::Routing {
                     let b = Some((b, own_children));
                     out.send_server(e.node.server, Payload::GatherRotation { origin, b });
@@ -181,16 +190,17 @@ impl Server {
 
     /// RotationInfo: the gathered pattern arrived; re-check the imbalance
     /// (it may have been resolved meanwhile) and rotate.
-    pub(crate) fn on_rotation_info(&mut self, pattern: Pattern, out: &mut Outbox) {
-        let self_id = self.id;
-        let Some(r) = self.routing.as_mut() else {
-            return;
+    pub(crate) fn on_rotation_info(
+        &mut self,
+        self_id: ServerId,
+        pattern: Pattern,
+        out: &mut Outbox,
+    ) -> Result<(), Refused> {
+        let Some(side) = self.side_of(pattern.b.node) else {
+            return Ok(());
         };
-        let Some(side) = r.side_of(pattern.b.node) else {
-            return;
-        };
-        let current_b = *r.child(side);
-        let other = *r.child(side.other());
+        let current_b = *self.child(side);
+        let other = *self.child(side.other());
         if current_b != pattern.b {
             // The snapshot went stale while in flight (concurrent
             // maintenance changed b): re-gather from the fresh state if
@@ -202,100 +212,31 @@ impl Server {
                 };
                 out.send_server(current_b.node.server, gather);
             }
-            return;
+            return Ok(());
         }
-        if current_b.height.abs_diff(other.height) <= 1 {
-            return; // resolved meanwhile
+        if current_b.height.abs_diff(other.height) > 1 {
+            let choice = pattern.redistribute(other).ok_or(Refused::Unbalanced)?;
+            self.rotate(self_id, pattern, other, choice, out);
         }
-        r.rotate(self_id, side, pattern, out);
+        Ok(())
     }
 
-    /// SetRouting: overwrite the routing node (rotation target).
-    pub(crate) fn on_set_routing(&mut self, node: RoutingNode) {
-        self.routing = Some(node);
-    }
-
-    /// SetParent: update one node's parent pointer — `None` makes it the
-    /// tree root — then report the node's current state to a new parent,
-    /// so it heals any staleness in the rotation driver's snapshot.
-    pub(crate) fn on_set_parent(
+    /// Performs the rotation of §2.4 at this unbalanced routing node `a`,
+    /// hosted on `self_id`, whose other child is `c`: `s` moves up to
+    /// become the sibling of `c`, and `s1`, `s2` stay below `e`, as
+    /// [`Pattern::redistribute`] chose. Emits the structural messages of
+    /// the paper (6 for `move(f)`/`move(g)`, 3 for `move(d)`) plus the
+    /// overlapping-coverage refreshes.
+    fn rotate(
         &mut self,
-        target: NodeRef,
-        parent: Option<ServerId>,
+        self_id: ServerId,
+        pattern: Pattern,
+        c: Link,
+        (s, (s1, s2)): (Link, (Link, Link)),
         out: &mut Outbox,
     ) {
-        let fresh = match target.kind {
-            NodeKind::Data => self.data.as_mut().map(|d| {
-                d.parent = parent;
-                d.link(self.id)
-            }),
-            NodeKind::Routing => self.routing.as_mut().map(|r| {
-                r.parent = parent;
-                r.link(self.id)
-            }),
-        };
-        if let (Some(parent), Some(link)) = (parent, fresh) {
-            out.send_server(parent, Payload::from_child(link, ChildWhy::Refresh));
-        }
-    }
-}
-
-impl RoutingNode {
-    /// Performs the rotation of §2.4 at this unbalanced routing node `a`,
-    /// hosted on `self_id`, whose child on `b_side` is the pattern's `b`.
-    /// Emits the structural messages of the paper (6 for
-    /// `move(f)`/`move(g)`, 3 for `move(d)`) plus the overlapping-coverage
-    /// refreshes.
-    fn rotate(&mut self, self_id: ServerId, b_side: Side, pattern: Pattern, out: &mut Outbox) {
-        let Pattern {
-            b: b_link,
-            b_children,
-            e_children,
-        } = pattern;
-        let c = *self.child(b_side.other());
-        let b_server = b_link.node.server;
-
-        // Identify e (taller child of b) and d; f and g are e's children.
-        let (e, d) = if b_children.0.height >= b_children.1.height {
-            (b_children.0, b_children.1)
-        } else {
-            (b_children.1, b_children.0)
-        };
-        let (f, g) = e_children;
-
-        // Candidate moves: s becomes the sibling of c, the remaining pair
-        // the children of e. Validity: every reorganized node balanced.
-        let options: [(Link, (Link, Link)); 3] = [(f, (g, d)), (g, (f, d)), (d, (f, g))];
-        let mut best: Option<(f64, f64, Link, (Link, Link))> = None;
-        for (s, pair) in options {
-            if pair.0.height.abs_diff(pair.1.height) > 1 || s.height.abs_diff(c.height) > 1 {
-                continue;
-            }
-            let e_h = pair.0.height.max(pair.1.height) + 1;
-            let a_h = s.height.max(c.height) + 1;
-            if e_h.abs_diff(a_h) > 1 {
-                continue;
-            }
-            let e_dr = pair.0.dr.union(&pair.1.dr);
-            let a_dr = s.dr.union(&c.dr);
-            // Primary criterion: minimal overlap of the reorganized
-            // siblings; tie-break: minimal dead space (≍ total area,
-            // since the four leaf rectangles are fixed).
-            let overlap = e_dr.overlap_area(&a_dr);
-            let dead = e_dr.area() + a_dr.area();
-            if best
-                .as_ref()
-                .is_none_or(|(o, dsp, _, _)| overlap < *o || (overlap == *o && dead < *dsp))
-            {
-                best = Some((overlap, dead, s, pair));
-            }
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "AVL rotation invariant over the pattern heights a peer sent (adjust chain or RotationInfo): while they are fresh, at least one of the three redistributions is balanced (paper §3.4)"
-        )]
-        let (_, _, s, (s1, s2)) =
-            best.expect("a rotation pattern always admits a balanced redistribution");
+        let b_server = pattern.b.node.server;
+        let (e, d) = taller_first(pattern.b_children);
 
         // New geometry.
         let e_dr = s1.dr.union(&s2.dr);
@@ -426,12 +367,51 @@ impl RoutingNode {
     }
 }
 
-/// The taller of two links (ties: the first).
-fn taller_of(pair: (Link, Link)) -> Link {
-    if pair.0.height >= pair.1.height {
-        pair.0
+impl Pattern {
+    /// Chooses the redistribution at `a`, whose other child is `c`: the
+    /// one of `f`, `g`, `d` that becomes the sibling of `c`, and the pair
+    /// left as the children of `e`, every reorganized node balanced.
+    /// `None` when no choice is balanced, which fresh heights rule out
+    /// (paper §3.4).
+    fn redistribute(&self, c: Link) -> Option<(Link, (Link, Link))> {
+        let (_, d) = taller_first(self.b_children);
+        let (f, g) = self.e_children;
+        let options: [(Link, (Link, Link)); 3] = [(f, (g, d)), (g, (f, d)), (d, (f, g))];
+        let mut best: Option<(f64, f64, Link, (Link, Link))> = None;
+        for (s, pair) in options {
+            if pair.0.height.abs_diff(pair.1.height) > 1 || s.height.abs_diff(c.height) > 1 {
+                continue;
+            }
+            let e_h = pair.0.height.max(pair.1.height) + 1;
+            let a_h = s.height.max(c.height) + 1;
+            if e_h.abs_diff(a_h) > 1 {
+                continue;
+            }
+            let e_dr = pair.0.dr.union(&pair.1.dr);
+            let a_dr = s.dr.union(&c.dr);
+            // Primary criterion: minimal overlap of the reorganized
+            // siblings; tie-break: minimal dead space (≍ total area,
+            // since the four leaf rectangles are fixed).
+            let overlap = e_dr.overlap_area(&a_dr);
+            let dead = e_dr.area() + a_dr.area();
+            if best
+                .as_ref()
+                .is_none_or(|(o, dsp, _, _)| overlap < *o || (overlap == *o && dead < *dsp))
+            {
+                best = Some((overlap, dead, s, pair));
+            }
+        }
+        best.map(|(_, _, s, pair)| (s, pair))
+    }
+}
+
+/// Two links, the taller first (ties: as given). Of `b`'s children that
+/// is `e`, then `d`.
+fn taller_first((x, y): (Link, Link)) -> (Link, Link) {
+    if x.height >= y.height {
+        (x, y)
     } else {
-        pair.1
+        (y, x)
     }
 }
 
@@ -440,7 +420,23 @@ mod tests {
     use super::*;
     use crate::config::SdrConfig;
     use crate::msg::Endpoint;
+    use crate::server::Server;
     use sdr_geom::Rect;
+
+    /// Delivers `payload` to `s` through the dispatch; returns what it sent.
+    fn deliver(s: &mut Server, payload: Payload) -> Outbox {
+        let mut out = Outbox::new(s.id, 100);
+        s.handle(Endpoint::Server(ServerId(99)), payload, &mut out);
+        out
+    }
+
+    fn child_change(old_child: NodeRef, new_child: Link, why: ChildWhy) -> Payload {
+        Payload::ChildChange {
+            old_child,
+            new_child,
+            why,
+        }
+    }
 
     fn data_link(server: u32, x0: f64, y0: f64, x1: f64, y1: f64) -> Link {
         Link::to_data(ServerId(server), Rect::new(x0, y0, x1, y1))
@@ -474,13 +470,12 @@ mod tests {
     #[test]
     fn insert_path_rotation_picks_minimal_overlap() {
         let (mut a, b, (e, d), (f, g), c) = pattern();
-        let mut out = Outbox::new(ServerId(10), 100);
         // The adjust chain reports b's new height with the pattern links.
         let why = ChildWhy::Adjust {
             children: (e, d),
             tall_grandchildren: Some((f, g)),
         };
-        a.on_child_change(b.node, b, why, &mut out);
+        let out = deliver(&mut a, child_change(b.node, b, why));
 
         // a self-adjusted: its children are now (g, c) — the move(g)
         // choice — under parent b.
@@ -545,12 +540,11 @@ mod tests {
             r.parent = Some(ServerId(20));
             r.right = Link::to_routing(ServerId(5), r.right.dr, 1);
         }
-        let mut out = Outbox::new(ServerId(10), 100);
         let why = ChildWhy::Adjust {
             children: (e, d),
             tall_grandchildren: Some((f, g)),
         };
-        a.on_child_change(b.node, b, why, &mut out);
+        let out = deliver(&mut a, child_change(b.node, b, why));
         assert!(
             !out.msgs
                 .iter()
@@ -591,8 +585,7 @@ mod tests {
         // The shallow side shrank: a removal-style change with no
         // pattern links. The taller side must be asked for them.
         let shrunk = data_link(4, 11.0, 10.0, 11.5, 10.5);
-        let mut out = Outbox::new(ServerId(10), 100);
-        a.on_child_change(c.node, shrunk, ChildWhy::Removed, &mut out);
+        let out = deliver(&mut a, child_change(c.node, shrunk, ChildWhy::Removed));
         let gather = out
             .msgs
             .iter()
@@ -618,13 +611,12 @@ mod tests {
         }
         // RotationInfo whose b snapshot is stale (wrong height).
         let stale_b = Link::to_routing(ServerId(11), b.dr, 5);
-        let mut out = Outbox::new(ServerId(10), 100);
         let pattern = Pattern {
             b: stale_b,
             b_children: (e, d),
             e_children: (f, g),
         };
-        a.on_rotation_info(pattern, &mut out);
+        let out = deliver(&mut a, Payload::RotationInfo { pattern });
         assert!(
             out.msgs
                 .iter()
@@ -652,9 +644,14 @@ mod tests {
             parent: Some(ServerId(10)),
             oc: crate::oc::OcTable::new(),
         });
-        let mut out = Outbox::new(ServerId(11), 100);
-        b_server.on_gather_rotation(ServerId(10), None, &mut out);
-        let inner = out.msgs.pop().expect("forwarded to e");
+        let gather = Payload::GatherRotation {
+            origin: ServerId(10),
+            b: None,
+        };
+        let inner = deliver(&mut b_server, gather)
+            .msgs
+            .pop()
+            .expect("forwarded to e");
         assert_eq!(inner.to, Endpoint::Server(ServerId(12)));
         let Payload::GatherRotation { origin, b } = inner.payload else {
             panic!("expected GatherRotation, got {:?}", inner.payload);
@@ -671,9 +668,11 @@ mod tests {
             parent: Some(ServerId(11)),
             oc: crate::oc::OcTable::new(),
         });
-        let mut out2 = Outbox::new(ServerId(12), 100);
-        e_server.on_gather_rotation(origin, b, &mut out2);
-        let info = out2.msgs.pop().expect("answered origin");
+        let gather = Payload::GatherRotation { origin, b };
+        let info = deliver(&mut e_server, gather)
+            .msgs
+            .pop()
+            .expect("answered origin");
         assert_eq!(info.to, Endpoint::Server(ServerId(10)));
         assert!(matches!(
             info.payload,

@@ -409,6 +409,7 @@ impl Cluster {
                 let mut out = Outbox::new(sid, self.servers.len() as u32);
                 #[expect(clippy::indexing_slicing, reason = "idx bounds-asserted above")]
                 self.servers[idx].handle(msg.from, msg.payload, &mut out);
+                self.stats.record_refused(out.refused.len());
                 for alloc in out.allocated {
                     debug_assert_eq!(alloc.0 as usize, self.servers.len());
                     self.servers.push(Server::bare(alloc, self.config));

@@ -129,5 +129,5 @@ pub use link::Link;
 pub use msg::{Endpoint, ImageHolder, Message, Payload, QueryKind, ReplyProtocol};
 pub use node::{DataNode, Object, RoutingNode, Side};
 pub use oc::{OcEntry, OcTable};
-pub use server::{Allocator, Outbox, Server};
+pub use server::{Allocator, Outbox, Refused, Server};
 pub use stats::{MsgCategory, Stats};

@@ -199,6 +199,58 @@ impl DataNode {
     }
 }
 
+/// One node of a server, resolved by `Server::handle` for a payload that
+/// addresses either kind: what the parent-pointer and coverage handlers
+/// read and write, so each handles both kinds in one body.
+pub(crate) enum NodeMut<'a> {
+    /// A routing node.
+    Routing(&'a mut RoutingNode),
+    /// A data node.
+    Data(&'a mut DataNode),
+}
+
+impl NodeMut<'_> {
+    /// The node's overlapping-coverage table.
+    pub(crate) fn oc(&mut self) -> &mut OcTable {
+        match self {
+            NodeMut::Routing(r) => &mut r.oc,
+            NodeMut::Data(d) => &mut d.oc,
+        }
+    }
+
+    /// The node's parent pointer.
+    pub(crate) fn parent(&mut self) -> &mut Option<ServerId> {
+        match self {
+            NodeMut::Routing(r) => &mut r.parent,
+            NodeMut::Data(d) => &mut d.parent,
+        }
+    }
+
+    /// The node's directory rectangle.
+    pub(crate) fn dr(&self) -> Option<Rect> {
+        match self {
+            NodeMut::Routing(r) => Some(r.dr),
+            NodeMut::Data(d) => d.dr,
+        }
+    }
+
+    /// The node's two child links; a data node has none.
+    pub(crate) fn children(&self) -> Option<[Link; 2]> {
+        match self {
+            NodeMut::Routing(r) => Some([r.left, r.right]),
+            NodeMut::Data(_) => None,
+        }
+    }
+
+    /// A link describing the node, hosted on `server`.
+    pub(crate) fn link(&self, server: ServerId) -> Link {
+        match self {
+            NodeMut::Routing(r) => r.link(server),
+            NodeMut::Data(d) => d.link(server),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

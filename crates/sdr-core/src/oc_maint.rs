@@ -1,15 +1,39 @@
 //! Overlapping-coverage maintenance handlers (§2.3) plus the
 //! deletion-side structure maintenance (§3.3): rectangle tightening and
 //! node elimination.
+//!
+//! Each handler is a method of the node its message acts on, which
+//! `Server::handle` resolved: the parent-pointer and coverage handlers
+//! take either kind as one [`NodeMut`] (a data node is a node without
+//! children), the shrink a routing node. Elimination receives the
+//! routing node it dissolves; when that node is gone or the child is not
+//! its own, the dispatch re-routes the orphans instead.
 
-use crate::ids::{NodeKind, NodeRef, ServerId};
+use crate::ids::{NodeRef, ServerId};
 use crate::link::Link;
 use crate::msg::{ChildWhy, ImageHolder, Insertion, Payload};
-use crate::node::Object;
+use crate::node::{NodeMut, Object, RoutingNode};
+use crate::oc::OcTable;
 use crate::server::{Outbox, Server};
 use sdr_geom::Rect;
 
-impl Server {
+impl NodeMut<'_> {
+    /// SetParent: update the node's parent pointer — `None` makes it the
+    /// tree root — then report the node's current state to a new parent,
+    /// so it heals any staleness in the rotation driver's snapshot.
+    pub(crate) fn on_set_parent(
+        &mut self,
+        self_id: ServerId,
+        parent: Option<ServerId>,
+        out: &mut Outbox,
+    ) {
+        *self.parent() = parent;
+        if let Some(parent) = parent {
+            let link = self.link(self_id);
+            out.send_server(parent, Payload::from_child(link, ChildWhy::Refresh));
+        }
+    }
+
     /// The paper's UPDATEOC procedure: an ancestor's outer subtree was
     /// enlarged; update the entry and diffuse into overlapping children.
     ///
@@ -20,109 +44,85 @@ impl Server {
     /// maintenance operation only when this overlapping changes").
     pub(crate) fn on_update_oc(
         &mut self,
-        target: NodeRef,
         ancestor: ServerId,
         outer: Link,
         rect: Rect,
         out: &mut Outbox,
     ) {
-        match target.kind {
-            NodeKind::Data => {
-                let Some(d) = self.data.as_mut() else { return };
-                let int = d.dr.and_then(|dr| dr.intersection(&rect));
-                d.oc.set(ancestor, outer, int);
-            }
-            NodeKind::Routing => {
-                let Some(r) = self.routing.as_mut() else {
-                    return;
-                };
-                let int = r.dr.intersection(&rect);
-                let unchanged = match (&int, r.oc.get(ancestor)) {
-                    (Some(new), Some(existing)) => existing.rect == *new,
-                    (None, None) => true,
-                    _ => false,
-                };
-                r.oc.set(ancestor, outer, int);
-                if unchanged {
-                    return;
-                }
-                // Diffuse to both subtrees. Children whose own entry is
-                // already up to date stop the recursion; children whose
-                // intersection emptied must still be told so the entry
-                // is *removed* (over-retained entries cause needless
-                // query forwarding).
-                for child in [r.left, r.right] {
-                    out.send_server(
-                        child.node.server,
-                        Payload::UpdateOc {
-                            target: child.node,
-                            ancestor,
-                            outer,
-                            rect,
-                        },
-                    );
-                }
-            }
+        let int = self.dr().and_then(|dr| dr.intersection(&rect));
+        let children = self.children();
+        let oc = self.oc();
+        let unchanged = match (&int, oc.get(ancestor)) {
+            (Some(new), Some(existing)) => existing.rect == *new,
+            (None, None) => true,
+            _ => false,
+        };
+        oc.set(ancestor, outer, int);
+        // Diffuse to both subtrees. Children whose own entry is already
+        // up to date stop the recursion; children whose intersection
+        // emptied must still be told so the entry is *removed*
+        // (over-retained entries cause needless query forwarding).
+        for child in children.filter(|_| !unchanged).into_iter().flatten() {
+            let update = Payload::UpdateOc {
+                target: child.node,
+                ancestor,
+                outer,
+                rect,
+            };
+            out.send_server(child.node.server, update);
         }
     }
 
     /// Full-table refresh after rotations: store the recomputed table
-    /// and, if the coverage changed, derive and forward the children's
-    /// tables (their current tables are exactly the derivation from our
-    /// *old* table, so a parent whose coverage is unchanged can prune the
-    /// whole subtree).
-    pub(crate) fn on_refresh_oc(
-        &mut self,
-        target: NodeRef,
-        table: crate::oc::OcTable,
-        out: &mut Outbox,
-    ) {
-        match target.kind {
-            NodeKind::Data => {
-                if let Some(d) = self.data.as_mut() {
-                    d.oc = table;
-                }
-            }
-            NodeKind::Routing => {
-                let self_id = self.id;
-                let Some(r) = self.routing.as_mut() else {
-                    return;
-                };
-                r.oc = table;
-                // Cascade unconditionally. An "unchanged table => children
-                // consistent" prune sounds safe (derivation is a pure
-                // function of this table and the child links), but it
-                // assumes the children were last derived from *our*
-                // current state — deletion-path interleavings (a rotation
-                // moving a subtree while an UpdateOc diffusion is midway)
-                // break that assumption and strand stale entries below
-                // the prune point. Refreshes fire only on rotations and
-                // repairs, so the full dissemination is the cost the
-                // paper already accepts ("the whole tree may be
-                // affected", §2.4).
-                for (child, sibling) in [(r.left, r.right), (r.right, r.left)] {
-                    let derived_new = r.oc.derive_child(self_id, &child.dr, &sibling);
-                    out.send_server(
-                        child.node.server,
-                        Payload::RefreshOc {
-                            target: child.node,
-                            table: derived_new,
-                        },
-                    );
-                }
-            }
+    /// and derive and forward the children's tables.
+    pub(crate) fn on_refresh_oc(&mut self, self_id: ServerId, table: OcTable, out: &mut Outbox) {
+        let children = self.children();
+        let oc = self.oc();
+        *oc = table;
+        // Cascade unconditionally. An "unchanged table => children
+        // consistent" prune sounds safe (derivation is a pure function of
+        // this table and the child links), but it assumes the children
+        // were last derived from *our* current state — deletion-path
+        // interleavings (a rotation moving a subtree while an UpdateOc
+        // diffusion is midway) break that assumption and strand stale
+        // entries below the prune point. Refreshes fire only on rotations
+        // and repairs, so the full dissemination is the cost the paper
+        // already accepts ("the whole tree may be affected", §2.4).
+        let Some([left, right]) = children else {
+            return;
+        };
+        for (child, sibling) in [(left, right), (right, left)] {
+            let table = oc.derive_child(self_id, &child.dr, &sibling);
+            out.send_server(
+                child.node.server,
+                Payload::RefreshOc {
+                    target: child.node,
+                    table,
+                },
+            );
         }
     }
 
+    /// DropOcAncestor: recursively remove the entries keyed by a
+    /// dissolved ancestor.
+    pub(crate) fn on_drop_oc_ancestor(&mut self, ancestor: ServerId, out: &mut Outbox) {
+        self.oc().remove(ancestor);
+        // Recurse unconditionally: an intermediate node may have already
+        // pruned its entry while deeper nodes retain theirs (eliminations
+        // are rare; the broadcast is cheap).
+        for child in self.children().into_iter().flatten() {
+            let target = child.node;
+            out.send_server(target.server, Payload::DropOcAncestor { target, ancestor });
+        }
+    }
+}
+
+impl RoutingNode {
     /// A child's rectangle shrank after deletions (§3.3 "may adjust
     /// covering rectangles on the path to the root"). Heights are
     /// unaffected; shrinks propagate while the union keeps shrinking.
-    pub(crate) fn on_shrink_child(&mut self, child: Link, out: &mut Outbox) {
-        let self_id = self.id;
-        let Some(r) = self.routing.as_mut() else {
-            return;
-        };
-        let Some(side) = r.side_of(child.node) else {
+    pub(crate) fn on_shrink_child(&mut self, self_id: ServerId, child: Link, out: &mut Outbox) {
+        let Some(side) = self.side_of(child.node) else {
             return;
         };
         // A shrink never changes heights, so a height mismatch means the
@@ -130,20 +130,20 @@ impl Server {
         // was in flight: the stored link is fresher — don't revert it.
         // The sibling's coverage refresh below still runs, from whichever
         // link is current.
-        if r.child(side).height == child.height {
-            *r.child_mut(side) = child;
+        if self.child(side).height == child.height {
+            *self.child_mut(side) = child;
         }
-        let (dr_changed, h_changed) = r.recompute();
+        let (dr_changed, h_changed) = self.recompute();
         debug_assert!(!h_changed, "shrinking a rectangle cannot change heights");
         if dr_changed {
             // Our own coverage entries shrink with us.
-            let dr = r.dr;
-            r.oc.intersect_all(&dr);
+            let dr = self.dr;
+            self.oc.intersect_all(&dr);
         }
         // The overlap with the sibling may have shrunk; refresh it so
         // queries stop over-forwarding.
-        let sibling = *r.child(side.other());
-        let shrunk = *r.child(side);
+        let sibling = *self.child(side.other());
+        let shrunk = *self.child(side);
         out.send_server(
             sibling.node.server,
             Payload::UpdateOc {
@@ -154,36 +154,34 @@ impl Server {
             },
         );
         if dr_changed {
-            if let Some(p) = r.parent {
-                let me = r.link(self_id);
+            if let Some(p) = self.parent {
+                let me = self.link(self_id);
                 out.send_server(p, Payload::ShrinkChild { child: me });
             }
         }
     }
+}
 
-    /// Node elimination (§3.3): the parent of an underflowed (now
-    /// dissolved) data node removes itself from the tree. The surviving
-    /// sibling takes the parent's place under the grandparent, heights
-    /// are re-adjusted (possibly rotating), and the orphaned objects are
-    /// re-inserted through the sibling subtree.
-    pub(crate) fn on_eliminate(&mut self, child: NodeRef, objects: Vec<Object>, out: &mut Outbox) {
+impl Server {
+    /// Node elimination (§3.3): `r`, this server's routing node and the
+    /// parent of the underflowed (now dissolved) data node `child`,
+    /// removes itself from the tree. The surviving sibling takes the
+    /// parent's place under the grandparent, heights are re-adjusted
+    /// (possibly rotating), and the orphaned objects are re-inserted
+    /// through the sibling subtree.
+    pub(crate) fn on_eliminate(
+        &mut self,
+        r: RoutingNode,
+        child: NodeRef,
+        objects: Vec<Object>,
+        out: &mut Outbox,
+    ) {
         let self_id = self.id;
-        let Some(r) = self.routing.take() else {
-            // Our routing node is already gone (a crossing elimination in
-            // a concurrent deployment). The orphans must not be lost:
-            // re-inject them as fresh inserts through whatever live
-            // structure we can still reach.
-            self.reroute_orphans(objects, out);
-            return;
+        let sibling = if r.left.node == child {
+            r.right
+        } else {
+            r.left
         };
-        let Some(side) = r.side_of(child) else {
-            // Not our child (stale message): restore, but still re-route
-            // the orphans rather than dropping them.
-            self.routing = Some(r);
-            self.reroute_orphans(objects, out);
-            return;
-        };
-        let sibling = *r.child(side.other());
         self.routing_tombstone = Some(sibling.node);
 
         // The sibling takes our tree position. When we were the root it
@@ -225,62 +223,6 @@ impl Server {
             out.send_server_deferred(sibling.node.server, payload);
         }
     }
-
-    /// Last-resort orphan routing when an `Eliminate` hits a stale
-    /// guard: each object re-enters as a normal insert through the
-    /// tombstone chain (or our own nodes), where the regular
-    /// out-of-range machinery takes over.
-    fn reroute_orphans(&mut self, objects: Vec<Object>, out: &mut Outbox) {
-        for obj in objects {
-            let target = self
-                .routing_tombstone
-                .or(self.data_tombstone)
-                .or_else(|| self.routing.as_ref().map(|_| NodeRef::routing(self.id)))
-                .or_else(|| self.data.as_ref().map(|_| NodeRef::data(self.id)));
-            let Some(t) = target else {
-                debug_assert!(false, "orphaned object with no route anywhere");
-                continue;
-            };
-            let ins = Insertion::new(obj, ImageHolder::Nobody);
-            let payload = Payload::insert_at(t.kind, ins, false);
-            out.send_server_deferred(t.server, payload);
-        }
-    }
-
-    /// DropOcAncestor: recursively remove the entries keyed by a
-    /// dissolved ancestor.
-    pub(crate) fn on_drop_oc_ancestor(
-        &mut self,
-        target: NodeRef,
-        ancestor: ServerId,
-        out: &mut Outbox,
-    ) {
-        match target.kind {
-            NodeKind::Data => {
-                if let Some(d) = self.data.as_mut() {
-                    d.oc.remove(ancestor);
-                }
-            }
-            NodeKind::Routing => {
-                let Some(r) = self.routing.as_mut() else {
-                    return;
-                };
-                r.oc.remove(ancestor);
-                // Recurse unconditionally: an intermediate node may have
-                // already pruned its entry while deeper nodes retain
-                // theirs (eliminations are rare; the broadcast is cheap).
-                for child in [r.left, r.right] {
-                    out.send_server(
-                        child.node.server,
-                        Payload::DropOcAncestor {
-                            target: child.node,
-                            ancestor,
-                        },
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +231,23 @@ mod tests {
     use crate::config::SdrConfig;
     use crate::msg::Endpoint;
     use crate::oc::OcEntry;
-    use crate::server::Outbox;
+
+    /// Delivers `payload` to `s` through the dispatch; returns what it sent.
+    fn deliver(s: &mut Server, payload: Payload) -> Outbox {
+        let mut out = Outbox::new(s.id, 100);
+        s.handle(Endpoint::Server(ServerId(99)), payload, &mut out);
+        out
+    }
+
+    /// An UPDATEOC for server 5's routing node, from ancestor 9.
+    fn update_oc(outer: Link) -> Payload {
+        Payload::UpdateOc {
+            target: NodeRef::routing(ServerId(5)),
+            ancestor: ServerId(9),
+            outer,
+            rect: outer.dr,
+        }
+    }
 
     fn routing_server(id: u32, left: Link, right: Link) -> Server {
         let mut s = Server::new(ServerId(id), SdrConfig::with_capacity(10));
@@ -314,14 +272,7 @@ mod tests {
         let right = dlink(2, 1.0, 0.0, 3.0, 2.0);
         let mut s = routing_server(5, left, right);
         let outer = dlink(7, 1.5, 0.0, 4.0, 2.0);
-        let mut out = Outbox::new(ServerId(5), 100);
-        s.on_update_oc(
-            NodeRef::routing(ServerId(5)),
-            ServerId(9),
-            outer,
-            outer.dr,
-            &mut out,
-        );
+        let out = deliver(&mut s, update_oc(outer));
         // Entry stored: own dr [0,3]x[0,2] ∩ outer [1.5,4]x[0,2].
         let r = s.routing.as_ref().unwrap();
         assert_eq!(
@@ -334,14 +285,7 @@ mod tests {
         assert!(targets.contains(&Endpoint::Server(ServerId(2))));
 
         // A second identical update is pruned (no diffusion).
-        let mut out2 = Outbox::new(ServerId(5), 100);
-        s.on_update_oc(
-            NodeRef::routing(ServerId(5)),
-            ServerId(9),
-            outer,
-            outer.dr,
-            &mut out2,
-        );
+        let out2 = deliver(&mut s, update_oc(outer));
         assert!(out2.msgs.is_empty(), "unchanged entry must not diffuse");
     }
 
@@ -351,26 +295,12 @@ mod tests {
         let right = dlink(2, 1.0, 0.0, 2.0, 1.0);
         let mut s = routing_server(5, left, right);
         let outer_near = dlink(7, 1.5, 0.5, 3.0, 1.0);
-        let mut out = Outbox::new(ServerId(5), 100);
-        s.on_update_oc(
-            NodeRef::routing(ServerId(5)),
-            ServerId(9),
-            outer_near,
-            outer_near.dr,
-            &mut out,
-        );
+        deliver(&mut s, update_oc(outer_near));
         assert!(s.routing.as_ref().unwrap().oc.get(ServerId(9)).is_some());
         // The outer shrank away entirely: the entry must be dropped and
         // the removal diffused.
         let outer_far = dlink(7, 10.0, 10.0, 11.0, 11.0);
-        let mut out2 = Outbox::new(ServerId(5), 100);
-        s.on_update_oc(
-            NodeRef::routing(ServerId(5)),
-            ServerId(9),
-            outer_far,
-            outer_far.dr,
-            &mut out2,
-        );
+        let out2 = deliver(&mut s, update_oc(outer_far));
         assert!(s.routing.as_ref().unwrap().oc.get(ServerId(9)).is_none());
         assert_eq!(out2.msgs.len(), 2, "removal must reach both children");
     }
@@ -390,16 +320,15 @@ mod tests {
         // same-coverage prune assumes the children were derived from the
         // current table, which deletion-path interleavings violate (see
         // `on_refresh_oc`).
-        let mut out = Outbox::new(ServerId(5), 100);
         let fresher = OcEntry {
             outer: dlink(8, 1.5, 0.0, 4.0, 2.0),
             ..entry
         };
-        s.on_refresh_oc(
-            NodeRef::routing(ServerId(5)),
-            crate::oc::OcTable::from_entries(vec![fresher]),
-            &mut out,
-        );
+        let refresh = Payload::RefreshOc {
+            target: NodeRef::routing(ServerId(5)),
+            table: crate::oc::OcTable::from_entries(vec![fresher]),
+        };
+        let out = deliver(&mut s, refresh);
         assert_eq!(out.msgs.len(), 2, "refresh reaches both children");
         assert!(out
             .msgs
@@ -428,8 +357,7 @@ mod tests {
         let right = dlink(2, 1.0, 0.0, 3.0, 1.5);
         let mut s = routing_server(5, left, right);
         let shrunk = dlink(1, 0.0, 0.0, 1.2, 1.2);
-        let mut out = Outbox::new(ServerId(5), 100);
-        s.on_shrink_child(shrunk, &mut out);
+        let out = deliver(&mut s, Payload::ShrinkChild { child: shrunk });
         let r = s.routing.as_ref().unwrap();
         assert_eq!(r.left.dr, shrunk.dr);
         assert_eq!(r.dr, shrunk.dr.union(&right.dr));
@@ -452,8 +380,11 @@ mod tests {
         let right = dlink(2, 1.0, 0.0, 3.0, 2.0);
         let mut s = routing_server(5, left, right);
         // Even without a local entry for the ancestor, children are told.
-        let mut out = Outbox::new(ServerId(5), 100);
-        s.on_drop_oc_ancestor(NodeRef::routing(ServerId(5)), ServerId(42), &mut out);
+        let drop = Payload::DropOcAncestor {
+            target: NodeRef::routing(ServerId(5)),
+            ancestor: ServerId(42),
+        };
+        let out = deliver(&mut s, drop);
         assert_eq!(out.msgs.len(), 2);
         assert!(out.msgs.iter().all(|m| matches!(
             m.payload,

@@ -7,17 +7,21 @@
 //! simulator (`cluster`) and behind TCP endpoints (`sdr-net`).
 //!
 //! Insert hops carry one [`Insertion`] the way traversal hops carry one
-//! `Traversal`. A handler takes what its caller already checked rather
-//! than looking it up again: the descent is a method of the
-//! [`RoutingNode`] it descends, and the split starts from the
-//! overflowing data node.
+//! `Traversal`. [`Server::handle`] resolves the node a payload acts on
+//! once and hands it to the handler, which is a method of that node: the
+//! descent of the [`RoutingNode`] it descends, the adjust and rotation
+//! steps (`balance`), the overlapping-coverage upkeep (`oc_maint`).
+//! When the node is missing, the dispatch alone decides: the protocol
+//! answers where it has an answer (parking on a bare server, tombstones
+//! for inserts and traversals, orphan rerouting, an empty kNN reply),
+//! and anything else is [`Refused`] before it changes state.
 
 use crate::config::{SdrConfig, LOCAL_RTREE};
 use crate::ids::{ClientId, NodeKind, NodeRef, QueryId, ServerId};
 use crate::image::Image;
 use crate::link::Link;
 use crate::msg::{ChildWhy, Endpoint, Found, ImageHolder, Insertion, Message, Payload, Trace};
-use crate::node::{DataNode, Object, RoutingNode};
+use crate::node::{DataNode, NodeMut, Object, RoutingNode};
 use crate::oc::OcTable;
 use sdr_geom::Rect;
 use sdr_rtree::{Entry, RTree};
@@ -43,10 +47,26 @@ pub struct Outbox {
     pub deferred: Vec<Message>,
     /// Server ids allocated during this handling step.
     pub allocated: Vec<ServerId>,
+    /// Why each message refused during this handling step was refused;
+    /// none of them changed anything.
+    pub refused: Vec<Refused>,
     /// Where fresh server ids come from.
     allocator: Allocator,
     /// The server currently handling a message.
     self_id: ServerId,
+}
+
+/// Why a server refused a message, before the message changed anything.
+/// The simulator counts refusals in its `Stats`; a TCP deployment books
+/// each as a delivery failure.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Refused {
+    /// The payload acts on a node of this kind, which the server does not
+    /// host, and no protocol rule routes it on.
+    Missing(NodeKind),
+    /// The rotation pattern admits no balanced redistribution (§2.4):
+    /// its heights went stale in flight.
+    Unbalanced,
 }
 
 /// Source of fresh server ids.
@@ -66,13 +86,7 @@ impl Outbox {
     /// Creates an outbox for `self_id`, allocating new servers
     /// sequentially from `next_server` upward.
     pub fn new(self_id: ServerId, next_server: u32) -> Self {
-        Outbox {
-            msgs: Vec::new(),
-            deferred: Vec::new(),
-            allocated: Vec::new(),
-            allocator: Allocator::Sequential(next_server),
-            self_id,
-        }
+        Outbox::with_allocator(self_id, Allocator::Sequential(next_server))
     }
 
     /// Creates an outbox with an explicit allocator.
@@ -81,6 +95,7 @@ impl Outbox {
             msgs: Vec::new(),
             deferred: Vec::new(),
             allocated: Vec::new(),
+            refused: Vec::new(),
             allocator,
             self_id,
         }
@@ -173,9 +188,9 @@ impl Outbox {
 pub struct Server {
     /// This server's id.
     pub id: ServerId,
-    /// The routing node, absent on server 0 until... never: server 0
-    /// never hosts one (§2.1); also absent on freshly allocated servers
-    /// until their `SplitCreate` arrives, and after node elimination.
+    /// The routing node. Server 0 never hosts one (§2.1); other servers
+    /// lack it until their `SplitCreate` arrives and after node
+    /// elimination.
     pub routing: Option<RoutingNode>,
     /// The data node; absent only after node elimination.
     pub data: Option<DataNode>,
@@ -248,6 +263,24 @@ impl Server {
         }
     }
 
+    /// Re-routes the orphans of an `Eliminate` this server cannot act on
+    /// as fresh inserts, on the deferred lane: through the tombstone
+    /// chain or its own nodes, where the out-of-range machinery takes
+    /// over. A server with no route anywhere refuses them.
+    fn reroute_orphans(&self, objects: Vec<Object>, out: &mut Outbox) -> Result<(), Refused> {
+        let t = self
+            .routing_tombstone
+            .or(self.data_tombstone)
+            .or_else(|| self.routing.as_ref().map(|_| NodeRef::routing(self.id)))
+            .or_else(|| self.data.as_ref().map(|_| NodeRef::data(self.id)))
+            .ok_or(Refused::Missing(NodeKind::Routing))?;
+        for obj in objects {
+            let ins = Insertion::new(obj, ImageHolder::Nobody);
+            out.send_server_deferred(t.server, Payload::insert_at(t.kind, ins, false));
+        }
+        Ok(())
+    }
+
     /// The links a visit to this server contributes to an IAM (§3.1):
     /// its data link, its routing link, and the routing node's left and
     /// right links.
@@ -274,19 +307,30 @@ impl Server {
     }
 
     /// Main dispatch: handles one message, emitting follow-ups into
-    /// `out`.
+    /// `out`. A message the server cannot act on goes to `out.refused`,
+    /// also when it was parked before `SplitCreate` and is replayed.
     pub fn handle(&mut self, from: Endpoint, payload: Payload, out: &mut Outbox) {
         if self.is_bare() && !matches!(payload, Payload::SplitCreate { .. }) {
             self.deferred.push((from, payload));
             return;
         }
+        if let Err(refused) = self.dispatch(payload, out) {
+            out.refused.push(refused);
+        }
+    }
+
+    /// Resolves the node a payload acts on, once, and runs its handler.
+    fn dispatch(&mut self, payload: Payload, out: &mut Outbox) -> Result<(), Refused> {
+        let id = self.id;
         match payload {
-            Payload::InsertAtLeaf { ins, initial } => self.on_insert_at_leaf(ins, initial, out),
-            Payload::InsertAscend { ins } => self.on_insert_ascend(ins, out),
+            Payload::InsertAtLeaf { ins, initial } => self.on_insert_at_leaf(ins, initial, out)?,
+            Payload::InsertAscend { ins } => self.on_insert_ascend(ins, out)?,
             Payload::InsertDescend { ins, oc, new_dr } => {
-                self.on_insert_descend(ins, oc, new_dr, out)
+                self.on_insert_descend(ins, oc, new_dr, out)?
             }
-            Payload::StoreAtLeaf { ins, oc, new_dr } => self.on_store_at_leaf(ins, oc, new_dr, out),
+            Payload::StoreAtLeaf { ins, oc, new_dr } => {
+                self.on_store_at_leaf(ins, oc, new_dr, out)?
+            }
             Payload::SplitCreate {
                 routing,
                 objects,
@@ -303,25 +347,44 @@ impl Server {
                 old_child,
                 new_child,
                 why,
-            } => self.on_child_change(old_child, new_child, why, out),
-            Payload::GatherRotation { origin, b } => self.on_gather_rotation(origin, b, out),
-            Payload::RotationInfo { pattern } => self.on_rotation_info(pattern, out),
-            Payload::DropOcAncestor { target, ancestor } => {
-                self.on_drop_oc_ancestor(target, ancestor, out)
+            } => self
+                .routing_node()?
+                .on_child_change(id, old_child, new_child, why, out)?,
+            Payload::GatherRotation { origin, b } => {
+                self.routing_node()?.on_gather_rotation(id, origin, b, out)
             }
-            Payload::SetRouting { node } => self.on_set_routing(node),
-            Payload::SetParent { target, parent } => self.on_set_parent(target, parent, out),
+            Payload::RotationInfo { pattern } => {
+                self.routing_node()?.on_rotation_info(id, pattern, out)?
+            }
+            Payload::DropOcAncestor { target, ancestor } => {
+                self.node(target.kind)?.on_drop_oc_ancestor(ancestor, out)
+            }
+            Payload::SetRouting { node } => self.routing = Some(node),
+            Payload::SetParent { target, parent } => {
+                self.node(target.kind)?.on_set_parent(id, parent, out)
+            }
             Payload::UpdateOc {
                 target,
                 ancestor,
                 outer,
                 rect,
-            } => self.on_update_oc(target, ancestor, outer, rect, out),
-            Payload::RefreshOc { target, table } => self.on_refresh_oc(target, table, out),
-            Payload::ShrinkChild { child } => self.on_shrink_child(child, out),
+            } => self
+                .node(target.kind)?
+                .on_update_oc(ancestor, outer, rect, out),
+            Payload::RefreshOc { target, table } => {
+                self.node(target.kind)?.on_refresh_oc(id, table, out)
+            }
+            Payload::ShrinkChild { child } => self.routing_node()?.on_shrink_child(id, child, out),
             Payload::Query(q) => self.on_query(q, out),
             Payload::Delete { target, hop, obj } => self.on_delete(target, hop, obj, out),
-            Payload::Eliminate { child, objects } => self.on_eliminate(child, objects, out),
+            // A dissolving child takes its parent along. A stale child, or a
+            // routing node a crossing elimination took, re-routes the orphans.
+            Payload::Eliminate { child, objects } => {
+                match self.routing.take_if(|r| r.side_of(child).is_some()) {
+                    Some(r) => self.on_eliminate(r, child, objects, out),
+                    None => self.reroute_orphans(objects, out)?,
+                }
+            }
             Payload::KnnLocal {
                 p,
                 k,
@@ -356,13 +419,35 @@ impl Server {
             Payload::Report { trace, .. } => self.image.absorb(&trace),
             Payload::KnnLocalReply { .. } => {}
         }
+        Ok(())
+    }
+
+    /// The node of `kind` a payload acts on.
+    fn node(&mut self, kind: NodeKind) -> Result<NodeMut<'_>, Refused> {
+        let node = match kind {
+            NodeKind::Routing => self.routing.as_mut().map(NodeMut::Routing),
+            NodeKind::Data => self.data.as_mut().map(NodeMut::Data),
+        };
+        node.ok_or(Refused::Missing(kind))
+    }
+
+    /// The routing node a payload acts on.
+    fn routing_node(&mut self) -> Result<&mut RoutingNode, Refused> {
+        self.routing
+            .as_mut()
+            .ok_or(Refused::Missing(NodeKind::Routing))
     }
 
     // ---------------------------------------------------------- insert --
 
     /// INSERT-IN-LEAF (§3.2): store if covered, else start the
     /// out-of-range ascent.
-    fn on_insert_at_leaf(&mut self, mut ins: Insertion, initial: bool, out: &mut Outbox) {
+    fn on_insert_at_leaf(
+        &mut self,
+        mut ins: Insertion,
+        initial: bool,
+        out: &mut Outbox,
+    ) -> Result<(), Refused> {
         self.append_iam(&mut ins.trace);
         let Some(d) = self.data.as_mut() else {
             // Eliminated data node (a stale image addressed it): follow
@@ -370,17 +455,17 @@ impl Server {
             // acyclic (they always point at a node that was live when
             // the tombstone was written, and server ids are never
             // reused), so this terminates.
-            if let Some(t) = self.tombstone(NodeKind::Data) {
-                forward_insert(t, ins, out);
-            } else if self.routing.is_some() {
-                self.on_insert_ascend(ins, out);
+            match self.tombstone(NodeKind::Data) {
+                Some(t) => forward_insert(t, ins, out),
+                None if self.routing.is_some() => return self.on_insert_ascend(ins, out),
+                None => return Err(Refused::Missing(NodeKind::Data)),
             }
-            return;
+            return Ok(());
         };
         // A parentless data node is the root leaf, which covers everything.
         if let Some(parent) = d.parent.filter(|_| !d.covers(&ins.obj.mbb)) {
             forward_insert(NodeRef::routing(parent), ins, out);
-            return;
+            return Ok(());
         }
         d.store(ins.obj);
         if !initial {
@@ -389,33 +474,34 @@ impl Server {
             out.ack(ins);
         }
         self.maybe_split(out);
+        Ok(())
     }
 
     /// INSERT-IN-SUBTREE (§3.2), bottom-up: climb until the subtree
     /// covers the object, then switch to the classical top-down insert.
-    fn on_insert_ascend(&mut self, mut ins: Insertion, out: &mut Outbox) {
+    fn on_insert_ascend(&mut self, mut ins: Insertion, out: &mut Outbox) -> Result<(), Refused> {
         self.append_iam(&mut ins.trace);
         let Some(r) = self.routing.as_mut() else {
             // A stale image addressed a routing node that does not exist
             // (yet or anymore): follow the tombstone, falling back to the
             // data-node path.
-            if let Some(t) = self.tombstone(NodeKind::Routing) {
-                forward_insert(t, ins, out);
-            } else {
-                self.on_insert_at_leaf(ins, false, out);
-            }
-            return;
+            let Some(t) = self.tombstone(NodeKind::Routing) else {
+                return self.on_insert_at_leaf(ins, false, out);
+            };
+            forward_insert(t, ins, out);
+            return Ok(());
         };
         if let Some(parent) = r.parent.filter(|_| !r.dr.contains(&ins.obj.mbb)) {
             forward_insert(NodeRef::routing(parent), ins, out);
-            return;
+            return Ok(());
         }
         if r.is_root() {
             // Only the root may enlarge without asking anyone (§2.3).
             r.dr.enlarge(&ins.obj.mbb);
         }
-        if let Some((ins, oc, new_dr)) = r.descend(self.id, ins, out) {
-            self.on_store_at_leaf(ins, oc, new_dr, out);
+        match r.descend(self.id, ins, out) {
+            Some((ins, oc, new_dr)) => self.on_store_at_leaf(ins, oc, new_dr, out),
+            None => Ok(()),
         }
     }
 
@@ -427,16 +513,10 @@ impl Server {
         oc: OcTable,
         new_dr: Option<Rect>,
         out: &mut Outbox,
-    ) {
+    ) -> Result<(), Refused> {
         self.append_iam(&mut ins.trace);
-        #[expect(
-            clippy::expect_used,
-            reason = "routing-protocol invariant: only a parent that linked us as routing child sends this"
-        )]
-        let r = self
-            .routing
-            .as_mut()
-            .expect("InsertDescend addresses a routing node");
+        let id = self.id;
+        let r = self.routing_node()?;
         if let Some(ndr) = new_dr {
             // Union rather than overwrite: under TCP concurrency our dr
             // may have grown since the parent computed `ndr` (identical
@@ -444,29 +524,26 @@ impl Server {
             r.dr.enlarge(&ndr);
         }
         r.oc = oc;
-        if let Some((ins, oc, new_dr)) = r.descend(self.id, ins, out) {
-            self.on_store_at_leaf(ins, oc, new_dr, out);
+        match r.descend(id, ins, out) {
+            Some((ins, oc, new_dr)) => self.on_store_at_leaf(ins, oc, new_dr, out),
+            None => Ok(()),
         }
     }
 
-    /// Final hop of a routed insertion.
+    /// Final hop of a routed insertion: a `StoreAtLeaf`, or a descent
+    /// into this server's own data node. A missing data node refuses the
+    /// store; a descent that chose it keeps its own step, as it does when
+    /// the leaf is remote.
     fn on_store_at_leaf(
         &mut self,
         mut ins: Insertion,
         oc: OcTable,
         new_dr: Rect,
         out: &mut Outbox,
-    ) {
+    ) -> Result<(), Refused> {
         self.append_iam(&mut ins.trace);
         let self_id = self.id;
-        #[expect(
-            clippy::expect_used,
-            reason = "StoreAtLeaf is only sent along a parent link that records us as a data child"
-        )]
-        let d = self
-            .data
-            .as_mut()
-            .expect("StoreAtLeaf addresses a data node");
+        let d = self.data.as_mut().ok_or(Refused::Missing(NodeKind::Data))?;
         // In the synchronous regime `new_dr` equals our dr united with
         // the object. Under real concurrency (TCP deployment) we may
         // have split while the message was in flight, making `new_dr`
@@ -487,6 +564,7 @@ impl Server {
         }
         out.ack(ins);
         self.maybe_split(out);
+        Ok(())
     }
 
     // ----------------------------------------------------------- split --
@@ -838,6 +916,48 @@ mod tests {
             panic!("expected StoreAtLeaf, got {:?}", out.msgs[0].payload);
         };
         assert_eq!((ins.obj, *new_dr), (o, r.left.dr));
+    }
+
+    #[test]
+    fn refusals_name_the_broken_precondition_and_change_nothing() {
+        // Server 0 never hosts a routing node.
+        let mut s = Server::new(ServerId(0), SdrConfig::with_capacity(10));
+        let mut out = Outbox::new(ServerId(0), 5);
+        let descend = Payload::InsertDescend {
+            ins: insertion(obj(9, 0.0, 0.0)),
+            oc: OcTable::new(),
+            new_dr: None,
+        };
+        s.handle(Endpoint::Server(ServerId(7)), descend, &mut out);
+        assert_eq!(out.refused, vec![Refused::Missing(NodeKind::Routing)]);
+        assert!(out.msgs.is_empty() && s.data.as_ref().unwrap().is_empty());
+
+        // A message parked on a bare server and refused when its
+        // `SplitCreate` replays it lands in that step's outbox: an adjust
+        // whose pattern no move balances.
+        let r1 = routing_server(None).routing.unwrap();
+        let tall = Link::to_routing(ServerId(5), r1.dr, 5);
+        let adjust = Payload::ChildChange {
+            old_child: r1.left.node,
+            new_child: Link::to_routing(ServerId(4), r1.left.dr, 2),
+            why: ChildWhy::Adjust {
+                children: (tall, tall),
+                tall_grandchildren: Some((tall, tall)),
+            },
+        };
+        let split = Payload::SplitCreate {
+            routing: r1.clone(),
+            objects: vec![],
+            data_dr: r1.right.dr,
+            data_oc: OcTable::new(),
+        };
+        let mut bare = Server::bare(ServerId(1), SdrConfig::with_capacity(10));
+        let mut out = Outbox::new(ServerId(1), 5);
+        bare.handle(Endpoint::Server(ServerId(7)), adjust, &mut out);
+        bare.handle(Endpoint::Server(ServerId(0)), split, &mut out);
+        assert_eq!(out.refused, vec![Refused::Unbalanced]);
+        assert!(out.msgs.is_empty());
+        assert_eq!(bare.routing, Some(r1));
     }
 
     #[test]

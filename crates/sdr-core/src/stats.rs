@@ -90,6 +90,9 @@ pub struct Stats {
     /// Messages addressed to clients (replies + IAMs), not part of the
     /// paper's cost metric but reported for completeness.
     to_clients: u64,
+    /// Messages a server refused (`server::Refused`): delivered and
+    /// counted above, but acted on by nobody.
+    refused: u64,
 }
 
 impl Stats {
@@ -112,6 +115,16 @@ impl Stats {
     /// Records a client-addressed message.
     pub fn record_client_msg(&mut self) {
         self.to_clients += 1;
+    }
+
+    /// Records `n` messages a server refused.
+    pub fn record_refused(&mut self, n: usize) {
+        self.refused += n as u64;
+    }
+
+    /// Messages servers refused; 0 on every fault-free run.
+    pub fn refused(&self) -> u64 {
+        self.refused
     }
 
     /// Total server-addressed messages.

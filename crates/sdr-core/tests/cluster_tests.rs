@@ -463,6 +463,105 @@ fn concentrated_deletions_force_gather_rotations() {
             .count();
         assert_eq!(got, want, "window {w:?}");
     }
+    // Gathered rotations, eliminations and orphan reinserts, and not one
+    // message a server could not act on.
+    assert_eq!(cluster.stats.refused(), 0);
+}
+
+/// Every payload kind that needs a node its receiver lacks is refused,
+/// and a refused message changes nothing: no panic, no message sent, the
+/// structure bit-identical. Routing-node kinds go to server 0, which
+/// never hosts a routing node; data-node kinds go to a server whose data
+/// node dissolved. A rotation pattern whose heights admit no balanced
+/// redistribution is refused by the routing node it reaches.
+#[test]
+fn messages_a_server_cannot_act_on_are_refused_and_change_nothing() {
+    use sdr_core::msg::{ChildWhy, Endpoint, ImageHolder, Insertion, Message, Pattern, Payload};
+    use sdr_core::{Link, NodeRef, OcTable, ServerId};
+    let data = uniform(1_200, 33);
+    let mut cluster = Cluster::new(SdrConfig::with_capacity(20));
+    let mut client = Client::new(ClientId(0), Variant::ImClient, 4);
+    build(&mut cluster, &mut client, &data);
+    for (i, r) in data.iter().enumerate().filter(|(_, r)| r.xmax < 0.55) {
+        client.delete(&mut cluster, Object::new(Oid(i as u64), *r));
+    }
+    let servers = cluster.servers();
+    let dissolved = servers
+        .iter()
+        .find(|s| s.data.is_none())
+        .expect("an elimination")
+        .id;
+    let a = servers
+        .iter()
+        .find(|s| s.routing.is_some() && s.id != dissolved)
+        .expect("a routing node");
+    let (a_id, mut a_node) = (a.id, a.routing.clone().expect("checked"));
+    // `a`'s link to `b` claims two levels more than its other child `c`,
+    // and every link below `b` five more: no move balances that.
+    let c_height = a_node.right.height;
+    let b = Link {
+        height: c_height + 2,
+        ..a_node.left
+    };
+    let tall = Link::to_routing(ServerId(1), b.dr, c_height + 5);
+    let pattern = Pattern {
+        b,
+        b_children: (tall, tall),
+        e_children: (tall, tall),
+    };
+    a_node.left = b;
+    cluster.post(Message {
+        from: Endpoint::Server(ServerId(1)),
+        to: Endpoint::Server(a_id),
+        payload: Payload::SetRouting { node: a_node },
+    });
+    cluster.drain();
+
+    let ins = Insertion::new(Object::new(Oid(9_999), b.dr), ImageHolder::Nobody);
+    let (no_routing, no_data) = (NodeRef::routing(ServerId(0)), NodeRef::data(dissolved));
+    let (zero, ancestor) = (ServerId(0), ServerId(1));
+    let oc = OcTable::new();
+    let adjust = ChildWhy::Adjust {
+        children: (tall, tall),
+        tall_grandchildren: Some((tall, tall)),
+    };
+    #[rustfmt::skip]
+    let rows = [
+        (zero, Payload::InsertDescend { ins: ins.clone(), oc: oc.clone(), new_dr: None }),
+        (zero, Payload::ChildChange { old_child: NodeRef::data(zero), new_child: b, why: ChildWhy::Refresh }),
+        (zero, Payload::GatherRotation { origin: ancestor, b: None }),
+        (zero, Payload::RotationInfo { pattern }),
+        (zero, Payload::ShrinkChild { child: b }),
+        (zero, Payload::SetParent { target: no_routing, parent: Some(ancestor) }),
+        (zero, Payload::UpdateOc { target: no_routing, ancestor, outer: b, rect: b.dr }),
+        (zero, Payload::RefreshOc { target: no_routing, table: oc.clone() }),
+        (zero, Payload::DropOcAncestor { target: no_routing, ancestor }),
+        (dissolved, Payload::StoreAtLeaf { ins, oc: oc.clone(), new_dr: b.dr }),
+        (dissolved, Payload::SetParent { target: no_data, parent: Some(ancestor) }),
+        (dissolved, Payload::UpdateOc { target: no_data, ancestor, outer: b, rect: b.dr }),
+        (dissolved, Payload::RefreshOc { target: no_data, table: oc }),
+        (dissolved, Payload::DropOcAncestor { target: no_data, ancestor }),
+        (a_id, Payload::ChildChange { old_child: b.node, new_child: b, why: adjust }),
+        (a_id, Payload::RotationInfo { pattern }),
+    ];
+    for (to, payload) in rows {
+        let row = format!("{} to {to}", payload.name());
+        let hash = cluster.structure_hash();
+        let (refused, total) = (cluster.stats.refused(), cluster.stats.total());
+        cluster.post(Message {
+            from: Endpoint::Client(ClientId(9)),
+            to: Endpoint::Server(to),
+            payload,
+        });
+        assert!(cluster.drain().is_empty(), "{row}: answered a client");
+        assert_eq!(cluster.stats.refused(), refused + 1, "{row}: not refused");
+        assert_eq!(cluster.stats.total(), total + 1, "{row}: sent a message");
+        assert_eq!(
+            cluster.structure_hash(),
+            hash,
+            "{row}: changed the structure"
+        );
+    }
 }
 
 #[test]

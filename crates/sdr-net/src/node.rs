@@ -329,6 +329,11 @@ fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Messag
     let mut out =
         Outbox::with_allocator(server.id, Allocator::Shared(deployment.next_server.clone()));
     server.handle(msg.from, msg.payload, &mut out);
+    // A refused message changed nothing: book it like a frame that could
+    // not be read (the `in_flight` settle below is this frame's).
+    for _ in &out.refused {
+        deployment.record_delivery_failure();
+    }
     // Bind listeners for freshly allocated servers *before* any message
     // can reach them.
     for new_id in &out.allocated {

@@ -10,7 +10,7 @@
 //! a fault that only moves or repeats a message loses nothing.
 
 use sdr_core::msg::{Endpoint, ImageHolder, Insertion, Message, Payload};
-use sdr_core::{FaultKind, FaultPlan, MsgCategory, Object, Oid, SdrConfig, ServerId};
+use sdr_core::{FaultKind, FaultPlan, MsgCategory, Object, OcTable, Oid, SdrConfig, ServerId};
 use sdr_geom::{Point, Rect};
 use sdr_net::{NetClient, NetCluster, NetError, NetOptions};
 use std::io::Write;
@@ -18,8 +18,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Writes a raw frame nobody counted — `prefix` as the length, then
-/// `body` — to server 0, and waits until the node has booked it: the one
-/// wait here that is not for quiescence, so it polls.
+/// `body` — to server 0, and waits until the node has booked it.
 fn raw_frame_is_counted(cluster: &NetCluster, prefix: [u8; 4], body: &[u8]) {
     let before = cluster.delivery_failures();
     let port = cluster.server_port(ServerId(0)).expect("server 0 bound");
@@ -27,15 +26,20 @@ fn raw_frame_is_counted(cluster: &NetCluster, prefix: [u8; 4], body: &[u8]) {
     raw.write_all(&prefix).unwrap();
     raw.write_all(body).unwrap();
     drop(raw);
+    wait_until("a frame that cannot be acted on was not counted", || {
+        cluster.delivery_failures() != before
+    });
+}
+
+/// Polls `done` for up to 2 s: the one wait here that is not for
+/// quiescence, since nothing signals a frame no client sent.
+fn wait_until(failure: &str, done: impl Fn() -> bool) {
     let started = Instant::now();
-    while cluster.delivery_failures() == before {
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "a frame that cannot be read was not counted"
-        );
+    while !done() {
+        assert!(started.elapsed() < Duration::from_secs(2), "{failure}");
         #[expect(
             clippy::disallowed_methods,
-            reason = "the one wait here that is not for quiescence: nothing signals a frame the node failed to read"
+            reason = "the one wait here that is not for quiescence: nothing signals a frame no client sent"
         )]
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -136,6 +140,54 @@ fn bytes_after_a_complete_message_are_a_counted_corruption() {
     let hits = client.point_query(Point::new(0.405, 0.405)).unwrap();
     assert!(hits.is_empty(), "the corrupt frame was handled: {hits:?}");
     cluster.shutdown();
+}
+
+/// A well-formed frame a server cannot act on is refused, not a panic.
+/// Server 0 never hosts a routing node, so an `InsertDescend` addressed
+/// to it is booked like a corrupt frame: one delivery failure, and the
+/// frame's `in_flight` settled. The node thread serves on; a handler
+/// that panicked here used to kill it and poison `handle_lock`.
+#[test]
+fn refused_frame_is_counted_and_the_node_serves_on() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(25)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    grid_insert(&mut client, 30);
+    client.quiesce().unwrap();
+    assert_eq!((cluster.delivery_failures(), cluster.in_flight()), (0, 0));
+
+    let obj = Object::new(Oid(900), Rect::new(0.4, 0.4, 0.41, 0.41));
+    let descend = Message {
+        from: Endpoint::Server(ServerId(1)),
+        to: Endpoint::Server(ServerId(0)),
+        payload: Payload::InsertDescend {
+            ins: Insertion::new(obj, ImageHolder::Nobody),
+            oc: OcTable::new(),
+            new_dr: None,
+        },
+    };
+    let frame = sdr_net::encode_message(&descend);
+    let (prefix, body) = frame.split_at(4);
+    raw_frame_is_counted(&cluster, prefix.try_into().unwrap(), body);
+    // Nobody sent the frame, so its one settle leaves the count at -1.
+    wait_until("the refused frame's in_flight was not settled", || {
+        cluster.in_flight() < 0
+    });
+    assert_eq!((cluster.delivery_failures(), cluster.in_flight()), (1, -1));
+
+    // A client connecting now starts at server 0, whose thread is alive.
+    let mut late = NetClient::connect(&cluster).unwrap();
+    late.insert(obj).unwrap();
+    assert_eq!(
+        late.point_query(Point::new(0.405, 0.405)).unwrap(),
+        vec![obj]
+    );
+    assert_eq!(cluster.delivery_failures(), 1);
+    cluster.shutdown();
+    assert!(
+        cluster.in_flight() <= 0,
+        "in_flight stuck at {}",
+        cluster.in_flight()
+    );
 }
 
 /// Bug 2+4 regression: a listener dying mid-run used to mean 50 connect

@@ -190,4 +190,7 @@ fn skewed_churn_consistency() {
             .count();
         assert_eq!(got, want);
     }
+    // Booking refusals as delivery failures on TCP is safe because a
+    // fault-free run refuses nothing.
+    assert_eq!(cluster.stats.refused(), 0);
 }
