@@ -13,7 +13,7 @@
 //! the `sdr-net` TCP deployment instead.
 
 use crate::config::SdrConfig;
-use crate::fault::{FaultCounts, FaultExecutor, FaultKind, FaultPlan, Verdict};
+use crate::fault::{FaultCounts, FaultExecutor, FaultKind, FaultPlan, Released, Verdict};
 use crate::ids::{NodeRef, ServerId};
 use crate::msg::{Endpoint, Message};
 use crate::server::{Outbox, Server};
@@ -75,12 +75,11 @@ impl Envelope {
 pub struct Cluster {
     servers: Vec<Server>,
     queue: VecDeque<Envelope>,
-    /// Low-priority lane: drained one message at a time, only when the
-    /// main queue is empty (see `Outbox::deferred`).
-    deferred: VecDeque<Envelope>,
-    /// Deterministic fault injection (None: ideal lossless delivery).
-    /// The executor also holds delayed and reordered envelopes.
-    faults: Option<FaultExecutor<Envelope>>,
+    /// Deterministic fault injection ([`FaultExecutor::none`]: ideal
+    /// lossless delivery). The executor holds delayed and reordered
+    /// envelopes and the deferred lane, and decides what leaves them once
+    /// the queue is empty (see `Outbox::deferred`).
+    faults: FaultExecutor<Envelope>,
     /// Message counters (public: the benchmark harness reads them).
     pub stats: Stats,
     config: SdrConfig,
@@ -112,8 +111,7 @@ impl Cluster {
         Cluster {
             servers: vec![Server::new(ServerId(0), config)],
             queue: VecDeque::new(),
-            deferred: VecDeque::new(),
-            faults: None,
+            faults: FaultExecutor::none(),
             stats: Stats::new(),
             config,
             root_cache: std::cell::Cell::new(ServerId(0)),
@@ -153,22 +151,20 @@ impl Cluster {
     /// replaying both yields bit-identical fault counters and final
     /// structure.
     pub fn install_faults(&mut self, plan: &FaultPlan, seed: u64) {
-        self.faults = Some(FaultExecutor::new(plan, seed));
+        self.faults = FaultExecutor::new(plan, seed);
     }
 
     /// Removes the fault plan and its counters (delivery becomes ideal
-    /// again). Between operations nothing is held, so nothing is lost.
+    /// again). Between operations nothing is held or deferred, so
+    /// nothing is lost.
     pub fn clear_faults(&mut self) {
-        self.faults = None;
+        self.faults = FaultExecutor::none();
     }
 
     /// The faults injected since the plan was installed (all zero
     /// without one).
     pub fn fault_counts(&self) -> FaultCounts {
-        self.faults
-            .as_ref()
-            .map(FaultExecutor::counts)
-            .unwrap_or_default()
+        self.faults.counts()
     }
 
     /// The configuration servers run with.
@@ -307,25 +303,21 @@ impl Cluster {
     /// message encountered (the caller — a [`crate::client::Client`] —
     /// interprets acks, reports and IAMs).
     ///
-    /// Without a fault plan, each envelope is simply delivered. With one
-    /// ([`Cluster::install_faults`]), every fresh envelope is first
-    /// offered to the executor, and drain acts on its [`Verdict`]: a lost
-    /// envelope is only traced, a held one is handed to the executor, and
-    /// a delivered one may bring a duplicate copy along. Each delivery is
-    /// one event for the executor's held lane; what it releases re-enters
-    /// the queue. When both queues are empty nothing else can pass an
-    /// event, so the lane is flushed — `drain` always returns with
-    /// nothing held, and the simulator's quiescence guarantee survives
-    /// chaos mode.
+    /// Every fresh envelope is first offered to the fault executor
+    /// (without a plan, [`FaultExecutor::none`] delivers it once), and
+    /// drain acts on its [`Verdict`]: a lost envelope is only traced, a
+    /// held one is handed to the executor, and a delivered one may bring
+    /// a duplicate copy along. Each delivery is one event for the
+    /// executor's held lane; what it releases re-enters the queue. When
+    /// the queue is empty the executor releases a deferred envelope or,
+    /// with none left, its held lane — `drain` always returns with
+    /// nothing held or deferred, and the simulator's quiescence guarantee
+    /// survives chaos mode.
     pub fn drain(&mut self) -> Vec<Message> {
         let mut to_clients = Vec::new();
         while let Some(mut env) = self.next_envelope() {
-            let Some(faults) = self.faults.as_mut() else {
-                self.deliver(env, &mut to_clients);
-                continue;
-            };
             let verdict = if env.fresh {
-                faults.decide_delivery(env.msg.payload.category())
+                self.faults.decide_delivery(env.msg.payload.category())
             } else {
                 Verdict::Deliver(1)
             };
@@ -334,7 +326,7 @@ impl Cluster {
                 Verdict::Held(kind, events) => {
                     env.trace(&mut self.obs, self.tick, kind.name());
                     env.fresh = false;
-                    faults.hold(env, events);
+                    self.faults.hold(env, events);
                 }
                 Verdict::Deliver(copies) => {
                     for _ in 1..copies {
@@ -351,7 +343,7 @@ impl Cluster {
                             depth: env.depth,
                         });
                     }
-                    let released = faults.tick();
+                    let released = self.faults.tick();
                     self.deliver(env, &mut to_clients);
                     self.queue.extend(released);
                 }
@@ -360,13 +352,16 @@ impl Cluster {
         to_clients
     }
 
-    /// The next envelope to deliver: the main queue first, then the
-    /// deferred lane, then whatever the fault executor still holds.
+    /// The next envelope to deliver: the main queue first, then what the
+    /// fault executor releases once it is empty.
     fn next_envelope(&mut self) -> Option<Envelope> {
-        if let Some(env) = self.queue.pop_front().or_else(|| self.deferred.pop_front()) {
+        if let Some(env) = self.queue.pop_front() {
             return Some(env);
         }
-        let held = self.faults.as_mut()?.flush();
+        let held = match self.faults.release_idle() {
+            Released::Deferred(env) => return Some(env),
+            Released::Held(held) => held,
+        };
         for env in held {
             env.trace(&mut self.obs, self.tick, "flush");
             self.queue.push_back(env);
@@ -420,7 +415,7 @@ impl Cluster {
                 }
                 for child in out.deferred {
                     let e = self.envelope(child, id, depth + 1);
-                    self.deferred.push_back(e);
+                    self.faults.defer(e);
                 }
             }
             Endpoint::Client(_) => {

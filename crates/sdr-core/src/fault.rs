@@ -14,7 +14,9 @@
 //! its [`FaultCounts`], and keeps delayed and reordered messages in its
 //! held lane until enough events have passed. A chaos run is therefore a
 //! pure function of `(workload seed, fault seed)`: bit-reproducible,
-//! shrinkable, and comparable across replays.
+//! shrinkable, and comparable across replays. Without a plan, each
+//! substrate holds [`FaultExecutor::none`], which delivers everything
+//! once and draws nothing.
 //!
 //! The two message substrates only act on its [`Verdict`]s:
 //! * the simulator (`Cluster::drain`) asks once per delivery, corrupt
@@ -25,15 +27,21 @@
 //!   ([`FaultExecutor::corrupt`]), and ticks the lane once per send that
 //!   is not held.
 //!
-//! Each substrate releases the whole lane ([`FaultExecutor::flush`])
-//! once nothing else is left to deliver, so a held message is late but
-//! never lost. Messages the executor hands back (duplicate copies,
-//! released messages) are not offered to it again, so a plan with
-//! extreme rates still terminates. Fault-model guarantees per class are
-//! documented in `DESIGN.md` ("fault model" decision entry).
+//! The executor also keeps the deferred lane (`Outbox::deferred`, an
+//! elimination's orphan reinserts). Each substrate calls
+//! [`FaultExecutor::release_idle`] once nothing else is left to deliver:
+//! it releases the oldest deferred message alone, which is then sent
+//! like any fresh message, or else the whole held lane. So a held
+//! message is late but never lost, and a reinsert starts only after the
+//! repair before it has settled. Messages the executor hands back
+//! (duplicate copies, released held messages) are not offered to it
+//! again, so a plan with extreme rates still terminates. Fault-model guarantees
+//! per class are documented in `DESIGN.md` ("fault model" decision
+//! entry); the deferred lane in decision 4f.
 
 use crate::stats::MsgCategory;
 use sdr_det::{bounded, DetRng, Rng};
+use std::collections::VecDeque;
 
 /// The kinds of message fault a [`FaultPlan`] can inject.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -211,19 +219,36 @@ pub enum Verdict {
     Held(FaultKind, u32),
 }
 
+/// What [`FaultExecutor::release_idle`] hands a substrate with nothing
+/// left to deliver.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Released<T> {
+    /// The oldest deferred message, alone: the substrate sends it like
+    /// any fresh message, so it meets the plan like one.
+    Deferred(T),
+    /// Every held message, oldest first (none: the executor is empty).
+    /// They are not offered to the executor again.
+    Held(Vec<T>),
+}
+
 /// The executor of a [`FaultPlan`]: the plan, its forked deterministic
-/// RNG, the fault counters and the held-message lane. `T` is what the
-/// substrate holds — the simulator's envelope, or a TCP `Message`.
-/// Verdicts are a pure function of the construction seed and the
-/// sequence of categories offered.
+/// RNG, the fault counters, the held-message lane and the deferred lane.
+/// `T` is what the substrate delivers — the simulator's envelope, or a
+/// TCP `Message`. Verdicts are a pure function of the construction seed
+/// and the sequence of categories offered. Both substrates always hold
+/// one; [`FaultExecutor::none`] is the fault-free substrate.
 #[derive(Debug)]
 pub struct FaultExecutor<T> {
     plan: FaultPlan,
     rng: Rng,
+    /// False only for [`FaultExecutor::none`], which draws nothing.
+    live: bool,
     counts: FaultCounts,
     /// Held messages, oldest first, each with the number of events still
     /// to pass before it is released.
     held: Vec<(T, u32)>,
+    /// Deferred messages, oldest first (see [`FaultExecutor::defer`]).
+    deferred: VecDeque<T>,
 }
 
 impl<T> FaultExecutor<T> {
@@ -232,8 +257,20 @@ impl<T> FaultExecutor<T> {
         FaultExecutor {
             plan: plan.clone(),
             rng: Rng::seed_from_u64(seed).fork(FAULT_STREAM),
+            live: true,
             counts: FaultCounts::default(),
             held: Vec::new(),
+            deferred: VecDeque::new(),
+        }
+    }
+
+    /// The fault-free executor: every verdict is `Deliver(1)`, no
+    /// corrupt draw fires, and no RNG draw is taken. It still keeps the
+    /// deferred lane.
+    pub fn none() -> Self {
+        FaultExecutor {
+            live: false,
+            ..Self::new(&FaultPlan::none(), 0)
         }
     }
 
@@ -241,6 +278,9 @@ impl<T> FaultExecutor<T> {
     /// duplicate, delay (then its length) and reorder are drawn in that
     /// order; the first that fires decides.
     pub fn decide(&mut self, c: MsgCategory) -> Verdict {
+        if !self.live {
+            return Verdict::Deliver(1);
+        }
         if self.draw(FaultKind::Drop, c) {
             return Verdict::Lost(FaultKind::Drop);
         }
@@ -264,7 +304,7 @@ impl<T> FaultExecutor<T> {
     /// The receive-side draw: whether a message of category `c` that did
     /// arrive is unreadable.
     pub fn corrupt(&mut self, c: MsgCategory) -> bool {
-        self.draw(FaultKind::Corrupt, c)
+        self.live && self.draw(FaultKind::Corrupt, c)
     }
 
     /// [`decide`](Self::decide), then — on a plain delivery only — the
@@ -303,9 +343,24 @@ impl<T> FaultExecutor<T> {
             .collect()
     }
 
-    /// Releases every held message, oldest first.
-    pub fn flush(&mut self) -> Vec<T> {
-        self.held.drain(..).map(|(item, _)| item).collect()
+    /// Takes a message for the deferred lane, behind the ones already
+    /// there. [`release_idle`](Self::release_idle) hands them back one
+    /// at a time, each only once nothing else is in flight.
+    pub fn defer(&mut self, item: T) {
+        self.deferred.push_back(item);
+    }
+
+    /// What a substrate with nothing left to deliver sends next: the
+    /// oldest deferred message alone, or else the whole held lane.
+    ///
+    /// One deferred message at a time lets everything it causes settle
+    /// before the next starts. Releasing the lane FIFO instead lets
+    /// reinserts overtake a gathered rotation's repair (DESIGN.md 4f).
+    pub fn release_idle(&mut self) -> Released<T> {
+        match self.deferred.pop_front() {
+            Some(item) => Released::Deferred(item),
+            None => Released::Held(self.held.drain(..).map(|(item, _)| item).collect()),
+        }
     }
 
     /// The faults injected so far.
@@ -403,7 +458,7 @@ mod tests {
         assert_eq!(exec.tick(), ['b']);
         assert_eq!(exec.tick(), ['a', 'c']);
         exec.hold('e', 5);
-        assert_eq!(exec.flush(), ['d', 'e']);
+        assert_eq!(exec.release_idle(), Released::Held(vec!['d', 'e']));
         assert!(exec.tick().is_empty());
     }
 
@@ -415,5 +470,36 @@ mod tests {
         exec.hold("first", 1);
         assert_eq!(exec.tick(), ["first"]);
         assert_eq!(exec.counts().get(FaultKind::Reorder, INSERT), 1);
+    }
+
+    #[test]
+    fn idle_release_sends_one_deferred_message_before_the_held_lane() {
+        let mut exec = FaultExecutor::new(&FaultPlan::none(), 0);
+        exec.hold('h', 4);
+        exec.defer('a');
+        exec.hold('i', 1);
+        exec.defer('b');
+        assert_eq!(exec.release_idle(), Released::Deferred('a'));
+        exec.defer('c');
+        assert_eq!(exec.release_idle(), Released::Deferred('b'));
+        assert_eq!(exec.release_idle(), Released::Deferred('c'));
+        assert_eq!(exec.release_idle(), Released::Held(vec!['h', 'i']));
+        assert_eq!(exec.release_idle(), Released::Held(vec![]));
+    }
+
+    #[test]
+    fn none_executor_delivers_once_and_counts_nothing() {
+        let mut exec = FaultExecutor::<()>::none();
+        for c in MsgCategory::ALL {
+            assert_eq!(exec.decide(c), Verdict::Deliver(1));
+            assert_eq!(exec.decide_delivery(c), Verdict::Deliver(1));
+            assert!(!exec.corrupt(c));
+        }
+        assert_eq!(exec.counts().total(), 0);
+        assert_eq!(
+            exec.rng,
+            FaultExecutor::<()>::none().rng,
+            "a draw was taken"
+        );
     }
 }

@@ -120,7 +120,7 @@ pub use client::{
 };
 pub use cluster::Cluster;
 pub use config::SdrConfig;
-pub use fault::{FaultCounts, FaultExecutor, FaultKind, FaultPlan, Verdict};
+pub use fault::{FaultCounts, FaultExecutor, FaultKind, FaultPlan, Released, Verdict};
 pub use ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 pub use image::Image;
 pub use join::JoinOutcome;

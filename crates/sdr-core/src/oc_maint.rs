@@ -214,9 +214,10 @@ impl Server {
         );
 
         // Re-inject the orphaned objects through the sibling subtree —
-        // on the deferred lane, so the structural repair (adjustment,
-        // rotation gathering) completes before any reinsert can split a
-        // node and invalidate the rotation's snapshot.
+        // on the deferred lane, released one at a time once nothing is in
+        // flight, so the structural repair (adjustment, rotation
+        // gathering) and each earlier reinsert complete before the next
+        // reinsert can split a node or enlarge a link the repair rewrites.
         for obj in objects {
             let ins = Insertion::new(obj, ImageHolder::Nobody);
             let payload = Payload::insert_at(sibling.node.kind, ins, false);

@@ -36,14 +36,21 @@ use sdr_rtree::{Entry, RTree};
 pub struct Outbox {
     /// Messages to deliver, in emission order.
     pub msgs: Vec<Message>,
-    /// Messages to deliver only after the regular traffic quiesces.
+    /// Messages to deliver only after the regular traffic quiesces, one
+    /// at a time: the deferred lane.
     ///
     /// Node elimination re-injects orphaned objects as fresh inserts;
     /// letting those race the elimination's own structural repair
     /// (height adjustment, rotation gathering) invalidates rotation
     /// snapshots mid-flight — a reinsert-driven split can orphan the new
-    /// server. Deferring them until the repair chain has fully drained
-    /// removes the race without any locking.
+    /// server. Both substrates hand these messages to their fault
+    /// executor, which releases the oldest alone each time nothing is in
+    /// flight (`FaultExecutor::release_idle`), so each reinsert starts
+    /// after the repair chain and the reinserts before it have settled.
+    /// Releasing them FIFO is not enough: a gathered rotation's
+    /// `SetRouting` then overwrites a routing link a reinsert's descent
+    /// has just enlarged, and no later message refreshes it (DESIGN.md
+    /// decision 4f).
     pub deferred: Vec<Message>,
     /// Server ids allocated during this handling step.
     pub allocated: Vec<ServerId>,
@@ -216,7 +223,7 @@ pub struct Server {
     /// connections from different peers: a descend routed through the
     /// freshly notified parent can outrun the initialization. Such
     /// messages are parked and replayed right after initialization.
-    deferred: Vec<(Endpoint, Payload)>,
+    parked: Vec<(Endpoint, Payload)>,
 }
 
 impl Server {
@@ -241,7 +248,7 @@ impl Server {
             pending: Default::default(),
             data_tombstone: None,
             routing_tombstone: None,
-            deferred: Vec::new(),
+            parked: Vec::new(),
         }
     }
 
@@ -311,7 +318,7 @@ impl Server {
     /// also when it was parked before `SplitCreate` and is replayed.
     pub fn handle(&mut self, from: Endpoint, payload: Payload, out: &mut Outbox) {
         if self.is_bare() && !matches!(payload, Payload::SplitCreate { .. }) {
-            self.deferred.push((from, payload));
+            self.parked.push((from, payload));
             return;
         }
         if let Err(refused) = self.dispatch(payload, out) {
@@ -339,7 +346,7 @@ impl Server {
             } => {
                 self.on_split_create(routing, objects, data_dr, data_oc);
                 // Replay anything that outran the initialization.
-                for (from, payload) in std::mem::take(&mut self.deferred) {
+                for (from, payload) in std::mem::take(&mut self.parked) {
                     self.handle(from, payload, out);
                 }
             }

@@ -118,8 +118,9 @@ impl NetClient {
     }
 
     /// Blocks until no server-bound message is in flight anywhere in the
-    /// deployment — including messages parked by delay injection, which
-    /// are flushed once everything else has settled. Fails fast with
+    /// deployment — including deferred messages (an elimination's orphan
+    /// reinserts) and messages parked by delay injection, which the fault
+    /// executor releases once everything else has settled. Fails fast with
     /// [`NetError::Undeliverable`] if the deployment recorded a delivery
     /// failure, instead of hanging out the full timeout: a lost message
     /// will never arrive, so there is nothing truthful to wait for.
@@ -214,9 +215,10 @@ impl Wire {
                     }
                     // With nothing in flight, no other send will pass the
                     // fault executor's held lane an event: what this
-                    // wait is for may be held there, so release it.
+                    // wait is for may be deferred or held there, so
+                    // release it.
                     let idle = self.deployment.in_flight.load(Ordering::SeqCst) <= 0;
-                    if idle && self.deployment.release_held() > 0 {
+                    if idle && self.deployment.release_idle() > 0 {
                         continue;
                     }
                     self.deployment.wait(seen, WAIT_SLICE);
@@ -252,9 +254,10 @@ impl Session<'_> {
                 deployment.wait(seen, WAIT_SLICE);
                 continue;
             }
-            // Quiet on the wire: release anything the fault executor is
-            // still holding back, and wait again if that re-armed it.
-            if deployment.release_held() > 0 {
+            // Quiet on the wire: release the next deferred message, or
+            // else anything the fault executor is still holding back, and
+            // wait again if that re-armed it.
+            if deployment.release_idle() > 0 {
                 continue;
             }
             return Ok(());

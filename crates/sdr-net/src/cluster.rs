@@ -51,6 +51,10 @@ impl NetCluster {
     /// delivery-retry budget).
     pub fn launch_with(config: SdrConfig, options: NetOptions) -> std::io::Result<NetCluster> {
         config.validate();
+        let faults = match options.faults {
+            Some((plan, seed)) => FaultExecutor::new(&plan, seed),
+            None => FaultExecutor::none(),
+        };
         let deployment = Arc::new(Deployment {
             registry: std::sync::RwLock::new(std::collections::HashMap::new()),
             next_server: Arc::new(AtomicU32::new(1)),
@@ -59,9 +63,7 @@ impl NetCluster {
             handle_lock: Mutex::new(()),
             in_flight: std::sync::atomic::AtomicI64::new(0),
             delivery_failures: AtomicU64::new(0),
-            faults: options
-                .faults
-                .map(|(plan, seed)| Mutex::new(FaultExecutor::new(&plan, seed))),
+            faults: Mutex::new(faults),
             send_attempts: options.send_attempts.max(1),
             metrics: sdr_obs::Obs::from_env().take_metrics().map(Mutex::new),
             events: Default::default(),
@@ -97,10 +99,7 @@ impl NetCluster {
 
     /// The faults injected so far (all zero without a fault plan).
     pub fn fault_counts(&self) -> FaultCounts {
-        self.deployment
-            .faults()
-            .map(|f| f.counts())
-            .unwrap_or_default()
+        self.deployment.faults().counts()
     }
 
     /// The OS-assigned port a server's listener is bound to, if it is

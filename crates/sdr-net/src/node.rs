@@ -18,7 +18,7 @@ use crate::buf::ReadBuf;
 use crate::wire::{decode_message, encode_message};
 use sdr_core::ids::ClientId;
 use sdr_core::msg::{Endpoint, Message};
-use sdr_core::{Allocator, FaultExecutor, Outbox, SdrConfig, Server, ServerId, Verdict};
+use sdr_core::{Allocator, FaultExecutor, Outbox, Released, SdrConfig, Server, ServerId, Verdict};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -94,11 +94,13 @@ pub(crate) struct Deployment {
     /// [`crate::client::NetError::Undeliverable`] instead of a silent
     /// drop or a hang-until-timeout.
     pub delivery_failures: AtomicU64,
-    /// Deterministic fault injection (`None` in normal deployments, which
-    /// then take no lock for it). One lock, so every verdict draws from
-    /// a single seeded stream even with concurrent senders; the executor
-    /// also holds the delayed and reordered messages.
-    pub faults: Option<Mutex<FaultExecutor<Message>>>,
+    /// Deterministic fault injection ([`FaultExecutor::none`] in normal
+    /// deployments, which delivers everything once and draws nothing).
+    /// One lock, so every verdict draws from a single seeded stream even
+    /// with concurrent senders. The executor also holds the delayed and
+    /// reordered messages and the deferred lane, which
+    /// [`Deployment::release_idle`] empties once nothing is in flight.
+    pub faults: Mutex<FaultExecutor<Message>>,
     /// Connect attempts `send_message` makes before declaring a message
     /// undeliverable (the retry ladder sleeps `2ms * attempt` between
     /// tries). Tunable so fault tests fail fast instead of in seconds.
@@ -190,24 +192,34 @@ impl Deployment {
         Some(f(&mut metrics.lock().unwrap_or_else(|e| e.into_inner())))
     }
 
-    /// The fault executor, locked, if a plan is installed.
-    pub fn faults(&self) -> Option<MutexGuard<'_, FaultExecutor<Message>>> {
-        let faults = self.faults.as_ref()?;
-        Some(faults.lock().unwrap_or_else(|e| e.into_inner()))
+    /// The fault executor, locked.
+    pub fn faults(&self) -> MutexGuard<'_, FaultExecutor<Message>> {
+        self.faults.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Releases everything the fault executor holds and transmits it;
-    /// returns how many messages went out. Waiting clients call this once
-    /// nothing is in flight: then no server turn is left to send, so
-    /// nothing else would pass the held lane an event — the simulator
-    /// flushes its lane on an empty queue for the same reason.
-    pub fn release_held(&self) -> usize {
-        let released = self.faults().map(|mut f| f.flush()).unwrap_or_default();
-        self.transmit_released(&released)
+    /// Sends what the fault executor releases to an idle deployment (see
+    /// [`FaultExecutor::release_idle`]): one deferred message, offered to
+    /// the executor like any fresh send, or else the held lane. Returns
+    /// how many messages left the executor. Waiting clients call this
+    /// once nothing is in flight: then no server turn is left to send,
+    /// so nothing else would pass the held lane an event, and whatever
+    /// the last deferred message caused has settled — the simulator
+    /// releases on an empty queue for the same reasons.
+    pub fn release_idle(&self) -> usize {
+        // Bound first: the guard must be gone before `send_message`
+        // takes the lock again.
+        let released = self.faults().release_idle();
+        match released {
+            Released::Deferred(msg) => {
+                send_message(self, &msg);
+                1
+            }
+            Released::Held(held) => self.transmit_released(&held),
+        }
     }
 
-    /// Transmits messages the executor released. They are not offered to
-    /// it again.
+    /// Transmits held messages the executor released. They are not
+    /// offered to it again.
     fn transmit_released(&self, released: &[Message]) -> usize {
         for msg in released {
             transmit(self, msg);
@@ -271,9 +283,7 @@ fn accept_loop(deployment: Arc<Deployment>, listener: TcpListener, mut server: S
                         deployment.with_metrics(|m| m.inc("frame/read"));
                         // Receive-side fault injection: the frame arrived
                         // but is treated as unreadable.
-                        let corrupt = deployment
-                            .faults()
-                            .is_some_and(|mut f| f.corrupt(msg.payload.category()));
+                        let corrupt = deployment.faults().corrupt(msg.payload.category());
                         if corrupt {
                             read_failure(&deployment);
                         } else {
@@ -344,24 +354,21 @@ fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Messag
     for m in out.msgs {
         send_message(deployment, &m);
     }
-    // Deferred messages (orphan reinserts) go last; with clients
-    // quiescing between operations this preserves the repair-before-
-    // reinsert ordering the simulator guarantees exactly.
+    // Deferred messages (orphan reinserts) wait in the executor until
+    // nothing is in flight; handing them over before this turn settles
+    // `in_flight` means no client finds the deployment idle without them.
     for m in out.deferred {
-        send_message(deployment, &m);
+        deployment.faults().defer(m);
     }
     deployment.settle_in_flight();
 }
 
-/// Dispatches one message: asks the fault executor (if any) for its
-/// verdict and acts on it. Every send that is not held passes one event
-/// to the executor's held lane, and what that releases goes out after
-/// this message.
+/// Dispatches one message: asks the fault executor for its verdict and
+/// acts on it. Every send that is not held passes one event to the
+/// executor's held lane, and what that releases goes out after this
+/// message.
 pub(crate) fn send_message(deployment: &Deployment, msg: &Message) {
-    let Some(mut faults) = deployment.faults() else {
-        transmit(deployment, msg);
-        return;
-    };
+    let mut faults = deployment.faults();
     let copies = match faults.decide(msg.payload.category()) {
         Verdict::Held(_, events) => return faults.hold(msg.clone(), events),
         Verdict::Lost(_) => 0,

@@ -13,6 +13,7 @@ use sdr_core::msg::{Endpoint, ImageHolder, Insertion, Message, Payload};
 use sdr_core::{FaultKind, FaultPlan, MsgCategory, Object, OcTable, Oid, SdrConfig, ServerId};
 use sdr_geom::{Point, Rect};
 use sdr_net::{NetClient, NetCluster, NetError, NetOptions};
+use sdr_workload::{DatasetSpec, Distribution, WindowSpec};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -401,4 +402,61 @@ fn duplicated_and_reordered_traffic_loses_nothing() {
     );
     assert!(counts.of(FaultKind::Reorder) >= 1, "no reorder injected");
     cluster.shutdown();
+}
+
+/// Bug 5 regression: orphan reinserts raced the elimination's repair.
+/// An elimination re-inserts its orphans on the deferred lane; TCP used
+/// to send them last in the handler turn, which does not order them
+/// after the repair chain that runs in later turns. A gathered rotation
+/// could then overwrite a link a reinsert had just enlarged, so a later
+/// delete answered `false` with no delivery failure and a window
+/// returned objects already deleted. The lane now releases one reinsert
+/// at a time, and only when nothing is in flight, on both substrates.
+#[test]
+fn reinserts_after_eliminations_wait_for_the_repair() {
+    let everything = Rect::new(-1.0, -1.0, 2.0, 2.0);
+    for seed in [33, 5, 7, 8] {
+        let cluster = NetCluster::launch(SdrConfig::with_capacity(20)).unwrap();
+        let mut client = NetClient::connect(&cluster).unwrap();
+        let objects: Vec<Object> = DatasetSpec::new(1_200, Distribution::Uniform)
+            .generate(seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| Object::new(Oid(i as u64), r))
+            .collect();
+        for obj in &objects {
+            client.insert(*obj).unwrap();
+        }
+        // Hollow out one half of the space: eliminations, gathered
+        // rotations and their orphan reinserts.
+        let (gone, kept): (Vec<_>, Vec<_>) = objects.into_iter().partition(|o| o.mbb.xmax < 0.55);
+        for obj in &gone {
+            assert!(
+                client.delete(*obj).unwrap(),
+                "seed {seed}: delete {:?}",
+                obj.oid
+            );
+        }
+        for w in WindowSpec::paper_default()
+            .generate(20, seed)
+            .into_iter()
+            .chain([everything])
+        {
+            let mut got: Vec<Oid> = client
+                .window_query(w)
+                .unwrap()
+                .iter()
+                .map(|o| o.oid)
+                .collect();
+            got.sort_unstable();
+            let want: Vec<Oid> = kept
+                .iter()
+                .filter(|o| o.mbb.intersects(&w))
+                .map(|o| o.oid)
+                .collect();
+            assert_eq!(got, want, "seed {seed}: window {w:?}");
+        }
+        assert_eq!(cluster.delivery_failures(), 0, "seed {seed}");
+        cluster.shutdown();
+    }
 }
