@@ -297,7 +297,7 @@ impl Fold<'_> {
                 self.acct.report(sender, &spawned, direct.is_some());
                 self.direct = direct.unwrap_or(self.direct);
                 match found {
-                    Found::Objects(results) => self.results.extend(results),
+                    Found::Objects(results) => self.adopt(results),
                     Found::Removed(removed) => self.removed |= removed,
                     Found::Pairs(pairs) => self.pairs.extend(pairs),
                 }
@@ -310,7 +310,7 @@ impl Fold<'_> {
                 ..
             } if Some(qid) == self.qid => {
                 self.aggregated = true;
-                self.results.extend(results);
+                self.adopt(results);
                 trace
             }
             Payload::KnnLocalReply { qid, items, dr } if Some(qid) == self.qid => {
@@ -327,6 +327,16 @@ impl Fold<'_> {
             image.absorb(&trace);
             self.iams += 1;
             self.iam_links += trace.len() as u64;
+        }
+    }
+
+    /// Takes a report's objects: the first report's vector becomes the
+    /// answer as it is, later ones are appended to it.
+    fn adopt(&mut self, results: Vec<Object>) {
+        if self.results.is_empty() {
+            self.results = results;
+        } else {
+            self.results.extend(results);
         }
     }
 
@@ -368,11 +378,77 @@ impl Fold<'_> {
 /// left stale outer links behind; the client-side merge makes the result
 /// a set, as the paper's termination protocols imply.
 ///
-/// Duplicates are the exception, so nothing is inserted per result: one
-/// sort of the oids brings equal ones together, and `results` is touched
-/// only if two neighbours are equal — then each oid that occurs more
-/// than once keeps its first object.
+/// One pass: each oid goes into an open-addressed table, and `retain`
+/// keeps the objects whose oid was new. The table spends at most
+/// [`MERGE_PROBES_PER_RESULT`] probes per result; oids a peer chose to
+/// collide exhaust that, and the sort merge finishes the work. A
+/// hostile answer thus costs O(n) on top of the sort, never O(n²).
 fn dedup_by_oid(results: &mut Vec<Object>) {
+    if results.len() > 1 && !dedup_hashed(results) {
+        dedup_sorted(results);
+    }
+}
+
+/// The merge table's multiplier (Knuth's golden ratio): a slot is the
+/// top bits of `oid · OID_HASH`, so consecutive oids land apart.
+const OID_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Probes the merge table may spend per result before the sort merge
+/// takes over. At most half full, linear probing averages under 1.5 on
+/// distinct oids.
+const MERGE_PROBES_PER_RESULT: usize = 4;
+
+/// The table half of [`dedup_by_oid`]: whether it finished within its
+/// probe budget. When it did not, the objects it already dropped were
+/// later copies of oids it kept, so the sort merge over what is left
+/// still keeps each oid's first object.
+fn dedup_hashed(results: &mut Vec<Object>) -> bool {
+    // A power of two at least twice the results: at most half full.
+    let slots = (2 * results.len()).next_power_of_two();
+    let shift = 64 - slots.trailing_zeros();
+    // 0 marks an empty slot; oid 0 is tracked beside the table.
+    let mut table = vec![0u64; slots];
+    let mut budget = MERGE_PROBES_PER_RESULT * results.len();
+    let (mut zero_seen, mut spent) = (false, false);
+    results.retain(|o| {
+        let oid = o.oid.0;
+        if spent {
+            return true;
+        }
+        if oid == 0 {
+            return !std::mem::replace(&mut zero_seen, true);
+        }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the top `64 - shift` bits of a u64 index a table that fits in memory"
+        )]
+        let mut slot = (oid.wrapping_mul(OID_HASH) >> shift) as usize;
+        while let Some(held) = table.get_mut(slot) {
+            if budget == 0 {
+                break;
+            }
+            budget -= 1;
+            if *held == 0 {
+                *held = oid;
+                return true;
+            }
+            if *held == oid {
+                return false;
+            }
+            slot = (slot + 1) & (slots - 1);
+        }
+        spent = true;
+        true
+    });
+    !spent
+}
+
+/// The sort half of [`dedup_by_oid`]. Duplicates are the exception, so
+/// nothing is inserted per result: one sort of the oids brings equal
+/// ones together, and `results` is touched only if two neighbours are
+/// equal — then each oid that occurs more than once keeps its first
+/// object.
+fn dedup_sorted(results: &mut Vec<Object>) {
     let mut oids: Vec<Oid> = results.iter().map(|o| o.oid).collect();
     oids.sort_unstable();
     let runs = oids.chunk_by(|a, b| a == b).filter(|run| run.len() > 1);
@@ -738,6 +814,62 @@ mod tests {
             let (sa, sb) = (a.contact_among(5), b.contact_among(5));
             assert!(sa.is_some_and(|s| s.0 < 5));
             assert_eq!(sa, sb, "same seed, same contact sequence");
+        }
+    }
+
+    /// Objects with the given oids, each told apart by its rectangle.
+    fn objects(oids: impl IntoIterator<Item = u64>) -> Vec<Object> {
+        let rect = |x: f64| Rect::new(x, 0.0, x + 1.0, 1.0);
+        let mut x = 0.0;
+        oids.into_iter()
+            .map(|oid| {
+                x += 1.0;
+                Object::new(Oid(oid), rect(x))
+            })
+            .collect()
+    }
+
+    /// The ordered-set model of the merge: each oid's first object, in
+    /// first-seen order.
+    fn first_seen(objects: &[Object]) -> Vec<Object> {
+        let mut seen = std::collections::BTreeSet::new();
+        objects
+            .iter()
+            .copied()
+            .filter(|o| seen.insert(o.oid))
+            .collect()
+    }
+
+    #[test]
+    fn colliding_oids_take_the_sort_merge_and_others_do_not() {
+        // `j · OID_HASH⁻¹` hashes to `j`, whose top bits are zero for any
+        // table this size: every oid wants slot 0.
+        let mut inverse = OID_HASH;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(OID_HASH.wrapping_mul(inverse)));
+        }
+        assert_eq!(OID_HASH.wrapping_mul(inverse), 1);
+        let colliding = (0..400u64)
+            .chain((0..400).step_by(3))
+            .map(|j| j.wrapping_mul(inverse));
+        let mut rng = Rng::seed_from_u64(11);
+        let random: Vec<u64> = (0..600).map(|_| rng.next_u64()).collect();
+        let random = random.iter().chain(random.iter().step_by(5)).copied();
+        let sequential = (0..300u64).chain((0..300).rev().step_by(7));
+        let cases = [
+            ("colliding", objects(colliding), false),
+            ("random", objects(random), true),
+            ("sequential", objects(sequential), true),
+            // Oid 0 is the empty mark, so the table keeps it in a flag.
+            ("oid zero", objects([0, 5, 0, 5, 0]), true),
+        ];
+        for (name, input, by_table) in cases {
+            let want = first_seen(&input);
+            assert!(want.len() < input.len(), "{name}: has duplicates");
+            assert_eq!(dedup_hashed(&mut input.clone()), by_table, "{name}");
+            let mut got = input;
+            dedup_by_oid(&mut got);
+            assert_eq!(got, want, "{name}");
         }
     }
 

@@ -377,7 +377,13 @@ impl Cluster {
         match env.msg.to {
             Endpoint::Server(sid) => {
                 let idx = sid.0 as usize;
-                assert!(idx < self.servers.len(), "message to unknown server {sid}");
+                // No server has this id: the message is dropped and
+                // counted, as `sdr-net` books a frame it cannot deliver.
+                if idx >= self.servers.len() {
+                    env.trace(&mut self.obs, self.tick, "unknown");
+                    self.stats.record_refused(1);
+                    return;
+                }
                 // The paper's cost model: messages between nodes on
                 // the same server are free.
                 if env.msg.from != Endpoint::Server(sid) {
@@ -402,7 +408,7 @@ impl Cluster {
                     reason = "server ids are allocated densely from 0; the count fits u32 by the id-space contract"
                 )]
                 let mut out = Outbox::new(sid, self.servers.len() as u32);
-                #[expect(clippy::indexing_slicing, reason = "idx bounds-asserted above")]
+                #[expect(clippy::indexing_slicing, reason = "idx bounds-checked above")]
                 self.servers[idx].handle(msg.from, msg.payload, &mut out);
                 self.stats.record_refused(out.refused.len());
                 for alloc in out.allocated {

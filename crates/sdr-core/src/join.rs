@@ -169,23 +169,21 @@ impl Server {
             (NodeKind::Data, _, Some(d)) => {
                 // Local phase: each object against the local tree.
                 for e in d.tree.iter() {
-                    for hit in d.tree.search_window(&e.rect) {
+                    d.tree.visit_window(&e.rect, |hit| {
                         if e.item < hit.item {
                             pairs.push((e.item, hit.item));
                         }
-                    }
+                    });
                 }
                 // Boundary phase: probe every overlap region through
                 // its ancestor (see the module docs for why the
                 // cached outer link cannot be trusted here).
                 let self_node = NodeRef::data(self.id);
                 for entry in d.oc.entries() {
-                    let objects: Vec<Object> = d
-                        .tree
-                        .search_window(&entry.rect)
-                        .into_iter()
-                        .map(|e| Object::new(e.item, e.rect))
-                        .collect();
+                    let mut objects = Vec::new();
+                    d.tree.visit_window(&entry.rect, |e| {
+                        objects.push(Object::new(e.item, e.rect));
+                    });
                     if objects.is_empty() {
                         continue;
                     }
@@ -241,11 +239,11 @@ impl Server {
         let mut pairs: Vec<(Oid, Oid)> = Vec::new();
         if let Some(d) = self.data.as_ref().filter(|_| target.kind == NodeKind::Data) {
             for probe in &objects {
-                for hit in d.tree.search_window(&probe.mbb) {
+                d.tree.visit_window(&probe.mbb, |hit| {
                     if probe.oid < hit.item {
                         pairs.push((probe.oid, hit.item));
                     }
-                }
+                });
             }
         }
         for (target, hop) in decided.headers(&hop) {

@@ -589,13 +589,13 @@ struct HopOutcome {
 }
 
 fn local_search(d: &crate::node::DataNode, query: &QueryKind) -> Vec<Object> {
-    let hits = match query {
-        QueryKind::Point(p) => d.tree.search_point(p),
-        QueryKind::Window(w) => d.tree.search_window(w),
-    };
-    hits.into_iter()
-        .map(|e| Object::new(e.item, e.rect))
-        .collect()
+    let mut found = Vec::new();
+    let push = |e: &sdr_rtree::Entry<_>| found.push(Object::new(e.item, e.rect));
+    match query {
+        QueryKind::Point(p) => d.tree.visit_point(p, push),
+        QueryKind::Window(w) => d.tree.visit_window(w, push),
+    }
+    found
 }
 
 #[cfg(test)]

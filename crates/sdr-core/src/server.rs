@@ -74,6 +74,9 @@ pub enum Refused {
     /// The rotation pattern admits no balanced redistribution (§2.4):
     /// its heights went stale in flight.
     Unbalanced,
+    /// A `SplitCreate` reached a server that already hosts a node or a
+    /// tombstone; only a freshly allocated server takes one (§2.2).
+    Initialized,
 }
 
 /// Source of fresh server ids.
@@ -344,6 +347,9 @@ impl Server {
                 data_dr,
                 data_oc,
             } => {
+                if !self.is_bare() {
+                    return Err(Refused::Initialized);
+                }
                 self.on_split_create(routing, objects, data_dr, data_oc);
                 // Replay anything that outran the initialization.
                 for (from, payload) in std::mem::take(&mut self.parked) {
@@ -662,10 +668,6 @@ impl Server {
         data_dr: Rect,
         data_oc: OcTable,
     ) {
-        debug_assert!(
-            self.routing.is_none(),
-            "SplitCreate on an initialized server"
-        );
         self.routing = Some(routing);
         let entries: Vec<Entry<crate::ids::Oid>> = objects
             .into_iter()

@@ -91,7 +91,8 @@ pub struct Stats {
     /// paper's cost metric but reported for completeness.
     to_clients: u64,
     /// Messages a server refused (`server::Refused`): delivered and
-    /// counted above, but acted on by nobody.
+    /// counted above, but acted on by nobody. Also a message to an id no
+    /// server has, which is dropped before it is counted above.
     refused: u64,
 }
 
@@ -117,12 +118,13 @@ impl Stats {
         self.to_clients += 1;
     }
 
-    /// Records `n` messages a server refused.
+    /// Records `n` messages a server refused or nobody could receive.
     pub fn record_refused(&mut self, n: usize) {
         self.refused += n as u64;
     }
 
-    /// Messages servers refused; 0 on every fault-free run.
+    /// Messages servers refused or nobody could receive; 0 on every
+    /// fault-free run.
     pub fn refused(&self) -> u64 {
         self.refused
     }

@@ -381,15 +381,33 @@ fn incomplete_reports_name_only_the_unbalanced_servers() {
 mod model {
     use super::*;
     use sdr_core::DirectAccounting;
-    use sdr_det::prop::{bools, u32_in, u64s, usize_in, vecs_of, Gen};
+    use sdr_det::prop::{bools, one_of, u32_in, u64s, usize_in, vecs_of, Gen};
     use std::collections::{BTreeMap, BTreeSet};
 
-    /// Reports as `(server, oids)`; oids from a small range, so the same
-    /// server reporting an oid twice, two servers holding one oid, empty
-    /// and single-object reports all turn up.
+    /// The inverse of the merge table's multiplier, Knuth's golden-ratio
+    /// constant `0x9E37_79B9_7F4A_7C15`: `j · GOLDEN_INVERSE` hashes to
+    /// `j`, whose top bits are zero for every table below 2⁵⁴ slots.
+    const GOLDEN_INVERSE: u64 = 0xF1DE_83E1_9937_733D;
+
+    /// Reports as `(server, oids)`, in three sizes:
+    /// - oids from a small range, so the same server reporting an oid
+    ///   twice, two servers holding one oid, empty and single-object
+    ///   reports all turn up;
+    /// - hundreds of oids per report, so the merge table is large;
+    /// - oids that all hash to one slot of the table, so the merge spends
+    ///   its probe budget and finishes by sorting.
     fn arb_reports() -> Gen<Vec<(u32, Vec<u64>)>> {
-        let oids = vecs_of(u64s().map(|o| o % 24), 0..12);
-        vecs_of(u32_in(0..4).zip(oids), 0..8)
+        let small = vecs_of(u64s().map(|o| o % 24), 0..12);
+        let large = vecs_of(u64s().map(|o| o % 600), 0..400);
+        let colliding = vecs_of(
+            u64s().map(|o| (o % 300).wrapping_mul(GOLDEN_INVERSE)),
+            0..200,
+        );
+        one_of(vec![
+            vecs_of(u32_in(0..4).zip(small), 0..8),
+            vecs_of(u32_in(0..4).zip(large), 0..4),
+            vecs_of(u32_in(0..4).zip(colliding), 0..4),
+        ])
     }
 
     /// The termination bookkeeping as it was: two multisets of servers,
@@ -450,10 +468,10 @@ mod model {
     }
 
     sdr_det::prop! {
-        /// The sort-based merge keeps exactly what the ordered-set insert
-        /// per result kept: every oid once, its first object, in
-        /// first-seen order. Run under the probabilistic protocol, which
-        /// accepts any set of reports.
+        /// The merge keeps exactly what the ordered-set insert per result
+        /// kept: every oid once, its first object, in first-seen order,
+        /// whether the oid table finishes it or the sort does. Run under
+        /// the probabilistic protocol, which accepts any set of reports.
         fn merge_matches_first_seen_set_semantics(reports in arb_reports()) {
             let mut c = client();
             c.protocol = sdr_core::ReplyProtocol::Probabilistic;

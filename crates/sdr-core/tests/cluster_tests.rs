@@ -513,7 +513,9 @@ fn messages_a_server_cannot_act_on_are_refused_and_change_nothing() {
     cluster.post(Message {
         from: Endpoint::Server(ServerId(1)),
         to: Endpoint::Server(a_id),
-        payload: Payload::SetRouting { node: a_node },
+        payload: Payload::SetRouting {
+            node: a_node.clone(),
+        },
     });
     cluster.drain();
 
@@ -539,10 +541,12 @@ fn messages_a_server_cannot_act_on_are_refused_and_change_nothing() {
         (dissolved, Payload::StoreAtLeaf { ins, oc: oc.clone(), new_dr: b.dr }),
         (dissolved, Payload::SetParent { target: no_data, parent: Some(ancestor) }),
         (dissolved, Payload::UpdateOc { target: no_data, ancestor, outer: b, rect: b.dr }),
-        (dissolved, Payload::RefreshOc { target: no_data, table: oc }),
+        (dissolved, Payload::RefreshOc { target: no_data, table: oc.clone() }),
         (dissolved, Payload::DropOcAncestor { target: no_data, ancestor }),
         (a_id, Payload::ChildChange { old_child: b.node, new_child: b, why: adjust }),
         (a_id, Payload::RotationInfo { pattern }),
+        (zero, Payload::SplitCreate { routing: a_node.clone(), objects: vec![], data_dr: b.dr, data_oc: oc.clone() }),
+        (dissolved, Payload::SplitCreate { routing: a_node, objects: vec![], data_dr: b.dr, data_oc: oc.clone() }),
     ];
     for (to, payload) in rows {
         let row = format!("{} to {to}", payload.name());
@@ -562,6 +566,42 @@ fn messages_a_server_cannot_act_on_are_refused_and_change_nothing() {
             "{row}: changed the structure"
         );
     }
+}
+
+/// A message to an id no server has is dropped and counted as refused,
+/// not a panic, and the cluster serves on.
+#[test]
+fn a_message_to_an_unallocated_id_is_dropped_and_counted() {
+    use sdr_core::msg::{Endpoint, Message, Payload};
+    use sdr_core::{Link, ServerId};
+    let data = uniform(300, 8);
+    let mut cluster = Cluster::new(SdrConfig::with_capacity(20));
+    let mut client = Client::new(ClientId(0), Variant::ImClient, 4);
+    build(&mut cluster, &mut client, &data);
+    let unallocated = u32::try_from(cluster.num_servers()).expect("small cluster");
+    for to in [unallocated, unallocated + 7, ServerId::MAX.0, u32::MAX] {
+        let hash = cluster.structure_hash();
+        let (refused, total) = (cluster.stats.refused(), cluster.stats.total());
+        cluster.post(Message {
+            from: Endpoint::Client(ClientId(9)),
+            to: Endpoint::Server(ServerId(to)),
+            payload: Payload::ShrinkChild {
+                child: Link::to_data(ServerId(0), data[0]),
+            },
+        });
+        assert!(cluster.drain().is_empty(), "to {to}: answered a client");
+        assert_eq!(cluster.stats.refused(), refused + 1, "to {to}: not counted");
+        assert_eq!(cluster.stats.total(), total, "to {to}: billed to a server");
+        assert_eq!(
+            cluster.structure_hash(),
+            hash,
+            "to {to}: changed the structure"
+        );
+        assert_eq!(cluster.num_servers(), unallocated as usize);
+    }
+    let all = client.window_query(&mut cluster, Rect::new(0.0, 0.0, 1.0, 1.0));
+    assert_eq!(all.results.len(), data.len(), "the cluster serves on");
+    cluster.check_invariants();
 }
 
 #[test]

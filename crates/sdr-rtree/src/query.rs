@@ -51,6 +51,17 @@ impl<T> RTree<T> {
     /// ```
     pub fn search_window(&self, window: &Rect) -> Vec<&Entry<T>> {
         let mut res = Vec::new();
+        self.visit_window(window, |e| res.push(e));
+        res
+    }
+
+    /// Calls `visit` on every entry whose rectangle intersects `window`,
+    /// in [`RTree::search_window`]'s order, without collecting them: a
+    /// caller that maps each hit builds its own result in one pass.
+    ///
+    /// `visit` must not search this tree again (the traversal holds the
+    /// tree's scratch state).
+    pub fn visit_window<'a>(&'a self, window: &Rect, mut visit: impl FnMut(&'a Entry<T>)) {
         let mut scratch = self.scratch.borrow_mut();
         let Scratch { stack, sub, .. } = &mut *scratch;
         stack.clear();
@@ -60,7 +71,7 @@ impl<T> RTree<T> {
             let node = self.arena.node(id);
             match &node.kind {
                 Kind::Leaf(es) => {
-                    node.slabs.each_intersecting(window, |i| res.push(&es[i]));
+                    node.slabs.each_intersecting(window, |i| visit(&es[i]));
                 }
                 Kind::Internal(cs) => {
                     // Report-all shortcut: a child fully inside the
@@ -68,7 +79,7 @@ impl<T> RTree<T> {
                     // further rectangle tests needed.
                     node.slabs.each_intersecting_covered(window, |i, covered| {
                         if covered {
-                            self.push_all(cs[i], &mut res, sub);
+                            self.visit_all(cs[i], &mut visit, sub);
                         } else {
                             stack.push(cs[i]);
                         }
@@ -76,7 +87,6 @@ impl<T> RTree<T> {
                 }
             }
         }
-        res
     }
 
     /// Returns every entry whose rectangle contains the point.
@@ -95,6 +105,14 @@ impl<T> RTree<T> {
     /// ```
     pub fn search_point(&self, p: &Point) -> Vec<&Entry<T>> {
         let mut res = Vec::new();
+        self.visit_point(p, |e| res.push(e));
+        res
+    }
+
+    /// Calls `visit` on every entry whose rectangle contains the point,
+    /// in [`RTree::search_point`]'s order; the same contract as
+    /// [`RTree::visit_window`].
+    pub fn visit_point<'a>(&'a self, p: &Point, mut visit: impl FnMut(&'a Entry<T>)) {
         let mut scratch = self.scratch.borrow_mut();
         let stack = &mut scratch.stack;
         stack.clear();
@@ -103,29 +121,33 @@ impl<T> RTree<T> {
             let node = self.arena.node(id);
             match &node.kind {
                 Kind::Leaf(es) => {
-                    node.slabs.each_containing_point(p, |i| res.push(&es[i]));
+                    node.slabs.each_containing_point(p, |i| visit(&es[i]));
                 }
                 Kind::Internal(cs) => {
                     node.slabs.each_containing_point(p, |i| stack.push(cs[i]));
                 }
             }
         }
-        res
     }
 
-    /// Appends every entry of the subtree rooted at `id` to `res` — the
-    /// report-all descent for covered subtrees.
+    /// Visits every entry of the subtree rooted at `id` — the report-all
+    /// descent for covered subtrees.
     ///
     /// Iterative preorder walk over an explicit stack: children are pushed
     /// in reverse so pop order matches the recursive left-to-right descent
     /// exactly, keeping result order bit-for-bit stable while avoiding the
     /// per-node call frames that dominated this path under profiling.
-    fn push_all<'a>(&'a self, id: NodeId, res: &mut Vec<&'a Entry<T>>, stack: &mut Vec<NodeId>) {
+    fn visit_all<'a>(
+        &'a self,
+        id: NodeId,
+        visit: &mut impl FnMut(&'a Entry<T>),
+        stack: &mut Vec<NodeId>,
+    ) {
         debug_assert!(stack.is_empty());
         stack.push(id);
         while let Some(id) = stack.pop() {
             match &self.arena.node(id).kind {
-                Kind::Leaf(es) => res.extend(es.iter()),
+                Kind::Leaf(es) => es.iter().for_each(&mut *visit),
                 Kind::Internal(cs) => {
                     // The tree is balanced, so siblings share a level:
                     // probing the first child classifies the whole list.
@@ -137,7 +159,7 @@ impl<T> RTree<T> {
                     if leaf_level {
                         for &c in cs {
                             if let Kind::Leaf(es) = &self.arena.node(c).kind {
-                                res.extend(es.iter());
+                                es.iter().for_each(&mut *visit);
                             }
                         }
                     } else {
