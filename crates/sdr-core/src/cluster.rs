@@ -315,6 +315,8 @@ impl Cluster {
     /// survives chaos mode.
     pub fn drain(&mut self) -> Vec<Message> {
         let mut to_clients = Vec::new();
+        // One outbox serves every delivery of the drain.
+        let mut out = Outbox::new(ServerId(0), 0);
         while let Some(mut env) = self.next_envelope() {
             let verdict = if env.fresh {
                 self.faults.decide_delivery(env.msg.payload.category())
@@ -344,7 +346,7 @@ impl Cluster {
                         });
                     }
                     let released = self.faults.tick();
-                    self.deliver(env, &mut to_clients);
+                    self.deliver(env, &mut to_clients, &mut out);
                     self.queue.extend(released);
                 }
             }
@@ -372,7 +374,7 @@ impl Cluster {
     /// Delivers one message to its endpoint. Every delivery advances
     /// the logical clock; messages the handler emits become children
     /// of the delivered envelope (`parent = env.id`, `depth + 1`).
-    fn deliver(&mut self, env: Envelope, to_clients: &mut Vec<Message>) {
+    fn deliver(&mut self, env: Envelope, to_clients: &mut Vec<Message>, out: &mut Outbox) {
         self.tick += 1;
         match env.msg.to {
             Endpoint::Server(sid) => {
@@ -407,19 +409,19 @@ impl Cluster {
                     clippy::cast_possible_truncation,
                     reason = "server ids are allocated densely from 0; the count fits u32 by the id-space contract"
                 )]
-                let mut out = Outbox::new(sid, self.servers.len() as u32);
+                out.reset(sid, self.servers.len() as u32);
                 #[expect(clippy::indexing_slicing, reason = "idx bounds-checked above")]
-                self.servers[idx].handle(msg.from, msg.payload, &mut out);
+                self.servers[idx].handle(msg.from, msg.payload, out);
                 self.stats.record_refused(out.refused.len());
-                for alloc in out.allocated {
+                for alloc in out.allocated.drain(..) {
                     debug_assert_eq!(alloc.0 as usize, self.servers.len());
                     self.servers.push(Server::bare(alloc, self.config));
                 }
-                for child in out.msgs {
+                for child in out.msgs.drain(..) {
                     let e = self.envelope(child, id, depth + 1);
                     self.queue.push_back(e);
                 }
-                for child in out.deferred {
+                for child in out.deferred.drain(..) {
                     let e = self.envelope(child, id, depth + 1);
                     self.faults.defer(e);
                 }

@@ -111,6 +111,18 @@ impl Outbox {
         }
     }
 
+    /// Empties the outbox for the next handling step, by `self_id` and
+    /// allocating sequentially from `next_server` upward, as
+    /// [`Outbox::new`] would, but keeping its buffers.
+    pub(crate) fn reset(&mut self, self_id: ServerId, next_server: u32) {
+        self.msgs.clear();
+        self.deferred.clear();
+        self.allocated.clear();
+        self.refused.clear();
+        self.allocator = Allocator::Sequential(next_server);
+        self.self_id = self_id;
+    }
+
     /// The handling server's id.
     pub fn self_id(&self) -> ServerId {
         self.self_id
@@ -302,18 +314,7 @@ impl Server {
 
     /// Appends this server's [`Server::iam_links`] to an operation trace.
     pub(crate) fn append_iam(&self, trace: &mut Trace) {
-        debug_assert!(
-            trace.len() < 400,
-            "operation path exploded ({} links) at {}: forwarding loop?",
-            trace.len(),
-            self.id
-        );
-        if let Some(d) = self.data.as_ref().filter(|d| d.dr.is_some()) {
-            trace.push(d.link(self.id));
-        }
-        if let Some(r) = &self.routing {
-            trace.extend([r.link(self.id), r.left, r.right]);
-        }
+        append_iam(self.id, self.data.as_ref(), self.routing.as_ref(), trace);
     }
 
     /// Main dispatch: handles one message, emitting follow-ups into
@@ -461,13 +462,13 @@ impl Server {
         initial: bool,
         out: &mut Outbox,
     ) -> Result<(), Refused> {
-        self.append_iam(&mut ins.trace);
         let Some(d) = self.data.as_mut() else {
             // Eliminated data node (a stale image addressed it): follow
             // the tombstone left at dissolution. Tombstone chains are
             // acyclic (they always point at a node that was live when
             // the tombstone was written, and server ids are never
             // reused), so this terminates.
+            self.append_iam(&mut ins.trace);
             match self.tombstone(NodeKind::Data) {
                 Some(t) => forward_insert(t, ins, out),
                 None if self.routing.is_some() => return self.on_insert_ascend(ins, out),
@@ -476,7 +477,14 @@ impl Server {
             return Ok(());
         };
         // A parentless data node is the root leaf, which covers everything.
-        if let Some(parent) = d.parent.filter(|_| !d.covers(&ins.obj.mbb)) {
+        let up = d.parent.filter(|_| !d.covers(&ins.obj.mbb));
+        // The trace is the IAM: only a forward or an acknowledgement
+        // carries it, so an initial insert stored on the spot (the common
+        // case) never builds one.
+        if up.is_some() || !initial {
+            append_iam(self.id, Some(d), self.routing.as_ref(), &mut ins.trace);
+        }
+        if let Some(parent) = up {
             forward_insert(NodeRef::routing(parent), ins, out);
             return Ok(());
         }
@@ -593,8 +601,9 @@ impl Server {
         // Divide the objects in two approximately equal subsets (§2.2):
         // the whole node goes through the R* sweep once, as if it were one
         // overflowing R-tree node whose halves must each keep 40 %. That is
-        // O(n log n) in the node: five sorts and a few linear passes
-        // (DESIGN.md decision 16).
+        // O(n) in the node: four radix sorts and a few linear passes
+        // (DESIGN.md decision 16). `keep` reuses the drained vector and
+        // `give` moves through `SplitCreate` without a copy.
         let entries = d.tree.drain_all();
         let min_half = ((entries.len() * 2) / 5).max(1);
         let (keep, give) = sdr_rtree::partition(entries, min_half);
@@ -679,6 +688,28 @@ impl Server {
             parent: Some(self.id),
             oc: data_oc,
         });
+    }
+}
+
+/// Appends the IAM links of server `id`, hosting `data` and `routing`, to
+/// an operation trace: [`Server::append_iam`] for a caller that already
+/// holds the data node mutably.
+fn append_iam(
+    id: ServerId,
+    data: Option<&DataNode>,
+    routing: Option<&RoutingNode>,
+    trace: &mut Trace,
+) {
+    debug_assert!(
+        trace.len() < 400,
+        "operation path exploded ({} links) at {id}: forwarding loop?",
+        trace.len(),
+    );
+    if let Some(d) = data.filter(|d| d.dr.is_some()) {
+        trace.push(d.link(id));
+    }
+    if let Some(r) = routing {
+        trace.extend([r.link(id), r.left, r.right]);
     }
 }
 

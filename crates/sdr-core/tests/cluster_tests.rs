@@ -746,3 +746,27 @@ fn runs_are_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// Objects with a NaN x reach the data-node split, whose sort keys used
+/// to panic on them inside `maybe_split`. The cluster now splits around
+/// them and answers every well-formed object.
+#[test]
+fn nan_coordinates_do_not_panic_a_split() {
+    let mut data = uniform(400, 5);
+    for r in data.iter_mut().step_by(7) {
+        r.xmin = f64::NAN;
+        r.xmax = f64::NAN;
+    }
+    let mut cluster = Cluster::new(SdrConfig::with_capacity(20));
+    let mut client = Client::new(ClientId(0), Variant::ImClient, 1);
+    build(&mut cluster, &mut client, &data);
+    assert!(cluster.num_servers() > 1, "no split happened");
+    assert_eq!(cluster.total_objects(), 400);
+    for (i, r) in data.iter().enumerate().filter(|(_, r)| !r.xmin.is_nan()) {
+        let got = client.point_query(&mut cluster, r.center());
+        assert!(
+            got.results.iter().any(|o| o.oid.0 == i as u64),
+            "object {i} not found at its centre"
+        );
+    }
+}

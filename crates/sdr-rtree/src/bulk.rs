@@ -14,6 +14,7 @@ use crate::config::RTreeConfig;
 use crate::entry::Entry;
 use crate::node::{Arena, Kind, Node, NodeId, Slabs};
 use crate::query::Scratch;
+use crate::split::order_key;
 use crate::tree::RTree;
 use sdr_geom::Rect;
 use std::cell::RefCell;
@@ -41,7 +42,7 @@ impl<T> RTree<T> {
     /// assert_eq!(tree.len(), 1000);
     /// assert!(tree.stats().avg_leaf_fill > 0.8); // STR packs leaves nearly full
     /// ```
-    pub fn bulk_load(config: RTreeConfig, mut entries: Vec<Entry<T>>) -> Self {
+    pub fn bulk_load(config: RTreeConfig, entries: Vec<Entry<T>>) -> Self {
         config.validate();
         let len = entries.len();
         if len == 0 {
@@ -50,7 +51,7 @@ impl<T> RTree<T> {
         let m = config.max_entries;
         let mut arena: Arena<T> = Arena::new();
         // Pack the leaf level.
-        let leaves: Vec<(Rect, NodeId)> = str_pack(&mut entries, m, |chunk| {
+        let leaves: Vec<(Rect, NodeId)> = str_pack(entries, m, |chunk| {
             let slabs = Slabs::from_rects(chunk.iter().map(|e| &e.rect));
             let rect = slabs.mbb().expect("non-empty chunk");
             let id = arena.alloc(Node {
@@ -62,7 +63,7 @@ impl<T> RTree<T> {
         // Pack upper levels until a single root remains.
         let mut level = leaves;
         while level.len() > 1 {
-            level = str_pack(&mut level, m, |chunk| {
+            level = str_pack(level, m, |chunk| {
                 let mut slabs = Slabs::with_capacity(chunk.len());
                 let mut ids = Vec::with_capacity(chunk.len());
                 for (r, id) in chunk {
@@ -122,8 +123,13 @@ impl Centered for (Rect, NodeId) {
 /// this guarantees that every produced node satisfies the `m >= M * 40 %`
 /// minimum-fill invariant (a plain greedy cut can leave a nearly empty
 /// trailing node).
+///
+/// Both sorts are stable and compute each item's centre key once
+/// ([`order_key`], so a NaN centre sorts last instead of breaking the
+/// sort). The slices are sorted in place; the chunks are then moved out
+/// in one front-to-back pass.
 fn str_pack<I: Centered, O>(
-    items: &mut Vec<I>,
+    mut items: Vec<I>,
     m: usize,
     mut make: impl FnMut(Vec<I>) -> O,
 ) -> Vec<O> {
@@ -131,29 +137,26 @@ fn str_pack<I: Centered, O>(
     let n_pages = n.div_ceil(m);
     let n_slices = (n_pages as f64).sqrt().ceil() as usize;
 
-    items.sort_by(|a, b| {
-        a.cx()
-            .partial_cmp(&b.cx())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut out = Vec::with_capacity(n_pages);
-    let mut rest = std::mem::take(items);
+    items.sort_by_cached_key(|it| order_key(it.cx()));
+    let mut slices = Vec::with_capacity(n_slices.max(1));
+    let mut start = 0;
     let mut slices_left = n_slices.max(1);
-    while !rest.is_empty() {
-        let take = rest.len().div_ceil(slices_left).min(rest.len());
+    while start < n {
+        let take = (n - start).div_ceil(slices_left);
         slices_left = slices_left.saturating_sub(1);
-        let mut slice: Vec<I> = rest.drain(..take).collect();
-        slice.sort_by(|a, b| {
-            a.cy()
-                .partial_cmp(&b.cy())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut chunks_left = slice.len().div_ceil(m);
-        while !slice.is_empty() {
-            let take = slice.len().div_ceil(chunks_left.max(1)).min(slice.len());
+        items[start..start + take].sort_by_cached_key(|it| order_key(it.cy()));
+        slices.push(take);
+        start += take;
+    }
+    let mut out = Vec::with_capacity(n_pages);
+    let mut rest = items.into_iter();
+    for mut left in slices {
+        let mut chunks_left = left.div_ceil(m);
+        while left > 0 {
+            let take = left.div_ceil(chunks_left.max(1)).min(left);
             chunks_left = chunks_left.saturating_sub(1);
-            let chunk: Vec<I> = slice.drain(..take).collect();
-            out.push(make(chunk));
+            out.push(make(rest.by_ref().take(take).collect()));
+            left -= take;
         }
     }
     out

@@ -5,7 +5,8 @@
 //! deletion with tree condensation, window/point search and best-first
 //! k-nearest-neighbour search. [`partition`] divides a whole SD-Rtree data
 //! node with the R\*-tree axis sweep instead: one split per tree level
-//! (DESIGN.md decision 16).
+//! (DESIGN.md decision 16). [`quadratic_split`] applies the local tree's
+//! node split to any set of entries.
 //!
 //! In the SD-Rtree reproduction this crate plays two roles, both taken
 //! from the paper:
@@ -55,6 +56,6 @@ mod tree;
 
 pub use config::RTreeConfig;
 pub use entry::Entry;
-pub use split::partition;
+pub use split::{partition, quadratic_split};
 pub use stats::RTreeStats;
 pub use tree::{Iter, RTree};

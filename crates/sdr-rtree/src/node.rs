@@ -110,6 +110,12 @@ impl Slabs {
         self.len == 0
     }
 
+    /// Empties every section, keeping the buffer.
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+    }
+
     #[inline]
     pub(crate) fn push(&mut self, r: &Rect) {
         if self.len == self.cap {

@@ -9,10 +9,14 @@
 //! return *index groups*: which slots of the overflowing node go left and
 //! which go right, in assignment order. The caller distributes the
 //! payload (leaf entries, child ids, or the data node's objects) by those
-//! indices. Seed picking, PickNext, and the R\* margin sweep all read the
-//! four coordinate arrays directly — no per-rectangle pointer chase, and
-//! every tie-break matches the original item-moving implementation
-//! exactly, so tree shapes are reproducible across the layout change.
+//! indices. Each kernel is a run of straight passes over contiguous
+//! columns — pair wastes one row at a time, enlargements one group at a
+//! time, radix passes over normalised sort keys — into buffers reused
+//! across passes. Every decision, tie-breaks included, equals the plain
+//! loops they replaced, so tree shapes do not move
+//! (`tests/split_equivalence.rs` keeps those loops as its oracle). Sort
+//! keys go through [`order_key`], a total order, so a NaN coordinate
+//! cannot break a sort.
 
 use crate::entry::Entry;
 use crate::node::Slabs;
@@ -23,7 +27,8 @@ use sdr_geom::Rect;
 /// data "is divided in two approximately equal subsets using a split
 /// algorithm similar to that of the classical Rtree"). Each group holds
 /// at least `min_entries` entries, capped at half the set. It costs
-/// O(n log n): five sorts and linear sweeps.
+/// O(n): four stable radix sorts (a fifth only when the winning key has
+/// ties) and linear sweeps.
 ///
 /// # Panics
 ///
@@ -46,117 +51,320 @@ use sdr_geom::Rect;
 /// assert_eq!(left.len() + right.len(), 8);
 /// assert_eq!(left.len(), 4);
 /// ```
-pub fn partition<T>(entries: Vec<Entry<T>>, min_entries: usize) -> (Vec<Entry<T>>, Vec<Entry<T>>) {
+pub fn partition<T>(
+    mut entries: Vec<Entry<T>>,
+    min_entries: usize,
+) -> (Vec<Entry<T>>, Vec<Entry<T>>) {
     assert!(
         entries.len() >= 2,
         "cannot partition fewer than two entries"
     );
     let slabs = Slabs::from_rects(entries.iter().map(|e| &e.rect));
-    let (ga, gb) = rstar_split(&slabs, min_entries);
-    gather(entries, &ga, &gb)
+    let (mut order, k) = rstar_split(&slabs, min_entries);
+    permute(&mut entries, &mut order);
+    let right = entries.split_off(k);
+    (entries, right)
 }
 
-/// Moves `payload` into two vectors following the index groups, in group
-/// order. Used for leaf entries, internal child ids, and the public
-/// [`partition`].
-pub(crate) fn gather<P>(payload: Vec<P>, ga: &[u32], gb: &[u32]) -> (Vec<P>, Vec<P>) {
-    let mut slots: Vec<Option<P>> = payload.into_iter().map(Some).collect();
-    let take = |slots: &mut Vec<Option<P>>, group: &[u32]| {
-        group
-            .iter()
-            .map(|&i| slots[i as usize].take().expect("index groups are disjoint"))
-            .collect()
-    };
-    let a = take(&mut slots, ga);
-    let b = take(&mut slots, gb);
+/// Divides a set of entries with Guttman's quadratic split, the split
+/// every node of the local [`crate::RTree`] uses when it overflows. The
+/// two seeds head the two groups, which keep their assignment order;
+/// each group holds at least `min_entries` entries when the set allows.
+///
+/// # Panics
+///
+/// Panics if `entries.len() < 2`.
+///
+/// # Examples
+///
+/// ```
+/// use sdr_geom::Rect;
+/// use sdr_rtree::{quadratic_split, Entry};
+///
+/// let entries: Vec<Entry<u32>> = (0..8)
+///     .map(|i| {
+///         let x = if i < 4 { f64::from(i) } else { 100.0 + f64::from(i) };
+///         Entry::new(Rect::new(x, 0.0, x + 1.0, 1.0), i)
+///     })
+///     .collect();
+/// let (a, b) = quadratic_split(entries, 3);
+/// assert_eq!((a.len(), b.len()), (4, 4));
+/// assert!(a.iter().all(|e| (e.item < 4) == (a[0].item < 4)));
+/// ```
+pub fn quadratic_split<T>(
+    entries: Vec<Entry<T>>,
+    min_entries: usize,
+) -> (Vec<Entry<T>>, Vec<Entry<T>>) {
+    assert!(entries.len() >= 2, "cannot split fewer than two entries");
+    let slabs = Slabs::from_rects(entries.iter().map(|e| &e.rect));
+    let mut scratch = SplitScratch::with_capacity(entries.len());
+    guttman_split(&slabs, min_entries, &mut scratch);
+    gather(entries, &mut scratch)
+}
+
+/// Maps a coordinate to a `u64` whose unsigned order is a total order on
+/// `f64` that agrees with `f64::partial_cmp` wherever that is defined:
+/// −0.0 folds onto +0.0 and every NaN sorts last, after +∞. A stable sort
+/// by this key orders NaN-free input exactly as a stable sort by
+/// `partial_cmp` does.
+#[inline]
+pub(crate) fn order_key(v: f64) -> u64 {
+    if v.is_nan() {
+        return u64::MAX;
+    }
+    // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+    let bits = (v + 0.0).to_bits();
+    // Negative values flip every bit, the others set the sign bit.
+    let mask = ((bits as i64 >> 63) as u64) | (1 << 63);
+    bits ^ mask
+}
+
+/// The quadratic split's result and buffers, one set per split: each is
+/// allocated once at the node's size.
+#[derive(Debug)]
+pub(crate) struct SplitScratch {
+    /// The groups of the last split, in assignment order.
+    ga: Vec<u32>,
+    gb: Vec<u32>,
+    /// Unassigned slots, in the order the classic `swap_remove` loop
+    /// leaves them, and their coordinates (`xmin, ymin, xmax, ymax`) in
+    /// that order; doubles as the permutation of [`gather`].
+    rem: Vec<u32>,
+    cols: [Vec<f64>; 4],
+    /// Each unassigned slot's enlargement of group a and of group b.
+    ea: Vec<f64>,
+    eb: Vec<f64>,
+    /// Every slot's area, then one row of pair wastes.
+    area: Vec<f64>,
+    row: Vec<f64>,
+}
+
+impl SplitScratch {
+    /// Buffers for splitting a node of `n` slots.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let f = || Vec::with_capacity(n);
+        SplitScratch {
+            ga: Vec::with_capacity(n),
+            gb: Vec::with_capacity(n),
+            rem: Vec::with_capacity(n),
+            cols: [f(), f(), f(), f()],
+            ea: f(),
+            eb: f(),
+            area: f(),
+            row: f(),
+        }
+    }
+
+    /// The two index groups of the last [`guttman_split`].
+    #[cfg(test)]
+    pub(crate) fn groups(&self) -> (&[u32], &[u32]) {
+        (&self.ga, &self.gb)
+    }
+}
+
+/// Moves `payload` into the two groups of the last [`guttman_split`], in
+/// group order, each half allocated at its exact length. Used for leaf
+/// entries, internal child ids and [`quadratic_split`].
+pub(crate) fn gather<P>(mut payload: Vec<P>, s: &mut SplitScratch) -> (Vec<P>, Vec<P>) {
+    s.rem.clear();
+    s.rem.extend_from_slice(&s.ga);
+    s.rem.extend_from_slice(&s.gb);
+    permute(&mut payload, &mut s.rem);
+    let b: Vec<P> = payload.drain(s.ga.len()..).collect();
+    #[expect(
+        clippy::drain_collect,
+        reason = "a fresh vector at the half's length; `mem::take` would keep the overflowing node's capacity in every left half"
+    )]
+    let a: Vec<P> = payload.drain(..).collect();
     (a, b)
 }
 
-/// Builds the two slab halves for the index groups.
-pub(crate) fn gather_slabs(slabs: &Slabs, ga: &[u32], gb: &[u32]) -> (Slabs, Slabs) {
-    let pick = |group: &[u32]| {
-        let mut s = Slabs::with_capacity(group.len());
-        for &i in group {
-            s.push(&slabs.rect(i as usize));
+/// Rearranges `items` in place so that position `p` holds what was at
+/// slot `order[p]`, one swap per moved item along the permutation's
+/// cycles. `order` is used up: it leaves as the identity.
+fn permute<P>(items: &mut [P], order: &mut [u32]) {
+    for start in 0..items.len() {
+        let mut at = start;
+        loop {
+            let from = order[at] as usize;
+            order[at] = at as u32;
+            if from == start {
+                break;
+            }
+            items.swap(at, from);
+            at = from;
         }
-        s
+    }
+}
+
+/// Builds the two slab halves for the index groups.
+pub(crate) fn gather_slabs(slabs: &Slabs, s: &SplitScratch) -> (Slabs, Slabs) {
+    let pick = |group: &[u32]| {
+        let mut out = Slabs::with_capacity(group.len());
+        for &i in group {
+            out.push(&slabs.rect(i as usize));
+        }
+        out
     };
-    (pick(ga), pick(gb))
+    (pick(&s.ga), pick(&s.gb))
+}
+
+/// `a.max(b)` as a plain compare-select, which vectorises without the
+/// NaN fix-up of `f64::max`. The two differ only when `a` is NaN (this
+/// returns it) or both are zeros of opposite sign, and no split decision
+/// can see either. `a` is always a coordinate of the rectangle whose area
+/// the caller subtracts (row `i` of the pair wastes, the group of an
+/// enlargement), so a NaN there makes the result NaN both ways; and the
+/// sign of a zero is lost in every comparison.
+#[inline]
+fn max_sel(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// `a.min(b)` as a plain compare-select; see [`max_sel`].
+#[inline]
+fn min_sel(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
 }
 
 /// Guttman's QuadraticPickSeeds: choose the pair that would waste the most
-/// area if grouped together. The O(n²) pairwise sweep runs entirely over
-/// the coordinate slabs.
-fn quadratic_pick_seeds(slabs: &Slabs) -> (usize, usize) {
+/// area if grouped together, the first such pair in `(i, j)` order. Each
+/// row `i` is one pass writing the wastes of every pair `(i, j > i)` into
+/// `row` from the slab columns and the precomputed areas, then one scan
+/// for a new maximum.
+fn quadratic_pick_seeds(slabs: &Slabs, area: &mut Vec<f64>, row: &mut Vec<f64>) -> (usize, usize) {
+    let (xmin, ymin, xmax, ymax) = slabs.sections();
+    area.clear();
+    area.extend(
+        xmin.iter()
+            .zip(ymin)
+            .zip(xmax.iter().zip(ymax))
+            .map(|((&x0, &y0), (&x1, &y1))| (x1 - x0) * (y1 - y0)),
+    );
     let mut worst = f64::NEG_INFINITY;
     let mut best = (0, 1);
-    let n = slabs.len();
-    let (xmin, ymin, xmax, ymax) = slabs.sections();
-    for i in 0..n {
-        let area_i = (xmax[i] - xmin[i]) * (ymax[i] - ymin[i]);
-        for j in (i + 1)..n {
-            let area_j = (xmax[j] - xmin[j]) * (ymax[j] - ymin[j]);
-            let uw = xmax[i].max(xmax[j]) - xmin[i].min(xmin[j]);
-            let uh = ymax[i].max(ymax[j]) - ymin[i].min(ymin[j]);
-            let waste = uw * uh - area_i - area_j;
+    for i in 0..slabs.len() {
+        let j0 = i + 1;
+        let (ix0, iy0, ix1, iy1, ia) = (xmin[i], ymin[i], xmax[i], ymax[i], area[i]);
+        row.clear();
+        row.extend(
+            xmin[j0..]
+                .iter()
+                .zip(&ymin[j0..])
+                .zip(xmax[j0..].iter().zip(&ymax[j0..]))
+                .zip(&area[j0..])
+                .map(|(((&x0, &y0), (&x1, &y1)), &aj)| {
+                    let uw = max_sel(ix1, x1) - min_sel(ix0, x0);
+                    let uh = max_sel(iy1, y1) - min_sel(iy0, y0);
+                    uw * uh - ia - aj
+                }),
+        );
+        for (j, &waste) in row.iter().enumerate() {
             if waste > worst {
                 worst = waste;
-                best = (i, j);
+                best = (i, j0 + j);
             }
         }
     }
     best
 }
 
+/// Writes how much group MBB `g` would grow to cover each rectangle of
+/// `cols` — `Rect::enlargement`, one straight pass over the columns.
+fn enlargements(g: &Rect, cols: &[Vec<f64>; 4], out: &mut Vec<f64>) {
+    let [x0, y0, x1, y1] = cols;
+    let area = g.area();
+    out.clear();
+    out.extend(
+        x0.iter()
+            .zip(y0)
+            .zip(x1.iter().zip(y1))
+            .map(|((&a, &b), (&c, &d))| {
+                (max_sel(g.xmax, c) - min_sel(g.xmin, a))
+                    * (max_sel(g.ymax, d) - min_sel(g.ymin, b))
+                    - area
+            }),
+    );
+}
+
 /// Guttman's quadratic split of an overflowing local-tree node (`len ==
 /// M + 1` in tree usage, but any length ≥ 2 is accepted): quadratic seeds,
 /// then PickNext until one group must take the rest to reach
-/// `min_entries`. Both groups are non-empty, and the seeds head them.
-/// Tracks a remaining-index vector mirroring the `swap_remove` sequence of
-/// the original item-moving loop, so assignment order and every tie-break
-/// are preserved bit-for-bit.
-pub(crate) fn guttman_split(slabs: &Slabs, min_entries: usize) -> (Vec<u32>, Vec<u32>) {
+/// `min_entries`. Both groups are non-empty, and the seeds head them; they
+/// are left in `s` ([`SplitScratch::groups`]).
+///
+/// The unassigned slots keep the order of the classic `swap_remove` loop,
+/// with their coordinates and their enlargements of both groups in
+/// parallel columns; after each assignment only the group that grew is
+/// re-scored. Assignment order and every tie-break are the classic ones.
+pub(crate) fn guttman_split(slabs: &Slabs, min_entries: usize, s: &mut SplitScratch) {
     debug_assert!(slabs.len() >= 2, "cannot split fewer than two items");
     let m = min_entries;
-    let (s1, s2) = quadratic_pick_seeds(slabs);
-    let mut rem: Vec<u32> = (0..slabs.len() as u32).collect();
+    let (s1, s2) = quadratic_pick_seeds(slabs, &mut s.area, &mut s.row);
+    let SplitScratch {
+        ga,
+        gb,
+        rem,
+        cols,
+        ea,
+        eb,
+        ..
+    } = s;
+    rem.clear();
+    rem.extend(0..slabs.len() as u32);
     // Remove the later index first so the earlier one stays valid.
     let (hi, lo) = if s1 > s2 { (s1, s2) } else { (s2, s1) };
     let seed_b = rem.swap_remove(hi);
     let seed_a = rem.swap_remove(lo);
+    let (xmin, ymin, xmax, ymax) = slabs.sections();
+    for (col, src) in cols.iter_mut().zip([xmin, ymin, xmax, ymax]) {
+        col.clear();
+        col.extend(rem.iter().map(|&i| src[i as usize]));
+    }
 
     let mut ra = slabs.rect(seed_a as usize);
     let mut rb = slabs.rect(seed_b as usize);
-    let mut group_a = vec![seed_a];
-    let mut group_b = vec![seed_b];
+    enlargements(&ra, cols, ea);
+    enlargements(&rb, cols, eb);
+    ga.clear();
+    ga.push(seed_a);
+    gb.clear();
+    gb.push(seed_b);
 
     while !rem.is_empty() {
         // If one group must absorb everything left to reach `m`, do so.
-        if group_a.len() + rem.len() == m {
-            group_a.append(&mut rem);
+        if ga.len() + rem.len() == m {
+            ga.append(rem);
             break;
         }
-        if group_b.len() + rem.len() == m {
-            group_b.append(&mut rem);
+        if gb.len() + rem.len() == m {
+            gb.append(rem);
             break;
         }
         // PickNext: the slot with the maximal preference difference.
-        let mut best_idx = 0;
+        let mut best = 0;
         let mut best_diff = f64::NEG_INFINITY;
-        for (i, &slot) in rem.iter().enumerate() {
-            let r = slabs.rect(slot as usize);
-            let da = ra.enlargement(&r);
-            let db = rb.enlargement(&r);
+        for (i, (&da, &db)) in ea.iter().zip(eb.iter()).enumerate() {
             let diff = (da - db).abs();
             if diff > best_diff {
                 best_diff = diff;
-                best_idx = i;
+                best = i;
             }
         }
-        let slot = rem.swap_remove(best_idx);
-        let r = slabs.rect(slot as usize);
-        let da = ra.enlargement(&r);
-        let db = rb.enlargement(&r);
+        let slot = rem.swap_remove(best);
+        for col in cols.iter_mut() {
+            col.swap_remove(best);
+        }
+        let da = ea.swap_remove(best);
+        let db = eb.swap_remove(best);
         // Resolve ties by smaller area, then smaller group.
         let to_a = match da.partial_cmp(&db) {
             Some(std::cmp::Ordering::Less) => true,
@@ -164,120 +372,195 @@ pub(crate) fn guttman_split(slabs: &Slabs, min_entries: usize) -> (Vec<u32>, Vec
             _ => match ra.area().partial_cmp(&rb.area()) {
                 Some(std::cmp::Ordering::Less) => true,
                 Some(std::cmp::Ordering::Greater) => false,
-                _ => group_a.len() <= group_b.len(),
+                _ => ga.len() <= gb.len(),
             },
         };
+        let r = slabs.rect(slot as usize);
         if to_a {
             ra.enlarge(&r);
-            group_a.push(slot);
+            ga.push(slot);
+            enlargements(&ra, cols, ea);
         } else {
             rb.enlarge(&r);
-            group_b.push(slot);
+            gb.push(slot);
+            enlargements(&rb, cols, eb);
         }
     }
-    (group_a, group_b)
+}
+
+/// A stable LSD radix sort of slot indices by [`order_key`], one byte per
+/// pass; a byte every key shares costs no pass. Chained calls refine one
+/// order the way chained stable comparison sorts do: equal keys keep the
+/// order the previous call left them in.
+struct Radix {
+    order: Vec<u32>,
+    keys: Vec<u64>,
+    spare_order: Vec<u32>,
+    spare_keys: Vec<u64>,
+}
+
+impl Radix {
+    /// Starts from the identity order of `n ≥ 1` slots.
+    fn identity(n: usize) -> Self {
+        Radix {
+            order: (0..n as u32).collect(),
+            keys: vec![0; n],
+            spare_order: vec![0; n],
+            spare_keys: vec![0; n],
+        }
+    }
+
+    /// Stably reorders `self.order` by `order_key(col[slot])`. Returns
+    /// whether two slots have equal keys.
+    fn sort_by(&mut self, col: &[f64]) -> bool {
+        let n = self.order.len();
+        for (key, &slot) in self.keys.iter_mut().zip(&self.order) {
+            *key = order_key(col[slot as usize]);
+        }
+        let mut hist = [[0u32; 256]; 8];
+        for &k in &self.keys {
+            for (b, h) in hist.iter_mut().enumerate() {
+                h[(k >> (8 * b)) as usize & 0xff] += 1;
+            }
+        }
+        for (b, h) in hist.iter_mut().enumerate() {
+            let shift = 8 * b;
+            if h[(self.keys[0] >> shift) as usize & 0xff] as usize == n {
+                continue;
+            }
+            let mut sum = 0;
+            for c in h.iter_mut() {
+                let count = *c;
+                *c = sum;
+                sum += count;
+            }
+            for (&k, &slot) in self.keys.iter().zip(&self.order) {
+                let digit = (k >> shift) as usize & 0xff;
+                let at = h[digit] as usize;
+                h[digit] += 1;
+                self.spare_keys[at] = k;
+                self.spare_order[at] = slot;
+            }
+            std::mem::swap(&mut self.keys, &mut self.spare_keys);
+            std::mem::swap(&mut self.order, &mut self.spare_order);
+        }
+        self.keys.windows(2).any(|w| w[0] == w[1])
+    }
+}
+
+/// One distribution of the R\* sweep: the first `k` slots of a sorted
+/// order go left.
+#[derive(Clone, Copy)]
+struct Candidate {
+    k: usize,
+    overlap: f64,
+    area: f64,
+}
+
+/// Scores every cut `k` in `m..=n - m` of one sorted order: returns the
+/// sum of both halves' margins over all cuts, and the cut with minimal
+/// overlap, ties broken by total area, then by the earlier cut. The left
+/// MBB grows in the forward loop; the right ones come from one backward
+/// pass into `suffix`, stored from the last slot down.
+fn sweep(slabs: &Slabs, order: &[u32], m: usize, suffix: &mut Slabs) -> (f64, Candidate) {
+    let total = order.len();
+    let rect = |p: usize| slabs.rect(order[p] as usize);
+    suffix.clear();
+    let mut acc = rect(total - 1);
+    suffix.push(&acc);
+    for p in (m..total - 1).rev() {
+        acc.enlarge(&rect(p));
+        suffix.push(&acc);
+    }
+    let mut left = rect(0);
+    for p in 1..m {
+        left.enlarge(&rect(p));
+    }
+    let mut margin_sum = 0.0;
+    let mut best: Option<Candidate> = None;
+    for k in m..=(total - m) {
+        if k > m {
+            left.enlarge(&rect(k - 1));
+        }
+        let right = suffix.rect(total - 1 - k);
+        margin_sum += left.margin() + right.margin();
+        let cand = Candidate {
+            k,
+            overlap: left.overlap_area(&right),
+            area: left.area() + right.area(),
+        };
+        let better = match &best {
+            None => true,
+            Some(b) => {
+                cand.overlap < b.overlap || (cand.overlap == b.overlap && cand.area < b.area)
+            }
+        };
+        if better {
+            best = Some(cand);
+        }
+    }
+    (
+        margin_sum,
+        best.expect("m <= n / 2 leaves at least one cut"),
+    )
 }
 
 /// The R\*-tree split: choose axis by minimal margin sum over all valid
 /// distributions (sorting by both the lower and upper rectangle bounds),
 /// then the distribution with minimal overlap area, ties broken by total
-/// area.
+/// area. Returns the winning order and its cut: `order[..k]` goes left.
 ///
-/// The index permutation is sorted stably in place across the four
-/// axis/bound passes — equal keys keep their order from the previous
-/// pass, exactly as repeated stable sorts of the original item vector
-/// did — and each pass evaluates every cut position from prefix/suffix
-/// MBB sweeps over the slabs (O(n) per pass instead of the previous
-/// O(n²) recompute-per-cut).
-fn rstar_split(slabs: &Slabs, min_entries: usize) -> (Vec<u32>, Vec<u32>) {
+/// The four passes (x by lower bound, x by upper, then y) refine one
+/// order with stable radix sorts, so equal keys keep their order from the
+/// previous pass. The winning pass's order is reread from it when its
+/// keys are all distinct (no other order sorts them then) and otherwise
+/// sorted once more from the last pass's order.
+fn rstar_split(slabs: &Slabs, min_entries: usize) -> (Vec<u32>, usize) {
+    struct Best {
+        pass: usize,
+        margin: f64,
+        cand: Candidate,
+        ties: bool,
+    }
+
     let total = slabs.len();
     let m = min_entries.min(total / 2).max(1);
-
-    #[derive(Clone, Copy)]
-    struct Candidate {
-        k: usize,
-        overlap: f64,
-        area: f64,
-    }
-
-    let mut idx: Vec<u32> = (0..total as u32).collect();
-    let mut prefix: Vec<Rect> = Vec::with_capacity(total);
-    let mut suffix: Vec<Rect> = Vec::with_capacity(total);
-
-    let mut best_axis: Option<(usize, bool)> = None;
-    let mut best_margin = f64::INFINITY;
-    let mut best_candidate: Option<Candidate> = None;
-
-    for axis in 0..2usize {
-        for by_upper in [false, true] {
-            sort_ids(&mut idx, slabs, axis, by_upper);
-            // Running MBBs of idx[..=i] and idx[i..].
-            prefix.clear();
-            let mut acc = slabs.rect(idx[0] as usize);
-            prefix.push(acc);
-            for &slot in &idx[1..] {
-                acc.enlarge(&slabs.rect(slot as usize));
-                prefix.push(acc);
+    let (xmin, ymin, xmax, ymax) = slabs.sections();
+    let passes = [xmin, xmax, ymin, ymax];
+    let mut radix = Radix::identity(total);
+    let mut suffix = Slabs::with_capacity(total);
+    let mut kept: Vec<u32> = Vec::new();
+    let mut best: Option<Best> = None;
+    for (pass, col) in passes.into_iter().enumerate() {
+        let ties = radix.sort_by(col);
+        let (margin, cand) = sweep(slabs, &radix.order, m, &mut suffix);
+        // Minimal margin, first pass on ties; a NaN margin loses to any
+        // other (the same total order as the sort keys).
+        if best
+            .as_ref()
+            .is_none_or(|b| order_key(margin) < order_key(b.margin))
+        {
+            if !ties && pass + 1 < passes.len() {
+                kept.clone_from(&radix.order);
             }
-            suffix.clear();
-            let mut acc = slabs.rect(idx[total - 1] as usize);
-            suffix.push(acc);
-            for &slot in idx[..total - 1].iter().rev() {
-                acc.enlarge(&slabs.rect(slot as usize));
-                suffix.push(acc);
-            }
-            suffix.reverse();
-
-            let mut margin_sum = 0.0;
-            let mut local_best: Option<Candidate> = None;
-            for k in m..=(total - m) {
-                let left = prefix[k - 1];
-                let right = suffix[k];
-                margin_sum += left.margin() + right.margin();
-                let cand = Candidate {
-                    k,
-                    overlap: left.overlap_area(&right),
-                    area: left.area() + right.area(),
-                };
-                let better = match &local_best {
-                    None => true,
-                    Some(b) => {
-                        cand.overlap < b.overlap
-                            || (cand.overlap == b.overlap && cand.area < b.area)
-                    }
-                };
-                if better {
-                    local_best = Some(cand);
-                }
-            }
-            if margin_sum < best_margin {
-                best_margin = margin_sum;
-                best_axis = Some((axis, by_upper));
-                best_candidate = local_best;
-            }
+            best = Some(Best {
+                pass,
+                margin,
+                cand,
+                ties,
+            });
         }
     }
-
-    let (axis, by_upper) = best_axis.expect("at least one axis candidate");
-    let cand = best_candidate.expect("at least one distribution");
-    sort_ids(&mut idx, slabs, axis, by_upper);
-    let right = idx.split_off(cand.k);
-    (idx, right)
-}
-
-fn sort_ids(idx: &mut [u32], slabs: &Slabs, axis: usize, by_upper: bool) {
-    let (xmin, ymin, xmax, ymax) = slabs.sections();
-    let keys: &[f64] = match (axis, by_upper) {
-        (0, false) => xmin,
-        (0, true) => xmax,
-        (1, false) => ymin,
-        _ => ymax,
+    let best = best.expect("four passes ran");
+    let order = if best.pass + 1 == passes.len() {
+        radix.order
+    } else if best.ties {
+        radix.sort_by(passes[best.pass]);
+        radix.order
+    } else {
+        kept
     };
-    idx.sort_by(|&a, &b| {
-        keys[a as usize]
-            .partial_cmp(&keys[b as usize])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    (order, best.cand.k)
 }
 
 #[cfg(test)]
@@ -286,8 +569,21 @@ mod tests {
 
     type Split = fn(&Slabs, usize) -> (Vec<u32>, Vec<u32>);
 
+    fn quadratic(slabs: &Slabs, min_entries: usize) -> (Vec<u32>, Vec<u32>) {
+        let mut s = SplitScratch::with_capacity(slabs.len());
+        guttman_split(slabs, min_entries, &mut s);
+        let (ga, gb) = s.groups();
+        (ga.to_vec(), gb.to_vec())
+    }
+
+    fn rstar(slabs: &Slabs, min_entries: usize) -> (Vec<u32>, Vec<u32>) {
+        let (mut order, k) = rstar_split(slabs, min_entries);
+        let right = order.split_off(k);
+        (order, right)
+    }
+
     /// The two splits, each by name: the local tree's and the data node's.
-    const SPLITS: [(&str, Split); 2] = [("quadratic", guttman_split), ("rstar", rstar_split)];
+    const SPLITS: [(&str, Split); 2] = [("quadratic", quadratic), ("rstar", rstar)];
 
     fn rects(n: usize) -> Vec<Rect> {
         (0..n)
@@ -304,7 +600,8 @@ mod tests {
     fn split_rects(items: Vec<Rect>, split: Split, min_entries: usize) -> (Vec<Rect>, Vec<Rect>) {
         let slabs = Slabs::from_rects(items.iter());
         let (ga, gb) = split(&slabs, min_entries);
-        gather(items, &ga, &gb)
+        let pick = |g: &[u32]| g.iter().map(|&i| items[i as usize]).collect();
+        (pick(&ga), pick(&gb))
     }
 
     #[test]
@@ -399,7 +696,7 @@ mod tests {
             }
         }
         assert_eq!(worst, (9, 30));
-        let (ga, gb) = guttman_split(&Slabs::from_rects(items.iter()), 12);
+        let (ga, gb) = quadratic(&Slabs::from_rects(items.iter()), 12);
         let mut seeds = [ga[0] as usize, gb[0] as usize];
         seeds.sort_unstable();
         assert_eq!(seeds, [9, 30]);

@@ -2,7 +2,7 @@ use crate::config::RTreeConfig;
 use crate::entry::Entry;
 use crate::node::{Arena, Kind, Node, NodeId, Slabs};
 use crate::query::Scratch;
-use crate::split::{gather, gather_slabs, guttman_split};
+use crate::split::{gather, gather_slabs, guttman_split, SplitScratch};
 use sdr_geom::Rect;
 use std::cell::RefCell;
 
@@ -373,28 +373,28 @@ enum Overflow {
 }
 
 /// Splits the overflowing node `id` in place: its slot keeps the left
-/// group, the right group moves to a fresh node.
+/// group, the right group moves to a fresh node. Besides the four halves
+/// (slabs and payload of each), the split allocates one set of buffers.
 fn split_node<T>(arena: &mut Arena<T>, id: NodeId, config: &RTreeConfig) -> Overflow {
     let node = arena.node_mut(id);
-    let slabs = std::mem::take(&mut node.slabs);
-    let (ga, gb) = guttman_split(&slabs, config.min_entries);
-    let (sa, sb) = gather_slabs(&slabs, &ga, &gb);
+    let scratch = &mut SplitScratch::with_capacity(node.fanout());
+    guttman_split(&node.slabs, config.min_entries, scratch);
+    let (sa, sb) = gather_slabs(&node.slabs, scratch);
     let ra = sa.mbb().expect("non-empty split half");
     let rb = sb.mbb().expect("non-empty split half");
+    node.slabs = sa;
     let right = match &mut node.kind {
         Kind::Leaf(entries) => {
-            let (a, b) = gather(std::mem::take(entries), &ga, &gb);
+            let (a, b) = gather(std::mem::take(entries), scratch);
             *entries = a;
-            node.slabs = sa;
             Node {
                 slabs: sb,
                 kind: Kind::Leaf(b),
             }
         }
         Kind::Internal(children) => {
-            let (a, b) = gather(std::mem::take(children), &ga, &gb);
+            let (a, b) = gather(std::mem::take(children), scratch);
             *children = a;
-            node.slabs = sa;
             Node {
                 slabs: sb,
                 kind: Kind::Internal(b),
