@@ -409,7 +409,8 @@ pub enum Payload {
 
     // ------------------------------------------------------- rotation --
     /// Overwrites the receiving server's routing node (rotation: nodes
-    /// `b` and `e` get new children/parent/OC computed by the driver).
+    /// `b` and `e` get new children/parent/OC computed by `rotate`). A
+    /// server that hosts none refuses it: it never creates one.
     SetRouting {
         /// The complete new routing-node state.
         node: RoutingNode,

@@ -373,7 +373,7 @@ impl Server {
             Payload::DropOcAncestor { target, ancestor } => {
                 self.node(target.kind)?.on_drop_oc_ancestor(ancestor, out)
             }
-            Payload::SetRouting { node } => self.routing = Some(node),
+            Payload::SetRouting { node } => *self.routing_node()? = node,
             Payload::SetParent { target, parent } => {
                 self.node(target.kind)?.on_set_parent(id, parent, out)
             }

@@ -545,6 +545,7 @@ fn messages_a_server_cannot_act_on_are_refused_and_change_nothing() {
         (dissolved, Payload::DropOcAncestor { target: no_data, ancestor }),
         (a_id, Payload::ChildChange { old_child: b.node, new_child: b, why: adjust }),
         (a_id, Payload::RotationInfo { pattern }),
+        (zero, Payload::SetRouting { node: a_node.clone() }),
         (zero, Payload::SplitCreate { routing: a_node.clone(), objects: vec![], data_dr: b.dr, data_oc: oc.clone() }),
         (dissolved, Payload::SplitCreate { routing: a_node, objects: vec![], data_dr: b.dr, data_oc: oc.clone() }),
     ];

@@ -6,15 +6,23 @@
 //! reply listener, send, receive-until-deadline, quiescence, and the
 //! mapping of delivery failures to [`NetError`]. Every wait is a slice on
 //! the deployment's wake-up signal, which the sender cuts short.
+//!
+//! The listener's connections are byte streams of length-prefixed
+//! frames, each read until its peer closes it: the deployment's kept
+//! link, which carries every frame the nodes send this client, and any
+//! other connection — one a test or a peer opened for a single frame
+//! reads the same way. Sockets are non-blocking; a frame is handed on
+//! once it is whole.
 
-use crate::node::{read_frame, send_message, Deployment};
+use crate::node::{send_message, Cut, Deployment, Frames};
 use crate::NetCluster;
 use sdr_core::ids::ClientId;
 use sdr_core::msg::{Endpoint, Message, QueryKind};
 use sdr_core::{Client, Fold, Image, Object, Transport, Variant};
 use sdr_geom::{Point, Rect};
-use std::cell::Cell;
-use std::net::TcpListener;
+use std::cell::{Cell, RefCell};
+use std::io::ErrorKind;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,6 +78,9 @@ struct Wire {
     /// each client reports an advance exactly once (in a `Cell`: checks
     /// happen inside `&self` receive/quiesce loops).
     failures_seen: Cell<u64>,
+    /// Every connection accepted and not yet closed, with the bytes it
+    /// delivered that are not yet a whole frame.
+    inbound: RefCell<Vec<(TcpStream, Frames)>>,
 }
 
 /// The longest a blocked client goes without re-checking its deadline
@@ -85,6 +96,8 @@ impl NetClient {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         listener.set_nonblocking(true)?;
         deployment.events().owed.insert(id, 0);
+        // The link itself opens at the first frame for this client.
+        deployment.links().insert(id, Default::default());
         deployment.register(Endpoint::Client(id), listener.local_addr()?.port());
         let failures_seen = Cell::new(deployment.delivery_failures.load(Ordering::SeqCst));
         Ok(NetClient {
@@ -94,6 +107,7 @@ impl NetClient {
                 listener,
                 deployment,
                 failures_seen,
+                inbound: Default::default(),
             },
             timeout: Duration::from_secs(10),
         })
@@ -102,6 +116,12 @@ impl NetClient {
     /// The client's image (inspectable for convergence experiments).
     pub fn image(&self) -> &Image {
         &self.core.image
+    }
+
+    /// The OS-assigned port of the client's reply listener. Exposed for
+    /// fault tests that talk raw TCP to a client.
+    pub fn reply_port(&self) -> std::io::Result<u16> {
+        Ok(self.wire.listener.local_addr()?.port())
     }
 
     /// Frames written for this client that it has not read yet: zero
@@ -193,22 +213,19 @@ impl Wire {
     /// Waits for the next reply frame addressed to this client.
     fn recv(&self, deadline: Instant) -> Result<Message, NetError> {
         loop {
-            // Before `accept`: a frame written after it ends the wait below.
+            // Before reading: a frame written after it ends the wait below.
             let seen = self.deployment.events().seq;
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if let Some(n) = self.deployment.events().owed.get_mut(&self.id) {
-                        *n -= 1;
-                    }
-                    match read_frame(stream) {
-                        Some(msg) => return Ok(msg),
-                        // A truncated or undecodable reply is a lost reply:
-                        // count it, so the wait below ends as `Undeliverable`
-                        // now instead of as `Timeout` ten seconds on.
-                        None => self.deployment.record_delivery_failure(),
-                    }
+            match self.next_frame() {
+                Ok(Some(Some(msg))) => return Ok(msg),
+                // A truncated, oversized or undecodable reply is a lost
+                // reply, maybe this operation's: count it, and end the
+                // operation as `Undeliverable` now (the check always fails
+                // here) instead of as `Timeout` ten seconds on.
+                Ok(Some(None)) => {
+                    self.deployment.record_delivery_failure();
+                    self.check_failures()?;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                Ok(None) => {
                     self.check_failures()?;
                     if Instant::now() > deadline {
                         return Err(NetError::Timeout);
@@ -227,6 +244,62 @@ impl Wire {
             }
         }
     }
+
+    /// The next frame any inbound connection holds, without blocking:
+    /// `Some(None)` for one that is lost (it does not decode, its prefix
+    /// is past the cap, or its connection closed mid-frame), `None` when
+    /// no whole frame has arrived. Connections are read in the order they
+    /// were accepted, each in its own byte order.
+    fn next_frame(&self) -> std::io::Result<Option<Option<Message>>> {
+        let mut inbound = self.inbound.borrow_mut();
+        loop {
+            let mut i = 0;
+            while let Some((stream, frames)) = inbound.get_mut(i) {
+                match frames.cut() {
+                    Cut::Frame(msg) => {
+                        if let Some(n) = self.deployment.events().owed.get_mut(&self.id) {
+                            *n -= 1;
+                        }
+                        return Ok(Some(msg));
+                    }
+                    Cut::Oversize => {
+                        inbound.remove(i);
+                        return Ok(Some(None));
+                    }
+                    Cut::Partial => {}
+                }
+                match frames.fill(stream) {
+                    Ok(n) if n > 0 => continue,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => i += 1,
+                    // Closed or reset: a frame cut short there is lost.
+                    _ => {
+                        let truncated = !frames.is_empty();
+                        inbound.remove(i);
+                        if truncated {
+                            return Ok(Some(None));
+                        }
+                    }
+                }
+            }
+            // Everything accepted is drained; take the connections waiting
+            // in the backlog, and read them if there were any.
+            let before = inbound.len();
+            loop {
+                match self.listener.accept() {
+                    Ok((stream, _)) => {
+                        stream.set_nonblocking(true)?;
+                        inbound.push((stream, Frames::default()));
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) => return Err(e),
+                }
+            }
+            if inbound.len() == before {
+                return Ok(None);
+            }
+        }
+    }
 }
 
 impl Drop for Wire {
@@ -234,6 +307,7 @@ impl Drop for Wire {
     fn drop(&mut self) {
         self.deployment.deregister(Endpoint::Client(self.id));
         self.deployment.events().owed.remove(&self.id);
+        self.deployment.links().remove(&self.id);
     }
 }
 

@@ -69,6 +69,7 @@ impl NetCluster {
             events: Default::default(),
             wakeup: Default::default(),
             nodes: Default::default(),
+            links: Default::default(),
         });
         spawn_node(&deployment, ServerId(0))?;
         Ok(NetCluster { deployment })

@@ -10,7 +10,8 @@
 //!   (length-prefixed frames; no serialization framework), described
 //!   once as field tables over the first-party [`buf`] byte cursors.
 //! * [`node`] — a thread-per-server TCP node: blocks in `accept`, feeds
-//!   each frame to the embedded [`sdr_core::Server`], ships the outbox.
+//!   each frame to the embedded [`sdr_core::Server`], handles what the
+//!   server sends itself in the same turn, ships the rest of the outbox.
 //! * [`cluster`] — a process-local deployment manager that binds
 //!   listeners, spawns nodes when servers split, and on shutdown wakes
 //!   and joins every one of them.
@@ -20,8 +21,9 @@
 //!
 //! Every node binds an OS-assigned port registered in the deployment's
 //! address directory — the role a node manager plays in a production
-//! deployment. Connections are short-lived (one frame per connection),
-//! and nothing between a frame being written and its receiver acting on
+//! deployment. A connection to a node carries one frame; the frames for
+//! a client ride one kept connection, shared by every node thread of the
+//! process. Nothing between a frame being written and its receiver acting on
 //! it is a timer: nodes block on their sockets, clients on a wake-up
 //! signal the sender raises, and an insert reads exactly the
 //! acknowledgment frames it is owed (DESIGN.md decision 13). Concurrency

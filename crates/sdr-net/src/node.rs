@@ -1,10 +1,14 @@
 //! A TCP server node: one SD-Rtree server behind a socket.
 //!
 //! Each node parks in a blocking `accept` on its own OS-assigned port. A
-//! connection carries exactly one frame (a [`sdr_core::Message`]); the
-//! node feeds it to the embedded [`Server`] state machine and ships the
-//! resulting outbox — server-bound messages to peer ports, client-bound
-//! messages to the client's reply port, both looked up in the directory.
+//! connection to a node carries exactly one frame (a
+//! [`sdr_core::Message`]); the node feeds it to the embedded [`Server`]
+//! state machine and ships the resulting outbox. What the server sends
+//! itself (a routing node descending to its co-located data node) is
+//! handled in the same turn, off a local queue; other servers get a
+//! connection per frame; clients get their frames on one kept link each,
+//! the writing end of a connection to the client's reply port that every
+//! node thread shares (DESIGN.md decision 13).
 //!
 //! When the state machine allocates a new server (a split), the node
 //! *synchronously* binds the new server's listener before forwarding any
@@ -19,7 +23,7 @@ use crate::wire::{decode_message, encode_message};
 use sdr_core::ids::ClientId;
 use sdr_core::msg::{Endpoint, Message};
 use sdr_core::{Allocator, FaultExecutor, Outbox, Released, SdrConfig, Server, ServerId, Verdict};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -34,10 +38,10 @@ pub(crate) struct Events {
     /// Bumped whenever `in_flight` drains, a delivery failure is recorded
     /// or a client-bound frame has been written.
     pub seq: u64,
-    /// Client-bound frames written but not yet accepted, per connected
+    /// Client-bound frames written but not yet read, per connected
     /// client: the client-side twin of `in_flight`, and once that is zero
-    /// exactly what the client has left to read. Raw unsolicited
-    /// connections drive it negative, so readers test `> 0`.
+    /// exactly what the client has left to read. Raw unsolicited frames
+    /// drive it negative, so readers test `> 0`.
     pub owed: HashMap<ClientId, i64>,
 }
 
@@ -68,8 +72,9 @@ pub(crate) struct Deployment {
     /// (real sockets, framing, per-server state) while handling one
     /// message at a time, matching the synchronous semantics the paper's
     /// own evaluation assumes. Senders never block on receivers'
-    /// processing (frames queue in the OS accept backlog), so the lock
-    /// cannot deadlock.
+    /// processing (frames queue in a node's accept backlog or in a client
+    /// link's socket buffer, whose writes time out after
+    /// [`FRAME_TIMEOUT`]), so the lock cannot deadlock.
     pub handle_lock: Mutex<()>,
     /// Server-bound messages sent but not yet fully handled. Clients
     /// wait for this to drop to zero between operations
@@ -117,7 +122,20 @@ pub(crate) struct Deployment {
     /// Port and thread of every node ever spawned, for `shutdown` to wake
     /// and join — also those `deregister` hid from the directory.
     pub nodes: Mutex<Vec<(u16, JoinHandle<()>)>>,
+    /// The kept link to every connected client, keyed like `owed`.
+    pub links: Mutex<HashMap<ClientId, Link>>,
 }
+
+/// The writing end of the one connection that carries a client's frames:
+/// `None` until the first client-bound frame, or after a write on it
+/// failed. Its lock keeps frames whole when node threads (and clients
+/// releasing held messages) write to the same client.
+pub(crate) type Link = Arc<Mutex<Option<TcpStream>>>;
+
+/// How long a frame may take to arrive at a node, or to be written on a
+/// client's link: a client that stops reading costs one counted failure,
+/// not a deployment hung under `handle_lock`.
+const FRAME_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl Deployment {
     /// Registers an endpoint's port in the directory.
@@ -162,6 +180,10 @@ impl Deployment {
 
     pub fn events(&self) -> MutexGuard<'_, Events> {
         self.events.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub fn links(&self) -> MutexGuard<'_, HashMap<ClientId, Link>> {
+        self.links.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Signals an event, booking a frame just written for `owed_to`.
@@ -324,6 +346,13 @@ fn read_failure(deployment: &Deployment) {
     deployment.with_metrics(|m| m.inc("frame/read_failure"));
 }
 
+/// Handles one frame, then every message the server sends itself on the
+/// way, each a turn of its own under the same `handle_lock` hold. A
+/// self-addressed message meets the fault executor like any send (its
+/// verdict, and the receive-side corrupt draw a frame meets on arrival),
+/// but a delivered copy is queued here instead of written to the node's
+/// own listener. The frame's `in_flight` is settled once, after the
+/// queue drains, so no client finds the deployment idle mid-chain.
 fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Message) {
     // Serializing whole handler turns (handle + sends) is the point of
     // this lock; send_message only writes a frame and never awaits the
@@ -336,11 +365,31 @@ fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Messag
         .handle_lock
         .lock()
         .unwrap_or_else(|e| e.into_inner());
+    let mut local = VecDeque::new();
+    take_turn(deployment, server, msg, &mut local);
+    while let Some(msg) = local.pop_front() {
+        if deployment.faults().corrupt(msg.payload.category()) {
+            deployment.record_delivery_failure();
+        } else {
+            take_turn(deployment, server, msg, &mut local);
+        }
+    }
+    deployment.settle_in_flight();
+}
+
+/// One server turn: handles `msg`, then ships the outbox — queueing what
+/// the server sends itself on `local`.
+fn take_turn(
+    deployment: &Arc<Deployment>,
+    server: &mut Server,
+    msg: Message,
+    local: &mut VecDeque<Message>,
+) {
     let mut out =
         Outbox::with_allocator(server.id, Allocator::Shared(deployment.next_server.clone()));
     server.handle(msg.from, msg.payload, &mut out);
     // A refused message changed nothing: book it like a frame that could
-    // not be read (the `in_flight` settle below is this frame's).
+    // not be read (the frame's `in_flight` settle is `handle_message`'s).
     for _ in &out.refused {
         deployment.record_delivery_failure();
     }
@@ -351,8 +400,13 @@ fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Messag
             eprintln!("sdr-net: failed to spawn server {}: {e}", new_id.0);
         }
     }
+    let me = Endpoint::Server(server.id);
     for m in out.msgs {
-        send_message(deployment, &m);
+        if m.to == me {
+            offer(deployment, &m, |copy| local.push_back(copy.clone()));
+        } else {
+            send_message(deployment, &m);
+        }
     }
     // Deferred messages (orphan reinserts) wait in the executor until
     // nothing is in flight; handing them over before this turn settles
@@ -360,14 +414,19 @@ fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Messag
     for m in out.deferred {
         deployment.faults().defer(m);
     }
-    deployment.settle_in_flight();
 }
 
-/// Dispatches one message: asks the fault executor for its verdict and
-/// acts on it. Every send that is not held passes one event to the
-/// executor's held lane, and what that releases goes out after this
-/// message.
+/// Dispatches one message to its endpoint's socket (see [`offer`]).
 pub(crate) fn send_message(deployment: &Deployment, msg: &Message) {
+    offer(deployment, msg, |copy| transmit(deployment, copy));
+}
+
+/// Asks the fault executor for `msg`'s verdict and acts on it: `deliver`
+/// takes each copy, a held message waits in the executor, a lost one is
+/// counted. Every send that is not held passes one event to the
+/// executor's held lane, and what that releases is transmitted after
+/// this message.
+fn offer(deployment: &Deployment, msg: &Message, mut deliver: impl FnMut(&Message)) {
     let mut faults = deployment.faults();
     let copies = match faults.decide(msg.payload.category()) {
         Verdict::Held(_, events) => return faults.hold(msg.clone(), events),
@@ -383,13 +442,13 @@ pub(crate) fn send_message(deployment: &Deployment, msg: &Message) {
         deployment.record_delivery_failure();
     }
     for _ in 0..copies {
-        transmit(deployment, msg);
+        deliver(msg);
     }
     deployment.transmit_released(&released);
 }
 
-/// Delivers one message to its endpoint's port, retrying briefly (a
-/// freshly spawned node may still be binding). A message that stays
+/// Delivers one message to its endpoint: a client's on its kept link, a
+/// server's on a connection of its own. A message that stays
 /// undeliverable after every attempt is counted on the deployment —
 /// never silently dropped — so clients report it as an explicit
 /// [`crate::client::NetError::Undeliverable`].
@@ -404,28 +463,36 @@ fn transmit(deployment: &Deployment, msg: &Message) {
         m.inc("frame/write");
         m.add("frame/bytes_out", frame.len() as u64);
     });
-    for attempt in 0..u64::from(deployment.send_attempts) {
-        if attempt > 0 {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "connect-retry ladder: only a frame whose listener is absent or refusing waits here"
-            )]
-            std::thread::sleep(Duration::from_millis(2 * attempt));
+    let delivered = match msg.to {
+        Endpoint::Client(client) => {
+            // A client that is gone has no link: the frame goes through
+            // the ladder on one nobody keeps, and fails there.
+            let link = deployment.links().get(&client).cloned().unwrap_or_default();
+            let mut link = link.lock().unwrap_or_else(|e| e.into_inner());
+            // The kept link first. A write that fails closes it, and the
+            // ladder opens the one that replaces it.
+            let kept = link.take().filter(|mut s| s.write_all(&frame).is_ok());
+            *link = kept.or_else(|| {
+                connect_and_write(deployment, msg.to, |s| {
+                    s.set_nodelay(true)?;
+                    s.set_write_timeout(Some(FRAME_TIMEOUT))?;
+                    s.write_all(&frame)
+                })
+            });
+            link.is_some()
         }
-        // Resolve the port on every attempt: listeners register before
-        // anything can address them, but a client may not have connected
-        // yet when its first replies arrive.
-        if let Some(port) = deployment.lookup(msg.to) {
-            if let Ok(mut stream) = TcpStream::connect(("127.0.0.1", port)) {
-                if stream.write_all(&frame).is_ok() {
-                    let _ = stream.shutdown(Shutdown::Write);
-                    if let Endpoint::Client(client) = msg.to {
-                        deployment.notify(Some(client));
-                    }
-                    return;
-                }
-            }
+        Endpoint::Server(_) => connect_and_write(deployment, msg.to, |s| {
+            s.write_all(&frame)?;
+            let _ = s.shutdown(Shutdown::Write);
+            Ok(())
+        })
+        .is_some(),
+    };
+    if delivered {
+        if let Endpoint::Client(client) = msg.to {
+            deployment.notify(Some(client));
         }
+        return;
     }
     deployment.record_delivery_failure();
     if is_server_bound {
@@ -434,23 +501,61 @@ fn transmit(deployment: &Deployment, msg: &Message) {
     }
 }
 
+/// The connect-retry ladder: up to `send_attempts` connections to `to`'s
+/// listener, 2, 4, … ms apart (a freshly spawned node may still be
+/// binding), until `write` succeeds on one. Returns that connection.
+fn connect_and_write(
+    deployment: &Deployment,
+    to: Endpoint,
+    mut write: impl FnMut(&mut TcpStream) -> std::io::Result<()>,
+) -> Option<TcpStream> {
+    for attempt in 0..u64::from(deployment.send_attempts) {
+        if attempt > 0 {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "connect-retry ladder: only a frame whose listener is absent or refusing waits here"
+            )]
+            std::thread::sleep(Duration::from_millis(2 * attempt));
+        }
+        // Resolve the port on every attempt: a listener may register
+        // between two of them.
+        let Some(port) = deployment.lookup(to) else {
+            continue;
+        };
+        if let Ok(mut stream) = TcpStream::connect(("127.0.0.1", port)) {
+            if write(&mut stream).is_ok() {
+                return Some(stream);
+            }
+        }
+    }
+    None
+}
+
 /// Reads one length-prefixed frame from a stream and decodes it.
 /// Returns `None` on timeout, truncation, oversize, decode error, or a
 /// body that continues after its message (the encoder always emits the
 /// exact length, so such a prefix disagrees with its content); the
 /// caller owns the delivery accounting for that loss.
-pub(crate) fn read_frame(mut stream: TcpStream) -> Option<Message> {
-    stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
+fn read_frame(mut stream: TcpStream) -> Option<Message> {
+    stream.set_read_timeout(Some(FRAME_TIMEOUT)).ok()?;
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf).ok()?;
     let mut body = Vec::new();
     if !read_body(&mut stream, u32::from_be_bytes(len_buf) as usize, &mut body) {
         return None;
     }
-    let mut body = ReadBuf::new(&body);
+    decode_body(&body)
+}
+
+/// The message a frame body holds, if it holds exactly one.
+fn decode_body(body: &[u8]) -> Option<Message> {
+    let mut body = ReadBuf::new(body);
     let msg = decode_message(&mut body).ok()?;
     (body.remaining() == 0).then_some(msg)
 }
+
+/// The largest frame body a reader accepts.
+const MAX_FRAME: usize = 64 * 1024 * 1024;
 
 /// Reads exactly `len` bytes into `body`; whether they all came. A length
 /// prefix is four bytes anyone can send, so past one reservation that
@@ -458,7 +563,66 @@ pub(crate) fn read_frame(mut stream: TcpStream) -> Option<Message> {
 fn read_body(stream: &mut impl Read, len: usize, body: &mut Vec<u8>) -> bool {
     body.reserve(len.min(64 * 1024));
     let mut rest = stream.take(len as u64);
-    len <= 64 * 1024 * 1024 && rest.read_to_end(body).is_ok_and(|n| n == len)
+    len <= MAX_FRAME && rest.read_to_end(body).is_ok_and(|n| n == len)
+}
+
+/// What [`Frames::cut`] finds at the front of a stream's buffer.
+#[derive(Debug)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "returned and matched at once, never stored"
+)]
+pub(crate) enum Cut {
+    /// A whole frame, taken off the buffer: its message, or `None` if
+    /// the body does not hold exactly one.
+    Frame(Option<Message>),
+    /// No whole frame yet.
+    Partial,
+    /// A length prefix past [`MAX_FRAME`]: nothing after it can be
+    /// trusted to start a frame.
+    Oversize,
+}
+
+/// One inbound byte stream cut into length-prefixed frames: the bytes
+/// received and not yet cut. It grows only with bytes that arrived,
+/// never with what a prefix promises.
+#[derive(Debug, Default)]
+pub(crate) struct Frames {
+    buf: Vec<u8>,
+}
+
+impl Frames {
+    /// Appends what one read of `src` returns; how many bytes that was
+    /// (0: the stream ended).
+    pub fn fill(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        let mut chunk = [0u8; 16 * 1024];
+        let n = src.read(&mut chunk)?;
+        self.buf
+            .extend_from_slice(chunk.get(..n).unwrap_or_default());
+        Ok(n)
+    }
+
+    /// Cuts the frame at the front of the buffer, if it is whole.
+    pub fn cut(&mut self) -> Cut {
+        let Some(prefix) = self.buf.first_chunk::<4>() else {
+            return Cut::Partial;
+        };
+        let len = u32::from_be_bytes(*prefix) as usize;
+        if len > MAX_FRAME {
+            return Cut::Oversize;
+        }
+        let Some(body) = self.buf.get(4..4 + len) else {
+            return Cut::Partial;
+        };
+        let msg = decode_body(body);
+        self.buf.drain(..4 + len);
+        Cut::Frame(msg)
+    }
+
+    /// Whether no bytes wait here, not even part of a frame.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -486,5 +650,43 @@ mod tests {
         let mut body = Vec::new();
         assert!(!read_body(&mut &[1u8, 2, 3][..], 60 << 20, &mut body));
         assert!(body.capacity() < 1 << 20, "{}", body.capacity());
+
+        // The same frame on a stream: the reassembly buffer holds the
+        // seven bytes that came, and waits for the rest.
+        let mut stream = &[&(60u32 << 20).to_be_bytes()[..], &[1, 2, 3]].concat()[..];
+        let mut frames = Frames::default();
+        while frames.fill(&mut stream).unwrap() > 0 {}
+        assert!(matches!(frames.cut(), Cut::Partial));
+        assert!(frames.buf.capacity() < 1 << 20, "{}", frames.buf.capacity());
+    }
+
+    #[test]
+    fn a_stream_is_cut_into_its_frames_in_order() {
+        let msg = |oid| Message {
+            from: Endpoint::Server(ServerId(1)),
+            to: Endpoint::Server(ServerId(2)),
+            payload: sdr_core::Payload::ShrinkChild {
+                child: sdr_core::Link::to_data(
+                    ServerId(oid),
+                    sdr_geom::Rect::new(0.0, 0.0, 1.0, 1.0),
+                ),
+            },
+        };
+        let mut bytes = [encode_message(&msg(3)), encode_message(&msg(4))].concat();
+        bytes.extend_from_slice(&[0, 0, 0, 9, 1]);
+        // Fed one byte at a time, as a slow peer would.
+        let mut frames = Frames::default();
+        let mut got = Vec::new();
+        for byte in bytes.chunks(1) {
+            frames.fill(&mut &byte[..]).unwrap();
+            while let Cut::Frame(m) = frames.cut() {
+                got.push(m);
+            }
+        }
+        assert_eq!(got, vec![Some(msg(3)), Some(msg(4))]);
+        assert!(matches!(frames.cut(), Cut::Partial));
+        assert!(!frames.is_empty(), "the truncated third frame waits");
+        frames.buf = (MAX_FRAME as u32 + 1).to_be_bytes().to_vec();
+        assert!(matches!(frames.cut(), Cut::Oversize));
     }
 }

@@ -460,3 +460,226 @@ fn reinserts_after_eliminations_wait_for_the_repair() {
         cluster.shutdown();
     }
 }
+
+/// Writes `frames`, whole, then `tail`, on one raw connection to `port`,
+/// and closes it.
+fn raw_connection(port: u16, frames: &[Message], tail: &[u8]) {
+    let mut raw = TcpStream::connect(("127.0.0.1", port)).unwrap();
+    for msg in frames {
+        raw.write_all(&sdr_net::encode_message(msg)).unwrap();
+    }
+    raw.write_all(tail).unwrap();
+}
+
+/// A client reads every connection to its port as a stream of frames,
+/// not one frame per connection: two whole frames on one raw connection
+/// are both read, in order, and the truncated third behind them is one
+/// counted loss that ends the operation in progress as `Undeliverable`.
+#[test]
+fn a_client_connection_is_a_stream_of_frames() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(25)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    grid_insert(&mut client, 30);
+    client.quiesce().unwrap();
+
+    // A fresh client has no link yet, so the raw connection is the first
+    // it accepts, and its frames come before the operation's report.
+    let mut fresh = NetClient::connect(&cluster).unwrap();
+    let node = sdr_core::NodeRef::data(ServerId(40));
+    let ack = |dr| Message {
+        from: Endpoint::Server(ServerId(0)),
+        to: Endpoint::Server(ServerId(0)),
+        payload: Payload::InsertAck {
+            oid: Oid(1),
+            trace: vec![sdr_core::Link::to_data(node.server, dr)],
+        },
+    };
+    let (first, second) = (Rect::new(5.0, 5.0, 6.0, 6.0), Rect::new(7.0, 7.0, 8.0, 8.0));
+    let truncated = [&64u32.to_be_bytes()[..], &[1, 2, 3]].concat();
+    raw_connection(
+        fresh.reply_port().unwrap(),
+        &[ack(first), ack(second)],
+        &truncated,
+    );
+
+    let before = cluster.delivery_failures();
+    let started = Instant::now();
+    let got = fresh.point_query(Point::new(0.025, 0.025));
+    assert!(
+        matches!(got, Err(NetError::Undeliverable)),
+        "expected Undeliverable, got {got:?}"
+    );
+    assert!(started.elapsed() < Duration::from_secs(2));
+    assert_eq!(cluster.delivery_failures(), before + 1);
+    // Both acks were absorbed, the second last: a link replaces the one
+    // it names.
+    let link = fresh.image().links().find(|l| l.node == node);
+    assert_eq!(link.map(|l| l.dr), Some(second));
+
+    // The other client learns of the loss at its next check, and the
+    // deployment serves on.
+    assert!(matches!(client.quiesce(), Err(NetError::Undeliverable)));
+    assert_eq!(
+        client.point_query(Point::new(0.025, 0.025)).unwrap().len(),
+        1
+    );
+    cluster.shutdown();
+}
+
+/// A 60 MiB length prefix on a client connection is a truncated frame
+/// like any other: one counted loss (the reassembly buffer holds only the
+/// bytes that came — `node::tests` pins that), and the client serves on.
+#[test]
+fn a_huge_length_prefix_to_a_client_is_a_counted_truncation() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(25)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    grid_insert(&mut client, 5);
+    client.quiesce().unwrap();
+    // A fresh client, so the raw connection is read before any report.
+    let mut fresh = NetClient::connect(&cluster).unwrap();
+    let huge = [&(60u32 << 20).to_be_bytes()[..], &[1, 2, 3]].concat();
+    raw_connection(fresh.reply_port().unwrap(), &[], &huge);
+    let got = fresh.point_query(Point::new(0.025, 0.025));
+    assert!(
+        matches!(got, Err(NetError::Undeliverable)),
+        "expected Undeliverable, got {got:?}"
+    );
+    assert_eq!(cluster.delivery_failures(), 1);
+    assert_eq!(
+        fresh.point_query(Point::new(0.025, 0.025)).unwrap().len(),
+        1
+    );
+    cluster.shutdown();
+}
+
+/// A well-formed `SetRouting` to a server without a routing node is
+/// refused, and installs none: server 0 never hosts one, and an
+/// `InsertDescend` sent after it is refused as well. Each refusal is one
+/// delivery failure, and the node serves on.
+#[test]
+fn set_routing_to_a_data_only_server_is_refused() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(25)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    grid_insert(&mut client, 30);
+    client.quiesce().unwrap();
+    assert_eq!(cluster.delivery_failures(), 0);
+
+    let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
+    let set_routing = Message {
+        from: Endpoint::Server(ServerId(1)),
+        to: Endpoint::Server(ServerId(0)),
+        payload: Payload::SetRouting {
+            node: sdr_core::RoutingNode {
+                height: 1,
+                dr: everything,
+                left: sdr_core::Link::to_data(ServerId(0), everything),
+                right: sdr_core::Link::to_data(ServerId(1), everything),
+                parent: None,
+                oc: OcTable::new(),
+            },
+        },
+    };
+    let frame = sdr_net::encode_message(&set_routing);
+    let (prefix, body) = frame.split_at(4);
+    raw_frame_is_counted(&cluster, prefix.try_into().unwrap(), body);
+    assert_eq!(cluster.delivery_failures(), 1);
+
+    let obj = Object::new(Oid(900), Rect::new(0.4, 0.4, 0.41, 0.41));
+    let descend = Message {
+        from: Endpoint::Server(ServerId(1)),
+        to: Endpoint::Server(ServerId(0)),
+        payload: Payload::InsertDescend {
+            ins: Insertion::new(obj, ImageHolder::Nobody),
+            oc: OcTable::new(),
+            new_dr: None,
+        },
+    };
+    let frame = sdr_net::encode_message(&descend);
+    let (prefix, body) = frame.split_at(4);
+    raw_frame_is_counted(&cluster, prefix.try_into().unwrap(), body);
+    assert_eq!(cluster.delivery_failures(), 2);
+
+    let mut late = NetClient::connect(&cluster).unwrap();
+    late.insert(obj).unwrap();
+    assert_eq!(
+        late.point_query(Point::new(0.405, 0.405)).unwrap(),
+        vec![obj]
+    );
+    assert_eq!(cluster.delivery_failures(), 2);
+    cluster.shutdown();
+}
+
+/// A node handles what it sends itself inside its own turn, and such a
+/// message still meets the fault plan a socket send meets. Under a plan
+/// that drops every insert message, raw frames (which no sender offered
+/// to the plan) grow one server into two: server 1 holds the root and a
+/// data node, server 0 the other data node, each over one of two
+/// clusters. Then an object just outside each cluster goes to server 1's
+/// data node. Neither is covered there, so each ascends to the root on
+/// the same server — a self-addressed insert — and the plan drops both.
+/// Were the local copy to skip its verdict, the one near server 1's own
+/// cluster would be stored (the other still falls to the socket send that
+/// follows it).
+#[test]
+fn a_message_a_node_sends_itself_meets_the_fault_plan() {
+    let plan = FaultPlan::none().with_drop_for(MsgCategory::Insert, 1.0);
+    let options = NetOptions {
+        faults: Some((plan, 0x5E1F)),
+        ..NetOptions::default()
+    };
+    let cluster = NetCluster::launch_with(SdrConfig::with_capacity(25), options).unwrap();
+    let at = |oid: u64, x: f64| {
+        let insert = Message {
+            from: Endpoint::Server(ServerId(9)),
+            to: Endpoint::Server(ServerId(9)),
+            payload: Payload::InsertAtLeaf {
+                ins: Insertion::new(
+                    Object::new(Oid(oid), Rect::new(x, x, x + 0.01, x + 0.01)),
+                    ImageHolder::Nobody,
+                ),
+                initial: true,
+            },
+        };
+        (oid, insert)
+    };
+    // Each raw frame settles `in_flight` once with no increment, so the
+    // count reads minus the frames sent once each has fully settled.
+    let mut sent = 0;
+    let mut send = |to: ServerId, msg: &Message| {
+        raw_connection(
+            cluster.server_port(to).unwrap(),
+            std::slice::from_ref(msg),
+            &[],
+        );
+        sent -= 1;
+        wait_until("a raw frame's turn did not settle", || {
+            cluster.in_flight() == sent
+        });
+    };
+    let mut oid = 0;
+    while cluster.num_servers() < 2 {
+        let x = [0.1, 0.8][oid as usize % 2] + (oid / 2) as f64 * 0.001;
+        send(ServerId(0), &at(oid, x).1);
+        oid += 1;
+    }
+    assert_eq!(cluster.delivery_failures(), 0, "the build lost a message");
+
+    let outside = [at(1_000, 0.05), at(1_001, 0.9)];
+    for (_, msg) in &outside {
+        send(ServerId(1), msg);
+    }
+    let counts = cluster.fault_counts();
+    assert_eq!(counts.get(FaultKind::Drop, MsgCategory::Insert), 2);
+    assert_eq!(cluster.delivery_failures(), 2);
+    let mut client = NetClient::connect(&cluster).unwrap();
+    for (oid, x) in [(1_000, 0.05), (1_001, 0.9)] {
+        let hits = client
+            .point_query(Point::new(x + 0.005, x + 0.005))
+            .unwrap();
+        assert!(
+            hits.iter().all(|o| o.oid != Oid(oid)),
+            "object {oid} was stored: its dropped ascent was delivered"
+        );
+    }
+    cluster.shutdown();
+}
