@@ -402,7 +402,6 @@ impl Cluster {
                         &format!("hops/{}", env.msg.payload.category().name()),
                         u64::from(env.depth),
                     );
-                    m.set_gauge("queue/depth", self.queue.len() as i64);
                 }
                 let Envelope { msg, id, depth, .. } = env;
                 #[expect(

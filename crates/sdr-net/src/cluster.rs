@@ -2,34 +2,11 @@
 //! client connections, and shuts the whole deployment down.
 
 use crate::node::{spawn_node, Deployment};
-use sdr_core::msg::Endpoint;
+use sdr_core::msg::{Endpoint, Message};
 use sdr_core::{FaultCounts, FaultExecutor, FaultPlan, SdrConfig, ServerId};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Deployment tuning knobs beyond the SD-Rtree configuration itself.
-#[derive(Clone, Debug)]
-pub struct NetOptions {
-    /// Deterministic fault plan plus its seed (`None`: faithful lossless
-    /// delivery). The same [`FaultPlan`] and its executor drive the
-    /// in-process simulator; here the executor's verdicts are asked for
-    /// in `send_message` and, for corruption, on the frame-read path.
-    pub faults: Option<(FaultPlan, u64)>,
-    /// Connect attempts before a message is declared undeliverable.
-    /// The default matches the historical retry ladder (~2.5 s total);
-    /// fault tests lower it to fail fast.
-    pub send_attempts: u32,
-}
-
-impl Default for NetOptions {
-    fn default() -> Self {
-        NetOptions {
-            faults: None,
-            send_attempts: 50,
-        }
-    }
-}
 
 /// A running TCP deployment of the SD-Rtree on localhost.
 ///
@@ -44,17 +21,24 @@ pub struct NetCluster {
 impl NetCluster {
     /// Launches a deployment with a single empty server.
     pub fn launch(config: SdrConfig) -> std::io::Result<NetCluster> {
-        Self::launch_with(config, NetOptions::default())
+        Self::start(config, FaultExecutor::none())
     }
 
-    /// Launches a deployment with explicit [`NetOptions`] (fault plan,
-    /// delivery-retry budget).
-    pub fn launch_with(config: SdrConfig, options: NetOptions) -> std::io::Result<NetCluster> {
+    /// Launches a deployment whose deliveries follow a deterministic
+    /// fault plan drawn from `seed`. The same [`FaultPlan`] and its
+    /// executor drive the in-process simulator; here the executor's
+    /// verdicts are asked for in `send_message` and, for corruption, on
+    /// the frame-read path.
+    pub fn launch_with_faults(
+        config: SdrConfig,
+        plan: &FaultPlan,
+        seed: u64,
+    ) -> std::io::Result<NetCluster> {
+        Self::start(config, FaultExecutor::new(plan, seed))
+    }
+
+    fn start(config: SdrConfig, faults: FaultExecutor<Message>) -> std::io::Result<NetCluster> {
         config.validate();
-        let faults = match options.faults {
-            Some((plan, seed)) => FaultExecutor::new(&plan, seed),
-            None => FaultExecutor::none(),
-        };
         let deployment = Arc::new(Deployment {
             registry: std::sync::RwLock::new(std::collections::HashMap::new()),
             next_server: Arc::new(AtomicU32::new(1)),
@@ -64,7 +48,6 @@ impl NetCluster {
             in_flight: std::sync::atomic::AtomicI64::new(0),
             delivery_failures: AtomicU64::new(0),
             faults: Mutex::new(faults),
-            send_attempts: options.send_attempts.max(1),
             metrics: sdr_obs::Obs::from_env().take_metrics().map(Mutex::new),
             events: Default::default(),
             wakeup: Default::default(),
@@ -110,8 +93,8 @@ impl NetCluster {
     }
 
     /// Removes a server from the address directory, simulating a
-    /// listener that died mid-run: subsequent messages to it exhaust
-    /// their connect attempts and surface as delivery failures.
+    /// listener that died mid-run: each later message to it fails its one
+    /// lookup and surfaces as a delivery failure.
     pub fn deregister_server(&self, id: ServerId) {
         self.deployment.deregister(Endpoint::Server(id));
     }

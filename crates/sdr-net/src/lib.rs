@@ -23,13 +23,16 @@
 //! address directory — the role a node manager plays in a production
 //! deployment. A connection to a node carries one frame; the frames for
 //! a client ride one kept connection, shared by every node thread of the
-//! process. Nothing between a frame being written and its receiver acting on
-//! it is a timer: nodes block on their sockets, clients on a wake-up
-//! signal the sender raises, and an insert reads exactly the
-//! acknowledgment frames it is owed (DESIGN.md decision 13). Concurrency
-//! control is out of scope, as the paper itself lists it as open (§6):
-//! the deployment serializes message handling and clients quiesce
-//! between operations, matching the paper's own evaluation regime.
+//! process. Each connection gets one connect attempt, and a frame whose
+//! connection fails is a counted loss at once; both ends cut frames with
+//! one length-delimited decoder. Nothing between a frame being written
+//! and its receiver acting on it is a timer: nodes block on their
+//! sockets, clients on a wake-up signal the sender raises, and an insert
+//! reads exactly the acknowledgment frames it is owed (DESIGN.md
+//! decision 13). Concurrency control is out of scope, as the paper
+//! itself lists it as open (§6): the deployment serializes message
+//! handling and clients quiesce between operations, matching the
+//! paper's own evaluation regime.
 //!
 //! ## Example
 //!
@@ -65,5 +68,5 @@ pub mod node;
 pub mod wire;
 
 pub use client::{NetClient, NetError};
-pub use cluster::{NetCluster, NetOptions};
+pub use cluster::NetCluster;
 pub use wire::{decode_message, encode_message, WireError};

@@ -8,7 +8,10 @@
 //! handled in the same turn, off a local queue; other servers get a
 //! connection per frame; clients get their frames on one kept link each,
 //! the writing end of a connection to the client's reply port that every
-//! node thread shares (DESIGN.md decision 13).
+//! node thread shares (DESIGN.md decision 13). Every connection is one
+//! attempt: an endpoint missing from the directory, a refused connect or
+//! a failed write is a counted delivery failure at once. Both ends read
+//! frames through one length-delimited decoder, `Frames`.
 //!
 //! When the state machine allocates a new server (a split), the node
 //! *synchronously* binds the new server's listener before forwarding any
@@ -24,7 +27,7 @@ use sdr_core::ids::ClientId;
 use sdr_core::msg::{Endpoint, Message};
 use sdr_core::{Allocator, FaultExecutor, Outbox, Released, SdrConfig, Server, ServerId, Verdict};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -93,10 +96,10 @@ pub(crate) struct Deployment {
     /// is why quiescence tests `> 0`, not `!= 0`.
     pub in_flight: std::sync::atomic::AtomicI64,
     /// Monotonic count of messages this deployment failed to deliver:
-    /// frames undeliverable after every connect attempt, frames that
-    /// arrived truncated/undecodable, and fault-injected losses. Clients
-    /// snapshot it per operation; any advance surfaces as
-    /// [`crate::client::NetError::Undeliverable`] instead of a silent
+    /// frames whose one connection could not be opened or written,
+    /// frames that arrived truncated/undecodable, and fault-injected
+    /// losses. Clients snapshot it per operation; any advance surfaces
+    /// as [`crate::client::NetError::Undeliverable`] instead of a silent
     /// drop or a hang-until-timeout.
     pub delivery_failures: AtomicU64,
     /// Deterministic fault injection ([`FaultExecutor::none`] in normal
@@ -106,15 +109,10 @@ pub(crate) struct Deployment {
     /// reordered messages and the deferred lane, which
     /// [`Deployment::release_idle`] empties once nothing is in flight.
     pub faults: Mutex<FaultExecutor<Message>>,
-    /// Connect attempts `send_message` makes before declaring a message
-    /// undeliverable (the retry ladder sleeps `2ms * attempt` between
-    /// tries). Tunable so fault tests fail fast instead of in seconds.
-    pub send_attempts: u32,
     /// Deployment-wide delivery metrics (`None` unless `SDR_METRICS` is
-    /// set at launch): frame read/write counts and bytes, in-flight
-    /// high-water, held messages released. Numeric *values* depend on
-    /// thread timing — only the key set is deterministic — so these are
-    /// for operator inspection, never for golden comparisons.
+    /// set at launch): frames written and their bytes. Numeric *values*
+    /// depend on thread timing — only the key set is deterministic — so
+    /// these are for operator inspection, never for golden comparisons.
     pub metrics: Option<Mutex<sdr_obs::Metrics>>,
     /// The wake-up signal; see [`Events`].
     pub events: Mutex<Events>,
@@ -246,9 +244,6 @@ impl Deployment {
         for msg in released {
             transmit(self, msg);
         }
-        if !released.is_empty() {
-            self.with_metrics(|m| m.add("net/delayed_flush", released.len() as u64));
-        }
         released.len()
     }
 }
@@ -302,7 +297,6 @@ fn accept_loop(deployment: Arc<Deployment>, listener: TcpListener, mut server: S
                 consecutive_errors = 0;
                 match read_frame(stream) {
                     Some(msg) => {
-                        deployment.with_metrics(|m| m.inc("frame/read"));
                         // Receive-side fault injection: the frame arrived
                         // but is treated as unreadable.
                         let corrupt = deployment.faults().corrupt(msg.payload.category());
@@ -343,7 +337,6 @@ fn accept_loop(deployment: Arc<Deployment>, listener: TcpListener, mut server: S
 fn read_failure(deployment: &Deployment) {
     deployment.record_delivery_failure();
     deployment.settle_in_flight();
-    deployment.with_metrics(|m| m.inc("frame/read_failure"));
 }
 
 /// Handles one frame, then every message the server sends itself on the
@@ -357,10 +350,8 @@ fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Messag
     // Serializing whole handler turns (handle + sends) is the point of
     // this lock; send_message only writes a frame and never awaits the
     // peer's processing, so no reply can need this lock before we
-    // release it. That holds while the peer accepts: against an absent
-    // or refusing listener, `transmit`'s connect-retry ladder sleeps
-    // 2, 4, … ms over `send_attempts` tries (≈ 2.5 s at the default 50)
-    // with the lock held.
+    // release it. An absent or refusing peer costs one failed connect,
+    // never a wait: nothing sleeps under this lock.
     let _serialized = deployment
         .handle_lock
         .lock()
@@ -448,15 +439,14 @@ fn offer(deployment: &Deployment, msg: &Message, mut deliver: impl FnMut(&Messag
 }
 
 /// Delivers one message to its endpoint: a client's on its kept link, a
-/// server's on a connection of its own. A message that stays
-/// undeliverable after every attempt is counted on the deployment —
-/// never silently dropped — so clients report it as an explicit
+/// server's on a connection of its own. A message that cannot be
+/// delivered is counted on the deployment — never silently dropped — so
+/// clients report it as an explicit
 /// [`crate::client::NetError::Undeliverable`].
 fn transmit(deployment: &Deployment, msg: &Message) {
     let is_server_bound = matches!(msg.to, Endpoint::Server(_));
     if is_server_bound {
-        let depth = deployment.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        deployment.with_metrics(|m| m.set_gauge("net/in_flight", depth));
+        deployment.in_flight.fetch_add(1, Ordering::SeqCst);
     }
     let frame = encode_message(msg);
     deployment.with_metrics(|m| {
@@ -465,12 +455,12 @@ fn transmit(deployment: &Deployment, msg: &Message) {
     });
     let delivered = match msg.to {
         Endpoint::Client(client) => {
-            // A client that is gone has no link: the frame goes through
-            // the ladder on one nobody keeps, and fails there.
+            // A client that is gone has no link, and no directory entry:
+            // the frame fails its one connect on a link nobody keeps.
             let link = deployment.links().get(&client).cloned().unwrap_or_default();
             let mut link = link.lock().unwrap_or_else(|e| e.into_inner());
-            // The kept link first. A write that fails closes it, and the
-            // ladder opens the one that replaces it.
+            // The kept link first. A write that fails closes it, and one
+            // connect opens the link that replaces it.
             let kept = link.take().filter(|mut s| s.write_all(&frame).is_ok());
             *link = kept.or_else(|| {
                 connect_and_write(deployment, msg.to, |s| {
@@ -501,50 +491,42 @@ fn transmit(deployment: &Deployment, msg: &Message) {
     }
 }
 
-/// The connect-retry ladder: up to `send_attempts` connections to `to`'s
-/// listener, 2, 4, … ms apart (a freshly spawned node may still be
-/// binding), until `write` succeeds on one. Returns that connection.
+/// One connection to `to`'s listener, with `write` done on it: one
+/// directory lookup and one connect. Every listener registers before
+/// anything can address it, so a missing entry or a refused connect will
+/// not mend itself, and the caller counts the frame lost at once.
 fn connect_and_write(
     deployment: &Deployment,
     to: Endpoint,
-    mut write: impl FnMut(&mut TcpStream) -> std::io::Result<()>,
+    write: impl FnOnce(&mut TcpStream) -> std::io::Result<()>,
 ) -> Option<TcpStream> {
-    for attempt in 0..u64::from(deployment.send_attempts) {
-        if attempt > 0 {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "connect-retry ladder: only a frame whose listener is absent or refusing waits here"
-            )]
-            std::thread::sleep(Duration::from_millis(2 * attempt));
-        }
-        // Resolve the port on every attempt: a listener may register
-        // between two of them.
-        let Some(port) = deployment.lookup(to) else {
-            continue;
-        };
-        if let Ok(mut stream) = TcpStream::connect(("127.0.0.1", port)) {
-            if write(&mut stream).is_ok() {
-                return Some(stream);
-            }
-        }
-    }
-    None
+    let port = deployment.lookup(to)?;
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).ok()?;
+    write(&mut stream).ok()?;
+    Some(stream)
 }
 
-/// Reads one length-prefixed frame from a stream and decodes it.
+/// Reads the one frame a node connection carries and decodes it.
 /// Returns `None` on timeout, truncation, oversize, decode error, or a
 /// body that continues after its message (the encoder always emits the
 /// exact length, so such a prefix disagrees with its content); the
 /// caller owns the delivery accounting for that loss.
 fn read_frame(mut stream: TcpStream) -> Option<Message> {
     stream.set_read_timeout(Some(FRAME_TIMEOUT)).ok()?;
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf).ok()?;
-    let mut body = Vec::new();
-    if !read_body(&mut stream, u32::from_be_bytes(len_buf) as usize, &mut body) {
-        return None;
+    let mut frames = Frames::default();
+    loop {
+        match frames.cut() {
+            Cut::Frame(msg) => return msg,
+            Cut::Oversize => return None,
+            Cut::Partial => {}
+        }
+        match frames.fill(&mut stream) {
+            Ok(0) => return None,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return None,
+        }
     }
-    decode_body(&body)
 }
 
 /// The message a frame body holds, if it holds exactly one.
@@ -556,15 +538,6 @@ fn decode_body(body: &[u8]) -> Option<Message> {
 
 /// The largest frame body a reader accepts.
 const MAX_FRAME: usize = 64 * 1024 * 1024;
-
-/// Reads exactly `len` bytes into `body`; whether they all came. A length
-/// prefix is four bytes anyone can send, so past one reservation that
-/// covers any ordinary frame `body` grows only with the bytes received.
-fn read_body(stream: &mut impl Read, len: usize, body: &mut Vec<u8>) -> bool {
-    body.reserve(len.min(64 * 1024));
-    let mut rest = stream.take(len as u64);
-    len <= MAX_FRAME && rest.read_to_end(body).is_ok_and(|n| n == len)
-}
 
 /// What [`Frames::cut`] finds at the front of a stream's buffer.
 #[derive(Debug)]
@@ -585,7 +558,9 @@ pub(crate) enum Cut {
 
 /// One inbound byte stream cut into length-prefixed frames: the bytes
 /// received and not yet cut. It grows only with bytes that arrived,
-/// never with what a prefix promises.
+/// never with what a prefix promises (a length prefix is four bytes
+/// anyone can send). Nodes read their one-frame connections through it,
+/// clients their streams of frames.
 #[derive(Debug, Default)]
 pub(crate) struct Frames {
     buf: Vec<u8>,
@@ -647,12 +622,8 @@ mod tests {
 
     #[test]
     fn a_huge_length_prefix_allocates_only_for_what_arrives() {
-        let mut body = Vec::new();
-        assert!(!read_body(&mut &[1u8, 2, 3][..], 60 << 20, &mut body));
-        assert!(body.capacity() < 1 << 20, "{}", body.capacity());
-
-        // The same frame on a stream: the reassembly buffer holds the
-        // seven bytes that came, and waits for the rest.
+        // The reassembly buffer holds the seven bytes that came, and
+        // waits for the rest.
         let mut stream = &[&(60u32 << 20).to_be_bytes()[..], &[1, 2, 3]].concat()[..];
         let mut frames = Frames::default();
         while frames.fill(&mut stream).unwrap() > 0 {}

@@ -12,7 +12,7 @@
 use sdr_core::msg::{Endpoint, ImageHolder, Insertion, Message, Payload};
 use sdr_core::{FaultKind, FaultPlan, MsgCategory, Object, OcTable, Oid, SdrConfig, ServerId};
 use sdr_geom::{Point, Rect};
-use sdr_net::{NetClient, NetCluster, NetError, NetOptions};
+use sdr_net::{NetClient, NetCluster, NetError};
 use sdr_workload::{DatasetSpec, Distribution, WindowSpec};
 use std::io::Write;
 use std::net::TcpStream;
@@ -99,8 +99,8 @@ fn truncated_frame_is_counted_and_does_not_hang() {
 
 /// A length prefix is four bytes anyone can send: 60 MiB promised and
 /// three bytes delivered is the same counted loss as any truncated frame
-/// (`read_body`'s unit test pins that nothing near 60 MiB is allocated
-/// for it), and the node serves on.
+/// (`node::tests` pins that the reassembly buffer holds only the bytes
+/// that came), and the node serves on.
 #[test]
 fn huge_length_prefix_is_a_counted_truncation() {
     let cluster = NetCluster::launch(SdrConfig::with_capacity(25)).unwrap();
@@ -193,16 +193,12 @@ fn refused_frame_is_counted_and_the_node_serves_on() {
 
 /// Bug 2+4 regression: a listener dying mid-run used to mean 50 connect
 /// attempts, an `eprintln!`, a silently dropped message, and a client
-/// stuck until its timeout misreported the cause. Now the exhausted
-/// retry ladder increments the delivery-failure counter and the client
+/// stuck until its timeout misreported the cause. Now the frame's one
+/// failed lookup increments the delivery-failure counter and the client
 /// fails fast with `Undeliverable`.
 #[test]
 fn dead_listener_reports_undeliverable_not_timeout() {
-    let options = NetOptions {
-        send_attempts: 3,
-        ..NetOptions::default()
-    };
-    let cluster = NetCluster::launch_with(SdrConfig::with_capacity(20), options).unwrap();
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(20)).unwrap();
     let mut client = NetClient::connect(&cluster).unwrap();
     client.timeout = Duration::from_secs(30);
     grid_insert(&mut client, 60);
@@ -210,8 +206,7 @@ fn dead_listener_reports_undeliverable_not_timeout() {
     let servers = cluster.num_servers();
     assert!(servers >= 2, "need a split for this test, got {servers}");
 
-    // Kill a server's directory entry: messages to it now exhaust their
-    // (shortened) retry ladder.
+    // Kill a server's directory entry: messages to it now fail at once.
     cluster.deregister_server(ServerId(1));
 
     // A full-space window query must traverse every server, so it is
@@ -224,10 +219,49 @@ fn dead_listener_reports_undeliverable_not_timeout() {
         "expected Undeliverable, got {err:?}"
     );
     assert!(
-        elapsed < Duration::from_secs(10),
-        "failure took {elapsed:?}: retry ladder not bounded by send_attempts"
+        elapsed < Duration::from_secs(1),
+        "failure took {elapsed:?}: a frame waited on its missing listener"
     );
     assert!(cluster.delivery_failures() >= 1);
+    cluster.shutdown();
+}
+
+/// A client that leaves while reports are still owed to it must not
+/// stall the others. Its endpoint leaves the directory with it, so each
+/// report to it is a lookup that fails: counted at once. A retry ladder
+/// used to hold `handle_lock` ≈ 2.45 s per such report, and the other
+/// client's quiescence waited out all of them (44 s for 18 reports).
+#[test]
+fn a_client_that_leaves_with_reports_owed_does_not_stall_the_deployment() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(20)).unwrap();
+    let mut leaver = NetClient::connect(&cluster).unwrap();
+    grid_insert(&mut leaver, 100);
+    leaver.quiesce().unwrap();
+    let servers = cluster.num_servers();
+    assert!(servers >= 4, "need a wide fan-out, got {servers} servers");
+    let mut stayer = NetClient::connect(&cluster).unwrap();
+
+    // The query goes out, the client stops waiting at once and leaves.
+    leaver.timeout = Duration::ZERO;
+    let got = leaver.window_query(Rect::new(0.0, 0.0, 1.0, 1.0));
+    assert!(matches!(got, Err(NetError::Timeout)), "got {got:?}");
+    drop(leaver);
+
+    // The failure counter is deployment-wide, so the leaver's lost
+    // reports fail the stayer's checks too; they are not asserted on.
+    let started = Instant::now();
+    while let Err(e) = stayer.quiesce() {
+        assert!(matches!(e, NetError::Undeliverable), "got {e:?}");
+    }
+    let settled = started.elapsed();
+    assert!(
+        settled < Duration::from_secs(1),
+        "the deployment took {settled:?} to settle after a client left"
+    );
+    assert!(cluster.delivery_failures() >= 1);
+    let hits = stayer.point_query(Point::new(0.425, 0.625)).unwrap();
+    let oids: Vec<Oid> = hits.iter().map(|o| o.oid).collect();
+    assert_eq!(oids, vec![Oid(64)]);
     cluster.shutdown();
 }
 
@@ -239,11 +273,8 @@ fn dead_listener_reports_undeliverable_not_timeout() {
 #[test]
 fn corrupt_inbound_frames_fail_fast_instead_of_leaking_in_flight() {
     let plan = FaultPlan::none().with_corrupt_for(MsgCategory::Insert, 1.0);
-    let options = NetOptions {
-        faults: Some((plan, 0xC0)),
-        ..NetOptions::default()
-    };
-    let cluster = NetCluster::launch_with(SdrConfig::with_capacity(25), options).unwrap();
+    let cluster =
+        NetCluster::launch_with_faults(SdrConfig::with_capacity(25), &plan, 0xC0).unwrap();
     let mut client = NetClient::connect(&cluster).unwrap();
     client.timeout = Duration::from_secs(30);
 
@@ -284,11 +315,8 @@ fn delayed_acks_still_correct_the_image() {
     let plan = FaultPlan::none()
         .with_delay_for(MsgCategory::Iam, 1.0)
         .with_max_delay(2);
-    let options = NetOptions {
-        faults: Some((plan, 0xDE1)),
-        ..NetOptions::default()
-    };
-    let cluster = NetCluster::launch_with(SdrConfig::with_capacity(20), options).unwrap();
+    let cluster =
+        NetCluster::launch_with_faults(SdrConfig::with_capacity(20), &plan, 0xDE1).unwrap();
     let mut client = NetClient::connect(&cluster).unwrap();
 
     // Enough inserts to force splits, out-of-range paths, and therefore
@@ -323,11 +351,8 @@ fn delayed_acks_still_correct_the_image() {
 #[test]
 fn seeded_drop_plan_reports_every_loss() {
     let plan = FaultPlan::none().with_drop_for(MsgCategory::Reply, 0.3);
-    let options = NetOptions {
-        faults: Some((plan, 0x10AD)),
-        ..NetOptions::default()
-    };
-    let cluster = NetCluster::launch_with(SdrConfig::with_capacity(25), options).unwrap();
+    let cluster =
+        NetCluster::launch_with_faults(SdrConfig::with_capacity(25), &plan, 0x10AD).unwrap();
     let mut client = NetClient::connect(&cluster).unwrap();
     client.timeout = Duration::from_secs(2);
 
@@ -379,11 +404,8 @@ fn duplicated_and_reordered_traffic_loses_nothing() {
         .with_reorder_for(MsgCategory::Query, 0.2)
         .with_reorder_for(MsgCategory::Reply, 0.2)
         .with_reorder_for(MsgCategory::Iam, 0.2);
-    let options = NetOptions {
-        faults: Some((plan, 0xD0B)),
-        ..NetOptions::default()
-    };
-    let cluster = NetCluster::launch_with(SdrConfig::with_capacity(20), options).unwrap();
+    let cluster =
+        NetCluster::launch_with_faults(SdrConfig::with_capacity(20), &plan, 0xD0B).unwrap();
     let mut client = NetClient::connect(&cluster).unwrap();
     grid_insert(&mut client, 80);
     client.quiesce().unwrap();
@@ -623,11 +645,8 @@ fn set_routing_to_a_data_only_server_is_refused() {
 #[test]
 fn a_message_a_node_sends_itself_meets_the_fault_plan() {
     let plan = FaultPlan::none().with_drop_for(MsgCategory::Insert, 1.0);
-    let options = NetOptions {
-        faults: Some((plan, 0x5E1F)),
-        ..NetOptions::default()
-    };
-    let cluster = NetCluster::launch_with(SdrConfig::with_capacity(25), options).unwrap();
+    let cluster =
+        NetCluster::launch_with_faults(SdrConfig::with_capacity(25), &plan, 0x5E1F).unwrap();
     let at = |oid: u64, x: f64| {
         let insert = Message {
             from: Endpoint::Server(ServerId(9)),

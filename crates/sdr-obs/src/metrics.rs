@@ -3,7 +3,7 @@
 //! Keys are `String` names in a `BTreeMap`, so the snapshot export
 //! walks them in sorted order and is byte-deterministic for a fixed
 //! run. Name convention is `area/detail` (e.g. `"msg/Query"`,
-//! `"hops/Query"`, `"queue/depth"`); the slash groups related rows.
+//! `"hops/Query"`, `"frame/write"`); the slash groups related rows.
 
 use std::collections::BTreeMap;
 
