@@ -11,17 +11,16 @@
 //! frames, each read until its peer closes it: the deployment's kept
 //! link, which carries every frame the nodes send this client, and any
 //! other connection — one a test or a peer opened for a single frame
-//! reads the same way. Sockets are non-blocking; a frame is handed on
-//! once it is whole.
+//! reads the same way, through the reader nodes use, `node::next_frame`.
+//! Sockets are non-blocking; a frame is handed on once it is whole.
 
-use crate::node::{send_message, Cut, Deployment, Frames};
+use crate::node::{next_frame, send_message, Deployment, Frames};
 use crate::NetCluster;
 use sdr_core::ids::ClientId;
 use sdr_core::msg::{Endpoint, Message, QueryKind};
 use sdr_core::{Client, Fold, Image, Object, Transport, Variant};
 use sdr_geom::{Point, Rect};
 use std::cell::{Cell, RefCell};
-use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -97,8 +96,9 @@ impl NetClient {
         listener.set_nonblocking(true)?;
         deployment.events().owed.insert(id, 0);
         // The link itself opens at the first frame for this client.
-        deployment.links().insert(id, Default::default());
-        deployment.register(Endpoint::Client(id), listener.local_addr()?.port());
+        let me = Endpoint::Client(id);
+        deployment.links().insert(me, Default::default());
+        deployment.register(me, listener.local_addr()?.port());
         let failures_seen = Cell::new(deployment.delivery_failures.load(Ordering::SeqCst));
         Ok(NetClient {
             core: Client::new(id, Variant::ImClient, 0),
@@ -215,8 +215,13 @@ impl Wire {
         loop {
             // Before reading: a frame written after it ends the wait below.
             let seen = self.deployment.events().seq;
-            match self.next_frame() {
-                Ok(Some(Some(msg))) => return Ok(msg),
+            match next_frame(&self.listener, &mut self.inbound.borrow_mut()) {
+                Ok(Some(Some(msg))) => {
+                    if let Some(n) = self.deployment.events().owed.get_mut(&self.id) {
+                        *n -= 1;
+                    }
+                    return Ok(msg);
+                }
                 // A truncated, oversized or undecodable reply is a lost
                 // reply, maybe this operation's: count it, and end the
                 // operation as `Undeliverable` now (the check always fails
@@ -244,62 +249,6 @@ impl Wire {
             }
         }
     }
-
-    /// The next frame any inbound connection holds, without blocking:
-    /// `Some(None)` for one that is lost (it does not decode, its prefix
-    /// is past the cap, or its connection closed mid-frame), `None` when
-    /// no whole frame has arrived. Connections are read in the order they
-    /// were accepted, each in its own byte order.
-    fn next_frame(&self) -> std::io::Result<Option<Option<Message>>> {
-        let mut inbound = self.inbound.borrow_mut();
-        loop {
-            let mut i = 0;
-            while let Some((stream, frames)) = inbound.get_mut(i) {
-                match frames.cut() {
-                    Cut::Frame(msg) => {
-                        if let Some(n) = self.deployment.events().owed.get_mut(&self.id) {
-                            *n -= 1;
-                        }
-                        return Ok(Some(msg));
-                    }
-                    Cut::Oversize => {
-                        inbound.remove(i);
-                        return Ok(Some(None));
-                    }
-                    Cut::Partial => {}
-                }
-                match frames.fill(stream) {
-                    Ok(n) if n > 0 => continue,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => i += 1,
-                    // Closed or reset: a frame cut short there is lost.
-                    _ => {
-                        let truncated = !frames.is_empty();
-                        inbound.remove(i);
-                        if truncated {
-                            return Ok(Some(None));
-                        }
-                    }
-                }
-            }
-            // Everything accepted is drained; take the connections waiting
-            // in the backlog, and read them if there were any.
-            let before = inbound.len();
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(true)?;
-                        inbound.push((stream, Frames::default()));
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) => return Err(e),
-                }
-            }
-            if inbound.len() == before {
-                return Ok(None);
-            }
-        }
-    }
 }
 
 impl Drop for Wire {
@@ -307,7 +256,7 @@ impl Drop for Wire {
     fn drop(&mut self) {
         self.deployment.deregister(Endpoint::Client(self.id));
         self.deployment.events().owed.remove(&self.id);
-        self.deployment.links().remove(&self.id);
+        self.deployment.links().remove(&Endpoint::Client(self.id));
     }
 }
 

@@ -4,7 +4,6 @@
 use crate::node::{spawn_node, Deployment};
 use sdr_core::msg::{Endpoint, Message};
 use sdr_core::{FaultCounts, FaultExecutor, FaultPlan, SdrConfig, ServerId};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -99,16 +98,16 @@ impl NetCluster {
         self.deployment.deregister(Endpoint::Server(id));
     }
 
-    /// Stops every node ever spawned — an empty connection wakes each out
-    /// of `accept` — and joins them. A second call, or the `Drop` after an
+    /// Stops every node ever spawned — its bell wakes each out of its
+    /// wait — and joins them. A second call, or the `Drop` after an
     /// explicit one, finds none left and returns at once.
     pub fn shutdown(&self) {
         let deployment = &self.deployment;
         deployment.stop.store(true, Ordering::SeqCst);
         let nodes =
             std::mem::take(&mut *deployment.nodes.lock().unwrap_or_else(|e| e.into_inner()));
-        for (port, _) in &nodes {
-            let _ = TcpStream::connect(("127.0.0.1", *port));
+        for (link, _) in &nodes {
+            link.ring();
         }
         for (_, node) in nodes {
             // A node that panicked took the frames it was handling with it.

@@ -9,9 +9,10 @@
 //! * [`wire`] — a compact binary codec for every protocol message
 //!   (length-prefixed frames; no serialization framework), described
 //!   once as field tables over the first-party [`buf`] byte cursors.
-//! * [`node`] — a thread-per-server TCP node: blocks in `accept`, feeds
-//!   each frame to the embedded [`sdr_core::Server`], handles what the
-//!   server sends itself in the same turn, ships the rest of the outbox.
+//! * [`node`] — a thread-per-server TCP node: reads its connections as
+//!   streams of frames, feeds each frame to the embedded
+//!   [`sdr_core::Server`], handles what the server sends itself in the
+//!   same turn, ships the rest of the outbox.
 //! * [`cluster`] — a process-local deployment manager that binds
 //!   listeners, spawns nodes when servers split, and on shutdown wakes
 //!   and joins every one of them.
@@ -21,13 +22,13 @@
 //!
 //! Every node binds an OS-assigned port registered in the deployment's
 //! address directory — the role a node manager plays in a production
-//! deployment. A connection to a node carries one frame; the frames for
-//! a client ride one kept connection, shared by every node thread of the
-//! process. Each connection gets one connect attempt, and a frame whose
-//! connection fails is a counted loss at once; both ends cut frames with
-//! one length-delimited decoder. Nothing between a frame being written
-//! and its receiver acting on it is a timer: nodes block on their
-//! sockets, clients on a wake-up signal the sender raises, and an insert
+//! deployment. The frames for an endpoint, node or client, ride one kept
+//! connection, shared by every thread of the process that writes to it.
+//! Each connection gets one connect attempt, and a frame whose connection
+//! fails is a counted loss at once; both ends read their connections with
+//! one length-delimited reader. Nothing between a frame being written and
+//! its receiver acting on it is a timer: nodes wait on a bell their
+//! writers ring, clients on a wake-up signal the sender raises, and an insert
 //! reads exactly the acknowledgment frames it is owed (DESIGN.md
 //! decision 13). Concurrency control is out of scope, as the paper
 //! itself lists it as open (§6): the deployment serializes message

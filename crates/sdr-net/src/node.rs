@@ -1,24 +1,24 @@
 //! A TCP server node: one SD-Rtree server behind a socket.
 //!
-//! Each node parks in a blocking `accept` on its own OS-assigned port. A
-//! connection to a node carries exactly one frame (a
-//! [`sdr_core::Message`]); the node feeds it to the embedded [`Server`]
-//! state machine and ships the resulting outbox. What the server sends
-//! itself (a routing node descending to its co-located data node) is
-//! handled in the same turn, off a local queue; other servers get a
-//! connection per frame; clients get their frames on one kept link each,
-//! the writing end of a connection to the client's reply port that every
-//! node thread shares (DESIGN.md decision 13). Every connection is one
-//! attempt: an endpoint missing from the directory, a refused connect or
-//! a failed write is a counted delivery failure at once. Both ends read
-//! frames through one length-delimited decoder, `Frames`.
+//! Each node serves its own OS-assigned port. Every endpoint — a node or
+//! a client — gets its frames on one kept link, the writing end of a
+//! connection to its listener that every thread of the process shares
+//! (DESIGN.md decision 13). A node reads each connection it accepted as a
+//! stream of frames, the way a client does (`next_frame`), feeds each
+//! [`sdr_core::Message`] to the embedded [`Server`] state machine and
+//! ships the resulting outbox. What the server sends itself (a routing
+//! node descending to its co-located data node) is handled in the same
+//! turn, off a local queue. A link that fails gets one connect: an
+//! endpoint missing from the directory, a refused connect or a failed
+//! write is a counted delivery failure at once. Both ends cut frames with
+//! one length-delimited decoder, `Frames`.
 //!
 //! When the state machine allocates a new server (a split), the node
 //! *synchronously* binds the new server's listener before forwarding any
 //! message to it, so the `SplitCreate` can never be lost; the new node's
-//! accept loop then runs on its own thread. This is the node-manager
-//! role a production deployment would delegate to its orchestrator.
-//! Nothing here sleeps or polls: a node wakes because a frame arrived, a
+//! loop then runs on its own thread. This is the node-manager role a
+//! production deployment would delegate to its orchestrator. No counted
+//! frame waits on a clock: a node wakes because a writer rang its bell, a
 //! waiting client because `Deployment::notify` said so (DESIGN.md 13).
 
 use crate::buf::ReadBuf;
@@ -28,7 +28,7 @@ use sdr_core::msg::{Endpoint, Message};
 use sdr_core::{Allocator, FaultExecutor, Outbox, Released, SdrConfig, Server, ServerId, Verdict};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -74,10 +74,12 @@ pub(crate) struct Deployment {
     /// exists, the TCP layer executes the *distribution* faithfully
     /// (real sockets, framing, per-server state) while handling one
     /// message at a time, matching the synchronous semantics the paper's
-    /// own evaluation assumes. Senders never block on receivers'
-    /// processing (frames queue in a node's accept backlog or in a client
-    /// link's socket buffer, whose writes time out after
-    /// [`FRAME_TIMEOUT`]), so the lock cannot deadlock.
+    /// own evaluation assumes. Senders never wait on receivers'
+    /// processing: frames queue in a link's socket buffers, far larger
+    /// than the backlog the clients' quiescence lets build up (DESIGN.md
+    /// decision 13), and a write that still blocks times out after
+    /// [`FRAME_TIMEOUT`], one counted failure. So the lock cannot
+    /// deadlock.
     pub handle_lock: Mutex<()>,
     /// Server-bound messages sent but not yet fully handled. Clients
     /// wait for this to drop to zero between operations
@@ -117,23 +119,71 @@ pub(crate) struct Deployment {
     /// The wake-up signal; see [`Events`].
     pub events: Mutex<Events>,
     pub wakeup: Condvar,
-    /// Port and thread of every node ever spawned, for `shutdown` to wake
+    /// Link and thread of every node ever spawned, for `shutdown` to wake
     /// and join — also those `deregister` hid from the directory.
-    pub nodes: Mutex<Vec<(u16, JoinHandle<()>)>>,
-    /// The kept link to every connected client, keyed like `owed`.
-    pub links: Mutex<HashMap<ClientId, Link>>,
+    pub nodes: Mutex<Vec<(Arc<Link>, JoinHandle<()>)>>,
+    /// The kept link to every node and every connected client.
+    pub links: Mutex<HashMap<Endpoint, Arc<Link>>>,
 }
 
-/// The writing end of the one connection that carries a client's frames:
-/// `None` until the first client-bound frame, or after a write on it
-/// failed. Its lock keeps frames whole when node threads (and clients
-/// releasing held messages) write to the same client.
-pub(crate) type Link = Arc<Mutex<Option<TcpStream>>>;
+/// The writing end of the one connection that carries an endpoint's
+/// frames, and a node's bell.
+#[derive(Debug, Default)]
+pub(crate) struct Link {
+    /// `None` until the first frame, or after a write on it failed. The
+    /// lock keeps frames whole when several threads write to one endpoint.
+    stream: Mutex<Option<TcpStream>>,
+    /// How often a writer rang the bell its node waits on when it has
+    /// nothing to read. Clients wait on `Deployment::wakeup` instead.
+    rung: Mutex<u64>,
+    bell: Condvar,
+}
 
-/// How long a frame may take to arrive at a node, or to be written on a
-/// client's link: a client that stops reading costs one counted failure,
-/// not a deployment hung under `handle_lock`.
+/// How long a frame may take to be written on a link: a receiver that
+/// stops reading costs one counted failure, not a deployment hung under
+/// `handle_lock`.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// An idle node's first and longest wait for its bell. Every counted
+/// frame rings it, so they bound only how late a connection nobody
+/// announced (a raw peer) is read: the wait doubles while nothing
+/// arrives, so an idle node costs next to nothing.
+const IDLE_FIRST: Duration = Duration::from_millis(1);
+const IDLE_LAST: Duration = Duration::from_millis(128);
+
+impl Link {
+    /// Writes `frame` on the kept connection. A write that fails closes
+    /// it, and one connect to `port` opens the connection that replaces
+    /// it; whether either carried the frame.
+    fn write(&self, port: u16, frame: &[u8]) -> bool {
+        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
+        let kept = stream.take().filter(|mut s| s.write_all(frame).is_ok());
+        *stream = kept.or_else(|| {
+            let mut s = TcpStream::connect(("127.0.0.1", port)).ok()?;
+            s.set_nodelay(true).ok()?;
+            s.set_write_timeout(Some(FRAME_TIMEOUT)).ok()?;
+            s.write_all(frame).ok()?;
+            Some(s)
+        });
+        stream.is_some()
+    }
+
+    fn rung(&self) -> MutexGuard<'_, u64> {
+        self.rung.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Wakes the node waiting on this link.
+    pub fn ring(&self) {
+        *self.rung() += 1;
+        self.bell.notify_one();
+    }
+
+    /// Blocks until the bell rings past `seen` or `timeout` elapses.
+    fn wait(&self, seen: u64, timeout: Duration) {
+        let rung = self.rung();
+        let _woken = self.bell.wait_timeout_while(rung, timeout, |n| *n == seen);
+    }
+}
 
 impl Deployment {
     /// Registers an endpoint's port in the directory.
@@ -180,7 +230,7 @@ impl Deployment {
         self.events.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    pub fn links(&self) -> MutexGuard<'_, HashMap<ClientId, Link>> {
+    pub fn links(&self) -> MutexGuard<'_, HashMap<Endpoint, Arc<Link>>> {
         self.links.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -249,10 +299,12 @@ impl Deployment {
 }
 
 /// Binds a node's listener synchronously (registering its OS-assigned
-/// port), then spawns its accept loop. A deployment that is stopping
-/// spawns nothing: `shutdown` has already collected the nodes it joins.
+/// port after its link, so a sender that finds the port finds the link),
+/// then spawns its loop. A deployment that is stopping spawns nothing:
+/// `shutdown` has already collected the nodes it joins.
 pub(crate) fn spawn_node(deployment: &Arc<Deployment>, id: ServerId) -> std::io::Result<()> {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
+    listener.set_nonblocking(true)?;
     let port = listener.local_addr()?.port();
     let server = if id.0 == 0 {
         Server::new(id, deployment.config)
@@ -263,12 +315,14 @@ pub(crate) fn spawn_node(deployment: &Arc<Deployment>, id: ServerId) -> std::io:
     if deployment.stop.load(Ordering::SeqCst) {
         return Ok(());
     }
-    deployment.register(Endpoint::Server(id), port);
-    let shared = deployment.clone();
+    let (me, link) = (Endpoint::Server(id), Arc::new(Link::default()));
+    deployment.links().insert(me, link.clone());
+    deployment.register(me, port);
+    let (shared, bell) = (deployment.clone(), link.clone());
     let node = std::thread::Builder::new()
         .name(format!("sdr-node-{}", id.0))
-        .spawn(move || accept_loop(shared, listener, server))?;
-    nodes.push((port, node));
+        .spawn(move || accept_loop(shared, listener, &bell, server))?;
+    nodes.push((link, node));
     Ok(())
 }
 
@@ -286,33 +340,31 @@ pub(crate) fn accept_backoff(consecutive_errors: u32) -> Duration {
 /// The longest a node ever sleeps between accept retries.
 pub(crate) const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
-fn accept_loop(deployment: Arc<Deployment>, listener: TcpListener, mut server: Server) {
+/// Serves one node until the stop flag: reads the next frame any of its
+/// connections holds and handles it, or waits for the bell when none has
+/// one.
+fn accept_loop(
+    deployment: Arc<Deployment>,
+    listener: TcpListener,
+    bell: &Link,
+    mut server: Server,
+) {
+    let mut inbound = Vec::new();
+    let mut idle = IDLE_FIRST;
     let mut consecutive_errors: u32 = 0;
-    while !deployment.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            // `shutdown` wakes a parked accept with an empty connection:
-            // no frame, so it must not be booked as a lost one.
-            Ok(_) if deployment.stop.load(Ordering::SeqCst) => return,
-            Ok((stream, _)) => {
-                consecutive_errors = 0;
-                match read_frame(stream) {
-                    Some(msg) => {
-                        // Receive-side fault injection: the frame arrived
-                        // but is treated as unreadable.
-                        let corrupt = deployment.faults().corrupt(msg.payload.category());
-                        if corrupt {
-                            read_failure(&deployment);
-                        } else {
-                            handle_message(&deployment, &mut server, msg);
-                        }
-                    }
-                    // Timeout, truncation, or decode error: the frame is
-                    // lost, but the sender already counted it in
-                    // `in_flight` — settle the account and make the loss
-                    // observable instead of leaking the count and hanging
-                    // every subsequent quiesce.
-                    None => read_failure(&deployment),
-                }
+    loop {
+        // Before reading: a frame written after it ends the wait below,
+        // and so does `shutdown`, which rings after it sets the flag.
+        let seen = *bell.rung();
+        if deployment.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let frame = match next_frame(&listener, &mut inbound) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => {
+                bell.wait(seen, idle);
+                idle = (idle * 2).min(IDLE_LAST);
+                continue;
             }
             // Transient accept errors (ECONNABORTED, EMFILE, EINTR, ...)
             // must not kill the server thread forever; retry with bounded
@@ -324,15 +376,30 @@ fn accept_loop(deployment: Arc<Deployment>, listener: TcpListener, mut server: S
                     reason = "backoff after a failed `accept`; a frame that arrives never waits here"
                 )]
                 std::thread::sleep(accept_backoff(consecutive_errors));
+                continue;
             }
+        };
+        (idle, consecutive_errors) = (IDLE_FIRST, 0);
+        match frame {
+            // Receive-side fault injection: the frame arrived but is
+            // treated as unreadable.
+            Some(msg) if !deployment.faults().corrupt(msg.payload.category()) => {
+                handle_message(&deployment, &mut server, msg);
+            }
+            // Truncation, oversize, decode error or a corrupt draw: the
+            // frame is lost, but its sender already counted it in
+            // `in_flight` — settle the account and make the loss
+            // observable instead of leaking the count and hanging every
+            // subsequent quiesce.
+            _ => read_failure(&deployment),
         }
     }
 }
 
 /// Books a server-bound frame that arrived but could not be processed:
 /// pairs off the sender's `in_flight` increment and counts the loss.
-/// Only `send_message` connects to node listeners, so every frame here
-/// was counted by a sender (unsolicited test frames drive the count
+/// Only `transmit` writes to node links, so every frame there was
+/// counted by a sender (unsolicited test frames drive the count
 /// transiently negative, which quiescence tolerates by testing `> 0`).
 fn read_failure(deployment: &Deployment) {
     deployment.record_delivery_failure();
@@ -438,10 +505,9 @@ fn offer(deployment: &Deployment, msg: &Message, mut deliver: impl FnMut(&Messag
     deployment.transmit_released(&released);
 }
 
-/// Delivers one message to its endpoint: a client's on its kept link, a
-/// server's on a connection of its own. A message that cannot be
-/// delivered is counted on the deployment — never silently dropped — so
-/// clients report it as an explicit
+/// Delivers one message on its endpoint's kept link. A message that
+/// cannot be delivered is counted on the deployment — never silently
+/// dropped — so clients report it as an explicit
 /// [`crate::client::NetError::Undeliverable`].
 fn transmit(deployment: &Deployment, msg: &Message) {
     let is_server_bound = matches!(msg.to, Endpoint::Server(_));
@@ -453,34 +519,16 @@ fn transmit(deployment: &Deployment, msg: &Message) {
         m.inc("frame/write");
         m.add("frame/bytes_out", frame.len() as u64);
     });
-    let delivered = match msg.to {
-        Endpoint::Client(client) => {
-            // A client that is gone has no link, and no directory entry:
-            // the frame fails its one connect on a link nobody keeps.
-            let link = deployment.links().get(&client).cloned().unwrap_or_default();
-            let mut link = link.lock().unwrap_or_else(|e| e.into_inner());
-            // The kept link first. A write that fails closes it, and one
-            // connect opens the link that replaces it.
-            let kept = link.take().filter(|mut s| s.write_all(&frame).is_ok());
-            *link = kept.or_else(|| {
-                connect_and_write(deployment, msg.to, |s| {
-                    s.set_nodelay(true)?;
-                    s.set_write_timeout(Some(FRAME_TIMEOUT))?;
-                    s.write_all(&frame)
-                })
-            });
-            link.is_some()
-        }
-        Endpoint::Server(_) => connect_and_write(deployment, msg.to, |s| {
-            s.write_all(&frame)?;
-            let _ = s.shutdown(Shutdown::Write);
-            Ok(())
-        })
-        .is_some(),
-    };
-    if delivered {
-        if let Endpoint::Client(client) = msg.to {
-            deployment.notify(Some(client));
+    // The directory on every frame: an endpoint that left it (a client
+    // that is gone, a server `deregister_server` removed) fails at once,
+    // even while its link is open.
+    let link = deployment
+        .lookup(msg.to)
+        .zip(deployment.links().get(&msg.to).cloned());
+    if let Some((_, link)) = link.filter(|(port, link)| link.write(*port, &frame)) {
+        match msg.to {
+            Endpoint::Client(client) => deployment.notify(Some(client)),
+            Endpoint::Server(_) => link.ring(),
         }
         return;
     }
@@ -491,40 +539,56 @@ fn transmit(deployment: &Deployment, msg: &Message) {
     }
 }
 
-/// One connection to `to`'s listener, with `write` done on it: one
-/// directory lookup and one connect. Every listener registers before
-/// anything can address it, so a missing entry or a refused connect will
-/// not mend itself, and the caller counts the frame lost at once.
-fn connect_and_write(
-    deployment: &Deployment,
-    to: Endpoint,
-    write: impl FnOnce(&mut TcpStream) -> std::io::Result<()>,
-) -> Option<TcpStream> {
-    let port = deployment.lookup(to)?;
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).ok()?;
-    write(&mut stream).ok()?;
-    Some(stream)
-}
-
-/// Reads the one frame a node connection carries and decodes it.
-/// Returns `None` on timeout, truncation, oversize, decode error, or a
-/// body that continues after its message (the encoder always emits the
-/// exact length, so such a prefix disagrees with its content); the
-/// caller owns the delivery accounting for that loss.
-fn read_frame(mut stream: TcpStream) -> Option<Message> {
-    stream.set_read_timeout(Some(FRAME_TIMEOUT)).ok()?;
-    let mut frames = Frames::default();
+/// The next frame any inbound connection holds, without blocking:
+/// `Some(None)` for one that is lost (it does not decode, its prefix is
+/// past the cap, or its connection closed mid-frame), `None` when no
+/// whole frame has arrived. Connections are read in the order they were
+/// accepted, each in its own byte order, and the listener's backlog is
+/// taken once they are drained. Listener and streams are non-blocking.
+pub(crate) fn next_frame(
+    listener: &TcpListener,
+    inbound: &mut Vec<(TcpStream, Frames)>,
+) -> std::io::Result<Option<Option<Message>>> {
     loop {
-        match frames.cut() {
-            Cut::Frame(msg) => return msg,
-            Cut::Oversize => return None,
-            Cut::Partial => {}
+        let mut i = 0;
+        while let Some((stream, frames)) = inbound.get_mut(i) {
+            match frames.cut() {
+                Cut::Frame(msg) => return Ok(Some(msg)),
+                Cut::Oversize => {
+                    inbound.remove(i);
+                    return Ok(Some(None));
+                }
+                Cut::Partial => {}
+            }
+            match frames.fill(stream) {
+                Ok(n) if n > 0 => continue,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => i += 1,
+                // Closed or reset: a frame cut short there is lost.
+                _ => {
+                    let truncated = !frames.is_empty();
+                    inbound.remove(i);
+                    if truncated {
+                        return Ok(Some(None));
+                    }
+                }
+            }
         }
-        match frames.fill(&mut stream) {
-            Ok(0) => return None,
-            Ok(_) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return None,
+        // Everything accepted is drained; take the connections waiting in
+        // the backlog, and read them if there were any.
+        let before = inbound.len();
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    stream.set_nonblocking(true)?;
+                    inbound.push((stream, Frames::default()));
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
+        }
+        if inbound.len() == before {
+            return Ok(None);
         }
     }
 }
@@ -559,8 +623,7 @@ pub(crate) enum Cut {
 /// One inbound byte stream cut into length-prefixed frames: the bytes
 /// received and not yet cut. It grows only with bytes that arrived,
 /// never with what a prefix promises (a length prefix is four bytes
-/// anyone can send). Nodes read their one-frame connections through it,
-/// clients their streams of frames.
+/// anyone can send). Nodes and clients read every connection through it.
 #[derive(Debug, Default)]
 pub(crate) struct Frames {
     buf: Vec<u8>,

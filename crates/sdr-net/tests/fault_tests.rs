@@ -702,3 +702,41 @@ fn a_message_a_node_sends_itself_meets_the_fault_plan() {
     }
     cluster.shutdown();
 }
+
+/// A raw connection that stops mid-frame does not hold its node: the node
+/// reads every connection without blocking, so the frames on its kept
+/// link are handled beside the stalled one. A node that read each
+/// connection to its end was stuck on it for the 5 s read timeout, and
+/// the insert waiting behind it failed as `Undeliverable`. Once the
+/// stalled connection closes, its cut-short frame is one counted loss.
+#[test]
+fn a_connection_stalled_mid_frame_does_not_stop_its_node() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(1000)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    let stored = Object::new(Oid(100), Rect::new(0.5, 0.5, 0.51, 0.51));
+    client.insert(stored).unwrap();
+
+    // 64 bytes promised, 3 sent, and the connection kept open.
+    let port = cluster.server_port(ServerId(0)).expect("server 0 bound");
+    let mut raw = TcpStream::connect(("127.0.0.1", port)).unwrap();
+    raw.write_all(&64u32.to_be_bytes()).unwrap();
+    raw.write_all(&[1, 2, 3]).unwrap();
+
+    let started = Instant::now();
+    grid_insert(&mut client, 20);
+    let hits = client.point_query(Point::new(0.505, 0.505)).unwrap();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "20 inserts and a query took {elapsed:?} beside a stalled connection"
+    );
+    assert_eq!(hits, vec![stored]);
+    assert_eq!(cluster.delivery_failures(), 0);
+
+    drop(raw);
+    wait_until("the stalled frame was not counted once closed", || {
+        cluster.delivery_failures() != 0
+    });
+    assert_eq!(cluster.delivery_failures(), 1);
+    cluster.shutdown();
+}
