@@ -5,16 +5,20 @@
 //! code the simulator runs. This module is only its socket driver: a
 //! reply listener, send, receive-until-deadline, quiescence, and the
 //! mapping of delivery failures to [`NetError`]. Every wait is a slice on
-//! the deployment's wake-up signal, which the sender cuts short.
+//! the deployment's wake-up signal, which the sender cuts short. A client
+//! sees the losses of frames addressed to it and the losses of frames
+//! bound for servers, never another client's.
 //!
 //! The listener's connections are byte streams of length-prefixed
 //! frames, each read until its peer closes it: the deployment's kept
-//! link, which carries every frame the nodes send this client, and any
+//! link, which carries every frame the servers send this client, and any
 //! other connection — one a test or a peer opened for a single frame
-//! reads the same way, through the reader nodes use, `node::next_frame`.
-//! Sockets are non-blocking; a frame is handed on once it is whole.
+//! reads the same way, through the reader the runner uses,
+//! `node::next_frame`. Sockets are non-blocking; a frame is handed on
+//! once it is whole, and the backlog is taken only when a frame is owed
+//! or a wait slice ran out.
 
-use crate::node::{next_frame, send_message, Deployment, Frames};
+use crate::node::{next_frame, send_message, Account, Deployment, Frames};
 use crate::NetCluster;
 use sdr_core::ids::ClientId;
 use sdr_core::msg::{Endpoint, Message, QueryKind};
@@ -73,9 +77,10 @@ struct Wire {
     id: ClientId,
     listener: TcpListener,
     deployment: Arc<Deployment>,
-    /// The deployment's delivery-failure count as of the last check, so
-    /// each client reports an advance exactly once (in a `Cell`: checks
-    /// happen inside `&self` receive/quiesce loops).
+    /// The delivery failures this client sees (`Deployment::failures_for`)
+    /// as of the last check, so each client reports an advance exactly
+    /// once (in a `Cell`: checks happen inside `&self` receive/quiesce
+    /// loops).
     failures_seen: Cell<u64>,
     /// Every connection accepted and not yet closed, with the bytes it
     /// delivered that are not yet a whole frame.
@@ -83,8 +88,8 @@ struct Wire {
 }
 
 /// The longest a blocked client goes without re-checking its deadline
-/// and its listener (for frames nobody counted). Senders end the wait
-/// early, so no operation's latency includes it.
+/// and its listener's backlog (for frames nobody counted). Senders end
+/// the wait early, so no operation's latency includes it.
 const WAIT_SLICE: Duration = Duration::from_millis(1);
 
 impl NetClient {
@@ -94,12 +99,12 @@ impl NetClient {
         let deployment = cluster.deployment.clone();
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         listener.set_nonblocking(true)?;
-        deployment.events().owed.insert(id, 0);
+        deployment.events().clients.insert(id, Account::default());
         // The link itself opens at the first frame for this client.
         let me = Endpoint::Client(id);
         deployment.links().insert(me, Default::default());
         deployment.register(me, listener.local_addr()?.port());
-        let failures_seen = Cell::new(deployment.delivery_failures.load(Ordering::SeqCst));
+        let failures_seen = Cell::new(deployment.failures_for(id));
         Ok(NetClient {
             core: Client::new(id, Variant::ImClient, 0),
             wire: Wire {
@@ -195,11 +200,12 @@ impl Wire {
         }
     }
 
-    /// Fails fast if the deployment recorded new delivery failures since
-    /// this client last checked: the current operation may have lost a
-    /// message, and waiting for a timeout would misattribute the cause.
+    /// Fails fast if the deployment recorded new delivery failures this
+    /// client sees since it last checked: the current operation may have
+    /// lost a message, and waiting for a timeout would misattribute the
+    /// cause.
     fn check_failures(&self) -> Result<(), NetError> {
-        let now = self.deployment.delivery_failures.load(Ordering::SeqCst);
+        let now = self.deployment.failures_for(self.id);
         if now != self.failures_seen.replace(now) {
             return Err(NetError::Undeliverable);
         }
@@ -207,18 +213,26 @@ impl Wire {
     }
 
     fn owed(&self) -> i64 {
-        *self.deployment.events().owed.get(&self.id).unwrap_or(&0)
+        self.deployment
+            .events()
+            .clients
+            .get(&self.id)
+            .map_or(0, |a| a.owed)
     }
 
     /// Waits for the next reply frame addressed to this client.
     fn recv(&self, deadline: Instant) -> Result<Message, NetError> {
+        // Whether the last wait ran out its slice: then the backlog may
+        // hold a connection nobody counted a frame on.
+        let mut sliced = false;
         loop {
             // Before reading: a frame written after it ends the wait below.
             let seen = self.deployment.events().seq;
-            match next_frame(&self.listener, &mut self.inbound.borrow_mut()) {
+            let accept = sliced || self.owed() > 0;
+            match next_frame(&self.listener, &mut self.inbound.borrow_mut(), accept) {
                 Ok(Some(Some(msg))) => {
-                    if let Some(n) = self.deployment.events().owed.get_mut(&self.id) {
-                        *n -= 1;
+                    if let Some(account) = self.deployment.events().clients.get_mut(&self.id) {
+                        account.owed -= 1;
                     }
                     return Ok(msg);
                 }
@@ -227,7 +241,7 @@ impl Wire {
                 // operation as `Undeliverable` now (the check always fails
                 // here) instead of as `Timeout` ten seconds on.
                 Ok(Some(None)) => {
-                    self.deployment.record_delivery_failure();
+                    self.deployment.record_delivery_failure(Some(self.id));
                     self.check_failures()?;
                 }
                 Ok(None) => {
@@ -243,7 +257,7 @@ impl Wire {
                     if idle && self.deployment.release_idle() > 0 {
                         continue;
                     }
-                    self.deployment.wait(seen, WAIT_SLICE);
+                    sliced = self.deployment.wait(seen, WAIT_SLICE);
                 }
                 Err(e) => return Err(NetError::Io(e)),
             }
@@ -252,10 +266,10 @@ impl Wire {
 }
 
 impl Drop for Wire {
-    /// A client that is gone leaves the directory and the owed counts.
+    /// A client that is gone leaves the directory and the accounts.
     fn drop(&mut self) {
         self.deployment.deregister(Endpoint::Client(self.id));
-        self.deployment.events().owed.remove(&self.id);
+        self.deployment.events().clients.remove(&self.id);
         self.deployment.links().remove(&Endpoint::Client(self.id));
     }
 }

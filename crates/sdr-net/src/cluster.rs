@@ -1,7 +1,7 @@
 //! Process-local deployment manager: launches the first node, hands out
 //! client connections, and shuts the whole deployment down.
 
-use crate::node::{spawn_node, Deployment};
+use crate::node::{bind_node, start_runner, Deployment};
 use sdr_core::msg::{Endpoint, Message};
 use sdr_core::{FaultCounts, FaultExecutor, FaultPlan, SdrConfig, ServerId};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -9,9 +9,10 @@ use std::sync::{Arc, Mutex};
 
 /// A running TCP deployment of the SD-Rtree on localhost.
 ///
-/// Every node listens on an OS-assigned port registered in the
-/// deployment's address directory; nodes spawn themselves as servers
-/// split. The manager bootstraps server 0 and owns the stop flag.
+/// Every server listens on an OS-assigned port registered in the
+/// deployment's address directory, and one runner thread serves them
+/// all, binding each new server as a split allocates it. The manager
+/// bootstraps server 0, starts the runner and owns the stop flag.
 #[derive(Debug)]
 pub struct NetCluster {
     pub(crate) deployment: Arc<Deployment>,
@@ -43,17 +44,19 @@ impl NetCluster {
             next_server: Arc::new(AtomicU32::new(1)),
             config,
             stop: AtomicBool::new(false),
-            handle_lock: Mutex::new(()),
             in_flight: std::sync::atomic::AtomicI64::new(0),
             delivery_failures: AtomicU64::new(0),
             faults: Mutex::new(faults),
             metrics: sdr_obs::Obs::from_env().take_metrics().map(Mutex::new),
             events: Default::default(),
             wakeup: Default::default(),
-            nodes: Default::default(),
+            announced: Default::default(),
+            arrival: Default::default(),
+            runner: Default::default(),
             links: Default::default(),
         });
-        spawn_node(&deployment, ServerId(0))?;
+        let first = bind_node(&deployment, ServerId(0))?;
+        start_runner(&deployment, first)?;
         Ok(NetCluster { deployment })
     }
 
@@ -98,23 +101,12 @@ impl NetCluster {
         self.deployment.deregister(Endpoint::Server(id));
     }
 
-    /// Stops every node ever spawned — its bell wakes each out of its
-    /// wait — and joins them. A second call, or the `Drop` after an
-    /// explicit one, finds none left and returns at once.
+    /// Stops the runner, which serves every server ever bound (also
+    /// those `deregister_server` hid from the directory), and joins it;
+    /// its listeners close with it. A second call, or the `Drop` after an
+    /// explicit one, finds no runner left and returns at once.
     pub fn shutdown(&self) {
-        let deployment = &self.deployment;
-        deployment.stop.store(true, Ordering::SeqCst);
-        let nodes =
-            std::mem::take(&mut *deployment.nodes.lock().unwrap_or_else(|e| e.into_inner()));
-        for (link, _) in &nodes {
-            link.ring();
-        }
-        for (_, node) in nodes {
-            // A node that panicked took the frames it was handling with it.
-            if node.join().is_err() {
-                deployment.record_delivery_failure();
-            }
-        }
+        self.deployment.stop_runner();
     }
 }
 

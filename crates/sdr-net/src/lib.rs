@@ -9,31 +9,31 @@
 //! * [`wire`] — a compact binary codec for every protocol message
 //!   (length-prefixed frames; no serialization framework), described
 //!   once as field tables over the first-party [`buf`] byte cursors.
-//! * [`node`] — a thread-per-server TCP node: reads its connections as
-//!   streams of frames, feeds each frame to the embedded
-//!   [`sdr_core::Server`], handles what the server sends itself in the
-//!   same turn, ships the rest of the outbox.
+//! * [`node`] — the servers and the one runner thread that serves them
+//!   all: it reads each announced frame off its server's connections,
+//!   feeds it to the [`sdr_core::Server`], handles what the server sends
+//!   itself in the same turn, and ships the rest of the outbox.
 //! * [`cluster`] — a process-local deployment manager that binds
-//!   listeners, spawns nodes when servers split, and on shutdown wakes
-//!   and joins every one of them.
+//!   server 0, starts the runner, and on shutdown stops and joins it.
 //! * [`client`] — a TCP client component (the IMCLIENT variant): the
 //!   socket [`sdr_core::Transport`] under `sdr-core`'s client core, which
 //!   owns the image, addressing and the termination protocol of §4.3.
 //!
-//! Every node binds an OS-assigned port registered in the deployment's
+//! Every server binds an OS-assigned port registered in the deployment's
 //! address directory — the role a node manager plays in a production
-//! deployment. The frames for an endpoint, node or client, ride one kept
-//! connection, shared by every thread of the process that writes to it.
-//! Each connection gets one connect attempt, and a frame whose connection
-//! fails is a counted loss at once; both ends read their connections with
-//! one length-delimited reader. Nothing between a frame being written and
-//! its receiver acting on it is a timer: nodes wait on a bell their
-//! writers ring, clients on a wake-up signal the sender raises, and an insert
-//! reads exactly the acknowledgment frames it is owed (DESIGN.md
-//! decision 13). Concurrency control is out of scope, as the paper
-//! itself lists it as open (§6): the deployment serializes message
-//! handling and clients quiesce between operations, matching the
-//! paper's own evaluation regime.
+//! deployment. The frames for an endpoint, server or client, ride one
+//! kept connection, shared by every thread of the process that writes to
+//! it. Each connection gets one connect attempt, and a frame whose
+//! connection fails is a counted loss at once; both ends read their
+//! connections with one length-delimited reader. Nothing between a frame
+//! being written and its receiver acting on it is a timer: the runner
+//! waits on one queue its writers announce frames on, clients on a
+//! wake-up signal the sender raises, and an insert reads exactly the
+//! acknowledgment frames it is owed (DESIGN.md decision 13). Concurrency
+//! control is out of scope, as the paper itself lists it as open (§6):
+//! one thread handles every message, so the turns form one total order,
+//! and clients quiesce between operations, matching the paper's own
+//! evaluation regime.
 //!
 //! ## Example
 //!

@@ -1,25 +1,28 @@
-//! A TCP server node: one SD-Rtree server behind a socket.
+//! The servers of a TCP deployment, and the one thread that serves them.
 //!
-//! Each node serves its own OS-assigned port. Every endpoint — a node or
+//! Each server has its own OS-assigned port. Every endpoint — a server or
 //! a client — gets its frames on one kept link, the writing end of a
 //! connection to its listener that every thread of the process shares
-//! (DESIGN.md decision 13). A node reads each connection it accepted as a
-//! stream of frames, the way a client does (`next_frame`), feeds each
-//! [`sdr_core::Message`] to the embedded [`Server`] state machine and
-//! ships the resulting outbox. What the server sends itself (a routing
-//! node descending to its co-located data node) is handled in the same
-//! turn, off a local queue. A link that fails gets one connect: an
-//! endpoint missing from the directory, a refused connect or a failed
-//! write is a counted delivery failure at once. Both ends cut frames with
-//! one length-delimited decoder, `Frames`.
+//! (DESIGN.md decision 13). One runner thread per deployment owns every
+//! [`Server`] with its listener and the connections it accepted. A writer
+//! that puts a server-bound frame on a link announces it on one queue;
+//! the runner takes the announcements in order, reads each frame the way
+//! a client reads its own (`next_frame`), feeds the [`sdr_core::Message`]
+//! to the server's state machine and ships the resulting outbox. What a
+//! server sends itself (a routing node descending to its co-located data
+//! node) is handled in the same turn, off a local queue. A link that
+//! fails gets one connect: an endpoint missing from the directory, a
+//! refused connect or a failed write is a counted delivery failure at
+//! once. Both ends cut frames with one length-delimited decoder, `Frames`.
 //!
-//! When the state machine allocates a new server (a split), the node
-//! *synchronously* binds the new server's listener before forwarding any
-//! message to it, so the `SplitCreate` can never be lost; the new node's
-//! loop then runs on its own thread. This is the node-manager role a
-//! production deployment would delegate to its orchestrator. No counted
-//! frame waits on a clock: a node wakes because a writer rang its bell, a
-//! waiting client because `Deployment::notify` said so (DESIGN.md 13).
+//! When the state machine allocates a new server (a split), the turn
+//! binds and registers the new server's listener before it sends to it,
+//! so the `SplitCreate` can never be lost, and the runner adopts the new
+//! server before it reads its first frame. This is the node-manager role
+//! a production deployment would delegate to its orchestrator. No counted
+//! frame waits on a clock: the runner wakes because another thread
+//! announced a frame, a waiting client because `Deployment::notify` said
+//! so (DESIGN.md 13).
 
 use crate::buf::ReadBuf;
 use crate::wire::{decode_message, encode_message};
@@ -41,15 +44,67 @@ pub(crate) struct Events {
     /// Bumped whenever `in_flight` drains, a delivery failure is recorded
     /// or a client-bound frame has been written.
     pub seq: u64,
-    /// Client-bound frames written but not yet read, per connected
-    /// client: the client-side twin of `in_flight`, and once that is zero
-    /// exactly what the client has left to read. Raw unsolicited frames
-    /// drive it negative, so readers test `> 0`.
-    pub owed: HashMap<ClientId, i64>,
+    /// Delivery failures booked to no one client: every client's next
+    /// check sees them.
+    pub lost: u64,
+    /// Every connected client's account.
+    pub clients: HashMap<ClientId, Account>,
 }
 
-/// Shared deployment state every node needs: the address directory, the
-/// server id allocator, and the shutdown flag.
+/// What the deployment owes one client.
+#[derive(Debug, Default)]
+pub(crate) struct Account {
+    /// Client-bound frames written but not yet read: the client-side twin
+    /// of `in_flight`, and once that is zero exactly what the client has
+    /// left to read. Raw unsolicited frames drive it negative, so readers
+    /// test `> 0`.
+    pub owed: i64,
+    /// Frames addressed to this client that were lost, or that it read
+    /// short: only this client's check sees them.
+    pub lost: u64,
+}
+
+/// Server-bound frames written on their links and not yet taken by the
+/// runner.
+#[derive(Debug, Default)]
+pub(crate) struct Announced {
+    /// The destination of each frame, in the order the frames were
+    /// written.
+    queue: VecDeque<ServerId>,
+    /// Per server, frames announced minus frames taken. A frame taken
+    /// before its announcement was queued (an idle sweep can read it
+    /// first) drives it to zero or below; raw frames no writer announced
+    /// drive it negative.
+    unread: HashMap<ServerId, i64>,
+    /// Whether the runner waits for an announcement: only then does a
+    /// writer signal it.
+    waiting: bool,
+}
+
+impl Announced {
+    fn announce(&mut self, to: ServerId) {
+        self.queue.push_back(to);
+        *self.unread.entry(to).or_default() += 1;
+    }
+
+    /// Books a frame the runner took from `at`'s connections, announced
+    /// or not.
+    fn taken(&mut self, at: ServerId) {
+        *self.unread.entry(at).or_default() -= 1;
+    }
+
+    /// Books an announcement for `at` whose read found no frame: it is
+    /// queued again while a frame is still owed there (written, but not
+    /// readable yet), and dropped once a sweep has taken that frame.
+    fn missed(&mut self, at: ServerId) {
+        if self.unread.get(&at).is_some_and(|&n| n > 0) {
+            self.queue.push_back(at);
+        }
+    }
+}
+
+/// Shared deployment state: the address directory, the server id
+/// allocator, the runner's announcements and the accounts clients read.
 #[derive(Debug)]
 pub(crate) struct Deployment {
     /// Address directory: endpoint → OS-assigned port. Every listener
@@ -58,39 +113,21 @@ pub(crate) struct Deployment {
     /// OS-assigned ports make parallel deployments and rapid restarts
     /// collision-free (no fixed ranges, no `TIME_WAIT` interference).
     pub registry: std::sync::RwLock<HashMap<Endpoint, u16>>,
-    /// Next server id — shared so concurrent splits never collide. The
-    /// one field with an `Arc` of its own: every handling step's `Outbox`
-    /// holds a clone (`Allocator::Shared`).
+    /// Next server id. The one field with an `Arc` of its own: every
+    /// handling step's `Outbox` holds a clone (`Allocator::Shared`).
     pub next_server: Arc<AtomicU32>,
     pub config: SdrConfig,
     pub stop: AtomicBool,
-    /// Serializes message *handling* across the deployment.
-    ///
-    /// The paper leaves concurrency control explicitly open (§6: "our
-    /// study ... yet remains about entirely open with respect to ...
-    /// concurrency, transactions"). Unserialized handling does break the
-    /// structure: a rotation applying snapshot links can race a split
-    /// and orphan the new server. Until a concurrency-control scheme
-    /// exists, the TCP layer executes the *distribution* faithfully
-    /// (real sockets, framing, per-server state) while handling one
-    /// message at a time, matching the synchronous semantics the paper's
-    /// own evaluation assumes. Senders never wait on receivers'
-    /// processing: frames queue in a link's socket buffers, far larger
-    /// than the backlog the clients' quiescence lets build up (DESIGN.md
-    /// decision 13), and a write that still blocks times out after
-    /// [`FRAME_TIMEOUT`], one counted failure. So the lock cannot
-    /// deadlock.
-    pub handle_lock: Mutex<()>,
     /// Server-bound messages sent but not yet fully handled. Clients
     /// wait for this to drop to zero between operations
     /// ([`crate::NetClient::quiesce`]), reproducing the simulator's
     /// sequential-operation semantics over real sockets — overlapping
     /// maintenance chains are exactly the concurrency problem the paper
-    /// leaves open.
+    /// leaves open (§6).
     ///
     /// Every delivery path keeps the pairing exact: the sender
     /// increments when it commits to a server-bound frame, and the
-    /// receiver decrements once — after handling it, or on *any* failure
+    /// runner decrements once — after handling it, or on *any* failure
     /// to read/decode it (the failure path also bumps
     /// [`Deployment::delivery_failures`], so the loss is observable).
     /// Unsolicited frames (raw connections that never went through
@@ -100,9 +137,10 @@ pub(crate) struct Deployment {
     /// Monotonic count of messages this deployment failed to deliver:
     /// frames whose one connection could not be opened or written,
     /// frames that arrived truncated/undecodable, and fault-injected
-    /// losses. Clients snapshot it per operation; any advance surfaces
-    /// as [`crate::client::NetError::Undeliverable`] instead of a silent
-    /// drop or a hang-until-timeout.
+    /// losses. Each is also booked to the client it was addressed to, or
+    /// else to every client ([`Events`]); a client's next check reports
+    /// what was booked to it as [`crate::client::NetError::Undeliverable`]
+    /// instead of a silent drop or a hang-until-timeout.
     pub delivery_failures: AtomicU64,
     /// Deterministic fault injection ([`FaultExecutor::none`] in normal
     /// deployments, which delivers everything once and draws nothing).
@@ -119,35 +157,32 @@ pub(crate) struct Deployment {
     /// The wake-up signal; see [`Events`].
     pub events: Mutex<Events>,
     pub wakeup: Condvar,
-    /// Link and thread of every node ever spawned, for `shutdown` to wake
-    /// and join — also those `deregister` hid from the directory.
-    pub nodes: Mutex<Vec<(Arc<Link>, JoinHandle<()>)>>,
-    /// The kept link to every node and every connected client.
+    /// What the runner takes next, and the signal it waits on when
+    /// nothing is announced.
+    pub announced: Mutex<Announced>,
+    pub arrival: Condvar,
+    /// The runner thread, until `shutdown` joins it.
+    pub runner: Mutex<Option<JoinHandle<()>>>,
+    /// The kept link to every server and every connected client.
     pub links: Mutex<HashMap<Endpoint, Arc<Link>>>,
 }
 
 /// The writing end of the one connection that carries an endpoint's
-/// frames, and a node's bell.
+/// frames: `None` until the first frame, or after a write on it failed.
+/// The lock keeps frames whole when several threads write to one
+/// endpoint.
 #[derive(Debug, Default)]
-pub(crate) struct Link {
-    /// `None` until the first frame, or after a write on it failed. The
-    /// lock keeps frames whole when several threads write to one endpoint.
-    stream: Mutex<Option<TcpStream>>,
-    /// How often a writer rang the bell its node waits on when it has
-    /// nothing to read. Clients wait on `Deployment::wakeup` instead.
-    rung: Mutex<u64>,
-    bell: Condvar,
-}
+pub(crate) struct Link(Mutex<Option<TcpStream>>);
 
 /// How long a frame may take to be written on a link: a receiver that
-/// stops reading costs one counted failure, not a deployment hung under
-/// `handle_lock`.
+/// stops reading costs one counted failure, not a hung deployment.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// An idle node's first and longest wait for its bell. Every counted
-/// frame rings it, so they bound only how late a connection nobody
-/// announced (a raw peer) is read: the wait doubles while nothing
-/// arrives, so an idle node costs next to nothing.
+/// The runner's first and longest wait for an announcement before it
+/// sweeps every server's connections. Every counted frame is announced,
+/// so they bound only how late a connection nobody announced (a raw peer)
+/// is read: the wait doubles while sweeps find nothing, so an idle
+/// deployment costs next to nothing.
 const IDLE_FIRST: Duration = Duration::from_millis(1);
 const IDLE_LAST: Duration = Duration::from_millis(128);
 
@@ -156,7 +191,7 @@ impl Link {
     /// it, and one connect to `port` opens the connection that replaces
     /// it; whether either carried the frame.
     fn write(&self, port: u16, frame: &[u8]) -> bool {
-        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
+        let mut stream = self.0.lock().unwrap_or_else(|e| e.into_inner());
         let kept = stream.take().filter(|mut s| s.write_all(frame).is_ok());
         *stream = kept.or_else(|| {
             let mut s = TcpStream::connect(("127.0.0.1", port)).ok()?;
@@ -167,22 +202,15 @@ impl Link {
         });
         stream.is_some()
     }
+}
 
-    fn rung(&self) -> MutexGuard<'_, u64> {
-        self.rung.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Wakes the node waiting on this link.
-    pub fn ring(&self) {
-        *self.rung() += 1;
-        self.bell.notify_one();
-    }
-
-    /// Blocks until the bell rings past `seen` or `timeout` elapses.
-    fn wait(&self, seen: u64, timeout: Duration) {
-        let rung = self.rung();
-        let _woken = self.bell.wait_timeout_while(rung, timeout, |n| *n == seen);
-    }
+/// What the runner does next.
+enum Wake {
+    Stop,
+    /// Read the frame announced for this server.
+    Announced(ServerId),
+    /// Nothing was announced for a whole idle wait: sweep.
+    Idle,
 }
 
 impl Deployment {
@@ -212,10 +240,30 @@ impl Deployment {
             .remove(&endpoint);
     }
 
-    /// Counts one failed delivery and wakes the clients waiting on it.
-    pub fn record_delivery_failure(&self) {
+    /// Counts one failed delivery, books it to `client` (if it is still
+    /// connected), or with `None` to every client, and wakes the clients
+    /// waiting on it.
+    pub fn record_delivery_failure(&self, client: Option<ClientId>) {
         self.delivery_failures.fetch_add(1, Ordering::SeqCst);
-        self.notify(None);
+        let mut events = self.events();
+        match client {
+            Some(client) => {
+                if let Some(account) = events.clients.get_mut(&client) {
+                    account.lost += 1;
+                }
+            }
+            None => events.lost += 1,
+        }
+        events.seq += 1;
+        drop(events);
+        self.wakeup.notify_all();
+    }
+
+    /// The delivery failures `client` has to see: those booked to every
+    /// client and those booked to it.
+    pub fn failures_for(&self, client: ClientId) -> u64 {
+        let events = self.events();
+        events.lost + events.clients.get(&client).map_or(0, |a| a.lost)
     }
 
     /// Pairs off one `in_flight` increment, waking `quiesce` when it was
@@ -234,12 +282,16 @@ impl Deployment {
         self.links.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn announced(&self) -> MutexGuard<'_, Announced> {
+        self.announced.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Signals an event, booking a frame just written for `owed_to`.
     pub fn notify(&self, owed_to: Option<ClientId>) {
         let mut events = self.events();
         events.seq += 1;
-        if let Some(n) = owed_to.and_then(|c| events.owed.get_mut(&c)) {
-            *n += 1;
+        if let Some(account) = owed_to.and_then(|c| events.clients.get_mut(&c)) {
+            account.owed += 1;
         }
         drop(events);
         self.wakeup.notify_all();
@@ -252,6 +304,55 @@ impl Deployment {
             .wakeup
             .wait_timeout_while(self.events(), slice, |e| e.seq == seen);
         waited.unwrap_or_else(|e| e.into_inner()).1.timed_out()
+    }
+
+    /// Queues a server-bound frame just written for the runner, waking
+    /// it if it waits. The runner's own sends wake nothing.
+    fn announce(&self, to: ServerId) {
+        let mut announced = self.announced();
+        announced.announce(to);
+        if std::mem::take(&mut announced.waiting) {
+            drop(announced);
+            self.arrival.notify_one();
+        }
+    }
+
+    /// The runner's next step: the stop flag first, then the oldest
+    /// announcement, waiting up to `idle` for one.
+    fn next_wake(&self, idle: Duration) -> Wake {
+        let mut announced = self.announced();
+        let mut timed_out = false;
+        loop {
+            if self.stop.load(Ordering::SeqCst) {
+                return Wake::Stop;
+            }
+            if let Some(to) = announced.queue.pop_front() {
+                return Wake::Announced(to);
+            }
+            if timed_out {
+                return Wake::Idle;
+            }
+            announced.waiting = true;
+            let waited = self.arrival.wait_timeout(announced, idle);
+            let (guard, result) = waited.unwrap_or_else(|e| e.into_inner());
+            announced = guard;
+            announced.waiting = false;
+            timed_out = result.timed_out();
+        }
+    }
+
+    /// Stops the runner — the stop flag, then a signal it cannot miss,
+    /// since it reads the flag under the same lock it waits on — and
+    /// joins it. A second call finds no runner and returns at once.
+    pub fn stop_runner(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        drop(self.announced());
+        self.arrival.notify_all();
+        let runner = self.runner.lock().unwrap_or_else(|e| e.into_inner()).take();
+        // A runner that panicked took the frame it was handling with it.
+        if runner.is_some_and(|r| r.join().is_err()) {
+            self.record_delivery_failure(None);
+        }
     }
 
     /// Runs `f` against the metrics registry if one is installed. The
@@ -298,11 +399,19 @@ impl Deployment {
     }
 }
 
-/// Binds a node's listener synchronously (registering its OS-assigned
-/// port after its link, so a sender that finds the port finds the link),
-/// then spawns its loop. A deployment that is stopping spawns nothing:
-/// `shutdown` has already collected the nodes it joins.
-pub(crate) fn spawn_node(deployment: &Arc<Deployment>, id: ServerId) -> std::io::Result<()> {
+/// One server the runner serves: its state machine, its listener, and
+/// every connection it accepted with the bytes not yet cut.
+pub(crate) struct Node {
+    server: Server,
+    listener: TcpListener,
+    inbound: Vec<(TcpStream, Frames)>,
+}
+
+/// Binds a server's listener and registers its OS-assigned port, after
+/// its link, so a sender that finds the port finds the link. Whatever is
+/// sent to it waits in the listener's backlog until the runner adopts
+/// the node.
+pub(crate) fn bind_node(deployment: &Deployment, id: ServerId) -> std::io::Result<Node> {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
     listener.set_nonblocking(true)?;
     let port = listener.local_addr()?.port();
@@ -311,137 +420,162 @@ pub(crate) fn spawn_node(deployment: &Arc<Deployment>, id: ServerId) -> std::io:
     } else {
         Server::bare(id, deployment.config)
     };
-    let mut nodes = deployment.nodes.lock().unwrap_or_else(|e| e.into_inner());
-    if deployment.stop.load(Ordering::SeqCst) {
-        return Ok(());
-    }
-    let (me, link) = (Endpoint::Server(id), Arc::new(Link::default()));
-    deployment.links().insert(me, link.clone());
+    let me = Endpoint::Server(id);
+    deployment.links().insert(me, Arc::default());
     deployment.register(me, port);
-    let (shared, bell) = (deployment.clone(), link.clone());
-    let node = std::thread::Builder::new()
-        .name(format!("sdr-node-{}", id.0))
-        .spawn(move || accept_loop(shared, listener, &bell, server))?;
-    nodes.push((link, node));
+    Ok(Node {
+        server,
+        listener,
+        inbound: Vec::new(),
+    })
+}
+
+/// Starts the deployment's one runner thread, serving `first`.
+pub(crate) fn start_runner(deployment: &Arc<Deployment>, first: Node) -> std::io::Result<()> {
+    let shared = deployment.clone();
+    let runner = std::thread::Builder::new()
+        .name("sdr-runner".into())
+        .spawn(move || run(&shared, first))?;
+    *deployment.runner.lock().unwrap_or_else(|e| e.into_inner()) = Some(runner);
     Ok(())
 }
 
 /// Backoff before retrying after a failed `accept`. Transient conditions
 /// (`ECONNABORTED` from a handshake the peer gave up on, `EMFILE`/
 /// `ENFILE` descriptor pressure, `EINTR`) clear themselves; the only
-/// legitimate way for a node to stop serving is the deployment's stop
-/// flag. Exponential up to a bound so a persistent error cannot spin a
-/// core, yet recovery is observed within `ACCEPT_BACKOFF_CAP`.
+/// legitimate way for the runner to stop serving is the deployment's
+/// stop flag. Exponential up to a bound so a persistent error cannot spin
+/// a core, yet recovery is observed within `ACCEPT_BACKOFF_CAP`.
 pub(crate) fn accept_backoff(consecutive_errors: u32) -> Duration {
     let ms = 1u64 << consecutive_errors.min(6);
     Duration::from_millis(ms.min(ACCEPT_BACKOFF_CAP.as_millis() as u64))
 }
 
-/// The longest a node ever sleeps between accept retries.
+/// The longest the runner ever sleeps between accept retries.
 pub(crate) const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
-/// Serves one node until the stop flag: reads the next frame any of its
-/// connections holds and handles it, or waits for the bell when none has
-/// one.
-fn accept_loop(
-    deployment: Arc<Deployment>,
-    listener: TcpListener,
-    bell: &Link,
-    mut server: Server,
-) {
-    let mut inbound = Vec::new();
-    let mut idle = IDLE_FIRST;
-    let mut consecutive_errors: u32 = 0;
+/// Serves every server of the deployment until the stop flag: takes the
+/// announcements in order and handles the frame each one names, and
+/// when nothing was announced for a whole idle wait, sweeps every
+/// server's connections for frames nobody announced. One thread, so the
+/// turns form one total order. A server a turn allocates is adopted
+/// before the next frame is read.
+fn run(deployment: &Arc<Deployment>, first: Node) {
+    let mut nodes = HashMap::from([(first.server.id, first)]);
+    let mut born = Vec::new();
+    let (mut idle, mut consecutive_errors) = (IDLE_FIRST, 0u32);
     loop {
-        // Before reading: a frame written after it ends the wait below,
-        // and so does `shutdown`, which rings after it sets the flag.
-        let seen = *bell.rung();
-        if deployment.stop.load(Ordering::SeqCst) {
-            return;
+        match deployment.next_wake(idle) {
+            Wake::Stop => return,
+            Wake::Announced(to) => {
+                let Some(node) = nodes.get_mut(&to) else {
+                    continue;
+                };
+                match node.serve_next(deployment, &mut born) {
+                    Ok(true) => (idle, consecutive_errors) = (IDLE_FIRST, 0),
+                    Ok(false) => deployment.announced().missed(to),
+                    // Transient accept errors (ECONNABORTED, EMFILE, EINTR,
+                    // ...) must not end the runner; retry with bounded
+                    // backoff and let only the stop flag end the loop.
+                    Err(_) => {
+                        deployment.announced().missed(to);
+                        consecutive_errors = consecutive_errors.saturating_add(1);
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "backoff after a failed `accept`; a frame already on a connection never waits here"
+                        )]
+                        std::thread::sleep(accept_backoff(consecutive_errors));
+                    }
+                }
+            }
+            Wake::Idle => {
+                let mut found = false;
+                for node in nodes.values_mut() {
+                    while let Ok(true) = node.serve_next(deployment, &mut born) {
+                        found = true;
+                    }
+                }
+                idle = if found {
+                    IDLE_FIRST
+                } else {
+                    (idle * 2).min(IDLE_LAST)
+                };
+            }
         }
-        let frame = match next_frame(&listener, &mut inbound) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => {
-                bell.wait(seen, idle);
-                idle = (idle * 2).min(IDLE_LAST);
-                continue;
-            }
-            // Transient accept errors (ECONNABORTED, EMFILE, EINTR, ...)
-            // must not kill the server thread forever; retry with bounded
-            // backoff and let only the stop flag end the loop.
-            Err(_) => {
-                consecutive_errors = consecutive_errors.saturating_add(1);
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "backoff after a failed `accept`; a frame that arrives never waits here"
-                )]
-                std::thread::sleep(accept_backoff(consecutive_errors));
-                continue;
-            }
+        nodes.extend(born.drain(..).map(|node: Node| (node.server.id, node)));
+    }
+}
+
+impl Node {
+    /// Reads the next frame this server's connections hold and acts on
+    /// it; whether there was one. A frame that did not decode, or that
+    /// the receive-side corrupt draw spoils, is lost: its sender already
+    /// counted it in `in_flight`, so the account is settled and the loss
+    /// made observable instead of leaking the count and hanging every
+    /// later quiesce.
+    fn serve_next(
+        &mut self,
+        deployment: &Arc<Deployment>,
+        born: &mut Vec<Node>,
+    ) -> std::io::Result<bool> {
+        let Some(frame) = next_frame(&self.listener, &mut self.inbound, true)? else {
+            return Ok(false);
         };
-        (idle, consecutive_errors) = (IDLE_FIRST, 0);
+        deployment.announced().taken(self.server.id);
         match frame {
-            // Receive-side fault injection: the frame arrived but is
-            // treated as unreadable.
             Some(msg) if !deployment.faults().corrupt(msg.payload.category()) => {
-                handle_message(&deployment, &mut server, msg);
+                handle_message(deployment, &mut self.server, msg, born);
             }
-            // Truncation, oversize, decode error or a corrupt draw: the
-            // frame is lost, but its sender already counted it in
-            // `in_flight` — settle the account and make the loss
-            // observable instead of leaking the count and hanging every
-            // subsequent quiesce.
-            _ => read_failure(&deployment),
+            _ => read_failure(deployment),
         }
+        Ok(true)
     }
 }
 
 /// Books a server-bound frame that arrived but could not be processed:
 /// pairs off the sender's `in_flight` increment and counts the loss.
-/// Only `transmit` writes to node links, so every frame there was
+/// Only `transmit` writes to server links, so every frame there was
 /// counted by a sender (unsolicited test frames drive the count
 /// transiently negative, which quiescence tolerates by testing `> 0`).
 fn read_failure(deployment: &Deployment) {
-    deployment.record_delivery_failure();
+    deployment.record_delivery_failure(None);
     deployment.settle_in_flight();
 }
 
 /// Handles one frame, then every message the server sends itself on the
-/// way, each a turn of its own under the same `handle_lock` hold. A
-/// self-addressed message meets the fault executor like any send (its
-/// verdict, and the receive-side corrupt draw a frame meets on arrival),
-/// but a delivered copy is queued here instead of written to the node's
-/// own listener. The frame's `in_flight` is settled once, after the
-/// queue drains, so no client finds the deployment idle mid-chain.
-fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Message) {
-    // Serializing whole handler turns (handle + sends) is the point of
-    // this lock; send_message only writes a frame and never awaits the
-    // peer's processing, so no reply can need this lock before we
-    // release it. An absent or refusing peer costs one failed connect,
-    // never a wait: nothing sleeps under this lock.
-    let _serialized = deployment
-        .handle_lock
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
+/// way, each a turn of its own. A self-addressed message meets the fault
+/// executor like any send (its verdict, and the receive-side corrupt
+/// draw a frame meets on arrival), but a delivered copy is queued here
+/// instead of written to the server's own listener. The frame's
+/// `in_flight` is settled once, after the queue drains, so no client
+/// finds the deployment idle mid-chain.
+fn handle_message(
+    deployment: &Arc<Deployment>,
+    server: &mut Server,
+    msg: Message,
+    born: &mut Vec<Node>,
+) {
     let mut local = VecDeque::new();
-    take_turn(deployment, server, msg, &mut local);
+    take_turn(deployment, server, msg, &mut local, born);
     while let Some(msg) = local.pop_front() {
         if deployment.faults().corrupt(msg.payload.category()) {
-            deployment.record_delivery_failure();
+            deployment.record_delivery_failure(None);
         } else {
-            take_turn(deployment, server, msg, &mut local);
+            take_turn(deployment, server, msg, &mut local, born);
         }
     }
     deployment.settle_in_flight();
 }
 
 /// One server turn: handles `msg`, then ships the outbox — queueing what
-/// the server sends itself on `local`.
+/// the server sends itself on `local`, and the servers it allocated on
+/// `born`.
 fn take_turn(
     deployment: &Arc<Deployment>,
     server: &mut Server,
     msg: Message,
     local: &mut VecDeque<Message>,
+    born: &mut Vec<Node>,
 ) {
     let mut out =
         Outbox::with_allocator(server.id, Allocator::Shared(deployment.next_server.clone()));
@@ -449,13 +583,14 @@ fn take_turn(
     // A refused message changed nothing: book it like a frame that could
     // not be read (the frame's `in_flight` settle is `handle_message`'s).
     for _ in &out.refused {
-        deployment.record_delivery_failure();
+        deployment.record_delivery_failure(None);
     }
     // Bind listeners for freshly allocated servers *before* any message
     // can reach them.
     for new_id in &out.allocated {
-        if let Err(e) = spawn_node(deployment, *new_id) {
-            eprintln!("sdr-net: failed to spawn server {}: {e}", new_id.0);
+        match bind_node(deployment, *new_id) {
+            Ok(node) => born.push(node),
+            Err(e) => eprintln!("sdr-net: failed to bind server {}: {e}", new_id.0),
         }
     }
     let me = Endpoint::Server(server.id);
@@ -497,7 +632,7 @@ fn offer(deployment: &Deployment, msg: &Message, mut deliver: impl FnMut(&Messag
     // count it so the client's next check reports Undeliverable instead
     // of the operation silently half-happening.
     if copies == 0 {
-        deployment.record_delivery_failure();
+        deployment.record_delivery_failure(client_of(msg.to));
     }
     for _ in 0..copies {
         deliver(msg);
@@ -505,9 +640,10 @@ fn offer(deployment: &Deployment, msg: &Message, mut deliver: impl FnMut(&Messag
     deployment.transmit_released(&released);
 }
 
-/// Delivers one message on its endpoint's kept link. A message that
-/// cannot be delivered is counted on the deployment — never silently
-/// dropped — so clients report it as an explicit
+/// Delivers one message on its endpoint's kept link, then wakes its
+/// reader: the client it is for, or the runner with an announcement. A
+/// message that cannot be delivered is counted — never silently dropped
+/// — so a client reports it as an explicit
 /// [`crate::client::NetError::Undeliverable`].
 fn transmit(deployment: &Deployment, msg: &Message) {
     let is_server_bound = matches!(msg.to, Endpoint::Server(_));
@@ -525,17 +661,26 @@ fn transmit(deployment: &Deployment, msg: &Message) {
     let link = deployment
         .lookup(msg.to)
         .zip(deployment.links().get(&msg.to).cloned());
-    if let Some((_, link)) = link.filter(|(port, link)| link.write(*port, &frame)) {
+    if link.is_some_and(|(port, link)| link.write(port, &frame)) {
         match msg.to {
             Endpoint::Client(client) => deployment.notify(Some(client)),
-            Endpoint::Server(_) => link.ring(),
+            Endpoint::Server(server) => deployment.announce(server),
         }
         return;
     }
-    deployment.record_delivery_failure();
+    deployment.record_delivery_failure(client_of(msg.to));
     if is_server_bound {
         // Keep the quiescence accounting truthful.
         deployment.settle_in_flight();
+    }
+}
+
+/// The client a frame for `to` is booked to if it is lost: none for a
+/// server, whose losses every client sees.
+fn client_of(to: Endpoint) -> Option<ClientId> {
+    match to {
+        Endpoint::Client(client) => Some(client),
+        Endpoint::Server(_) => None,
     }
 }
 
@@ -543,11 +688,15 @@ fn transmit(deployment: &Deployment, msg: &Message) {
 /// `Some(None)` for one that is lost (it does not decode, its prefix is
 /// past the cap, or its connection closed mid-frame), `None` when no
 /// whole frame has arrived. Connections are read in the order they were
-/// accepted, each in its own byte order, and the listener's backlog is
-/// taken once they are drained. Listener and streams are non-blocking.
+/// accepted, each in its own byte order. Once they are drained, and only
+/// if `accept` — the reader is owed a frame, or has waited a whole slice
+/// for frames nobody announced — the listener's backlog is taken and
+/// read too: an `accept` that finds nothing costs several times a read
+/// that finds nothing. Listener and streams are non-blocking.
 pub(crate) fn next_frame(
     listener: &TcpListener,
     inbound: &mut Vec<(TcpStream, Frames)>,
+    accept: bool,
 ) -> std::io::Result<Option<Option<Message>>> {
     loop {
         let mut i = 0;
@@ -576,6 +725,9 @@ pub(crate) fn next_frame(
         }
         // Everything accepted is drained; take the connections waiting in
         // the backlog, and read them if there were any.
+        if !accept {
+            return Ok(None);
+        }
         let before = inbound.len();
         loop {
             match listener.accept() {
@@ -681,6 +833,30 @@ mod tests {
     #[test]
     fn accept_backoff_starts_small() {
         assert!(accept_backoff(1) <= Duration::from_millis(2));
+    }
+
+    /// An idle sweep can read a frame before its writer has queued the
+    /// announcement; the announcement then finds nothing to read and must
+    /// be dropped, not retried — retrying it spun the runner on a frame
+    /// that was gone. A frame announced but not yet readable is retried.
+    #[test]
+    fn an_announcement_whose_frame_a_sweep_took_is_dropped() {
+        let (early, late) = (ServerId(3), ServerId(4));
+        let mut announced = Announced::default();
+        announced.taken(early);
+        announced.announce(early);
+        assert_eq!(announced.queue.pop_front(), Some(early));
+        announced.missed(early);
+        assert!(announced.queue.is_empty(), "a taken frame was retried");
+
+        announced.announce(late);
+        assert_eq!(announced.queue.pop_front(), Some(late));
+        announced.missed(late);
+        assert_eq!(announced.queue.pop_front(), Some(late), "not retried");
+        announced.taken(late);
+        assert!(announced.queue.is_empty());
+        // Both accounts are settled: the next frames are announced anew.
+        assert_eq!(announced.unread.values().sum::<i64>(), 0);
     }
 
     #[test]

@@ -146,8 +146,9 @@ fn bytes_after_a_complete_message_are_a_counted_corruption() {
 /// A well-formed frame a server cannot act on is refused, not a panic.
 /// Server 0 never hosts a routing node, so an `InsertDescend` addressed
 /// to it is booked like a corrupt frame: one delivery failure, and the
-/// frame's `in_flight` settled. The node thread serves on; a handler
-/// that panicked here used to kill it and poison `handle_lock`.
+/// frame's `in_flight` settled. The runner serves on; a handler that
+/// panicked here used to kill its node's thread and poison the lock
+/// that serialised handling.
 #[test]
 fn refused_frame_is_counted_and_the_node_serves_on() {
     let cluster = NetCluster::launch(SdrConfig::with_capacity(25)).unwrap();
@@ -227,38 +228,48 @@ fn dead_listener_reports_undeliverable_not_timeout() {
 }
 
 /// A client that leaves while reports are still owed to it must not
-/// stall the others. Its endpoint leaves the directory with it, so each
-/// report to it is a lookup that fails: counted at once. A retry ladder
-/// used to hold `handle_lock` ≈ 2.45 s per such report, and the other
-/// client's quiescence waited out all of them (44 s for 18 reports).
+/// stall the others, nor fail them. Its endpoint leaves the directory
+/// with it, so each report to it is a lookup that fails: counted at once,
+/// and booked to it alone. A retry ladder used to stall handling
+/// ≈ 2.45 s per such report, and the other client's quiescence waited
+/// out all of them (44 s for 18 reports).
+///
+/// A client that stops waiting at once can still find its whole answer
+/// read (the runner may finish the fan-out before the client checks its
+/// deadline), or leave only after every report was written to its link,
+/// so clients leave one after another until one has left reports behind.
 #[test]
 fn a_client_that_leaves_with_reports_owed_does_not_stall_the_deployment() {
     let cluster = NetCluster::launch(SdrConfig::with_capacity(20)).unwrap();
-    let mut leaver = NetClient::connect(&cluster).unwrap();
-    grid_insert(&mut leaver, 100);
-    leaver.quiesce().unwrap();
+    let mut stayer = NetClient::connect(&cluster).unwrap();
+    grid_insert(&mut stayer, 100);
+    stayer.quiesce().unwrap();
     let servers = cluster.num_servers();
     assert!(servers >= 4, "need a wide fan-out, got {servers} servers");
-    let mut stayer = NetClient::connect(&cluster).unwrap();
 
-    // The query goes out, the client stops waiting at once and leaves.
-    leaver.timeout = Duration::ZERO;
-    let got = leaver.window_query(Rect::new(0.0, 0.0, 1.0, 1.0));
-    assert!(matches!(got, Err(NetError::Timeout)), "got {got:?}");
-    drop(leaver);
+    for leavers in 1.. {
+        assert!(leavers <= 50, "no client left with reports owed");
+        // The query goes out, the client stops waiting at once and leaves.
+        let mut leaver = NetClient::connect(&cluster).unwrap();
+        leaver.timeout = Duration::ZERO;
+        let got = leaver.window_query(Rect::new(0.0, 0.0, 1.0, 1.0));
+        assert!(matches!(got, Ok(_) | Err(NetError::Timeout)), "got {got:?}");
+        drop(leaver);
 
-    // The failure counter is deployment-wide, so the leaver's lost
-    // reports fail the stayer's checks too; they are not asserted on.
-    let started = Instant::now();
-    while let Err(e) = stayer.quiesce() {
-        assert!(matches!(e, NetError::Undeliverable), "got {e:?}");
+        // Each lost report is booked to the leaver alone, so the stayer
+        // never sees `Undeliverable`.
+        let started = Instant::now();
+        let quiet = stayer.quiesce();
+        assert!(quiet.is_ok(), "the stayer saw {quiet:?}");
+        let settled = started.elapsed();
+        assert!(
+            settled < Duration::from_secs(1),
+            "the deployment took {settled:?} to settle after a client left"
+        );
+        if cluster.delivery_failures() > 0 {
+            break;
+        }
     }
-    let settled = started.elapsed();
-    assert!(
-        settled < Duration::from_secs(1),
-        "the deployment took {settled:?} to settle after a client left"
-    );
-    assert!(cluster.delivery_failures() >= 1);
     let hits = stayer.point_query(Point::new(0.425, 0.625)).unwrap();
     let oids: Vec<Oid> = hits.iter().map(|o| o.oid).collect();
     assert_eq!(oids, vec![Oid(64)]);
@@ -295,7 +306,7 @@ fn corrupt_inbound_frames_fail_fast_instead_of_leaking_in_flight() {
     // The leak is what this test really pins: a counted corruption must
     // leave the in-flight accounting balanced, not permanently positive.
     // The node records the failure (which wakes the client) before it
-    // settles the frame, so join the node threads before reading.
+    // settles the frame, so join the runner before reading.
     cluster.shutdown();
     assert!(
         cluster.in_flight() <= 0,
@@ -538,9 +549,9 @@ fn a_client_connection_is_a_stream_of_frames() {
     let link = fresh.image().links().find(|l| l.node == node);
     assert_eq!(link.map(|l| l.dr), Some(second));
 
-    // The other client learns of the loss at its next check, and the
-    // deployment serves on.
-    assert!(matches!(client.quiesce(), Err(NetError::Undeliverable)));
+    // The loss was the fresh client's alone: the other client's check
+    // does not see it, and the deployment serves on.
+    client.quiesce().unwrap();
     assert_eq!(
         client.point_query(Point::new(0.025, 0.025)).unwrap().len(),
         1

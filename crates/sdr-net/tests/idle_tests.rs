@@ -1,7 +1,7 @@
-//! An idle deployment costs next to no CPU: each node waits on its bell,
-//! and the timeout that lets it read a connection nobody announced
-//! doubles while nothing arrives. One test function, so this process
-//! holds only this deployment.
+//! An idle deployment costs next to no CPU: its one runner waits for an
+//! announcement, and the timeout after which it sweeps every server for a
+//! connection nobody announced doubles while nothing arrives. One test
+//! function, so this process holds only this deployment.
 
 use sdr_core::{Object, Oid, SdrConfig};
 use sdr_geom::Rect;

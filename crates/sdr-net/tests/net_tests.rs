@@ -221,7 +221,7 @@ fn an_insert_returns_with_its_acknowledgment_absorbed() {
 }
 
 /// Objects with a NaN x, inserted across data-node splits, used to panic
-/// the split's sort inside the node thread. The node now splits and keeps
+/// the split's sort inside the node's thread. The node now splits and keeps
 /// serving: every insert returns, every well-formed object is found, and
 /// no frame goes undelivered.
 #[test]
@@ -245,6 +245,32 @@ fn nan_objects_across_a_split_keep_the_node_serving() {
         let got = client.point_query(obj.mbb.center()).unwrap();
         assert!(got.iter().any(|o| o.oid == obj.oid), "lost {:?}", obj.oid);
     }
+    assert_eq!(cluster.delivery_failures(), 0);
+    cluster.shutdown();
+}
+
+/// A split at the paper's capacity writes one `SplitCreate` of about
+/// 1 500 objects on the new server's link, which only the runner reads —
+/// and the runner is the writer. The write must fit the link's socket
+/// buffers whole (DESIGN.md decision 13): a write that blocked there
+/// would wait out the 5 s frame timeout and lose the frame. Every object
+/// is read back from the two servers.
+#[test]
+fn a_split_at_paper_capacity_crosses_a_link_only_its_writer_reads() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(3000)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    let data = DatasetSpec::new(3100, Distribution::Uniform).generate(11);
+    let objects: Vec<Object> = (0u64..)
+        .zip(data)
+        .map(|(i, r)| Object::new(Oid(i), r))
+        .collect();
+    for obj in &objects {
+        client.insert(*obj).unwrap();
+    }
+    client.quiesce().unwrap();
+    assert!(cluster.num_servers() >= 2, "no split happened");
+    let everything = client.window_query(Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap();
+    assert_eq!(oids(everything), oids(objects));
     assert_eq!(cluster.delivery_failures(), 0);
     cluster.shutdown();
 }

@@ -1,27 +1,28 @@
-//! `NetCluster::shutdown` returns with every node thread joined. One test
-//! function, so this process has no other deployment's `sdr-node-*`
-//! threads to confuse the count.
+//! A deployment runs exactly one runner thread, and `NetCluster::shutdown`
+//! returns with it joined. One test function, so this process has no
+//! other deployment's `sdr-runner` thread to confuse the count.
 
 use sdr_core::{Object, Oid, SdrConfig, ServerId};
 use sdr_geom::Rect;
 use sdr_net::{NetClient, NetCluster};
 use std::time::{Duration, Instant};
 
-/// Live threads of this process named `sdr-node-*` (`None` off Linux).
-fn node_threads() -> Option<usize> {
+/// Live threads of this process named `sdr-*` (`None` off Linux): the
+/// runner, or any other thread the deployment would start.
+fn deployment_threads() -> Option<usize> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     let names = tasks.filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok());
-    Some(names.filter(|n| n.starts_with("sdr-node-")).count())
+    Some(names.filter(|n| n.starts_with("sdr-")).count())
 }
 
-/// `sdr-node-*` threads left once joined threads have left `/proc`:
+/// `sdr-*` threads left once joined threads have left `/proc`:
 /// `join` returns when the kernel clears the thread's tid, a moment
 /// before it unlinks the task entry, so a count taken at once reads 1
 /// in about one run in fifty. A thread that was not joined stays.
-fn node_threads_after_join() -> usize {
+fn deployment_threads_after_join() -> usize {
     let deadline = Instant::now() + Duration::from_millis(200);
     loop {
-        match node_threads().unwrap_or(0) {
+        match deployment_threads().unwrap_or(0) {
             n if n > 0 && Instant::now() < deadline => std::thread::yield_now(),
             n => return n,
         }
@@ -38,8 +39,8 @@ fn grown_cluster() -> NetCluster {
     }
     let servers = cluster.num_servers();
     assert!(servers >= 4, "expected splits, got {servers}");
-    if let Some(n) = node_threads() {
-        assert_eq!(n, servers, "one parked thread per server");
+    if let Some(n) = deployment_threads() {
+        assert_eq!(n, 1, "one runner thread serves all {servers} servers");
     }
     cluster
 }
@@ -48,7 +49,11 @@ fn grown_cluster() -> NetCluster {
 fn shutdown_joins_every_node_and_is_idempotent() {
     let cluster = grown_cluster();
     cluster.shutdown();
-    assert_eq!(node_threads_after_join(), 0, "a node outlived shutdown");
+    assert_eq!(
+        deployment_threads_after_join(),
+        0,
+        "the runner outlived shutdown"
+    );
     assert_eq!(
         cluster.delivery_failures(),
         0,
@@ -61,10 +66,14 @@ fn shutdown_joins_every_node_and_is_idempotent() {
     drop(cluster);
     assert!(started.elapsed() < Duration::from_millis(10));
 
-    // A listener the directory no longer knows is still woken and joined,
-    // and `Drop` alone is a full shutdown.
+    // A server the directory no longer knows is still the runner's, and
+    // `Drop` alone is a full shutdown.
     let cluster = grown_cluster();
     cluster.deregister_server(ServerId(1));
     drop(cluster);
-    assert_eq!(node_threads_after_join(), 0, "a deregistered node leaked");
+    assert_eq!(
+        deployment_threads_after_join(),
+        0,
+        "a deregistered node leaked"
+    );
 }
