@@ -9,14 +9,17 @@
 //! Delivery is synchronous and deterministic: messages are processed in
 //! emission order, and the whole system quiesces between client
 //! operations. This matches the paper's single-operation-at-a-time
-//! experimental regime; concurrent distributed execution is exercised by
-//! the `sdr-net` TCP deployment instead.
+//! experimental regime. Every server-bound message is one [`turn`], the
+//! server turn the `sdr-net` TCP deployment's runner takes too, off a
+//! queue that follows this one's rules; so the simulator is the
+//! reference a deployment's order, fault draws and counts are held to
+//! (DESIGN.md decision 12).
 
 use crate::config::SdrConfig;
 use crate::fault::{FaultCounts, FaultExecutor, FaultKind, FaultPlan, Released, Verdict};
 use crate::ids::{NodeRef, ServerId};
 use crate::msg::{Endpoint, Message};
-use crate::server::{Outbox, Server};
+use crate::server::{turn, Outbox, Server};
 use crate::stats::Stats;
 use std::collections::VecDeque;
 
@@ -58,6 +61,17 @@ impl Envelope {
                 to: self.msg.to.to_string(),
             });
         }
+    }
+}
+
+/// Counts one delivered message in the metrics, if they are on.
+fn observe(obs: &mut sdr_obs::Obs, msg: &Message, depth: u32) {
+    if let Some(m) = obs.metrics_mut() {
+        m.inc(&format!("msg/{}", msg.payload.name()));
+        m.observe(
+            &format!("hops/{}", msg.payload.category().name()),
+            u64::from(depth),
+        );
     }
 }
 
@@ -122,6 +136,18 @@ impl Cluster {
         }
     }
 
+    /// The cluster another driver of [`turn`] left behind: its servers,
+    /// in id order, and the counters it kept. A TCP deployment hands its
+    /// servers back this way when it stops (`NetCluster::into_cluster`),
+    /// so they are inspected, hashed and checked like simulated ones.
+    pub fn from_servers(config: SdrConfig, servers: Vec<Server>, stats: Stats) -> Self {
+        Cluster {
+            servers,
+            stats,
+            ..Cluster::new(config)
+        }
+    }
+
     /// Installs a message observer (see the `tap` field).
     pub fn set_tap(&mut self, tap: fn(&Message)) {
         self.tap = Some(tap);
@@ -137,11 +163,6 @@ impl Cluster {
     /// parallel `cargo test`) and to read back what was recorded.
     pub fn obs_mut(&mut self) -> &mut sdr_obs::Obs {
         &mut self.obs
-    }
-
-    /// The logical clock: delivery events so far (see the `tick` field).
-    pub fn tick(&self) -> u64 {
-        self.tick
     }
 
     /// Installs a deterministic fault plan: every subsequent delivery in
@@ -165,11 +186,6 @@ impl Cluster {
     /// without one).
     pub fn fault_counts(&self) -> FaultCounts {
         self.faults.counts()
-    }
-
-    /// The configuration servers run with.
-    pub fn config(&self) -> &SdrConfig {
-        &self.config
     }
 
     /// Number of servers (N): the tree has N data nodes and N−1 routing
@@ -371,72 +387,35 @@ impl Cluster {
         self.queue.pop_front()
     }
 
-    /// Delivers one message to its endpoint. Every delivery advances
-    /// the logical clock; messages the handler emits become children
-    /// of the delivered envelope (`parent = env.id`, `depth + 1`).
+    /// Delivers one message to its endpoint: a server-bound one through
+    /// the shared [`turn`]. Every delivery advances the logical clock;
+    /// messages the handler emits become children of the delivered
+    /// envelope (`parent = env.id`, `depth + 1`).
     fn deliver(&mut self, env: Envelope, to_clients: &mut Vec<Message>, out: &mut Outbox) {
         self.tick += 1;
-        match env.msg.to {
-            Endpoint::Server(sid) => {
-                let idx = sid.0 as usize;
-                // No server has this id: the message is dropped and
-                // counted, as `sdr-net` books a frame it cannot deliver.
-                if idx >= self.servers.len() {
-                    env.trace(&mut self.obs, self.tick, "unknown");
-                    self.stats.record_refused(1);
-                    return;
-                }
-                // The paper's cost model: messages between nodes on
-                // the same server are free.
-                if env.msg.from != Endpoint::Server(sid) {
-                    self.stats
-                        .record_server_msg(sid, env.msg.payload.category());
-                    if let Some(tap) = self.tap {
-                        tap(&env.msg);
-                    }
-                }
-                env.trace(&mut self.obs, self.tick, "deliver");
-                if let Some(m) = self.obs.metrics_mut() {
-                    m.inc(&format!("msg/{}", env.msg.payload.name()));
-                    m.observe(
-                        &format!("hops/{}", env.msg.payload.category().name()),
-                        u64::from(env.depth),
-                    );
-                }
-                let Envelope { msg, id, depth, .. } = env;
-                #[expect(
-                    clippy::cast_possible_truncation,
-                    reason = "server ids are allocated densely from 0; the count fits u32 by the id-space contract"
-                )]
-                out.reset(sid, self.servers.len() as u32);
-                #[expect(clippy::indexing_slicing, reason = "idx bounds-checked above")]
-                self.servers[idx].handle(msg.from, msg.payload, out);
-                self.stats.record_refused(out.refused.len());
-                for alloc in out.allocated.drain(..) {
-                    debug_assert_eq!(alloc.0 as usize, self.servers.len());
-                    self.servers.push(Server::bare(alloc, self.config));
-                }
-                for child in out.msgs.drain(..) {
-                    let e = self.envelope(child, id, depth + 1);
-                    self.queue.push_back(e);
-                }
-                for child in out.deferred.drain(..) {
-                    let e = self.envelope(child, id, depth + 1);
-                    self.faults.defer(e);
-                }
-            }
-            Endpoint::Client(_) => {
-                self.stats.record_client_msg();
-                env.trace(&mut self.obs, self.tick, "client");
-                if let Some(m) = self.obs.metrics_mut() {
-                    m.inc(&format!("msg/{}", env.msg.payload.name()));
-                    m.observe(
-                        &format!("hops/{}", env.msg.payload.category().name()),
-                        u64::from(env.depth),
-                    );
-                }
-                to_clients.push(env.msg);
-            }
+        let Endpoint::Server(sid) = env.msg.to else {
+            self.stats.record_client_msg();
+            env.trace(&mut self.obs, self.tick, "client");
+            observe(&mut self.obs, &env.msg, env.depth);
+            return to_clients.push(env.msg);
+        };
+        // A message to an id no server has is refused by the turn, on
+        // both substrates; the trace labels it.
+        if sid.0 as usize >= self.servers.len() {
+            env.trace(&mut self.obs, self.tick, "unknown");
+        } else {
+            env.trace(&mut self.obs, self.tick, "deliver");
+            observe(&mut self.obs, &env.msg, env.depth);
+        }
+        let Envelope { msg, id, depth, .. } = env;
+        turn(&mut self.servers, &mut self.stats, msg, out, self.tap);
+        for child in out.msgs.drain(..) {
+            let e = self.envelope(child, id, depth + 1);
+            self.queue.push_back(e);
+        }
+        for child in out.deferred.drain(..) {
+            let e = self.envelope(child, id, depth + 1);
+            self.faults.defer(e);
         }
     }
 

@@ -18,14 +18,12 @@
 //! substrate holds [`FaultExecutor::none`], which delivers everything
 //! once and draws nothing.
 //!
-//! The two message substrates only act on its [`Verdict`]s:
-//! * the simulator (`Cluster::drain`) asks once per delivery, corrupt
-//!   included ([`FaultExecutor::decide_delivery`]), and ticks the lane
-//!   once per delivered message;
-//! * the TCP deployment asks in `send_message`
-//!   ([`FaultExecutor::decide`]), draws corrupt when the frame is read
-//!   ([`FaultExecutor::corrupt`]), and ticks the lane once per send that
-//!   is not held.
+//! The two message substrates only act on its [`Verdict`]s, and draw
+//! them at one point: each asks [`FaultExecutor::decide_delivery`] once
+//! per message, when its turn takes it off the queue (`Cluster::drain`,
+//! and the runner of the TCP deployment), and ticks the held lane once
+//! per delivered message. So one plan and seed inject the same faults on
+//! both (DESIGN.md decision 8).
 //!
 //! The executor also keeps the deferred lane (`Outbox::deferred`, an
 //! elimination's orphan reinserts). Each substrate calls
@@ -274,10 +272,21 @@ impl<T> FaultExecutor<T> {
         }
     }
 
-    /// The send-side verdict on a message of category `c`. Drop,
-    /// duplicate, delay (then its length) and reorder are drawn in that
-    /// order; the first that fires decides.
-    pub fn decide(&mut self, c: MsgCategory) -> Verdict {
+    /// The verdict on delivering a message of category `c`, the one draw
+    /// point of both substrates. Drop, duplicate, delay (then its length)
+    /// and reorder are drawn in that order, and the first that fires
+    /// decides; a plain delivery then draws corrupt, a loss at the
+    /// receiver.
+    pub fn decide_delivery(&mut self, c: MsgCategory) -> Verdict {
+        let verdict = self.decide(c);
+        if verdict == Verdict::Deliver(1) && self.live && self.draw(FaultKind::Corrupt, c) {
+            return Verdict::Lost(FaultKind::Corrupt);
+        }
+        verdict
+    }
+
+    /// The verdict before the corrupt draw.
+    fn decide(&mut self, c: MsgCategory) -> Verdict {
         if !self.live {
             return Verdict::Deliver(1);
         }
@@ -299,23 +308,6 @@ impl<T> FaultExecutor<T> {
             return Verdict::Held(FaultKind::Reorder, 1);
         }
         Verdict::Deliver(1)
-    }
-
-    /// The receive-side draw: whether a message of category `c` that did
-    /// arrive is unreadable.
-    pub fn corrupt(&mut self, c: MsgCategory) -> bool {
-        self.live && self.draw(FaultKind::Corrupt, c)
-    }
-
-    /// [`decide`](Self::decide), then — on a plain delivery only — the
-    /// [`corrupt`](Self::corrupt) draw, for a substrate whose send and
-    /// receive are one step.
-    pub fn decide_delivery(&mut self, c: MsgCategory) -> Verdict {
-        let verdict = self.decide(c);
-        if verdict == Verdict::Deliver(1) && self.corrupt(c) {
-            return Verdict::Lost(FaultKind::Corrupt);
-        }
-        verdict
     }
 
     fn draw(&mut self, kind: FaultKind, c: MsgCategory) -> bool {
@@ -493,7 +485,6 @@ mod tests {
         for c in MsgCategory::ALL {
             assert_eq!(exec.decide(c), Verdict::Deliver(1));
             assert_eq!(exec.decide_delivery(c), Verdict::Deliver(1));
-            assert!(!exec.corrupt(c));
         }
         assert_eq!(exec.counts().total(), 0);
         assert_eq!(

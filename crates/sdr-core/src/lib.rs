@@ -18,7 +18,8 @@
 //!
 //! * Protocol: [`msg`], handled by [`server::Server`] — the full
 //!   message-driven state machine (insertion, split, balance, OC
-//!   maintenance, queries, deletion, kNN).
+//!   maintenance, queries, deletion, kNN) — which [`server::turn`], the
+//!   one server turn, drives for both substrates.
 //! * Client side: [`client::Client`] with the three addressing variants
 //!   of the paper's evaluation (BASIC / IMCLIENT / IMSERVER) and the
 //!   termination protocols (§4.3). Like the server it is transport-free:
@@ -129,5 +130,5 @@ pub use link::Link;
 pub use msg::{Endpoint, ImageHolder, Message, Payload, QueryKind, ReplyProtocol};
 pub use node::{DataNode, Object, RoutingNode, Side};
 pub use oc::{OcEntry, OcTable};
-pub use server::{Allocator, Outbox, Refused, Server};
+pub use server::{turn, Outbox, Refused, Server};
 pub use stats::{MsgCategory, Stats};

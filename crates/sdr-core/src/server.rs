@@ -4,7 +4,8 @@
 //! A server is a message-driven state machine: [`Server::handle`] consumes
 //! one incoming [`Payload`] and emits follow-up messages through an
 //! [`Outbox`]. The same state machine runs inside the in-process
-//! simulator (`cluster`) and behind TCP endpoints (`sdr-net`).
+//! simulator (`cluster`) and behind TCP endpoints (`sdr-net`), and one
+//! function drives it for both: [`turn`].
 //!
 //! Insert hops carry one [`Insertion`] the way traversal hops carry one
 //! `Traversal`. [`Server::handle`] resolves the node a payload acts on
@@ -23,6 +24,7 @@ use crate::link::Link;
 use crate::msg::{ChildWhy, Endpoint, Found, ImageHolder, Insertion, Message, Payload, Trace};
 use crate::node::{DataNode, NodeMut, Object, RoutingNode};
 use crate::oc::OcTable;
+use crate::stats::Stats;
 use sdr_geom::Rect;
 use sdr_rtree::{Entry, RTree};
 
@@ -30,8 +32,10 @@ use sdr_rtree::{Entry, RTree};
 /// provisions fresh servers for splits.
 ///
 /// Server allocation is the one piece of global coordination an SDDS
-/// needs; in the simulator the cluster pre-registers the allocated ids,
-/// in a real deployment a node-manager service plays this role.
+/// needs. Ids are dense: [`turn`] hands out the next index of its server
+/// list and adopts the new servers, in the simulator and in the TCP
+/// deployment's runner alike; a production deployment would ask its node
+/// manager.
 #[derive(Debug)]
 pub struct Outbox {
     /// Messages to deliver, in emission order.
@@ -44,8 +48,8 @@ pub struct Outbox {
     /// (height adjustment, rotation gathering) invalidates rotation
     /// snapshots mid-flight — a reinsert-driven split can orphan the new
     /// server. Both substrates hand these messages to their fault
-    /// executor, which releases the oldest alone each time nothing is in
-    /// flight (`FaultExecutor::release_idle`), so each reinsert starts
+    /// executor, which releases the oldest alone each time their queue
+    /// empties (`FaultExecutor::release_idle`), so each reinsert starts
     /// after the repair chain and the reinserts before it have settled.
     /// Releasing them FIFO is not enough: a gathered rotation's
     /// `SetRouting` then overwrites a routing link a reinsert's descent
@@ -57,14 +61,15 @@ pub struct Outbox {
     /// Why each message refused during this handling step was refused;
     /// none of them changed anything.
     pub refused: Vec<Refused>,
-    /// Where fresh server ids come from.
-    allocator: Allocator,
+    /// The id the next allocated server gets: ids are dense, so it is
+    /// the number of servers.
+    next_server: u32,
     /// The server currently handling a message.
     self_id: ServerId,
 }
 
 /// Why a server refused a message, before the message changed anything.
-/// The simulator counts refusals in its `Stats`; a TCP deployment books
+/// [`turn`] counts refusals in its `Stats`; a TCP deployment also books
 /// each as a delivery failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Refused {
@@ -79,34 +84,16 @@ pub enum Refused {
     Initialized,
 }
 
-/// Source of fresh server ids.
-///
-/// The simulator allocates sequentially (ids are dense indexes into its
-/// server vector); a real deployment draws from a process-wide atomic so
-/// concurrent splits on different servers never collide.
-#[derive(Debug)]
-pub enum Allocator {
-    /// Dense sequential allocation starting at the given id.
-    Sequential(u32),
-    /// Shared atomic counter (the TCP deployment's node manager).
-    Shared(std::sync::Arc<std::sync::atomic::AtomicU32>),
-}
-
 impl Outbox {
     /// Creates an outbox for `self_id`, allocating new servers
     /// sequentially from `next_server` upward.
     pub fn new(self_id: ServerId, next_server: u32) -> Self {
-        Outbox::with_allocator(self_id, Allocator::Sequential(next_server))
-    }
-
-    /// Creates an outbox with an explicit allocator.
-    pub fn with_allocator(self_id: ServerId, allocator: Allocator) -> Self {
         Outbox {
             msgs: Vec::new(),
             deferred: Vec::new(),
             allocated: Vec::new(),
             refused: Vec::new(),
-            allocator,
+            next_server,
             self_id,
         }
     }
@@ -119,13 +106,8 @@ impl Outbox {
         self.deferred.clear();
         self.allocated.clear();
         self.refused.clear();
-        self.allocator = Allocator::Sequential(next_server);
+        self.next_server = next_server;
         self.self_id = self_id;
-    }
-
-    /// The handling server's id.
-    pub fn self_id(&self) -> ServerId {
-        self.self_id
     }
 
     /// Emits a message to an arbitrary endpoint.
@@ -190,16 +172,8 @@ impl Outbox {
 
     /// Provisions a fresh, empty server and returns its id.
     pub fn alloc_server(&mut self) -> ServerId {
-        let id = match &mut self.allocator {
-            Allocator::Sequential(next) => {
-                let id = ServerId(*next);
-                *next += 1;
-                id
-            }
-            Allocator::Shared(counter) => {
-                ServerId(counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst))
-            }
-        };
+        let id = ServerId(self.next_server);
+        self.next_server += 1;
         self.allocated.push(id);
         id
     }
@@ -239,6 +213,53 @@ pub struct Server {
     /// freshly notified parent can outrun the initialization. Such
     /// messages are parked and replayed right after initialization.
     parked: Vec<(Endpoint, Payload)>,
+}
+
+/// One server turn, the only driver of [`Server::handle`]: the simulator
+/// and the TCP deployment's runner take every server-bound message
+/// through it. It finds the addressed server among the dense `servers`
+/// (an unknown id is refused), counts the message in `stats` under the
+/// paper's cost model and shows a counted one to `tap`, lets the server
+/// handle it, books the refusals, and adopts the servers the handling
+/// allocated before any message can reach them. `out.msgs` and
+/// `out.deferred` then hold what the server sent, in emission order, for
+/// the driver to route, and `out.allocated` the servers it adopted.
+/// Returns how many messages were refused.
+pub fn turn(
+    servers: &mut Vec<Server>,
+    stats: &mut Stats,
+    msg: Message,
+    out: &mut Outbox,
+    tap: Option<fn(&Message)>,
+) -> usize {
+    let Endpoint::Server(sid) = msg.to else {
+        return 0;
+    };
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "server ids are allocated densely from 0; the count fits u32 by the id-space contract"
+    )]
+    out.reset(sid, servers.len() as u32);
+    let Some(server) = servers.get_mut(sid.0 as usize) else {
+        stats.record_refused(1);
+        return 1;
+    };
+    // The paper's cost model: messages between nodes on the same server
+    // are free.
+    if msg.from != msg.to {
+        stats.record_server_msg(sid, msg.payload.category());
+        if let Some(tap) = tap {
+            tap(&msg);
+        }
+    }
+    server.handle(msg.from, msg.payload, out);
+    let config = server.config;
+    stats.record_refused(out.refused.len());
+    for &alloc in &out.allocated {
+        debug_assert_eq!(alloc.0 as usize, servers.len());
+        servers.push(Server::bare(alloc, config));
+    }
+    out.refused.len()
 }
 
 impl Server {

@@ -3,9 +3,11 @@
 //! The protocol — CHOOSEFROMIMAGE addressing, IAM absorption, the direct
 //! termination protocol of §4.3, kNN — is [`sdr_core::Client`], the same
 //! code the simulator runs. This module is only its socket driver: a
-//! reply listener, send, receive-until-deadline, quiescence, and the
-//! mapping of delivery failures to [`NetError`]. Every wait is a slice on
-//! the deployment's wake-up signal, which the sender cuts short. A client
+//! reply listener, a post to the runner's queue, receive-until-deadline,
+//! quiescence, and the mapping of delivery failures to [`NetError`]. A
+//! client never touches the fault plan: its messages meet it at their
+//! turn in the runner. Every wait is a slice on the deployment's wake-up
+//! signal, which the runner cuts short. A client
 //! sees the losses of frames addressed to it and the losses of frames
 //! bound for servers, never another client's.
 //!
@@ -18,7 +20,7 @@
 //! once it is whole, and the backlog is taken only when a frame is owed
 //! or a wait slice ran out.
 
-use crate::node::{next_frame, send_message, Account, Deployment, Frames};
+use crate::node::{next_frame, Account, Deployment, Frames};
 use crate::NetCluster;
 use sdr_core::ids::ClientId;
 use sdr_core::msg::{Endpoint, Message, QueryKind};
@@ -101,9 +103,7 @@ impl NetClient {
         listener.set_nonblocking(true)?;
         deployment.events().clients.insert(id, Account::default());
         // The link itself opens at the first frame for this client.
-        let me = Endpoint::Client(id);
-        deployment.links().insert(me, Default::default());
-        deployment.register(me, listener.local_addr()?.port());
+        deployment.register(Endpoint::Client(id), listener.local_addr()?.port());
         let failures_seen = Cell::new(deployment.failures_for(id));
         Ok(NetClient {
             core: Client::new(id, Variant::ImClient, 0),
@@ -249,14 +249,6 @@ impl Wire {
                     if Instant::now() > deadline {
                         return Err(NetError::Timeout);
                     }
-                    // With nothing in flight, no other send will pass the
-                    // fault executor's held lane an event: what this
-                    // wait is for may be deferred or held there, so
-                    // release it.
-                    let idle = self.deployment.in_flight.load(Ordering::SeqCst) <= 0;
-                    if idle && self.deployment.release_idle() > 0 {
-                        continue;
-                    }
                     sliced = self.deployment.wait(seen, WAIT_SLICE);
                 }
                 Err(e) => return Err(NetError::Io(e)),
@@ -270,7 +262,6 @@ impl Drop for Wire {
     fn drop(&mut self) {
         self.deployment.deregister(Endpoint::Client(self.id));
         self.deployment.events().clients.remove(&self.id);
-        self.deployment.links().remove(&Endpoint::Client(self.id));
     }
 }
 
@@ -280,24 +271,19 @@ impl Session<'_> {
         let deadline = Instant::now() + self.timeout;
         loop {
             let seen = deployment.events().seq;
-            // Loaded before the check: nodes record a failure before they
-            // settle `in_flight`, so zero here means the check sees it.
+            // Loaded before the check: the runner records a failure before
+            // it settles `in_flight`, so zero here means the check sees it.
+            // It also releases what its fault executor holds or defers
+            // first, so zero means nothing is left there either.
             let busy = deployment.in_flight.load(Ordering::SeqCst) > 0;
             self.wire.check_failures()?;
-            if busy {
-                if Instant::now() > deadline {
-                    return Err(NetError::Timeout);
-                }
-                deployment.wait(seen, WAIT_SLICE);
-                continue;
+            if !busy {
+                return Ok(());
             }
-            // Quiet on the wire: release the next deferred message, or
-            // else anything the fault executor is still holding back, and
-            // wait again if that re-armed it.
-            if deployment.release_idle() > 0 {
-                continue;
+            if Instant::now() > deadline {
+                return Err(NetError::Timeout);
             }
-            return Ok(());
+            deployment.wait(seen, WAIT_SLICE);
         }
     }
 }
@@ -306,7 +292,7 @@ impl Transport for Session<'_> {
     type Error = NetError;
 
     fn exchange(&mut self, msg: Message, fold: &mut Fold<'_>) -> Result<(), NetError> {
-        send_message(&self.wire.deployment, &msg);
+        self.wire.deployment.post(&msg);
         if !fold.settles() {
             // One report per hop, until the fold's sender accounting
             // balances (`sdr_core::client` explains why a bare fan-out
@@ -324,9 +310,9 @@ impl Transport for Session<'_> {
         // paper's own evaluation — issues one operation at a time.
         self.quiesce()?;
         // Direct inserts are never acknowledged (§3.2), so no reply can
-        // be insisted on — but servers write client-bound frames before
-        // they settle `in_flight`: what is owed now is every ack there
-        // will be, and exactly that is read.
+        // be insisted on — but the runner writes a client-bound frame
+        // before it settles that message's turn: what is owed now is
+        // every ack there will be, and exactly that is read.
         let deadline = Instant::now() + self.timeout;
         while self.wire.owed() > 0 {
             fold.feed(self.wire.recv(deadline)?);

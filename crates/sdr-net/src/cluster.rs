@@ -1,10 +1,10 @@
 //! Process-local deployment manager: launches the first node, hands out
 //! client connections, and shuts the whole deployment down.
 
-use crate::node::{bind_node, start_runner, Deployment};
+use crate::node::{bind, run, Deployment};
 use sdr_core::msg::{Endpoint, Message};
-use sdr_core::{FaultCounts, FaultExecutor, FaultPlan, SdrConfig, ServerId};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use sdr_core::{Cluster, FaultCounts, FaultExecutor, FaultPlan, SdrConfig, ServerId};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A running TCP deployment of the SD-Rtree on localhost.
@@ -25,10 +25,11 @@ impl NetCluster {
     }
 
     /// Launches a deployment whose deliveries follow a deterministic
-    /// fault plan drawn from `seed`. The same [`FaultPlan`] and its
-    /// executor drive the in-process simulator; here the executor's
-    /// verdicts are asked for in `send_message` and, for corruption, on
-    /// the frame-read path.
+    /// fault plan drawn from `seed`. The runner asks the plan's executor
+    /// for one verdict per message, when its turn takes it, at the point
+    /// and in the order the in-process simulator does: one client's
+    /// operations under the same plan and seed meet the same faults on
+    /// both substrates.
     pub fn launch_with_faults(
         config: SdrConfig,
         plan: &FaultPlan,
@@ -40,29 +41,32 @@ impl NetCluster {
     fn start(config: SdrConfig, faults: FaultExecutor<Message>) -> std::io::Result<NetCluster> {
         config.validate();
         let deployment = Arc::new(Deployment {
-            registry: std::sync::RwLock::new(std::collections::HashMap::new()),
-            next_server: Arc::new(AtomicU32::new(1)),
+            servers: AtomicUsize::new(1),
             config,
-            stop: AtomicBool::new(false),
             in_flight: std::sync::atomic::AtomicI64::new(0),
             delivery_failures: AtomicU64::new(0),
             faults: Mutex::new(faults),
             metrics: sdr_obs::Obs::from_env().take_metrics().map(Mutex::new),
             events: Default::default(),
             wakeup: Default::default(),
-            announced: Default::default(),
+            queue: Default::default(),
             arrival: Default::default(),
             runner: Default::default(),
             links: Default::default(),
         });
-        let first = bind_node(&deployment, ServerId(0))?;
-        start_runner(&deployment, first)?;
+        // The deployment's one runner thread, serving server 0 first.
+        let (first, shared) = (bind(&deployment, ServerId(0))?, deployment.clone());
+        let runner = std::thread::Builder::new()
+            .name("sdr-runner".into())
+            .spawn(move || run(&shared, first))?;
+        *deployment.runner.lock().unwrap_or_else(|e| e.into_inner()) = Some(runner);
         Ok(NetCluster { deployment })
     }
 
-    /// Number of servers spawned so far.
+    /// Number of servers, as the runner last published it: after a
+    /// quiesce, every server allocated so far.
     pub fn num_servers(&self) -> usize {
-        self.deployment.next_server.load(Ordering::SeqCst) as usize
+        self.deployment.servers.load(Ordering::SeqCst)
     }
 
     /// Monotonic count of delivery failures: undeliverable frames,
@@ -71,7 +75,8 @@ impl NetCluster {
         self.deployment.delivery_failures.load(Ordering::SeqCst)
     }
 
-    /// Server-bound messages currently in flight (negative transients
+    /// Messages currently in flight: the entries of the runner's queue,
+    /// and what its fault executor holds or defers (negative transients
     /// only occur when raw, unsolicited frames hit a node listener).
     pub fn in_flight(&self) -> i64 {
         self.deployment.in_flight.load(Ordering::SeqCst)
@@ -106,7 +111,32 @@ impl NetCluster {
     /// its listeners close with it. A second call, or the `Drop` after an
     /// explicit one, finds no runner left and returns at once.
     pub fn shutdown(&self) {
-        self.deployment.stop_runner();
+        // A runner that panicked took the message it was handling with it.
+        if let Some(Err(_)) = self.deployment.stop_runner() {
+            self.deployment.record_delivery_failure(None);
+        }
+    }
+
+    /// Stops the deployment and hands back its servers, with the message
+    /// counters the runner kept, as a [`Cluster`]: hashed, counted and
+    /// checked like a simulated one. A runner that panicked resumes its
+    /// panic here.
+    ///
+    /// # Panics
+    ///
+    /// If the runner panicked, or `shutdown` already stopped it.
+    #[expect(
+        clippy::panic,
+        reason = "a test and harness accessor: after `shutdown` the servers are gone, and no answer would be truthful"
+    )]
+    pub fn into_cluster(self) -> Cluster {
+        match self.deployment.stop_runner() {
+            Some(Ok((servers, stats))) => {
+                Cluster::from_servers(self.deployment.config, servers, stats)
+            }
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
+            None => panic!("the deployment was shut down before `into_cluster`"),
+        }
     }
 }
 

@@ -10,11 +10,13 @@
 //!   (length-prefixed frames; no serialization framework), described
 //!   once as field tables over the first-party [`buf`] byte cursors.
 //! * [`node`] — the servers and the one runner thread that serves them
-//!   all: it reads each announced frame off its server's connections,
-//!   feeds it to the [`sdr_core::Server`], handles what the server sends
-//!   itself in the same turn, and ships the rest of the outbox.
+//!   all: its queue is the simulator's FIFO, and it takes each entry
+//!   through the fault plan's one draw and [`sdr_core::turn`], the
+//!   simulator's own server turn, writing what a turn sends another
+//!   server or a client on that endpoint's link.
 //! * [`cluster`] — a process-local deployment manager that binds
-//!   server 0, starts the runner, and on shutdown stops and joins it.
+//!   server 0, starts the runner, and on shutdown stops and joins it —
+//!   or hands its servers back as a [`sdr_core::Cluster`].
 //! * [`client`] — a TCP client component (the IMCLIENT variant): the
 //!   socket [`sdr_core::Transport`] under `sdr-core`'s client core, which
 //!   owns the image, addressing and the termination protocol of §4.3.
@@ -27,8 +29,8 @@
 //! connection fails is a counted loss at once; both ends read their
 //! connections with one length-delimited reader. Nothing between a frame
 //! being written and its receiver acting on it is a timer: the runner
-//! waits on one queue its writers announce frames on, clients on a
-//! wake-up signal the sender raises, and an insert reads exactly the
+//! waits on one queue clients post their frames to, clients on a
+//! wake-up signal the runner raises, and an insert reads exactly the
 //! acknowledgment frames it is owed (DESIGN.md decision 13). Concurrency
 //! control is out of scope, as the paper itself lists it as open (§6):
 //! one thread handles every message, so the turns form one total order,

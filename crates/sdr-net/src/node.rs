@@ -4,35 +4,45 @@
 //! a client — gets its frames on one kept link, the writing end of a
 //! connection to its listener that every thread of the process shares
 //! (DESIGN.md decision 13). One runner thread per deployment owns every
-//! [`Server`] with its listener and the connections it accepted. A writer
-//! that puts a server-bound frame on a link announces it on one queue;
-//! the runner takes the announcements in order, reads each frame the way
-//! a client reads its own (`next_frame`), feeds the [`sdr_core::Message`]
-//! to the server's state machine and ships the resulting outbox. What a
-//! server sends itself (a routing node descending to its co-located data
-//! node) is handled in the same turn, off a local queue. A link that
-//! fails gets one connect: an endpoint missing from the directory, a
-//! refused connect or a failed write is a counted delivery failure at
-//! once. Both ends cut frames with one length-delimited decoder, `Frames`.
+//! [`Server`], in a dense list beside the [`Stats`] it keeps, with each
+//! server's listener and the connections it accepted.
 //!
-//! When the state machine allocates a new server (a split), the turn
-//! binds and registers the new server's listener before it sends to it,
-//! so the `SplitCreate` can never be lost, and the runner adopts the new
-//! server before it reads its first frame. This is the node-manager role
-//! a production deployment would delegate to its orchestrator. No counted
-//! frame waits on a clock: the runner wakes because another thread
-//! announced a frame, a waiting client because `Deployment::notify` said
-//! so (DESIGN.md 13).
+//! The runner's queue is the simulator's FIFO. A client writes its
+//! message on its server's link and queues an entry that says "read the
+//! next frame of server X". The runner takes the entries in order, and
+//! each is one turn: the fault plan's one draw
+//! ([`sdr_core::FaultExecutor::decide_delivery`]), then
+//! [`sdr_core::turn`] — the same server turn the simulator takes — or, for
+//! a client-bound message, one frame on the client's link. What the turn
+//! sends another server is written on that server's link and queued as a
+//! frame entry; what a server sends itself, or a client, waits in the
+//! queue as it is. Duplicate copies and released held messages go back
+//! on the tail, and when the queue empties the runner releases the
+//! executor's deferred and held lanes, as `Cluster::drain` does. So one
+//! client's operations meet the same order, draws and counts on both
+//! substrates. A link that fails gets one connect: an endpoint missing
+//! from the directory, a refused connect or a failed write is a counted
+//! delivery failure at once. Both ends cut frames with one
+//! length-delimited decoder, `Frames`.
+//!
+//! When a turn allocates a new server (a split), the runner binds and
+//! registers the new server's listener before anything is sent to it.
+//! This is the node-manager role a production deployment would delegate
+//! to its orchestrator. No counted frame waits on a clock: the runner
+//! wakes because another thread queued an entry, a waiting client because
+//! `Deployment::notify` said so (DESIGN.md 13).
 
 use crate::buf::ReadBuf;
 use crate::wire::{decode_message, encode_message};
 use sdr_core::ids::ClientId;
 use sdr_core::msg::{Endpoint, Message};
-use sdr_core::{Allocator, FaultExecutor, Outbox, Released, SdrConfig, Server, ServerId, Verdict};
+use sdr_core::{
+    turn, FaultExecutor, Outbox, Released, SdrConfig, Server, ServerId, Stats, Verdict,
+};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -54,100 +64,120 @@ pub(crate) struct Events {
 /// What the deployment owes one client.
 #[derive(Debug, Default)]
 pub(crate) struct Account {
-    /// Client-bound frames written but not yet read: the client-side twin
-    /// of `in_flight`, and once that is zero exactly what the client has
-    /// left to read. Raw unsolicited frames drive it negative, so readers
-    /// test `> 0`.
+    /// Client-bound frames written but not yet read: once `in_flight` is
+    /// zero, exactly what the client has left to read. Raw unsolicited
+    /// frames drive it negative, so readers test `> 0`.
     pub owed: i64,
     /// Frames addressed to this client that were lost, or that it read
     /// short: only this client's check sees them.
     pub lost: u64,
 }
 
-/// Server-bound frames written on their links and not yet taken by the
-/// runner.
-#[derive(Debug, Default)]
-pub(crate) struct Announced {
-    /// The destination of each frame, in the order the frames were
-    /// written.
-    queue: VecDeque<ServerId>,
-    /// Per server, frames announced minus frames taken. A frame taken
-    /// before its announcement was queued (an idle sweep can read it
-    /// first) drives it to zero or below; raw frames no writer announced
-    /// drive it negative.
-    unread: HashMap<ServerId, i64>,
-    /// Whether the runner waits for an announcement: only then does a
-    /// writer signal it.
-    waiting: bool,
+/// One entry of the runner's queue: what one of its turns takes.
+#[derive(Debug, PartialEq)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "the queue holds messages inline, as the simulator's does: a box would allocate for every local entry"
+)]
+pub(crate) enum Entry {
+    /// The next frame on a server's connections: one written on its link.
+    Frame(ServerId),
+    /// A message that waits in the queue itself: one a server sends
+    /// itself, one bound for a client, or one the fault executor handed
+    /// back, which is not fresh — it meets no verdict again.
+    Local(Message, bool),
 }
 
-impl Announced {
-    fn announce(&mut self, to: ServerId) {
-        self.queue.push_back(to);
-        *self.unread.entry(to).or_default() += 1;
+/// The runner's queue, and its account of the frames it names.
+#[derive(Debug, Default)]
+pub(crate) struct Queue {
+    entries: VecDeque<Entry>,
+    /// Per server, frame entries queued minus frames taken. A frame taken
+    /// before its entry was queued (an idle sweep can read it first)
+    /// drives it to zero or below; raw frames nobody queued drive it
+    /// negative.
+    unread: HashMap<ServerId, i64>,
+    /// Whether the runner waits for an entry: only then does a client
+    /// signal it.
+    waiting: bool,
+    /// Set once, to stop the runner: under the lock it waits on, so the
+    /// signal that follows cannot be missed.
+    stop: bool,
+}
+
+impl Queue {
+    fn push(&mut self, entry: Entry) {
+        if let Entry::Frame(to) = entry {
+            *self.unread.entry(to).or_default() += 1;
+        }
+        self.entries.push_back(entry);
     }
 
-    /// Books a frame the runner took from `at`'s connections, announced
-    /// or not.
+    /// Books a frame the runner took from `at`'s connections, queued or
+    /// not.
     fn taken(&mut self, at: ServerId) {
         *self.unread.entry(at).or_default() -= 1;
     }
 
-    /// Books an announcement for `at` whose read found no frame: it is
-    /// queued again while a frame is still owed there (written, but not
-    /// readable yet), and dropped once a sweep has taken that frame.
+    /// Books a frame entry for `at` whose read found no frame: while a
+    /// frame is still owed there (written, but not readable yet), the
+    /// entry goes back to the head, so the queue keeps its order; once a
+    /// sweep has taken that frame, it is dropped.
     fn missed(&mut self, at: ServerId) {
         if self.unread.get(&at).is_some_and(|&n| n > 0) {
-            self.queue.push_back(at);
+            self.entries.push_front(Entry::Frame(at));
         }
     }
 }
 
-/// Shared deployment state: the address directory, the server id
-/// allocator, the runner's announcements and the accounts clients read.
+/// What the runner hands back when it stops: the servers, in id order,
+/// and the message counters it kept.
+pub(crate) type Served = (Vec<Server>, Stats);
+
+/// Shared deployment state: the address directory, the runner's queue,
+/// and the accounts clients read.
 #[derive(Debug)]
 pub(crate) struct Deployment {
-    /// Address directory: endpoint → OS-assigned port. Every listener
-    /// binds port 0 and registers here *before* anything can address it.
-    /// A production deployment would get this from its node manager;
-    /// OS-assigned ports make parallel deployments and rapid restarts
-    /// collision-free (no fixed ranges, no `TIME_WAIT` interference).
-    pub registry: std::sync::RwLock<HashMap<Endpoint, u16>>,
-    /// Next server id. The one field with an `Arc` of its own: every
-    /// handling step's `Outbox` holds a clone (`Allocator::Shared`).
-    pub next_server: Arc<AtomicU32>,
+    /// Address directory: every endpoint's kept link, which knows the
+    /// endpoint's OS-assigned port. Every listener binds port 0 and
+    /// registers here *before* anything can address it. A production
+    /// deployment would get this from its node manager; OS-assigned ports
+    /// make parallel deployments and rapid restarts collision-free (no
+    /// fixed ranges, no `TIME_WAIT` interference).
+    pub links: Mutex<HashMap<Endpoint, Arc<Link>>>,
+    /// The number of servers, as the runner last published it.
+    pub servers: AtomicUsize,
     pub config: SdrConfig,
-    pub stop: AtomicBool,
-    /// Server-bound messages sent but not yet fully handled. Clients
-    /// wait for this to drop to zero between operations
+    /// Messages sent and not yet fully handled: every entry of the
+    /// runner's queue, frame or not, from the moment it is queued — a
+    /// client's from before its frame is written — until after its turn.
+    /// Clients wait for this to drop to zero between operations
     /// ([`crate::NetClient::quiesce`]), reproducing the simulator's
     /// sequential-operation semantics over real sockets — overlapping
     /// maintenance chains are exactly the concurrency problem the paper
-    /// leaves open (§6).
+    /// leaves open (§6). The runner releases the fault executor's lanes
+    /// before it settles a turn, so zero also means nothing is held or
+    /// deferred.
     ///
-    /// Every delivery path keeps the pairing exact: the sender
-    /// increments when it commits to a server-bound frame, and the
-    /// runner decrements once — after handling it, or on *any* failure
-    /// to read/decode it (the failure path also bumps
-    /// [`Deployment::delivery_failures`], so the loss is observable).
-    /// Unsolicited frames (raw connections that never went through
-    /// `send_message`) can push the count transiently below zero, which
-    /// is why quiescence tests `> 0`, not `!= 0`.
-    pub in_flight: std::sync::atomic::AtomicI64,
+    /// Every failure is recorded before its count is settled. Raw frames
+    /// nobody queued are settled without an increment and push the count
+    /// transiently below zero, which is why quiescence tests `> 0`, not
+    /// `!= 0`.
+    pub in_flight: AtomicI64,
     /// Monotonic count of messages this deployment failed to deliver:
     /// frames whose one connection could not be opened or written,
-    /// frames that arrived truncated/undecodable, and fault-injected
-    /// losses. Each is also booked to the client it was addressed to, or
-    /// else to every client ([`Events`]); a client's next check reports
-    /// what was booked to it as [`crate::client::NetError::Undeliverable`]
-    /// instead of a silent drop or a hang-until-timeout.
+    /// frames that arrived truncated/undecodable, refused messages and
+    /// fault-injected losses. Each is also booked to the client it was
+    /// addressed to, or else to every client ([`Events`]); a client's
+    /// next check reports what was booked to it as
+    /// [`crate::client::NetError::Undeliverable`] instead of a silent
+    /// drop or a hang-until-timeout.
     pub delivery_failures: AtomicU64,
     /// Deterministic fault injection ([`FaultExecutor::none`] in normal
     /// deployments, which delivers everything once and draws nothing).
-    /// One lock, so every verdict draws from a single seeded stream even
-    /// with concurrent senders. The executor also holds the delayed and
-    /// reordered messages and the deferred lane, which
-    /// [`Deployment::release_idle`] empties once nothing is in flight.
+    /// Only the runner draws from it, one verdict per entry it takes; it
+    /// also holds the delayed and reordered messages and the deferred
+    /// lane. The lock lets `NetCluster::fault_counts` read it.
     pub faults: Mutex<FaultExecutor<Message>>,
     /// Deployment-wide delivery metrics (`None` unless `SDR_METRICS` is
     /// set at launch): frames written and their bytes. Numeric *values*
@@ -157,44 +187,44 @@ pub(crate) struct Deployment {
     /// The wake-up signal; see [`Events`].
     pub events: Mutex<Events>,
     pub wakeup: Condvar,
-    /// What the runner takes next, and the signal it waits on when
-    /// nothing is announced.
-    pub announced: Mutex<Announced>,
+    /// The runner's queue, and the signal it waits on when it is empty.
+    pub queue: Mutex<Queue>,
     pub arrival: Condvar,
-    /// The runner thread, until `shutdown` joins it.
-    pub runner: Mutex<Option<JoinHandle<()>>>,
-    /// The kept link to every server and every connected client.
-    pub links: Mutex<HashMap<Endpoint, Arc<Link>>>,
+    /// The runner thread, until `stop_runner` joins it.
+    pub runner: Mutex<Option<JoinHandle<Served>>>,
 }
 
-/// The writing end of the one connection that carries an endpoint's
-/// frames: `None` until the first frame, or after a write on it failed.
-/// The lock keeps frames whole when several threads write to one
-/// endpoint.
-#[derive(Debug, Default)]
-pub(crate) struct Link(Mutex<Option<TcpStream>>);
+/// An endpoint's port, and the writing end of the one connection that
+/// carries its frames: `None` until the first frame, or after a write on
+/// it failed. The lock keeps frames whole when several threads write to
+/// one endpoint.
+#[derive(Debug)]
+pub(crate) struct Link {
+    port: u16,
+    stream: Mutex<Option<TcpStream>>,
+}
 
 /// How long a frame may take to be written on a link: a receiver that
 /// stops reading costs one counted failure, not a hung deployment.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// The runner's first and longest wait for an announcement before it
-/// sweeps every server's connections. Every counted frame is announced,
-/// so they bound only how late a connection nobody announced (a raw peer)
-/// is read: the wait doubles while sweeps find nothing, so an idle
-/// deployment costs next to nothing.
+/// The runner's first and longest wait for an entry before it sweeps
+/// every server's connections. Every counted frame is queued, so they
+/// bound only how late a connection nobody queued (a raw peer) is read:
+/// the wait doubles while sweeps find nothing, so an idle deployment
+/// costs next to nothing.
 const IDLE_FIRST: Duration = Duration::from_millis(1);
 const IDLE_LAST: Duration = Duration::from_millis(128);
 
 impl Link {
     /// Writes `frame` on the kept connection. A write that fails closes
-    /// it, and one connect to `port` opens the connection that replaces
+    /// it, and one connect to the port opens the connection that replaces
     /// it; whether either carried the frame.
-    fn write(&self, port: u16, frame: &[u8]) -> bool {
-        let mut stream = self.0.lock().unwrap_or_else(|e| e.into_inner());
+    fn write(&self, frame: &[u8]) -> bool {
+        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
         let kept = stream.take().filter(|mut s| s.write_all(frame).is_ok());
         *stream = kept.or_else(|| {
-            let mut s = TcpStream::connect(("127.0.0.1", port)).ok()?;
+            let mut s = TcpStream::connect(("127.0.0.1", self.port)).ok()?;
             s.set_nodelay(true).ok()?;
             s.set_write_timeout(Some(FRAME_TIMEOUT)).ok()?;
             s.write_all(frame).ok()?;
@@ -205,39 +235,36 @@ impl Link {
 }
 
 /// What the runner does next.
+#[expect(
+    clippy::large_enum_variant,
+    reason = "returned and matched at once, never stored"
+)]
 enum Wake {
     Stop,
-    /// Read the frame announced for this server.
-    Announced(ServerId),
-    /// Nothing was announced for a whole idle wait: sweep.
+    /// Take this entry's turn.
+    Entry(Entry),
+    /// Nothing was queued for a whole idle wait: sweep.
     Idle,
 }
 
 impl Deployment {
-    /// Registers an endpoint's port in the directory.
+    /// Registers an endpoint's port in the directory, with a link that
+    /// opens at its first frame.
     pub fn register(&self, endpoint: Endpoint, port: u16) {
-        self.registry
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(endpoint, port);
+        let stream = Mutex::default();
+        self.links()
+            .insert(endpoint, Arc::new(Link { port, stream }));
     }
 
     /// Looks up an endpoint's port.
     pub fn lookup(&self, endpoint: Endpoint) -> Option<u16> {
-        self.registry
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&endpoint)
-            .copied()
+        self.links().get(&endpoint).map(|link| link.port)
     }
 
-    /// Removes an endpoint from the directory (fault-injection hook:
-    /// simulates a listener that died mid-run).
+    /// Removes an endpoint and its link from the directory: a client that
+    /// left, or a listener that died mid-run (a fault-injection hook).
     pub fn deregister(&self, endpoint: Endpoint) {
-        self.registry
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&endpoint);
+        self.links().remove(&endpoint);
     }
 
     /// Counts one failed delivery, books it to `client` (if it is still
@@ -247,11 +274,7 @@ impl Deployment {
         self.delivery_failures.fetch_add(1, Ordering::SeqCst);
         let mut events = self.events();
         match client {
-            Some(client) => {
-                if let Some(account) = events.clients.get_mut(&client) {
-                    account.lost += 1;
-                }
-            }
+            Some(client) => events.clients.get_mut(&client).map_or((), |a| a.lost += 1),
             None => events.lost += 1,
         }
         events.seq += 1;
@@ -266,10 +289,11 @@ impl Deployment {
         events.lost + events.clients.get(&client).map_or(0, |a| a.lost)
     }
 
-    /// Pairs off one `in_flight` increment, waking `quiesce` when it was
-    /// the last. Failures are recorded *before* this: who sees zero sees them.
-    pub fn settle_in_flight(&self) {
-        if self.in_flight.fetch_sub(1, Ordering::SeqCst) <= 1 {
+    /// Adds `n` to `in_flight`, waking `quiesce` when a settle (`n < 0`)
+    /// drops it to zero. Failures are recorded *before* this: who sees
+    /// zero sees them.
+    fn add_in_flight(&self, n: i64) {
+        if self.in_flight.fetch_add(n, Ordering::SeqCst) + n <= 0 && n < 0 {
             self.notify(None);
         }
     }
@@ -282,8 +306,8 @@ impl Deployment {
         self.links.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn announced(&self) -> MutexGuard<'_, Announced> {
-        self.announced.lock().unwrap_or_else(|e| e.into_inner())
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Signals an event, booking a frame just written for `owed_to`.
@@ -306,53 +330,76 @@ impl Deployment {
         waited.unwrap_or_else(|e| e.into_inner()).1.timed_out()
     }
 
-    /// Queues a server-bound frame just written for the runner, waking
-    /// it if it waits. The runner's own sends wake nothing.
-    fn announce(&self, to: ServerId) {
-        let mut announced = self.announced();
-        announced.announce(to);
-        if std::mem::take(&mut announced.waiting) {
-            drop(announced);
+    /// Writes a client's message as one frame on its server's link and
+    /// queues the frame for the runner, waking it if it waits. The
+    /// message meets the fault plan at its turn, like every other.
+    pub fn post(&self, msg: &Message) {
+        let Endpoint::Server(to) = msg.to else {
+            return;
+        };
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        if !self.write(msg) {
+            return self.add_in_flight(-1);
+        }
+        let mut queue = self.queue();
+        queue.push(Entry::Frame(to));
+        if std::mem::take(&mut queue.waiting) {
+            drop(queue);
             self.arrival.notify_one();
         }
     }
 
+    /// Writes `msg` as one frame on its endpoint's kept link; whether it
+    /// went. A frame that cannot be written is counted — never silently
+    /// dropped — and booked to the client it was for, or to every client.
+    fn write(&self, msg: &Message) -> bool {
+        let frame = encode_message(msg);
+        self.with_metrics(|m| {
+            m.inc("frame/write");
+            m.add("frame/bytes_out", frame.len() as u64);
+        });
+        // The directory on every frame: an endpoint that left it (a client
+        // that is gone, a server `deregister_server` removed) fails at once.
+        let link = self.links().get(&msg.to).cloned();
+        let written = link.is_some_and(|link| link.write(&frame));
+        if !written {
+            self.record_delivery_failure(client_of(msg.to));
+        }
+        written
+    }
+
     /// The runner's next step: the stop flag first, then the oldest
-    /// announcement, waiting up to `idle` for one.
+    /// entry, waiting up to `idle` for one.
     fn next_wake(&self, idle: Duration) -> Wake {
-        let mut announced = self.announced();
+        let mut queue = self.queue();
         let mut timed_out = false;
         loop {
-            if self.stop.load(Ordering::SeqCst) {
+            if queue.stop {
                 return Wake::Stop;
             }
-            if let Some(to) = announced.queue.pop_front() {
-                return Wake::Announced(to);
+            if let Some(entry) = queue.entries.pop_front() {
+                return Wake::Entry(entry);
             }
             if timed_out {
                 return Wake::Idle;
             }
-            announced.waiting = true;
-            let waited = self.arrival.wait_timeout(announced, idle);
+            queue.waiting = true;
+            let waited = self.arrival.wait_timeout(queue, idle);
             let (guard, result) = waited.unwrap_or_else(|e| e.into_inner());
-            announced = guard;
-            announced.waiting = false;
+            queue = guard;
+            queue.waiting = false;
             timed_out = result.timed_out();
         }
     }
 
-    /// Stops the runner — the stop flag, then a signal it cannot miss,
-    /// since it reads the flag under the same lock it waits on — and
-    /// joins it. A second call finds no runner and returns at once.
-    pub fn stop_runner(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        drop(self.announced());
+    /// Stops the runner — the stop flag, then a signal it cannot miss —
+    /// and joins it: what it served, or its panic. A second call finds no
+    /// runner and returns `None` at once.
+    pub fn stop_runner(&self) -> Option<std::thread::Result<Served>> {
+        self.queue().stop = true;
         self.arrival.notify_all();
         let runner = self.runner.lock().unwrap_or_else(|e| e.into_inner()).take();
-        // A runner that panicked took the frame it was handling with it.
-        if runner.is_some_and(|r| r.join().is_err()) {
-            self.record_delivery_failure(None);
-        }
+        runner.map(JoinHandle::join)
     }
 
     /// Runs `f` against the metrics registry if one is installed. The
@@ -367,77 +414,20 @@ impl Deployment {
     pub fn faults(&self) -> MutexGuard<'_, FaultExecutor<Message>> {
         self.faults.lock().unwrap_or_else(|e| e.into_inner())
     }
-
-    /// Sends what the fault executor releases to an idle deployment (see
-    /// [`FaultExecutor::release_idle`]): one deferred message, offered to
-    /// the executor like any fresh send, or else the held lane. Returns
-    /// how many messages left the executor. Waiting clients call this
-    /// once nothing is in flight: then no server turn is left to send,
-    /// so nothing else would pass the held lane an event, and whatever
-    /// the last deferred message caused has settled — the simulator
-    /// releases on an empty queue for the same reasons.
-    pub fn release_idle(&self) -> usize {
-        // Bound first: the guard must be gone before `send_message`
-        // takes the lock again.
-        let released = self.faults().release_idle();
-        match released {
-            Released::Deferred(msg) => {
-                send_message(self, &msg);
-                1
-            }
-            Released::Held(held) => self.transmit_released(&held),
-        }
-    }
-
-    /// Transmits held messages the executor released. They are not
-    /// offered to it again.
-    fn transmit_released(&self, released: &[Message]) -> usize {
-        for msg in released {
-            transmit(self, msg);
-        }
-        released.len()
-    }
 }
 
-/// One server the runner serves: its state machine, its listener, and
-/// every connection it accepted with the bytes not yet cut.
-pub(crate) struct Node {
-    server: Server,
-    listener: TcpListener,
-    inbound: Vec<(TcpStream, Frames)>,
-}
+/// One server's listener, and every connection it accepted with the
+/// bytes not yet cut.
+pub(crate) type Inbox = (TcpListener, Vec<(TcpStream, Frames)>);
 
-/// Binds a server's listener and registers its OS-assigned port, after
-/// its link, so a sender that finds the port finds the link. Whatever is
-/// sent to it waits in the listener's backlog until the runner adopts
-/// the node.
-pub(crate) fn bind_node(deployment: &Deployment, id: ServerId) -> std::io::Result<Node> {
+/// Binds a server's listener and registers its OS-assigned port. Whatever
+/// is sent to it waits in the listener's backlog until the runner reads
+/// it.
+pub(crate) fn bind(deployment: &Deployment, id: ServerId) -> std::io::Result<Inbox> {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
     listener.set_nonblocking(true)?;
-    let port = listener.local_addr()?.port();
-    let server = if id.0 == 0 {
-        Server::new(id, deployment.config)
-    } else {
-        Server::bare(id, deployment.config)
-    };
-    let me = Endpoint::Server(id);
-    deployment.links().insert(me, Arc::default());
-    deployment.register(me, port);
-    Ok(Node {
-        server,
-        listener,
-        inbound: Vec::new(),
-    })
-}
-
-/// Starts the deployment's one runner thread, serving `first`.
-pub(crate) fn start_runner(deployment: &Arc<Deployment>, first: Node) -> std::io::Result<()> {
-    let shared = deployment.clone();
-    let runner = std::thread::Builder::new()
-        .name("sdr-runner".into())
-        .spawn(move || run(&shared, first))?;
-    *deployment.runner.lock().unwrap_or_else(|e| e.into_inner()) = Some(runner);
-    Ok(())
+    deployment.register(Endpoint::Server(id), listener.local_addr()?.port());
+    Ok((listener, Vec::new()))
 }
 
 /// Backoff before retrying after a failed `accept`. Transient conditions
@@ -455,43 +445,48 @@ pub(crate) fn accept_backoff(consecutive_errors: u32) -> Duration {
 pub(crate) const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 /// Serves every server of the deployment until the stop flag: takes the
-/// announcements in order and handles the frame each one names, and
-/// when nothing was announced for a whole idle wait, sweeps every
-/// server's connections for frames nobody announced. One thread, so the
-/// turns form one total order. A server a turn allocates is adopted
-/// before the next frame is read.
-fn run(deployment: &Arc<Deployment>, first: Node) {
-    let mut nodes = HashMap::from([(first.server.id, first)]);
-    let mut born = Vec::new();
+/// entries of its queue in order, one turn each, and when nothing was
+/// queued for a whole idle wait, sweeps every server's connections for
+/// frames nobody queued. One thread, so the turns form one total order.
+/// Returns the servers and their counters.
+pub(crate) fn run(deployment: &Deployment, first: Inbox) -> Served {
+    let mut runner = Runner {
+        deployment,
+        servers: vec![Server::new(ServerId(0), deployment.config)],
+        stats: Stats::new(),
+        inboxes: HashMap::from([(ServerId(0), first)]),
+        out: Outbox::new(ServerId(0), 0),
+        emitted: Vec::new(),
+        taken: 0,
+    };
     let (mut idle, mut consecutive_errors) = (IDLE_FIRST, 0u32);
     loop {
+        runner.settle();
         match deployment.next_wake(idle) {
-            Wake::Stop => return,
-            Wake::Announced(to) => {
-                let Some(node) = nodes.get_mut(&to) else {
-                    continue;
-                };
-                match node.serve_next(deployment, &mut born) {
-                    Ok(true) => (idle, consecutive_errors) = (IDLE_FIRST, 0),
-                    Ok(false) => deployment.announced().missed(to),
-                    // Transient accept errors (ECONNABORTED, EMFILE, EINTR,
-                    // ...) must not end the runner; retry with bounded
-                    // backoff and let only the stop flag end the loop.
-                    Err(_) => {
-                        deployment.announced().missed(to);
-                        consecutive_errors = consecutive_errors.saturating_add(1);
-                        #[expect(
-                            clippy::disallowed_methods,
-                            reason = "backoff after a failed `accept`; a frame already on a connection never waits here"
-                        )]
-                        std::thread::sleep(accept_backoff(consecutive_errors));
-                    }
+            Wake::Stop => return (runner.servers, runner.stats),
+            Wake::Entry(Entry::Local(msg, fresh)) => runner.take(msg, fresh),
+            Wake::Entry(Entry::Frame(to)) => match runner.read(to) {
+                Some(Ok(true)) => (idle, consecutive_errors) = (IDLE_FIRST, 0),
+                Some(Ok(false)) => deployment.queue().missed(to),
+                // Transient accept errors (ECONNABORTED, EMFILE, EINTR,
+                // ...) must not end the runner; retry with bounded
+                // backoff and let only the stop flag end the loop.
+                Some(Err(_)) => {
+                    deployment.queue().missed(to);
+                    consecutive_errors = consecutive_errors.saturating_add(1);
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "backoff after a failed `accept`; a frame already on a connection never waits here"
+                    )]
+                    std::thread::sleep(accept_backoff(consecutive_errors));
                 }
-            }
+                None => {}
+            },
             Wake::Idle => {
                 let mut found = false;
-                for node in nodes.values_mut() {
-                    while let Ok(true) = node.serve_next(deployment, &mut born) {
+                let ids: Vec<ServerId> = runner.inboxes.keys().copied().collect();
+                for at in ids {
+                    while let Some(Ok(true)) = runner.read(at) {
                         found = true;
                     }
                 }
@@ -502,176 +497,158 @@ fn run(deployment: &Arc<Deployment>, first: Node) {
                 };
             }
         }
-        nodes.extend(born.drain(..).map(|node: Node| (node.server.id, node)));
     }
 }
 
-impl Node {
-    /// Reads the next frame this server's connections hold and acts on
-    /// it; whether there was one. A frame that did not decode, or that
-    /// the receive-side corrupt draw spoils, is lost: its sender already
-    /// counted it in `in_flight`, so the account is settled and the loss
-    /// made observable instead of leaking the count and hanging every
-    /// later quiesce.
-    fn serve_next(
-        &mut self,
-        deployment: &Arc<Deployment>,
-        born: &mut Vec<Node>,
-    ) -> std::io::Result<bool> {
-        let Some(frame) = next_frame(&self.listener, &mut self.inbound, true)? else {
-            return Ok(false);
+/// The runner's own state: the servers it serves, the counters of
+/// [`turn`], and what its turns emitted but did not queue yet.
+struct Runner<'a> {
+    deployment: &'a Deployment,
+    servers: Vec<Server>,
+    stats: Stats,
+    inboxes: HashMap<ServerId, Inbox>,
+    /// One outbox serves every turn.
+    out: Outbox,
+    /// Entries emitted since the last `settle`, in emission order.
+    emitted: Vec<Entry>,
+    /// Turns taken since the last `settle`.
+    taken: i64,
+}
+
+impl Runner<'_> {
+    /// Reads the next frame `at`'s connections hold and takes its turn;
+    /// `None` if no such server is bound, else whether there was a frame.
+    /// A frame that does not decode is lost: counted, and settled like
+    /// any turn instead of leaking its sender's `in_flight`.
+    fn read(&mut self, at: ServerId) -> Option<std::io::Result<bool>> {
+        let (listener, inbound) = self.inboxes.get_mut(&at)?;
+        let frame = match next_frame(listener, inbound, true) {
+            Ok(Some(frame)) => frame,
+            other => return Some(other.map(|_| false)),
         };
-        deployment.announced().taken(self.server.id);
+        self.deployment.queue().taken(at);
         match frame {
-            Some(msg) if !deployment.faults().corrupt(msg.payload.category()) => {
-                handle_message(deployment, &mut self.server, msg, born);
+            Some(msg) => self.take(msg, true),
+            None => {
+                self.taken += 1;
+                self.deployment.record_delivery_failure(None);
             }
-            _ => read_failure(deployment),
         }
-        Ok(true)
+        Some(Ok(true))
     }
-}
 
-/// Books a server-bound frame that arrived but could not be processed:
-/// pairs off the sender's `in_flight` increment and counts the loss.
-/// Only `transmit` writes to server links, so every frame there was
-/// counted by a sender (unsolicited test frames drive the count
-/// transiently negative, which quiescence tolerates by testing `> 0`).
-fn read_failure(deployment: &Deployment) {
-    deployment.record_delivery_failure(None);
-    deployment.settle_in_flight();
-}
-
-/// Handles one frame, then every message the server sends itself on the
-/// way, each a turn of its own. A self-addressed message meets the fault
-/// executor like any send (its verdict, and the receive-side corrupt
-/// draw a frame meets on arrival), but a delivered copy is queued here
-/// instead of written to the server's own listener. The frame's
-/// `in_flight` is settled once, after the queue drains, so no client
-/// finds the deployment idle mid-chain.
-fn handle_message(
-    deployment: &Arc<Deployment>,
-    server: &mut Server,
-    msg: Message,
-    born: &mut Vec<Node>,
-) {
-    let mut local = VecDeque::new();
-    take_turn(deployment, server, msg, &mut local, born);
-    while let Some(msg) = local.pop_front() {
-        if deployment.faults().corrupt(msg.payload.category()) {
-            deployment.record_delivery_failure(None);
+    /// One turn: a `fresh` message's one verdict from the fault plan,
+    /// then its delivery, as `Cluster::drain` takes an envelope. A lost
+    /// message is counted; a held one waits in the executor; a delivered
+    /// one may bring a duplicate copy along, and passes the held lane one
+    /// event, whose releases follow what the turn sent.
+    fn take(&mut self, msg: Message, fresh: bool) {
+        self.taken += 1;
+        let mut faults = self.deployment.faults();
+        let verdict = if fresh {
+            faults.decide_delivery(msg.payload.category())
         } else {
-            take_turn(deployment, server, msg, &mut local, born);
+            Verdict::Deliver(1)
+        };
+        match verdict {
+            Verdict::Held(_, events) => faults.hold(msg, events),
+            Verdict::Lost(_) => {
+                drop(faults);
+                self.deployment.record_delivery_failure(client_of(msg.to));
+            }
+            Verdict::Deliver(copies) => {
+                let released = faults.tick();
+                drop(faults);
+                for _ in 1..copies {
+                    self.emitted.push(Entry::Local(msg.clone(), false));
+                }
+                self.deliver(msg);
+                let released = released.into_iter().map(|m| Entry::Local(m, false));
+                self.emitted.extend(released);
+            }
         }
     }
-    deployment.settle_in_flight();
-}
 
-/// One server turn: handles `msg`, then ships the outbox — queueing what
-/// the server sends itself on `local`, and the servers it allocated on
-/// `born`.
-fn take_turn(
-    deployment: &Arc<Deployment>,
-    server: &mut Server,
-    msg: Message,
-    local: &mut VecDeque<Message>,
-    born: &mut Vec<Node>,
-) {
-    let mut out =
-        Outbox::with_allocator(server.id, Allocator::Shared(deployment.next_server.clone()));
-    server.handle(msg.from, msg.payload, &mut out);
-    // A refused message changed nothing: book it like a frame that could
-    // not be read (the frame's `in_flight` settle is `handle_message`'s).
-    for _ in &out.refused {
-        deployment.record_delivery_failure(None);
-    }
-    // Bind listeners for freshly allocated servers *before* any message
-    // can reach them.
-    for new_id in &out.allocated {
-        match bind_node(deployment, *new_id) {
-            Ok(node) => born.push(node),
-            Err(e) => eprintln!("sdr-net: failed to bind server {}: {e}", new_id.0),
+    /// Delivers one message: a client-bound one as a frame on the
+    /// client's link, a server-bound one through the shared [`turn`],
+    /// whose outbox it then routes.
+    fn deliver(&mut self, msg: Message) {
+        if let Endpoint::Client(client) = msg.to {
+            self.stats.record_client_msg();
+            if self.deployment.write(&msg) {
+                self.deployment.notify(Some(client));
+            }
+            return;
+        }
+        let refused = turn(&mut self.servers, &mut self.stats, msg, &mut self.out, None);
+        // A refused message changed nothing: book it like a frame that
+        // could not be read.
+        for _ in 0..refused {
+            self.deployment.record_delivery_failure(None);
+        }
+        // Bind the adopted servers' listeners *before* any message can
+        // reach them.
+        for &id in &self.out.allocated {
+            match bind(self.deployment, id) {
+                Ok(inbox) => drop(self.inboxes.insert(id, inbox)),
+                Err(e) => eprintln!("sdr-net: failed to bind server {}: {e}", id.0),
+            }
+        }
+        let servers = self.servers.len();
+        self.deployment.servers.store(servers, Ordering::SeqCst);
+        let mut msgs = std::mem::take(&mut self.out.msgs);
+        for m in msgs.drain(..) {
+            self.emit(m);
+        }
+        self.out.msgs = msgs;
+        let mut faults = self.deployment.faults();
+        for m in self.out.deferred.drain(..) {
+            faults.defer(m);
         }
     }
-    let me = Endpoint::Server(server.id);
-    for m in out.msgs {
-        if m.to == me {
-            offer(deployment, &m, |copy| local.push_back(copy.clone()));
-        } else {
-            send_message(deployment, &m);
-        }
-    }
-    // Deferred messages (orphan reinserts) wait in the executor until
-    // nothing is in flight; handing them over before this turn settles
-    // `in_flight` means no client finds the deployment idle without them.
-    for m in out.deferred {
-        deployment.faults().defer(m);
-    }
-}
 
-/// Dispatches one message to its endpoint's socket (see [`offer`]).
-pub(crate) fn send_message(deployment: &Deployment, msg: &Message) {
-    offer(deployment, msg, |copy| transmit(deployment, copy));
-}
-
-/// Asks the fault executor for `msg`'s verdict and acts on it: `deliver`
-/// takes each copy, a held message waits in the executor, a lost one is
-/// counted. Every send that is not held passes one event to the
-/// executor's held lane, and what that releases is transmitted after
-/// this message.
-fn offer(deployment: &Deployment, msg: &Message, mut deliver: impl FnMut(&Message)) {
-    let mut faults = deployment.faults();
-    let copies = match faults.decide(msg.payload.category()) {
-        Verdict::Held(_, events) => return faults.hold(msg.clone(), events),
-        Verdict::Lost(_) => 0,
-        Verdict::Deliver(copies) => copies,
-    };
-    let released = faults.tick();
-    drop(faults);
-    // An injected loss is still a loss the deployment must own up to:
-    // count it so the client's next check reports Undeliverable instead
-    // of the operation silently half-happening.
-    if copies == 0 {
-        deployment.record_delivery_failure(client_of(msg.to));
-    }
-    for _ in 0..copies {
-        deliver(msg);
-    }
-    deployment.transmit_released(&released);
-}
-
-/// Delivers one message on its endpoint's kept link, then wakes its
-/// reader: the client it is for, or the runner with an announcement. A
-/// message that cannot be delivered is counted — never silently dropped
-/// — so a client reports it as an explicit
-/// [`crate::client::NetError::Undeliverable`].
-fn transmit(deployment: &Deployment, msg: &Message) {
-    let is_server_bound = matches!(msg.to, Endpoint::Server(_));
-    if is_server_bound {
-        deployment.in_flight.fetch_add(1, Ordering::SeqCst);
-    }
-    let frame = encode_message(msg);
-    deployment.with_metrics(|m| {
-        m.inc("frame/write");
-        m.add("frame/bytes_out", frame.len() as u64);
-    });
-    // The directory on every frame: an endpoint that left it (a client
-    // that is gone, a server `deregister_server` removed) fails at once,
-    // even while its link is open.
-    let link = deployment
-        .lookup(msg.to)
-        .zip(deployment.links().get(&msg.to).cloned());
-    if link.is_some_and(|(port, link)| link.write(port, &frame)) {
+    /// Routes a fresh message: one for another server is written on its
+    /// link now and read back at its turn; one a server sends itself, one
+    /// for a client, and one for an id no server has wait in the queue
+    /// as they are.
+    fn emit(&mut self, msg: Message) {
         match msg.to {
-            Endpoint::Client(client) => deployment.notify(Some(client)),
-            Endpoint::Server(server) => deployment.announce(server),
+            Endpoint::Server(to) if msg.from != msg.to && (to.0 as usize) < self.servers.len() => {
+                if self.deployment.write(&msg) {
+                    self.emitted.push(Entry::Frame(to));
+                }
+            }
+            _ => self.emitted.push(Entry::Local(msg, true)),
         }
-        return;
     }
-    deployment.record_delivery_failure(client_of(msg.to));
-    if is_server_bound {
-        // Keep the quiescence accounting truthful.
-        deployment.settle_in_flight();
+
+    /// Queues what the turns since the last call emitted and settles
+    /// those turns. When nothing is left to queue, the executor releases
+    /// its next deferred message or else its held lane first, as the
+    /// simulator's `next_envelope` does — so `in_flight` never reads zero
+    /// while a message is held or deferred.
+    fn settle(&mut self) {
+        while self.emitted.is_empty() && self.deployment.queue().entries.is_empty() {
+            let released = self.deployment.faults().release_idle();
+            match released {
+                Released::Deferred(msg) => self.emit(msg),
+                Released::Held(held) if held.is_empty() => break,
+                Released::Held(held) => self
+                    .emitted
+                    .extend(held.into_iter().map(|m| Entry::Local(m, false))),
+            }
+        }
+        let queued = self.emitted.len() as i64;
+        if queued > 0 {
+            let mut queue = self.deployment.queue();
+            for entry in self.emitted.drain(..) {
+                queue.push(entry);
+            }
+        }
+        // One update for both: the turns being settled still count until
+        // it lands, so no client sees zero while the new entries wait.
+        let taken = std::mem::take(&mut self.taken);
+        self.deployment.add_in_flight(queued - taken);
     }
 }
 
@@ -690,7 +667,7 @@ fn client_of(to: Endpoint) -> Option<ClientId> {
 /// whole frame has arrived. Connections are read in the order they were
 /// accepted, each in its own byte order. Once they are drained, and only
 /// if `accept` — the reader is owed a frame, or has waited a whole slice
-/// for frames nobody announced — the listener's backlog is taken and
+/// for frames nobody queued — the listener's backlog is taken and
 /// read too: an `accept` that finds nothing costs several times a read
 /// that finds nothing. Listener and streams are non-blocking.
 pub(crate) fn next_frame(
@@ -835,28 +812,32 @@ mod tests {
         assert!(accept_backoff(1) <= Duration::from_millis(2));
     }
 
-    /// An idle sweep can read a frame before its writer has queued the
-    /// announcement; the announcement then finds nothing to read and must
-    /// be dropped, not retried — retrying it spun the runner on a frame
-    /// that was gone. A frame announced but not yet readable is retried.
+    /// An idle sweep can read a frame before its writer has queued its
+    /// entry; the entry then finds nothing to read and must be dropped,
+    /// not retried — retrying it spun the runner on a frame that was
+    /// gone. A frame queued but not yet readable is retried at the head,
+    /// ahead of what was queued after it.
     #[test]
     fn an_announcement_whose_frame_a_sweep_took_is_dropped() {
         let (early, late) = (ServerId(3), ServerId(4));
-        let mut announced = Announced::default();
-        announced.taken(early);
-        announced.announce(early);
-        assert_eq!(announced.queue.pop_front(), Some(early));
-        announced.missed(early);
-        assert!(announced.queue.is_empty(), "a taken frame was retried");
+        let mut queue = Queue::default();
+        queue.taken(early);
+        queue.push(Entry::Frame(early));
+        assert_eq!(queue.entries.pop_front(), Some(Entry::Frame(early)));
+        queue.missed(early);
+        assert!(queue.entries.is_empty(), "a taken frame was retried");
 
-        announced.announce(late);
-        assert_eq!(announced.queue.pop_front(), Some(late));
-        announced.missed(late);
-        assert_eq!(announced.queue.pop_front(), Some(late), "not retried");
-        announced.taken(late);
-        assert!(announced.queue.is_empty());
-        // Both accounts are settled: the next frames are announced anew.
-        assert_eq!(announced.unread.values().sum::<i64>(), 0);
+        queue.push(Entry::Frame(late));
+        queue.push(Entry::Frame(early));
+        assert_eq!(queue.entries.pop_front(), Some(Entry::Frame(late)));
+        queue.missed(late);
+        let retried = queue.entries.pop_front();
+        assert_eq!(retried, Some(Entry::Frame(late)), "not retried first");
+        queue.taken(late);
+        queue.taken(early);
+        assert_eq!(queue.entries.pop_front(), Some(Entry::Frame(early)));
+        // Both accounts are settled: the next frames are queued anew.
+        assert_eq!(queue.unread.values().sum::<i64>(), 0);
     }
 
     #[test]

@@ -642,76 +642,81 @@ fn set_routing_to_a_data_only_server_is_refused() {
     cluster.shutdown();
 }
 
-/// A node handles what it sends itself inside its own turn, and such a
-/// message still meets the fault plan a socket send meets. Under a plan
-/// that drops every insert message, raw frames (which no sender offered
-/// to the plan) grow one server into two: server 1 holds the root and a
-/// data node, server 0 the other data node, each over one of two
-/// clusters. Then an object just outside each cluster goes to server 1's
-/// data node. Neither is covered there, so each ascends to the root on
-/// the same server — a self-addressed insert — and the plan drops both.
-/// Were the local copy to skip its verdict, the one near server 1's own
-/// cluster would be stored (the other still falls to the socket send that
-/// follows it).
+/// No delivery escapes its draw, a message a server sends itself
+/// included: such a message waits in the runner's queue, never touches a
+/// socket, and still meets the fault plan when its turn takes it. Under a
+/// plan that holds every insert message for one event (nothing is lost,
+/// so each is drawn once and then delivered), raw frames grow one server
+/// into two: server 1 holds the root and a data node, server 0 the other
+/// data node, each over one of two clusters. Then an object just outside
+/// each cluster goes to server 1's data node. Neither is covered there,
+/// so each ascends to the root on the same server — a self-addressed
+/// insert, which the cost model does not count. So the plan's draws
+/// exceed the counted insert messages by at least those two, and they
+/// equal the draws of the same frames posted to the simulator.
 #[test]
 fn a_message_a_node_sends_itself_meets_the_fault_plan() {
-    let plan = FaultPlan::none().with_drop_for(MsgCategory::Insert, 1.0);
-    let cluster =
-        NetCluster::launch_with_faults(SdrConfig::with_capacity(25), &plan, 0x5E1F).unwrap();
-    let at = |oid: u64, x: f64| {
-        let insert = Message {
-            from: Endpoint::Server(ServerId(9)),
-            to: Endpoint::Server(ServerId(9)),
-            payload: Payload::InsertAtLeaf {
-                ins: Insertion::new(
-                    Object::new(Oid(oid), Rect::new(x, x, x + 0.01, x + 0.01)),
-                    ImageHolder::Nobody,
-                ),
-                initial: true,
-            },
-        };
-        (oid, insert)
+    let plan = FaultPlan::none().with_reorder_for(MsgCategory::Insert, 1.0);
+    let config = SdrConfig::with_capacity(25);
+    let at = |oid: u64, x: f64| Message {
+        from: Endpoint::Server(ServerId(9)),
+        to: Endpoint::Server(ServerId(9)),
+        payload: Payload::InsertAtLeaf {
+            ins: Insertion::new(
+                Object::new(Oid(oid), Rect::new(x, x, x + 0.01, x + 0.01)),
+                ImageHolder::Nobody,
+            ),
+            initial: true,
+        },
     };
+    let to = |server: u32, msg: Message| Message {
+        to: Endpoint::Server(ServerId(server)),
+        ..msg
+    };
+    // The frames, found on the simulator: enough for the first split, then
+    // the two outside objects.
+    let mut sim = sdr_core::Cluster::new(config);
+    sim.install_faults(&plan, 0x5E1F);
+    let mut frames = Vec::new();
+    while sim.num_servers() < 2 {
+        let oid = frames.len() as u64;
+        frames.push(to(
+            0,
+            at(oid, [0.1, 0.8][oid as usize % 2] + (oid / 2) as f64 * 0.001),
+        ));
+        sim.post(frames[frames.len() - 1].clone());
+        sim.drain();
+    }
+    for (oid, x) in [(1_000, 0.05), (1_001, 0.9)] {
+        frames.push(to(1, at(oid, x)));
+        sim.post(frames[frames.len() - 1].clone());
+        sim.drain();
+    }
+
+    let cluster = NetCluster::launch_with_faults(config, &plan, 0x5E1F).unwrap();
     // Each raw frame settles `in_flight` once with no increment, so the
     // count reads minus the frames sent once each has fully settled.
-    let mut sent = 0;
-    let mut send = |to: ServerId, msg: &Message| {
-        raw_connection(
-            cluster.server_port(to).unwrap(),
-            std::slice::from_ref(msg),
-            &[],
-        );
-        sent -= 1;
+    for (sent, msg) in (1..).zip(&frames) {
+        let port = match msg.to {
+            Endpoint::Server(id) => cluster.server_port(id).unwrap(),
+            Endpoint::Client(_) => unreachable!(),
+        };
+        raw_connection(port, std::slice::from_ref(msg), &[]);
         wait_until("a raw frame's turn did not settle", || {
-            cluster.in_flight() == sent
+            cluster.in_flight() == -sent
         });
-    };
-    let mut oid = 0;
-    while cluster.num_servers() < 2 {
-        let x = [0.1, 0.8][oid as usize % 2] + (oid / 2) as f64 * 0.001;
-        send(ServerId(0), &at(oid, x).1);
-        oid += 1;
     }
-    assert_eq!(cluster.delivery_failures(), 0, "the build lost a message");
-
-    let outside = [at(1_000, 0.05), at(1_001, 0.9)];
-    for (_, msg) in &outside {
-        send(ServerId(1), msg);
-    }
+    assert_eq!(cluster.delivery_failures(), 0, "a held message was lost");
     let counts = cluster.fault_counts();
-    assert_eq!(counts.get(FaultKind::Drop, MsgCategory::Insert), 2);
-    assert_eq!(cluster.delivery_failures(), 2);
-    let mut client = NetClient::connect(&cluster).unwrap();
-    for (oid, x) in [(1_000, 0.05), (1_001, 0.9)] {
-        let hits = client
-            .point_query(Point::new(x + 0.005, x + 0.005))
-            .unwrap();
-        assert!(
-            hits.iter().all(|o| o.oid != Oid(oid)),
-            "object {oid} was stored: its dropped ascent was delivered"
-        );
-    }
-    cluster.shutdown();
+    assert_eq!(counts, sim.fault_counts());
+    let served = cluster.into_cluster();
+    let counted = served.stats.category(MsgCategory::Insert);
+    let drawn = counts.get(FaultKind::Reorder, MsgCategory::Insert);
+    assert!(
+        drawn >= counted + 2,
+        "{drawn} draws for {counted} counted inserts: a self-addressed one escaped"
+    );
+    assert_eq!(served.structure_hash(), sim.structure_hash());
 }
 
 /// A raw connection that stops mid-frame does not hold its node: the node
