@@ -9,11 +9,13 @@
 //! Delivery is synchronous and deterministic: messages are processed in
 //! emission order, and the whole system quiesces between client
 //! operations. This matches the paper's single-operation-at-a-time
-//! experimental regime. Every server-bound message is one [`turn`], the
-//! server turn the `sdr-net` TCP deployment's runner takes too, off a
-//! queue that follows this one's rules; so the simulator is the
-//! reference a deployment's order, fault draws and counts are held to
-//! (DESIGN.md decision 12).
+//! experimental regime. The delivery loop, [`Cluster::drain_with`], is
+//! the only one: it orders every message, draws the fault plan and takes
+//! every server turn, and a [`Carrier`] only moves messages between the
+//! endpoints. [`Cluster::drain`] passes one that hands messages through;
+//! the `sdr-net` TCP deployment's runner owns a `Cluster` and passes one
+//! that sends them over sockets. So the simulator's order, draws, counts
+//! and trace are the deployment's (DESIGN.md decision 12).
 
 use crate::config::SdrConfig;
 use crate::fault::{FaultCounts, FaultExecutor, FaultKind, FaultPlan, Released, Verdict};
@@ -22,6 +24,39 @@ use crate::msg::{Endpoint, Message};
 use crate::server::{turn, Outbox, Server};
 use crate::stats::Stats;
 use std::collections::VecDeque;
+
+/// What moves the messages of [`Cluster::drain_with`] between endpoints:
+/// the one seam between the delivery loop and a substrate. The loop
+/// decides the order, the fault plan's draws and every server turn; a
+/// carrier does three jobs and nothing else.
+pub trait Carrier {
+    /// Carries a message one server sends a different one, when the turn
+    /// that sends it ends: what arrives, or `None` if the message was lost
+    /// on the way — the carrier books that loss.
+    fn carry(&mut self, msg: Message) -> Option<Message>;
+
+    /// Delivers a client-bound message, at its turn.
+    fn deliver(&mut self, msg: Message);
+
+    /// Books a message the fault plan lost (dropped, or corrupted at the
+    /// receiver).
+    fn lost(&mut self, msg: &Message);
+}
+
+/// The simulator's carrier: a message crosses unchanged, the client-bound
+/// ones are collected for the caller, and a fault-plan loss is only
+/// traced, by the loop.
+impl Carrier for Vec<Message> {
+    fn carry(&mut self, msg: Message) -> Option<Message> {
+        Some(msg)
+    }
+
+    fn deliver(&mut self, msg: Message) {
+        self.push(msg);
+    }
+
+    fn lost(&mut self, _: &Message) {}
+}
 
 /// A queued message plus its causal identity and whether it is still
 /// eligible for fault injection. Messages the fault executor hands back
@@ -136,18 +171,6 @@ impl Cluster {
         }
     }
 
-    /// The cluster another driver of [`turn`] left behind: its servers,
-    /// in id order, and the counters it kept. A TCP deployment hands its
-    /// servers back this way when it stops (`NetCluster::into_cluster`),
-    /// so they are inspected, hashed and checked like simulated ones.
-    pub fn from_servers(config: SdrConfig, servers: Vec<Server>, stats: Stats) -> Self {
-        Cluster {
-            servers,
-            stats,
-            ..Cluster::new(config)
-        }
-    }
-
     /// Installs a message observer (see the `tap` field).
     pub fn set_tap(&mut self, tap: fn(&Message)) {
         self.tap = Some(tap);
@@ -166,7 +189,7 @@ impl Cluster {
     }
 
     /// Installs a deterministic fault plan: every subsequent delivery in
-    /// [`Cluster::drain`] passes through a [`FaultExecutor`] seeded with
+    /// [`Cluster::drain_with`] passes through a fault executor seeded with
     /// `seed`, which counts what it injects ([`Cluster::fault_counts`]).
     /// The run stays a pure function of the workload and `seed` —
     /// replaying both yields bit-identical fault counters and final
@@ -317,20 +340,28 @@ impl Cluster {
 
     /// Processes the queue to quiescence, returning every client-bound
     /// message encountered (the caller — a [`crate::client::Client`] —
-    /// interprets acks, reports and IAMs).
-    ///
-    /// Every fresh envelope is first offered to the fault executor
-    /// (without a plan, [`FaultExecutor::none`] delivers it once), and
-    /// drain acts on its [`Verdict`]: a lost envelope is only traced, a
-    /// held one is handed to the executor, and a delivered one may bring
-    /// a duplicate copy along. Each delivery is one event for the
-    /// executor's held lane; what it releases re-enters the queue. When
-    /// the queue is empty the executor releases a deferred envelope or,
-    /// with none left, its held lane — `drain` always returns with
-    /// nothing held or deferred, and the simulator's quiescence guarantee
-    /// survives chaos mode.
+    /// interprets acks, reports and IAMs): [`Cluster::drain_with`] with
+    /// the simulator's carrier, which hands every message through.
     pub fn drain(&mut self) -> Vec<Message> {
         let mut to_clients = Vec::new();
+        self.drain_with(&mut to_clients);
+        to_clients
+    }
+
+    /// Processes the queue to quiescence, moving messages through
+    /// `carrier`: the delivery loop of both substrates.
+    ///
+    /// Every fresh envelope is first offered to the fault executor
+    /// (without a plan it delivers each once and draws nothing), and the
+    /// loop acts on its verdict: a lost envelope is traced and booked with
+    /// the carrier, a held one is handed to the executor, and a delivered
+    /// one may bring a duplicate copy along. Each delivery is one event for
+    /// the executor's held lane; what it releases re-enters the queue. When
+    /// the queue is empty the executor releases a deferred envelope or,
+    /// with none left, its held lane — the loop always returns with
+    /// nothing held or deferred, and the simulator's quiescence guarantee
+    /// survives chaos mode.
+    pub fn drain_with(&mut self, carrier: &mut impl Carrier) {
         // One outbox serves every delivery of the drain.
         let mut out = Outbox::new(ServerId(0), 0);
         while let Some(mut env) = self.next_envelope() {
@@ -340,7 +371,10 @@ impl Cluster {
                 Verdict::Deliver(1)
             };
             match verdict {
-                Verdict::Lost(kind) => env.trace(&mut self.obs, self.tick, kind.name()),
+                Verdict::Lost(kind) => {
+                    env.trace(&mut self.obs, self.tick, kind.name());
+                    carrier.lost(&env.msg);
+                }
                 Verdict::Held(kind, events) => {
                     env.trace(&mut self.obs, self.tick, kind.name());
                     env.fresh = false;
@@ -362,12 +396,11 @@ impl Cluster {
                         });
                     }
                     let released = self.faults.tick();
-                    self.deliver(env, &mut to_clients, &mut out);
+                    self.deliver(env, carrier, &mut out);
                     self.queue.extend(released);
                 }
             }
         }
-        to_clients
     }
 
     /// The next envelope to deliver: the main queue first, then what the
@@ -387,20 +420,22 @@ impl Cluster {
         self.queue.pop_front()
     }
 
-    /// Delivers one message to its endpoint: a server-bound one through
-    /// the shared [`turn`]. Every delivery advances the logical clock;
-    /// messages the handler emits become children of the delivered
-    /// envelope (`parent = env.id`, `depth + 1`).
-    fn deliver(&mut self, env: Envelope, to_clients: &mut Vec<Message>, out: &mut Outbox) {
+    /// Delivers one message to its endpoint: a client-bound one through
+    /// the carrier, a server-bound one through the shared [`turn`]. Every
+    /// delivery advances the logical clock; messages the handler emits
+    /// become children of the delivered envelope (`parent = env.id`,
+    /// `depth + 1`), and those bound for another server cross the carrier
+    /// first.
+    fn deliver(&mut self, env: Envelope, carrier: &mut impl Carrier, out: &mut Outbox) {
         self.tick += 1;
         let Endpoint::Server(sid) = env.msg.to else {
             self.stats.record_client_msg();
             env.trace(&mut self.obs, self.tick, "client");
             observe(&mut self.obs, &env.msg, env.depth);
-            return to_clients.push(env.msg);
+            return carrier.deliver(env.msg);
         };
-        // A message to an id no server has is refused by the turn, on
-        // both substrates; the trace labels it.
+        // A message to an id no server has is refused by the turn; the
+        // trace labels it.
         if sid.0 as usize >= self.servers.len() {
             env.trace(&mut self.obs, self.tick, "unknown");
         } else {
@@ -409,11 +444,21 @@ impl Cluster {
         }
         let Envelope { msg, id, depth, .. } = env;
         turn(&mut self.servers, &mut self.stats, msg, out, self.tap);
-        for child in out.msgs.drain(..) {
+        // What crosses to another server goes through the carrier; a
+        // message a server sends itself or a client, or one to an id no
+        // server has, stays as it is.
+        let servers = self.servers.len();
+        let mut carry = |msg: Message| match msg.to {
+            Endpoint::Server(to) if msg.to != msg.from && (to.0 as usize) < servers => {
+                carrier.carry(msg)
+            }
+            _ => Some(msg),
+        };
+        for child in out.msgs.drain(..).filter_map(&mut carry) {
             let e = self.envelope(child, id, depth + 1);
             self.queue.push_back(e);
         }
-        for child in out.deferred.drain(..) {
+        for child in out.deferred.drain(..).filter_map(&mut carry) {
             let e = self.envelope(child, id, depth + 1);
             self.faults.defer(e);
         }

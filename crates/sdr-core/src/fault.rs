@@ -9,25 +9,25 @@
 //! (held for one event, so its successor overtakes it) or corrupted at
 //! the receiver.
 //!
-//! A [`FaultExecutor`] is the only code that runs a plan. It draws every
+//! A `FaultExecutor` is the only code that runs a plan. It draws every
 //! decision from a forked `sdr_det` RNG, counts every injected fault in
 //! its [`FaultCounts`], and keeps delayed and reordered messages in its
 //! held lane until enough events have passed. A chaos run is therefore a
 //! pure function of `(workload seed, fault seed)`: bit-reproducible,
-//! shrinkable, and comparable across replays. Without a plan, each
-//! substrate holds [`FaultExecutor::none`], which delivers everything
-//! once and draws nothing.
+//! shrinkable, and comparable across replays. Without a plan, a cluster
+//! holds `FaultExecutor::none`, which delivers everything once and draws
+//! nothing.
 //!
-//! The two message substrates only act on its [`Verdict`]s, and draw
-//! them at one point: each asks [`FaultExecutor::decide_delivery`] once
-//! per message, when its turn takes it off the queue (`Cluster::drain`,
-//! and the runner of the TCP deployment), and ticks the held lane once
-//! per delivered message. So one plan and seed inject the same faults on
-//! both (DESIGN.md decision 8).
+//! One loop acts on its verdicts: `Cluster::drain_with`, which the
+//! simulator and the runner of the TCP deployment both run. It asks
+//! `FaultExecutor::decide_delivery` once per message, when its turn
+//! takes it off the queue, and ticks the held lane once per delivered
+//! message. So one plan and seed inject the same faults on both
+//! substrates (DESIGN.md decision 8).
 //!
 //! The executor also keeps the deferred lane (`Outbox::deferred`, an
-//! elimination's orphan reinserts). Each substrate calls
-//! [`FaultExecutor::release_idle`] once nothing else is left to deliver:
+//! elimination's orphan reinserts). The loop calls
+//! `FaultExecutor::release_idle` once nothing else is left to deliver:
 //! it releases the oldest deferred message alone, which is then sent
 //! like any fresh message, or else the whole held lane. So a held
 //! message is late but never lost, and a reinsert starts only after the
@@ -205,9 +205,9 @@ impl FaultCounts {
     }
 }
 
-/// What a substrate does with one message offered to the executor.
+/// What the delivery loop does with one message offered to the executor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// Deliver this many copies: 1, or 2 for an injected duplicate.
     Deliver(u32),
     /// The message is gone: dropped, or corrupted at the receiver.
@@ -217,10 +217,10 @@ pub enum Verdict {
     Held(FaultKind, u32),
 }
 
-/// What [`FaultExecutor::release_idle`] hands a substrate with nothing
-/// left to deliver.
+/// What [`FaultExecutor::release_idle`] hands the delivery loop with
+/// nothing left to deliver.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Released<T> {
+pub(crate) enum Released<T> {
     /// The oldest deferred message, alone: the substrate sends it like
     /// any fresh message, so it meets the plan like one.
     Deferred(T),
@@ -231,12 +231,12 @@ pub enum Released<T> {
 
 /// The executor of a [`FaultPlan`]: the plan, its forked deterministic
 /// RNG, the fault counters, the held-message lane and the deferred lane.
-/// `T` is what the substrate delivers — the simulator's envelope, or a
-/// TCP `Message`. Verdicts are a pure function of the construction seed
-/// and the sequence of categories offered. Both substrates always hold
-/// one; [`FaultExecutor::none`] is the fault-free substrate.
+/// `T` is what the delivery loop delivers, the cluster's envelope.
+/// Verdicts are a pure function of the construction seed and the
+/// sequence of categories offered. A cluster always holds one;
+/// [`FaultExecutor::none`] is the fault-free substrate.
 #[derive(Debug)]
-pub struct FaultExecutor<T> {
+pub(crate) struct FaultExecutor<T> {
     plan: FaultPlan,
     rng: Rng,
     /// False only for [`FaultExecutor::none`], which draws nothing.
@@ -273,7 +273,7 @@ impl<T> FaultExecutor<T> {
     }
 
     /// The verdict on delivering a message of category `c`, the one draw
-    /// point of both substrates. Drop, duplicate, delay (then its length)
+    /// point of the delivery loop. Drop, duplicate, delay (then its length)
     /// and reorder are drawn in that order, and the first that fires
     /// decides; a plain delivery then draws corrupt, a loss at the
     /// receiver.
@@ -342,7 +342,7 @@ impl<T> FaultExecutor<T> {
         self.deferred.push_back(item);
     }
 
-    /// What a substrate with nothing left to deliver sends next: the
+    /// What the loop sends next once nothing is left to deliver: the
     /// oldest deferred message alone, or else the whole held lane.
     ///
     /// One deferred message at a time lets everything it causes settle

@@ -18,8 +18,8 @@
 //!
 //! * Protocol: [`msg`], handled by [`server::Server`] — the full
 //!   message-driven state machine (insertion, split, balance, OC
-//!   maintenance, queries, deletion, kNN) — which [`server::turn`], the
-//!   one server turn, drives for both substrates.
+//!   maintenance, queries, deletion, kNN) — which one server turn drives
+//!   for both substrates.
 //! * Client side: [`client::Client`] with the three addressing variants
 //!   of the paper's evaluation (BASIC / IMCLIENT / IMSERVER) and the
 //!   termination protocols (§4.3). Like the server it is transport-free:
@@ -29,7 +29,10 @@
 //!   the [`client::Transport`] trait.
 //! * Substrate: [`cluster::Cluster`], a deterministic message-counting
 //!   simulator equivalent to the authors' evaluation harness — one of the
-//!   two `Transport`s; the TCP deployment in `sdr-net` is the other.
+//!   two `Transport`s; the TCP deployment in `sdr-net` is the other. Its
+//!   delivery loop, [`Cluster::drain_with`], is the one both run: the TCP
+//!   runner owns a `Cluster` and only supplies a [`cluster::Carrier`]
+//!   that moves messages over sockets.
 //!
 //! ## Quickstart
 //!
@@ -119,9 +122,9 @@ pub use client::{
     address, Await, Client, DirectAccounting, Fold, Incomplete, InsertOutcome, OidGen, Over,
     QueryOutcome, Transport, Variant,
 };
-pub use cluster::Cluster;
+pub use cluster::{Carrier, Cluster};
 pub use config::SdrConfig;
-pub use fault::{FaultCounts, FaultExecutor, FaultKind, FaultPlan, Released, Verdict};
+pub use fault::{FaultCounts, FaultKind, FaultPlan};
 pub use ids::{ClientId, NodeKind, NodeRef, Oid, QueryId, ServerId};
 pub use image::Image;
 pub use join::JoinOutcome;
@@ -130,5 +133,5 @@ pub use link::Link;
 pub use msg::{Endpoint, ImageHolder, Message, Payload, QueryKind, ReplyProtocol};
 pub use node::{DataNode, Object, RoutingNode, Side};
 pub use oc::{OcEntry, OcTable};
-pub use server::{turn, Outbox, Refused, Server};
+pub use server::{Outbox, Refused, Server};
 pub use stats::{MsgCategory, Stats};

@@ -5,7 +5,8 @@
 //! one incoming [`Payload`] and emits follow-up messages through an
 //! [`Outbox`]. The same state machine runs inside the in-process
 //! simulator (`cluster`) and behind TCP endpoints (`sdr-net`), and one
-//! function drives it for both: [`turn`].
+//! function drives it for both: `turn`, inside the one delivery loop,
+//! `Cluster::drain_with`.
 //!
 //! Insert hops carry one [`Insertion`] the way traversal hops carry one
 //! `Traversal`. [`Server::handle`] resolves the node a payload acts on
@@ -32,10 +33,10 @@ use sdr_rtree::{Entry, RTree};
 /// provisions fresh servers for splits.
 ///
 /// Server allocation is the one piece of global coordination an SDDS
-/// needs. Ids are dense: [`turn`] hands out the next index of its server
-/// list and adopts the new servers, in the simulator and in the TCP
-/// deployment's runner alike; a production deployment would ask its node
-/// manager.
+/// needs. Ids are dense: the server turn hands out the next index of its
+/// cluster's server list and adopts the new servers, in the simulator and
+/// in the TCP deployment's runner alike; a production deployment would
+/// ask its node manager.
 #[derive(Debug)]
 pub struct Outbox {
     /// Messages to deliver, in emission order.
@@ -47,8 +48,8 @@ pub struct Outbox {
     /// letting those race the elimination's own structural repair
     /// (height adjustment, rotation gathering) invalidates rotation
     /// snapshots mid-flight — a reinsert-driven split can orphan the new
-    /// server. Both substrates hand these messages to their fault
-    /// executor, which releases the oldest alone each time their queue
+    /// server. The delivery loop hands these messages to its fault
+    /// executor, which releases the oldest alone each time the queue
     /// empties (`FaultExecutor::release_idle`), so each reinsert starts
     /// after the repair chain and the reinserts before it have settled.
     /// Releasing them FIFO is not enough: a gathered rotation's
@@ -69,8 +70,8 @@ pub struct Outbox {
 }
 
 /// Why a server refused a message, before the message changed anything.
-/// [`turn`] counts refusals in its `Stats`; a TCP deployment also books
-/// each as a delivery failure.
+/// The server turn counts refusals in the cluster's `Stats`; a TCP
+/// deployment also books each as a delivery failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Refused {
     /// The payload acts on a node of this kind, which the server does not
@@ -215,8 +216,9 @@ pub struct Server {
     parked: Vec<(Endpoint, Payload)>,
 }
 
-/// One server turn, the only driver of [`Server::handle`]: the simulator
-/// and the TCP deployment's runner take every server-bound message
+/// One server turn, the only driver of [`Server::handle`]: the delivery
+/// loop (`Cluster::drain_with`), which the simulator and the TCP
+/// deployment's runner both run, takes every server-bound message
 /// through it. It finds the addressed server among the dense `servers`
 /// (an unknown id is refused), counts the message in `stats` under the
 /// paper's cost model and shows a counted one to `tap`, lets the server
@@ -225,7 +227,7 @@ pub struct Server {
 /// `out.deferred` then hold what the server sent, in emission order, for
 /// the driver to route, and `out.allocated` the servers it adopted.
 /// Returns how many messages were refused.
-pub fn turn(
+pub(crate) fn turn(
     servers: &mut Vec<Server>,
     stats: &mut Stats,
     msg: Message,

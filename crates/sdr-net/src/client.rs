@@ -267,14 +267,17 @@ impl Drop for Wire {
 
 impl Session<'_> {
     fn quiesce(&self) -> Result<(), NetError> {
+        self.quiesce_until(Instant::now() + self.timeout)
+    }
+
+    fn quiesce_until(&self, deadline: Instant) -> Result<(), NetError> {
         let deployment = &self.wire.deployment;
-        let deadline = Instant::now() + self.timeout;
         loop {
             let seen = deployment.events().seq;
             // Loaded before the check: the runner records a failure before
             // it settles `in_flight`, so zero here means the check sees it.
-            // It also releases what its fault executor holds or defers
-            // first, so zero means nothing is left there either.
+            // It drains its cluster to quiescence before it settles a post,
+            // so zero also means nothing is held or deferred.
             let busy = deployment.in_flight.load(Ordering::SeqCst) > 0;
             self.wire.check_failures()?;
             if !busy {
@@ -286,14 +289,24 @@ impl Session<'_> {
             deployment.wait(seen, WAIT_SLICE);
         }
     }
-}
 
-impl Transport for Session<'_> {
-    type Error = NetError;
+    /// Feeds `fold` every frame this client is owed. Exact once nothing
+    /// is in flight: the runner writes a client-bound frame before it
+    /// settles the post that set it off.
+    fn read_owed(&self, fold: &mut Fold<'_>, deadline: Instant) -> Result<(), NetError> {
+        while self.wire.owed() > 0 {
+            fold.feed(self.wire.recv(deadline)?);
+        }
+        Ok(())
+    }
 
-    fn exchange(&mut self, msg: Message, fold: &mut Fold<'_>) -> Result<(), NetError> {
-        self.wire.deployment.post(&msg);
-        if !fold.settles() {
+    /// Posts `msg` and feeds `fold` until the operation is done.
+    fn run(&self, msg: &Message, fold: &mut Fold<'_>) -> Result<(), NetError> {
+        self.wire.deployment.post(msg);
+        // Without a fault plan, a fold that balances has all the operation
+        // gets. Under one, a duplicate copy can arrive before or after the
+        // rest, so the fold takes the whole drain, as the simulator's does.
+        if !fold.settles() && !self.wire.deployment.fault_plan {
             // One report per hop, until the fold's sender accounting
             // balances (`sdr_core::client` explains why a bare fan-out
             // count is not loss-safe).
@@ -308,16 +321,40 @@ impl Transport for Session<'_> {
         // operation. Overlapping maintenance chains are the concurrency
         // problem the paper leaves open (§6), so the client — like the
         // paper's own evaluation — issues one operation at a time.
-        self.quiesce()?;
-        // Direct inserts are never acknowledged (§3.2), so no reply can
-        // be insisted on — but the runner writes a client-bound frame
-        // before it settles that message's turn: what is owed now is
-        // every ack there will be, and exactly that is read.
         let deadline = Instant::now() + self.timeout;
-        while self.wire.owed() > 0 {
-            fold.feed(self.wire.recv(deadline)?);
+        self.quiesce_until(deadline)?;
+        // What is owed now is every frame the drain wrote for this
+        // client — for an insert, every ack there will be, though direct
+        // inserts are never acknowledged (§3.2) — and exactly that is read.
+        self.read_owed(fold, deadline)?;
+        fold.finish().map_err(|_| NetError::Undeliverable)
+    }
+}
+
+impl Transport for Session<'_> {
+    type Error = NetError;
+
+    fn exchange(&mut self, msg: Message, fold: &mut Fold<'_>) -> Result<(), NetError> {
+        let done = self.run(&msg, fold);
+        if let Err(NetError::Undeliverable) = done {
+            // The simulator's client folds everything its drain hands
+            // back, lost messages or not; so does this one before it
+            // reports the loss: once the runner has drained the operation
+            // — whose further losses are this same report — every frame
+            // still owed. One deadline for the whole wait: losses other
+            // clients keep causing do not extend it.
+            let deadline = Instant::now() + self.timeout;
+            let waited = loop {
+                match self.quiesce_until(deadline) {
+                    Err(NetError::Undeliverable) if Instant::now() <= deadline => {}
+                    Err(NetError::Undeliverable) => break Err(NetError::Timeout),
+                    waited => break waited,
+                }
+            };
+            waited?;
+            self.read_owed(fold, deadline)?;
         }
-        Ok(())
+        done
     }
 }
 

@@ -1,9 +1,10 @@
-//! Process-local deployment manager: launches the first node, hands out
-//! client connections, and shuts the whole deployment down.
+//! Process-local deployment manager: launches the first node and the
+//! runner with the deployment's `Cluster`, hands out client connections,
+//! and shuts the whole deployment down — or hands that cluster back.
 
 use crate::node::{bind, run, Deployment};
-use sdr_core::msg::{Endpoint, Message};
-use sdr_core::{Cluster, FaultCounts, FaultExecutor, FaultPlan, SdrConfig, ServerId};
+use sdr_core::msg::Endpoint;
+use sdr_core::{Cluster, FaultCounts, FaultPlan, SdrConfig, ServerId};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -11,8 +12,9 @@ use std::sync::{Arc, Mutex};
 ///
 /// Every server listens on an OS-assigned port registered in the
 /// deployment's address directory, and one runner thread serves them
-/// all, binding each new server as a split allocates it. The manager
-/// bootstraps server 0, starts the runner and owns the stop flag.
+/// all: it owns the deployment's [`Cluster`] and binds each new server
+/// as a split allocates it. The manager bootstraps server 0, starts the
+/// runner and owns the stop flag.
 #[derive(Debug)]
 pub struct NetCluster {
     pub(crate) deployment: Arc<Deployment>,
@@ -21,31 +23,31 @@ pub struct NetCluster {
 impl NetCluster {
     /// Launches a deployment with a single empty server.
     pub fn launch(config: SdrConfig) -> std::io::Result<NetCluster> {
-        Self::start(config, FaultExecutor::none())
+        Self::start(Cluster::new(config), false)
     }
 
     /// Launches a deployment whose deliveries follow a deterministic
-    /// fault plan drawn from `seed`. The runner asks the plan's executor
-    /// for one verdict per message, when its turn takes it, at the point
-    /// and in the order the in-process simulator does: one client's
-    /// operations under the same plan and seed meet the same faults on
-    /// both substrates.
+    /// fault plan drawn from `seed`. The runner's cluster installs it, so
+    /// its delivery loop — the simulator's — draws one verdict per
+    /// message, when its turn takes it: one client's operations under the
+    /// same plan and seed meet the same faults on both substrates.
     pub fn launch_with_faults(
         config: SdrConfig,
         plan: &FaultPlan,
         seed: u64,
     ) -> std::io::Result<NetCluster> {
-        Self::start(config, FaultExecutor::new(plan, seed))
+        let mut cluster = Cluster::new(config);
+        cluster.install_faults(plan, seed);
+        Self::start(cluster, true)
     }
 
-    fn start(config: SdrConfig, faults: FaultExecutor<Message>) -> std::io::Result<NetCluster> {
-        config.validate();
+    fn start(cluster: Cluster, fault_plan: bool) -> std::io::Result<NetCluster> {
         let deployment = Arc::new(Deployment {
             servers: AtomicUsize::new(1),
-            config,
             in_flight: std::sync::atomic::AtomicI64::new(0),
             delivery_failures: AtomicU64::new(0),
-            faults: Mutex::new(faults),
+            fault_plan,
+            published_faults: Mutex::default(),
             metrics: sdr_obs::Obs::from_env().take_metrics().map(Mutex::new),
             events: Default::default(),
             wakeup: Default::default(),
@@ -58,7 +60,7 @@ impl NetCluster {
         let (first, shared) = (bind(&deployment, ServerId(0))?, deployment.clone());
         let runner = std::thread::Builder::new()
             .name("sdr-runner".into())
-            .spawn(move || run(&shared, first))?;
+            .spawn(move || run(&shared, first, cluster))?;
         *deployment.runner.lock().unwrap_or_else(|e| e.into_inner()) = Some(runner);
         Ok(NetCluster { deployment })
     }
@@ -75,9 +77,10 @@ impl NetCluster {
         self.deployment.delivery_failures.load(Ordering::SeqCst)
     }
 
-    /// Messages currently in flight: the entries of the runner's queue,
-    /// and what its fault executor holds or defers (negative transients
-    /// only occur when raw, unsolicited frames hit a node listener).
+    /// Client posts currently in flight: posted, and not yet drained to
+    /// quiescence by the runner, held and deferred messages included
+    /// (negative transients only occur when raw, unsolicited frames hit a
+    /// node listener).
     pub fn in_flight(&self) -> i64 {
         self.deployment.in_flight.load(Ordering::SeqCst)
     }
@@ -88,9 +91,10 @@ impl NetCluster {
         self.deployment.with_metrics(|m| m.snapshot())
     }
 
-    /// The faults injected so far (all zero without a fault plan).
+    /// The faults injected so far (all zero without a fault plan), as
+    /// the runner published them before it settled its last post.
     pub fn fault_counts(&self) -> FaultCounts {
-        self.deployment.faults().counts()
+        *self.deployment.published_faults()
     }
 
     /// The OS-assigned port a server's listener is bound to, if it is
@@ -117,10 +121,10 @@ impl NetCluster {
         }
     }
 
-    /// Stops the deployment and hands back its servers, with the message
-    /// counters the runner kept, as a [`Cluster`]: hashed, counted and
-    /// checked like a simulated one. A runner that panicked resumes its
-    /// panic here.
+    /// Stops the deployment and hands back the [`Cluster`] its runner
+    /// ran — servers, message counters, fault counts and trace — to be
+    /// hashed, counted and checked like a simulated one. A runner that
+    /// panicked resumes its panic here.
     ///
     /// # Panics
     ///
@@ -131,9 +135,7 @@ impl NetCluster {
     )]
     pub fn into_cluster(self) -> Cluster {
         match self.deployment.stop_runner() {
-            Some(Ok((servers, stats))) => {
-                Cluster::from_servers(self.deployment.config, servers, stats)
-            }
+            Some(Ok(cluster)) => cluster,
             Some(Err(panic)) => std::panic::resume_unwind(panic),
             None => panic!("the deployment was shut down before `into_cluster`"),
         }

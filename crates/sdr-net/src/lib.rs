@@ -10,32 +10,33 @@
 //!   (length-prefixed frames; no serialization framework), described
 //!   once as field tables over the first-party [`buf`] byte cursors.
 //! * [`node`] — the servers and the one runner thread that serves them
-//!   all: its queue is the simulator's FIFO, and it takes each entry
-//!   through the fault plan's one draw and [`sdr_core::turn`], the
-//!   simulator's own server turn, writing what a turn sends another
-//!   server or a client on that endpoint's link.
+//!   all: it owns a [`sdr_core::Cluster`] and runs the simulator's own
+//!   delivery loop, [`sdr_core::Cluster::drain_with`], for each client
+//!   post, through a [`sdr_core::Carrier`] that encodes what one server
+//!   sends another and decodes it again in memory, and writes what a
+//!   server sends a client on that client's link.
 //! * [`cluster`] — a process-local deployment manager that binds
 //!   server 0, starts the runner, and on shutdown stops and joins it —
-//!   or hands its servers back as a [`sdr_core::Cluster`].
+//!   or hands its cluster back.
 //! * [`client`] — a TCP client component (the IMCLIENT variant): the
 //!   socket [`sdr_core::Transport`] under `sdr-core`'s client core, which
 //!   owns the image, addressing and the termination protocol of §4.3.
 //!
 //! Every server binds an OS-assigned port registered in the deployment's
 //! address directory — the role a node manager plays in a production
-//! deployment. The frames for an endpoint, server or client, ride one
-//! kept connection, shared by every thread of the process that writes to
-//! it. Each connection gets one connect attempt, and a frame whose
-//! connection fails is a counted loss at once; both ends read their
+//! deployment. The frames clients send an endpoint, server or client,
+//! ride one kept connection, shared by every thread of the process that
+//! writes to it. Each connection gets one connect attempt, and a frame
+//! whose connection fails is a counted loss at once; both ends read their
 //! connections with one length-delimited reader. Nothing between a frame
 //! being written and its receiver acting on it is a timer: the runner
 //! waits on one queue clients post their frames to, clients on a
 //! wake-up signal the runner raises, and an insert reads exactly the
 //! acknowledgment frames it is owed (DESIGN.md decision 13). Concurrency
 //! control is out of scope, as the paper itself lists it as open (§6):
-//! one thread handles every message, so the turns form one total order,
-//! and clients quiesce between operations, matching the paper's own
-//! evaluation regime.
+//! one thread drains each client post to quiescence before it takes the
+//! next, so the turns form one total order, and clients quiesce between
+//! operations, matching the paper's own evaluation regime.
 //!
 //! ## Example
 //!

@@ -1,44 +1,41 @@
 //! The servers of a TCP deployment, and the one thread that serves them.
 //!
 //! Each server has its own OS-assigned port. Every endpoint — a server or
-//! a client — gets its frames on one kept link, the writing end of a
-//! connection to its listener that every thread of the process shares
-//! (DESIGN.md decision 13). One runner thread per deployment owns every
-//! [`Server`], in a dense list beside the [`Stats`] it keeps, with each
-//! server's listener and the connections it accepted.
+//! a client — gets its frames from clients on one kept link, the writing
+//! end of a connection to its listener that every thread of the process
+//! shares (DESIGN.md decision 13). One runner thread per deployment owns
+//! a [`Cluster`] — the servers, the simulator's queue, fault executor,
+//! `Stats` and trace — with each server's listener and the connections
+//! it accepted.
 //!
-//! The runner's queue is the simulator's FIFO. A client writes its
-//! message on its server's link and queues an entry that says "read the
-//! next frame of server X". The runner takes the entries in order, and
-//! each is one turn: the fault plan's one draw
-//! ([`sdr_core::FaultExecutor::decide_delivery`]), then
-//! [`sdr_core::turn`] — the same server turn the simulator takes — or, for
-//! a client-bound message, one frame on the client's link. What the turn
-//! sends another server is written on that server's link and queued as a
-//! frame entry; what a server sends itself, or a client, waits in the
-//! queue as it is. Duplicate copies and released held messages go back
-//! on the tail, and when the queue empties the runner releases the
-//! executor's deferred and held lanes, as `Cluster::drain` does. So one
-//! client's operations meet the same order, draws and counts on both
-//! substrates. A link that fails gets one connect: an endpoint missing
-//! from the directory, a refused connect or a failed write is a counted
-//! delivery failure at once. Both ends cut frames with one
-//! length-delimited decoder, `Frames`.
+//! A client writes its message on its server's link and queues a post
+//! that says "read the next frame of server X". The runner takes the
+//! posts in order, and each is one run of the simulator's own delivery
+//! loop: it reads the frame, posts it to its `Cluster` and drains it to
+//! quiescence with [`Cluster::drain_with`], through the runner's
+//! [`Carrier`]. The loop orders every message, draws the fault plan and
+//! takes every server turn; the carrier only moves messages. A message
+//! one server sends another is encoded and its frame decoded again in
+//! memory, since the runner serves both ends; a client-bound one is
+//! written on the client's link at its turn. So one client's operations
+//! meet the same order, draws, counts and trace on both substrates. A
+//! link that fails gets one connect: an endpoint missing from the
+//! directory, a refused connect or a failed write is a counted delivery
+//! failure at once. The runner and the clients cut the frames of the
+//! connections they accept with one length-delimited decoder, `Frames`.
 //!
-//! When a turn allocates a new server (a split), the runner binds and
-//! registers the new server's listener before anything is sent to it.
-//! This is the node-manager role a production deployment would delegate
-//! to its orchestrator. No counted frame waits on a clock: the runner
-//! wakes because another thread queued an entry, a waiting client because
+//! A server a split allocates is bound and registered at the first
+//! frame carried to it, before anything reads it. This is the
+//! node-manager role a production deployment would delegate to its
+//! orchestrator. No counted frame waits on a clock: the runner wakes
+//! because a client queued a post, a waiting client because
 //! `Deployment::notify` said so (DESIGN.md 13).
 
 use crate::buf::ReadBuf;
 use crate::wire::{decode_message, encode_message};
 use sdr_core::ids::ClientId;
 use sdr_core::msg::{Endpoint, Message};
-use sdr_core::{
-    turn, FaultExecutor, Outbox, Released, SdrConfig, Server, ServerId, Stats, Verdict,
-};
+use sdr_core::{Carrier, Cluster, FaultCounts, ServerId};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -73,31 +70,17 @@ pub(crate) struct Account {
     pub lost: u64,
 }
 
-/// One entry of the runner's queue: what one of its turns takes.
-#[derive(Debug, PartialEq)]
-#[expect(
-    clippy::large_enum_variant,
-    reason = "the queue holds messages inline, as the simulator's does: a box would allocate for every local entry"
-)]
-pub(crate) enum Entry {
-    /// The next frame on a server's connections: one written on its link.
-    Frame(ServerId),
-    /// A message that waits in the queue itself: one a server sends
-    /// itself, one bound for a client, or one the fault executor handed
-    /// back, which is not fresh — it meets no verdict again.
-    Local(Message, bool),
-}
-
-/// The runner's queue, and its account of the frames it names.
+/// The runner's queue of client posts, and its account of the frames
+/// they name.
 #[derive(Debug, Default)]
 pub(crate) struct Queue {
-    entries: VecDeque<Entry>,
-    /// Per server, frame entries queued minus frames taken. A frame taken
-    /// before its entry was queued (an idle sweep can read it first)
-    /// drives it to zero or below; raw frames nobody queued drive it
-    /// negative.
+    /// The servers whose next frame a client posted, oldest first.
+    posts: VecDeque<ServerId>,
+    /// Per server, posts queued minus frames taken. A frame taken before
+    /// its post was queued (an idle sweep can read it first) drives it to
+    /// zero or below; raw frames nobody posted drive it negative.
     unread: HashMap<ServerId, i64>,
-    /// Whether the runner waits for an entry: only then does a client
+    /// Whether the runner waits for a post: only then does a client
     /// signal it.
     waiting: bool,
     /// Set once, to stop the runner: under the lock it waits on, so the
@@ -106,36 +89,30 @@ pub(crate) struct Queue {
 }
 
 impl Queue {
-    fn push(&mut self, entry: Entry) {
-        if let Entry::Frame(to) = entry {
-            *self.unread.entry(to).or_default() += 1;
-        }
-        self.entries.push_back(entry);
+    fn push(&mut self, to: ServerId) {
+        *self.unread.entry(to).or_default() += 1;
+        self.posts.push_back(to);
     }
 
-    /// Books a frame the runner took from `at`'s connections, queued or
+    /// Books a frame the runner took from `at`'s connections, posted or
     /// not.
     fn taken(&mut self, at: ServerId) {
         *self.unread.entry(at).or_default() -= 1;
     }
 
-    /// Books a frame entry for `at` whose read found no frame: while a
-    /// frame is still owed there (written, but not readable yet), the
-    /// entry goes back to the head, so the queue keeps its order; once a
-    /// sweep has taken that frame, it is dropped.
+    /// Books a post for `at` whose read found no frame: while a frame is
+    /// still owed there (written, but not readable yet), the post goes
+    /// back to the head, so the queue keeps its order; once a sweep has
+    /// taken that frame, it is dropped.
     fn missed(&mut self, at: ServerId) {
         if self.unread.get(&at).is_some_and(|&n| n > 0) {
-            self.entries.push_front(Entry::Frame(at));
+            self.posts.push_front(at);
         }
     }
 }
 
-/// What the runner hands back when it stops: the servers, in id order,
-/// and the message counters it kept.
-pub(crate) type Served = (Vec<Server>, Stats);
-
 /// Shared deployment state: the address directory, the runner's queue,
-/// and the accounts clients read.
+/// and what the runner publishes for clients.
 #[derive(Debug)]
 pub(crate) struct Deployment {
     /// Address directory: every endpoint's kept link, which knows the
@@ -147,20 +124,17 @@ pub(crate) struct Deployment {
     pub links: Mutex<HashMap<Endpoint, Arc<Link>>>,
     /// The number of servers, as the runner last published it.
     pub servers: AtomicUsize,
-    pub config: SdrConfig,
-    /// Messages sent and not yet fully handled: every entry of the
-    /// runner's queue, frame or not, from the moment it is queued — a
-    /// client's from before its frame is written — until after its turn.
-    /// Clients wait for this to drop to zero between operations
-    /// ([`crate::NetClient::quiesce`]), reproducing the simulator's
-    /// sequential-operation semantics over real sockets — overlapping
-    /// maintenance chains are exactly the concurrency problem the paper
-    /// leaves open (§6). The runner releases the fault executor's lanes
-    /// before it settles a turn, so zero also means nothing is held or
-    /// deferred.
+    /// Client posts not yet fully handled: each counts from the moment
+    /// its client posts it — before its frame is written — until the
+    /// runner has drained everything it set off to quiescence, held and
+    /// deferred messages included. Clients wait for this to drop to zero
+    /// between operations ([`crate::NetClient::quiesce`]), reproducing
+    /// the simulator's sequential-operation semantics over real sockets —
+    /// overlapping maintenance chains are exactly the concurrency problem
+    /// the paper leaves open (§6).
     ///
-    /// Every failure is recorded before its count is settled. Raw frames
-    /// nobody queued are settled without an increment and push the count
+    /// Every failure is recorded before its post is settled. Raw frames
+    /// nobody posted are settled without an increment and push the count
     /// transiently below zero, which is why quiescence tests `> 0`, not
     /// `!= 0`.
     pub in_flight: AtomicI64,
@@ -173,16 +147,17 @@ pub(crate) struct Deployment {
     /// [`crate::client::NetError::Undeliverable`] instead of a silent
     /// drop or a hang-until-timeout.
     pub delivery_failures: AtomicU64,
-    /// Deterministic fault injection ([`FaultExecutor::none`] in normal
-    /// deployments, which delivers everything once and draws nothing).
-    /// Only the runner draws from it, one verdict per entry it takes; it
-    /// also holds the delayed and reordered messages and the deferred
-    /// lane. The lock lets `NetCluster::fault_counts` read it.
-    pub faults: Mutex<FaultExecutor<Message>>,
+    /// Whether a fault plan runs: only then can a duplicate copy follow
+    /// a complete answer.
+    pub fault_plan: bool,
+    /// The faults the runner's fault plan injected, as it last published
+    /// them: before it settles each post.
+    pub published_faults: Mutex<FaultCounts>,
     /// Deployment-wide delivery metrics (`None` unless `SDR_METRICS` is
-    /// set at launch): frames written and their bytes. Numeric *values*
-    /// depend on thread timing — only the key set is deterministic — so
-    /// these are for operator inspection, never for golden comparisons.
+    /// set at launch): frames encoded — written, or carried in memory —
+    /// and their bytes. Numeric *values* depend on thread timing — only
+    /// the key set is deterministic — so these are for operator
+    /// inspection, never for golden comparisons.
     pub metrics: Option<Mutex<sdr_obs::Metrics>>,
     /// The wake-up signal; see [`Events`].
     pub events: Mutex<Events>,
@@ -191,7 +166,7 @@ pub(crate) struct Deployment {
     pub queue: Mutex<Queue>,
     pub arrival: Condvar,
     /// The runner thread, until `stop_runner` joins it.
-    pub runner: Mutex<Option<JoinHandle<Served>>>,
+    pub runner: Mutex<Option<JoinHandle<Cluster>>>,
 }
 
 /// An endpoint's port, and the writing end of the one connection that
@@ -208,11 +183,11 @@ pub(crate) struct Link {
 /// stops reading costs one counted failure, not a hung deployment.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// The runner's first and longest wait for an entry before it sweeps
-/// every server's connections. Every counted frame is queued, so they
-/// bound only how late a connection nobody queued (a raw peer) is read:
-/// the wait doubles while sweeps find nothing, so an idle deployment
-/// costs next to nothing.
+/// The runner's first and longest wait for a post before it sweeps every
+/// server's connections. Every counted frame is posted, so they bound
+/// only how late a connection nobody posted on (a raw peer) is read: the
+/// wait doubles while sweeps find nothing, so an idle deployment costs
+/// next to nothing.
 const IDLE_FIRST: Duration = Duration::from_millis(1);
 const IDLE_LAST: Duration = Duration::from_millis(128);
 
@@ -235,15 +210,11 @@ impl Link {
 }
 
 /// What the runner does next.
-#[expect(
-    clippy::large_enum_variant,
-    reason = "returned and matched at once, never stored"
-)]
 enum Wake {
     Stop,
-    /// Take this entry's turn.
-    Entry(Entry),
-    /// Nothing was queued for a whole idle wait: sweep.
+    /// Read and serve the next frame of this server.
+    Post(ServerId),
+    /// Nothing was posted for a whole idle wait: sweep.
     Idle,
 }
 
@@ -310,6 +281,13 @@ impl Deployment {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The fault counts the runner last published.
+    pub fn published_faults(&self) -> MutexGuard<'_, FaultCounts> {
+        self.published_faults
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Signals an event, booking a frame just written for `owed_to`.
     pub fn notify(&self, owed_to: Option<ClientId>) {
         let mut events = self.events();
@@ -331,8 +309,8 @@ impl Deployment {
     }
 
     /// Writes a client's message as one frame on its server's link and
-    /// queues the frame for the runner, waking it if it waits. The
-    /// message meets the fault plan at its turn, like every other.
+    /// queues the post for the runner, waking it if it waits. The message
+    /// meets the fault plan at its turn, like every other.
     pub fn post(&self, msg: &Message) {
         let Endpoint::Server(to) = msg.to else {
             return;
@@ -342,24 +320,30 @@ impl Deployment {
             return self.add_in_flight(-1);
         }
         let mut queue = self.queue();
-        queue.push(Entry::Frame(to));
+        queue.push(to);
         if std::mem::take(&mut queue.waiting) {
             drop(queue);
             self.arrival.notify_one();
         }
     }
 
-    /// Writes `msg` as one frame on its endpoint's kept link; whether it
-    /// went. A frame that cannot be written is counted — never silently
-    /// dropped — and booked to the client it was for, or to every client.
-    fn write(&self, msg: &Message) -> bool {
+    /// Encodes `msg` as one frame, and counts it in the metrics.
+    fn frame(&self, msg: &Message) -> Vec<u8> {
         let frame = encode_message(msg);
         self.with_metrics(|m| {
             m.inc("frame/write");
             m.add("frame/bytes_out", frame.len() as u64);
         });
+        frame
+    }
+
+    /// Writes `msg` as one frame on its endpoint's kept link; whether it
+    /// went. A frame that cannot be written is counted — never silently
+    /// dropped — and booked to the client it was for, or to every client.
+    fn write(&self, msg: &Message) -> bool {
+        let frame = self.frame(msg);
         // The directory on every frame: an endpoint that left it (a client
-        // that is gone, a server `deregister_server` removed) fails at once.
+        // that is gone) fails at once.
         let link = self.links().get(&msg.to).cloned();
         let written = link.is_some_and(|link| link.write(&frame));
         if !written {
@@ -369,7 +353,7 @@ impl Deployment {
     }
 
     /// The runner's next step: the stop flag first, then the oldest
-    /// entry, waiting up to `idle` for one.
+    /// post, waiting up to `idle` for one.
     fn next_wake(&self, idle: Duration) -> Wake {
         let mut queue = self.queue();
         let mut timed_out = false;
@@ -377,8 +361,8 @@ impl Deployment {
             if queue.stop {
                 return Wake::Stop;
             }
-            if let Some(entry) = queue.entries.pop_front() {
-                return Wake::Entry(entry);
+            if let Some(to) = queue.posts.pop_front() {
+                return Wake::Post(to);
             }
             if timed_out {
                 return Wake::Idle;
@@ -393,9 +377,9 @@ impl Deployment {
     }
 
     /// Stops the runner — the stop flag, then a signal it cannot miss —
-    /// and joins it: what it served, or its panic. A second call finds no
-    /// runner and returns `None` at once.
-    pub fn stop_runner(&self) -> Option<std::thread::Result<Served>> {
+    /// and joins it: the cluster it ran, or its panic. A second call finds
+    /// no runner and returns `None` at once.
+    pub fn stop_runner(&self) -> Option<std::thread::Result<Cluster>> {
         self.queue().stop = true;
         self.arrival.notify_all();
         let runner = self.runner.lock().unwrap_or_else(|e| e.into_inner()).take();
@@ -408,11 +392,6 @@ impl Deployment {
     pub fn with_metrics<R>(&self, f: impl FnOnce(&mut sdr_obs::Metrics) -> R) -> Option<R> {
         let metrics = self.metrics.as_ref()?;
         Some(f(&mut metrics.lock().unwrap_or_else(|e| e.into_inner())))
-    }
-
-    /// The fault executor, locked.
-    pub fn faults(&self) -> MutexGuard<'_, FaultExecutor<Message>> {
-        self.faults.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -445,27 +424,20 @@ pub(crate) fn accept_backoff(consecutive_errors: u32) -> Duration {
 pub(crate) const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 /// Serves every server of the deployment until the stop flag: takes the
-/// entries of its queue in order, one turn each, and when nothing was
-/// queued for a whole idle wait, sweeps every server's connections for
-/// frames nobody queued. One thread, so the turns form one total order.
-/// Returns the servers and their counters.
-pub(crate) fn run(deployment: &Deployment, first: Inbox) -> Served {
+/// posts of its queue in order, each one run of `cluster`'s delivery
+/// loop, and when nothing was posted for a whole idle wait, sweeps every
+/// server's connections for frames nobody posted. One thread, so the
+/// turns form one total order. Returns the cluster.
+pub(crate) fn run(deployment: &Deployment, first: Inbox, mut cluster: Cluster) -> Cluster {
     let mut runner = Runner {
         deployment,
-        servers: vec![Server::new(ServerId(0), deployment.config)],
-        stats: Stats::new(),
-        inboxes: HashMap::from([(ServerId(0), first)]),
-        out: Outbox::new(ServerId(0), 0),
-        emitted: Vec::new(),
-        taken: 0,
+        inboxes: vec![first],
     };
     let (mut idle, mut consecutive_errors) = (IDLE_FIRST, 0u32);
     loop {
-        runner.settle();
         match deployment.next_wake(idle) {
-            Wake::Stop => return (runner.servers, runner.stats),
-            Wake::Entry(Entry::Local(msg, fresh)) => runner.take(msg, fresh),
-            Wake::Entry(Entry::Frame(to)) => match runner.read(to) {
+            Wake::Stop => return cluster,
+            Wake::Post(to) => match runner.serve_next(&mut cluster, to) {
                 Some(Ok(true)) => (idle, consecutive_errors) = (IDLE_FIRST, 0),
                 Some(Ok(false)) => deployment.queue().missed(to),
                 // Transient accept errors (ECONNABORTED, EMFILE, EINTR,
@@ -484,9 +456,8 @@ pub(crate) fn run(deployment: &Deployment, first: Inbox) -> Served {
             },
             Wake::Idle => {
                 let mut found = false;
-                let ids: Vec<ServerId> = runner.inboxes.keys().copied().collect();
-                for at in ids {
-                    while let Some(Ok(true)) = runner.read(at) {
+                for at in (0..runner.inboxes.len() as u32).map(ServerId) {
+                    while let Some(Ok(true)) = runner.serve_next(&mut cluster, at) {
                         found = true;
                     }
                 }
@@ -500,155 +471,84 @@ pub(crate) fn run(deployment: &Deployment, first: Inbox) -> Served {
     }
 }
 
-/// The runner's own state: the servers it serves, the counters of
-/// [`turn`], and what its turns emitted but did not queue yet.
+/// The runner's carrier: the listener of every server it bound, with the
+/// connections each accepted.
 struct Runner<'a> {
     deployment: &'a Deployment,
-    servers: Vec<Server>,
-    stats: Stats,
-    inboxes: HashMap<ServerId, Inbox>,
-    /// One outbox serves every turn.
-    out: Outbox,
-    /// Entries emitted since the last `settle`, in emission order.
-    emitted: Vec<Entry>,
-    /// Turns taken since the last `settle`.
-    taken: i64,
+    /// Server `i`'s inbox at index `i`.
+    inboxes: Vec<Inbox>,
 }
 
 impl Runner<'_> {
-    /// Reads the next frame `at`'s connections hold and takes its turn;
-    /// `None` if no such server is bound, else whether there was a frame.
-    /// A frame that does not decode is lost: counted, and settled like
-    /// any turn instead of leaking its sender's `in_flight`.
-    fn read(&mut self, at: ServerId) -> Option<std::io::Result<bool>> {
-        let (listener, inbound) = self.inboxes.get_mut(&at)?;
+    /// Reads the next frame `at`'s connections hold and serves it: posts
+    /// it to `cluster`, drains that to quiescence through this carrier,
+    /// books the refusals, publishes the server and fault counts and
+    /// settles the post. `None` if no such server is bound, else whether
+    /// there was a frame. A frame that does not decode is lost: counted,
+    /// and settled like any post instead of leaking its sender's
+    /// `in_flight`.
+    fn serve_next(&mut self, cluster: &mut Cluster, at: ServerId) -> Option<std::io::Result<bool>> {
+        let (listener, inbound) = self.inboxes.get_mut(at.0 as usize)?;
         let frame = match next_frame(listener, inbound, true) {
             Ok(Some(frame)) => frame,
             other => return Some(other.map(|_| false)),
         };
-        self.deployment.queue().taken(at);
+        let deployment = self.deployment;
+        deployment.queue().taken(at);
         match frame {
-            Some(msg) => self.take(msg, true),
-            None => {
-                self.taken += 1;
-                self.deployment.record_delivery_failure(None);
+            Some(msg) => {
+                let refused = cluster.stats.refused();
+                cluster.post(msg);
+                cluster.drain_with(self);
+                // A refused message changed nothing: book it like a frame
+                // that could not be read.
+                for _ in refused..cluster.stats.refused() {
+                    deployment.record_delivery_failure(None);
+                }
             }
+            None => deployment.record_delivery_failure(None),
         }
+        deployment
+            .servers
+            .store(cluster.num_servers(), Ordering::SeqCst);
+        *deployment.published_faults() = cluster.fault_counts();
+        deployment.add_in_flight(-1);
         Some(Ok(true))
     }
+}
 
-    /// One turn: a `fresh` message's one verdict from the fault plan,
-    /// then its delivery, as `Cluster::drain` takes an envelope. A lost
-    /// message is counted; a held one waits in the executor; a delivered
-    /// one may bring a duplicate copy along, and passes the held lane one
-    /// event, whose releases follow what the turn sent.
-    fn take(&mut self, msg: Message, fresh: bool) {
-        self.taken += 1;
-        let mut faults = self.deployment.faults();
-        let verdict = if fresh {
-            faults.decide_delivery(msg.payload.category())
-        } else {
-            Verdict::Deliver(1)
-        };
-        match verdict {
-            Verdict::Held(_, events) => faults.hold(msg, events),
-            Verdict::Lost(_) => {
-                drop(faults);
-                self.deployment.record_delivery_failure(client_of(msg.to));
-            }
-            Verdict::Deliver(copies) => {
-                let released = faults.tick();
-                drop(faults);
-                for _ in 1..copies {
-                    self.emitted.push(Entry::Local(msg.clone(), false));
-                }
-                self.deliver(msg);
-                let released = released.into_iter().map(|m| Entry::Local(m, false));
-                self.emitted.extend(released);
-            }
+impl Carrier for Runner<'_> {
+    /// Encodes the message and decodes the frame again: the runner
+    /// serves both ends, so the frame never needs a socket, yet the
+    /// message crosses the codec as a client's does. The directory on
+    /// every frame: a server `deregister_server` removed fails at once. A
+    /// server a split allocated is bound at the first frame for it, its
+    /// `SplitCreate`.
+    fn carry(&mut self, msg: Message) -> Option<Message> {
+        // A listener that cannot be bound leaves its server out of the
+        // directory, so its frames are counted losses.
+        let next = ServerId(self.inboxes.len() as u32);
+        if msg.to == Endpoint::Server(next) {
+            self.inboxes.extend(bind(self.deployment, next).ok());
         }
-    }
-
-    /// Delivers one message: a client-bound one as a frame on the
-    /// client's link, a server-bound one through the shared [`turn`],
-    /// whose outbox it then routes.
-    fn deliver(&mut self, msg: Message) {
-        if let Endpoint::Client(client) = msg.to {
-            self.stats.record_client_msg();
-            if self.deployment.write(&msg) {
-                self.deployment.notify(Some(client));
-            }
-            return;
-        }
-        let refused = turn(&mut self.servers, &mut self.stats, msg, &mut self.out, None);
-        // A refused message changed nothing: book it like a frame that
-        // could not be read.
-        for _ in 0..refused {
+        let frame = self.deployment.frame(&msg);
+        let known = self.deployment.lookup(msg.to).is_some();
+        let carried = known.then(|| decode_body(frame.get(4..)?)).flatten();
+        if carried.is_none() {
             self.deployment.record_delivery_failure(None);
         }
-        // Bind the adopted servers' listeners *before* any message can
-        // reach them.
-        for &id in &self.out.allocated {
-            match bind(self.deployment, id) {
-                Ok(inbox) => drop(self.inboxes.insert(id, inbox)),
-                Err(e) => eprintln!("sdr-net: failed to bind server {}: {e}", id.0),
-            }
-        }
-        let servers = self.servers.len();
-        self.deployment.servers.store(servers, Ordering::SeqCst);
-        let mut msgs = std::mem::take(&mut self.out.msgs);
-        for m in msgs.drain(..) {
-            self.emit(m);
-        }
-        self.out.msgs = msgs;
-        let mut faults = self.deployment.faults();
-        for m in self.out.deferred.drain(..) {
-            faults.defer(m);
+        carried
+    }
+
+    /// Writes the message on its client's kept link and books it as owed.
+    fn deliver(&mut self, msg: Message) {
+        if self.deployment.write(&msg) {
+            self.deployment.notify(client_of(msg.to));
         }
     }
 
-    /// Routes a fresh message: one for another server is written on its
-    /// link now and read back at its turn; one a server sends itself, one
-    /// for a client, and one for an id no server has wait in the queue
-    /// as they are.
-    fn emit(&mut self, msg: Message) {
-        match msg.to {
-            Endpoint::Server(to) if msg.from != msg.to && (to.0 as usize) < self.servers.len() => {
-                if self.deployment.write(&msg) {
-                    self.emitted.push(Entry::Frame(to));
-                }
-            }
-            _ => self.emitted.push(Entry::Local(msg, true)),
-        }
-    }
-
-    /// Queues what the turns since the last call emitted and settles
-    /// those turns. When nothing is left to queue, the executor releases
-    /// its next deferred message or else its held lane first, as the
-    /// simulator's `next_envelope` does — so `in_flight` never reads zero
-    /// while a message is held or deferred.
-    fn settle(&mut self) {
-        while self.emitted.is_empty() && self.deployment.queue().entries.is_empty() {
-            let released = self.deployment.faults().release_idle();
-            match released {
-                Released::Deferred(msg) => self.emit(msg),
-                Released::Held(held) if held.is_empty() => break,
-                Released::Held(held) => self
-                    .emitted
-                    .extend(held.into_iter().map(|m| Entry::Local(m, false))),
-            }
-        }
-        let queued = self.emitted.len() as i64;
-        if queued > 0 {
-            let mut queue = self.deployment.queue();
-            for entry in self.emitted.drain(..) {
-                queue.push(entry);
-            }
-        }
-        // One update for both: the turns being settled still count until
-        // it lands, so no client sees zero while the new entries wait.
-        let taken = std::mem::take(&mut self.taken);
-        self.deployment.add_in_flight(queued - taken);
+    fn lost(&mut self, msg: &Message) {
+        self.deployment.record_delivery_failure(client_of(msg.to));
     }
 }
 
@@ -813,29 +713,29 @@ mod tests {
     }
 
     /// An idle sweep can read a frame before its writer has queued its
-    /// entry; the entry then finds nothing to read and must be dropped,
-    /// not retried — retrying it spun the runner on a frame that was
-    /// gone. A frame queued but not yet readable is retried at the head,
-    /// ahead of what was queued after it.
+    /// post; the post then finds nothing to read and must be dropped, not
+    /// retried — retrying it spun the runner on a frame that was gone. A
+    /// frame posted but not yet readable is retried at the head, ahead of
+    /// what was posted after it.
     #[test]
     fn an_announcement_whose_frame_a_sweep_took_is_dropped() {
         let (early, late) = (ServerId(3), ServerId(4));
         let mut queue = Queue::default();
         queue.taken(early);
-        queue.push(Entry::Frame(early));
-        assert_eq!(queue.entries.pop_front(), Some(Entry::Frame(early)));
+        queue.push(early);
+        assert_eq!(queue.posts.pop_front(), Some(early));
         queue.missed(early);
-        assert!(queue.entries.is_empty(), "a taken frame was retried");
+        assert!(queue.posts.is_empty(), "a taken frame was retried");
 
-        queue.push(Entry::Frame(late));
-        queue.push(Entry::Frame(early));
-        assert_eq!(queue.entries.pop_front(), Some(Entry::Frame(late)));
+        queue.push(late);
+        queue.push(early);
+        assert_eq!(queue.posts.pop_front(), Some(late));
         queue.missed(late);
-        let retried = queue.entries.pop_front();
-        assert_eq!(retried, Some(Entry::Frame(late)), "not retried first");
+        let retried = queue.posts.pop_front();
+        assert_eq!(retried, Some(late), "not retried first");
         queue.taken(late);
         queue.taken(early);
-        assert_eq!(queue.entries.pop_front(), Some(Entry::Frame(early)));
+        assert_eq!(queue.posts.pop_front(), Some(early));
         // Both accounts are settled: the next frames are queued anew.
         assert_eq!(queue.unread.values().sum::<i64>(), 0);
     }

@@ -2,20 +2,21 @@
 //! and on a TCP deployment leave the same structure and the same message
 //! counts.
 //!
-//! Both substrates take every server-bound message through one server
-//! turn (`sdr_core::turn`), in the simulator's FIFO order, and draw the
-//! fault plan at one point (`FaultExecutor::decide_delivery`). So one
-//! IMCLIENT client that quiesces after every operation must meet the
+//! Both substrates run one delivery loop, `Cluster::drain_with`: the TCP
+//! runner owns a `Cluster` and only carries its messages over sockets. So
+//! one IMCLIENT client that quiesces after every operation must meet the
 //! same order on both: equal structure hashes, server and object counts,
 //! `Stats` totals and per-category counts, and — under a fault plan —
-//! equal fault counts. The TCP deployment hands its servers back with
-//! `NetCluster::into_cluster`, and the invariants are checked on them.
+//! equal fault counts. The TCP deployment hands its cluster back with
+//! `NetCluster::into_cluster`, and the invariants are checked on it.
 
 use sdr_core::{
-    Client, ClientId, Cluster, FaultPlan, MsgCategory, Object, Oid, SdrConfig, Stats, Variant,
+    Client, ClientId, Cluster, FaultPlan, MsgCategory, Object, Oid, QueryKind, SdrConfig, Stats,
+    Variant,
 };
+use sdr_geom::{Point, Rect};
 use sdr_net::{NetClient, NetCluster};
-use sdr_workload::{DatasetSpec, Distribution};
+use sdr_workload::{DatasetSpec, Distribution, WindowSpec};
 
 /// The dataset seed of every scenario.
 const SEED: u64 = 11;
@@ -25,6 +26,8 @@ const SEED: u64 = 11;
 enum Op {
     Insert(Object),
     Delete(Object),
+    Point(Point),
+    Window(Rect),
 }
 
 /// `inserts` objects of `distribution`, then deletes of every second
@@ -81,13 +84,17 @@ fn simulate(capacity: usize, ops: &[Op], faults: Option<(&FaultPlan, u64)>) -> C
     // A `NetClient`'s core starts from seed 0 too.
     let mut client = Client::new(ClientId(0), Variant::ImClient, 0);
     for op in ops {
-        match *op {
-            Op::Insert(obj) => {
-                client.insert(&mut cluster, obj);
-            }
-            Op::Delete(obj) => {
-                client.delete(&mut cluster, obj);
-            }
+        let mut over = client.over(&mut cluster);
+        let done = match *op {
+            Op::Insert(obj) => over.insert(obj).map(|_| ()),
+            Op::Delete(obj) => over.delete(obj).map(|_| ()),
+            Op::Point(p) => over.query(QueryKind::Point(p)).map(|_| ()),
+            Op::Window(w) => over.query(QueryKind::Window(w)).map(|_| ()),
+        };
+        // A fault may fail the operation; the next one goes on, as on TCP.
+        // Without one, every operation completes.
+        if faults.is_none() {
+            done.unwrap();
         }
     }
     cluster
@@ -108,6 +115,8 @@ fn deploy(capacity: usize, ops: &[Op], faults: Option<(&FaultPlan, u64)>) -> Net
         let done = match *op {
             Op::Insert(obj) => client.insert(obj),
             Op::Delete(obj) => client.delete(obj).map(|_| ()),
+            Op::Point(p) => client.point_query(p).map(|_| ()),
+            Op::Window(w) => client.window_query(w).map(|_| ()),
         };
         if faults.is_none() {
             done.unwrap();
@@ -168,22 +177,59 @@ fn mixed_plan() -> FaultPlan {
         .with_max_delay(4)
 }
 
-/// One plan and seed inject the same faults on both substrates, and the
-/// structures they leave are the same. Inserts only: a lost report ends a
-/// TCP query or delete before it has read the reports owed to it, which
-/// the simulator's client folds at once, so the images — and the next
-/// operation's first hop — could part. An insert is owed at most its one
-/// acknowledgment.
-#[test]
-fn one_fault_plan_draws_the_same_faults_on_both_substrates() {
+/// Runs `ops` under the mixed plan on both substrates: the same faults,
+/// and the same structure and counts.
+fn chaos_differential(ops: &[Op]) {
     let plan = mixed_plan();
-    let ops = scenario(Distribution::Uniform, 1_500, 0);
     let faults = Some((&plan, 0xFA57));
-    let mut sim = simulate(30, &ops, faults);
-    let net = deploy(30, &ops, faults);
+    let mut sim = simulate(30, ops, faults);
+    let net = deploy(30, ops, faults);
     let counts = net.fault_counts();
     assert!(counts.total() > 0, "no fault injected");
     assert!(net.delivery_failures() > 0, "no loss was reported");
     assert_eq!(counts, sim.fault_counts());
     assert_eq!(outcome(&mut net.into_cluster()), outcome(&mut sim));
+}
+
+/// One plan and seed inject the same faults on both substrates, and the
+/// structures they leave are the same.
+#[test]
+fn one_fault_plan_draws_the_same_faults_on_both_substrates() {
+    chaos_differential(&scenario(Distribution::Uniform, 1_500, 0));
+}
+
+/// `chaos_tests`' shape of workload, in a fixed order that no outcome
+/// changes: of every ten steps six insert, one deletes a live object and
+/// two query a point at a live object's centre, and one queries a window.
+fn mixed_ops(steps: usize) -> Vec<Op> {
+    let rects = DatasetSpec::new(steps, Distribution::Uniform).generate(SEED);
+    let windows = WindowSpec::paper_default().generate(steps, SEED);
+    let mut live: Vec<Object> = Vec::new();
+    let mut ops = Vec::new();
+    for (step, (rect, window)) in rects.into_iter().zip(windows).enumerate() {
+        let pick = step * 7 % live.len().max(1);
+        ops.push(match step % 10 {
+            _ if live.len() < 8 => {
+                live.push(Object::new(Oid(step as u64), rect));
+                Op::Insert(live[live.len() - 1])
+            }
+            0..=5 => {
+                live.push(Object::new(Oid(step as u64), rect));
+                Op::Insert(live[live.len() - 1])
+            }
+            6 => Op::Delete(live.swap_remove(pick)),
+            7 | 8 => Op::Point(live[pick].mbb.center()),
+            _ => Op::Window(window),
+        });
+    }
+    ops
+}
+
+/// Queries and deletes too: an operation a loss fails still folds every
+/// frame owed to it before it returns, as the simulator's client folds
+/// its whole drain, so the images — and the next operation's first hop —
+/// stay the same on both substrates.
+#[test]
+fn one_fault_plan_draws_the_same_faults_over_queries_and_deletes() {
+    chaos_differential(&mixed_ops(1_500));
 }

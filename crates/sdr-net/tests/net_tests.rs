@@ -249,12 +249,11 @@ fn nan_objects_across_a_split_keep_the_node_serving() {
     cluster.shutdown();
 }
 
-/// A split at the paper's capacity writes one `SplitCreate` of about
-/// 1 500 objects on the new server's link, which only the runner reads —
-/// and the runner is the writer. The write must fit the link's socket
-/// buffers whole (DESIGN.md decision 13): a write that blocked there
-/// would wait out the 5 s frame timeout and lose the frame. Every object
-/// is read back from the two servers.
+/// A split at the paper's capacity carries one `SplitCreate` of about
+/// 1 500 objects (≈ 60 KB) to the new server, and the runner is both its
+/// writer and its reader. No write of it may wait on a reader (DESIGN.md
+/// decision 13): one that blocked would wait out the 5 s frame timeout
+/// and lose the frame. Every object is read back from the two servers.
 #[test]
 fn a_split_at_paper_capacity_crosses_a_link_only_its_writer_reads() {
     let cluster = NetCluster::launch(SdrConfig::with_capacity(3000)).unwrap();
@@ -273,4 +272,36 @@ fn a_split_at_paper_capacity_crosses_a_link_only_its_writer_reads() {
     assert_eq!(oids(everything), oids(objects));
     assert_eq!(cluster.delivery_failures(), 0);
     cluster.shutdown();
+}
+
+/// Two clients on two threads insert disjoint halves at once. The runner
+/// serves one post at a time and drains it to quiescence, so a post that
+/// arrives during another's cascade waits for it; and a server gets the
+/// frame carried to it, so a client's post to the same server never
+/// takes that frame's place. The structure the deployment hands back is
+/// invariant-clean and holds every object once.
+#[test]
+fn concurrent_posts_wait_for_the_cascade_before_them() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(10)).unwrap();
+    let objects: Vec<Object> = (0u64..)
+        .zip(DatasetSpec::new(3_000, Distribution::Uniform).generate(11))
+        .map(|(i, r)| Object::new(Oid(i), r))
+        .collect();
+    std::thread::scope(|scope| {
+        for half in objects.chunks(1_500) {
+            let mut client = NetClient::connect(&cluster).unwrap();
+            scope.spawn(move || {
+                for obj in half {
+                    client.insert(*obj).unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(cluster.delivery_failures(), 0);
+    let mut served = cluster.into_cluster();
+    served.check_invariants();
+    assert_eq!(served.total_objects(), 3_000);
+    let mut reader = Client::new(ClientId(1), Variant::ImClient, 0);
+    let everything = reader.window_query(&mut served, Rect::new(0.0, 0.0, 1.0, 1.0));
+    assert_eq!(oids(everything.results), oids(objects));
 }
