@@ -334,6 +334,12 @@ impl Session<'_> {
 impl Transport for Session<'_> {
     type Error = NetError;
 
+    /// What the runner last published: exact once the deployment is
+    /// quiescent, as [`NetCluster::messages`] says.
+    fn messages(&self) -> u64 {
+        self.wire.deployment.published().messages
+    }
+
     fn exchange(&mut self, msg: Message, fold: &mut Fold<'_>) -> Result<(), NetError> {
         let done = self.run(&msg, fold);
         if let Err(NetError::Undeliverable) = done {

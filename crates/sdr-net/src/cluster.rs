@@ -1,20 +1,24 @@
-//! Process-local deployment manager: launches the first node and the
-//! runner with the deployment's `Cluster`, hands out client connections,
-//! and shuts the whole deployment down — or hands that cluster back.
+//! Process-local deployment manager: binds the deployment's listener,
+//! launches the runner with the deployment's `Cluster`, hands out client
+//! connections, and shuts the whole deployment down — or hands that
+//! cluster back.
 
-use crate::node::{bind, run, Deployment};
+use crate::node::{run, Deployment, Published};
 use sdr_core::msg::Endpoint;
 use sdr_core::{Cluster, FaultCounts, FaultPlan, SdrConfig, ServerId};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A running TCP deployment of the SD-Rtree on localhost.
 ///
-/// Every server listens on an OS-assigned port registered in the
-/// deployment's address directory, and one runner thread serves them
-/// all: it owns the deployment's [`Cluster`] and binds each new server
-/// as a split allocates it. The manager bootstraps server 0, starts the
-/// runner and owns the stop flag.
+/// The deployment listens on one OS-assigned port, and every server's
+/// entry in its address directory names it: one runner thread reads
+/// every frame sent there and serves every server. It owns the
+/// deployment's [`Cluster`], which routes each frame by its `to`, and
+/// registers each new server as a split allocates it. The manager binds
+/// the listener, registers server 0, starts the runner and owns the stop
+/// flag.
 #[derive(Debug)]
 pub struct NetCluster {
     pub(crate) deployment: Arc<Deployment>,
@@ -43,11 +47,10 @@ impl NetCluster {
 
     fn start(cluster: Cluster, fault_plan: bool) -> std::io::Result<NetCluster> {
         let deployment = Arc::new(Deployment {
-            servers: AtomicUsize::new(1),
             in_flight: std::sync::atomic::AtomicI64::new(0),
             delivery_failures: AtomicU64::new(0),
             fault_plan,
-            published_faults: Mutex::default(),
+            published: Mutex::new(Published::of(&cluster)),
             metrics: sdr_obs::Obs::from_env().take_metrics().map(Mutex::new),
             events: Default::default(),
             wakeup: Default::default(),
@@ -56,11 +59,15 @@ impl NetCluster {
             runner: Default::default(),
             links: Default::default(),
         });
-        // The deployment's one runner thread, serving server 0 first.
-        let (first, shared) = (bind(&deployment, ServerId(0))?, deployment.clone());
+        // The deployment's one listener, and its one runner thread.
+        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        listener.set_nonblocking(true)?;
+        let port = listener.local_addr()?.port();
+        let link = deployment.register(Endpoint::Server(ServerId(0)), port);
+        let shared = deployment.clone();
         let runner = std::thread::Builder::new()
             .name("sdr-runner".into())
-            .spawn(move || run(&shared, first, cluster))?;
+            .spawn(move || run(&shared, listener, link, cluster))?;
         *deployment.runner.lock().unwrap_or_else(|e| e.into_inner()) = Some(runner);
         Ok(NetCluster { deployment })
     }
@@ -68,7 +75,17 @@ impl NetCluster {
     /// Number of servers, as the runner last published it: after a
     /// quiesce, every server allocated so far.
     pub fn num_servers(&self) -> usize {
-        self.deployment.servers.load(Ordering::SeqCst)
+        self.deployment.published().servers
+    }
+
+    /// Server-addressed messages so far (`Stats::total`, the paper's cost
+    /// metric), as the runner last published it. Exact once the
+    /// deployment is quiescent: after an insert or a delete returns, and
+    /// after every operation under a fault plan. A query returns at its
+    /// last report, which can come before the runner publishes the total
+    /// of the post it set off.
+    pub fn messages(&self) -> u64 {
+        self.deployment.published().messages
     }
 
     /// Monotonic count of delivery failures: undeliverable frames,
@@ -79,8 +96,8 @@ impl NetCluster {
 
     /// Client posts currently in flight: posted, and not yet drained to
     /// quiescence by the runner, held and deferred messages included
-    /// (negative transients only occur when raw, unsolicited frames hit a
-    /// node listener).
+    /// (negative transients only occur when raw, unsolicited frames hit
+    /// the deployment's listener).
     pub fn in_flight(&self) -> i64 {
         self.deployment.in_flight.load(Ordering::SeqCst)
     }
@@ -94,26 +111,28 @@ impl NetCluster {
     /// The faults injected so far (all zero without a fault plan), as
     /// the runner published them before it settled its last post.
     pub fn fault_counts(&self) -> FaultCounts {
-        *self.deployment.published_faults()
+        self.deployment.published().faults
     }
 
-    /// The OS-assigned port a server's listener is bound to, if it is
-    /// registered. Exposed for fault tests that talk raw TCP to a node.
+    /// The port a server's frames are sent to, if it is registered: the
+    /// deployment's one listener, for every server. Exposed for fault
+    /// tests that talk raw TCP to a node.
     pub fn server_port(&self, id: ServerId) -> Option<u16> {
         self.deployment.lookup(Endpoint::Server(id))
     }
 
-    /// Removes a server from the address directory, simulating a
-    /// listener that died mid-run: each later message to it fails its one
-    /// lookup and surfaces as a delivery failure.
+    /// Removes a server from the address directory, simulating a server
+    /// that died mid-run: each later message to it fails its one lookup
+    /// and surfaces as a delivery failure.
     pub fn deregister_server(&self, id: ServerId) {
         self.deployment.deregister(Endpoint::Server(id));
     }
 
-    /// Stops the runner, which serves every server ever bound (also
+    /// Stops the runner, which serves every server ever registered (also
     /// those `deregister_server` hid from the directory), and joins it;
-    /// its listeners close with it. A second call, or the `Drop` after an
-    /// explicit one, finds no runner left and returns at once.
+    /// the deployment's listener closes with it. A second call, or the
+    /// `Drop` after an explicit one, finds no runner left and returns at
+    /// once.
     pub fn shutdown(&self) {
         // A runner that panicked took the message it was handling with it.
         if let Some(Err(_)) = self.deployment.stop_runner() {

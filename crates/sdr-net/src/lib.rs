@@ -15,18 +15,22 @@
 //!   post, through a [`sdr_core::Carrier`] that encodes what one server
 //!   sends another and decodes it again in memory, and writes what a
 //!   server sends a client on that client's link.
-//! * [`cluster`] — a process-local deployment manager that binds
-//!   server 0, starts the runner, and on shutdown stops and joins it —
-//!   or hands its cluster back.
+//! * [`cluster`] — a process-local deployment manager that binds the
+//!   deployment's one listener, registers server 0 there, starts the
+//!   runner, and on shutdown stops and joins it — or hands its cluster
+//!   back.
 //! * [`client`] — a TCP client component (the IMCLIENT variant): the
 //!   socket [`sdr_core::Transport`] under `sdr-core`'s client core, which
 //!   owns the image, addressing and the termination protocol of §4.3.
 //!
-//! Every server binds an OS-assigned port registered in the deployment's
-//! address directory — the role a node manager plays in a production
-//! deployment. The frames clients send an endpoint, server or client,
-//! ride one kept connection, shared by every thread of the process that
-//! writes to it. Each connection gets one connect attempt, and a frame
+//! A deployment binds one OS-assigned port, and every server is
+//! registered there in the deployment's address directory — the role a
+//! node manager plays in a production deployment — so its descriptors do
+//! not grow with its servers. The frames clients send a server ride one
+//! kept connection to that port, and those the runner sends a client one
+//! kept connection to the client's own; each is shared by every thread
+//! of the process that writes to it, and the runner routes a frame by
+//! its `to`. Each connection gets one connect attempt, and a frame
 //! whose connection fails is a counted loss at once; both ends read their
 //! connections with one length-delimited reader. Nothing between a frame
 //! being written and its receiver acting on it is a timer: the runner

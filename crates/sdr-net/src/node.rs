@@ -1,18 +1,18 @@
 //! The servers of a TCP deployment, and the one thread that serves them.
 //!
-//! Each server has its own OS-assigned port. Every endpoint — a server or
-//! a client — gets its frames from clients on one kept link, the writing
-//! end of a connection to its listener that every thread of the process
-//! shares (DESIGN.md decision 13). One runner thread per deployment owns
-//! a [`Cluster`] — the servers, the simulator's queue, fault executor,
-//! `Stats` and trace — with each server's listener and the connections
-//! it accepted.
+//! A deployment binds one listener, on an OS-assigned port, and every
+//! server's directory entry is the one kept link to it; each client has a
+//! listener and a kept link of its own. A link is the writing end of a
+//! connection that every thread of the process shares (DESIGN.md decision
+//! 13). One runner thread per deployment owns a [`Cluster`] — the
+//! servers, the simulator's queue, fault executor, `Stats` and trace —
+//! with the deployment's listener and the connections it accepted.
 //!
-//! A client writes its message on its server's link and queues a post
-//! that says "read the next frame of server X". The runner takes the
-//! posts in order, and each is one run of the simulator's own delivery
-//! loop: it reads the frame, posts it to its `Cluster` and drains it to
-//! quiescence with [`Cluster::drain_with`], through the runner's
+//! A client writes its message on the deployment's link and queues a post
+//! that says "read the next frame". The runner takes the posts in order,
+//! and each is one run of the simulator's own delivery loop: it reads
+//! the frame, posts it to its `Cluster`, which routes it by its `to`, and
+//! drains it to quiescence with [`Cluster::drain_with`], through the runner's
 //! [`Carrier`]. The loop orders every message, draws the fault plan and
 //! takes every server turn; the carrier only moves messages. A message
 //! one server sends another is encoded and its frame decoded again in
@@ -24,8 +24,8 @@
 //! failure at once. The runner and the clients cut the frames of the
 //! connections they accept with one length-delimited decoder, `Frames`.
 //!
-//! A server a split allocates is bound and registered at the first
-//! frame carried to it, before anything reads it. This is the
+//! A server a split allocates is registered at the first frame carried
+//! to it, before anything reads it. This is the
 //! node-manager role a production deployment would delegate to its
 //! orchestrator. No counted frame waits on a clock: the runner wakes
 //! because a client queued a post, a waiting client because
@@ -36,10 +36,10 @@ use crate::wire::{decode_message, encode_message};
 use sdr_core::ids::ClientId;
 use sdr_core::msg::{Endpoint, Message};
 use sdr_core::{Carrier, Cluster, FaultCounts, ServerId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -71,15 +71,15 @@ pub(crate) struct Account {
 }
 
 /// The runner's queue of client posts, and its account of the frames
-/// they name.
+/// they announce.
 #[derive(Debug, Default)]
 pub(crate) struct Queue {
-    /// The servers whose next frame a client posted, oldest first.
-    posts: VecDeque<ServerId>,
-    /// Per server, posts queued minus frames taken. A frame taken before
-    /// its post was queued (an idle sweep can read it first) drives it to
-    /// zero or below; raw frames nobody posted drive it negative.
-    unread: HashMap<ServerId, i64>,
+    /// Posts not yet taken: each says "read the next frame".
+    posts: u64,
+    /// Posts queued minus frames taken. A frame taken before its post was
+    /// queued (an idle sweep can read it first) drives it to zero or
+    /// below; raw frames nobody posted drive it negative.
+    unread: i64,
     /// Whether the runner waits for a post: only then does a client
     /// signal it.
     waiting: bool,
@@ -89,24 +89,41 @@ pub(crate) struct Queue {
 }
 
 impl Queue {
-    fn push(&mut self, to: ServerId) {
-        *self.unread.entry(to).or_default() += 1;
-        self.posts.push_back(to);
+    fn push(&mut self) {
+        self.unread += 1;
+        self.posts += 1;
     }
 
-    /// Books a frame the runner took from `at`'s connections, posted or
-    /// not.
-    fn taken(&mut self, at: ServerId) {
-        *self.unread.entry(at).or_default() -= 1;
+    /// Books a frame the runner took, posted or not.
+    fn taken(&mut self) {
+        self.unread -= 1;
     }
 
-    /// Books a post for `at` whose read found no frame: while a frame is
-    /// still owed there (written, but not readable yet), the post goes
-    /// back to the head, so the queue keeps its order; once a sweep has
-    /// taken that frame, it is dropped.
-    fn missed(&mut self, at: ServerId) {
-        if self.unread.get(&at).is_some_and(|&n| n > 0) {
-            self.posts.push_front(at);
+    /// Books a post whose read found no frame: while a frame is still
+    /// owed (written, but not readable yet), the post is queued again;
+    /// once a sweep has taken that frame, it is dropped.
+    fn missed(&mut self) {
+        self.posts += u64::from(self.unread > 0);
+    }
+}
+
+/// What the runner publishes for clients after each post.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Published {
+    pub servers: usize,
+    /// `Stats::total`: server-addressed messages so far.
+    pub messages: u64,
+    /// The faults the fault plan injected.
+    pub faults: FaultCounts,
+}
+
+impl Published {
+    /// What `cluster` has to publish now.
+    pub fn of(cluster: &Cluster) -> Published {
+        Published {
+            servers: cluster.num_servers(),
+            messages: cluster.stats.total(),
+            faults: cluster.fault_counts(),
         }
     }
 }
@@ -116,14 +133,14 @@ impl Queue {
 #[derive(Debug)]
 pub(crate) struct Deployment {
     /// Address directory: every endpoint's kept link, which knows the
-    /// endpoint's OS-assigned port. Every listener binds port 0 and
-    /// registers here *before* anything can address it. A production
-    /// deployment would get this from its node manager; OS-assigned ports
-    /// make parallel deployments and rapid restarts collision-free (no
-    /// fixed ranges, no `TIME_WAIT` interference).
+    /// OS-assigned port of the listener it connects to. Every server's
+    /// entry is the one link to the deployment's listener; each client
+    /// has its own. Every listener binds port 0 and registers here
+    /// *before* anything can address it. A production deployment would
+    /// get this from its node manager; OS-assigned ports make parallel
+    /// deployments and rapid restarts collision-free (no fixed ranges, no
+    /// `TIME_WAIT` interference).
     pub links: Mutex<HashMap<Endpoint, Arc<Link>>>,
-    /// The number of servers, as the runner last published it.
-    pub servers: AtomicUsize,
     /// Client posts not yet fully handled: each counts from the moment
     /// its client posts it — before its frame is written — until the
     /// runner has drained everything it set off to quiescence, held and
@@ -150,9 +167,10 @@ pub(crate) struct Deployment {
     /// Whether a fault plan runs: only then can a duplicate copy follow
     /// a complete answer.
     pub fault_plan: bool,
-    /// The faults the runner's fault plan injected, as it last published
-    /// them: before it settles each post.
-    pub published_faults: Mutex<FaultCounts>,
+    /// The server count, message total and fault counts, as the runner
+    /// last published them: before it settles each post. Exact once the
+    /// deployment is quiescent.
+    pub published: Mutex<Published>,
     /// Deployment-wide delivery metrics (`None` unless `SDR_METRICS` is
     /// set at launch): frames encoded — written, or carried in memory —
     /// and their bytes. Numeric *values* depend on thread timing — only
@@ -169,10 +187,10 @@ pub(crate) struct Deployment {
     pub runner: Mutex<Option<JoinHandle<Cluster>>>,
 }
 
-/// An endpoint's port, and the writing end of the one connection that
-/// carries its frames: `None` until the first frame, or after a write on
-/// it failed. The lock keeps frames whole when several threads write to
-/// one endpoint.
+/// A listener's port, and the writing end of the one connection that
+/// carries the frames of every endpoint registered with it: `None` until
+/// the first frame, or after a write on it failed. The lock keeps frames
+/// whole when several threads write on one link.
 #[derive(Debug)]
 pub(crate) struct Link {
     port: u16,
@@ -183,8 +201,8 @@ pub(crate) struct Link {
 /// stops reading costs one counted failure, not a hung deployment.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// The runner's first and longest wait for a post before it sweeps every
-/// server's connections. Every counted frame is posted, so they bound
+/// The runner's first and longest wait for a post before it sweeps the
+/// listener's connections. Every counted frame is posted, so they bound
 /// only how late a connection nobody posted on (a raw peer) is read: the
 /// wait doubles while sweeps find nothing, so an idle deployment costs
 /// next to nothing.
@@ -212,19 +230,20 @@ impl Link {
 /// What the runner does next.
 enum Wake {
     Stop,
-    /// Read and serve the next frame of this server.
-    Post(ServerId),
+    /// Read and serve the next frame.
+    Post,
     /// Nothing was posted for a whole idle wait: sweep.
     Idle,
 }
 
 impl Deployment {
     /// Registers an endpoint's port in the directory, with a link that
-    /// opens at its first frame.
-    pub fn register(&self, endpoint: Endpoint, port: u16) {
+    /// opens at its first frame; returns that link.
+    pub fn register(&self, endpoint: Endpoint, port: u16) -> Arc<Link> {
         let stream = Mutex::default();
-        self.links()
-            .insert(endpoint, Arc::new(Link { port, stream }));
+        let link = Arc::new(Link { port, stream });
+        self.links().insert(endpoint, link.clone());
+        link
     }
 
     /// Looks up an endpoint's port.
@@ -233,7 +252,7 @@ impl Deployment {
     }
 
     /// Removes an endpoint and its link from the directory: a client that
-    /// left, or a listener that died mid-run (a fault-injection hook).
+    /// left, or a server that died mid-run (a fault-injection hook).
     pub fn deregister(&self, endpoint: Endpoint) {
         self.links().remove(&endpoint);
     }
@@ -281,11 +300,9 @@ impl Deployment {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The fault counts the runner last published.
-    pub fn published_faults(&self) -> MutexGuard<'_, FaultCounts> {
-        self.published_faults
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    /// What the runner last published.
+    pub fn published(&self) -> MutexGuard<'_, Published> {
+        self.published.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Signals an event, booking a frame just written for `owed_to`.
@@ -308,19 +325,20 @@ impl Deployment {
         waited.unwrap_or_else(|e| e.into_inner()).1.timed_out()
     }
 
-    /// Writes a client's message as one frame on its server's link and
-    /// queues the post for the runner, waking it if it waits. The message
-    /// meets the fault plan at its turn, like every other.
+    /// Writes a client's message as one frame on its server's link — the
+    /// deployment's — and queues the post for the runner, waking it if it
+    /// waits. The message meets the fault plan at its turn, like every
+    /// other.
     pub fn post(&self, msg: &Message) {
-        let Endpoint::Server(to) = msg.to else {
+        if !matches!(msg.to, Endpoint::Server(_)) {
             return;
-        };
+        }
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         if !self.write(msg) {
             return self.add_in_flight(-1);
         }
         let mut queue = self.queue();
-        queue.push(to);
+        queue.push();
         if std::mem::take(&mut queue.waiting) {
             drop(queue);
             self.arrival.notify_one();
@@ -361,8 +379,9 @@ impl Deployment {
             if queue.stop {
                 return Wake::Stop;
             }
-            if let Some(to) = queue.posts.pop_front() {
-                return Wake::Post(to);
+            if queue.posts > 0 {
+                queue.posts -= 1;
+                return Wake::Post;
             }
             if timed_out {
                 return Wake::Idle;
@@ -395,20 +414,6 @@ impl Deployment {
     }
 }
 
-/// One server's listener, and every connection it accepted with the
-/// bytes not yet cut.
-pub(crate) type Inbox = (TcpListener, Vec<(TcpStream, Frames)>);
-
-/// Binds a server's listener and registers its OS-assigned port. Whatever
-/// is sent to it waits in the listener's backlog until the runner reads
-/// it.
-pub(crate) fn bind(deployment: &Deployment, id: ServerId) -> std::io::Result<Inbox> {
-    let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    listener.set_nonblocking(true)?;
-    deployment.register(Endpoint::Server(id), listener.local_addr()?.port());
-    Ok((listener, Vec::new()))
-}
-
 /// Backoff before retrying after a failed `accept`. Transient conditions
 /// (`ECONNABORTED` from a handshake the peer gave up on, `EMFILE`/
 /// `ENFILE` descriptor pressure, `EINTR`) clear themselves; the only
@@ -425,26 +430,35 @@ pub(crate) const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 /// Serves every server of the deployment until the stop flag: takes the
 /// posts of its queue in order, each one run of `cluster`'s delivery
-/// loop, and when nothing was posted for a whole idle wait, sweeps every
-/// server's connections for frames nobody posted. One thread, so the
+/// loop, and when nothing was posted for a whole idle wait, sweeps the
+/// listener's connections for frames nobody posted. Server 0 is
+/// registered on `link`, the kept link to `listener`. One thread, so the
 /// turns form one total order. Returns the cluster.
-pub(crate) fn run(deployment: &Deployment, first: Inbox, mut cluster: Cluster) -> Cluster {
+pub(crate) fn run(
+    deployment: &Deployment,
+    listener: TcpListener,
+    link: Arc<Link>,
+    mut cluster: Cluster,
+) -> Cluster {
     let mut runner = Runner {
         deployment,
-        inboxes: vec![first],
+        listener,
+        inbound: Vec::new(),
+        link,
+        servers: 1,
     };
     let (mut idle, mut consecutive_errors) = (IDLE_FIRST, 0u32);
     loop {
         match deployment.next_wake(idle) {
             Wake::Stop => return cluster,
-            Wake::Post(to) => match runner.serve_next(&mut cluster, to) {
-                Some(Ok(true)) => (idle, consecutive_errors) = (IDLE_FIRST, 0),
-                Some(Ok(false)) => deployment.queue().missed(to),
+            Wake::Post => match runner.serve_next(&mut cluster) {
+                Ok(true) => (idle, consecutive_errors) = (IDLE_FIRST, 0),
+                Ok(false) => deployment.queue().missed(),
                 // Transient accept errors (ECONNABORTED, EMFILE, EINTR,
                 // ...) must not end the runner; retry with bounded
                 // backoff and let only the stop flag end the loop.
-                Some(Err(_)) => {
-                    deployment.queue().missed(to);
+                Err(_) => {
+                    deployment.queue().missed();
                     consecutive_errors = consecutive_errors.saturating_add(1);
                     #[expect(
                         clippy::disallowed_methods,
@@ -452,49 +466,42 @@ pub(crate) fn run(deployment: &Deployment, first: Inbox, mut cluster: Cluster) -
                     )]
                     std::thread::sleep(accept_backoff(consecutive_errors));
                 }
-                None => {}
             },
             Wake::Idle => {
-                let mut found = false;
-                for at in (0..runner.inboxes.len() as u32).map(ServerId) {
-                    while let Some(Ok(true)) = runner.serve_next(&mut cluster, at) {
-                        found = true;
-                    }
+                idle = (idle * 2).min(IDLE_LAST);
+                while let Ok(true) = runner.serve_next(&mut cluster) {
+                    idle = IDLE_FIRST;
                 }
-                idle = if found {
-                    IDLE_FIRST
-                } else {
-                    (idle * 2).min(IDLE_LAST)
-                };
             }
         }
     }
 }
 
-/// The runner's carrier: the listener of every server it bound, with the
-/// connections each accepted.
+/// The runner's carrier: the deployment's listener with the connections
+/// it accepted, and the kept link to it that servers register with.
 struct Runner<'a> {
     deployment: &'a Deployment,
-    /// Server `i`'s inbox at index `i`.
-    inboxes: Vec<Inbox>,
+    listener: TcpListener,
+    inbound: Vec<(TcpStream, Frames)>,
+    link: Arc<Link>,
+    /// Servers registered so far: the next one a split allocates is
+    /// `ServerId(servers)`.
+    servers: u32,
 }
 
 impl Runner<'_> {
-    /// Reads the next frame `at`'s connections hold and serves it: posts
-    /// it to `cluster`, drains that to quiescence through this carrier,
-    /// books the refusals, publishes the server and fault counts and
-    /// settles the post. `None` if no such server is bound, else whether
-    /// there was a frame. A frame that does not decode is lost: counted,
-    /// and settled like any post instead of leaking its sender's
-    /// `in_flight`.
-    fn serve_next(&mut self, cluster: &mut Cluster, at: ServerId) -> Option<std::io::Result<bool>> {
-        let (listener, inbound) = self.inboxes.get_mut(at.0 as usize)?;
-        let frame = match next_frame(listener, inbound, true) {
-            Ok(Some(frame)) => frame,
-            other => return Some(other.map(|_| false)),
+    /// Reads the next frame the listener's connections hold and serves
+    /// it: posts it to `cluster`, which routes it by its `to`, drains that
+    /// to quiescence through this carrier, books the refusals, publishes
+    /// the server count, message total and fault counts and settles the
+    /// post. Whether there was a frame. A frame that does not decode is
+    /// lost: counted, and settled like any post instead of leaking its
+    /// sender's `in_flight`.
+    fn serve_next(&mut self, cluster: &mut Cluster) -> std::io::Result<bool> {
+        let Some(frame) = next_frame(&self.listener, &mut self.inbound, true)? else {
+            return Ok(false);
         };
-        let deployment = self.deployment;
-        deployment.queue().taken(at);
+        self.deployment.queue().taken();
         match frame {
             Some(msg) => {
                 let refused = cluster.stats.refused();
@@ -503,17 +510,14 @@ impl Runner<'_> {
                 // A refused message changed nothing: book it like a frame
                 // that could not be read.
                 for _ in refused..cluster.stats.refused() {
-                    deployment.record_delivery_failure(None);
+                    self.deployment.record_delivery_failure(None);
                 }
             }
-            None => deployment.record_delivery_failure(None),
+            None => self.deployment.record_delivery_failure(None),
         }
-        deployment
-            .servers
-            .store(cluster.num_servers(), Ordering::SeqCst);
-        *deployment.published_faults() = cluster.fault_counts();
-        deployment.add_in_flight(-1);
-        Some(Ok(true))
+        *self.deployment.published() = Published::of(cluster);
+        self.deployment.add_in_flight(-1);
+        Ok(true)
     }
 }
 
@@ -522,14 +526,12 @@ impl Carrier for Runner<'_> {
     /// serves both ends, so the frame never needs a socket, yet the
     /// message crosses the codec as a client's does. The directory on
     /// every frame: a server `deregister_server` removed fails at once. A
-    /// server a split allocated is bound at the first frame for it, its
-    /// `SplitCreate`.
+    /// server a split allocated is registered at the first frame for it,
+    /// its `SplitCreate`.
     fn carry(&mut self, msg: Message) -> Option<Message> {
-        // A listener that cannot be bound leaves its server out of the
-        // directory, so its frames are counted losses.
-        let next = ServerId(self.inboxes.len() as u32);
-        if msg.to == Endpoint::Server(next) {
-            self.inboxes.extend(bind(self.deployment, next).ok());
+        if msg.to == Endpoint::Server(ServerId(self.servers)) {
+            self.servers += 1;
+            self.deployment.links().insert(msg.to, self.link.clone());
         }
         let frame = self.deployment.frame(&msg);
         let known = self.deployment.lookup(msg.to).is_some();
@@ -715,29 +717,26 @@ mod tests {
     /// An idle sweep can read a frame before its writer has queued its
     /// post; the post then finds nothing to read and must be dropped, not
     /// retried — retrying it spun the runner on a frame that was gone. A
-    /// frame posted but not yet readable is retried at the head, ahead of
-    /// what was posted after it.
+    /// post whose frame is written but not yet readable is retried.
     #[test]
     fn an_announcement_whose_frame_a_sweep_took_is_dropped() {
-        let (early, late) = (ServerId(3), ServerId(4));
         let mut queue = Queue::default();
-        queue.taken(early);
-        queue.push(early);
-        assert_eq!(queue.posts.pop_front(), Some(early));
-        queue.missed(early);
-        assert!(queue.posts.is_empty(), "a taken frame was retried");
+        queue.taken();
+        queue.push();
+        // The runner takes the post, and its read finds nothing.
+        queue.posts -= 1;
+        queue.missed();
+        assert_eq!(queue.posts, 0, "a taken frame was retried");
 
-        queue.push(late);
-        queue.push(early);
-        assert_eq!(queue.posts.pop_front(), Some(late));
-        queue.missed(late);
-        let retried = queue.posts.pop_front();
-        assert_eq!(retried, Some(late), "not retried first");
-        queue.taken(late);
-        queue.taken(early);
-        assert_eq!(queue.posts.pop_front(), Some(early));
-        // Both accounts are settled: the next frames are queued anew.
-        assert_eq!(queue.unread.values().sum::<i64>(), 0);
+        queue.push();
+        queue.push();
+        queue.posts -= 1;
+        queue.missed();
+        assert_eq!(queue.posts, 2, "a frame not yet readable was dropped");
+        queue.taken();
+        queue.taken();
+        // The account is settled: the next frames are queued anew.
+        assert_eq!(queue.unread, 0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! `NetCluster::into_cluster`, and the invariants are checked on it.
 
 use sdr_core::{
-    Client, ClientId, Cluster, FaultPlan, MsgCategory, Object, Oid, QueryKind, SdrConfig, Stats,
-    Variant,
+    Client, ClientId, Cluster, FaultCounts, FaultPlan, MsgCategory, Object, Oid, QueryKind,
+    SdrConfig, Stats, Variant,
 };
 use sdr_geom::{Point, Rect};
 use sdr_net::{NetClient, NetCluster};
@@ -100,10 +100,17 @@ fn simulate(capacity: usize, ops: &[Op], faults: Option<(&FaultPlan, u64)>) -> C
     cluster
 }
 
+/// What a deployment reported, and the cluster it handed back.
+struct Deployed {
+    delivery_failures: u64,
+    fault_counts: FaultCounts,
+    cluster: Cluster,
+}
+
 /// Runs `ops` on a TCP deployment and hands its servers back. An
 /// operation a fault failed still quiesces fully before the next starts,
 /// as the simulator's drain does.
-fn deploy(capacity: usize, ops: &[Op], faults: Option<(&FaultPlan, u64)>) -> NetCluster {
+fn deploy(capacity: usize, ops: &[Op], faults: Option<(&FaultPlan, u64)>) -> Deployed {
     let config = SdrConfig::with_capacity(capacity);
     let net = match faults {
         Some((plan, seed)) => NetCluster::launch_with_faults(config, plan, seed),
@@ -123,14 +130,23 @@ fn deploy(capacity: usize, ops: &[Op], faults: Option<(&FaultPlan, u64)>) -> Net
         }
         while client.quiesce().is_err() {}
     }
-    net
+    let (delivery_failures, fault_counts) = (net.delivery_failures(), net.fault_counts());
+    // Quiescent after every operation, so the published total is exact.
+    let messages = net.messages();
+    let cluster = net.into_cluster();
+    assert_eq!(messages, cluster.stats.total(), "published message total");
+    Deployed {
+        delivery_failures,
+        fault_counts,
+        cluster,
+    }
 }
 
 fn differential(capacity: usize, ops: &[Op]) {
     let sim = outcome(&mut simulate(capacity, ops, None));
-    let net = deploy(capacity, ops, None);
-    assert_eq!(net.delivery_failures(), 0);
-    assert_eq!(outcome(&mut net.into_cluster()), sim);
+    let mut net = deploy(capacity, ops, None);
+    assert_eq!(net.delivery_failures, 0);
+    assert_eq!(outcome(&mut net.cluster), sim);
     assert_eq!(sim.refused, 0);
 }
 
@@ -183,12 +199,12 @@ fn chaos_differential(ops: &[Op]) {
     let plan = mixed_plan();
     let faults = Some((&plan, 0xFA57));
     let mut sim = simulate(30, ops, faults);
-    let net = deploy(30, ops, faults);
-    let counts = net.fault_counts();
+    let mut net = deploy(30, ops, faults);
+    let counts = net.fault_counts;
     assert!(counts.total() > 0, "no fault injected");
-    assert!(net.delivery_failures() > 0, "no loss was reported");
+    assert!(net.delivery_failures > 0, "no loss was reported");
     assert_eq!(counts, sim.fault_counts());
-    assert_eq!(outcome(&mut net.into_cluster()), outcome(&mut sim));
+    assert_eq!(outcome(&mut net.cluster), outcome(&mut sim));
 }
 
 /// One plan and seed inject the same faults on both substrates, and the

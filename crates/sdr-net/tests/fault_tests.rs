@@ -19,7 +19,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Writes a raw frame nobody counted — `prefix` as the length, then
-/// `body` — to server 0, and waits until the node has booked it.
+/// `body` — to server 0's port, which is the deployment's one listener,
+/// and waits until the runner has booked it.
 fn raw_frame_is_counted(cluster: &NetCluster, prefix: [u8; 4], body: &[u8]) {
     let before = cluster.delivery_failures();
     let port = cluster.server_port(ServerId(0)).expect("server 0 bound");
@@ -176,7 +177,8 @@ fn refused_frame_is_counted_and_the_node_serves_on() {
     });
     assert_eq!((cluster.delivery_failures(), cluster.in_flight()), (1, -1));
 
-    // A client connecting now starts at server 0, whose thread is alive.
+    // A client connecting now starts at server 0, and the runner serves
+    // it.
     let mut late = NetClient::connect(&cluster).unwrap();
     late.insert(obj).unwrap();
     assert_eq!(
@@ -192,11 +194,12 @@ fn refused_frame_is_counted_and_the_node_serves_on() {
     );
 }
 
-/// Bug 2+4 regression: a listener dying mid-run used to mean 50 connect
-/// attempts, an `eprintln!`, a silently dropped message, and a client
-/// stuck until its timeout misreported the cause. Now the frame's one
-/// failed lookup increments the delivery-failure counter and the client
-/// fails fast with `Undeliverable`.
+/// Bug 2+4 regression: a server's listener dying mid-run (now a server
+/// leaving the directory: a deployment has one listener) used to mean 50
+/// connect attempts, an `eprintln!`, a silently dropped message, and a
+/// client stuck until its timeout misreported the cause. Now the frame's
+/// one failed lookup increments the delivery-failure counter and the
+/// client fails fast with `Undeliverable`.
 #[test]
 fn dead_listener_reports_undeliverable_not_timeout() {
     let cluster = NetCluster::launch(SdrConfig::with_capacity(20)).unwrap();
@@ -719,9 +722,10 @@ fn a_message_a_node_sends_itself_meets_the_fault_plan() {
     assert_eq!(served.structure_hash(), sim.structure_hash());
 }
 
-/// A raw connection that stops mid-frame does not hold its node: the node
-/// reads every connection without blocking, so the frames on its kept
-/// link are handled beside the stalled one. A node that read each
+/// A raw connection that stops mid-frame does not hold its node: the
+/// runner reads every connection to the deployment's listener without
+/// blocking, so the frames on the kept link are handled beside the
+/// stalled one. A node that read each
 /// connection to its end was stuck on it for the 5 s read timeout, and
 /// the insert waiting behind it failed as `Undeliverable`. Once the
 /// stalled connection closes, its cut-short frame is one counted loss.

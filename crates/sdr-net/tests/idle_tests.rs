@@ -1,8 +1,9 @@
 //! An idle deployment costs next to no CPU: its one runner waits for an
-//! entry of its queue, and the timeout after which it sweeps every server
-//! for a connection nobody queued a frame for doubles while nothing
-//! arrives. One test
-//! function, so this process holds only this deployment.
+//! entry of its queue, and the timeout after which it sweeps the
+//! deployment's listener for a connection nobody queued a frame for
+//! doubles while nothing arrives. Nor do its descriptors grow with its
+//! servers: every server's frames reach the runner through one listener.
+//! One test function, so this process holds only this deployment.
 
 use sdr_core::{Object, Oid, SdrConfig};
 use sdr_geom::Rect;
@@ -20,8 +21,14 @@ fn cpu_time() -> Option<Duration> {
     Some(Duration::from_millis((ticks(11)? + ticks(12)?) * 10))
 }
 
+/// The file descriptors this process holds (`None` off Linux).
+fn descriptors() -> Option<usize> {
+    Some(std::fs::read_dir("/proc/self/fd").ok()?.count())
+}
+
 #[test]
 fn a_hundred_idle_servers_use_under_a_tenth_of_a_core() {
+    let launched = descriptors();
     let cluster = NetCluster::launch(SdrConfig::with_capacity(10)).unwrap();
     let mut client = NetClient::connect(&cluster).unwrap();
     for i in 0..800u64 {
@@ -32,6 +39,15 @@ fn a_hundred_idle_servers_use_under_a_tenth_of_a_core() {
     client.quiesce().unwrap();
     let servers = cluster.num_servers();
     assert!(servers >= 100, "expected ≥ 100 servers, got {servers}");
+    // The deployment's listener, the connection it accepted and its kept
+    // link, and the same three for the client: none per server.
+    if let (Some(launched), Some(grown)) = (launched, descriptors()) {
+        assert!(
+            grown <= launched + 8,
+            "{servers} servers hold {} descriptors more than at launch",
+            grown - launched
+        );
+    }
 
     let Some(before) = cpu_time() else {
         return cluster.shutdown();

@@ -74,6 +74,6 @@ fn shutdown_joins_every_node_and_is_idempotent() {
     assert_eq!(
         deployment_threads_after_join(),
         0,
-        "a deregistered node leaked"
+        "a deregistered server kept the runner from being joined"
     );
 }
