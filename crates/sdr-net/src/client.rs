@@ -6,8 +6,9 @@
 //! reply listener, a post to the runner's queue, receive-until-deadline,
 //! quiescence, and the mapping of delivery failures to [`NetError`]. A
 //! client never touches the fault plan: its messages meet it at their
-//! turn in the runner. Every wait is a slice on the deployment's wake-up
-//! signal, which the runner cuts short. A client
+//! turn in the runner. Every wait is on the deployment's wake-up signal,
+//! for a change in what this client is owed, in the failures it sees or,
+//! to quiesce, in `in_flight`; the runner raises it. A client
 //! sees the losses of frames addressed to it and the losses of frames
 //! bound for servers, never another client's.
 //!
@@ -20,10 +21,10 @@
 //! once it is whole, and the backlog is taken only when a frame is owed
 //! or a wait slice ran out.
 
-use crate::node::{next_frame, Account, Deployment, Frames};
+use crate::node::{next_frame, Account, Deployment, Frames, Link, State};
 use crate::NetCluster;
 use sdr_core::ids::ClientId;
-use sdr_core::msg::{Endpoint, Message, QueryKind};
+use sdr_core::msg::{Message, QueryKind};
 use sdr_core::{Client, Fold, Image, Object, Transport, Variant};
 use sdr_geom::{Point, Rect};
 use std::cell::{Cell, RefCell};
@@ -79,7 +80,7 @@ struct Wire {
     id: ClientId,
     listener: TcpListener,
     deployment: Arc<Deployment>,
-    /// The delivery failures this client sees (`Deployment::failures_for`)
+    /// The delivery failures this client sees (`State::failures_for`)
     /// as of the last check, so each client reports an advance exactly
     /// once (in a `Cell`: checks happen inside `&self` receive/quiesce
     /// loops).
@@ -101,10 +102,17 @@ impl NetClient {
         let deployment = cluster.deployment.clone();
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         listener.set_nonblocking(true)?;
-        deployment.events().clients.insert(id, Account::default());
         // The link itself opens at the first frame for this client.
-        deployment.register(Endpoint::Client(id), listener.local_addr()?.port());
-        let failures_seen = Cell::new(deployment.failures_for(id));
+        let link = Arc::new(Link::new(listener.local_addr()?.port()));
+        let account = Account {
+            link,
+            owed: 0,
+            lost: 0,
+        };
+        let mut state = deployment.state();
+        state.clients.insert(id, account);
+        let failures_seen = Cell::new(state.failures_for(id));
+        drop(state);
         Ok(NetClient {
             core: Client::new(id, Variant::ImClient, 0),
             wire: Wire {
@@ -200,12 +208,11 @@ impl Wire {
         }
     }
 
-    /// Fails fast if the deployment recorded new delivery failures this
-    /// client sees since it last checked: the current operation may have
-    /// lost a message, and waiting for a timeout would misattribute the
-    /// cause.
-    fn check_failures(&self) -> Result<(), NetError> {
-        let now = self.deployment.failures_for(self.id);
+    /// Fails fast if `state` holds new delivery failures this client
+    /// sees since it last checked: the current operation may have lost a
+    /// message, and waiting for a timeout would misattribute the cause.
+    fn check_failures(&self, state: &State) -> Result<(), NetError> {
+        let now = state.failures_for(self.id);
         if now != self.failures_seen.replace(now) {
             return Err(NetError::Undeliverable);
         }
@@ -213,11 +220,7 @@ impl Wire {
     }
 
     fn owed(&self) -> i64 {
-        self.deployment
-            .events()
-            .clients
-            .get(&self.id)
-            .map_or(0, |a| a.owed)
+        self.deployment.state().owed(self.id)
     }
 
     /// Waits for the next reply frame addressed to this client.
@@ -226,12 +229,12 @@ impl Wire {
         // hold a connection nobody counted a frame on.
         let mut sliced = false;
         loop {
-            // Before reading: a frame written after it ends the wait below.
-            let seen = self.deployment.events().seq;
-            let accept = sliced || self.owed() > 0;
+            // Before reading: a frame booked after it ends the wait below.
+            let owed = self.owed();
+            let accept = sliced || owed > 0;
             match next_frame(&self.listener, &mut self.inbound.borrow_mut(), accept) {
                 Ok(Some(Some(msg))) => {
-                    if let Some(account) = self.deployment.events().clients.get_mut(&self.id) {
+                    if let Some(account) = self.deployment.state().clients.get_mut(&self.id) {
                         account.owed -= 1;
                     }
                     return Ok(msg);
@@ -242,14 +245,18 @@ impl Wire {
                 // here) instead of as `Timeout` ten seconds on.
                 Ok(Some(None)) => {
                     self.deployment.record_delivery_failure(Some(self.id));
-                    self.check_failures()?;
+                    self.check_failures(&self.deployment.state())?;
                 }
                 Ok(None) => {
-                    self.check_failures()?;
+                    let state = self.deployment.state();
+                    self.check_failures(&state)?;
                     if Instant::now() > deadline {
                         return Err(NetError::Timeout);
                     }
-                    sliced = self.deployment.wait(seen, WAIT_SLICE);
+                    let seen = self.failures_seen.get();
+                    let idle =
+                        |s: &mut State| s.owed(self.id) == owed && s.failures_for(self.id) == seen;
+                    sliced = self.deployment.wait_while(state, WAIT_SLICE, idle).1;
                 }
                 Err(e) => return Err(NetError::Io(e)),
             }
@@ -258,10 +265,9 @@ impl Wire {
 }
 
 impl Drop for Wire {
-    /// A client that is gone leaves the directory and the accounts.
+    /// A client that is gone leaves the accounts, and its link with them.
     fn drop(&mut self) {
-        self.deployment.deregister(Endpoint::Client(self.id));
-        self.deployment.events().clients.remove(&self.id);
+        self.deployment.state().clients.remove(&self.id);
     }
 }
 
@@ -270,24 +276,22 @@ impl Session<'_> {
         self.quiesce_until(Instant::now() + self.timeout)
     }
 
+    /// Waits until nothing is in flight, or this client has a failure to
+    /// see. The runner drains its cluster to quiescence before it settles
+    /// a post, so zero also means nothing is held or deferred.
     fn quiesce_until(&self, deadline: Instant) -> Result<(), NetError> {
-        let deployment = &self.wire.deployment;
-        loop {
-            let seen = deployment.events().seq;
-            // Loaded before the check: the runner records a failure before
-            // it settles `in_flight`, so zero here means the check sees it.
-            // It drains its cluster to quiescence before it settles a post,
-            // so zero also means nothing is held or deferred.
-            let busy = deployment.in_flight.load(Ordering::SeqCst) > 0;
-            self.wire.check_failures()?;
-            if !busy {
-                return Ok(());
-            }
-            if Instant::now() > deadline {
-                return Err(NetError::Timeout);
-            }
-            deployment.wait(seen, WAIT_SLICE);
+        let wire = self.wire;
+        let seen = wire.failures_seen.get();
+        let busy = |s: &mut State| s.in_flight > 0 && s.failures_for(wire.id) == seen;
+        let left = deadline.saturating_duration_since(Instant::now());
+        let (state, _) = wire
+            .deployment
+            .wait_while(wire.deployment.state(), left, busy);
+        wire.check_failures(&state)?;
+        if state.in_flight > 0 {
+            return Err(NetError::Timeout);
         }
+        Ok(())
     }
 
     /// Feeds `fold` every frame this client is owed. Exact once nothing
@@ -337,7 +341,7 @@ impl Transport for Session<'_> {
     /// What the runner last published: exact once the deployment is
     /// quiescent, as [`NetCluster::messages`] says.
     fn messages(&self) -> u64 {
-        self.wire.deployment.published().messages
+        self.wire.deployment.state().published.messages
     }
 
     fn exchange(&mut self, msg: Message, fold: &mut Fold<'_>) -> Result<(), NetError> {
@@ -375,8 +379,7 @@ mod tests {
     fn truncated_reply_frame_is_undeliverable_not_timeout() {
         let cluster = NetCluster::launch(sdr_core::SdrConfig::with_capacity(10)).unwrap();
         let client = NetClient::connect(&cluster).unwrap();
-        let me = Endpoint::Client(client.core.id);
-        let port = client.wire.deployment.lookup(me).expect("registered");
+        let port = client.reply_port().unwrap();
         let mut raw = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
         raw.write_all(&64u32.to_be_bytes()).unwrap();
         raw.write_all(&[1, 2, 3]).unwrap();

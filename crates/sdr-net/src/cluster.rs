@@ -3,22 +3,19 @@
 //! connections, and shuts the whole deployment down — or hands that
 //! cluster back.
 
-use crate::node::{run, Deployment, Published};
-use sdr_core::msg::Endpoint;
+use crate::node::{run, Deployment, Link, Published, State};
 use sdr_core::{Cluster, FaultCounts, FaultPlan, SdrConfig, ServerId};
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A running TCP deployment of the SD-Rtree on localhost.
 ///
 /// The deployment listens on one OS-assigned port, and every server's
-/// entry in its address directory names it: one runner thread reads
-/// every frame sent there and serves every server. It owns the
-/// deployment's [`Cluster`], which routes each frame by its `to`, and
-/// registers each new server as a split allocates it. The manager binds
-/// the listener, registers server 0, starts the runner and owns the stop
-/// flag.
+/// frames ride one kept link to it: one runner thread reads every frame
+/// sent there and serves every server. It owns the deployment's
+/// [`Cluster`], which routes each frame by its `to` and allocates each
+/// new server at a split. The manager binds the listener, starts the
+/// runner and owns the stop flag.
 #[derive(Debug)]
 pub struct NetCluster {
     pub(crate) deployment: Arc<Deployment>,
@@ -46,28 +43,25 @@ impl NetCluster {
     }
 
     fn start(cluster: Cluster, fault_plan: bool) -> std::io::Result<NetCluster> {
-        let deployment = Arc::new(Deployment {
-            in_flight: std::sync::atomic::AtomicI64::new(0),
-            delivery_failures: AtomicU64::new(0),
-            fault_plan,
-            published: Mutex::new(Published::of(&cluster)),
-            metrics: sdr_obs::Obs::from_env().take_metrics().map(Mutex::new),
-            events: Default::default(),
-            wakeup: Default::default(),
-            queue: Default::default(),
-            arrival: Default::default(),
-            runner: Default::default(),
-            links: Default::default(),
-        });
         // The deployment's one listener, and its one runner thread.
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         listener.set_nonblocking(true)?;
-        let port = listener.local_addr()?.port();
-        let link = deployment.register(Endpoint::Server(ServerId(0)), port);
+        let deployment = Arc::new(Deployment {
+            link: Link::new(listener.local_addr()?.port()),
+            fault_plan,
+            metrics: sdr_obs::Obs::from_env().take_metrics().map(Mutex::new),
+            state: Mutex::new(State {
+                published: Published::of(&cluster),
+                ..State::default()
+            }),
+            wakeup: Default::default(),
+            arrival: Default::default(),
+            runner: Default::default(),
+        });
         let shared = deployment.clone();
         let runner = std::thread::Builder::new()
             .name("sdr-runner".into())
-            .spawn(move || run(&shared, listener, link, cluster))?;
+            .spawn(move || run(&shared, listener, cluster))?;
         *deployment.runner.lock().unwrap_or_else(|e| e.into_inner()) = Some(runner);
         Ok(NetCluster { deployment })
     }
@@ -75,7 +69,7 @@ impl NetCluster {
     /// Number of servers, as the runner last published it: after a
     /// quiesce, every server allocated so far.
     pub fn num_servers(&self) -> usize {
-        self.deployment.published().servers
+        self.deployment.state().published.servers
     }
 
     /// Server-addressed messages so far (`Stats::total`, the paper's cost
@@ -85,13 +79,13 @@ impl NetCluster {
     /// last report, which can come before the runner publishes the total
     /// of the post it set off.
     pub fn messages(&self) -> u64 {
-        self.deployment.published().messages
+        self.deployment.state().published.messages
     }
 
     /// Monotonic count of delivery failures: undeliverable frames,
     /// truncated/undecodable inbound frames, and fault-injected losses.
     pub fn delivery_failures(&self) -> u64 {
-        self.deployment.delivery_failures.load(Ordering::SeqCst)
+        self.deployment.state().failures
     }
 
     /// Client posts currently in flight: posted, and not yet drained to
@@ -99,7 +93,7 @@ impl NetCluster {
     /// (negative transients only occur when raw, unsolicited frames hit
     /// the deployment's listener).
     pub fn in_flight(&self) -> i64 {
-        self.deployment.in_flight.load(Ordering::SeqCst)
+        self.deployment.state().in_flight
     }
 
     /// A sorted `(key, value)` snapshot of the delivery metrics, if
@@ -111,25 +105,28 @@ impl NetCluster {
     /// The faults injected so far (all zero without a fault plan), as
     /// the runner published them before it settled its last post.
     pub fn fault_counts(&self) -> FaultCounts {
-        self.deployment.published().faults
+        self.deployment.state().published.faults
     }
 
-    /// The port a server's frames are sent to, if it is registered: the
-    /// deployment's one listener, for every server. Exposed for fault
-    /// tests that talk raw TCP to a node.
+    /// The port a server's frames are sent to — the deployment's one
+    /// listener, for every server — if a split allocated it, by the count
+    /// the runner last published, and `deregister_server` did not take it
+    /// down. Exposed for fault tests that talk raw TCP to a node.
     pub fn server_port(&self, id: ServerId) -> Option<u16> {
-        self.deployment.lookup(Endpoint::Server(id))
+        let state = self.deployment.state();
+        let up = (id.0 as usize) < state.published.servers && !state.down.contains(&id);
+        up.then_some(self.deployment.link.port)
     }
 
-    /// Removes a server from the address directory, simulating a server
-    /// that died mid-run: each later message to it fails its one lookup
-    /// and surfaces as a delivery failure.
+    /// Takes a server down, simulating a server that died mid-run: each
+    /// later frame for it, a client's post or a carry, fails at once and
+    /// surfaces as a delivery failure.
     pub fn deregister_server(&self, id: ServerId) {
-        self.deployment.deregister(Endpoint::Server(id));
+        self.deployment.state().down.insert(id);
     }
 
-    /// Stops the runner, which serves every server ever registered (also
-    /// those `deregister_server` hid from the directory), and joins it;
+    /// Stops the runner, which serves every server a split allocated
+    /// (also those `deregister_server` took down), and joins it;
     /// the deployment's listener closes with it. A second call, or the
     /// `Drop` after an explicit one, finds no runner left and returns at
     /// once.

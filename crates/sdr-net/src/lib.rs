@@ -16,27 +16,27 @@
 //!   sends another and decodes it again in memory, and writes what a
 //!   server sends a client on that client's link.
 //! * [`cluster`] — a process-local deployment manager that binds the
-//!   deployment's one listener, registers server 0 there, starts the
-//!   runner, and on shutdown stops and joins it — or hands its cluster
-//!   back.
+//!   deployment's one listener, starts the runner, and on shutdown stops
+//!   and joins it — or hands its cluster back.
 //! * [`client`] — a TCP client component (the IMCLIENT variant): the
 //!   socket [`sdr_core::Transport`] under `sdr-core`'s client core, which
 //!   owns the image, addressing and the termination protocol of §4.3.
 //!
-//! A deployment binds one OS-assigned port, and every server is
-//! registered there in the deployment's address directory — the role a
-//! node manager plays in a production deployment — so its descriptors do
-//! not grow with its servers. The frames clients send a server ride one
-//! kept connection to that port, and those the runner sends a client one
-//! kept connection to the client's own; each is shared by every thread
-//! of the process that writes to it, and the runner routes a frame by
-//! its `to`. Each connection gets one connect attempt, and a frame
-//! whose connection fails is a counted loss at once; both ends read their
-//! connections with one length-delimited reader. Nothing between a frame
-//! being written and its receiver acting on it is a timer: the runner
-//! waits on one queue clients post their frames to, clients on a
-//! wake-up signal the runner raises, and an insert reads exactly the
-//! acknowledgment frames it is owed (DESIGN.md decision 13). Concurrency
+//! A deployment binds one OS-assigned port, which every server shares, so
+//! its descriptors do not grow with its servers; which servers exist is
+//! the cluster's to say, as a node manager's would be in a production
+//! deployment. The frames clients send a server ride one kept
+//! connection to that port, and those the runner sends a client one kept
+//! connection to the client's own; each is shared by every thread of the
+//! process that writes to it, and the runner routes a frame by its `to`.
+//! Each connection gets one connect attempt, and a frame whose connection
+//! fails, or whose server is down, is a counted loss at once; both ends
+//! read their connections with one length-delimited reader. What the
+//! runner and the clients share is one state under one lock. Nothing
+//! between a frame being written and its receiver acting on it is a
+//! timer: the runner waits on that lock for a post, clients for what
+//! their checks read, and an insert reads exactly the acknowledgment
+//! frames it is owed (DESIGN.md decision 13). Concurrency
 //! control is out of scope, as the paper itself lists it as open (§6):
 //! one thread drains each client post to quiescence before it takes the
 //! next, so the turns form one total order, and clients quiesce between

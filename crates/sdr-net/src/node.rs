@@ -1,12 +1,13 @@
 //! The servers of a TCP deployment, and the one thread that serves them.
 //!
-//! A deployment binds one listener, on an OS-assigned port, and every
-//! server's directory entry is the one kept link to it; each client has a
-//! listener and a kept link of its own. A link is the writing end of a
-//! connection that every thread of the process shares (DESIGN.md decision
-//! 13). One runner thread per deployment owns a [`Cluster`] — the
-//! servers, the simulator's queue, fault executor, `Stats` and trace —
-//! with the deployment's listener and the connections it accepted.
+//! A deployment binds one listener, on an OS-assigned port, and the
+//! frames for every server ride the one kept link to it; each client has
+//! a listener and a kept link of its own, kept in its account. A link is
+//! the writing end of a connection that every thread of the process
+//! shares (DESIGN.md decision 13). One runner thread per deployment owns
+//! a [`Cluster`] — the servers, the simulator's queue, fault executor,
+//! `Stats` and trace — with the deployment's listener and the
+//! connections it accepted.
 //!
 //! A client writes its message on the deployment's link and queues a post
 //! that says "read the next frame". The runner takes the posts in order,
@@ -19,48 +20,102 @@
 //! memory, since the runner serves both ends; a client-bound one is
 //! written on the client's link at its turn. So one client's operations
 //! meet the same order, draws, counts and trace on both substrates. A
-//! link that fails gets one connect: an endpoint missing from the
-//! directory, a refused connect or a failed write is a counted delivery
-//! failure at once. The runner and the clients cut the frames of the
-//! connections they accept with one length-delimited decoder, `Frames`.
+//! link that fails gets one connect: a frame for a server that is down or
+//! a client that left, a refused connect or a failed write is a counted
+//! delivery failure at once. The runner and the clients cut the frames of
+//! the connections they accept with one length-delimited decoder,
+//! `Frames`.
 //!
-//! A server a split allocates is registered at the first frame carried
-//! to it, before anything reads it. This is the
-//! node-manager role a production deployment would delegate to its
-//! orchestrator. No counted frame waits on a clock: the runner wakes
-//! because a client queued a post, a waiting client because
-//! `Deployment::notify` said so (DESIGN.md 13).
+//! Which servers exist is the cluster's: a split allocates one, and the
+//! runner publishes the count. This is the node-manager role a production
+//! deployment would delegate to its orchestrator. Everything the runner
+//! and the clients share is one `State` under one lock, and each waits
+//! on that lock for a predicate over it, so no counted frame waits on a
+//! clock: the runner for a post, a client for a frame it is owed, a
+//! failure it has to see or `in_flight` to drain (DESIGN.md 13).
 
 use crate::buf::ReadBuf;
 use crate::wire::{decode_message, encode_message};
 use sdr_core::ids::ClientId;
 use sdr_core::msg::{Endpoint, Message};
 use sdr_core::{Carrier, Cluster, FaultCounts, ServerId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// What a waiting client blocks on instead of polling; process-local,
-/// like `in_flight` and `delivery_failures` (DESIGN.md decision 13).
+/// Everything the runner and the clients of a deployment share, under its
+/// one lock; process-local (DESIGN.md decision 13).
 #[derive(Debug, Default)]
-pub(crate) struct Events {
-    /// Bumped whenever `in_flight` drains, a delivery failure is recorded
-    /// or a client-bound frame has been written.
-    pub seq: u64,
+pub(crate) struct State {
+    /// Every connected client's account: the directory of client
+    /// endpoints.
+    pub clients: HashMap<ClientId, Account>,
+    /// The servers `deregister_server` took down: a frame for one fails
+    /// at its post or at its carry.
+    pub down: HashSet<ServerId>,
+    /// Client posts not yet fully handled: each counts from the moment
+    /// its client posts it — before its frame is written — until the
+    /// runner has drained everything it set off to quiescence, held and
+    /// deferred messages included. Clients wait for this to drop to zero
+    /// between operations ([`crate::NetClient::quiesce`]), reproducing
+    /// the simulator's sequential-operation semantics over real sockets —
+    /// overlapping maintenance chains are exactly the concurrency problem
+    /// the paper leaves open (§6). Raw frames nobody posted are settled
+    /// without an increment and push the count transiently below zero,
+    /// which is why quiescence tests `> 0`, not `!= 0`.
+    pub in_flight: i64,
+    /// Monotonic count of messages this deployment failed to deliver:
+    /// frames whose one connection could not be opened or written,
+    /// frames for a server that is down or a client that left, frames
+    /// that arrived truncated/undecodable, refused messages and
+    /// fault-injected losses. Each is also booked to the client it was
+    /// addressed to, or else to every client (`lost`); a client's next
+    /// check reports what was booked to it as
+    /// [`crate::client::NetError::Undeliverable`] instead of a silent
+    /// drop or a hang-until-timeout.
+    pub failures: u64,
     /// Delivery failures booked to no one client: every client's next
     /// check sees them.
     pub lost: u64,
-    /// Every connected client's account.
-    pub clients: HashMap<ClientId, Account>,
+    /// The server count, message total and fault counts, as the runner
+    /// last published them: when it settles each post. Exact once the
+    /// deployment is quiescent.
+    pub published: Published,
+    /// The runner's queue of client posts.
+    pub queue: Queue,
 }
 
-/// What the deployment owes one client.
-#[derive(Debug, Default)]
+impl State {
+    /// Counts one failed delivery, booked to `client` (if it is still
+    /// connected), or with `None` to every client.
+    fn book_failure(&mut self, client: Option<ClientId>) {
+        self.failures += 1;
+        match client {
+            Some(client) => self.clients.get_mut(&client).map_or((), |a| a.lost += 1),
+            None => self.lost += 1,
+        }
+    }
+
+    /// The delivery failures `client` has to see: those booked to every
+    /// client and those booked to it.
+    pub fn failures_for(&self, client: ClientId) -> u64 {
+        self.lost + self.clients.get(&client).map_or(0, |a| a.lost)
+    }
+
+    /// What the deployment owes `client`; see [`Account::owed`].
+    pub fn owed(&self, client: ClientId) -> i64 {
+        self.clients.get(&client).map_or(0, |a| a.owed)
+    }
+}
+
+/// What the deployment owes one client, and the link its frames ride.
+#[derive(Debug)]
 pub(crate) struct Account {
+    /// The kept link to the client's listener.
+    pub link: Arc<Link>,
     /// Client-bound frames written but not yet read: once `in_flight` is
     /// zero, exactly what the client has left to read. Raw unsolicited
     /// frames drive it negative, so readers test `> 0`.
@@ -108,7 +163,7 @@ impl Queue {
 }
 
 /// What the runner publishes for clients after each post.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Published {
     pub servers: usize,
     /// `Stats::total`: server-addressed messages so far.
@@ -128,72 +183,42 @@ impl Published {
     }
 }
 
-/// Shared deployment state: the address directory, the runner's queue,
-/// and what the runner publishes for clients.
+/// A deployment: its link, its shared state, and the two signals that
+/// wait on that state's lock.
 #[derive(Debug)]
 pub(crate) struct Deployment {
-    /// Address directory: every endpoint's kept link, which knows the
-    /// OS-assigned port of the listener it connects to. Every server's
-    /// entry is the one link to the deployment's listener; each client
-    /// has its own. Every listener binds port 0 and registers here
-    /// *before* anything can address it. A production deployment would
-    /// get this from its node manager; OS-assigned ports make parallel
-    /// deployments and rapid restarts collision-free (no fixed ranges, no
-    /// `TIME_WAIT` interference).
-    pub links: Mutex<HashMap<Endpoint, Arc<Link>>>,
-    /// Client posts not yet fully handled: each counts from the moment
-    /// its client posts it — before its frame is written — until the
-    /// runner has drained everything it set off to quiescence, held and
-    /// deferred messages included. Clients wait for this to drop to zero
-    /// between operations ([`crate::NetClient::quiesce`]), reproducing
-    /// the simulator's sequential-operation semantics over real sockets —
-    /// overlapping maintenance chains are exactly the concurrency problem
-    /// the paper leaves open (§6).
-    ///
-    /// Every failure is recorded before its post is settled. Raw frames
-    /// nobody posted are settled without an increment and push the count
-    /// transiently below zero, which is why quiescence tests `> 0`, not
-    /// `!= 0`.
-    pub in_flight: AtomicI64,
-    /// Monotonic count of messages this deployment failed to deliver:
-    /// frames whose one connection could not be opened or written,
-    /// frames that arrived truncated/undecodable, refused messages and
-    /// fault-injected losses. Each is also booked to the client it was
-    /// addressed to, or else to every client ([`Events`]); a client's
-    /// next check reports what was booked to it as
-    /// [`crate::client::NetError::Undeliverable`] instead of a silent
-    /// drop or a hang-until-timeout.
-    pub delivery_failures: AtomicU64,
+    /// The kept link to the deployment's listener, which every server's
+    /// frames ride. The listener binds port 0 before anything can address
+    /// it: OS-assigned ports make parallel deployments and rapid restarts
+    /// collision-free (no fixed ranges, no `TIME_WAIT` interference).
+    pub link: Link,
     /// Whether a fault plan runs: only then can a duplicate copy follow
     /// a complete answer.
     pub fault_plan: bool,
-    /// The server count, message total and fault counts, as the runner
-    /// last published them: before it settles each post. Exact once the
-    /// deployment is quiescent.
-    pub published: Mutex<Published>,
     /// Deployment-wide delivery metrics (`None` unless `SDR_METRICS` is
     /// set at launch): frames encoded — written, or carried in memory —
     /// and their bytes. Numeric *values* depend on thread timing — only
     /// the key set is deterministic — so these are for operator
     /// inspection, never for golden comparisons.
     pub metrics: Option<Mutex<sdr_obs::Metrics>>,
-    /// The wake-up signal; see [`Events`].
-    pub events: Mutex<Events>,
+    /// What the runner and the clients share. Clients wait on `wakeup`,
+    /// which the runner raises when it writes a frame for a client, books
+    /// a loss or drains `in_flight`; the runner waits on `arrival` for a
+    /// post. Never held across a write, a drain or a metrics call.
+    pub state: Mutex<State>,
     pub wakeup: Condvar,
-    /// The runner's queue, and the signal it waits on when it is empty.
-    pub queue: Mutex<Queue>,
     pub arrival: Condvar,
     /// The runner thread, until `stop_runner` joins it.
     pub runner: Mutex<Option<JoinHandle<Cluster>>>,
 }
 
 /// A listener's port, and the writing end of the one connection that
-/// carries the frames of every endpoint registered with it: `None` until
-/// the first frame, or after a write on it failed. The lock keeps frames
-/// whole when several threads write on one link.
+/// carries the frames sent to it: `None` until the first frame, or after
+/// a write on it failed. The lock keeps frames whole when several threads
+/// write on one link.
 #[derive(Debug)]
 pub(crate) struct Link {
-    port: u16,
+    pub port: u16,
     stream: Mutex<Option<TcpStream>>,
 }
 
@@ -210,6 +235,12 @@ const IDLE_FIRST: Duration = Duration::from_millis(1);
 const IDLE_LAST: Duration = Duration::from_millis(128);
 
 impl Link {
+    /// A link to `port` that opens at its first frame.
+    pub fn new(port: u16) -> Link {
+        let stream = Mutex::default();
+        Link { port, stream }
+    }
+
     /// Writes `frame` on the kept connection. A write that fails closes
     /// it, and one connect to the port opens the connection that replaces
     /// it; whether either carried the frame.
@@ -237,111 +268,61 @@ enum Wake {
 }
 
 impl Deployment {
-    /// Registers an endpoint's port in the directory, with a link that
-    /// opens at its first frame; returns that link.
-    pub fn register(&self, endpoint: Endpoint, port: u16) -> Arc<Link> {
-        let stream = Mutex::default();
-        let link = Arc::new(Link { port, stream });
-        self.links().insert(endpoint, link.clone());
-        link
-    }
-
-    /// Looks up an endpoint's port.
-    pub fn lookup(&self, endpoint: Endpoint) -> Option<u16> {
-        self.links().get(&endpoint).map(|link| link.port)
-    }
-
-    /// Removes an endpoint and its link from the directory: a client that
-    /// left, or a server that died mid-run (a fault-injection hook).
-    pub fn deregister(&self, endpoint: Endpoint) {
-        self.links().remove(&endpoint);
+    pub fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Counts one failed delivery, books it to `client` (if it is still
     /// connected), or with `None` to every client, and wakes the clients
     /// waiting on it.
     pub fn record_delivery_failure(&self, client: Option<ClientId>) {
-        self.delivery_failures.fetch_add(1, Ordering::SeqCst);
-        let mut events = self.events();
-        match client {
-            Some(client) => events.clients.get_mut(&client).map_or((), |a| a.lost += 1),
-            None => events.lost += 1,
-        }
-        events.seq += 1;
-        drop(events);
+        self.state().book_failure(client);
         self.wakeup.notify_all();
     }
 
-    /// The delivery failures `client` has to see: those booked to every
-    /// client and those booked to it.
-    pub fn failures_for(&self, client: ClientId) -> u64 {
-        let events = self.events();
-        events.lost + events.clients.get(&client).map_or(0, |a| a.lost)
+    /// Waits on `wakeup`, for up to `slice`, while `idle` holds of the
+    /// state the caller locked: the state, and whether the slice ran out.
+    /// `idle` compares with what the caller saw, so nothing is missed.
+    pub fn wait_while<'a>(
+        &self,
+        state: MutexGuard<'a, State>,
+        slice: Duration,
+        idle: impl FnMut(&mut State) -> bool,
+    ) -> (MutexGuard<'a, State>, bool) {
+        let waited = self.wakeup.wait_timeout_while(state, slice, idle);
+        let (state, result) = waited.unwrap_or_else(|e| e.into_inner());
+        (state, result.timed_out())
     }
 
-    /// Adds `n` to `in_flight`, waking `quiesce` when a settle (`n < 0`)
-    /// drops it to zero. Failures are recorded *before* this: who sees
-    /// zero sees them.
-    fn add_in_flight(&self, n: i64) {
-        if self.in_flight.fetch_add(n, Ordering::SeqCst) + n <= 0 && n < 0 {
-            self.notify(None);
-        }
-    }
-
-    pub fn events(&self) -> MutexGuard<'_, Events> {
-        self.events.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn links(&self) -> MutexGuard<'_, HashMap<Endpoint, Arc<Link>>> {
-        self.links.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn queue(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// What the runner last published.
-    pub fn published(&self) -> MutexGuard<'_, Published> {
-        self.published.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Signals an event, booking a frame just written for `owed_to`.
-    pub fn notify(&self, owed_to: Option<ClientId>) {
-        let mut events = self.events();
-        events.seq += 1;
-        if let Some(account) = owed_to.and_then(|c| events.clients.get_mut(&c)) {
-            account.owed += 1;
-        }
-        drop(events);
-        self.wakeup.notify_all();
-    }
-
-    /// Blocks until an event later than `seen` is signalled or `slice`
-    /// elapses; returns whether it was the slice that ended the wait.
-    pub fn wait(&self, seen: u64, slice: Duration) -> bool {
-        let waited = self
-            .wakeup
-            .wait_timeout_while(self.events(), slice, |e| e.seq == seen);
-        waited.unwrap_or_else(|e| e.into_inner()).1.timed_out()
-    }
-
-    /// Writes a client's message as one frame on its server's link — the
-    /// deployment's — and queues the post for the runner, waking it if it
-    /// waits. The message meets the fault plan at its turn, like every
+    /// Writes a client's message as one frame on the deployment's link
+    /// and queues the post for the runner, waking it if it waits. A frame
+    /// for a server that is down, or one that cannot be written, is a
+    /// counted failure, booked to every client, and its post is settled
+    /// at once. The message meets the fault plan at its turn, like every
     /// other.
     pub fn post(&self, msg: &Message) {
-        if !matches!(msg.to, Endpoint::Server(_)) {
+        let Endpoint::Server(id) = msg.to else {
             return;
-        }
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        if !self.write(msg) {
-            return self.add_in_flight(-1);
-        }
-        let mut queue = self.queue();
-        queue.push();
-        if std::mem::take(&mut queue.waiting) {
-            drop(queue);
-            self.arrival.notify_one();
+        };
+        let frame = self.frame(msg);
+        let up = {
+            let mut state = self.state();
+            state.in_flight += 1;
+            !state.down.contains(&id)
+        };
+        let written = up && self.link.write(&frame);
+        let mut state = self.state();
+        if written {
+            state.queue.push();
+            if std::mem::take(&mut state.queue.waiting) {
+                drop(state);
+                self.arrival.notify_one();
+            }
+        } else {
+            state.book_failure(None);
+            state.in_flight -= 1;
+            drop(state);
+            self.wakeup.notify_all();
         }
     }
 
@@ -355,27 +336,13 @@ impl Deployment {
         frame
     }
 
-    /// Writes `msg` as one frame on its endpoint's kept link; whether it
-    /// went. A frame that cannot be written is counted — never silently
-    /// dropped — and booked to the client it was for, or to every client.
-    fn write(&self, msg: &Message) -> bool {
-        let frame = self.frame(msg);
-        // The directory on every frame: an endpoint that left it (a client
-        // that is gone) fails at once.
-        let link = self.links().get(&msg.to).cloned();
-        let written = link.is_some_and(|link| link.write(&frame));
-        if !written {
-            self.record_delivery_failure(client_of(msg.to));
-        }
-        written
-    }
-
     /// The runner's next step: the stop flag first, then the oldest
     /// post, waiting up to `idle` for one.
     fn next_wake(&self, idle: Duration) -> Wake {
-        let mut queue = self.queue();
+        let mut state = self.state();
         let mut timed_out = false;
         loop {
+            let queue = &mut state.queue;
             if queue.stop {
                 return Wake::Stop;
             }
@@ -387,10 +354,10 @@ impl Deployment {
                 return Wake::Idle;
             }
             queue.waiting = true;
-            let waited = self.arrival.wait_timeout(queue, idle);
+            let waited = self.arrival.wait_timeout(state, idle);
             let (guard, result) = waited.unwrap_or_else(|e| e.into_inner());
-            queue = guard;
-            queue.waiting = false;
+            state = guard;
+            state.queue.waiting = false;
             timed_out = result.timed_out();
         }
     }
@@ -399,7 +366,7 @@ impl Deployment {
     /// and joins it: the cluster it ran, or its panic. A second call finds
     /// no runner and returns `None` at once.
     pub fn stop_runner(&self) -> Option<std::thread::Result<Cluster>> {
-        self.queue().stop = true;
+        self.state().queue.stop = true;
         self.arrival.notify_all();
         let runner = self.runner.lock().unwrap_or_else(|e| e.into_inner()).take();
         runner.map(JoinHandle::join)
@@ -407,7 +374,7 @@ impl Deployment {
 
     /// Runs `f` against the metrics registry if one is installed. The
     /// lock is held only for the closure — callers must not nest this
-    /// inside other deployment locks.
+    /// inside the state lock.
     pub fn with_metrics<R>(&self, f: impl FnOnce(&mut sdr_obs::Metrics) -> R) -> Option<R> {
         let metrics = self.metrics.as_ref()?;
         Some(f(&mut metrics.lock().unwrap_or_else(|e| e.into_inner())))
@@ -431,21 +398,13 @@ pub(crate) const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(50);
 /// Serves every server of the deployment until the stop flag: takes the
 /// posts of its queue in order, each one run of `cluster`'s delivery
 /// loop, and when nothing was posted for a whole idle wait, sweeps the
-/// listener's connections for frames nobody posted. Server 0 is
-/// registered on `link`, the kept link to `listener`. One thread, so the
+/// listener's connections for frames nobody posted. One thread, so the
 /// turns form one total order. Returns the cluster.
-pub(crate) fn run(
-    deployment: &Deployment,
-    listener: TcpListener,
-    link: Arc<Link>,
-    mut cluster: Cluster,
-) -> Cluster {
+pub(crate) fn run(deployment: &Deployment, listener: TcpListener, mut cluster: Cluster) -> Cluster {
     let mut runner = Runner {
         deployment,
         listener,
         inbound: Vec::new(),
-        link,
-        servers: 1,
     };
     let (mut idle, mut consecutive_errors) = (IDLE_FIRST, 0u32);
     loop {
@@ -453,12 +412,12 @@ pub(crate) fn run(
             Wake::Stop => return cluster,
             Wake::Post => match runner.serve_next(&mut cluster) {
                 Ok(true) => (idle, consecutive_errors) = (IDLE_FIRST, 0),
-                Ok(false) => deployment.queue().missed(),
+                Ok(false) => deployment.state().queue.missed(),
                 // Transient accept errors (ECONNABORTED, EMFILE, EINTR,
                 // ...) must not end the runner; retry with bounded
                 // backoff and let only the stop flag end the loop.
                 Err(_) => {
-                    deployment.queue().missed();
+                    deployment.state().queue.missed();
                     consecutive_errors = consecutive_errors.saturating_add(1);
                     #[expect(
                         clippy::disallowed_methods,
@@ -478,45 +437,51 @@ pub(crate) fn run(
 }
 
 /// The runner's carrier: the deployment's listener with the connections
-/// it accepted, and the kept link to it that servers register with.
+/// it accepted.
 struct Runner<'a> {
     deployment: &'a Deployment,
     listener: TcpListener,
     inbound: Vec<(TcpStream, Frames)>,
-    link: Arc<Link>,
-    /// Servers registered so far: the next one a split allocates is
-    /// `ServerId(servers)`.
-    servers: u32,
 }
 
 impl Runner<'_> {
     /// Reads the next frame the listener's connections hold and serves
-    /// it: posts it to `cluster`, which routes it by its `to`, drains that
-    /// to quiescence through this carrier, books the refusals, publishes
-    /// the server count, message total and fault counts and settles the
-    /// post. Whether there was a frame. A frame that does not decode is
-    /// lost: counted, and settled like any post instead of leaking its
-    /// sender's `in_flight`.
+    /// it: posts it to `cluster`, which routes it by its `to`, and drains
+    /// that to quiescence through this carrier. Then, in one step, it
+    /// books the refusals, publishes the server count, message total and
+    /// fault counts, and settles the post. Whether there was a frame. A
+    /// frame that does not decode is lost: counted, and settled like any
+    /// post instead of leaking its sender's `in_flight`.
     fn serve_next(&mut self, cluster: &mut Cluster) -> std::io::Result<bool> {
         let Some(frame) = next_frame(&self.listener, &mut self.inbound, true)? else {
             return Ok(false);
         };
-        self.deployment.queue().taken();
-        match frame {
+        // A refused message changed nothing: book it like a frame that
+        // could not be read.
+        let refused = cluster.stats.refused();
+        let lost = match frame {
             Some(msg) => {
-                let refused = cluster.stats.refused();
                 cluster.post(msg);
                 cluster.drain_with(self);
-                // A refused message changed nothing: book it like a frame
-                // that could not be read.
-                for _ in refused..cluster.stats.refused() {
-                    self.deployment.record_delivery_failure(None);
-                }
+                cluster.stats.refused() - refused
             }
-            None => self.deployment.record_delivery_failure(None),
+            None => 1,
+        };
+        let published = Published::of(cluster);
+        let mut state = self.deployment.state();
+        state.queue.taken();
+        for _ in 0..lost {
+            state.book_failure(None);
         }
-        *self.deployment.published() = Published::of(cluster);
-        self.deployment.add_in_flight(-1);
+        state.published = published;
+        state.in_flight -= 1;
+        // A signal on every settle would wake every waiting client; only
+        // a loss or a drained count is news to one.
+        let news = lost > 0 || state.in_flight <= 0;
+        drop(state);
+        if news {
+            self.deployment.wakeup.notify_all();
+        }
         Ok(true)
     }
 }
@@ -524,29 +489,37 @@ impl Runner<'_> {
 impl Carrier for Runner<'_> {
     /// Encodes the message and decodes the frame again: the runner
     /// serves both ends, so the frame never needs a socket, yet the
-    /// message crosses the codec as a client's does. The directory on
-    /// every frame: a server `deregister_server` removed fails at once. A
-    /// server a split allocated is registered at the first frame for it,
-    /// its `SplitCreate`.
+    /// message crosses the codec as a client's does. A frame for a server
+    /// `deregister_server` took down fails at once.
     fn carry(&mut self, msg: Message) -> Option<Message> {
-        if msg.to == Endpoint::Server(ServerId(self.servers)) {
-            self.servers += 1;
-            self.deployment.links().insert(msg.to, self.link.clone());
-        }
         let frame = self.deployment.frame(&msg);
-        let known = self.deployment.lookup(msg.to).is_some();
-        let carried = known.then(|| decode_body(frame.get(4..)?)).flatten();
+        let down =
+            matches!(msg.to, Endpoint::Server(id) if self.deployment.state().down.contains(&id));
+        let carried = (!down).then(|| decode_body(frame.get(4..)?)).flatten();
         if carried.is_none() {
             self.deployment.record_delivery_failure(None);
         }
         carried
     }
 
-    /// Writes the message on its client's kept link and books it as owed.
+    /// Writes the message on its client's kept link and books it as owed;
+    /// a frame for a client that left, or one that cannot be written, is
+    /// a counted failure booked to that client. The link is looked up
+    /// under the lock and written outside it.
     fn deliver(&mut self, msg: Message) {
-        if self.deployment.write(&msg) {
-            self.deployment.notify(client_of(msg.to));
+        let deployment = self.deployment;
+        let client = client_of(msg.to);
+        let frame = deployment.frame(&msg);
+        let link = client.and_then(|c| Some(deployment.state().clients.get(&c)?.link.clone()));
+        let written = link.is_some_and(|link| link.write(&frame));
+        let mut state = deployment.state();
+        if !written {
+            state.book_failure(client);
+        } else if let Some(account) = client.and_then(|c| state.clients.get_mut(&c)) {
+            account.owed += 1;
         }
+        drop(state);
+        deployment.wakeup.notify_all();
     }
 
     fn lost(&mut self, msg: &Message) {

@@ -195,11 +195,11 @@ fn refused_frame_is_counted_and_the_node_serves_on() {
 }
 
 /// Bug 2+4 regression: a server's listener dying mid-run (now a server
-/// leaving the directory: a deployment has one listener) used to mean 50
-/// connect attempts, an `eprintln!`, a silently dropped message, and a
-/// client stuck until its timeout misreported the cause. Now the frame's
-/// one failed lookup increments the delivery-failure counter and the
-/// client fails fast with `Undeliverable`.
+/// taken down: a deployment has one listener) used to mean 50 connect
+/// attempts, an `eprintln!`, a silently dropped message, and a client
+/// stuck until its timeout misreported the cause. Now the frame for it
+/// fails at once, increments the delivery-failure counter, and the client
+/// fails fast with `Undeliverable`.
 #[test]
 fn dead_listener_reports_undeliverable_not_timeout() {
     let cluster = NetCluster::launch(SdrConfig::with_capacity(20)).unwrap();
@@ -210,7 +210,7 @@ fn dead_listener_reports_undeliverable_not_timeout() {
     let servers = cluster.num_servers();
     assert!(servers >= 2, "need a split for this test, got {servers}");
 
-    // Kill a server's directory entry: messages to it now fail at once.
+    // Take a server down: messages to it now fail at once.
     cluster.deregister_server(ServerId(1));
 
     // A full-space window query must traverse every server, so it is
@@ -230,10 +230,37 @@ fn dead_listener_reports_undeliverable_not_timeout() {
     cluster.shutdown();
 }
 
+/// A client's post to a server that is down fails at its own write, and
+/// the client settles it there: one counted failure, nothing left in
+/// flight, and no wait on the runner. A server that is down, or that no
+/// split allocated, has no port.
+#[test]
+fn a_post_to_a_downed_server_fails_and_settles_at_once() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(20)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    cluster.deregister_server(ServerId(0));
+    assert_eq!(cluster.server_port(ServerId(0)), None);
+    assert_eq!(
+        cluster.server_port(ServerId(1)),
+        None,
+        "no split allocated it"
+    );
+
+    let started = Instant::now();
+    let got = client.insert(Object::new(Oid(1), Rect::new(0.1, 0.1, 0.2, 0.2)));
+    let elapsed = started.elapsed();
+    assert!(matches!(got, Err(NetError::Undeliverable)), "got {got:?}");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "failure took {elapsed:?}: the post waited on its server"
+    );
+    assert_eq!((cluster.delivery_failures(), cluster.in_flight()), (1, 0));
+    cluster.shutdown();
+}
+
 /// A client that leaves while reports are still owed to it must not
-/// stall the others, nor fail them. Its endpoint leaves the directory
-/// with it, so each report to it is a lookup that fails: counted at once,
-/// and booked to it alone. A retry ladder used to stall handling
+/// stall the others, nor fail them. Its account and link leave with it,
+/// so each report to it fails at once: counted, and booked to it alone. A retry ladder used to stall handling
 /// ≈ 2.45 s per such report, and the other client's quiescence waited
 /// out all of them (44 s for 18 reports).
 ///

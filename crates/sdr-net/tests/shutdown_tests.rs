@@ -66,7 +66,7 @@ fn shutdown_joins_every_node_and_is_idempotent() {
     drop(cluster);
     assert!(started.elapsed() < Duration::from_millis(10));
 
-    // A server the directory no longer knows is still the runner's, and
+    // A server taken down is still the runner's, and
     // `Drop` alone is a full shutdown.
     let cluster = grown_cluster();
     cluster.deregister_server(ServerId(1));
