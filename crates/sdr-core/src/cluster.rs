@@ -35,7 +35,7 @@ pub trait Carrier {
     /// on the way — the carrier books that loss.
     fn carry(&mut self, msg: Message) -> Option<Message>;
 
-    /// Delivers a client-bound message, at its turn.
+    /// Takes over a client-bound message at its turn, to send now or later.
     fn deliver(&mut self, msg: Message);
 
     /// Books a message the fault plan lost (dropped, or corrupted at the

@@ -17,14 +17,15 @@
 //! [`Carrier`]. The loop orders every message, draws the fault plan and
 //! takes every server turn; the carrier only moves messages. A message
 //! one server sends another is encoded and its frame decoded again in
-//! memory, since the runner serves both ends; a client-bound one is
-//! written on the client's link at its turn. So one client's operations
-//! meet the same order, draws, counts and trace on both substrates. A
-//! link that fails gets one connect: a frame for a server that is down or
-//! a client that left, a refused connect or a failed write is a counted
-//! delivery failure at once. The runner and the clients cut the frames of
-//! the connections they accept with one length-delimited decoder,
-//! `Frames`.
+//! memory, since the runner serves both ends; a client-bound one joins
+//! its client's batch, written on the client's link when the post's
+//! drain ends, or once the batch passes its cap. So one client's
+//! operations meet the same order, draws, counts and trace on both
+//! substrates. A link that fails gets one connect: a frame for a server
+//! that is down or a client that left, a refused connect or a failed
+//! write is a counted delivery failure at once. The runner and the
+//! clients cut the frames of the connections they accept with one
+//! length-delimited decoder, `Frames`.
 //!
 //! Which servers exist is the cluster's: a split allocates one, and the
 //! runner publishes the count. This is the node-manager role a production
@@ -202,9 +203,9 @@ pub(crate) struct Deployment {
     /// inspection, never for golden comparisons.
     pub metrics: Option<Mutex<sdr_obs::Metrics>>,
     /// What the runner and the clients share. Clients wait on `wakeup`,
-    /// which the runner raises when it writes a frame for a client, books
-    /// a loss or drains `in_flight`; the runner waits on `arrival` for a
-    /// post. Never held across a write, a drain or a metrics call.
+    /// which the runner raises when it books a client's batch of frames,
+    /// books a loss or drains `in_flight`; the runner waits on `arrival`
+    /// for a post. Never held across a write, a drain or a metrics call.
     pub state: Mutex<State>,
     pub wakeup: Condvar,
     pub arrival: Condvar,
@@ -241,21 +242,67 @@ impl Link {
         Link { port, stream }
     }
 
-    /// Writes `frame` on the kept connection. A write that fails closes
-    /// it, and one connect to the port opens the connection that replaces
-    /// it; whether either carried the frame.
-    fn write(&self, frame: &[u8]) -> bool {
+    /// Writes `frames`, whole frames end to end, on the kept connection. A
+    /// write that fails closes it, and one connect to the port opens the
+    /// connection that replaces it, which takes the rest from the first
+    /// frame the failed write did not finish; how many bytes of `frames`
+    /// the two took as whole frames.
+    fn write(&self, frames: &[u8]) -> usize {
         let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        let kept = stream.take().filter(|mut s| s.write_all(frame).is_ok());
-        *stream = kept.or_else(|| {
-            let mut s = TcpStream::connect(("127.0.0.1", self.port)).ok()?;
-            s.set_nodelay(true).ok()?;
-            s.set_write_timeout(Some(FRAME_TIMEOUT)).ok()?;
-            s.write_all(frame).ok()?;
-            Some(s)
-        });
-        stream.is_some()
+        let mut carried = 0;
+        let connect = std::iter::once_with(|| self.connect()).flatten();
+        for mut s in stream.take().into_iter().chain(connect) {
+            let rest = frames.get(carried..).unwrap_or_default();
+            let sent = send(&mut s, rest);
+            if sent == rest.len() {
+                *stream = Some(s);
+                return frames.len();
+            }
+            carried += unfinished(rest, sent);
+        }
+        carried
     }
+
+    /// One connect to the port, with `TCP_NODELAY` and the frame timeout.
+    fn connect(&self) -> Option<TcpStream> {
+        let s = TcpStream::connect(("127.0.0.1", self.port)).ok()?;
+        s.set_nodelay(true).ok()?;
+        s.set_write_timeout(Some(FRAME_TIMEOUT)).ok()?;
+        Some(s)
+    }
+}
+
+/// Writes what `stream` takes of `bytes`, until it fails: how many bytes.
+fn send(stream: &mut TcpStream, bytes: &[u8]) -> usize {
+    let mut sent = 0;
+    while let Some(rest) = bytes.get(sent..).filter(|rest| !rest.is_empty()) {
+        match stream.write(rest) {
+            Ok(0) => break,
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    sent
+}
+
+/// Where each length-prefixed frame of `frames` ends.
+fn frame_ends(frames: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    let mut end = 0;
+    std::iter::from_fn(move || {
+        let prefix = frames.get(end..)?.first_chunk::<4>()?;
+        end += 4 + u32::from_be_bytes(*prefix) as usize;
+        Some(end)
+    })
+}
+
+/// Where the first frame of `frames` that its first `sent` bytes do not
+/// finish starts: what a write cut short there has to send again.
+fn unfinished(frames: &[u8], sent: usize) -> usize {
+    frame_ends(frames)
+        .take_while(|&end| end <= sent)
+        .last()
+        .unwrap_or(0)
 }
 
 /// What the runner does next.
@@ -310,7 +357,7 @@ impl Deployment {
             state.in_flight += 1;
             !state.down.contains(&id)
         };
-        let written = up && self.link.write(&frame);
+        let written = up && self.link.write(&frame) == frame.len();
         let mut state = self.state();
         if written {
             state.queue.push();
@@ -405,6 +452,7 @@ pub(crate) fn run(deployment: &Deployment, listener: TcpListener, mut cluster: C
         deployment,
         listener,
         inbound: Vec::new(),
+        batches: HashMap::new(),
     };
     let (mut idle, mut consecutive_errors) = (IDLE_FIRST, 0u32);
     loop {
@@ -437,21 +485,83 @@ pub(crate) fn run(deployment: &Deployment, listener: TcpListener, mut cluster: C
 }
 
 /// The runner's carrier: the deployment's listener with the connections
-/// it accepted.
+/// it accepted, and the frames the drain has for each client.
 struct Runner<'a> {
     deployment: &'a Deployment,
     listener: TcpListener,
     inbound: Vec<(TcpStream, Frames)>,
+    /// Each client's frames, gathered through a post's drain and written
+    /// when it ends, or once they pass [`BATCH_CAP`]. A buffer keeps its
+    /// capacity across posts while its client stays connected.
+    batches: HashMap<ClientId, Batch>,
+}
+
+/// The most bytes of frames a client's batch gathers before the drain
+/// writes it: a large answer streams to its client in batches instead of
+/// waiting for the drain to end. A batch write is at most this plus one
+/// frame.
+const BATCH_CAP: usize = 64 * 1024;
+
+/// One client's frames not yet written, end to end in the order the
+/// drain delivered them.
+#[derive(Debug, Default)]
+struct Batch {
+    bytes: Vec<u8>,
+    /// The client's link, looked up for the next write: `None` for a
+    /// client that left.
+    link: Option<Arc<Link>>,
+    /// How many bytes of whole frames the last write carried.
+    carried: usize,
+}
+
+impl Batch {
+    /// Looks up the client's link in `state`, if a frame waits.
+    fn look_up(&mut self, client: ClientId, state: &State) {
+        if !self.bytes.is_empty() {
+            self.link = state.clients.get(&client).map(|a| a.link.clone());
+        }
+    }
+
+    /// Writes the frames on the link looked up for them; a client that
+    /// left gets none.
+    fn write(&mut self) {
+        if let Some(link) = self.link.take() {
+            self.carried = link.write(&self.bytes);
+        }
+    }
+
+    /// Books the frames the write carried as owed to `client`, and the
+    /// rest as failures booked to it, then empties the batch; whether it
+    /// held a frame.
+    fn book(&mut self, client: ClientId, state: &mut State) -> bool {
+        let mut owed = 0;
+        for end in frame_ends(&self.bytes) {
+            if end <= self.carried {
+                owed += 1;
+            } else {
+                state.book_failure(Some(client));
+            }
+        }
+        if let Some(account) = state.clients.get_mut(&client) {
+            account.owed += owed;
+        }
+        let held = !self.bytes.is_empty();
+        self.bytes.clear();
+        self.carried = 0;
+        held
+    }
 }
 
 impl Runner<'_> {
     /// Reads the next frame the listener's connections hold and serves
     /// it: posts it to `cluster`, which routes it by its `to`, and drains
-    /// that to quiescence through this carrier. Then, in one step, it
-    /// books the refusals, publishes the server count, message total and
-    /// fault counts, and settles the post. Whether there was a frame. A
-    /// frame that does not decode is lost: counted, and settled like any
-    /// post instead of leaking its sender's `in_flight`.
+    /// that to quiescence through this carrier. Then it writes each
+    /// client's batch, with the links looked up under one lock, and in one
+    /// step books the batches and the refusals, publishes the server
+    /// count, message total and fault counts, and settles the post.
+    /// Whether there was a frame. A frame that does not decode is lost:
+    /// counted, and settled like any post instead of leaking its sender's
+    /// `in_flight`.
     fn serve_next(&mut self, cluster: &mut Cluster) -> std::io::Result<bool> {
         let Some(frame) = next_frame(&self.listener, &mut self.inbound, true)? else {
             return Ok(false);
@@ -468,7 +578,19 @@ impl Runner<'_> {
             None => 1,
         };
         let published = Published::of(cluster);
+        let state = self.deployment.state();
+        for (client, batch) in &mut self.batches {
+            batch.look_up(*client, &state);
+        }
+        drop(state);
+        self.batches.values_mut().for_each(Batch::write);
         let mut state = self.deployment.state();
+        let mut news = lost > 0;
+        for (client, batch) in &mut self.batches {
+            news |= batch.book(*client, &mut state);
+        }
+        self.batches
+            .retain(|client, _| state.clients.contains_key(client));
         state.queue.taken();
         for _ in 0..lost {
             state.book_failure(None);
@@ -476,8 +598,8 @@ impl Runner<'_> {
         state.published = published;
         state.in_flight -= 1;
         // A signal on every settle would wake every waiting client; only
-        // a loss or a drained count is news to one.
-        let news = lost > 0 || state.in_flight <= 0;
+        // a frame, a loss or a drained count is news to one.
+        let news = news || state.in_flight <= 0;
         drop(state);
         if news {
             self.deployment.wakeup.notify_all();
@@ -502,24 +624,24 @@ impl Carrier for Runner<'_> {
         carried
     }
 
-    /// Writes the message on its client's kept link and books it as owed;
-    /// a frame for a client that left, or one that cannot be written, is
-    /// a counted failure booked to that client. The link is looked up
-    /// under the lock and written outside it.
+    /// Adds the message's frame to its client's batch, which the post
+    /// writes when its drain ends. A batch that passes [`BATCH_CAP`] is
+    /// written and booked at once: its frames owed, or, for a client that
+    /// left or a write that failed, counted failures booked to that
+    /// client.
     fn deliver(&mut self, msg: Message) {
+        let Endpoint::Client(client) = msg.to else {
+            return self.lost(&msg);
+        };
         let deployment = self.deployment;
-        let client = client_of(msg.to);
-        let frame = deployment.frame(&msg);
-        let link = client.and_then(|c| Some(deployment.state().clients.get(&c)?.link.clone()));
-        let written = link.is_some_and(|link| link.write(&frame));
-        let mut state = deployment.state();
-        if !written {
-            state.book_failure(client);
-        } else if let Some(account) = client.and_then(|c| state.clients.get_mut(&c)) {
-            account.owed += 1;
+        let batch = self.batches.entry(client).or_default();
+        batch.bytes.extend_from_slice(&deployment.frame(&msg));
+        if batch.bytes.len() > BATCH_CAP {
+            batch.look_up(client, &deployment.state());
+            batch.write();
+            batch.book(client, &mut deployment.state());
+            deployment.wakeup.notify_all();
         }
-        drop(state);
-        deployment.wakeup.notify_all();
     }
 
     fn lost(&mut self, msg: &Message) {
@@ -710,6 +832,27 @@ mod tests {
         queue.taken();
         // The account is settled: the next frames are queued anew.
         assert_eq!(queue.unread, 0);
+    }
+
+    /// A batch write cut short is taken up again at the first frame it
+    /// did not finish: the frames before it arrived whole and are not
+    /// sent twice.
+    #[test]
+    fn a_cut_batch_resends_from_its_first_unfinished_frame() {
+        let frames = [&[0, 0, 0, 2, 7, 7][..], &[0, 0, 0, 1, 8], &[0, 0, 0, 0]].concat();
+        assert_eq!(frame_ends(&frames).collect::<Vec<_>>(), [6, 11, 15]);
+        let cases = [
+            (0, 0),
+            (5, 0),
+            (6, 6),
+            (10, 6),
+            (11, 11),
+            (14, 11),
+            (15, 15),
+        ];
+        for (sent, resend_from) in cases {
+            assert_eq!(unfinished(&frames, sent), resend_from, "{sent} bytes sent");
+        }
     }
 
     #[test]

@@ -305,3 +305,32 @@ fn concurrent_posts_wait_for_the_cascade_before_them() {
     let everything = reader.window_query(&mut served, Rect::new(0.0, 0.0, 1.0, 1.0));
     assert_eq!(oids(everything.results), oids(objects));
 }
+
+/// A full-space window over 20 000 objects at capacity 1 000 is answered
+/// by some thirty servers, each report tens of kilobytes: the runner
+/// gathers a client's frames through a drain, and this answer passes its
+/// batch cap several times. Each batch is written and booked when it
+/// passes the cap, so the answer streams to its client; every oid comes
+/// back, and no frame is lost.
+#[test]
+fn an_answer_past_the_batch_cap_streams_whole() {
+    let cluster = NetCluster::launch(SdrConfig::with_capacity(1000)).unwrap();
+    let mut client = NetClient::connect(&cluster).unwrap();
+    let data = DatasetSpec::new(20_000, Distribution::Uniform).generate(5);
+    let objects: Vec<Object> = (0u64..)
+        .zip(data)
+        .map(|(i, r)| Object::new(Oid(i), r))
+        .collect();
+    for obj in &objects {
+        client.insert(*obj).unwrap();
+    }
+    assert!(
+        cluster.num_servers() >= 16,
+        "{} servers",
+        cluster.num_servers()
+    );
+    let everything = client.window_query(Rect::new(0.0, 0.0, 1.0, 1.0)).unwrap();
+    assert_eq!(oids(everything), oids(objects));
+    assert_eq!(cluster.delivery_failures(), 0);
+    cluster.shutdown();
+}
